@@ -17,7 +17,7 @@ int main() {
       "ground truth.");
 
   auto db = bench::MakeDatabase();
-  const auto workload = query::BuildJobLiteWorkload(db->schema());
+  const auto workload = query::LoadWorkload("job", db->schema());
   benchkit::Protocol protocol;
 
   struct Variant {

@@ -20,16 +20,9 @@
 #include "engine/database.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "query/job_workload.h"
 #include "query/sql_workload.h"
 #include "util/table_printer.h"
 #include "util/thread_pool.h"
-
-// Directory holding the .sql workload files (workloads/ at the repo root);
-// the bench CMakeLists bakes in the absolute path.
-#ifndef LQOLAB_WORKLOADS_DIR
-#define LQOLAB_WORKLOADS_DIR "workloads"
-#endif
 
 namespace lqolab::bench {
 
@@ -135,8 +128,8 @@ inline std::unique_ptr<engine::Database> MakeDatabase(
 }
 
 /// Parses `--workload <job|job_complex|tpch>` / `--workload=<name>` from
-/// the binary's argv. Returns "job" (the built-in JOB-lite templates) when
-/// the flag is absent.
+/// the binary's argv (names as in query::LoadWorkload). Returns "job"
+/// (JOB-lite) when the flag is absent.
 inline std::string WorkloadFlag(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -151,37 +144,6 @@ inline std::string WorkloadFlag(int argc, char** argv) {
 inline catalog::Schema WorkloadSchema(const std::string& workload) {
   return workload == "tpch" ? catalog::BuildTpchSchema()
                             : catalog::BuildImdbSchema();
-}
-
-/// Loads the named workload's queries — "job" from the built-in templates,
-/// "job_complex"/"tpch" from their workloads/*.sql files through the sql/
-/// frontend (parse + bind, ids via sql::AssignQueryId). Exits with the
-/// loader's diagnostic on a malformed file or an unknown name.
-inline std::vector<query::Query> LoadWorkloadQueries(
-    const std::string& workload, const catalog::Schema& schema) {
-  if (workload == "job") return query::BuildJobLiteWorkload(schema);
-  std::string file;
-  if (workload == "job_complex") {
-    file = "job_complex_lite.sql";
-  } else if (workload == "tpch") {
-    file = "tpch_lite.sql";
-  } else {
-    std::fprintf(stderr,
-                 "unknown workload '%s' (expected job, job_complex or "
-                 "tpch)\n",
-                 workload.c_str());
-    std::exit(1);
-  }
-  const std::string path = std::string(LQOLAB_WORKLOADS_DIR) + "/" + file;
-  std::vector<query::Query> queries;
-  const util::Status status =
-      query::LoadSqlWorkloadFile(path, schema, &queries);
-  if (!status.ok()) {
-    std::fprintf(stderr, "cannot load %s: %s\n", path.c_str(),
-                 status.ToString().c_str());
-    std::exit(1);
-  }
-  return queries;
 }
 
 /// Creates the benchmark database for the named workload: the standard

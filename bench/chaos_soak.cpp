@@ -27,7 +27,7 @@
 #include "faultlib/faultlib.h"
 #include "lqo/native_passthrough.h"
 #include "obs/metrics.h"
-#include "query/job_workload.h"
+#include "query/sql_workload.h"
 #include "serve/query_server.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -244,7 +244,7 @@ int main(int argc, char** argv) {
   db_options.profile = datagen::ScaleProfile::Small();
   db_options.seed = 42;
   const auto db = engine::Database::CreateImdb(db_options);
-  const auto workload = query::BuildJobLiteWorkload(db->schema());
+  const auto workload = query::LoadWorkload("job", db->schema());
 
   // The canonical fault-free answer per query (row counts are independent
   // of the replay salt, so one clean pass covers every occurrence).

@@ -121,7 +121,7 @@ WorkloadResult RunBakeoff(const std::string& workload) {
   result.workload = workload;
   auto db = bench::MakeWorkloadDatabase(workload, 0.25);
   const std::vector<query::Query> queries =
-      bench::LoadWorkloadQueries(workload, db->schema());
+      query::LoadWorkload(workload, db->schema());
   result.queries = static_cast<int64_t>(queries.size());
   const PlanFeaturizer featurizer(&db->context(), &db->planner().estimator());
 
@@ -434,7 +434,7 @@ int main(int argc, char** argv) {
 
   std::fprintf(stderr, "serve loop (harvest -> refresh -> promote)...\n");
   auto db = bench::MakeDatabase(0.25);
-  const auto workload = query::BuildJobLiteWorkload(db->schema());
+  const auto workload = query::LoadWorkload("job", db->schema());
   const ServeResult serve =
       RunServeLoop(db.get(), workload, "BENCH_costmodel_trace.jsonl");
   std::fprintf(stderr,

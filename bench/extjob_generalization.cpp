@@ -26,8 +26,8 @@ int main() {
       "templates (one level harder than base-query sampling).");
 
   auto db = bench::MakeDatabase(0.25);
-  const auto train = query::BuildJobLiteWorkload(db->schema());
-  const auto test = query::BuildExtJobWorkload(db->schema());
+  const auto train = query::LoadWorkload("job", db->schema());
+  const auto test = query::LoadWorkload("ext_job", db->schema());
   std::printf("train: %zu JOB queries; test: %zu Ext-JOB queries\n\n",
               train.size(), test.size());
 

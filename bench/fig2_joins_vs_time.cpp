@@ -17,7 +17,7 @@ int main() {
                      "OLS + leave-one-out R^2 of joins -> time.");
 
   auto db = bench::MakeDatabase();
-  const auto workload = query::BuildJobLiteWorkload(db->schema());
+  const auto workload = query::LoadWorkload("job", db->schema());
 
   benchkit::Protocol protocol;  // 3 runs, take the 3rd (hot cache)
   std::vector<double> joins;

@@ -1,10 +1,10 @@
 // Figure 3: visualization of the three train/test split samplers on the
 // base-query families of JOB (Leave One Out / Random / Base Query).
 //
-// --workload job|job_complex|tpch picks the query set (default job); the
-// .sql workloads load through the sql/ frontend and split exactly like the
-// built-in templates because sql::AssignQueryId maps their ids onto
-// template/variant.
+// --workload job|ext_job|job_complex|tpch picks the query set (default
+// job). Every workload is a workloads/*.sql file loaded through the sql/
+// frontend; the splits group families because sql::AssignQueryId maps each
+// id onto template/variant.
 
 #include "bench_common.h"
 #include "benchkit/splits.h"
@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
 
   const std::string workload_name = bench::WorkloadFlag(argc, argv);
   const catalog::Schema schema = bench::WorkloadSchema(workload_name);
-  const auto workload = bench::LoadWorkloadQueries(workload_name, schema);
+  const auto workload = query::LoadWorkload(workload_name, schema);
   std::printf("workload: %s (%zu queries)\n\n", workload_name.c_str(),
               workload.size());
   // Show the first five families whatever the workload's template-id base

@@ -19,7 +19,7 @@ int main() {
       "(50 consecutive executions per query, cold start).");
 
   auto db = bench::MakeDatabase();
-  const auto workload = query::BuildJobLiteWorkload(db->schema());
+  const auto workload = query::LoadWorkload("job", db->schema());
   db->DropCaches();
 
   constexpr int kRuns = 50;

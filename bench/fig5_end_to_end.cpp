@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
   const std::string workload_name = bench::WorkloadFlag(argc, argv);
   auto db = bench::MakeWorkloadDatabase(workload_name, 0.25);
   const auto workload =
-      bench::LoadWorkloadQueries(workload_name, db->schema());
+      query::LoadWorkload(workload_name, db->schema());
   std::printf("workload: %s (%zu queries)\n\n", workload_name.c_str(),
               workload.size());
   auto splits = benchkit::PaperSplits(workload);

@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   bench::BenchTrace trace(argc, argv);
 
   auto db = bench::MakeDatabase(0.25);
-  const auto workload = query::BuildJobLiteWorkload(db->schema());
+  const auto workload = query::LoadWorkload("job", db->schema());
   const auto all_splits = benchkit::PaperSplits(workload);
   // One split per sampler: indices 0, 3, 6.
   std::vector<benchkit::Split> splits = {all_splits[0], all_splits[3],

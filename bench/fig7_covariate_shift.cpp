@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
               static_cast<long long>(half->TotalPages()));
 
   const auto workload =
-      bench::LoadWorkloadQueries(workload_name, full->schema());
+      query::LoadWorkload(workload_name, full->schema());
   const auto splits = benchkit::PaperSplits(workload);
   const auto& split = splits[6];  // base_query_1
   const auto train = benchkit::SelectQueries(workload, split.train_indices);

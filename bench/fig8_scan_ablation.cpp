@@ -18,7 +18,7 @@ int main() {
       "queries whose delta exceeds the report threshold.");
 
   auto db = bench::MakeDatabase();
-  const auto workload = query::BuildJobLiteWorkload(db->schema());
+  const auto workload = query::LoadWorkload("job", db->schema());
 
   benchkit::Protocol protocol;
   protocol.runs = 6;

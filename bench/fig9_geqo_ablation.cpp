@@ -19,7 +19,7 @@ int main() {
       "for large queries); deltas above the report threshold.");
 
   auto db = bench::MakeDatabase();
-  const auto workload = query::BuildJobLiteWorkload(db->schema());
+  const auto workload = query::LoadWorkload("job", db->schema());
 
   benchkit::Protocol protocol;
   protocol.runs = 6;

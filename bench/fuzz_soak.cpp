@@ -5,9 +5,9 @@
 // on top of the sharded-twin arm every configuration already runs) — with
 // the native-passthrough and Bao
 // arms in the execution cross-check. Every configuration also runs the SQL
-// round-trip arm (DifferentialOptions::sql_round_trip, on by default):
-// each generated query renders to SQL, re-binds through the sql/ frontend,
-// and must fingerprint, render and DP-plan byte-identically. Emits one JSON document (stdout, or the file given
+// round-trip arm: each generated query renders to SQL, re-binds through
+// the sql/ frontend, and must fingerprint, render and DP-plan
+// byte-identically. Emits one JSON document (stdout, or the file given
 // as argv[1]) with queries/sec, checks/sec and the discrepancy count, which
 // must be zero; the recorded run lives at BENCH_fuzz.json.
 //
@@ -18,7 +18,7 @@
 //                         run all queries)
 //
 // Replay a reproducer against the default configuration:
-//   ./build/bench/fuzz_soak --replay tests/fuzz_corpus/<name>.repro
+//   ./build/bench/fuzz_soak --replay tests/fuzz_corpus/<name>.sql
 
 #include <chrono>
 #include <cstdio>
@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "engine/database.h"
-#include "fuzz/corpus.h"
 #include "fuzz/fuzzer.h"
 #include "lqo/bao.h"
 #include "lqo/native_passthrough.h"
@@ -108,8 +107,7 @@ int Replay(const char* path) {
   fuzz::Fuzzer fuzzer(db.get(), {});
   lqo::NativePassthroughOptimizer passthrough;
   fuzzer.AddLqoArm(&passthrough);
-  std::string error;
-  const fuzz::CheckReport report = fuzzer.Replay(path, &error);
+  const fuzz::CheckReport report = fuzzer.Replay(path);
   for (const auto& d : report.discrepancies) {
     std::printf("DISCREPANCY %s: %s\n", d.check.c_str(), d.detail.c_str());
   }

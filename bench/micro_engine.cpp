@@ -37,13 +37,13 @@ engine::Database* SharedDb() {
 
 const std::vector<query::Query>& SharedWorkload() {
   static const std::vector<query::Query> workload =
-      query::BuildJobLiteWorkload(SharedDb()->schema());
+      query::LoadWorkload("job", SharedDb()->schema());
   return workload;
 }
 
 void BM_PlannerDpSmall(benchmark::State& state) {
   auto* db = SharedDb();
-  const query::Query q = query::BuildJobQuery(db->schema(), 3, 'a');
+  const query::Query q = query::LoadWorkloadQuery("job", "3a", db->schema());
   for (auto _ : state) {
     benchmark::DoNotOptimize(db->planner().PlanDynamicProgramming(q, true));
   }
@@ -52,7 +52,7 @@ BENCHMARK(BM_PlannerDpSmall);
 
 void BM_PlannerDpMedium(benchmark::State& state) {
   auto* db = SharedDb();
-  const query::Query q = query::BuildJobQuery(db->schema(), 22, 'a');
+  const query::Query q = query::LoadWorkloadQuery("job", "22a", db->schema());
   for (auto _ : state) {
     benchmark::DoNotOptimize(db->planner().PlanDynamicProgramming(q, true));
   }
@@ -61,7 +61,7 @@ BENCHMARK(BM_PlannerDpMedium);
 
 void BM_PlannerGeqo17Relations(benchmark::State& state) {
   auto* db = SharedDb();
-  const query::Query q = query::BuildJobQuery(db->schema(), 29, 'a');
+  const query::Query q = query::LoadWorkloadQuery("job", "29a", db->schema());
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         db->planner().PlanGenetic(q, optimizer::GeqoParams{}));
@@ -102,7 +102,7 @@ BENCHMARK(BM_EstimateJoinRows);
 void BM_OracleColdPairJoin(benchmark::State& state) {
   auto* db = SharedDb();
   // A fresh query fingerprint each iteration forces an unmemoized join.
-  const query::Query base = query::BuildJobQuery(db->schema(), 3, 'a');
+  const query::Query base = query::LoadWorkloadQuery("job", "3a", db->schema());
   int64_t counter = 0;
   for (auto _ : state) {
     query::Query q = base;

@@ -109,7 +109,7 @@ int main(int argc, char** argv) {
     for (const auto& table : db->context().tables()) {
       total_rows += table->row_count();
     }
-    const auto workload = query::BuildJobLiteWorkload(db->schema());
+    const auto workload = query::LoadWorkload("job", db->schema());
     std::fprintf(stderr, "sf %.3g: %lld rows, %zu queries\n", sf,
                  static_cast<long long>(total_rows), workload.size());
 

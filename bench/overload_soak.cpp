@@ -139,7 +139,7 @@ int main(int argc, char** argv) {
   }
 
   auto db = bench::MakeDatabase(quick ? 0.1 : 0.25);
-  const auto workload = query::BuildJobLiteWorkload(db->schema());
+  const auto workload = query::LoadWorkload("job", db->schema());
   const int64_t target_arrivals = quick ? 300 : 600;
   OpenLoopRunner runner(db.get(), workload);
 

@@ -42,7 +42,7 @@ int main() {
       "linear execution-time distributions (Mann-Whitney U).");
 
   auto db = bench::MakeDatabase(0.25);
-  const auto workload = query::BuildJobLiteWorkload(db->schema());
+  const auto workload = query::LoadWorkload("job", db->schema());
 
   constexpr size_t kMaxPlansPerQuery = 8000;
   std::vector<double> bushy_times;

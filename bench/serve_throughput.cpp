@@ -243,7 +243,7 @@ int main(int argc, char** argv) {
   using namespace lqolab;
 
   auto db = bench::MakeDatabase(0.25);
-  const auto workload = query::BuildJobLiteWorkload(db->schema());
+  const auto workload = query::LoadWorkload("job", db->schema());
   const int epochs = 3;
   // At least 4 workers even on a single-core box: the determinism check
   // compares against a 1-worker replay, which only means something when the

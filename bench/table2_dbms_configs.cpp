@@ -57,7 +57,7 @@ int main() {
   std::printf("\nFull JOB-lite workload under each configuration "
               "(3-run protocol, cold start per preset):\n");
   auto db = bench::MakeDatabase();
-  const auto workload = query::BuildJobLiteWorkload(db->schema());
+  const auto workload = query::LoadWorkload("job", db->schema());
   benchkit::Protocol protocol;
   util::TablePrinter impact({"config", "planning", "execution", "end-to-end",
                              "timeouts"});

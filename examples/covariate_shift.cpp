@@ -16,7 +16,7 @@
 #include "datagen/imdb_generator.h"
 #include "engine/database.h"
 #include "lqo/bao.h"
-#include "query/job_workload.h"
+#include "query/sql_workload.h"
 #include "util/table_printer.h"
 
 int main() {
@@ -53,7 +53,7 @@ int main() {
   }
   overview.Print();
 
-  const auto workload = query::BuildJobLiteWorkload(full->schema());
+  const auto workload = query::LoadWorkload("job", full->schema());
   const auto split = benchkit::SampleSplit(
       workload, benchkit::SplitKind::kBaseQuery, 0.2, 7);
   const auto train = benchkit::SelectQueries(workload, split.train_indices);

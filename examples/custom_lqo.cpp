@@ -18,7 +18,7 @@
 #include "engine/database.h"
 #include "lqo/interface.h"
 #include "lqo/plan_search.h"
-#include "query/job_workload.h"
+#include "query/sql_workload.h"
 #include "util/table_printer.h"
 
 namespace {
@@ -91,7 +91,7 @@ int main() {
   options.profile = datagen::ScaleProfile::Medium().Scaled(0.25);
   options.seed = 42;
   auto db = engine::Database::CreateImdb(options);
-  const auto workload = query::BuildJobLiteWorkload(db->schema());
+  const auto workload = query::LoadWorkload("job", db->schema());
 
   // Evaluate the custom method across all three split-difficulty levels —
   // the framework treats it exactly like the built-in methods.

@@ -6,7 +6,7 @@
 #include <cstdio>
 
 #include "engine/database.h"
-#include "query/job_workload.h"
+#include "query/sql_workload.h"
 #include "util/table_printer.h"
 
 int main() {
@@ -22,8 +22,8 @@ int main() {
   std::printf("database ready: %lld heap pages\n\n",
               static_cast<long long>(db->TotalPages()));
 
-  // 2. Build the JOB-lite workload (113 queries over 33 templates).
-  const auto workload = query::BuildJobLiteWorkload(db->schema());
+  // 2. Load the JOB-lite workload (113 queries over 33 templates).
+  const auto workload = query::LoadWorkload("job", db->schema());
   std::printf("workload: %zu queries, first is %s:\n  %s\n\n", workload.size(),
               workload[0].id.c_str(),
               workload[0].ToSql(db->schema()).c_str());

@@ -12,7 +12,7 @@
 #include "benchkit/splits.h"
 #include "engine/database.h"
 #include "lqo/bao.h"
-#include "query/job_workload.h"
+#include "query/sql_workload.h"
 #include "util/table_printer.h"
 #include "util/thread_pool.h"
 
@@ -23,7 +23,7 @@ int main() {
   options.profile = datagen::ScaleProfile::Medium().Scaled(0.25);
   options.seed = 42;
   auto db = engine::Database::CreateImdb(options);
-  const auto workload = query::BuildJobLiteWorkload(db->schema());
+  const auto workload = query::LoadWorkload("job", db->schema());
 
   // A "hard" base-query split: whole query families are held out, so the
   // model cannot reuse join structure it saw during training.

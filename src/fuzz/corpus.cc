@@ -1,264 +1,55 @@
 #include "fuzz/corpus.h"
 
 #include <algorithm>
-#include <cctype>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
-#include "util/check.h"
+#include "query/sql_workload.h"
 
 namespace lqolab::fuzz {
 
-using query::AliasId;
-using query::Predicate;
-using query::Query;
-
-namespace {
-
-const char* KindName(Predicate::Kind kind) {
-  switch (kind) {
-    case Predicate::Kind::kEq: return "eq";
-    case Predicate::Kind::kIn: return "in";
-    case Predicate::Kind::kRange: return "range";
-    case Predicate::Kind::kIsNull: return "isnull";
-    case Predicate::Kind::kNotNull: return "notnull";
-    case Predicate::Kind::kLikePrefix: return "likeprefix";
-  }
-  return "?";
-}
-
-bool ParseKind(const std::string& name, Predicate::Kind* kind) {
-  for (Predicate::Kind k :
-       {Predicate::Kind::kEq, Predicate::Kind::kIn, Predicate::Kind::kRange,
-        Predicate::Kind::kIsNull, Predicate::Kind::kNotNull,
-        Predicate::Kind::kLikePrefix}) {
-    if (name == KindName(k)) {
-      *kind = k;
-      return true;
-    }
-  }
-  return false;
-}
-
-AliasId FindAlias(const Query& q, const std::string& alias) {
-  for (size_t i = 0; i < q.relations.size(); ++i) {
-    if (q.relations[i].alias == alias) return static_cast<AliasId>(i);
-  }
-  return -1;
-}
-
-/// Splits "alias.column" and resolves both against the query/schema.
-bool ResolveColumnRef(const Query& q, const catalog::Schema& schema,
-                      const std::string& ref, AliasId* alias,
-                      catalog::ColumnId* column, std::string* error) {
-  const size_t dot = ref.find('.');
-  if (dot == std::string::npos) {
-    *error = "expected alias.column, got '" + ref + "'";
-    return false;
-  }
-  *alias = FindAlias(q, ref.substr(0, dot));
-  if (*alias < 0) {
-    *error = "unknown alias in '" + ref + "'";
-    return false;
-  }
-  const catalog::TableDef& def =
-      schema.table(q.relations[static_cast<size_t>(*alias)].table);
-  *column = def.FindColumn(ref.substr(dot + 1));
-  if (*column == catalog::kInvalidColumn) {
-    *error = "unknown column in '" + ref + "' (table " + def.name + ")";
-    return false;
-  }
-  return true;
-}
-
-/// Tokenizes one line: whitespace-separated words, with single-quoted
-/// strings (no escapes; quotes cannot appear inside literals) kept as one
-/// token tagged by `quoted`.
-struct Token {
-  std::string text;
-  bool quoted = false;
-};
-
-bool TokenizeLine(const std::string& line, std::vector<Token>* tokens,
-                  std::string* error) {
-  size_t i = 0;
-  while (i < line.size()) {
-    if (std::isspace(static_cast<unsigned char>(line[i]))) {
-      ++i;
-      continue;
-    }
-    if (line[i] == '\'') {
-      const size_t close = line.find('\'', i + 1);
-      if (close == std::string::npos) {
-        *error = "unterminated string literal";
-        return false;
-      }
-      tokens->push_back({line.substr(i + 1, close - i - 1), true});
-      i = close + 1;
-      continue;
-    }
-    size_t j = i;
-    while (j < line.size() &&
-           !std::isspace(static_cast<unsigned char>(line[j]))) {
-      ++j;
-    }
-    tokens->push_back({line.substr(i, j - i), false});
-    i = j;
-  }
-  return true;
-}
-
-}  // namespace
-
-std::string SerializeQuery(const Query& q, const catalog::Schema& schema) {
-  std::ostringstream os;
-  os << "query " << q.id << "\n";
-  for (const auto& rel : q.relations) {
-    os << "relation " << schema.table(rel.table).name << " " << rel.alias
-       << "\n";
-  }
-  auto column_ref = [&](AliasId alias, catalog::ColumnId column) {
-    const auto& rel = q.relations[static_cast<size_t>(alias)];
-    return rel.alias + "." +
-           schema.table(rel.table).columns[static_cast<size_t>(column)].name;
-  };
-  for (const auto& edge : q.edges) {
-    os << "edge " << column_ref(edge.left_alias, edge.left_column) << " "
-       << column_ref(edge.right_alias, edge.right_column) << "\n";
-  }
-  for (const auto& pred : q.predicates) {
-    os << "pred " << column_ref(pred.alias, pred.column) << " "
-       << KindName(pred.kind);
-    for (storage::Value v : pred.int_values) os << " " << v;
-    for (const std::string& s : pred.str_values) {
-      LQOLAB_CHECK_MSG(s.find('\'') == std::string::npos,
-                       "corpus cannot quote literal containing ': " << s);
-      os << " '" << s << "'";
-    }
-    os << "\n";
-  }
-  return os.str();
-}
-
-bool ParseQuery(const std::string& text, const catalog::Schema& schema,
-                Query* out, std::string* error) {
-  *out = Query();
-  std::istringstream in(text);
-  std::string line;
-  int line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    const size_t hash = line.find('#');
-    if (hash != std::string::npos) line = line.substr(0, hash);
-    std::vector<Token> tokens;
-    if (!TokenizeLine(line, &tokens, error)) {
-      *error += " (line " + std::to_string(line_no) + ")";
-      return false;
-    }
-    if (tokens.empty()) continue;
-    const std::string& verb = tokens[0].text;
-    auto fail = [&](const std::string& message) {
-      *error = message + " (line " + std::to_string(line_no) + ")";
-      return false;
-    };
-    if (verb == "query") {
-      if (tokens.size() != 2) return fail("query expects one id");
-      out->id = tokens[1].text;
-    } else if (verb == "relation") {
-      if (tokens.size() != 3) return fail("relation expects <table> <alias>");
-      const catalog::TableId table = schema.FindTable(tokens[1].text);
-      if (table == catalog::kInvalidTable) {
-        return fail("unknown table '" + tokens[1].text + "'");
-      }
-      if (FindAlias(*out, tokens[2].text) >= 0) {
-        return fail("duplicate alias '" + tokens[2].text + "'");
-      }
-      if (out->relations.size() >= 32) return fail("too many relations");
-      out->relations.push_back({table, tokens[2].text});
-    } else if (verb == "edge") {
-      if (tokens.size() != 3) return fail("edge expects two column refs");
-      query::JoinEdge edge;
-      if (!ResolveColumnRef(*out, schema, tokens[1].text, &edge.left_alias,
-                            &edge.left_column, error) ||
-          !ResolveColumnRef(*out, schema, tokens[2].text, &edge.right_alias,
-                            &edge.right_column, error)) {
-        return fail(*error);
-      }
-      out->edges.push_back(edge);
-    } else if (verb == "pred") {
-      if (tokens.size() < 3) return fail("pred expects <ref> <kind> ...");
-      Predicate pred;
-      if (!ResolveColumnRef(*out, schema, tokens[1].text, &pred.alias,
-                            &pred.column, error)) {
-        return fail(*error);
-      }
-      if (!ParseKind(tokens[2].text, &pred.kind)) {
-        return fail("unknown predicate kind '" + tokens[2].text + "'");
-      }
-      for (size_t i = 3; i < tokens.size(); ++i) {
-        if (tokens[i].quoted) {
-          pred.str_values.push_back(tokens[i].text);
-        } else {
-          try {
-            pred.int_values.push_back(
-                static_cast<storage::Value>(std::stol(tokens[i].text)));
-          } catch (...) {
-            return fail("bad integer literal '" + tokens[i].text + "'");
-          }
-        }
-      }
-      if (pred.kind == Predicate::Kind::kRange && pred.int_values.size() != 2) {
-        return fail("range expects exactly <lo> <hi>");
-      }
-      out->predicates.push_back(pred);
-    } else {
-      return fail("unknown declaration '" + verb + "'");
-    }
-  }
-  if (out->relations.empty()) {
-    *error = "no relations";
-    return false;
-  }
-  return true;
-}
-
-std::string WriteReproducer(const std::string& dir, const Query& q,
+std::string WriteReproducer(const std::string& dir, const query::Query& q,
                             const catalog::Schema& schema,
                             const std::string& note) {
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
-  const std::string path = dir + "/" + q.id + ".repro";
+  const std::string path = dir + "/" + q.id + ".sql";
   std::ofstream out(path);
   if (!out.is_open()) return "";
-  out << "# lqolab fuzz reproducer — replay with:\n";
-  out << "#   ./build/tests/test_fuzz --replay " << q.id << ".repro\n";
+  out << "-- lqolab fuzz reproducer; replay with:\n";
+  out << "--   ./build/tests/test_fuzz --replay " << path << "\n";
   std::istringstream note_lines(note);
   std::string note_line;
   while (std::getline(note_lines, note_line)) {
-    out << "# " << note_line << "\n";
+    // A blank line would leave "note:" as the only token: a header.
+    if (note_line.find_first_not_of(" \t\r") == std::string::npos) continue;
+    out << "-- note: " << note_line << "\n";
   }
-  out << SerializeQuery(q, schema);
+  out << "-- " << q.id << "\n" << q.ToSql(schema) << ";\n";
   return out.good() ? path : "";
 }
 
-bool LoadReproducer(const std::string& path, const catalog::Schema& schema,
-                    Query* out, std::string* error) {
-  std::ifstream in(path);
-  if (!in.is_open()) {
-    *error = "cannot open " + path;
-    return false;
+util::Status LoadReproducer(const std::string& path,
+                            const catalog::Schema& schema, query::Query* out) {
+  std::vector<query::Query> queries;
+  const util::Status status =
+      query::LoadSqlWorkloadFile(path, schema, &queries);
+  if (!status.ok()) return status;
+  if (queries.size() != 1) {
+    return util::Status(util::StatusCode::kInvalidArgument,
+                        path + ": a reproducer holds exactly one query, " +
+                            "found " + std::to_string(queries.size()));
   }
-  std::ostringstream text;
-  text << in.rdbuf();
-  return ParseQuery(text.str(), schema, out, error);
+  *out = std::move(queries.front());
+  return util::Status::Ok();
 }
 
 std::vector<std::string> ListCorpus(const std::string& dir) {
   std::vector<std::string> paths;
   std::error_code ec;
   for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    if (entry.path().extension() == ".repro") {
+    if (entry.path().extension() == ".sql") {
       paths.push_back(entry.path().string());
     }
   }

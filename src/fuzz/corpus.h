@@ -6,40 +6,36 @@
 
 #include "catalog/schema.h"
 #include "query/query.h"
+#include "util/status.h"
 
 namespace lqolab::fuzz {
 
-/// Text form of a query, stable across database rebuilds: tables and
-/// columns by name, string literals as text (they rebind against whatever
-/// dictionary the replaying database has). One declaration per line:
+/// A reproducer is a one-entry SQL workload file (query/sql_workload.h):
 ///
-///   query <id>
-///   relation <table> <alias>
-///   edge <alias>.<column> <alias>.<column>
-///   pred <alias>.<column> eq|in <int>... | 's'...
-///   pred <alias>.<column> range <lo> <hi>
-///   pred <alias>.<column> isnull|notnull
+///   -- lqolab fuzz reproducer; replay with:
+///   --   ./build/tests/test_fuzz --replay <dir>/<id>.sql
+///   -- note: <one line of the note>
+///   -- <id>
+///   SELECT COUNT(*) FROM ...;
 ///
-/// '#' starts a comment. SerializeQuery + ParseQuery round-trip every
-/// generated query to an identical structure (same fingerprint).
-std::string SerializeQuery(const query::Query& q,
-                           const catalog::Schema& schema);
-
-bool ParseQuery(const std::string& text, const catalog::Schema& schema,
-                query::Query* out, std::string* error);
-
-/// Writes `q` (with `note` as a leading comment) to
-/// `<dir>/<id>.repro`, creating `dir` if needed. Returns the path, or ""
-/// on I/O failure.
+/// The statement is the query's ToSql rendering, so tables, columns and
+/// string literals are spelled by name (they rebind against whatever
+/// database replays it) and the statement pastes straight into
+/// QueryServer::SubmitSql. Note lines carry a "note:" prefix, so no note
+/// can be mistaken for the one-token `-- <id>` header.
+///
+/// Writes `q` (with `note`, possibly multi-line) to `<dir>/<id>.sql`,
+/// creating `dir` if needed. Returns the path, or "" on I/O failure.
 std::string WriteReproducer(const std::string& dir, const query::Query& q,
                             const catalog::Schema& schema,
                             const std::string& note);
 
-/// Loads one reproducer file.
-bool LoadReproducer(const std::string& path, const catalog::Schema& schema,
-                    query::Query* out, std::string* error);
+/// Loads one reproducer file through query::LoadSqlWorkloadFile; a file
+/// holding other than exactly one query is kInvalidArgument.
+util::Status LoadReproducer(const std::string& path,
+                            const catalog::Schema& schema, query::Query* out);
 
-/// All *.repro files under `dir`, sorted by name; empty when the directory
+/// All *.sql files under `dir`, sorted by name; empty when the directory
 /// does not exist.
 std::vector<std::string> ListCorpus(const std::string& dir);
 

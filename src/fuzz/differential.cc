@@ -9,7 +9,6 @@
 #include <unordered_map>
 
 #include "exec/oracle.h"
-#include "fuzz/corpus.h"
 #include "optimizer/plan_hint.h"
 #include "query/predicate_binding.h"
 #include "sql/binder.h"
@@ -596,28 +595,8 @@ void DifferentialOracle::CheckPlanRoundTrips(const Query& q,
   }
 }
 
-void DifferentialOracle::CheckCorpusRoundTrip(const Query& q,
-                                              CheckReport* report) {
-  ++report->checks.corpus_roundtrip;
-  const catalog::Schema& schema = db_->schema();
-  const std::string text = SerializeQuery(q, schema);
-  Query reparsed;
-  std::string error;
-  if (!ParseQuery(text, schema, &reparsed, &error)) {
-    report->discrepancies.push_back(
-        {"corpus_roundtrip", "serialized query failed to parse: " + error});
-    return;
-  }
-  if (exec::QueryFingerprint(reparsed) != exec::QueryFingerprint(q) ||
-      SerializeQuery(reparsed, schema) != text) {
-    report->discrepancies.push_back(
-        {"corpus_roundtrip", "corpus round trip changed " + q.id});
-  }
-}
-
 void DifferentialOracle::CheckSqlRoundTrip(const Query& q,
                                            CheckReport* report) {
-  if (!options_.sql_round_trip) return;
   ++report->checks.sql_round_trip;
   const catalog::Schema& schema = db_->schema();
   const std::string sql = q.ToSql(schema);
@@ -668,7 +647,6 @@ CheckReport DifferentialOracle::Check(const Query& q) {
   CheckEstimatorInvariants(q, &report);
   CheckExecution(q, plans, &report);
   CheckPlanRoundTrips(q, plans, &report);
-  CheckCorpusRoundTrip(q, &report);
   CheckSqlRoundTrip(q, &report);
   return report;
 }

@@ -22,7 +22,6 @@ struct CheckCounts {
   int64_t estimator = 0;         ///< Estimator invariant sweeps.
   int64_t plan_cache = 0;        ///< PlanCache round trips.
   int64_t hint_roundtrip = 0;    ///< Hint render/parse round trips.
-  int64_t corpus_roundtrip = 0;  ///< Corpus serialize/parse round trips.
   int64_t fault_execution = 0;   ///< Fault-mode re-executions (availability
                                  ///< may drop, cardinality must not change).
   int64_t engine_differential = 0;  ///< Vectorized-vs-scalar engine arm:
@@ -45,7 +44,7 @@ struct CheckCounts {
 
   int64_t total() const {
     return cost_enumeration + execution + estimator + plan_cache +
-           hint_roundtrip + corpus_roundtrip + fault_execution +
+           hint_roundtrip + fault_execution +
            engine_differential + shard_differential + sql_round_trip +
            replan_differential;
   }
@@ -55,7 +54,6 @@ struct CheckCounts {
     estimator += o.estimator;
     plan_cache += o.plan_cache;
     hint_roundtrip += o.hint_roundtrip;
-    corpus_roundtrip += o.corpus_roundtrip;
     fault_execution += o.fault_execution;
     engine_differential += o.engine_differential;
     shard_differential += o.shard_differential;
@@ -113,11 +111,6 @@ struct DifferentialOptions {
   /// hash-partitioned storage must never change result rows. 0 or 1
   /// disables the arm.
   int32_t shard_twin = 4;
-  /// SQL-emission arm (on by default): every checked query is rendered to
-  /// SQL (query::Query::ToSql), parsed and bound back through the sql/
-  /// frontend, and the rebound query must have the same fingerprint, render
-  /// to the same bytes, and DP-plan to a byte-identical tree.
-  bool sql_round_trip = true;
   /// Adaptive-replan twin arm (on by default): one plan per query re-runs
   /// with DbConfig::adaptive_replan enabled under a keyed "stats.estimate"
   /// poison schedule (catastrophic underestimates on a seeded half of the
@@ -150,7 +143,9 @@ bool ReferenceCount(const exec::DbContext& ctx, const query::Query& q,
 /// agrees), (c) sweeps estimator invariants (finite, >= 1 row, selectivity
 /// in (0,1], base rows monotone under added conjuncts), and (d) round-trips
 /// every plan through serve::PlanCache and the plan-hint grammar asserting
-/// byte identity, plus the query itself through the corpus text format.
+/// byte identity, plus the query itself through its SQL text (the
+/// reproducer format): render, parse and bind back, and the rebound query
+/// must fingerprint, render and DP-plan byte-identically.
 class DifferentialOracle {
  public:
   DifferentialOracle(engine::Database* db, const DifferentialOptions& options);
@@ -180,7 +175,6 @@ class DifferentialOracle {
   void CheckPlanRoundTrips(const query::Query& q,
                            const std::vector<ArmPlan>& plans,
                            CheckReport* report);
-  void CheckCorpusRoundTrip(const query::Query& q, CheckReport* report);
   void CheckSqlRoundTrip(const query::Query& q, CheckReport* report);
 
   engine::Database* db_;

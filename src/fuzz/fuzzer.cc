@@ -139,13 +139,12 @@ FuzzStats Fuzzer::Run() {
   return stats;
 }
 
-CheckReport Fuzzer::Replay(const std::string& path, std::string* error) {
+CheckReport Fuzzer::Replay(const std::string& path) {
   Query q;
-  if (!LoadReproducer(path, db_->schema(), &q, error)) {
+  const util::Status loaded = LoadReproducer(path, db_->schema(), &q);
+  if (!loaded.ok()) {
     CheckReport report;
-    ++report.checks.corpus_roundtrip;
-    report.discrepancies.push_back(
-        {"corpus_roundtrip", "failed to load " + path + ": " + *error});
+    report.discrepancies.push_back({"reproducer_load", loaded.ToString()});
     return report;
   }
   return oracle_.Check(q);

@@ -57,10 +57,10 @@ class Fuzzer {
 
   FuzzStats Run();
 
-  /// Re-checks one reproducer file. Returns the oracle's report; `error`
-  /// receives a parse diagnostic when loading fails (report then counts a
-  /// corpus_roundtrip discrepancy).
-  CheckReport Replay(const std::string& path, std::string* error);
+  /// Re-checks one reproducer file (fuzz/corpus.h). Returns the oracle's
+  /// report; a file that fails to load is a failing report too, with one
+  /// reproducer_load discrepancy carrying the loader's diagnostic.
+  CheckReport Replay(const std::string& path);
 
   /// Greedily removes predicates, then relations (keeping the join graph
   /// connected), while `q` still fails the oracle. Run() applies this to

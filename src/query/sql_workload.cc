@@ -1,6 +1,8 @@
 #include "query/sql_workload.h"
 
 #include <cctype>
+#include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -130,6 +132,45 @@ Status LoadSqlWorkloadFile(const std::string& path,
   const std::string name =
       slash == std::string::npos ? path : path.substr(slash + 1);
   return LoadSqlWorkloadText(buffer.str(), name, schema, out);
+}
+
+std::vector<Query> LoadWorkload(const std::string& name,
+                                const catalog::Schema& schema) {
+  std::string file;
+  if (name == "job") {
+    file = "job_lite.sql";
+  } else if (name == "ext_job") {
+    file = "ext_job.sql";
+  } else if (name == "job_complex") {
+    file = "job_complex_lite.sql";
+  } else if (name == "tpch") {
+    file = "tpch_lite.sql";
+  } else {
+    std::fprintf(stderr,
+                 "unknown workload '%s' (expected job, ext_job, job_complex "
+                 "or tpch)\n",
+                 name.c_str());
+    std::exit(1);
+  }
+  const std::string path = std::string(LQOLAB_WORKLOADS_DIR) + "/" + file;
+  std::vector<Query> queries;
+  const Status status = LoadSqlWorkloadFile(path, schema, &queries);
+  if (!status.ok()) {
+    std::fprintf(stderr, "cannot load %s: %s\n", path.c_str(),
+                 status.ToString().c_str());
+    std::exit(1);
+  }
+  return queries;
+}
+
+Query LoadWorkloadQuery(const std::string& name, const std::string& id,
+                        const catalog::Schema& schema) {
+  for (Query& q : LoadWorkload(name, schema)) {
+    if (q.id == id) return std::move(q);
+  }
+  std::fprintf(stderr, "workload '%s' has no query '%s'\n", name.c_str(),
+               id.c_str());
+  std::exit(1);
 }
 
 }  // namespace lqolab::query

@@ -427,8 +427,8 @@ void AssignQueryId(const std::string& id, Query* q) {
   q->template_id = 0;
   q->variant = 'a';
   // `[letter]<digits><letter>`: "13a" -> family 13 / 'a'; a letter prefix
-  // marks an extension namespace offset by 100 ("e1a" -> 101 / 'a', the
-  // convention BuildExtJobWorkload established).
+  // marks an extension namespace offset by 100 ("e1a" -> 101 / 'a', as in
+  // workloads/ext_job.sql).
   size_t start = 0;
   if (!id.empty() && std::isalpha(static_cast<unsigned char>(id[0]))) {
     start = 1;

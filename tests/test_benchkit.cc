@@ -9,7 +9,7 @@
 #include "benchkit/splits.h"
 #include "engine/database.h"
 #include "lqo/bao.h"
-#include "query/job_workload.h"
+#include "query/sql_workload.h"
 
 namespace lqolab::benchkit {
 namespace {
@@ -21,7 +21,7 @@ class SplitTest : public ::testing::Test {
  protected:
   SplitTest()
       : schema_(catalog::BuildImdbSchema()),
-        workload_(query::BuildJobLiteWorkload(schema_)) {}
+        workload_(query::LoadWorkload("job", schema_)) {}
   catalog::Schema schema_;
   std::vector<Query> workload_;
 };
@@ -46,8 +46,7 @@ TEST_F(SplitTest, LeaveOneOutExactlyOnePerFamily) {
   for (int32_t i : split.test_indices) {
     ++per_family[workload_[static_cast<size_t>(i)].template_id];
   }
-  EXPECT_EQ(per_family.size(),
-            static_cast<size_t>(query::kJobTemplateCount));
+  EXPECT_EQ(per_family.size(), 33u);  // JOB-lite's template count
   for (const auto& [family, count] : per_family) {
     EXPECT_EQ(count, 1) << family;
   }
@@ -111,7 +110,7 @@ class MeasurementTest : public ::testing::Test {
     options.seed = 42;
     db_ = Database::CreateImdb(options).release();
     workload_ =
-        new std::vector<Query>(query::BuildJobLiteWorkload(db_->schema()));
+        new std::vector<Query>(query::LoadWorkload("job", db_->schema()));
   }
   static void TearDownTestSuite() {
     delete workload_;

@@ -17,7 +17,7 @@
 #include "fuzz/differential.h"
 #include "lqo/native_passthrough.h"
 #include "obs/metrics.h"
-#include "query/job_workload.h"
+#include "query/sql_workload.h"
 #include "serve/query_server.h"
 #include "util/status.h"
 
@@ -49,7 +49,7 @@ engine::Database* SharedDb() {
 
 const std::vector<query::Query>& Workload() {
   static const std::vector<query::Query> workload =
-      query::BuildJobLiteWorkload(SharedDb()->schema());
+      query::LoadWorkload("job", SharedDb()->schema());
   return workload;
 }
 

@@ -29,7 +29,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "optimizer/plan_hint.h"
-#include "query/job_workload.h"
+#include "query/sql_workload.h"
 #include "serve/query_server.h"
 
 namespace lqolab::costmodel {
@@ -49,7 +49,7 @@ engine::Database* SharedDb() {
 
 const std::vector<query::Query>& Workload() {
   static const std::vector<query::Query> workload =
-      query::BuildJobLiteWorkload(SharedDb()->schema());
+      query::LoadWorkload("job", SharedDb()->schema());
   return workload;
 }
 

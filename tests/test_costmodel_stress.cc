@@ -18,7 +18,7 @@
 #include "costmodel/online_refresh.h"
 #include "costmodel/replay_buffer.h"
 #include "engine/database.h"
-#include "query/job_workload.h"
+#include "query/sql_workload.h"
 #include "serve/query_server.h"
 
 namespace lqolab::costmodel {
@@ -36,7 +36,7 @@ engine::Database* SharedDb() {
 
 const std::vector<query::Query>& Workload() {
   static const std::vector<query::Query> workload =
-      query::BuildJobLiteWorkload(SharedDb()->schema());
+      query::LoadWorkload("job", SharedDb()->schema());
   return workload;
 }
 

@@ -6,7 +6,7 @@
 #include "engine/database.h"
 #include "lqo/plan_search.h"
 #include "optimizer/physical_plan.h"
-#include "query/job_workload.h"
+#include "query/sql_workload.h"
 
 namespace lqolab::exec {
 namespace {
@@ -29,7 +29,7 @@ std::unique_ptr<Database> MakeDb(DbConfig config = DbConfig::OurFramework(),
 
 TEST(Executor, ColdThenHotCache) {
   auto db = MakeDb();
-  const Query q = query::BuildJobQuery(db->schema(), 2, 'a');
+  const Query q = query::LoadWorkloadQuery("job", "2a", db->schema());
   const auto planned = db->PlanQuery(q);
   const auto cold = db->ExecutePlan(q, planned.plan);
   const auto warm = db->ExecutePlan(q, planned.plan);
@@ -41,7 +41,7 @@ TEST(Executor, ColdThenHotCache) {
 
 TEST(Executor, DropCachesRestoresColdState) {
   auto db = MakeDb();
-  const Query q = query::BuildJobQuery(db->schema(), 3, 'a');
+  const Query q = query::LoadWorkloadQuery("job", "3a", db->schema());
   const auto planned = db->PlanQuery(q);
   const auto cold1 = db->ExecutePlan(q, planned.plan);
   db->ExecutePlan(q, planned.plan);
@@ -55,7 +55,7 @@ TEST(Executor, DropCachesRestoresColdState) {
 
 TEST(Executor, ResultRowsMatchOracle) {
   auto db = MakeDb();
-  const Query q = query::BuildJobQuery(db->schema(), 1, 'a');
+  const Query q = query::LoadWorkloadQuery("job", "1a", db->schema());
   const auto run = db->Run(q);
   const auto truth = db->oracle().TrueJoinRows(q, q.FullMask());
   ASSERT_FALSE(truth.overflow);
@@ -91,7 +91,7 @@ TEST(Executor, TimeoutEnforced) {
   DbConfig config = DbConfig::OurFramework();
   config.statement_timeout_ms = 1;  // 1 ms: everything times out
   auto db = MakeDb(config);
-  const Query q = query::BuildJobQuery(db->schema(), 2, 'a');
+  const Query q = query::LoadWorkloadQuery("job", "2a", db->schema());
   const auto planned = db->PlanQuery(q);
   const auto run = db->ExecutePlan(q, planned.plan);
   EXPECT_TRUE(run.timed_out);
@@ -100,7 +100,7 @@ TEST(Executor, TimeoutEnforced) {
 
 TEST(Executor, PerQueryTimeoutOverride) {
   auto db = MakeDb();
-  const Query q = query::BuildJobQuery(db->schema(), 2, 'a');
+  const Query q = query::LoadWorkloadQuery("job", "2a", db->schema());
   const auto planned = db->PlanQuery(q);
   const auto run = db->ExecutePlan(q, planned.plan, 0, /*timeout_ns=*/1000);
   EXPECT_TRUE(run.timed_out);
@@ -109,7 +109,7 @@ TEST(Executor, PerQueryTimeoutOverride) {
 
 TEST(Executor, NoiseMakesRunsDifferButClose) {
   auto db = MakeDb();
-  const Query q = query::BuildJobQuery(db->schema(), 4, 'a');
+  const Query q = query::LoadWorkloadQuery("job", "4a", db->schema());
   const auto planned = db->PlanQuery(q);
   db->ExecutePlan(q, planned.plan);  // warm up
   db->ExecutePlan(q, planned.plan);
@@ -126,7 +126,7 @@ TEST(Executor, DeterministicAcrossDatabases) {
   // Two identical databases produce identical measurements.
   auto db1 = MakeDb();
   auto db2 = MakeDb();
-  const Query q = query::BuildJobQuery(db1->schema(), 5, 'a');
+  const Query q = query::LoadWorkloadQuery("job", "5a", db1->schema());
   for (int i = 0; i < 3; ++i) {
     const auto r1 = db1->Run(q);
     const auto r2 = db2->Run(q);
@@ -186,7 +186,7 @@ TEST(Executor, WarmupMultiplierDecays) {
   // The first run of a query signature pays the warm-up penalty; by the
   // third run only noise remains (Fig. 4's mechanism).
   auto db = MakeDb();
-  const Query q = query::BuildJobQuery(db->schema(), 6, 'a');
+  const Query q = query::LoadWorkloadQuery("job", "6a", db->schema());
   EXPECT_EQ(db->RunCount(q), 0);
   db->Run(q);
   EXPECT_EQ(db->RunCount(q), 1);
@@ -236,7 +236,7 @@ class ExecutorWorkloadProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(ExecutorWorkloadProperty, StableResults) {
   static Database* db = MakeDb().release();
-  static auto workload = query::BuildJobLiteWorkload(db->schema());
+  static auto workload = query::LoadWorkload("job", db->schema());
   const Query& q = workload[static_cast<size_t>(GetParam())];
   const auto planned = db->PlanQuery(q);
   const auto a = db->ExecutePlan(q, planned.plan);

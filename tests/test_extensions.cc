@@ -13,7 +13,7 @@
 #include "lqo/loger.h"
 #include "lqo/neo.h"
 #include "lqo/rtos.h"
-#include "query/job_workload.h"
+#include "query/sql_workload.h"
 
 namespace lqolab {
 namespace {
@@ -30,7 +30,7 @@ class ExtensionTest : public ::testing::Test {
     options.seed = 42;
     db_ = Database::CreateImdb(options).release();
     workload_ =
-        new std::vector<Query>(query::BuildJobLiteWorkload(db_->schema()));
+        new std::vector<Query>(query::LoadWorkload("job", db_->schema()));
   }
   static void TearDownTestSuite() {
     delete workload_;
@@ -246,7 +246,7 @@ TEST_F(ExtensionTest, NeoWithoutHoldoutRunsAllIterations) {
 // --- Ext-JOB workload --------------------------------------------------------
 
 TEST_F(ExtensionTest, ExtJobShapeAndNovelty) {
-  const auto ext = query::BuildExtJobWorkload(db_->schema());
+  const auto ext = query::LoadWorkload("ext_job", db_->schema());
   EXPECT_EQ(ext.size(), 20u);
   std::set<std::string> ids;
   for (const auto& q : ext) {
@@ -275,13 +275,13 @@ TEST_F(ExtensionTest, ExtJobShapeAndNovelty) {
   };
   std::set<std::string> job_signatures;
   for (const auto& q : *workload_) job_signatures.insert(signature(q));
-  for (const auto& q : query::BuildExtJobWorkload(db_->schema())) {
+  for (const auto& q : query::LoadWorkload("ext_job", db_->schema())) {
     EXPECT_EQ(job_signatures.count(signature(q)), 0u) << q.id;
   }
 }
 
 TEST_F(ExtensionTest, ExtJobRunsOnTheEngine) {
-  const auto ext = query::BuildExtJobWorkload(db_->schema());
+  const auto ext = query::LoadWorkload("ext_job", db_->schema());
   int non_empty = 0;
   for (const auto& q : ext) {
     const auto run = db_->Run(q);
@@ -320,7 +320,7 @@ TEST_F(ExtensionTest, EstimatorModesDiffer) {
 TEST_F(ExtensionTest, NoMcvModeIgnoresSkew) {
   // On a Zipf-skewed join key, dropping the MCV matching changes the edge
   // selectivity.
-  const Query q = query::BuildJobQuery(db_->schema(), 3, 'a');
+  const Query q = query::LoadWorkloadQuery("job", "3a", db_->schema());
   DbConfig config = DbConfig::OurFramework();
   config.estimator_mode = engine::EstimatorMode::kFull;
   db_->SetConfig(config);

@@ -16,7 +16,7 @@
 
 #include "engine/database.h"
 #include "optimizer/plan_hint.h"
-#include "query/job_workload.h"
+#include "query/sql_workload.h"
 #include "serve/query_server.h"
 
 namespace lqolab {
@@ -33,7 +33,7 @@ std::vector<std::string> SnapshotLines() {
   options.profile = datagen::ScaleProfile::Small();
   options.seed = 42;
   const auto db = engine::Database::CreateImdb(options);
-  const auto workload = query::BuildJobLiteWorkload(db->schema());
+  const auto workload = query::LoadWorkload("job", db->schema());
 
   std::vector<std::string> lines;
   // Every 5th query covers ~20 queries across the whole template range
@@ -98,7 +98,7 @@ TEST(GoldenPlans, PlansRoundTripThroughHintGrammar) {
   options.profile = datagen::ScaleProfile::Small();
   options.seed = 42;
   const auto db = engine::Database::CreateImdb(options);
-  const auto workload = query::BuildJobLiteWorkload(db->schema());
+  const auto workload = query::LoadWorkload("job", db->schema());
   for (const query::Query& q : workload) {
     const auto planned = db->PlanQuery(q);
     const std::string hint = optimizer::RenderPlanHint(planned.plan, q);
@@ -118,7 +118,7 @@ TEST(GoldenPlans, HintParserRejectsMalformedHints) {
   options.profile = datagen::ScaleProfile::Small();
   options.seed = 42;
   const auto db = engine::Database::CreateImdb(options);
-  const auto workload = query::BuildJobLiteWorkload(db->schema());
+  const auto workload = query::LoadWorkload("job", db->schema());
   const query::Query& q = workload[0];
   optimizer::PhysicalPlan plan;
   std::string error;
@@ -153,7 +153,7 @@ TEST(GoldenPlans, PlanCacheHitsAreByteIdenticalToFixture) {
   options.profile = datagen::ScaleProfile::Small();
   options.seed = 42;
   const auto db = engine::Database::CreateImdb(options);
-  const auto workload = query::BuildJobLiteWorkload(db->schema());
+  const auto workload = query::LoadWorkload("job", db->schema());
 
   serve::ServerOptions server_options;
   server_options.workers = 2;
@@ -193,7 +193,7 @@ TEST(GoldenPlans, SqlTemplateCacheHitsAreByteIdenticalToFixture) {
   options.profile = datagen::ScaleProfile::Small();
   options.seed = 42;
   const auto db = engine::Database::CreateImdb(options);
-  const auto workload = query::BuildJobLiteWorkload(db->schema());
+  const auto workload = query::LoadWorkload("job", db->schema());
 
   serve::ServerOptions server_options;
   server_options.workers = 2;
@@ -254,7 +254,7 @@ TEST(GoldenPlans, PlansAreByteIdenticalAcrossExecutionEngines) {
   options.config.vectorized_exec = true;
   options.config.predicate_transfer = true;
   const auto vectorized_db = engine::Database::CreateImdb(options);
-  const auto workload = query::BuildJobLiteWorkload(vectorized_db->schema());
+  const auto workload = query::LoadWorkload("job", vectorized_db->schema());
 
   serve::ServerOptions server_options;
   server_options.workers = 2;

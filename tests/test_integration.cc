@@ -11,7 +11,7 @@
 #include "engine/database.h"
 #include "lqo/bao.h"
 #include "optimizer/physical_plan.h"
-#include "query/job_workload.h"
+#include "query/sql_workload.h"
 #include "util/statistics.h"
 
 namespace lqolab {
@@ -35,7 +35,7 @@ std::unique_ptr<Database> MakeDb(DbConfig config = DbConfig::OurFramework(),
 
 TEST(Integration, NativePlanBeatsPathologicalPlan) {
   auto db = MakeDb();
-  const Query q = query::BuildJobQuery(db->schema(), 8, 'a');
+  const Query q = query::LoadWorkloadQuery("job", "8a", db->schema());
   const auto native = db->PlanQuery(q);
   // Pathological: pure nested loops in FROM order with seq scans.
   PhysicalPlan bad;
@@ -64,7 +64,7 @@ TEST(Integration, CacheConvergenceShape) {
   // Fig. 4's shape: large drop from run 1 to 2, small from 2 to 3, flat
   // afterwards (averaged over queries).
   auto db = MakeDb();
-  const auto workload = query::BuildJobLiteWorkload(db->schema());
+  const auto workload = query::LoadWorkload("job", db->schema());
   db->DropCaches();
   std::vector<double> drop1;
   std::vector<double> drop2;
@@ -93,7 +93,7 @@ TEST(Integration, ScanAblationChangesPlans) {
   // Disabling bitmap+tid scans (Balsa/LEON style) must change at least one
   // chosen access path across the workload (Fig. 8's mechanism).
   auto db = MakeDb();
-  const auto workload = query::BuildJobLiteWorkload(db->schema());
+  const auto workload = query::LoadWorkload("job", db->schema());
   DbConfig no_bitmap = DbConfig::OurFramework();
   no_bitmap.enable_bitmapscan = false;
   no_bitmap.enable_tidscan = false;
@@ -112,7 +112,7 @@ TEST(Integration, ScanAblationChangesPlans) {
 
 TEST(Integration, GeqoAblationAffectsLargeQueries) {
   auto db = MakeDb();
-  const Query q = query::BuildJobQuery(db->schema(), 29, 'a');
+  const Query q = query::LoadWorkloadQuery("job", "29a", db->schema());
   const auto with_geqo = db->PlanQuery(q);
   EXPECT_TRUE(with_geqo.used_geqo);
   DbConfig no_geqo = DbConfig::OurFramework();
@@ -134,7 +134,7 @@ TEST(Integration, CovariateShiftSetupWorks) {
   Database::Options options;
   options.seed = 42;
   auto half = Database::FromTables(options, std::move(half_tables));
-  const Query q = query::BuildJobQuery(full->schema(), 3, 'a');
+  const Query q = query::LoadWorkloadQuery("job", "3a", full->schema());
   const auto run_full = full->Run(q);
   const auto run_half = half->Run(q);
   EXPECT_GT(run_full.result_rows, 0);
@@ -143,7 +143,7 @@ TEST(Integration, CovariateShiftSetupWorks) {
 
 TEST(Integration, ExplainAnalyzeRendersEverything) {
   auto db = MakeDb();
-  const Query q = query::BuildJobQuery(db->schema(), 1, 'a');
+  const Query q = query::LoadWorkloadQuery("job", "1a", db->schema());
   const std::string text = db->ExplainAnalyze(q);
   EXPECT_NE(text.find("EXPLAIN ANALYZE 1a"), std::string::npos);
   EXPECT_NE(text.find("est rows="), std::string::npos);
@@ -157,7 +157,7 @@ TEST(Integration, EndToEndSplitEvaluation) {
   // A miniature Fig. 5 cell: train Bao on a split, evaluate both methods on
   // the test set; measurements are complete and well-formed.
   auto db = MakeDb();
-  const auto workload = query::BuildJobLiteWorkload(db->schema());
+  const auto workload = query::LoadWorkload("job", db->schema());
   const auto split =
       benchkit::SampleSplit(workload, benchkit::SplitKind::kRandom, 0.2, 3);
   const auto train = benchkit::SelectQueries(workload, split.train_indices);
@@ -191,7 +191,7 @@ TEST(Integration, MemoryConfigChangesColdBehaviour) {
   large.geqo = true;
   auto db_small = MakeDb(small, 0.1);
   auto db_large = MakeDb(large, 0.1);
-  const auto workload = query::BuildJobLiteWorkload(db_small->schema());
+  const auto workload = query::LoadWorkload("job", db_small->schema());
   util::VirtualNanos total_small = 0;
   util::VirtualNanos total_large = 0;
   for (size_t i = 0; i < workload.size(); i += 10) {
@@ -206,7 +206,7 @@ TEST(Integration, MemoryConfigChangesColdBehaviour) {
 
 TEST(Integration, WarmupStateSurvivesConfigSwitchButNotResize) {
   auto db = MakeDb();
-  const Query q = query::BuildJobQuery(db->schema(), 2, 'a');
+  const Query q = query::LoadWorkloadQuery("job", "2a", db->schema());
   db->Run(q);
   EXPECT_EQ(db->RunCount(q), 1);
   // Planner-only config change keeps execution state.

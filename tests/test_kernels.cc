@@ -21,8 +21,8 @@
 #include "exec/kernels.h"
 #include "exec/oracle.h"
 #include "fuzz/corpus.h"
-#include "query/job_workload.h"
 #include "query/predicate_binding.h"
+#include "query/sql_workload.h"
 #include "util/rng.h"
 
 // ---------------------------------------------------------------------------
@@ -123,7 +123,7 @@ EngineLab& Lab() {
     options.config.predicate_transfer = false;
     l->vectorized_no_transfer = engine::Database::CreateImdb(options);
 
-    l->workload = query::BuildJobLiteWorkload(l->scalar->schema());
+    l->workload = query::LoadWorkload("job", l->scalar->schema());
     return l;
   }();
   return *lab;
@@ -208,9 +208,9 @@ TEST(CorpusDifferential, ReplayCorpusMatchesScalar) {
   ASSERT_FALSE(paths.empty()) << "no corpus under " << LQOLAB_FUZZ_CORPUS_DIR;
   for (const std::string& path : paths) {
     Query q;
-    std::string error;
-    ASSERT_TRUE(fuzz::LoadReproducer(path, lab.scalar->schema(), &q, &error))
-        << path << ": " << error;
+    const util::Status loaded =
+        fuzz::LoadReproducer(path, lab.scalar->schema(), &q);
+    ASSERT_TRUE(loaded.ok()) << loaded.ToString();
     CheckQueryAgreement(q);
   }
 }

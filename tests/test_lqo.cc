@@ -15,7 +15,7 @@
 #include "lqo/neo.h"
 #include "lqo/plan_search.h"
 #include "lqo/value_net.h"
-#include "query/job_workload.h"
+#include "query/sql_workload.h"
 
 namespace lqolab::lqo {
 namespace {
@@ -35,7 +35,7 @@ class LqoTest : public ::testing::Test {
     options.seed = 42;
     db_ = Database::CreateImdb(options).release();
     workload_ =
-        new std::vector<Query>(query::BuildJobLiteWorkload(db_->schema()));
+        new std::vector<Query>(query::LoadWorkload("job", db_->schema()));
   }
   static void TearDownTestSuite() {
     delete workload_;
@@ -205,7 +205,7 @@ TEST_F(LqoTest, GreedySearchProducesValidPlans) {
 TEST_F(LqoTest, GreedySearchWithCostScorerNearDpQuality) {
   // Greedy search guided by the true cost model should be within a modest
   // factor of DP's estimated cost on small queries.
-  const Query q = query::BuildJobQuery(db_->schema(), 3, 'a');
+  const Query q = query::LoadWorkloadQuery("job", "3a", db_->schema());
   const SearchResult greedy = GreedyBottomUpSearch(
       q, db_->planner().cost_model(), [&](const PhysicalPlan& plan) {
         return db_->planner().EstimatePlanCost(q, plan);

@@ -21,7 +21,7 @@
 #include "obs/explain.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "query/job_workload.h"
+#include "query/sql_workload.h"
 #include "storage/buffer_pool.h"
 
 namespace lqolab::obs {
@@ -229,7 +229,7 @@ class ObsEngineTest : public ::testing::Test {
     options.seed = 42;
     db_ = Database::CreateImdb(options).release();
     workload_ =
-        new std::vector<Query>(query::BuildJobLiteWorkload(db_->schema()));
+        new std::vector<Query>(query::LoadWorkload("job", db_->schema()));
   }
   static void TearDownTestSuite() {
     delete workload_;

@@ -11,7 +11,7 @@
 #include "optimizer/cost_model.h"
 #include "optimizer/physical_plan.h"
 #include "optimizer/planner.h"
-#include "query/job_workload.h"
+#include "query/sql_workload.h"
 
 namespace lqolab::optimizer {
 namespace {
@@ -140,7 +140,7 @@ TEST(CostModel, TidScanOnlyForIdEquality) {
 
 TEST(CostModel, JoinCostMonotoneInInputSize) {
   auto db = MakeDb();
-  Query q = query::BuildJobQuery(db->schema(), 3, 'a');
+  Query q = query::LoadWorkloadQuery("job", "3a", db->schema());
   const auto& cm = db->planner().cost_model();
   const double small = cm.JoinCost(q, JoinAlgo::kHash, 1000, 1000, 1000);
   const double large = cm.JoinCost(q, JoinAlgo::kHash, 100000, 100000, 1000);
@@ -229,8 +229,8 @@ double ExhaustiveBestCost(const Planner& planner, const Query& q) {
 TEST(Planner, DpMatchesExhaustiveOnSmallQueries) {
   auto db = MakeDb();
   // Template 3 has 4 relations: exhaustive enumeration is tractable.
-  for (char v : {'a', 'b', 'c'}) {
-    const Query q = query::BuildJobQuery(db->schema(), 3, v);
+  for (const char* id : {"3a", "3b", "3c"}) {
+    const Query q = query::LoadWorkloadQuery("job", id, db->schema());
     const PlanningResult dp =
         db->planner().PlanDynamicProgramming(q, /*bushy=*/true);
     const double exhaustive = ExhaustiveBestCost(db->planner(), q);
@@ -242,7 +242,7 @@ TEST(Planner, DpMatchesExhaustiveOnSmallQueries) {
 
 TEST(Planner, DpPlanCostConsistentWithEstimatePlanCost) {
   auto db = MakeDb();
-  const Query q = query::BuildJobQuery(db->schema(), 4, 'a');
+  const Query q = query::LoadWorkloadQuery("job", "4a", db->schema());
   const PlanningResult dp =
       db->planner().PlanDynamicProgramming(q, /*bushy=*/true);
   const double recost = db->planner().EstimatePlanCost(q, dp.plan);
@@ -251,8 +251,8 @@ TEST(Planner, DpPlanCostConsistentWithEstimatePlanCost) {
 
 TEST(Planner, LeftDeepNeverBeatsBushy) {
   auto db = MakeDb();
-  for (int t : {3, 11, 14}) {
-    const Query q = query::BuildJobQuery(db->schema(), t, 'a');
+  for (const char* id : {"3a", "11a", "14a"}) {
+    const Query q = query::LoadWorkloadQuery("job", id, db->schema());
     const PlanningResult bushy =
         db->planner().PlanDynamicProgramming(q, true);
     const PlanningResult left_deep =
@@ -265,7 +265,7 @@ TEST(Planner, LeftDeepNeverBeatsBushy) {
 
 TEST(Planner, GeqoProducesValidDeterministicPlans) {
   auto db = MakeDb();
-  const Query q = query::BuildJobQuery(db->schema(), 29, 'a');
+  const Query q = query::LoadWorkloadQuery("job", "29a", db->schema());
   const PlanningResult a = db->planner().PlanGenetic(q, GeqoParams{});
   const PlanningResult b = db->planner().PlanGenetic(q, GeqoParams{});
   a.plan.Validate(q);
@@ -276,7 +276,7 @@ TEST(Planner, GeqoProducesValidDeterministicPlans) {
 
 TEST(Planner, GeqoNotWorseThanRandomOrder) {
   auto db = MakeDb();
-  const Query q = query::BuildJobQuery(db->schema(), 30, 'a');
+  const Query q = query::LoadWorkloadQuery("job", "30a", db->schema());
   const PlanningResult geqo = db->planner().PlanGenetic(q, GeqoParams{});
   // A FROM-order plan as the "random" baseline.
   std::vector<AliasId> order;
@@ -288,8 +288,8 @@ TEST(Planner, GeqoNotWorseThanRandomOrder) {
 
 TEST(Planner, DispatchRespectsGeqoThreshold) {
   auto db = MakeDb();
-  const Query big = query::BuildJobQuery(db->schema(), 29, 'a');
-  const Query small = query::BuildJobQuery(db->schema(), 3, 'a');
+  const Query big = query::LoadWorkloadQuery("job", "29a", db->schema());
+  const Query small = query::LoadWorkloadQuery("job", "3a", db->schema());
   EXPECT_TRUE(db->planner().Plan(big).used_geqo);
   EXPECT_FALSE(db->planner().Plan(small).used_geqo);
   DbConfig no_geqo = DbConfig::OurFramework();
@@ -300,7 +300,7 @@ TEST(Planner, DispatchRespectsGeqoThreshold) {
 
 TEST(Planner, GeqoSeedFlowsFromConfigIntoPlan) {
   auto db = MakeDb();
-  const Query q = query::BuildJobQuery(db->schema(), 29, 'a');
+  const Query q = query::LoadWorkloadQuery("job", "29a", db->schema());
 
   // Plan() must thread config.geqo_seed into GeqoParams: planning through
   // the dispatcher and calling PlanGenetic with the same seed directly are
@@ -339,7 +339,7 @@ TEST(Planner, JoinCollapseLimitForcesFromOrder) {
   DbConfig config = DbConfig::OurFramework();
   config.join_collapse_limit = 1;
   auto db = MakeDb(config);
-  const Query q = query::BuildJobQuery(db->schema(), 11, 'a');
+  const Query q = query::LoadWorkloadQuery("job", "11a", db->schema());
   const PlanningResult result = db->planner().Plan(q);
   result.plan.Validate(q);
   EXPECT_TRUE(result.plan.IsLeftDeep());
@@ -355,7 +355,7 @@ TEST(Planner, JoinCollapseLimitForcesFromOrder) {
 
 TEST(Planner, DisablingOperatorsChangesPlans) {
   auto db = MakeDb();
-  const Query q = query::BuildJobQuery(db->schema(), 13, 'a');
+  const Query q = query::LoadWorkloadQuery("job", "13a", db->schema());
   const PlanningResult with_all = db->planner().Plan(q);
   DbConfig config = DbConfig::OurFramework();
   config.enable_hashjoin = false;
@@ -373,9 +373,9 @@ TEST(Planner, DisablingOperatorsChangesPlans) {
 TEST(Planner, PlannerStepsPositiveAndLargerForBiggerQueries) {
   auto db = MakeDb();
   const PlanningResult small =
-      db->planner().Plan(query::BuildJobQuery(db->schema(), 3, 'a'));
+      db->planner().Plan(query::LoadWorkloadQuery("job", "3a", db->schema()));
   const PlanningResult medium =
-      db->planner().Plan(query::BuildJobQuery(db->schema(), 22, 'a'));
+      db->planner().Plan(query::LoadWorkloadQuery("job", "22a", db->schema()));
   EXPECT_GT(small.planner_steps, 0);
   EXPECT_GT(medium.planner_steps, small.planner_steps);
 }
@@ -387,7 +387,7 @@ class PlannerWorkloadProperty
 
 TEST_P(PlannerWorkloadProperty, ValidPlans) {
   static Database* db = MakeDb().release();
-  static auto workload = query::BuildJobLiteWorkload(db->schema());
+  static auto workload = query::LoadWorkload("job", db->schema());
   const auto [query_index, config_index] = GetParam();
   DbConfig configs[3] = {DbConfig::OurFramework(), DbConfig::BalsaLeon(),
                          DbConfig::Default()};

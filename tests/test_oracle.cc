@@ -10,8 +10,8 @@
 
 #include "engine/database.h"
 #include "exec/oracle.h"
-#include "query/job_workload.h"
 #include "query/predicate_binding.h"
+#include "query/sql_workload.h"
 
 namespace lqolab::exec {
 namespace {
@@ -82,7 +82,7 @@ class OracleTest : public ::testing::Test {
     options.seed = 42;
     db_ = engine::Database::CreateImdb(options).release();
     workload_ = new std::vector<Query>(
-        query::BuildJobLiteWorkload(db_->schema()));
+        query::LoadWorkload("job", db_->schema()));
   }
   static void TearDownTestSuite() {
     delete workload_;
@@ -271,7 +271,7 @@ TEST_P(OracleFullMaskProperty, TreeCountAgreesWithMaterialization) {
     options.seed = 99;
     return engine::Database::CreateImdb(options).release();
   }();
-  const auto workload = query::BuildJobLiteWorkload(db->schema());
+  const auto workload = query::LoadWorkload("job", db->schema());
   const Query& q = workload[static_cast<size_t>(GetParam())];
   if (q.edges.size() != static_cast<size_t>(q.relation_count() - 1)) {
     GTEST_SKIP() << "cyclic query";

@@ -19,7 +19,7 @@
 #include "loadgen/arrival.h"
 #include "loadgen/open_loop.h"
 #include "loadgen/slo.h"
-#include "query/job_workload.h"
+#include "query/sql_workload.h"
 #include "serve/circuit_breaker.h"
 #include "serve/dispatcher.h"
 #include "serve/query_server.h"
@@ -375,7 +375,7 @@ engine::Database* SharedDb() {
 
 const std::vector<query::Query>& Workload() {
   static const std::vector<query::Query> workload =
-      query::BuildJobLiteWorkload(SharedDb()->schema());
+      query::LoadWorkload("job", SharedDb()->schema());
   return workload;
 }
 

@@ -16,7 +16,7 @@
 #include "engine/database.h"
 #include "engine/exec_batch.h"
 #include "lqo/bao.h"
-#include "query/job_workload.h"
+#include "query/sql_workload.h"
 #include "util/thread_pool.h"
 
 namespace lqolab::benchkit {
@@ -139,7 +139,7 @@ class ParallelRunnerTest : public ::testing::Test {
     options.seed = 42;
     db_ = Database::CreateImdb(options).release();
     workload_ =
-        new std::vector<Query>(query::BuildJobLiteWorkload(db_->schema()));
+        new std::vector<Query>(query::LoadWorkload("job", db_->schema()));
   }
   static void TearDownTestSuite() {
     delete workload_;

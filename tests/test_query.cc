@@ -1,5 +1,7 @@
-// Tests for the query model, predicate binding, and the JOB-lite workload.
+// Tests for the query model, predicate binding, and the JOB-lite and
+// Ext-JOB-lite workload files.
 
+#include <map>
 #include <set>
 #include <unordered_set>
 
@@ -7,9 +9,9 @@
 
 #include "catalog/imdb_schema.h"
 #include "exec/oracle.h"
-#include "query/job_workload.h"
 #include "query/predicate_binding.h"
 #include "query/query.h"
+#include "query/sql_workload.h"
 
 namespace lqolab::query {
 namespace {
@@ -137,27 +139,69 @@ TEST(PredicateBinding, RangeSemantics) {
   EXPECT_FALSE(bound.Matches(storage::kNullValue));
 }
 
+/// FNV-1a over each query's identity in workload order: QueryFingerprint
+/// (id, relations, edges, predicates), template_id and variant.
+uint64_t IdentityDigest(const std::vector<Query>& workload) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (v >> (8 * byte)) & 0xffu;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const Query& q : workload) {
+    mix(exec::QueryFingerprint(q));
+    mix(static_cast<uint32_t>(q.template_id));
+    mix(static_cast<unsigned char>(q.variant));
+  }
+  return h;
+}
+
+// Pins every query's identity in file order. The digests were computed
+// from the code that generated JOB-lite and Ext-JOB-lite before they were
+// stored as SQL, so any drift in a query's structure, id, family or variant
+// (or in the file order) fails here.
+TEST(WorkloadFiles, QueryIdentityIsPinned) {
+  const catalog::Schema schema = catalog::BuildImdbSchema();
+  const auto job = LoadWorkload("job", schema);
+  ASSERT_EQ(job.size(), 113u);
+  EXPECT_EQ(IdentityDigest(job), 0x4169dc49e3052f36ULL);
+  const auto ext = LoadWorkload("ext_job", schema);
+  ASSERT_EQ(ext.size(), 20u);
+  EXPECT_EQ(ext.front().id, "e1a");
+  EXPECT_EQ(ext.back().id, "e10b");
+  EXPECT_EQ(IdentityDigest(ext), 0x22555acd0f14aadbULL);
+}
+
 class WorkloadTest : public ::testing::Test {
  protected:
   WorkloadTest()
       : schema_(catalog::BuildImdbSchema()),
-        workload_(BuildJobLiteWorkload(schema_)) {}
+        workload_(LoadWorkload("job", schema_)) {}
   catalog::Schema schema_;
   std::vector<Query> workload_;
 };
 
+// Like the real Join Order Benchmark: 33 templates whose 2-6 filter
+// variants add up to 113 queries (paper §7.2).
 TEST_F(WorkloadTest, Has113QueriesOver33Templates) {
-  EXPECT_EQ(workload_.size(), static_cast<size_t>(kJobQueryCount));
+  EXPECT_EQ(workload_.size(), 113u);
   std::set<int32_t> templates;
   for (const auto& q : workload_) templates.insert(q.template_id);
-  EXPECT_EQ(templates.size(), static_cast<size_t>(kJobTemplateCount));
+  EXPECT_EQ(templates.size(), 33u);
 }
 
 TEST_F(WorkloadTest, VariantCountsMatchJob) {
+  // Family sizes of the real JOB, templates 1..33.
+  const std::vector<int32_t> expected = {
+      4, 4, 3, 3, 3, 6, 3, 4, 4, 3,  // 1-10
+      4, 3, 4, 3, 4, 4, 6, 3, 4, 3,  // 11-20
+      3, 4, 3, 2, 3, 3, 3, 3, 3, 3,  // 21-30
+      3, 2, 3};                      // 31-33
   std::map<int32_t, int32_t> counts;
   for (const auto& q : workload_) ++counts[q.template_id];
-  const auto& expected = JobVariantCounts();
-  for (int32_t t = 1; t <= kJobTemplateCount; ++t) {
+  ASSERT_EQ(counts.size(), expected.size());
+  for (int32_t t = 1; t <= 33; ++t) {
     EXPECT_EQ(counts[t], expected[static_cast<size_t>(t - 1)]) << t;
   }
 }
@@ -240,8 +284,8 @@ TEST_F(WorkloadTest, FingerprintsUniqueAndStable) {
     fingerprints.insert(exec::QueryFingerprint(q));
   }
   EXPECT_EQ(fingerprints.size(), workload_.size());
-  // Stable across rebuilds of the same workload.
-  const auto again = BuildJobLiteWorkload(schema_);
+  // Stable across reloads of the same workload.
+  const auto again = LoadWorkload("job", schema_);
   for (size_t i = 0; i < workload_.size(); ++i) {
     EXPECT_EQ(exec::QueryFingerprint(workload_[i]),
               exec::QueryFingerprint(again[i]));
@@ -249,11 +293,13 @@ TEST_F(WorkloadTest, FingerprintsUniqueAndStable) {
 }
 
 TEST_F(WorkloadTest, BuildSingleQueryMatchesWorkloadEntry) {
-  const Query q = BuildJobQuery(schema_, 13, 'b');
+  const Query q = LoadWorkloadQuery("job", "13b", schema_);
   const auto it = std::find_if(workload_.begin(), workload_.end(),
                                [](const Query& w) { return w.id == "13b"; });
   ASSERT_NE(it, workload_.end());
   EXPECT_EQ(exec::QueryFingerprint(q), exec::QueryFingerprint(*it));
+  EXPECT_EQ(q.template_id, 13);
+  EXPECT_EQ(q.variant, 'b');
 }
 
 }  // namespace

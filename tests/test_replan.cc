@@ -13,7 +13,7 @@
 #include "engine/database.h"
 #include "faultlib/faultlib.h"
 #include "obs/metrics.h"
-#include "query/job_workload.h"
+#include "query/sql_workload.h"
 #include "serve/query_server.h"
 #include "util/rng.h"
 
@@ -41,7 +41,7 @@ engine::Database* SharedDb() {
 
 const std::vector<query::Query>& Workload() {
   static const std::vector<query::Query> workload =
-      query::BuildJobLiteWorkload(SharedDb()->schema());
+      query::LoadWorkload("job", SharedDb()->schema());
   return workload;
 }
 

@@ -17,7 +17,7 @@
 #include "engine/database.h"
 #include "faultlib/faultlib.h"
 #include "obs/metrics.h"
-#include "query/job_workload.h"
+#include "query/sql_workload.h"
 #include "serve/query_server.h"
 #include "util/rng.h"
 
@@ -62,7 +62,7 @@ std::unique_ptr<engine::Database> MakeAdaptiveDb() {
 
 TEST(ReplanStress, ConcurrentMixedSubmittersGetOracleAnswers) {
   const auto db = MakeAdaptiveDb();
-  const auto workload = query::BuildJobLiteWorkload(db->schema());
+  const auto workload = query::LoadWorkload("job", db->schema());
 
   // Oracle answers from an isolated clean replica (rows are independent of
   // plans, noise, poison and replans — the invariant under test).
@@ -141,7 +141,7 @@ TEST(ReplanStress, ConcurrentMixedSubmittersGetOracleAnswers) {
 
 TEST(ReplanStress, ShutdownRacingAdaptiveSubmittersResolvesEveryFuture) {
   const auto db = MakeAdaptiveDb();
-  const auto workload = query::BuildJobLiteWorkload(db->schema());
+  const auto workload = query::LoadWorkload("job", db->schema());
 
   faultlib::FaultInjector poison(PoisonPlan());
   faultlib::ScopedFaultInjection inject(&poison);

@@ -14,7 +14,7 @@
 #include "faultlib/faultlib.h"
 #include "lqo/native_passthrough.h"
 #include "obs/metrics.h"
-#include "query/job_workload.h"
+#include "query/sql_workload.h"
 #include "serve/hot_swap.h"
 #include "serve/plan_cache.h"
 #include "serve/query_server.h"
@@ -45,7 +45,7 @@ engine::Database* SharedDb() {
 
 const std::vector<query::Query>& Workload() {
   static const std::vector<query::Query> workload =
-      query::BuildJobLiteWorkload(SharedDb()->schema());
+      query::LoadWorkload("job", SharedDb()->schema());
   return workload;
 }
 

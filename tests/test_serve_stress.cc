@@ -16,7 +16,7 @@
 #include "engine/database.h"
 #include "lqo/native_passthrough.h"
 #include "obs/metrics.h"
-#include "query/job_workload.h"
+#include "query/sql_workload.h"
 #include "serve/hot_swap.h"
 #include "serve/plan_cache.h"
 #include "serve/query_server.h"
@@ -120,7 +120,7 @@ TEST(ServeStress, ModelSwapUnderServingLoad) {
   db_options.profile = datagen::ScaleProfile::Small();
   db_options.seed = 42;
   const auto db = engine::Database::CreateImdb(db_options);
-  const auto workload = query::BuildJobLiteWorkload(db->schema());
+  const auto workload = query::LoadWorkload("job", db->schema());
 
   // Per-query oracle answers, computed on an isolated replica with the same
   // replay protocol the server uses.
@@ -181,7 +181,7 @@ TEST(ServeStress, ShutdownRacingSubmittersResolvesEveryFuture) {
   db_options.profile = datagen::ScaleProfile::Small();
   db_options.seed = 42;
   const auto db = engine::Database::CreateImdb(db_options);
-  const auto workload = query::BuildJobLiteWorkload(db->schema());
+  const auto workload = query::LoadWorkload("job", db->schema());
 
   ServerOptions options;
   options.workers = 4;

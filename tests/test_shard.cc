@@ -15,7 +15,7 @@
 #include "engine/database.h"
 #include "exec/kernels.h"
 #include "faultlib/faultlib.h"
-#include "query/job_workload.h"
+#include "query/sql_workload.h"
 #include "storage/sharded_table.h"
 #include "util/status.h"
 
@@ -46,7 +46,7 @@ std::unique_ptr<Database> ShardedTwin(int32_t shards) {
 
 const std::vector<query::Query>& Workload() {
   static const std::vector<query::Query> workload =
-      query::BuildJobLiteWorkload(BaseDb()->schema());
+      query::LoadWorkload("job", BaseDb()->schema());
   return workload;
 }
 

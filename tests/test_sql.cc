@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -15,7 +16,6 @@
 #include "catalog/tpch_schema.h"
 #include "exec/oracle.h"
 #include "gtest/gtest.h"
-#include "query/job_workload.h"
 #include "query/sql_workload.h"
 #include "sql/binder.h"
 #include "sql/parser.h"
@@ -89,35 +89,33 @@ TEST(SqlCorpus, InvalidStatementsReproduceGoldenDiagnostics) {
   }
 }
 
-// The tentpole acceptance check: all 113 built-in JOB-lite queries render
-// to SQL, re-bind through the frontend, and come back byte-identical.
+// JOB-lite is stored as the ToSql rendering of each query: every entry of
+// workloads/job_lite.sql loads back and re-renders to exactly the statement
+// in the file, so the file stays the canonical text of the workload.
 TEST(SqlRoundTrip, AllJobLiteQueriesRoundTripByteIdentically) {
   const catalog::Schema schema = catalog::BuildImdbSchema();
-  const auto workload = query::BuildJobLiteWorkload(schema);
+  const auto workload = query::LoadWorkload("job", schema);
   ASSERT_EQ(workload.size(), 113u);
-  for (const query::Query& q : workload) {
-    const std::string sql = q.ToSql(schema);
-    query::Query rebound;
-    const util::Status status = sql::ParseAndBindSql(sql, schema, &rebound);
-    ASSERT_TRUE(status.ok()) << q.id << ": " << status.message();
-    sql::AssignQueryId(q.id, &rebound);
-    EXPECT_EQ(rebound.template_id, q.template_id) << q.id;
-    EXPECT_EQ(rebound.variant, q.variant) << q.id;
-    EXPECT_EQ(exec::QueryFingerprint(q), exec::QueryFingerprint(rebound))
-        << q.id;
-    EXPECT_EQ(sql, rebound.ToSql(schema)) << q.id;
+  // Statement lines of the file in order (each entry is one line after
+  // its `-- <id>` header).
+  std::vector<std::string> statements;
+  std::istringstream file(ReadFile(std::filesystem::path(LQOLAB_WORKLOADS_DIR) /
+                                   "job_lite.sql"));
+  for (std::string line; std::getline(file, line);) {
+    if (!line.empty() && line.rfind("--", 0) != 0) statements.push_back(line);
+  }
+  ASSERT_EQ(statements.size(), workload.size());
+  for (size_t i = 0; i < workload.size(); ++i) {
+    EXPECT_EQ(workload[i].ToSql(schema) + ";", statements[i])
+        << workload[i].id;
   }
 }
 
-// The two .sql workload files load through the frontend with the family
+// The .sql workload files load through the frontend with the family
 // structure the split samplers need.
 TEST(SqlWorkloadFiles, JobComplexLiteLoads) {
   const catalog::Schema schema = catalog::BuildImdbSchema();
-  std::vector<query::Query> workload;
-  const util::Status status = query::LoadSqlWorkloadFile(
-      std::string(LQOLAB_WORKLOADS_DIR) + "/job_complex_lite.sql", schema,
-      &workload);
-  ASSERT_TRUE(status.ok()) << status.message();
+  const auto workload = query::LoadWorkload("job_complex", schema);
   std::set<int32_t> families;
   for (const query::Query& q : workload) {
     families.insert(q.template_id);
@@ -132,12 +130,8 @@ TEST(SqlWorkloadFiles, JobComplexLiteLoads) {
 }
 
 TEST(SqlWorkloadFiles, TpchLiteLoads) {
-  const catalog::Schema schema = catalog::BuildTpchSchema();
-  std::vector<query::Query> workload;
-  const util::Status status = query::LoadSqlWorkloadFile(
-      std::string(LQOLAB_WORKLOADS_DIR) + "/tpch_lite.sql", schema,
-      &workload);
-  ASSERT_TRUE(status.ok()) << status.message();
+  const auto workload =
+      query::LoadWorkload("tpch", catalog::BuildTpchSchema());
   std::set<int32_t> families;
   for (const query::Query& q : workload) families.insert(q.template_id);
   EXPECT_GE(workload.size(), 30u);

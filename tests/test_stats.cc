@@ -7,7 +7,7 @@
 
 #include "catalog/imdb_schema.h"
 #include "engine/database.h"
-#include "query/job_workload.h"
+#include "query/sql_workload.h"
 #include "stats/cardinality_estimator.h"
 #include "stats/column_stats.h"
 
@@ -240,7 +240,7 @@ class EstimatorTest : public ::testing::Test {
     options.seed = 42;
     db_ = engine::Database::CreateImdb(options).release();
     workload_ = new std::vector<query::Query>(
-        query::BuildJobLiteWorkload(db_->schema()));
+        query::LoadWorkload("job", db_->schema()));
   }
   static void TearDownTestSuite() {
     delete workload_;
@@ -285,7 +285,7 @@ TEST_F(EstimatorTest, JoinEstimateAtLeastOne) {
 TEST_F(EstimatorTest, PkFkJoinEstimateReasonable) {
   // t JOIN mk on movie_id without filters: the estimate should be within a
   // small factor of |mk| (every mk row has a movie).
-  const query::Query q = query::BuildJobQuery(db_->schema(), 3, 'a');
+  const query::Query q = query::LoadWorkloadQuery("job", "3a", db_->schema());
   // Find the aliases of title and movie_keyword.
   query::AliasId t = -1;
   query::AliasId mk = -1;
@@ -402,7 +402,7 @@ TEST_P(EstimatePrefixProperty, FiniteOnAllPrefixes) {
     options.seed = 42;
     return engine::Database::CreateImdb(options).release();
   }();
-  const auto workload = query::BuildJobLiteWorkload(db->schema());
+  const auto workload = query::LoadWorkload("job", db->schema());
   const auto& q = workload[static_cast<size_t>(GetParam())];
   const auto& estimator = db->planner().estimator();
   query::AliasMask mask = 0;

@@ -28,15 +28,6 @@ std::unique_ptr<engine::Database> MakeTpch(uint64_t seed = 42) {
       options, datagen::TpchScaleProfile::Small().Scaled(0.5));
 }
 
-std::vector<query::Query> LoadTpchWorkload(const catalog::Schema& schema) {
-  std::vector<query::Query> workload;
-  const util::Status status = query::LoadSqlWorkloadFile(
-      std::string(LQOLAB_WORKLOADS_DIR) + "/tpch_lite.sql", schema,
-      &workload);
-  EXPECT_TRUE(status.ok()) << status.message();
-  return workload;
-}
-
 TEST(TpchSchema, EightTablesWithSnowflakeForeignKeys) {
   const catalog::Schema schema = catalog::BuildTpchSchema();
   ASSERT_EQ(schema.table_count(), catalog::tpch::kTableCount);
@@ -69,7 +60,7 @@ TEST(TpchDatagen, GenerationIsDeterministicInSeed) {
     EXPECT_GT(tables_a[t]->row_count(), 0) << t;
     EXPECT_EQ(tables_a[t]->row_count(), tables_b[t]->row_count()) << t;
   }
-  const auto workload = LoadTpchWorkload(a->schema());
+  const auto workload = query::LoadWorkload("tpch", a->schema());
   ASSERT_FALSE(workload.empty());
   const engine::QueryRun run_a = a->Run(workload[0]);
   const engine::QueryRun run_b = b->Run(workload[0]);
@@ -79,7 +70,7 @@ TEST(TpchDatagen, GenerationIsDeterministicInSeed) {
 
 TEST(TpchWorkload, LoadsRoundTripsAndExecutes) {
   auto db = MakeTpch();
-  const auto workload = LoadTpchWorkload(db->schema());
+  const auto workload = query::LoadWorkload("tpch", db->schema());
   std::set<int32_t> families;
   for (const query::Query& q : workload) {
     families.insert(q.template_id);
@@ -105,7 +96,7 @@ TEST(TpchWorkload, LoadsRoundTripsAndExecutes) {
 TEST(TpchWorkload, ExecutionIsDeterministicAcrossReplicas) {
   auto db = MakeTpch();
   auto replica = db->CloneContextForWorker();
-  const auto workload = LoadTpchWorkload(db->schema());
+  const auto workload = query::LoadWorkload("tpch", db->schema());
   for (size_t i = 0; i < workload.size(); i += 5) {
     const engine::QueryRun a = db->Run(workload[i]);
     const engine::QueryRun b = replica->Run(workload[i]);
@@ -118,7 +109,7 @@ TEST(TpchWorkload, ExecutionIsDeterministicAcrossReplicas) {
 // template_id, and base-query sampling holds out whole families.
 TEST(TpchWorkload, PaperSplitsGroupFamilies) {
   const catalog::Schema schema = catalog::BuildTpchSchema();
-  const auto workload = LoadTpchWorkload(schema);
+  const auto workload = query::LoadWorkload("tpch", schema);
   const auto splits = benchkit::PaperSplits(workload);
   ASSERT_EQ(splits.size(), 9u);
   for (const auto& split : splits) {
@@ -166,7 +157,7 @@ TEST(TpchDatagen, OrdersCascadeSubsampleStaysConsistent) {
   EXPECT_EQ(sub_tables[catalog::tpch::kRegion]->row_count(),
             full_tables[catalog::tpch::kRegion]->row_count());
   // The workload still runs on the subsample.
-  const auto workload = LoadTpchWorkload(full->schema());
+  const auto workload = query::LoadWorkload("tpch", full->schema());
   for (size_t i = 0; i < workload.size(); i += 7) {
     const engine::QueryRun run = half->Run(workload[i]);
     ASSERT_TRUE(run.status.ok()) << workload[i].id;
