@@ -69,11 +69,36 @@ int32_t BuildPlanFromDp(const std::vector<DpEntry>& dp, const Query& q,
 
 }  // namespace
 
+class Planner::CallState {
+ public:
+  CallState(const Planner& planner, const Query& q)
+      : est(planner.estimator_, q),
+        q(q),
+        cost_model_(planner.cost_model_),
+        scans_(static_cast<size_t>(q.relation_count())) {}
+
+  /// CostModel::BestScan, memoized.
+  const ScanChoice& BestScan(AliasId alias) {
+    ScanChoice& scan = scans_[static_cast<size_t>(alias)];
+    // BestScan never returns kImpossibleCost, so it marks "not yet".
+    if (scan.cost >= kImpossibleCost) scan = cost_model_.BestScan(q, alias);
+    return scan;
+  }
+
+  stats::QueryEstimates est;
+  const Query& q;
+
+ private:
+  const CostModel& cost_model_;
+  std::vector<ScanChoice> scans_;
+};
+
 Planner::Planner(const exec::DbContext* ctx)
     : ctx_(ctx), estimator_(ctx), cost_model_(ctx, &estimator_) {}
 
 PlanningResult Planner::Plan(const Query& q) const {
   obs::Count(obs::Counter::kPlannerInvocations);
+  CallState s(*this, q);
   const auto& cfg = ctx_->config;
   if (q.relation_count() >= 2 && cfg.join_collapse_limit <= 1) {
     // Join order follows the FROM clause.
@@ -83,20 +108,27 @@ PlanningResult Planner::Plan(const Query& q) const {
     }
     PlanningResult result;
     result.estimated_cost =
-        CostJoinOrder(q, order, &result.plan, &result.planner_steps);
+        CostJoinOrder(s, order, &result.plan, &result.planner_steps);
     LQOLAB_CHECK_LT(result.estimated_cost, kImpossibleCost);
     return result;
   }
   if (cfg.geqo && q.relation_count() >= cfg.geqo_threshold) {
     GeqoParams params;
     params.seed = cfg.geqo_seed;
-    return PlanGenetic(q, params);
+    return PlanGenetic(s, params);
   }
-  return PlanDynamicProgramming(q, cfg.enable_bushy);
+  return PlanDynamicProgramming(s, cfg.enable_bushy);
 }
 
 PlanningResult Planner::PlanDynamicProgramming(const Query& q,
                                                bool bushy) const {
+  CallState s(*this, q);
+  return PlanDynamicProgramming(s, bushy);
+}
+
+PlanningResult Planner::PlanDynamicProgramming(CallState& s,
+                                               bool bushy) const {
+  const Query& q = s.q;
   const int32_t n = q.relation_count();
   LQOLAB_CHECK_GE(n, 1);
   LQOLAB_CHECK_LE(n, 22);  // DP is exponential; GEQO covers larger queries.
@@ -108,17 +140,17 @@ PlanningResult Planner::PlanDynamicProgramming(const Query& q,
   for (AliasId a = 0; a < n; ++a) {
     DpEntry& entry = dp[query::MaskOf(a)];
     entry.valid = true;
-    entry.scan = cost_model_.BestScan(q, a);
+    entry.scan = s.BestScan(a);
     entry.cost = std::min(entry.scan.cost,
                           SpoolReadCost(ctx_, query::MaskOf(a)));
-    entry.rows = estimator_.EstimateBaseRows(q, a);
+    entry.rows = s.est.BaseRows(a);
     ++result.planner_steps;
   }
 
   for (AliasMask mask = 1; mask <= full; ++mask) {
     if (std::popcount(mask) < 2 || !q.IsConnected(mask)) continue;
     DpEntry& entry = dp[mask];
-    const double rows_out = estimator_.EstimateJoinRows(q, mask);
+    const double rows_out = s.est.JoinRows(mask);
 
     auto consider = [&](AliasMask s1, AliasMask s2) {
       const DpEntry& left = dp[s1];
@@ -206,21 +238,28 @@ PlanningResult Planner::PlanDynamicProgramming(const Query& q,
 double Planner::CostJoinOrder(const Query& q,
                               const std::vector<AliasId>& order,
                               PhysicalPlan* plan_out, int64_t* steps) const {
+  CallState s(*this, q);
+  return CostJoinOrder(s, order, plan_out, steps);
+}
+
+double Planner::CostJoinOrder(CallState& s, const std::vector<AliasId>& order,
+                              PhysicalPlan* plan_out, int64_t* steps) const {
+  const Query& q = s.q;
   LQOLAB_CHECK_EQ(order.size(), static_cast<size_t>(q.relation_count()));
   PhysicalPlan plan;
-  const ScanChoice first = cost_model_.BestScan(q, order[0]);
+  const ScanChoice& first = s.BestScan(order[0]);
   int32_t current = plan.AddScan(order[0], first.type, first.index_column);
   double total = std::min(first.cost, SpoolReadCost(ctx_, query::MaskOf(order[0])));
   AliasMask mask = query::MaskOf(order[0]);
-  double rows_left = estimator_.EstimateBaseRows(q, order[0]);
+  double rows_left = s.est.BaseRows(order[0]);
 
   for (size_t i = 1; i < order.size(); ++i) {
     const AliasId next = order[i];
     const AliasMask next_mask = query::MaskOf(next);
-    if (!q.HasEdgeBetween(mask, next_mask)) return kImpossibleCost;
-    const double rows_right = estimator_.EstimateBaseRows(q, next);
-    const double rows_out = estimator_.EstimateJoinRows(q, mask | next_mask);
-    const ScanChoice scan = cost_model_.BestScan(q, next);
+    if ((s.est.Adjacency(next) & mask) == 0) return kImpossibleCost;
+    const double rows_right = s.est.BaseRows(next);
+    const double rows_out = s.est.JoinRows(mask | next_mask);
+    const ScanChoice& scan = s.BestScan(next);
     if (steps != nullptr) ++*steps;
 
     double best_cost = kImpossibleCost;
@@ -268,6 +307,13 @@ double Planner::CostJoinOrder(const Query& q,
 
 PlanningResult Planner::PlanGenetic(const Query& q,
                                     const GeqoParams& params) const {
+  CallState s(*this, q);
+  return PlanGenetic(s, params);
+}
+
+PlanningResult Planner::PlanGenetic(CallState& s,
+                                    const GeqoParams& params) const {
+  const Query& q = s.q;
   const int32_t n = q.relation_count();
   LQOLAB_CHECK_GE(n, 2);
   util::Rng rng(params.seed ^ exec::QueryFingerprint(q));
@@ -285,7 +331,7 @@ PlanningResult Planner::PlanGenetic(const Query& q,
       std::vector<AliasId> candidates;
       for (AliasId a = 0; a < n; ++a) {
         if ((mask & query::MaskOf(a)) == 0 &&
-            (q.AdjacencyMask(a) & mask) != 0) {
+            (s.est.Adjacency(a) & mask) != 0) {
           candidates.push_back(a);
         }
       }
@@ -310,7 +356,7 @@ PlanningResult Planner::PlanGenetic(const Query& q,
       AliasId chosen = -1;
       for (AliasId a : preference) {
         if (!used[static_cast<size_t>(a)] &&
-            (q.AdjacencyMask(a) & mask) != 0) {
+            (s.est.Adjacency(a) & mask) != 0) {
           chosen = a;
           break;
         }
@@ -329,7 +375,7 @@ PlanningResult Planner::PlanGenetic(const Query& q,
   };
   int64_t plans_costed = 0;
   auto evaluate = [&](Individual* ind) {
-    ind->fitness = CostJoinOrder(q, ind->order, nullptr,
+    ind->fitness = CostJoinOrder(s, ind->order, nullptr,
                                  &result.planner_steps);
     ++plans_costed;
   };
@@ -385,7 +431,7 @@ PlanningResult Planner::PlanGenetic(const Query& q,
   const Individual& best = population.front();
   LQOLAB_CHECK_LT(best.fitness, kImpossibleCost);
   result.estimated_cost =
-      CostJoinOrder(q, best.order, &result.plan, nullptr);
+      CostJoinOrder(s, best.order, &result.plan, nullptr);
   result.plan.Validate(q);
   obs::Count(obs::Counter::kPlannerGeqoGenerations, params.generations);
   obs::Count(obs::Counter::kPlannerGeqoPlansCosted, plans_costed);
@@ -395,6 +441,7 @@ PlanningResult Planner::PlanGenetic(const Query& q,
 double Planner::EstimatePlanCost(const Query& q,
                                  const PhysicalPlan& plan) const {
   LQOLAB_CHECK(!plan.empty());
+  stats::QueryEstimates est(estimator_, q);
   double total = 0.0;
   // Inner scans of index-NLJ joins are probed, not scanned.
   std::vector<char> skip(plan.nodes.size(), 0);
@@ -416,9 +463,9 @@ double Planner::EstimatePlanCost(const Query& q,
     }
     const PlanNode& left = plan.node(node.left);
     const PlanNode& right = plan.node(node.right);
-    const double rows_left = estimator_.EstimateJoinRows(q, left.mask);
-    const double rows_right = estimator_.EstimateJoinRows(q, right.mask);
-    const double rows_out = estimator_.EstimateJoinRows(q, node.mask);
+    const double rows_left = est.JoinRows(left.mask);
+    const double rows_right = est.JoinRows(right.mask);
+    const double rows_out = est.JoinRows(node.mask);
     if (node.algo == JoinAlgo::kIndexNlj) {
       LQOLAB_CHECK(right.type == PlanNode::Type::kScan);
       catalog::ColumnId probe_column = catalog::kInvalidColumn;

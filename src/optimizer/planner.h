@@ -36,6 +36,12 @@ struct GeqoParams {
 /// optimizer (GEQO) at config.geqo_threshold relations, exactly like
 /// PostgreSQL. All decisions are made on ESTIMATED cardinalities.
 ///
+/// Each public entry point estimates through one stats::QueryEstimates and
+/// one cheapest-scan-per-alias table that live for that call only, so a
+/// subset's estimate is derived once however many DP splits or GEQO orders
+/// reuse it. Nothing outlives the call: configuration changes (Bao hint
+/// sets, SetConfig) and replan pins between calls need no invalidation.
+///
 /// When metrics collection is enabled on the calling thread (obs/metrics.h),
 /// planning emits the planner_* counters — invocations, DP subproblems,
 /// GEQO generations and plans costed — without affecting the modeled
@@ -74,6 +80,15 @@ class Planner {
   const stats::CardinalityEstimator& estimator() const { return estimator_; }
 
  private:
+  /// State of one public planning call: the query's estimate memo and each
+  /// alias's cheapest access path, filled lazily (planner.cc).
+  class CallState;
+
+  PlanningResult PlanDynamicProgramming(CallState& s, bool bushy) const;
+  PlanningResult PlanGenetic(CallState& s, const GeqoParams& params) const;
+  double CostJoinOrder(CallState& s, const std::vector<query::AliasId>& order,
+                       PhysicalPlan* plan_out, int64_t* steps) const;
+
   const exec::DbContext* ctx_;
   stats::CardinalityEstimator estimator_;
   CostModel cost_model_;

@@ -64,17 +64,7 @@ double CardinalityEstimator::PredicateSelectivity(const Query& q,
 
 double CardinalityEstimator::EstimateBaseRows(const Query& q,
                                               AliasId alias) const {
-  if (ctx_->card_pins != nullptr) {
-    const double pinned = ctx_->card_pins->Lookup(query::MaskOf(alias));
-    if (pinned >= 0.0) return pinned;
-  }
-  const catalog::TableId table_id =
-      q.relations[static_cast<size_t>(alias)].table;
-  double rows = static_cast<double>(ctx_->table(table_id).row_count());
-  for (const Predicate* pred : q.PredicatesFor(alias)) {
-    rows *= PredicateSelectivity(q, *pred);
-  }
-  return std::max(1.0, rows);
+  return QueryEstimates(*this, q).BaseRows(alias);
 }
 
 double CardinalityEstimator::EdgeSelectivity(const Query& q,
@@ -124,25 +114,71 @@ double CardinalityEstimator::EdgeSelectivity(const Query& q,
 
 double CardinalityEstimator::EstimateJoinRows(const Query& q,
                                               AliasMask mask) const {
+  return QueryEstimates(*this, q).JoinRows(mask);
+}
+
+QueryEstimates::QueryEstimates(const CardinalityEstimator& estimator,
+                               const Query& q)
+    : estimator_(estimator),
+      ctx_(*estimator.ctx_),
+      q_(q),
+      base_rows_(static_cast<size_t>(q.relation_count()), -1.0),
+      edge_selectivity_(q.edges.size(), -1.0),
+      adjacency_(static_cast<size_t>(q.relation_count()), 0) {
+  for (const JoinEdge& edge : q.edges) {
+    adjacency_[static_cast<size_t>(edge.left_alias)] |=
+        query::MaskOf(edge.right_alias);
+    adjacency_[static_cast<size_t>(edge.right_alias)] |=
+        query::MaskOf(edge.left_alias);
+  }
+}
+
+double QueryEstimates::BaseRows(AliasId alias) {
+  double& memo = base_rows_[static_cast<size_t>(alias)];
+  if (memo >= 0.0) return memo;
+  if (ctx_.card_pins != nullptr) {
+    const double pinned = ctx_.card_pins->Lookup(query::MaskOf(alias));
+    if (pinned >= 0.0) return memo = pinned;
+  }
+  const catalog::TableId table_id =
+      q_.relations[static_cast<size_t>(alias)].table;
+  double rows = static_cast<double>(ctx_.table(table_id).row_count());
+  for (const Predicate* pred : q_.PredicatesFor(alias)) {
+    rows *= estimator_.PredicateSelectivity(q_, *pred);
+  }
+  return memo = std::max(1.0, rows);
+}
+
+double QueryEstimates::EdgeSelectivity(size_t edge) {
+  double& memo = edge_selectivity_[edge];
+  if (memo < 0.0) memo = estimator_.EdgeSelectivity(q_, q_.edges[edge]);
+  return memo;
+}
+
+double QueryEstimates::JoinRows(AliasMask mask) {
   // Pinned observed truths (adaptive replan) win over everything, including
   // an armed poison schedule: a re-plan must see ground truth for the
   // prefix it already paid for.
-  if (ctx_->card_pins != nullptr) {
-    const double pinned = ctx_->card_pins->Lookup(mask);
+  if (ctx_.card_pins != nullptr) {
+    const double pinned = ctx_.card_pins->Lookup(mask);
     if (pinned >= 0.0) return pinned;
   }
-  double rows = EstimateJoinRowsRaw(q, mask);
+  const auto it = raw_join_rows_.find(mask);
+  double rows = it != raw_join_rows_.end()
+                    ? it->second
+                    : raw_join_rows_.emplace(mask, RawJoinRows(mask))
+                          .first->second;
   if (faultlib::Current() != nullptr) {
     // Key = (query identity, alias subset): every estimate of the same
     // subset of the same query gets the same decision in any schedule, so
     // poisoned planning is reproducible across worker counts.
     uint64_t key = 1469598103934665603ull;  // FNV-1a over the query id.
-    for (const char c : q.id) {
+    for (const char c : q_.id) {
       key ^= static_cast<uint8_t>(c);
       key *= 1099511628211ull;
     }
     key = util::MixSeed(
-        key, (static_cast<uint64_t>(static_cast<uint32_t>(q.template_id))
+        key, (static_cast<uint64_t>(static_cast<uint32_t>(q_.template_id))
               << 32) |
                  mask);
     const auto fault = LQOLAB_FAULT_POINT_KEYED("stats.estimate", key);
@@ -153,23 +189,24 @@ double CardinalityEstimator::EstimateJoinRows(const Query& q,
   return rows;
 }
 
-double CardinalityEstimator::EstimateJoinRowsRaw(const Query& q,
-                                                 AliasMask mask) const {
-  if (ctx_->config.estimator_mode == engine::EstimatorMode::kNaiveProduct) {
+double QueryEstimates::RawJoinRows(AliasMask mask) {
+  const Query& q = q_;
+  if (ctx_.config.estimator_mode == engine::EstimatorMode::kNaiveProduct) {
     // Ablation: the naive full-product formula whose deep-chain collapse
     // degenerates plan choice (DESIGN.md design decision 2).
     double rows = 1.0;
     for (AliasId a = 0; a < q.relation_count(); ++a) {
-      if (mask & query::MaskOf(a)) rows *= EstimateBaseRows(q, a);
+      if (mask & query::MaskOf(a)) rows *= BaseRows(a);
     }
-    for (const JoinEdge& edge : q.edges) {
+    for (size_t e = 0; e < q.edges.size(); ++e) {
+      const JoinEdge& edge = q.edges[e];
       if ((mask & query::MaskOf(edge.left_alias)) &&
           (mask & query::MaskOf(edge.right_alias))) {
         // Clamp after every edge, not once at the end: applying a dozen
         // selectivities at once can underflow the running product to 0,
         // which a final max(1, ...) would then freeze at exactly one row
         // regardless of the base cardinalities.
-        rows = std::max(1.0, rows * EdgeSelectivity(q, edge));
+        rows = std::max(1.0, rows * EdgeSelectivity(e));
       }
     }
     return rows;
@@ -187,7 +224,7 @@ double CardinalityEstimator::EstimateJoinRowsRaw(const Query& q,
   if (members.empty()) return 1.0;
   std::vector<double> base(members.size());
   for (size_t i = 0; i < members.size(); ++i) {
-    base[i] = EstimateBaseRows(q, members[i]);
+    base[i] = BaseRows(members[i]);
   }
   // Start from the smallest base that keeps connectivity as we extend.
   std::vector<char> used(members.size(), 0);
@@ -203,7 +240,7 @@ double CardinalityEstimator::EstimateJoinRowsRaw(const Query& q,
     size_t next = members.size();
     for (size_t i = 0; i < members.size(); ++i) {
       if (used[i]) continue;
-      if ((q.AdjacencyMask(members[i]) & covered) == 0) continue;
+      if ((Adjacency(members[i]) & covered) == 0) continue;
       if (next == members.size() || base[i] < base[next]) next = i;
     }
     if (next == members.size()) {
@@ -218,20 +255,20 @@ double CardinalityEstimator::EstimateJoinRowsRaw(const Query& q,
       break;
     }
     rows *= base[next];
-    for (const JoinEdge& edge : q.edges) {
-      const AliasMask l = query::MaskOf(edge.left_alias);
-      const AliasMask r = query::MaskOf(edge.right_alias);
-      const AliasMask next_bit = query::MaskOf(members[next]);
+    const AliasMask next_bit = query::MaskOf(members[next]);
+    for (size_t e = 0; e < q.edges.size(); ++e) {
+      const AliasMask l = query::MaskOf(q.edges[e].left_alias);
+      const AliasMask r = query::MaskOf(q.edges[e].right_alias);
       if (((l & covered) && (r & next_bit)) ||
           ((r & covered) && (l & next_bit))) {
         // Per-edge clamp, as above: cliques connect each new relation to
         // the whole covered set, and multiplying all of those edge
         // selectivities before clamping can underflow to 0.
-        rows = std::max(1.0, rows * EdgeSelectivity(q, edge));
+        rows = std::max(1.0, rows * EdgeSelectivity(e));
       }
     }
     used[next] = 1;
-    covered |= query::MaskOf(members[next]);
+    covered |= next_bit;
   }
   return std::max(1.0, rows);
 }

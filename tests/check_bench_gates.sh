@@ -5,8 +5,10 @@
 #   - BENCH_parallel_runner.json: virtual work-stealing speedup > 1.5x at 4
 #     workers for every scale factor, byte-identical parallel measurements,
 #     and a scale-factor curve reaching a 10M+-row database.
-#   - BENCH_fuzz.json: zero discrepancies, and the SQL round-trip arm ran
-#     over at least 1000 queries.
+#   - BENCH_fuzz.json: zero discrepancies, the SQL round-trip arm ran
+#     over at least 1000 queries, and the soak sustained >= 40 queries/s
+#     (wall clock; planning dominates it, so this floor guards the
+#     planner's per-query estimate memo).
 #   - BENCH_serve.json: recorded with --sql, every arm deterministic, and
 #     the normalized-template plan-cache key beats per-literal keying on
 #     the varied-literal workload by > 0.3 hit rate.
@@ -18,11 +20,17 @@
 #     goodput of the no-shedding server at 1.5x capacity, adaptive replans
 #     beat straight-through p99 under the poisoned estimator, the replan
 #     differential stayed byte-identical, and the run was reproducible.
+#   - BENCH_engine.json: the batched engine is >= 2x the scalar engine
+#     (speedup_vectorized), and every engine config counted the same rows.
+#   - BENCH_chaos.json: 100% containment, and no schedule corrupted an
+#     answer.
 # Regenerate with: build/bench/micro_parallel_runner BENCH_parallel_runner.json
 #                  build/bench/fuzz_soak BENCH_fuzz.json
 #                  build/bench/serve_throughput --sql BENCH_serve.json
 #                  build/bench/cost_model_bakeoff BENCH_costmodel.json
 #                  build/bench/overload_soak BENCH_overload.json
+#                  build/bench/micro_engine --engine-json BENCH_engine.json
+#                  build/bench/chaos_soak BENCH_chaos.json
 set -u
 root="${1:-$(cd "$(dirname "$0")/.." && pwd)}"
 json="$root/BENCH_parallel_runner.json"
@@ -70,6 +78,14 @@ else
   round_trips=$(grep -o '"sql_round_trips": [0-9]*' "$fuzz" | awk '{print $2}')
   if [ "${round_trips:-0}" -lt 1000 ]; then
     echo "FAIL: only ${round_trips:-0} SQL round trips recorded (< 1000) in $fuzz"
+    fail=1
+  fi
+  fuzz_qps=$(grep -o '"queries_per_sec": [0-9.]*' "$fuzz" | awk '{print $2}')
+  if [ -z "$fuzz_qps" ]; then
+    echo "FAIL: no queries_per_sec recorded in $fuzz"
+    fail=1
+  elif ! awk -v q="$fuzz_qps" 'BEGIN { exit !(q >= 40) }'; then
+    echo "FAIL: fuzz soak at $fuzz_qps queries/s (< 40) in $fuzz"
     fail=1
   fi
 fi
@@ -168,7 +184,52 @@ else
   fi
 fi
 
+engine="$root/BENCH_engine.json"
+if [ ! -f "$engine" ]; then
+  echo "FAIL: missing $engine"
+  fail=1
+else
+  speedup=$(grep -o '"speedup_vectorized": [0-9.]*' "$engine" | awk '{print $2}')
+  if [ -z "$speedup" ]; then
+    echo "FAIL: no speedup_vectorized recorded in $engine"
+    fail=1
+  elif ! awk -v s="$speedup" 'BEGIN { exit !(s >= 2.0) }'; then
+    echo "FAIL: vectorized speedup $speedup < 2.0 in $engine"
+    fail=1
+  fi
+  row_counts=$(grep -o '"rows": [0-9]*' "$engine" | awk '{print $2}' |
+    sort -u | wc -l)
+  if [ "$row_counts" -ne 1 ]; then
+    echo "FAIL: engine configs disagree on rows ($row_counts distinct counts) in $engine"
+    fail=1
+  fi
+fi
+
+chaos="$root/BENCH_chaos.json"
+if [ ! -f "$chaos" ]; then
+  echo "FAIL: missing $chaos"
+  fail=1
+else
+  if ! grep -q '"containment_pct": 100.0,' "$chaos"; then
+    echo "FAIL: chaos soak containment below 100% in $chaos"
+    fail=1
+  fi
+  corrupted=$(grep -o '"corrupted": [0-9]*' "$chaos" | awk '{print $2}')
+  if [ -z "$corrupted" ]; then
+    echo "FAIL: no corrupted counts recorded in $chaos"
+    fail=1
+  elif echo "$corrupted" | grep -qv '^0$'; then
+    echo "FAIL: chaos soak corrupted answers in $chaos"
+    fail=1
+  fi
+  schedules=$(grep -c '"schedule":' "$chaos")
+  if [ "$(echo "$corrupted" | wc -l)" -ne $((schedules + 1)) ]; then
+    echo "FAIL: a chaos schedule has no corrupted count in $chaos"
+    fail=1
+  fi
+fi
+
 if [ "$fail" -eq 0 ]; then
-  echo "OK: benchmark gates hold ($json, $fuzz, $serve, $costmodel, $overload)"
+  echo "OK: benchmark gates hold ($json, $fuzz, $serve, $costmodel, $overload, $engine, $chaos)"
 fi
 exit "$fail"

@@ -1,17 +1,25 @@
-// Tests for the cost model, DP planner, GEQO, and plan utilities.
+// Tests for the cost model, DP planner, GEQO, plan utilities, and the
+// bit-for-bit digests of the estimator and planner.
 
 #include <bit>
 #include <cmath>
+#include <cstdio>
 #include <functional>
 #include <limits>
+#include <string>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
+#include "datagen/tpch_generator.h"
 #include "engine/database.h"
+#include "faultlib/faultlib.h"
 #include "optimizer/cost_model.h"
 #include "optimizer/physical_plan.h"
 #include "optimizer/planner.h"
 #include "query/sql_workload.h"
+#include "stats/cardinality_estimator.h"
+#include "util/rng.h"
 
 namespace lqolab::optimizer {
 namespace {
@@ -409,6 +417,221 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, PlannerWorkloadProperty,
     ::testing::Combine(::testing::Range(0, 113, 11),
                        ::testing::Range(0, 3)));
+
+/// FNV-1a over text. The digest tests below hash hex-float renderings
+/// (printf "%a"), so a change to any bit of any estimate or cost changes
+/// the digest.
+class Digest {
+ public:
+  void Add(std::string_view text) {
+    for (const char c : text) {
+      value_ ^= static_cast<uint8_t>(c);
+      value_ *= 1099511628211ull;
+    }
+    value_ ^= 0xff;  // Field separator.
+    value_ *= 1099511628211ull;
+  }
+  void AddDouble(double d) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%a", d);
+    Add(buf);
+  }
+  void AddInt(int64_t v) { Add(std::to_string(v)); }
+  uint64_t value() const { return value_; }
+
+ private:
+  uint64_t value_ = 1469598103934665603ull;
+};
+
+/// The planner configurations the digests sweep: the database default,
+/// left-deep DP, GEQO from four relations up, and both estimator ablations.
+std::vector<DbConfig> DigestConfigs(const DbConfig& base) {
+  std::vector<DbConfig> configs(5, base);
+  configs[1].enable_bushy = false;
+  configs[2].geqo_threshold = 4;
+  configs[3].estimator_mode = engine::EstimatorMode::kNaiveProduct;
+  configs[4].estimator_mode = engine::EstimatorMode::kNoMcvJoins;
+  return configs;
+}
+
+struct WorkloadDigests {
+  uint64_t estimates = 0;
+  uint64_t plans = 0;
+};
+
+/// Digests (1) the join estimate of every connected alias mask of every
+/// query under the default configuration and (2) Plan() plus
+/// EstimatePlanCost of the chosen plan under each DigestConfigs entry.
+WorkloadDigests DigestWorkload(Database* db, const std::string& workload) {
+  const DbConfig base = db->config();
+  const std::vector<Query> queries = query::LoadWorkload(workload,
+                                                         db->schema());
+  WorkloadDigests out;
+  Digest estimates;
+  const stats::CardinalityEstimator& estimator = db->planner().estimator();
+  for (const Query& q : queries) {
+    estimates.Add(q.id);
+    stats::QueryEstimates est(estimator, q);
+    for (AliasMask mask = 1; mask <= q.FullMask(); ++mask) {
+      if (!q.IsConnected(mask)) continue;
+      estimates.AddInt(mask);
+      estimates.AddDouble(est.JoinRows(mask));
+    }
+    // The single-shot wrapper is the same formula over a fresh memo.
+    EXPECT_EQ(estimator.EstimateJoinRows(q, q.FullMask()),
+              est.JoinRows(q.FullMask()))
+        << q.id;
+  }
+  out.estimates = estimates.value();
+  Digest plans;
+  for (const DbConfig& config : DigestConfigs(base)) {
+    db->SetConfig(config);
+    for (const Query& q : queries) {
+      const PlanningResult r = db->planner().Plan(q);
+      plans.Add(q.id);
+      plans.Add(r.plan.ToString(q));
+      plans.AddDouble(r.estimated_cost);
+      plans.AddInt(r.planner_steps);
+      plans.AddInt(r.used_geqo ? 1 : 0);
+      plans.AddDouble(db->planner().EstimatePlanCost(q, r.plan));
+    }
+  }
+  db->SetConfig(base);
+  out.plans = plans.value();
+  return out;
+}
+
+Database* DigestImdb() {
+  static Database* db = MakeDb().release();
+  return db;
+}
+
+// Bit-for-bit pins of the estimator and planner. The constants come from
+// the unmemoized estimator (one full derivation per EstimateJoinRows
+// call), so they check that stats::QueryEstimates changes no bit; any
+// change to a single estimate, cost, plan or step count (e.g. clamping
+// the stepwise estimate only at the end instead of after every edge)
+// fails here.
+TEST(PlannerDigest, Job) {
+  const WorkloadDigests d = DigestWorkload(DigestImdb(), "job");
+  EXPECT_EQ(d.estimates, 16247642208905406414ull);
+  EXPECT_EQ(d.plans, 14879334029277322306ull);
+}
+
+TEST(PlannerDigest, ExtJob) {
+  const WorkloadDigests d = DigestWorkload(DigestImdb(), "ext_job");
+  EXPECT_EQ(d.estimates, 1930390694074350583ull);
+  EXPECT_EQ(d.plans, 2684377472818182764ull);
+}
+
+TEST(PlannerDigest, JobComplex) {
+  const WorkloadDigests d = DigestWorkload(DigestImdb(), "job_complex");
+  EXPECT_EQ(d.estimates, 3789962769245168435ull);
+  EXPECT_EQ(d.plans, 1112534618449228750ull);
+}
+
+TEST(PlannerDigest, Tpch) {
+  Database::Options options;
+  options.seed = 42;
+  const auto db = Database::CreateTpch(
+      options, datagen::TpchScaleProfile::Small().Scaled(0.5));
+  const WorkloadDigests d = DigestWorkload(db.get(), "tpch");
+  EXPECT_EQ(d.estimates, 17773860210358536620ull);
+  EXPECT_EQ(d.plans, 1116172563033697694ull);
+}
+
+/// A keyed estimate-poison schedule: 1e-4 underestimates on a seeded
+/// quarter of the (query, alias mask) key space.
+faultlib::FaultPlan EstimatePoison() {
+  faultlib::FaultPlan plan;
+  plan.name = "estimate_poison";
+  plan.seed = 0x9e1507150ull;
+  faultlib::FaultRule rule;
+  rule.point = "stats.estimate";
+  rule.kind = faultlib::FaultKind::kPoison;
+  rule.probability = 0.25;
+  rule.poison_scale = 1e-4;
+  plan.Add(rule);
+  return plan;
+}
+
+/// Pins a deterministic fifth of the connected masks of `q` (singletons
+/// included, so pinned base rows feed the raw join estimates).
+exec::CardinalityPins PinsFor(const Query& q) {
+  exec::CardinalityPins pins;
+  for (AliasMask mask = 1; mask <= q.FullMask(); ++mask) {
+    if (!q.IsConnected(mask)) continue;
+    const uint64_t h = util::MixSeed(0x5eed, mask);
+    if (h % 5 == 0) pins.Pin(mask, static_cast<double>(1 + h % 5000));
+  }
+  return pins;
+}
+
+// Pinned truths short-circuit before the estimate and its poison; the
+// poison is applied on every unpinned estimate. Planning with both layers
+// active must reproduce the plans and the fault point's hit/fire counts.
+TEST(PlannerDigest, PinsAndPoisonLayering) {
+  Database* db = DigestImdb();
+  const DbConfig base = db->config();
+  DbConfig geqo4 = base;
+  geqo4.geqo_threshold = 4;
+  faultlib::FaultInjector injector(EstimatePoison());
+  Digest plans;
+  {
+    faultlib::ScopedFaultInjection inject(&injector);
+    for (const std::string workload : {"job", "job_complex"}) {
+      for (const DbConfig& config : {base, geqo4}) {
+        db->SetConfig(config);
+        for (const Query& q : query::LoadWorkload(workload, db->schema())) {
+          const exec::CardinalityPins pins = PinsFor(q);
+          db->context().card_pins = &pins;
+          const PlanningResult r = db->planner().Plan(q);
+          db->context().card_pins = nullptr;
+          plans.Add(q.id);
+          plans.Add(r.plan.ToString(q));
+          plans.AddDouble(r.estimated_cost);
+          plans.AddInt(r.planner_steps);
+        }
+      }
+    }
+  }
+  db->SetConfig(base);
+  EXPECT_EQ(plans.value(), 14315886862319904847ull);
+  EXPECT_EQ(injector.hits("stats.estimate"), 1827436);
+  EXPECT_EQ(injector.fires("stats.estimate"), 579347);
+}
+
+// Only the raw estimate is memoized: pins are consulted and the poison
+// point is hit on every JoinRows call, so a repeated mask is a repeated hit
+// with the same keyed decision.
+TEST(QueryEstimates, PoisonHitOnEveryCallPinsShortCircuit) {
+  Database* db = DigestImdb();
+  const Query q = query::LoadWorkloadQuery("job", "3a", db->schema());
+  const stats::CardinalityEstimator& estimator = db->planner().estimator();
+  faultlib::FaultPlan always = EstimatePoison();
+  always.rules[0].probability = 1.0;
+  faultlib::FaultInjector injector(always);
+  faultlib::ScopedFaultInjection inject(&injector);
+
+  stats::QueryEstimates est(estimator, q);
+  const AliasMask mask = q.FullMask();
+  const double first = est.JoinRows(mask);
+  const double second = est.JoinRows(mask);
+  EXPECT_EQ(injector.hits("stats.estimate"), 2);
+  EXPECT_EQ(injector.fires("stats.estimate"), 2);
+  EXPECT_EQ(first, second);
+  EXPECT_EQ(first, estimator.EstimateJoinRows(q, mask));
+  EXPECT_EQ(injector.hits("stats.estimate"), 3);
+
+  exec::CardinalityPins pins;
+  pins.Pin(mask, 777.0);
+  db->context().card_pins = &pins;
+  stats::QueryEstimates pinned(estimator, q);
+  EXPECT_EQ(pinned.JoinRows(mask), 777.0);
+  EXPECT_EQ(pinned.JoinRows(mask), 777.0);
+  db->context().card_pins = nullptr;
+  EXPECT_EQ(injector.hits("stats.estimate"), 3);
+}
 
 }  // namespace
 }  // namespace lqolab::optimizer
