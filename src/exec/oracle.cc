@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <span>
 #include <unordered_set>
 
 #include "exec/cost_constants.h"
@@ -396,8 +397,49 @@ bool Oracle::CountExtension(const Query& q, const Intermediate& left,
              : CountExtensionScalar(q, left, alias, base_rows, count);
 }
 
+/// Build side of a batched base-relation join: the shared storage::Index on
+/// the hash-edge column when the base is the whole table, else join_table_
+/// built over the base rows. Both list a key's rows in ascending row-id
+/// order — an index sorts by (value, row), a build groups its ascending
+/// input in input order — and both skip NULL keys, so the choice changes no
+/// match, no output order and no cap trip point.
+struct Oracle::BaseProbe {
+  const storage::Index* index;  // non-null: probe the index, no build
+  const kernels::JoinHashTable* table;
+
+  kernels::JoinHashTable::Group Probe(Value v) const {
+    if (index == nullptr) return table->Probe(v);
+    const std::span<const RowId> rows = index->EqualRange(v);
+    return {rows.data(), static_cast<int32_t>(rows.size())};
+  }
+
+  void Prefetch(Value v) const {
+    if (index == nullptr) table->PrefetchProbe(v);
+  }
+};
+
+Oracle::BaseProbe Oracle::PrepareBase(const Query& q, AliasId alias,
+                                      catalog::ColumnId column,
+                                      const std::vector<RowId>& base_rows) {
+  const catalog::TableId table_id =
+      q.relations[static_cast<size_t>(alias)].table;
+  const storage::Table& table = ctx_->table(table_id);
+  // Filtered and reduced row lists are ascending and duplicate-free, so a
+  // full-size list is exactly [0, row_count).
+  if (static_cast<int64_t>(base_rows.size()) == table.row_count()) {
+    if (const storage::Index* index = ctx_->FindIndex(table_id, column)) {
+      obs::Count(obs::Counter::kOracleIndexJoins);
+      return {index, &join_table_};
+    }
+  }
+  obs::Count(obs::Counter::kOracleHashBuilds);
+  join_table_.Build(table.column(column).data(), base_rows.data(),
+                    static_cast<int64_t>(base_rows.size()));
+  return {nullptr, &join_table_};
+}
+
 /// Batched engine for the streaming-count fallback. The single-edge case
-/// sums grouped key multiplicities from the JoinHashTable; the residual
+/// sums grouped key multiplicities from the base's BaseProbe; the residual
 /// case walks the same (probe row, base row) pairs as the scalar loop, so
 /// the kMaxCountedPairs cap trips at the identical pair.
 bool Oracle::CountExtensionVectorized(
@@ -410,7 +452,6 @@ bool Oracle::CountExtensionVectorized(
   const storage::Table& base_table =
       ctx_->table(q.relations[static_cast<size_t>(alias)].table);
   const auto& hash_edge = edges[0];
-  const storage::Column& base_key = base_table.column(hash_edge.right_column);
   const int32_t width = static_cast<int32_t>(left.aliases.size());
   auto position_of = [&](AliasId a) {
     for (int32_t i = 0; i < width; ++i) {
@@ -425,10 +466,12 @@ bool Oracle::CountExtensionVectorized(
           .column(hash_edge.left_column)
           .data();
 
-  join_table_.Build(base_key.data(), base_rows.data(),
-                    static_cast<int64_t>(base_rows.size()));
+  const BaseProbe base =
+      PrepareBase(q, alias, hash_edge.right_column, base_rows);
+  // No predicate transfer on an index probe (see JoinWithBaseVectorized).
   const BloomFilter* bloom = nullptr;
-  TransferSchedule transfer{ctx_->config.predicate_transfer &&
+  TransferSchedule transfer{base.index == nullptr &&
+                            ctx_->config.predicate_transfer &&
                             left.rows >= kTransferMinProbes};
 
   if (edges.size() == 1) {
@@ -437,13 +480,13 @@ bool Oracle::CountExtensionVectorized(
     for (int64_t row = 0; row < left.rows; ++row) {
       const int64_t ahead =
           std::min(row + kProbePrefetchDistance, left.rows - 1);
-      join_table_.PrefetchProbe(
+      base.Prefetch(
           probe_col[left.data[static_cast<size_t>(ahead * width + hash_pos)]]);
       const Value v =
           probe_col[left.data[static_cast<size_t>(row * width + hash_pos)]];
       if (v == storage::kNullValue) continue;
       if (bloom != nullptr && !bloom->MayContain(v)) continue;
-      const int32_t hits = join_table_.Probe(v).count;
+      const int32_t hits = base.Probe(v).count;
       if (transfer.ShouldBuild(hits == 0)) {
         join_table_.FillBloom(&transfer_bloom_, kTransferFpr, kTransferSeed);
         bloom = &transfer_bloom_;
@@ -474,13 +517,13 @@ bool Oracle::CountExtensionVectorized(
   int64_t pairs = 0;
   for (int64_t row = 0; row < left.rows; ++row) {
     const int64_t ahead = std::min(row + kProbePrefetchDistance, left.rows - 1);
-    join_table_.PrefetchProbe(
+    base.Prefetch(
         probe_col[left.data[static_cast<size_t>(ahead * width + hash_pos)]]);
     const RowId* tuple = left.data.data() + row * width;
     const Value v = probe_col[tuple[hash_pos]];
     if (v == storage::kNullValue) continue;
     if (bloom != nullptr && !bloom->MayContain(v)) continue;
-    const kernels::JoinHashTable::Group group = join_table_.Probe(v);
+    const kernels::JoinHashTable::Group group = base.Probe(v);
     if (transfer.ShouldBuild(group.count == 0)) {
       join_table_.FillBloom(&transfer_bloom_, kTransferFpr, kTransferSeed);
       bloom = &transfer_bloom_;
@@ -515,6 +558,7 @@ bool Oracle::CountExtensionScalar(const Query& q, const Intermediate& left,
       ctx_->table(q.relations[static_cast<size_t>(alias)].table);
   const auto& hash_edge = edges[0];
   const storage::Column& base_key = base_table.column(hash_edge.right_column);
+  obs::Count(obs::Counter::kOracleHashBuilds);  // both branches hash the base
   const int32_t width = static_cast<int32_t>(left.aliases.size());
   auto position_of = [&](AliasId a) {
     for (int32_t i = 0; i < width; ++i) {
@@ -879,9 +923,10 @@ Oracle::Intermediate Oracle::JoinWithBase(
              : JoinWithBaseScalar(q, left, alias, base_rows, scope);
 }
 
-/// Batched engine: build a grouped JoinHashTable over the base rows (one
-/// flat payload array instead of a vector per key), optionally publish its
-/// key set as a Bloom filter (predicate transfer), then probe the left
+/// Batched engine: probe the shared index when the base is a whole table,
+/// else build a grouped JoinHashTable over the base rows (one flat payload
+/// array instead of a vector per key) and optionally publish its key set as
+/// a Bloom filter (predicate transfer); then probe the left
 /// intermediate in kBatchRows strides, gathering probe keys into an
 /// L1-resident staging buffer. Match set, output order and the overflow
 /// trip point are identical to JoinWithBaseScalar: probes run in left-row
@@ -898,9 +943,8 @@ Oracle::Intermediate Oracle::JoinWithBaseVectorized(
   const storage::Table& base_table =
       ctx_->table(q.relations[static_cast<size_t>(alias)].table);
   const auto& hash_edge = edges[0];
-  const storage::Column& base_key = base_table.column(hash_edge.right_column);
-  join_table_.Build(base_key.data(), base_rows.data(),
-                    static_cast<int64_t>(base_rows.size()));
+  const BaseProbe base =
+      PrepareBase(q, alias, hash_edge.right_column, base_rows);
 
   const int32_t width = static_cast<int32_t>(left.aliases.size());
   auto position_of = [&](AliasId a) {
@@ -932,8 +976,12 @@ Oracle::Intermediate Oracle::JoinWithBaseVectorized(
     residual.push_back(probe);
   }
 
+  // An index probe runs without predicate transfer: the Bloom filter is
+  // filled from join_table_, which only a build refreshes, and as a pure
+  // pre-test its absence changes no output.
   const BloomFilter* bloom = nullptr;
-  TransferSchedule transfer{ctx_->config.predicate_transfer &&
+  TransferSchedule transfer{base.index == nullptr &&
+                            ctx_->config.predicate_transfer &&
                             left.rows >= kTransferMinProbes};
 
   Intermediate out;
@@ -965,13 +1013,12 @@ Oracle::Intermediate Oracle::JoinWithBaseVectorized(
       probe_keys[i] = hash_probe_col[batch_tuples[i * width + hash_pos]];
     }
     for (int32_t i = 0; i < n; ++i) {
-      join_table_.PrefetchProbe(
-          probe_keys[std::min<int32_t>(
-              i + static_cast<int32_t>(kProbePrefetchDistance), n - 1)]);
+      base.Prefetch(probe_keys[std::min<int32_t>(
+          i + static_cast<int32_t>(kProbePrefetchDistance), n - 1)]);
       const Value probe_value = probe_keys[i];
       if (probe_value == storage::kNullValue) continue;
       if (bloom != nullptr && !bloom->MayContain(probe_value)) continue;
-      const kernels::JoinHashTable::Group group = join_table_.Probe(probe_value);
+      const kernels::JoinHashTable::Group group = base.Probe(probe_value);
       if (transfer.ShouldBuild(group.count == 0)) {
         join_table_.FillBloom(&transfer_bloom_, kTransferFpr, kTransferSeed);
         bloom = &transfer_bloom_;
@@ -1032,6 +1079,7 @@ Oracle::Intermediate Oracle::JoinWithBaseScalar(
   const auto& hash_edge = edges[0];
   const storage::Column& base_key =
       base_table.column(hash_edge.right_column);
+  obs::Count(obs::Counter::kOracleHashBuilds);
   std::unordered_map<Value, std::vector<RowId>> hash;
   hash.reserve(base_rows.size());
   for (RowId r : base_rows) {

@@ -36,6 +36,13 @@ uint64_t QueryFingerprint(const query::Query& q);
 /// and predicate transfer is a pure pre-test that cannot change results —
 /// so the scalar path stays selectable at runtime as the differential
 /// baseline (tests/test_kernels.cc, fuzz::DifferentialOracle).
+///
+/// When the base of a batched join is a whole table (no predicate, nothing
+/// reduced away) and its join column is indexed, the batched engine probes
+/// the shared, read-only storage::Index instead of building a hash table
+/// over every row: Index::EqualRange returns the same rows in the same
+/// ascending order a build over all rows would group, so results stay
+/// byte-identical. Filtered and reduced bases still build.
 class Oracle {
  public:
   explicit Oracle(const DbContext* ctx);
@@ -135,6 +142,16 @@ class Oracle {
   Intermediate JoinWithBaseVectorized(
       const query::Query& q, const Intermediate& left, query::AliasId alias,
       const std::vector<storage::RowId>& base_rows, query::AliasMask scope);
+
+  /// Build side of a batched join with the base rows of `alias` on
+  /// `column` (defined in oracle.cc).
+  struct BaseProbe;
+  /// Probes the shared storage::Index on (alias's table, `column`) when
+  /// `base_rows` is the whole table and the column is indexed — no build —
+  /// else rebuilds join_table_ over `base_rows` and probes that.
+  BaseProbe PrepareBase(const query::Query& q, query::AliasId alias,
+                        catalog::ColumnId column,
+                        const std::vector<storage::RowId>& base_rows);
 
   /// Exact count of a TREE-shaped (acyclic) subset by message passing over
   /// the join tree in O(sum of base rows) — no materialization, any result

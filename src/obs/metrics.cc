@@ -27,6 +27,8 @@ constexpr CounterInfo kCounterInfo[] = {
     {"exec_timeouts", "exec"},
     {"exec_cancelled", "exec"},
     {"oracle_cardinality_calls", "exec"},
+    {"oracle_index_joins", "exec"},
+    {"oracle_hash_builds", "exec"},
     {"exec_replans", "exec"},
     {"exec_replan_no_change", "exec"},
     {"exec_replan_capped", "exec"},

@@ -23,6 +23,8 @@ enum class Counter : int32_t {
   kExecTimeouts,            ///< Executions that hit the statement timeout.
   kExecCancelled,           ///< Executions aborted by a QueryDeadline cancel.
   kOracleCardinalityCalls,  ///< True-cardinality requests to exec::Oracle.
+  kOracleIndexJoins,        ///< Whole-table joins probed via a shared index.
+  kOracleHashBuilds,        ///< Join hash tables built over base rows.
   kExecReplans,             ///< Mid-query cancel-and-replan rounds taken.
   kExecReplanNoChange,      ///< Replans whose new plan equalled the old one.
   kExecReplanCapped,        ///< Final attempts forced straight-through by

@@ -1,6 +1,10 @@
 // Unit tests for the storage layer: columns, tables, indexes, LRU cache,
 // two-tier buffer pool.
 
+#include <algorithm>
+#include <list>
+#include <unordered_map>
+
 #include <gtest/gtest.h>
 
 #include "catalog/imdb_schema.h"
@@ -9,6 +13,7 @@
 #include "storage/index.h"
 #include "storage/lru_cache.h"
 #include "storage/table.h"
+#include "util/rng.h"
 
 namespace lqolab::storage {
 namespace {
@@ -262,6 +267,113 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, LruProperty,
     ::testing::Combine(::testing::Values(1, 2, 5, 16),
                        ::testing::Values(1, 4, 17, 64)));
+
+/// Reference model for LruCache: the node-based std::list + unordered_map
+/// LRU that the flat implementation replaced, kept verbatim in behaviour.
+class ReferenceLru {
+ public:
+  explicit ReferenceLru(int64_t capacity) : capacity_(capacity) {}
+
+  bool Touch(uint64_t key, uint64_t* evicted) {
+    if (capacity_ == 0) return false;
+    auto it = positions_.find(key);
+    if (it != positions_.end()) {
+      order_.splice(order_.begin(), order_, it->second);
+      return true;
+    }
+    if (static_cast<int64_t>(positions_.size()) >= capacity_) {
+      *evicted = order_.back();
+      positions_.erase(order_.back());
+      order_.pop_back();
+      ++evictions_;
+    }
+    order_.push_front(key);
+    positions_[key] = order_.begin();
+    return false;
+  }
+
+  bool Contains(uint64_t key) const { return positions_.count(key) > 0; }
+
+  void Clear() {
+    evictions_ += static_cast<int64_t>(positions_.size());
+    order_.clear();
+    positions_.clear();
+  }
+
+  void Resize(int64_t capacity) {
+    capacity_ = capacity;
+    Clear();
+  }
+
+  int64_t size() const { return static_cast<int64_t>(positions_.size()); }
+  int64_t capacity() const { return capacity_; }
+  int64_t evictions() const { return evictions_; }
+
+ private:
+  int64_t capacity_;
+  int64_t evictions_ = 0;
+  std::list<uint64_t> order_;
+  std::unordered_map<uint64_t, std::list<uint64_t>::iterator> positions_;
+};
+
+/// Random Touch streams, interleaved with Clear() and TryResize(), must
+/// match the reference model on every return value, every evicted key,
+/// size(), evictions() and Contains(). Keys are drawn from a domain 2-4x
+/// the capacity, half of them page keys (high table/kind bits set), so
+/// hits, evictions, slot-table growth and backward-shift deletes all occur.
+class LruReferenceModel
+    : public ::testing::TestWithParam<std::tuple<int64_t, int64_t>> {};
+
+TEST_P(LruReferenceModel, MatchesListImplementation) {
+  const auto [capacity, domain_factor] = GetParam();
+  const int64_t domain = std::max<int64_t>(capacity, 1) * domain_factor;
+  auto key_of = [](int64_t k) {
+    if (k % 2 == 0) return static_cast<uint64_t>(k);
+    return BufferPool::PageKey(static_cast<catalog::TableId>(k % 7),
+                               PageKind::kHeap, -1, k / 7);
+  };
+  util::Rng rng(static_cast<uint64_t>(capacity * 31 + domain_factor));
+  LruCache cache(capacity);
+  ReferenceLru model(capacity);
+  constexpr uint64_t kUnset = ~0ULL;
+  for (int step = 0; step < 20000; ++step) {
+    const double op = rng.Uniform();
+    if (op < 0.001) {
+      cache.Clear();
+      model.Clear();
+    } else if (op < 0.002) {
+      // Stay near the swept capacity so the key domain keeps its ratio.
+      const int64_t resized = std::max<int64_t>(
+          0, model.capacity() + rng.UniformInt(-1, 1) * (capacity / 2 + 1));
+      ASSERT_TRUE(cache.TryResize(resized).ok());
+      model.Resize(resized);
+      EXPECT_FALSE(cache.TryResize(-1).ok());  // rejected, state untouched
+    } else {
+      const uint64_t key = key_of(rng.UniformInt(0, domain - 1));
+      uint64_t cache_evicted = kUnset;
+      uint64_t model_evicted = kUnset;
+      ASSERT_EQ(cache.Touch(key, &cache_evicted),
+                model.Touch(key, &model_evicted))
+          << "step " << step << " key " << key;
+      ASSERT_EQ(cache_evicted, model_evicted) << "step " << step;
+    }
+    ASSERT_EQ(cache.size(), model.size()) << "step " << step;
+    ASSERT_EQ(cache.capacity(), model.capacity()) << "step " << step;
+    ASSERT_EQ(cache.evictions(), model.evictions()) << "step " << step;
+    const uint64_t probe = key_of(rng.UniformInt(0, domain - 1));
+    ASSERT_EQ(cache.Contains(probe), model.Contains(probe))
+        << "step " << step << " key " << probe;
+  }
+  for (int64_t k = 0; k < domain; ++k) {
+    ASSERT_EQ(cache.Contains(key_of(k)), model.Contains(key_of(k)))
+        << "key " << key_of(k);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, LruReferenceModel,
+    ::testing::Combine(::testing::Values<int64_t>(0, 1, 2, 7, 64, 1000),
+                       ::testing::Values<int64_t>(2, 3, 4)));
 
 }  // namespace
 }  // namespace lqolab::storage
