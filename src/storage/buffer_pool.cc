@@ -1,36 +1,169 @@
 #include "storage/buffer_pool.h"
 
+#include <limits>
+
 #include "obs/metrics.h"
+#include "storage/table.h"
+#include "util/check.h"
 
 namespace lqolab::storage {
 
-BufferPool::BufferPool(int64_t shared_pages, int64_t os_pages)
-    : shared_(shared_pages), os_(os_pages) {}
+namespace {
+
+constexpr uint64_t kPageMask = (uint64_t{1} << 48) - 1;
+constexpr catalog::ColumnId kHeapColumnBits = 63;
+
+static_assert(BufferPool::kMaxPages * kRowsPerPage >
+                  int64_t{std::numeric_limits<RowId>::max()},
+              "every heap page of a table must have a valid PageKey");
+
+}  // namespace
+
+BufferPool::BufferPool(int64_t shared_pages, int64_t os_pages) {
+  LQOLAB_CHECK_GE(shared_pages, 0);
+  LQOLAB_CHECK_GE(os_pages, 0);
+  shared_.capacity = shared_pages;
+  os_.capacity = os_pages;
+}
 
 uint64_t BufferPool::PageKey(catalog::TableId table, PageKind kind,
                              catalog::ColumnId index_column, int64_t page_no) {
-  // Layout: [table:8][kind:2][column:6][page:48].
-  const uint64_t table_bits = static_cast<uint64_t>(table) & 0xffu;
-  const uint64_t kind_bits = static_cast<uint64_t>(kind) & 0x3u;
-  const uint64_t column_bits =
-      static_cast<uint64_t>(index_column < 0 ? 63 : index_column) & 0x3fu;
-  const uint64_t page_bits = static_cast<uint64_t>(page_no) & 0xffffffffffffULL;
-  return (table_bits << 56) | (kind_bits << 54) | (column_bits << 48) |
-         page_bits;
+  // Layout: [table:8][kind:2][column:6][page:48]; column 63 marks heap
+  // pages, so index columns stop at 62.
+  LQOLAB_CHECK_GE(table, 0);
+  LQOLAB_CHECK_LE(table, 0xff);
+  LQOLAB_CHECK_GE(index_column, catalog::kInvalidColumn);
+  LQOLAB_CHECK_LT(index_column, kHeapColumnBits);
+  LQOLAB_CHECK_GE(page_no, 0);
+  LQOLAB_CHECK_LT(page_no, kMaxPages);
+  const uint64_t column_bits = static_cast<uint64_t>(
+      index_column < 0 ? kHeapColumnBits : index_column);
+  return (static_cast<uint64_t>(table) << 56) |
+         (static_cast<uint64_t>(kind) << 54) | (column_bits << 48) |
+         static_cast<uint64_t>(page_no);
+}
+
+int32_t BufferPool::EntryOf(uint64_t page_key) {
+  const size_t prefix = static_cast<size_t>(page_key >> 48);
+  if (prefix >= segment_of_.size()) segment_of_.resize(prefix + 1, kNull);
+  if (segment_of_[prefix] == kNull) {
+    segment_of_[prefix] = static_cast<int32_t>(segments_.size());
+    segments_.emplace_back();
+  }
+  std::vector<int32_t>& chunks =
+      segments_[static_cast<size_t>(segment_of_[prefix])];
+  const uint64_t page = page_key & kPageMask;
+  const size_t chunk = static_cast<size_t>(page >> kChunkBits);
+  if (chunk >= chunks.size()) chunks.resize(chunk + 1, kNull);
+  if (chunks[chunk] == kNull) {
+    LQOLAB_CHECK_LE(entries_.size() + kChunkPages,
+                    static_cast<size_t>(std::numeric_limits<int32_t>::max()));
+    chunks[chunk] = static_cast<int32_t>(entries_.size());
+    entries_.resize(entries_.size() + kChunkPages, kNull);
+  }
+  return chunks[chunk] + static_cast<int32_t>(page & (kChunkPages - 1));
+}
+
+int64_t BufferPool::Admit(Tier& tier, bool Node::*held, int32_t node) {
+  if (tier.capacity == 0) return 0;
+  nodes_[static_cast<size_t>(node)].*held = true;
+  if (tier.size < tier.capacity) {
+    if (tier.size == 0) tier.tail = node;
+    ++tier.size;
+    return 0;
+  }
+  // Full: the tier is now the head plus all but its old tail, which sits
+  // right behind the new tail.
+  Node& victim = nodes_[static_cast<size_t>(tier.tail)];
+  victim.*held = false;
+  tier.tail = victim.prev;
+  return 1;
+}
+
+void BufferPool::Unlink(int32_t node) {
+  const Node& n = nodes_[static_cast<size_t>(node)];
+  if (n.prev != kNull) {
+    nodes_[static_cast<size_t>(n.prev)].next = n.next;
+  } else {
+    head_ = n.next;
+  }
+  if (n.next != kNull) {
+    nodes_[static_cast<size_t>(n.next)].prev = n.prev;
+  } else {
+    tail_ = n.prev;
+  }
+}
+
+void BufferPool::PushFront(int32_t node) {
+  Node& n = nodes_[static_cast<size_t>(node)];
+  n.prev = kNull;
+  n.next = head_;
+  if (head_ != kNull) {
+    nodes_[static_cast<size_t>(head_)].prev = node;
+  } else {
+    tail_ = node;
+  }
+  head_ = node;
+}
+
+void BufferPool::DropUnheldTail() {
+  while (tail_ != kNull) {
+    Node& n = nodes_[static_cast<size_t>(tail_)];
+    if (n.in_shared || n.in_os) return;
+    const int32_t node = tail_;
+    Unlink(node);
+    entries_[static_cast<size_t>(n.entry)] = kNull;
+    n.next = free_;
+    free_ = node;
+    --resident_;
+  }
 }
 
 AccessTier BufferPool::Access(uint64_t page_key) {
-  const int64_t evictions_before = evictions();
+  if (access_log_ != nullptr) access_log_->push_back(page_key);
+  const int32_t entry = EntryOf(page_key);
+  int32_t node = entries_[static_cast<size_t>(entry)];
+  bool was_shared = false;
+  bool was_os = false;
+  if (node == kNull) {
+    if (free_ != kNull) {
+      node = free_;
+      free_ = nodes_[static_cast<size_t>(node)].next;
+    } else {
+      LQOLAB_CHECK_LT(nodes_.size(),
+                      static_cast<size_t>(std::numeric_limits<int32_t>::max()));
+      node = static_cast<int32_t>(nodes_.size());
+      nodes_.emplace_back();
+    }
+    nodes_[static_cast<size_t>(node)] = {kNull, kNull, entry, false, false};
+    entries_[static_cast<size_t>(entry)] = node;
+    PushFront(node);
+    ++resident_;
+  } else {
+    const Node& n = nodes_[static_cast<size_t>(node)];
+    was_shared = n.in_shared;
+    was_os = n.in_os;
+    if (node != head_) {
+      // A tier's tail moving to the front leaves its predecessor as the
+      // tier's least recent page.
+      if (node == shared_.tail) shared_.tail = n.prev;
+      if (node == os_.tail) os_.tail = n.prev;
+      Unlink(node);
+      PushFront(node);
+    }
+  }
+
+  int64_t evicted = 0;
+  if (!was_shared) evicted += Admit(shared_, &Node::in_shared, node);
+  if (!was_os) evicted += Admit(os_, &Node::in_os, node);
+  DropUnheldTail();
+
   AccessTier tier;
-  if (shared_.Touch(page_key)) {
+  if (was_shared) {
     ++shared_hits_;
-    // Keep the OS tier's recency roughly in sync: a page hot in shared
-    // buffers stays resident in the OS cache model as well.
-    os_.Touch(page_key);
     tier = AccessTier::kSharedHit;
     obs::Count(obs::Counter::kBufferSharedHits);
-  } else if (os_.Touch(page_key)) {
-    // Missed shared buffers; Touch() above already inserted it there.
+  } else if (was_os) {
     ++os_hits_;
     tier = AccessTier::kOsHit;
     obs::Count(obs::Counter::kBufferOsHits);
@@ -39,15 +172,40 @@ AccessTier BufferPool::Access(uint64_t page_key) {
     tier = AccessTier::kDisk;
     obs::Count(obs::Counter::kBufferDiskReads);
   }
-  if (const int64_t evicted = evictions() - evictions_before; evicted > 0) {
+  if (evicted > 0) {
+    evictions_ += evicted;
     obs::Count(obs::Counter::kBufferEvictions, evicted);
   }
   return tier;
 }
 
+void BufferPool::DropSharedBuffers() {
+  evictions_ += shared_.size;
+  for (int32_t node = head_; shared_.size > 0; --shared_.size) {
+    Node& n = nodes_[static_cast<size_t>(node)];
+    n.in_shared = false;
+    node = n.next;
+  }
+  shared_.tail = kNull;
+  DropUnheldTail();
+}
+
 void BufferPool::DropCaches() {
-  shared_.Clear();
-  os_.Clear();
+  evictions_ += shared_.size + os_.size;
+  for (int32_t node = head_; node != kNull;) {
+    const Node& n = nodes_[static_cast<size_t>(node)];
+    entries_[static_cast<size_t>(n.entry)] = kNull;
+    node = n.next;
+  }
+  nodes_.clear();
+  resident_ = 0;
+  free_ = kNull;
+  head_ = kNull;
+  tail_ = kNull;
+  shared_.size = 0;
+  shared_.tail = kNull;
+  os_.size = 0;
+  os_.tail = kNull;
 }
 
 void BufferPool::Resize(int64_t shared_pages, int64_t os_pages) {
@@ -61,9 +219,10 @@ util::Status BufferPool::TryResize(int64_t shared_pages, int64_t os_pages) {
     return util::Status(util::StatusCode::kResourceExhausted,
                         "buffer pool sizing not satisfiable");
   }
-  util::Status status = shared_.TryResize(shared_pages);
-  if (status.ok()) status = os_.TryResize(os_pages);
-  return status;
+  shared_.capacity = shared_pages;
+  os_.capacity = os_pages;
+  DropCaches();
+  return util::Status::Ok();
 }
 
 }  // namespace lqolab::storage

@@ -9,16 +9,16 @@
 
 namespace lqolab::storage {
 
-/// Exact LRU set of 64-bit keys with O(1) touch. Used for both tiers of the
-/// buffer-cache model and for the serve::PlanCache shards.
+/// Exact LRU set of 64-bit keys with O(1) touch. Used for the
+/// serve::PlanCache shards (storage::BufferPool keeps its own page table).
 ///
 /// Flat layout, no per-entry allocation: entries are nodes in one array
 /// whose int32 prev/next links form the recency list (head = most recent),
 /// and an open-addressing slot table maps each key to its node — power-of-
 /// two size, load <= 0.5, linear probing, backward-shift deletion (so no
-/// tombstones). Both arrays grow with size(), never up to capacity(): the
-/// OS tier's capacity is millions of pages that a run may never touch. A
-/// full cache reuses the evicted tail's node for the incoming key.
+/// tombstones). Both arrays grow with size(), never up to capacity(), so a
+/// generous capacity costs nothing until it is used. A full cache reuses
+/// the evicted tail's node for the incoming key.
 class LruCache {
  public:
   explicit LruCache(int64_t capacity);

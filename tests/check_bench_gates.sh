@@ -21,7 +21,10 @@
 #     beat straight-through p99 under the poisoned estimator, the replan
 #     differential stayed byte-identical, and the run was reproducible.
 #   - BENCH_engine.json: the batched engine is >= 2x the scalar engine
-#     (speedup_vectorized), and every engine config counted the same rows.
+#     (speedup_vectorized), every engine config counted the same rows, and
+#     the buffer-pool replay of the JOB-lite page stream costs <= 40 ns per
+#     access in both regimes with exactly the tier counts of the two-LRU
+#     pool it replaced.
 #   - BENCH_chaos.json: 100% containment, and no schedule corrupted an
 #     answer.
 # Regenerate with: build/bench/micro_parallel_runner BENCH_parallel_runner.json
@@ -203,6 +206,30 @@ else
     echo "FAIL: engine configs disagree on rows ($row_counts distinct counts) in $engine"
     fail=1
   fi
+  # Tier counts are virtual (deterministic): a different count means the
+  # pool changed which tier served a page, not that it got slower.
+  for expected in \
+      'no_fill 10161390 10140294 0 21096 0' \
+      'both_evict 10161390 3573365 4337015 2251010 8834427'; do
+    set -- $expected
+    line=$(grep "\"regime\": \"$1\"" "$engine")
+    if [ -z "$line" ]; then
+      echo "FAIL: no $1 buffer replay recorded in $engine"
+      fail=1
+      continue
+    fi
+    field() { echo "$line" | grep -o "\"$1\": [0-9.]*" | awk '{print $2}'; }
+    got="$1 $(field accesses) $(field shared_hits) $(field os_hits) $(field disk_reads) $(field evictions)"
+    if [ "$got" != "$expected" ]; then
+      echo "FAIL: buffer replay tier counts '$got' != '$expected' in $engine"
+      fail=1
+    fi
+    ns=$(field buffer_ns_per_access)
+    if [ -z "$ns" ] || ! awk -v n="$ns" 'BEGIN { exit !(n <= 40) }'; then
+      echo "FAIL: buffer replay $1 at ${ns:-?} ns/access (> 40) in $engine"
+      fail=1
+    fi
+  done
 fi
 
 chaos="$root/BENCH_chaos.json"

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include "datagen/tpch_generator.h"
+#include "digest.h"
 #include "engine/database.h"
 #include "lqo/plan_search.h"
 #include "optimizer/physical_plan.h"
@@ -248,6 +250,110 @@ TEST_P(ExecutorWorkloadProperty, StableResults) {
 
 INSTANTIATE_TEST_SUITE_P(AllQueries, ExecutorWorkloadProperty,
                          ::testing::Range(0, 113, 5));
+
+/// The buffer-pool sizings the digests sweep: nothing evicts
+/// (OurFramework), a 512-page shared tier in front of a large OS tier
+/// (Default), and shared buffers larger than the OS cache so both tiers
+/// evict and the shared tier holds pages the OS tier has dropped.
+std::vector<DbConfig> BufferDigestConfigs() {
+  DbConfig inverted = DbConfig::Default();
+  inverted.shared_buffers_mb = 96;  // 384 pages
+  inverted.ram_mb = 32;             // 128 pages
+  return {DbConfig::OurFramework(), DbConfig::Default(), inverted};
+}
+
+struct BufferDigests {
+  uint64_t runs = 0;
+  int64_t evictions = 0;
+};
+
+/// Runs every query of `workload` three times under each
+/// BufferDigestConfigs sizing, dropping shared buffers after the first
+/// pass and both tiers after the second, and digests each run's
+/// execution_ns, pages_accessed and per-node tier counts. `evictions` sums
+/// the pools' lifetime evictions after every sizing.
+BufferDigests DigestBufferRuns(Database* db, const std::string& workload) {
+  const std::vector<Query> queries = query::LoadWorkload(workload,
+                                                         db->schema());
+  exec::DbContext& ctx = db->context();
+  auto pool_evictions = [&ctx] {
+    int64_t n = ctx.buffer_pool->evictions();
+    for (const auto& pool : ctx.shard_pools) n += pool->evictions();
+    return n;
+  };
+  BufferDigests out;
+  testutil::Digest digest;
+  for (const DbConfig& config : BufferDigestConfigs()) {
+    db->SetConfig(config);
+    db->DropCaches();
+    std::vector<PhysicalPlan> plans;
+    for (const Query& q : queries) plans.push_back(db->PlanQuery(q).plan);
+    for (int pass = 0; pass < 3; ++pass) {
+      for (size_t i = 0; i < queries.size(); ++i) {
+        const auto run = db->ExecutePlan(queries[i], plans[i]);
+        digest.Add(queries[i].id);
+        digest.AddInt(run.execution_ns);
+        digest.AddInt(run.pages_accessed);
+        for (const PlanNodeStats& node : run.node_stats) {
+          digest.AddInt(node.shared_hits);
+          digest.AddInt(node.os_hits);
+          digest.AddInt(node.disk_reads);
+        }
+      }
+      if (pass == 0) {
+        ctx.buffer_pool->DropSharedBuffers();
+        for (const auto& pool : ctx.shard_pools) pool->DropSharedBuffers();
+      } else if (pass == 1) {
+        db->DropCaches();
+      }
+    }
+    out.evictions += pool_evictions();
+  }
+  out.runs = digest.value();
+  return out;
+}
+
+std::unique_ptr<Database> MakeTpchDb(int32_t table_shards) {
+  Database::Options options;
+  options.seed = 42;
+  options.config.table_shards = table_shards;
+  return Database::CreateTpch(options,
+                              datagen::TpchScaleProfile::Small().Scaled(0.5));
+}
+
+std::unique_ptr<Database> MakeShardedImdb(int32_t table_shards) {
+  DbConfig config = DbConfig::OurFramework();
+  config.table_shards = table_shards;
+  return MakeDb(config);
+}
+
+// Bit-for-bit pins of the buffer-cache model as the executor sees it. The
+// constants were computed with the pool built from two LruCaches; any
+// change to which tier serves a single page access, or to how many pages
+// either tier evicts, fails one of them.
+TEST(ExecutorBufferDigest, Job) {
+  const BufferDigests d = DigestBufferRuns(MakeShardedImdb(1).get(), "job");
+  EXPECT_EQ(d.runs, 10428271227144689753ull);
+  EXPECT_EQ(d.evictions, 331118);
+}
+
+TEST(ExecutorBufferDigest, JobSharded) {
+  const BufferDigests d = DigestBufferRuns(MakeShardedImdb(2).get(), "job");
+  EXPECT_EQ(d.runs, 14765002301754562497ull);
+  EXPECT_EQ(d.evictions, 209605);
+}
+
+TEST(ExecutorBufferDigest, Tpch) {
+  const BufferDigests d = DigestBufferRuns(MakeTpchDb(1).get(), "tpch");
+  EXPECT_EQ(d.runs, 15293372500270488133ull);
+  EXPECT_EQ(d.evictions, 24665);
+}
+
+TEST(ExecutorBufferDigest, TpchSharded) {
+  const BufferDigests d = DigestBufferRuns(MakeTpchDb(2).get(), "tpch");
+  EXPECT_EQ(d.runs, 841519650556234835ull);
+  EXPECT_EQ(d.evictions, 22220);
+}
 
 }  // namespace
 }  // namespace lqolab::exec

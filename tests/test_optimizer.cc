@@ -3,15 +3,14 @@
 
 #include <bit>
 #include <cmath>
-#include <cstdio>
 #include <functional>
 #include <limits>
 #include <string>
-#include <string_view>
 
 #include <gtest/gtest.h>
 
 #include "datagen/tpch_generator.h"
+#include "digest.h"
 #include "engine/database.h"
 #include "faultlib/faultlib.h"
 #include "optimizer/cost_model.h"
@@ -418,30 +417,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Range(0, 113, 11),
                        ::testing::Range(0, 3)));
 
-/// FNV-1a over text. The digest tests below hash hex-float renderings
-/// (printf "%a"), so a change to any bit of any estimate or cost changes
-/// the digest.
-class Digest {
- public:
-  void Add(std::string_view text) {
-    for (const char c : text) {
-      value_ ^= static_cast<uint8_t>(c);
-      value_ *= 1099511628211ull;
-    }
-    value_ ^= 0xff;  // Field separator.
-    value_ *= 1099511628211ull;
-  }
-  void AddDouble(double d) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%a", d);
-    Add(buf);
-  }
-  void AddInt(int64_t v) { Add(std::to_string(v)); }
-  uint64_t value() const { return value_; }
-
- private:
-  uint64_t value_ = 1469598103934665603ull;
-};
+using testutil::Digest;
 
 /// The planner configurations the digests sweep: the database default,
 /// left-deep DP, GEQO from four relations up, and both estimator ablations.

@@ -1,5 +1,5 @@
 // Unit tests for the storage layer: columns, tables, indexes, LRU cache,
-// two-tier buffer pool.
+// two-tier buffer pool (checked against a two-LruCache reference model).
 
 #include <algorithm>
 #include <list>
@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "catalog/imdb_schema.h"
+#include "obs/metrics.h"
 #include "storage/buffer_pool.h"
 #include "storage/column.h"
 #include "storage/index.h"
@@ -247,6 +248,182 @@ TEST(BufferPool, PageKeyDistinguishesComponents) {
   EXPECT_NE(heap, other_table);
   EXPECT_NE(heap, other_page);
 }
+
+// Components that do not fit their bits would alias another page: a
+// column of 63 is the heap marker, larger columns and tables wrap. Pages
+// stop at kMaxPages, the range the page directory serves.
+TEST(BufferPoolDeathTest, PageKeyRejectsComponentsThatAlias) {
+  EXPECT_EQ(BufferPool::PageKey(255, PageKind::kIndexLeaf, 62,
+                                BufferPool::kMaxPages - 1),
+            (255ULL << 56) | (1ULL << 54) | (62ULL << 48) |
+                static_cast<uint64_t>(BufferPool::kMaxPages - 1));
+  EXPECT_DEATH(BufferPool::PageKey(1, PageKind::kIndexLeaf, 63, 0), "CHECK");
+  EXPECT_DEATH(BufferPool::PageKey(1, PageKind::kIndexLeaf, 64, 0), "CHECK");
+  EXPECT_DEATH(BufferPool::PageKey(1, PageKind::kHeap, -2, 0), "CHECK");
+  EXPECT_DEATH(BufferPool::PageKey(256, PageKind::kHeap, -1, 0), "CHECK");
+  EXPECT_DEATH(BufferPool::PageKey(-1, PageKind::kHeap, -1, 0), "CHECK");
+  EXPECT_DEATH(
+      BufferPool::PageKey(1, PageKind::kHeap, -1, BufferPool::kMaxPages),
+      "CHECK");
+  EXPECT_DEATH(BufferPool::PageKey(1, PageKind::kHeap, -1, int64_t{1} << 40),
+               "CHECK");
+  EXPECT_DEATH(BufferPool::PageKey(1, PageKind::kHeap, -1, int64_t{1} << 48),
+               "CHECK");
+  EXPECT_DEATH(BufferPool::PageKey(1, PageKind::kHeap, -1, -1), "CHECK");
+}
+
+// Every page PageKey accepts is served, the last one included, next to the
+// first page of the same segment.
+TEST(BufferPool, ServesTheWholePageRange) {
+  BufferPool pool(4, 8);
+  const uint64_t first = BufferPool::PageKey(3, PageKind::kHeap, -1, 0);
+  const uint64_t last =
+      BufferPool::PageKey(3, PageKind::kHeap, -1, BufferPool::kMaxPages - 1);
+  EXPECT_EQ(pool.Access(first), AccessTier::kDisk);
+  EXPECT_EQ(pool.Access(last), AccessTier::kDisk);
+  EXPECT_EQ(pool.Access(first), AccessTier::kSharedHit);
+  EXPECT_EQ(pool.Access(last), AccessTier::kSharedHit);
+  EXPECT_EQ(pool.resident_pages(), 2);
+}
+
+/// Reference model for BufferPool: the pool as it was before it kept one
+/// page table, two LruCaches touched with the same key on every access.
+class ReferencePool {
+ public:
+  ReferencePool(int64_t shared_pages, int64_t os_pages)
+      : shared_(shared_pages), os_(os_pages) {}
+
+  /// Returns the tier; adds the access's evictions to `*evicted`.
+  AccessTier Access(uint64_t key, int64_t* evicted) {
+    const int64_t before = evictions();
+    AccessTier tier;
+    if (shared_.Touch(key)) {
+      ++shared_hits_;
+      os_.Touch(key);
+      tier = AccessTier::kSharedHit;
+    } else if (os_.Touch(key)) {
+      ++os_hits_;
+      tier = AccessTier::kOsHit;
+    } else {
+      ++disk_reads_;
+      tier = AccessTier::kDisk;
+    }
+    *evicted += evictions() - before;
+    return tier;
+  }
+
+  void DropCaches() {
+    shared_.Clear();
+    os_.Clear();
+  }
+  void DropSharedBuffers() { shared_.Clear(); }
+  void Resize(int64_t shared_pages, int64_t os_pages) {
+    shared_.Resize(shared_pages);
+    os_.Resize(os_pages);
+  }
+
+  bool InShared(uint64_t key) const { return shared_.Contains(key); }
+  bool InOs(uint64_t key) const { return os_.Contains(key); }
+  int64_t shared_capacity() const { return shared_.capacity(); }
+  int64_t os_capacity() const { return os_.capacity(); }
+  int64_t shared_hits() const { return shared_hits_; }
+  int64_t os_hits() const { return os_hits_; }
+  int64_t disk_reads() const { return disk_reads_; }
+  int64_t evictions() const { return shared_.evictions() + os_.evictions(); }
+
+ private:
+  LruCache shared_;
+  LruCache os_;
+  int64_t shared_hits_ = 0;
+  int64_t os_hits_ = 0;
+  int64_t disk_reads_ = 0;
+};
+
+constexpr int64_t kPoolCapacities[] = {0, 1, 2, 7, 64, 1000};
+
+/// Random page streams, interleaved with DropSharedBuffers, DropCaches and
+/// TryResize, must match the two-LRU reference on every access's tier, on
+/// every counter, and on the kBufferEvictions metric. Half the draws come
+/// from a hot set no larger than the smaller tier, half from a domain twice
+/// the larger one, spread over heap and index-leaf segments of five
+/// tables, so hits in either tier, demotions from either tier, and (with
+/// shared > OS) shared pages the OS tier has dropped all occur.
+class BufferPoolReferenceModel
+    : public ::testing::TestWithParam<std::tuple<int64_t, int64_t>> {};
+
+TEST_P(BufferPoolReferenceModel, MatchesTwoLruPool) {
+  const auto [shared_pages, os_pages] = GetParam();
+  const int64_t domain = 2 * std::max(shared_pages, os_pages) + 4;
+  const int64_t hot = std::min(shared_pages, os_pages) + 1;
+  auto key_of = [](int64_t k) {
+    const auto table = static_cast<catalog::TableId>(k % 5);
+    if (k % 3 == 0) {
+      return BufferPool::PageKey(table, PageKind::kIndexLeaf,
+                                 static_cast<catalog::ColumnId>(k % 2), k / 15);
+    }
+    return BufferPool::PageKey(table, PageKind::kHeap, -1, k / 5);
+  };
+  util::Rng rng(static_cast<uint64_t>(shared_pages * 1009 + os_pages));
+  obs::MetricsRegistry metrics;
+  obs::MetricsScope scope(&metrics);
+  BufferPool pool(shared_pages, os_pages);
+  ReferencePool model(shared_pages, os_pages);
+  int64_t model_access_evictions = 0;
+  for (int step = 0; step < 20000; ++step) {
+    const double op = rng.Uniform();
+    if (op < 0.002) {
+      pool.DropSharedBuffers();
+      model.DropSharedBuffers();
+    } else if (op < 0.003) {
+      pool.DropCaches();
+      model.DropCaches();
+    } else if (op < 0.004) {
+      const int64_t s = kPoolCapacities[rng.UniformInt(0, 5)];
+      const int64_t o = kPoolCapacities[rng.UniformInt(0, 5)];
+      EXPECT_FALSE(pool.TryResize(-1, o).ok());  // rejected, state untouched
+      ASSERT_TRUE(pool.TryResize(s, o).ok());
+      model.Resize(s, o);
+    } else {
+      const int64_t k = rng.Bernoulli(0.5) ? rng.UniformInt(0, hot - 1)
+                                           : rng.UniformInt(0, domain - 1);
+      const uint64_t key = key_of(k);
+      ASSERT_EQ(pool.Access(key), model.Access(key, &model_access_evictions))
+          << "step " << step << " key " << key;
+    }
+    ASSERT_EQ(pool.shared_capacity(), model.shared_capacity());
+    ASSERT_EQ(pool.os_capacity(), model.os_capacity());
+    ASSERT_EQ(pool.shared_hits(), model.shared_hits()) << "step " << step;
+    ASSERT_EQ(pool.os_hits(), model.os_hits()) << "step " << step;
+    ASSERT_EQ(pool.disk_reads(), model.disk_reads()) << "step " << step;
+    ASSERT_EQ(pool.evictions(), model.evictions()) << "step " << step;
+    ASSERT_EQ(metrics.Get(obs::Counter::kBufferEvictions),
+              model_access_evictions)
+        << "step " << step;
+    if (step % 97 == 0) {
+      // Tier sizes, and the pages either tier holds counted key by key:
+      // the pool keeps no page that neither tier holds.
+      int64_t in_shared = 0;
+      int64_t in_os = 0;
+      int64_t in_either = 0;
+      for (int64_t k = 0; k < domain; ++k) {
+        in_shared += model.InShared(key_of(k));
+        in_os += model.InOs(key_of(k));
+        in_either += model.InShared(key_of(k)) || model.InOs(key_of(k));
+      }
+      ASSERT_EQ(pool.shared_size(), in_shared) << "step " << step;
+      ASSERT_EQ(pool.os_size(), in_os) << "step " << step;
+      ASSERT_EQ(pool.resident_pages(), in_either) << "step " << step;
+    }
+  }
+  EXPECT_EQ(metrics.Get(obs::Counter::kBufferSharedHits), model.shared_hits());
+  EXPECT_EQ(metrics.Get(obs::Counter::kBufferOsHits), model.os_hits());
+  EXPECT_EQ(metrics.Get(obs::Counter::kBufferDiskReads), model.disk_reads());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Capacities, BufferPoolReferenceModel,
+    ::testing::Combine(::testing::ValuesIn(kPoolCapacities),
+                       ::testing::ValuesIn(kPoolCapacities)));
 
 /// Property sweep: LRU semantics — after touching keys 0..n-1 in order with
 /// capacity c, exactly the last c keys are resident.
