@@ -1,10 +1,9 @@
 // Fuzz soak: runs the differential plan-correctness oracle (src/fuzz/) over
 // a rotation of engine configurations — bushy/left-deep, GEQO seeds, a
-// lowered GEQO threshold, the scalar reference engine, the batched engine
-// without predicate transfer and hash-sharded storage (table_shards=8,
-// on top of the sharded-twin arm every configuration already runs) — with
-// the native-passthrough and Bao
-// arms in the execution cross-check. Every configuration also runs the SQL
+// lowered GEQO threshold, the scalar reference engine and hash-sharded
+// storage (table_shards=8, on top of the sharded-twin arm every
+// configuration already runs) — with the native-passthrough and Bao arms
+// in the execution cross-check. Every configuration also runs the SQL
 // round-trip arm: each generated query renders to SQL, re-binds through
 // the sql/ frontend, and must fingerprint, render and DP-plan
 // byte-identically. Emits one JSON document (stdout, or the file given
@@ -80,12 +79,6 @@ std::vector<ConfigSpec> ConfigRotation() {
   engine::DbConfig scalar_exec = engine::DbConfig::OurFramework();
   scalar_exec.vectorized_exec = false;
   specs.push_back({"scalar_exec", scalar_exec});
-
-  // Batched engine without the Bloom pre-test: exercises the exact
-  // membership path that predicate transfer normally short-circuits.
-  engine::DbConfig no_transfer = engine::DbConfig::OurFramework();
-  no_transfer.predicate_transfer = false;
-  specs.push_back({"vectorized_no_transfer", no_transfer});
 
   // Hash-sharded storage as the MAIN database (the oracle also runs its
   // sharded-twin arm inside every other configuration): every check —

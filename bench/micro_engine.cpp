@@ -3,13 +3,13 @@
 // oracle, and value-network forward/backward passes.
 //
 // `--engine-json [path]` instead runs the execution-engine throughput
-// comparison (scalar vs vectorized vs vectorized+predicate-transfer oracle
-// hot path over the JOB-lite workload) plus a buffer-pool replay (the
-// page stream the executor charges on JOB-lite, replayed through
-// storage::BufferPool in two sizings) and emits one JSON document; the
-// recorded run lives at BENCH_engine.json. Exit code 1 if the batched engine falls below the 3x
-// speedup floor docs/execution.md documents, or if replay rounds disagree
-// on a tier count.
+// comparison (scalar vs vectorized oracle hot path over the JOB-lite
+// workload) plus a buffer-pool replay (the page stream the executor charges
+// on JOB-lite, replayed through storage::BufferPool in two sizings) and
+// emits one JSON document; the recorded run lives at BENCH_engine.json.
+// Exit code 1 if the batched engine falls below the 3x speedup floor
+// docs/execution.md documents, or if replay rounds disagree on a tier
+// count.
 
 #include <benchmark/benchmark.h>
 
@@ -276,11 +276,8 @@ int EngineComparison(const char* path) {
   struct Spec {
     const char* name;
     bool vectorized;
-    bool transfer;
   };
-  const Spec specs[] = {{"scalar", false, false},
-                        {"vectorized", true, false},
-                        {"vectorized_transfer", true, true}};
+  const Spec specs[] = {{"scalar", false}, {"vectorized", true}};
   constexpr int kRounds = 5;
 
   struct Result {
@@ -294,7 +291,6 @@ int EngineComparison(const char* path) {
     const auto replica = SharedDb()->CloneContextForWorker();
     engine::DbConfig config = replica->config();
     config.vectorized_exec = spec.vectorized;
-    config.predicate_transfer = spec.transfer;
     replica->SetConfig(config);
     // Warm-up round: page first-touch, predicate binding, scratch sizing.
     OracleSweep(replica.get(), SharedWorkload(), 0);
@@ -329,8 +325,6 @@ int EngineComparison(const char* path) {
 
   const double speedup_vectorized =
       results[1].rows_per_sec / results[0].rows_per_sec;
-  const double speedup_transfer =
-      results[2].rows_per_sec / results[0].rows_per_sec;
 
   std::string json = "{\n";
   json += "  \"bench\": \"micro_engine\",\n";
@@ -368,10 +362,8 @@ int EngineComparison(const char* path) {
     json += buffer;
   }
   json += "  ],\n";
-  std::snprintf(buffer, sizeof(buffer),
-                "  \"speedup_vectorized\": %.2f,\n"
-                "  \"speedup_vectorized_transfer\": %.2f\n}\n",
-                speedup_vectorized, speedup_transfer);
+  std::snprintf(buffer, sizeof(buffer), "  \"speedup_vectorized\": %.2f\n}\n",
+                speedup_vectorized);
   json += buffer;
 
   if (path != nullptr) {
@@ -386,7 +378,7 @@ int EngineComparison(const char* path) {
   } else {
     std::fputs(json.c_str(), stdout);
   }
-  return speedup_transfer >= 3.0 && replays_deterministic ? 0 : 1;
+  return speedup_vectorized >= 3.0 && replays_deterministic ? 0 : 1;
 }
 
 }  // namespace

@@ -96,18 +96,13 @@ struct DbConfig {
   CostModelBackend cost_model_backend = CostModelBackend::kAnalytic;
 
   // --- Execution engine ---------------------------------------------------
-  /// Batch-at-a-time oracle/executor hot path (exec/kernels.h). When false
-  /// the original tuple-at-a-time code runs; both produce byte-identical
-  /// row sets, so the scalar path stays available as the differential
-  /// reference for tests/test_kernels.cc and the fuzzer. Not part of
-  /// serve::PlanCacheKey — the planner never reads it.
+  /// Batch-at-a-time oracle/executor hot path (exec/kernels.h), which
+  /// always applies lazy Bloom predicate transfer (docs/execution.md). When
+  /// false the original tuple-at-a-time code runs; both produce
+  /// byte-identical row sets, so the scalar path stays available as the
+  /// differential reference for tests/test_kernels.cc and the fuzzer. Not
+  /// part of serve::PlanCacheKey — the planner never reads it.
   bool vectorized_exec = true;
-  /// Bloom-filter sideways information passing during semi-join reduction
-  /// (docs/execution.md): build a Bloom filter over the transfer side and
-  /// pre-test probe keys before the exact hash lookup. Pure fast path —
-  /// results are identical with it on or off. Only read when
-  /// vectorized_exec is true.
-  bool predicate_transfer = true;
 
   /// Multiplier applied to equi-join selectivities, clamped to [.., 1].
   /// Lero generates its candidate plans by sweeping this knob (its

@@ -4,30 +4,7 @@
 #include <cmath>
 #include <cstring>
 
-#include "util/check.h"
-
 namespace lqolab::exec {
-namespace {
-
-constexpr uint32_t kMagic = 0x4c514246;  // "LQBF"
-
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-bool GetU64(const std::string& in, size_t* pos, uint64_t* v) {
-  if (*pos + 8 > in.size()) return false;
-  uint64_t out = 0;
-  for (int i = 0; i < 8; ++i) {
-    out |= static_cast<uint64_t>(static_cast<uint8_t>(in[*pos + i]))
-           << (8 * i);
-  }
-  *pos += 8;
-  *v = out;
-  return true;
-}
-
-}  // namespace
 
 BloomFilter::BloomFilter(int64_t expected_entries, double target_fpr,
                          uint64_t seed) {
@@ -37,7 +14,6 @@ BloomFilter::BloomFilter(int64_t expected_entries, double target_fpr,
 void BloomFilter::Reset(int64_t expected_entries, double target_fpr,
                         uint64_t seed) {
   seed_ = seed;
-  entries_added_ = 0;
   expected_entries = std::max<int64_t>(expected_entries, 1);
   target_fpr = std::min(std::max(target_fpr, 1e-6), 0.5);
   // Ideal Bloom sizing is bits/key = -log2(p) / ln 2 ≈ 1.44·(-log2 p); the
@@ -59,44 +35,6 @@ void BloomFilter::Add(storage::Value key) {
     probe = NextProbe(probe);
     b.words[probe >> 61] |= 1ull << ((probe >> 55) & 63);
   }
-  ++entries_added_;
-}
-
-std::string BloomFilter::Serialize() const {
-  std::string out;
-  out.reserve(40 + blocks_.size() * sizeof(Block));
-  PutU64(&out, kMagic);
-  PutU64(&out, seed_);
-  PutU64(&out, static_cast<uint64_t>(hashes_per_key_));
-  PutU64(&out, static_cast<uint64_t>(entries_added_));
-  PutU64(&out, blocks_.size());
-  for (const Block& b : blocks_) {
-    for (const uint64_t word : b.words) PutU64(&out, word);
-  }
-  return out;
-}
-
-bool BloomFilter::Deserialize(const std::string& bytes, BloomFilter* out) {
-  LQOLAB_CHECK(out != nullptr);
-  size_t pos = 0;
-  uint64_t magic = 0, seed = 0, hashes = 0, entries = 0, blocks = 0;
-  if (!GetU64(bytes, &pos, &magic) || magic != kMagic) return false;
-  if (!GetU64(bytes, &pos, &seed) || !GetU64(bytes, &pos, &hashes) ||
-      !GetU64(bytes, &pos, &entries) || !GetU64(bytes, &pos, &blocks)) {
-    return false;
-  }
-  if (hashes < 1 || hashes > 8 || blocks == 0) return false;
-  if (bytes.size() != pos + blocks * sizeof(Block)) return false;
-  out->seed_ = seed;
-  out->hashes_per_key_ = static_cast<int>(hashes);
-  out->entries_added_ = static_cast<int64_t>(entries);
-  out->blocks_.assign(static_cast<size_t>(blocks), Block{});
-  for (size_t i = 0; i < blocks; ++i) {
-    for (uint64_t& word : out->blocks_[i].words) {
-      if (!GetU64(bytes, &pos, &word)) return false;
-    }
-  }
-  return true;
 }
 
 bool BloomFilter::BitsEqual(const BloomFilter& other) const {

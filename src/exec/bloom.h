@@ -2,7 +2,6 @@
 #define LQOLAB_EXEC_BLOOM_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "storage/column.h"
@@ -18,7 +17,7 @@ namespace lqolab::exec {
 /// check, so the filter is a pure fast path and never changes results.
 ///
 /// Layout follows the cache-sectorized design of Putze et al. (2007), as
-/// used by wing's predicate_transfer bloomfilter: the bit array is split
+/// used by wing's predicate-transfer Bloom filter: the bit array is split
 /// into 512-bit (64-byte, one cache line) blocks; a key hashes to one block
 /// and sets k bits inside it, so every Add/MayContain touches exactly one
 /// cache line. All hashing is seeded and the block count is a pure function
@@ -58,20 +57,6 @@ class BloomFilter {
     return true;
   }
 
-  int64_t entries_added() const { return entries_added_; }
-  int64_t num_blocks() const { return static_cast<int64_t>(blocks_.size()); }
-  int hashes_per_key() const { return hashes_per_key_; }
-  uint64_t seed() const { return seed_; }
-
-  /// Size of the bit array in bytes (excludes the header fields).
-  int64_t SizeBytes() const { return num_blocks() * 64; }
-
-  /// Portable byte serialization (header + bit array, little-endian).
-  /// Deserialize(Serialize(f)) reproduces `f` exactly: same parameters,
-  /// same bits, same answers.
-  std::string Serialize() const;
-  static bool Deserialize(const std::string& bytes, BloomFilter* out);
-
   /// True when both filters have identical parameters and bit patterns.
   bool BitsEqual(const BloomFilter& other) const;
 
@@ -108,7 +93,6 @@ class BloomFilter {
 
   uint64_t seed_ = 0;
   int hashes_per_key_ = 1;
-  int64_t entries_added_ = 0;
   std::vector<Block> blocks_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "obs/metrics.h"
 #include "util/check.h"
 
 namespace lqolab::exec::kernels {
@@ -156,6 +157,20 @@ size_t SlotCapacity(int64_t n) {
 /// line (a random access the hardware prefetcher cannot predict).
 constexpr size_t kPrefetchDistance = 16;
 
+/// Rebuilds `*bloom` over the non-null keys of an open-addressing slot
+/// array. Only the active prefix [0, mask] holds the current build's keys;
+/// the tail may carry stale values from an earlier, larger build. Target
+/// FPR and seed are fixed so runs are deterministic.
+void FillBloomFromSlots(const std::vector<Value>& slots, size_t mask,
+                        int64_t distinct, BloomFilter* bloom) {
+  obs::Count(obs::Counter::kOracleBloomBuilds);
+  bloom->Reset(std::max<int64_t>(distinct, 1), /*target_fpr=*/0.01,
+               /*seed=*/0x51de7a55c0ffeeULL);
+  for (size_t i = 0; i <= mask; ++i) {
+    if (slots[i] != kNullValue) bloom->Add(slots[i]);
+  }
+}
+
 }  // namespace
 
 void ValueSet::Build(const Value* column, const RowId* rows, int64_t n) {
@@ -185,72 +200,31 @@ void ValueSet::Build(const Value* column, const RowId* rows, int64_t n) {
   }
 }
 
-void ValueSet::FillBloom(BloomFilter* bloom, double target_fpr,
-                         uint64_t seed) const {
-  bloom->Reset(std::max<int64_t>(distinct_, 1), target_fpr, seed);
-  // Only the active slot prefix holds this build's keys; the tail may
-  // carry stale values from an earlier, larger build.
-  for (size_t i = 0; i <= mask_; ++i) {
-    if (slots_[i] != kNullValue) bloom->Add(slots_[i]);
-  }
+void ValueSet::FillBloom(BloomFilter* bloom) const {
+  FillBloomFromSlots(slots_, mask_, distinct_, bloom);
 }
 
-void RefineBySet(const Value* column, const ValueSet& set,
-                 const BloomFilter* bloom, std::vector<RowId>* rows) {
+void RefineBySet(const Value* column, const ValueSet& set, BloomFilter* bloom,
+                 std::vector<RowId>* rows) {
   RowId* d = rows->data();
   const size_t n = rows->size();
   size_t count = 0;
-  if (bloom != nullptr) {
-    for (size_t j = 0; j < n; ++j) {
-      const size_t ahead = std::min(j + kPrefetchDistance, n - 1);
-      set.PrefetchContains(column[d[ahead]]);
-      const RowId r = d[j];
-      const Value v = column[r];
-      d[count] = r;
-      count +=
-          (v != kNullValue && bloom->MayContain(v) && set.Contains(v)) ? 1 : 0;
-    }
-  } else {
-    for (size_t j = 0; j < n; ++j) {
-      const size_t ahead = std::min(j + kPrefetchDistance, n - 1);
-      set.PrefetchContains(column[d[ahead]]);
-      const RowId r = d[j];
-      const Value v = column[r];
-      d[count] = r;
-      count += (v != kNullValue && set.Contains(v)) ? 1 : 0;
-    }
-  }
-  rows->resize(count);
-}
-
-void RefineBySetAdaptive(const Value* column, const ValueSet& set,
-                         BloomFilter* scratch, double transfer_fpr,
-                         uint64_t transfer_seed, std::vector<RowId>* rows) {
-  RowId* d = rows->data();
-  const size_t n = rows->size();
-  size_t count = 0;
-  // Sampled exact-only prefix: measure how often keys miss before spending
-  // anything on the Bloom filter.
-  const size_t sample = std::min(n, static_cast<size_t>(kBloomSampleProbes));
-  size_t missed = 0;
   size_t j = 0;
-  for (; j < sample; ++j) {
+  BloomSchedule schedule;
+  // Exact-only prefix while the schedule samples its non-null keys.
+  for (; j < n && schedule.sampling(); ++j) {
     const size_t ahead = std::min(j + kPrefetchDistance, n - 1);
     set.PrefetchContains(column[d[ahead]]);
     const RowId r = d[j];
     const Value v = column[r];
-    const bool hit = v != kNullValue && set.Contains(v);
-    missed += (v != kNullValue && !hit) ? 1 : 0;
     d[count] = r;
+    const bool non_null = v != kNullValue;
+    const bool hit = non_null && set.Contains(v);
     count += hit ? 1 : 0;
+    schedule.Observe(non_null, hit);
   }
-  const BloomFilter* bloom = nullptr;
-  if (j < n && missed * static_cast<size_t>(kBloomBuildMissDen) >=
-                   sample * static_cast<size_t>(kBloomBuildMissNum)) {
-    set.FillBloom(scratch, transfer_fpr, transfer_seed);
-    bloom = scratch;
-  }
-  if (bloom != nullptr) {
+  if (schedule.Fires()) {
+    set.FillBloom(bloom);
     for (; j < n; ++j) {
       const RowId r = d[j];
       const Value v = column[r];
@@ -340,14 +314,8 @@ void JoinHashTable::Build(const Value* column, const RowId* rows, int64_t n) {
   }
 }
 
-void JoinHashTable::FillBloom(BloomFilter* bloom, double target_fpr,
-                              uint64_t seed) const {
-  bloom->Reset(std::max<int64_t>(distinct_, 1), target_fpr, seed);
-  // Only the active slot prefix holds this build's keys; the tail may
-  // carry stale values from an earlier, larger build.
-  for (size_t i = 0; i <= mask_; ++i) {
-    if (slot_keys_[i] != kNullValue) bloom->Add(slot_keys_[i]);
-  }
+void JoinHashTable::FillBloom(BloomFilter* bloom) const {
+  FillBloomFromSlots(slot_keys_, mask_, distinct_, bloom);
 }
 
 }  // namespace lqolab::exec::kernels

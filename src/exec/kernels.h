@@ -25,18 +25,46 @@ namespace lqolab::exec::kernels {
 /// staging buffers and keep the working set inside L1.
 inline constexpr int32_t kBatchRows = 1024;
 
-/// Adaptive predicate transfer: a Bloom pre-test only pays for itself when
-/// rejections dominate the probe stream — every probe that passes the
-/// filter pays for it on top of the exact lookup, so on hit-heavy streams
-/// it is pure overhead. Probe loops run exact-only over their first
-/// kBloomSampleProbes non-null keys while counting misses, and build the
-/// filter for the remainder only when at least kBloomBuildMissNum /
-/// kBloomBuildMissDen of the sample missed. The decision is a pure
-/// function of the probe sequence (deterministic), and a Bloom negative is
-/// exact, so output bytes are identical either way.
+/// Predicate transfer (docs/execution.md): a Bloom filter over the build
+/// side, consulted before the exact lookup, rejects most absent keys on one
+/// cache line. It only pays when rejections dominate the probe stream —
+/// every key that passes the filter pays for it on top of the exact lookup
+/// — so every probe stream follows one lazy schedule: exact-only over its
+/// first kBloomSampleProbes non-null keys, then, if at least
+/// kBloomBuildMissNum / kBloomBuildMissDen of them missed, build the filter
+/// once and pre-test every later key on it. The decision is a pure function
+/// of the probe sequence, and a Bloom negative is exact, so output bytes
+/// are identical either way.
 inline constexpr int64_t kBloomSampleProbes = 4096;
 inline constexpr int64_t kBloomBuildMissNum = 7;
 inline constexpr int64_t kBloomBuildMissDen = 8;
+
+/// The schedule above for one probe stream. Streams shorter than the
+/// sample never build a filter.
+class BloomSchedule {
+ public:
+  /// Counts one probe key's exact outcome; NULL keys never match and do
+  /// not count. Branch-free, so a probe loop can call it on every key
+  /// while sampling().
+  void Observe(bool non_null, bool hit) {
+    probes_ += non_null ? 1 : 0;
+    misses_ += (non_null && !hit) ? 1 : 0;
+  }
+
+  bool sampling() const { return probes_ < kBloomSampleProbes; }
+
+  /// True once the sample is complete and enough of it missed: the caller
+  /// fills its filter (FillBloom) and pre-tests every later key on it.
+  bool Fires() const {
+    return probes_ == kBloomSampleProbes &&
+           misses_ * kBloomBuildMissDen >=
+               kBloomSampleProbes * kBloomBuildMissNum;
+  }
+
+ private:
+  int64_t probes_ = 0;
+  int64_t misses_ = 0;
+};
 
 /// Appends the row-ids in [0, num_rows) matching `pred` to `*out`
 /// (ascending; `*out` is not cleared). `data` is the column's raw value
@@ -91,10 +119,9 @@ class ValueSet {
     __builtin_prefetch(slots_.data() + (HashValue(v) & mask_));
   }
 
-  /// Rebuilds `*bloom` over this set's values (predicate transfer): callers
-  /// can reject most absent keys on one cache line before the exact
-  /// Contains().
-  void FillBloom(BloomFilter* bloom, double target_fpr, uint64_t seed) const;
+  /// Rebuilds `*bloom` over this set's values (predicate transfer) and
+  /// counts obs::Counter::kOracleBloomBuilds.
+  void FillBloom(BloomFilter* bloom) const;
 
   /// 32-bit finalizer (xxhash-style avalanche) shared by ValueSet and
   /// JoinHashTable so slot placement is deterministic across platforms.
@@ -115,23 +142,12 @@ class ValueSet {
 };
 
 /// In-place compaction of `rows` to those whose column value is non-null
-/// and present in `set`. When `bloom` is non-null it is consulted first as
-/// a cheap pre-test (predicate transfer); a Bloom negative is exact, so the
-/// output is identical with or without it.
+/// and present in `set`, under the BloomSchedule: when the sample fires,
+/// `*bloom` is rebuilt from `set` and pre-tests the remaining rows. The
+/// filter never decides membership, only short-circuits definite misses,
+/// so the output equals a plain exact refine.
 void RefineBySet(const storage::Value* column, const ValueSet& set,
-                 const BloomFilter* bloom, std::vector<storage::RowId>* rows);
-
-/// RefineBySet under the lazy predicate-transfer schedule: the first
-/// kBloomSampleProbes rows are refined with exact lookups only while their
-/// miss rate is measured; when at least kBloomBuildMissNum/kBloomBuildMissDen
-/// of the sampled non-null keys missed, `*scratch` is (re)built from `set`
-/// and consulted as a pre-test for the remaining rows. Output is byte-identical to
-/// RefineBySet — the filter never decides membership, only short-circuits
-/// definite misses — but hit-heavy inputs never pay for its construction.
-void RefineBySetAdaptive(const storage::Value* column, const ValueSet& set,
-                         BloomFilter* scratch, double transfer_fpr,
-                         uint64_t transfer_seed,
-                         std::vector<storage::RowId>* rows);
+                 BloomFilter* bloom, std::vector<storage::RowId>* rows);
 
 /// Batched hash-join build side: groups base row-ids by join-key value.
 /// Byte-compatibility contract with the reference path's
@@ -174,9 +190,8 @@ class JoinHashTable {
   }
 
   /// Rebuilds `*bloom` over this table's distinct keys (predicate
-  /// transfer). Probers can reject most missing keys on one cache line
-  /// before paying the exact Probe().
-  void FillBloom(BloomFilter* bloom, double target_fpr, uint64_t seed) const;
+  /// transfer) and counts obs::Counter::kOracleBloomBuilds.
+  void FillBloom(BloomFilter* bloom) const;
 
  private:
   std::vector<storage::Value> slot_keys_;  // kNullValue marks an empty slot

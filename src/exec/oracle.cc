@@ -22,48 +22,9 @@ namespace {
 
 constexpr int64_t kMatBudgetBytes = 384ll * 1024 * 1024;
 
-// Predicate-transfer tuning (docs/execution.md §Predicate transfer): a
-// Bloom filter over the build/reduce side pays off only when enough probes
-// amortize its construction, so small inputs skip it. Target FPR and seed
-// are fixed so runs are deterministic.
-constexpr int64_t kTransferMinProbes = 4096;
-constexpr double kTransferFpr = 0.01;
-constexpr uint64_t kTransferSeed = 0x51de7a55c0ffeeULL;
-
 // How many iterations ahead join-probe loops hint the next key's hash-slot
 // cache line (random accesses the hardware prefetcher cannot predict).
 constexpr int64_t kProbePrefetchDistance = 16;
-
-/// Lazy predicate-transfer schedule (see kernels::kBloomSampleProbes): the
-/// probe loop runs exact-only while the first sampled non-null keys have
-/// their hit/miss outcomes counted, and the Bloom filter is built
-/// mid-stream — construction cost included — only once the sampled miss
-/// rate clears kBloomBuildMissNum/kBloomBuildMissDen. Hit-heavy streams
-/// never pay for a filter that would reject nothing; the decision is a
-/// pure function of the probe sequence, and the filter is only ever a
-/// pre-test in front of the exact lookup, so engaging it cannot change
-/// result bytes.
-struct TransferSchedule {
-  explicit TransferSchedule(bool enabled) : armed(enabled) {}
-
-  bool armed;  // transfer enabled for this stream and still sampling
-
-  /// Feed one exact-probe outcome from the sampled prefix. Returns true
-  /// exactly once — when the sample clears the miss bar — and the caller
-  /// then builds and installs the Bloom filter for the rest of the stream.
-  bool ShouldBuild(bool missed) {
-    if (!armed) return false;
-    misses_ += missed ? 1 : 0;
-    if (++probes_ < kernels::kBloomSampleProbes) return false;
-    armed = false;
-    return misses_ * kernels::kBloomBuildMissDen >=
-           probes_ * kernels::kBloomBuildMissNum;
-  }
-
- private:
-  int64_t probes_ = 0;
-  int64_t misses_ = 0;
-};
 
 uint64_t HashCombine(uint64_t h, uint64_t v) {
   return (h ^ (v + 0x9e3779b97f4a7c15ULL + (h << 12) + (h >> 4))) *
@@ -468,11 +429,6 @@ bool Oracle::CountExtensionVectorized(
 
   const BaseProbe base =
       PrepareBase(q, alias, hash_edge.right_column, base_rows);
-  // No predicate transfer on an index probe (see JoinWithBaseVectorized).
-  const BloomFilter* bloom = nullptr;
-  TransferSchedule transfer{base.index == nullptr &&
-                            ctx_->config.predicate_transfer &&
-                            left.rows >= kTransferMinProbes};
 
   if (edges.size() == 1) {
     // Pure counting: a group's size is the per-key multiplicity.
@@ -485,13 +441,7 @@ bool Oracle::CountExtensionVectorized(
       const Value v =
           probe_col[left.data[static_cast<size_t>(row * width + hash_pos)]];
       if (v == storage::kNullValue) continue;
-      if (bloom != nullptr && !bloom->MayContain(v)) continue;
-      const int32_t hits = base.Probe(v).count;
-      if (transfer.ShouldBuild(hits == 0)) {
-        join_table_.FillBloom(&transfer_bloom_, kTransferFpr, kTransferSeed);
-        bloom = &transfer_bloom_;
-      }
-      total += hits;
+      total += base.Probe(v).count;
     }
     *count = total;
     return true;
@@ -522,12 +472,7 @@ bool Oracle::CountExtensionVectorized(
     const RowId* tuple = left.data.data() + row * width;
     const Value v = probe_col[tuple[hash_pos]];
     if (v == storage::kNullValue) continue;
-    if (bloom != nullptr && !bloom->MayContain(v)) continue;
     const kernels::JoinHashTable::Group group = base.Probe(v);
-    if (transfer.ShouldBuild(group.count == 0)) {
-      join_table_.FillBloom(&transfer_bloom_, kTransferFpr, kTransferSeed);
-      bloom = &transfer_bloom_;
-    }
     for (int32_t g = 0; g < group.count; ++g) {
       const RowId base_row = group.rows[g];
       if (++pairs > kMaxCountedPairs) return false;
@@ -826,8 +771,8 @@ std::vector<std::vector<storage::RowId>> Oracle::SemiJoinReduce(
   for (int pass = 0; pass < 3; ++pass) {
     bool changed = false;
     // Batched engine: the probe side publishes its key set as an
-    // open-addressing ValueSet (plus, under predicate_transfer, a lazily
-    // built Bloom filter consulted before the exact lookup — sideways
+    // open-addressing ValueSet (plus, when the kernel's BloomSchedule
+    // fires, a Bloom filter consulted before the exact lookup — sideways
     // information passing), and the keep side is compacted in place.
     // Membership is exactly the reference path's unordered_set semantics,
     // so both engines keep the same rows.
@@ -854,14 +799,8 @@ std::vector<std::vector<storage::RowId>> Oracle::SemiJoinReduce(
         built_version[key] = version[static_cast<size_t>(probe)];
       }
       const size_t before = keep_rows.size();
-      if (ctx_->config.predicate_transfer &&
-          static_cast<int64_t>(keep_rows.size()) >= kTransferMinProbes) {
-        kernels::RefineBySetAdaptive(keep_values.data(), set,
-                                     &transfer_bloom_, kTransferFpr,
-                                     kTransferSeed, &keep_rows);
-      } else {
-        kernels::RefineBySet(keep_values.data(), set, nullptr, &keep_rows);
-      }
+      kernels::RefineBySet(keep_values.data(), set, &transfer_bloom_,
+                           &keep_rows);
       if (keep_rows.size() != before) {
         changed = true;
         ++version[static_cast<size_t>(keep)];
@@ -925,8 +864,8 @@ Oracle::Intermediate Oracle::JoinWithBase(
 
 /// Batched engine: probe the shared index when the base is a whole table,
 /// else build a grouped JoinHashTable over the base rows (one flat payload
-/// array instead of a vector per key) and optionally publish its key set as
-/// a Bloom filter (predicate transfer); then probe the left
+/// array instead of a vector per key), whose key set the probe stream's
+/// BloomSchedule may publish as a Bloom filter; then probe the left
 /// intermediate in kBatchRows strides, gathering probe keys into an
 /// L1-resident staging buffer. Match set, output order and the overflow
 /// trip point are identical to JoinWithBaseScalar: probes run in left-row
@@ -979,10 +918,9 @@ Oracle::Intermediate Oracle::JoinWithBaseVectorized(
   // An index probe runs without predicate transfer: the Bloom filter is
   // filled from join_table_, which only a build refreshes, and as a pure
   // pre-test its absence changes no output.
+  const bool transfer_armed = base.index == nullptr;
+  kernels::BloomSchedule transfer;
   const BloomFilter* bloom = nullptr;
-  TransferSchedule transfer{base.index == nullptr &&
-                            ctx_->config.predicate_transfer &&
-                            left.rows >= kTransferMinProbes};
 
   Intermediate out;
   out.aliases = left.aliases;
@@ -1019,9 +957,12 @@ Oracle::Intermediate Oracle::JoinWithBaseVectorized(
       if (probe_value == storage::kNullValue) continue;
       if (bloom != nullptr && !bloom->MayContain(probe_value)) continue;
       const kernels::JoinHashTable::Group group = base.Probe(probe_value);
-      if (transfer.ShouldBuild(group.count == 0)) {
-        join_table_.FillBloom(&transfer_bloom_, kTransferFpr, kTransferSeed);
-        bloom = &transfer_bloom_;
+      if (transfer_armed && transfer.sampling()) {
+        transfer.Observe(/*non_null=*/true, /*hit=*/group.count != 0);
+        if (transfer.Fires()) {
+          join_table_.FillBloom(&transfer_bloom_);
+          bloom = &transfer_bloom_;
+        }
       }
       if (group.count == 0) continue;
       const RowId* tuple = batch_tuples + i * width;

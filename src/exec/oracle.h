@@ -29,12 +29,13 @@ uint64_t QueryFingerprint(const query::Query& q);
 ///
 /// Two interchangeable engines implement the hot path (docs/execution.md):
 /// the batch-at-a-time kernels of exec/kernels.h (DbConfig::vectorized_exec,
-/// the default), optionally with Bloom-filter predicate transfer
-/// (DbConfig::predicate_transfer), and the original tuple-at-a-time
-/// reference. Both return byte-identical row sets — the vectorized path
-/// reproduces the reference's match semantics and output ordering exactly,
-/// and predicate transfer is a pure pre-test that cannot change results —
-/// so the scalar path stays selectable at runtime as the differential
+/// the default), whose semi-join refine and join probe loop always run
+/// under the lazy Bloom predicate-transfer schedule
+/// (kernels::BloomSchedule), and the original tuple-at-a-time reference.
+/// Both return byte-identical row sets — the vectorized path reproduces
+/// the reference's match semantics and output ordering exactly, and
+/// predicate transfer is a pure pre-test that cannot change results — so
+/// the scalar path stays selectable at runtime as the differential
 /// baseline (tests/test_kernels.cc, fuzz::DifferentialOracle).
 ///
 /// When the base of a batched join is a whole table (no predicate, nothing

@@ -29,6 +29,7 @@ constexpr CounterInfo kCounterInfo[] = {
     {"oracle_cardinality_calls", "exec"},
     {"oracle_index_joins", "exec"},
     {"oracle_hash_builds", "exec"},
+    {"oracle_bloom_builds", "exec"},
     {"exec_replans", "exec"},
     {"exec_replan_no_change", "exec"},
     {"exec_replan_capped", "exec"},

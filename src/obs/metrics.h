@@ -25,6 +25,7 @@ enum class Counter : int32_t {
   kOracleCardinalityCalls,  ///< True-cardinality requests to exec::Oracle.
   kOracleIndexJoins,        ///< Whole-table joins probed via a shared index.
   kOracleHashBuilds,        ///< Join hash tables built over base rows.
+  kOracleBloomBuilds,       ///< Predicate-transfer Bloom filters built.
   kExecReplans,             ///< Mid-query cancel-and-replan rounds taken.
   kExecReplanNoChange,      ///< Replans whose new plan equalled the old one.
   kExecReplanCapped,        ///< Final attempts forced straight-through by

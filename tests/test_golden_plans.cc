@@ -239,20 +239,18 @@ TEST(GoldenPlans, SqlTemplateCacheHitsAreByteIdenticalToFixture) {
       << bad.status.message();
 }
 
-/// The execution-engine knobs (DbConfig::vectorized_exec,
-/// predicate_transfer) are deliberately invisible to the planner — its cost
-/// model stays pinned to the scalar constants — and excluded from the plan
-/// cache key. So servers over either engine must serve byte-identical
-/// plans, cold and from cache, with identical result rows.
+/// The execution-engine knob DbConfig::vectorized_exec is deliberately
+/// invisible to the planner — its cost model stays pinned to the scalar
+/// constants — and excluded from the plan cache key. So servers over
+/// either engine must serve byte-identical plans, cold and from cache,
+/// with identical result rows.
 TEST(GoldenPlans, PlansAreByteIdenticalAcrossExecutionEngines) {
   engine::Database::Options options;
   options.profile = datagen::ScaleProfile::Small();
   options.seed = 42;
   options.config.vectorized_exec = false;
-  options.config.predicate_transfer = false;
   const auto scalar_db = engine::Database::CreateImdb(options);
   options.config.vectorized_exec = true;
-  options.config.predicate_transfer = true;
   const auto vectorized_db = engine::Database::CreateImdb(options);
   const auto workload = query::LoadWorkload("job", vectorized_db->schema());
 

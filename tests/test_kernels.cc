@@ -2,11 +2,11 @@
 // `exec`): the vectorized oracle hot path must return byte-identical
 // results to the tuple-at-a-time scalar reference — same FilteredRows /
 // SinglePredicateRows / TrueJoinRows (including overflow flags) across all
-// JOB-lite queries and the fuzz replay corpus, with and without predicate
-// transfer. Whole-table bases, which the batched engine answers from the
-// shared index instead of a hash build, get their own edge-case queries
-// (also sharded) and counter checks. Plus property tests for the Bloom
-// filter and a steady-state zero-allocation check for the kernels.
+// JOB-lite queries and the fuzz replay corpus. Whole-table bases, which the
+// batched engine answers from the shared index instead of a hash build, get
+// their own edge-case queries (also sharded) and counter checks. Plus
+// property tests for the Bloom filter and the lazy predicate-transfer
+// schedule, and a steady-state zero-allocation check for the kernels.
 
 #include <atomic>
 #include <cstdlib>
@@ -85,53 +85,38 @@ using storage::RowId;
 using storage::Value;
 
 // ---------------------------------------------------------------------------
-// Differential A/B: scalar reference vs vectorized (± predicate transfer).
-// Three separate Database instances over the same (profile, seed) hold the
-// same physical data but run independent oracles, so agreement is a genuine
-// recomputation check, not a memo hit.
+// Differential A/B: scalar reference vs vectorized. Two separate Database
+// instances over the same (profile, seed) hold the same physical data but
+// run independent oracles, so agreement is a genuine recomputation check,
+// not a memo hit.
 // ---------------------------------------------------------------------------
 
 struct EngineLab {
   std::unique_ptr<engine::Database> scalar;
   std::unique_ptr<engine::Database> vectorized;
-  std::unique_ptr<engine::Database> vectorized_no_transfer;
   std::vector<Query> workload;
-
-  engine::Database& db(size_t i) {
-    engine::Database* dbs[] = {scalar.get(), vectorized.get(),
-                               vectorized_no_transfer.get()};
-    return *dbs[i];
-  }
-  static const char* Name(size_t i) {
-    const char* names[] = {"scalar", "vectorized", "vectorized_no_transfer"};
-    return names[i];
-  }
 };
 
-EngineLab* MakeLab(int32_t table_shards) {
+EngineLab* MakeLab(int32_t table_shards,
+                   const datagen::ScaleProfile& profile =
+                       datagen::ScaleProfile::Medium().Scaled(0.01)) {
   auto* l = new EngineLab;
   engine::Database::Options options;
-  options.profile = datagen::ScaleProfile::Medium().Scaled(0.01);
+  options.profile = profile;
   options.seed = 42;
   options.config.table_shards = table_shards;
 
   options.config.vectorized_exec = false;
-  options.config.predicate_transfer = false;
   l->scalar = engine::Database::CreateImdb(options);
 
   options.config.vectorized_exec = true;
-  options.config.predicate_transfer = true;
   l->vectorized = engine::Database::CreateImdb(options);
-
-  options.config.vectorized_exec = true;
-  options.config.predicate_transfer = false;
-  l->vectorized_no_transfer = engine::Database::CreateImdb(options);
 
   l->workload = query::LoadWorkload("job", l->scalar->schema());
   return l;
 }
 
-/// The three engines over unsharded tables, or (`table_shards` 2) over the
+/// The two engines over unsharded tables, or (`table_shards` 2) over the
 /// hash-partitioned layout.
 EngineLab& Lab(int32_t table_shards = 1) {
   if (table_shards == 2) {
@@ -159,49 +144,35 @@ std::vector<AliasMask> DifferentialMasks(const Query& q) {
   return masks;
 }
 
-/// Runs the full byte-identity sweep for one query across the three
-/// engines: filtered rows per alias, single-predicate rows per predicate,
-/// and join cardinalities (rows AND overflow flag) per differential mask.
+/// Runs the full byte-identity sweep for one query across the two engines:
+/// filtered rows per alias, single-predicate rows per predicate, and join
+/// cardinalities (rows AND overflow flag) per differential mask.
 void CheckQueryAgreement(const Query& q, EngineLab& lab = Lab()) {
-  const size_t kEngines = 3;
-
+  Oracle& reference = lab.scalar->oracle();
+  Oracle& batched = lab.vectorized->oracle();
   for (AliasId a = 0; a < q.relation_count(); ++a) {
-    const std::vector<RowId>& reference =
-        lab.scalar->oracle().FilteredRows(q, a);
-    for (size_t e = 1; e < kEngines; ++e) {
-      const std::vector<RowId>& got = lab.db(e).oracle().FilteredRows(q, a);
-      ASSERT_TRUE(got == reference)
-          << q.id << " alias " << static_cast<int>(a) << ": " << lab.Name(e)
-          << " FilteredRows diverged (" << got.size() << " vs "
-          << reference.size() << " rows)";
-    }
+    const std::vector<RowId>& want = reference.FilteredRows(q, a);
+    const std::vector<RowId>& got = batched.FilteredRows(q, a);
+    ASSERT_TRUE(got == want)
+        << q.id << " alias " << static_cast<int>(a)
+        << ": FilteredRows diverged (" << got.size() << " vs " << want.size()
+        << " rows)";
 
-    const size_t pred_count =
-        lab.scalar->oracle().BoundPredicates(q, a).size();
+    const size_t pred_count = reference.BoundPredicates(q, a).size();
     for (size_t p = 0; p < pred_count; ++p) {
-      const std::vector<RowId>& ref_single =
-          lab.scalar->oracle().SinglePredicateRows(q, a, p);
-      for (size_t e = 1; e < kEngines; ++e) {
-        const std::vector<RowId>& got =
-            lab.db(e).oracle().SinglePredicateRows(q, a, p);
-        ASSERT_TRUE(got == ref_single)
-            << q.id << " alias " << static_cast<int>(a) << " pred " << p
-            << ": " << lab.Name(e) << " SinglePredicateRows diverged";
-      }
+      ASSERT_TRUE(batched.SinglePredicateRows(q, a, p) ==
+                  reference.SinglePredicateRows(q, a, p))
+          << q.id << " alias " << static_cast<int>(a) << " pred " << p
+          << ": SinglePredicateRows diverged";
     }
   }
 
   for (const AliasMask mask : DifferentialMasks(q)) {
-    const Oracle::CardResult reference =
-        lab.scalar->oracle().TrueJoinRows(q, mask);
-    for (size_t e = 1; e < kEngines; ++e) {
-      const Oracle::CardResult got = lab.db(e).oracle().TrueJoinRows(q, mask);
-      ASSERT_EQ(got.rows, reference.rows)
-          << q.id << " mask " << mask << ": " << lab.Name(e) << " diverged";
-      ASSERT_EQ(got.overflow, reference.overflow)
-          << q.id << " mask " << mask << ": " << lab.Name(e)
-          << " overflow flag diverged";
-    }
+    const Oracle::CardResult want = reference.TrueJoinRows(q, mask);
+    const Oracle::CardResult got = batched.TrueJoinRows(q, mask);
+    ASSERT_EQ(got.rows, want.rows) << q.id << " mask " << mask;
+    ASSERT_EQ(got.overflow, want.overflow)
+        << q.id << " mask " << mask << ": overflow flag diverged";
   }
 }
 
@@ -258,12 +229,10 @@ TEST(OverflowDifferential, SelfJoinOverflowFlagsAgree) {
 
   const Oracle::CardResult reference =
       lab.scalar->oracle().TrueJoinRows(q, q.FullMask());
-  for (size_t e = 1; e < 3; ++e) {
-    const Oracle::CardResult got =
-        lab.db(e).oracle().TrueJoinRows(q, q.FullMask());
-    EXPECT_EQ(got.rows, reference.rows) << lab.Name(e);
-    EXPECT_EQ(got.overflow, reference.overflow) << lab.Name(e);
-  }
+  const Oracle::CardResult got =
+      lab.vectorized->oracle().TrueJoinRows(q, q.FullMask());
+  EXPECT_EQ(got.rows, reference.rows);
+  EXPECT_EQ(got.overflow, reference.overflow);
   // Pin the shape so the test genuinely covers the overflow branch: the
   // triple explodes past the intermediate caps, the pair stays exact.
   EXPECT_TRUE(reference.overflow);
@@ -331,7 +300,7 @@ TEST_P(WholeTableDifferential, IndexProbesMatchScalar) {
       obs::MetricsScope scope(&metrics);
       CheckQueryAgreement(q, lab);
     }
-    // The batched engines took the index path for this query at least
+    // The batched engine took the index path for this query at least
     // once, so agreement above covers it (the scalar engine never does).
     EXPECT_GT(metrics.Get(obs::Counter::kOracleIndexJoins), 0) << q.id;
   }
@@ -558,25 +527,167 @@ TEST(BloomFilter, DeterministicBitsPerSeed) {
   EXPECT_FALSE(a.BitsEqual(c)) << "different seeds must scatter differently";
 }
 
-TEST(BloomFilter, SerializationRoundTrip) {
-  BloomFilter original(2'000, 0.005, 0x5eed);
-  for (Value k = -500; k < 1'500; ++k) original.Add(k * 7);
-  const std::string bytes = original.Serialize();
+// ---------------------------------------------------------------------------
+// Lazy predicate-transfer schedule (kernels::BloomSchedule): the refine
+// kernel must equal a straight-line exact refine whether or not its filter
+// fires, and must build the filter exactly when at least 7/8 of the first
+// kBloomSampleProbes non-null probe keys missed.
+// ---------------------------------------------------------------------------
 
-  BloomFilter decoded;
-  ASSERT_TRUE(BloomFilter::Deserialize(bytes, &decoded));
-  EXPECT_TRUE(decoded.BitsEqual(original));
-  EXPECT_EQ(decoded.entries_added(), original.entries_added());
-  EXPECT_EQ(decoded.hashes_per_key(), original.hashes_per_key());
-  EXPECT_EQ(decoded.seed(), original.seed());
-  for (Value k = -500; k < 1'500; ++k) {
-    ASSERT_TRUE(decoded.MayContain(k * 7));
+constexpr Value kSetKeys = 1'000;  // the set holds keys [0, kSetKeys)
+
+enum class Probe { kHit, kMiss, kNull };
+
+/// Appends `n` probe keys of one kind to `column`.
+void Append(std::vector<Value>* column, Probe kind, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) {
+    const Value k = static_cast<Value>(column->size()) % kSetKeys;
+    column->push_back(kind == Probe::kHit    ? k
+                      : kind == Probe::kMiss ? kSetKeys + k
+                                             : storage::kNullValue);
+  }
+}
+
+/// Refines every row of `column` against the set [0, kSetKeys), checks the
+/// result against a straight-line exact refine, and returns how many Bloom
+/// filters the kernel built.
+int64_t RefineAndCountBuilds(const std::vector<Value>& column) {
+  std::vector<Value> keys(static_cast<size_t>(kSetKeys));
+  for (Value k = 0; k < kSetKeys; ++k) keys[static_cast<size_t>(k)] = k;
+  std::vector<RowId> key_rows;
+  kernels::SelectAll(kSetKeys, &key_rows);
+  kernels::ValueSet set;
+  set.Build(keys.data(), key_rows.data(), kSetKeys);
+
+  std::vector<RowId> rows;
+  kernels::SelectAll(static_cast<int64_t>(column.size()), &rows);
+  std::vector<RowId> want;
+  for (const RowId r : rows) {
+    const Value v = column[static_cast<size_t>(r)];
+    if (v != storage::kNullValue && set.Contains(v)) want.push_back(r);
   }
 
-  BloomFilter garbage;
-  EXPECT_FALSE(BloomFilter::Deserialize("not a filter", &garbage));
-  EXPECT_FALSE(BloomFilter::Deserialize(bytes.substr(0, bytes.size() - 1),
-                                        &garbage));
+  BloomFilter bloom;
+  obs::MetricsRegistry metrics;
+  {
+    obs::MetricsScope scope(&metrics);
+    kernels::RefineBySet(column.data(), set, &bloom, &rows);
+  }
+  EXPECT_TRUE(rows == want) << "refine diverged from the exact refine";
+  return metrics.Get(obs::Counter::kOracleBloomBuilds);
+}
+
+constexpr int64_t kSample = kernels::kBloomSampleProbes;
+constexpr int64_t kMissBar =
+    kSample * kernels::kBloomBuildMissNum / kernels::kBloomBuildMissDen;
+
+TEST(TransferSchedule, StreamShorterThanSampleNeverBuilds) {
+  std::vector<Value> column;
+  Append(&column, Probe::kMiss, kSample - 1);
+  EXPECT_EQ(RefineAndCountBuilds(column), 0);
+}
+
+TEST(TransferSchedule, HitHeavyStreamNeverBuilds) {
+  std::vector<Value> column;
+  for (int64_t i = 0; i < 2 * kSample; ++i) {
+    Append(&column, Probe::kHit, 3);
+    Append(&column, Probe::kMiss, 1);
+  }
+  EXPECT_EQ(RefineAndCountBuilds(column), 0);
+}
+
+TEST(TransferSchedule, SampleJustUnderMissBarNeverBuilds) {
+  std::vector<Value> column;
+  Append(&column, Probe::kMiss, kMissBar - 1);
+  Append(&column, Probe::kHit, kSample - kMissBar + 1);
+  // Everything after the sample misses: only the sample decides.
+  Append(&column, Probe::kMiss, 4 * kSample);
+  EXPECT_EQ(RefineAndCountBuilds(column), 0);
+}
+
+TEST(TransferSchedule, MissHeavySampleBuildsAtItsLastProbe) {
+  std::vector<Value> column;
+  Append(&column, Probe::kHit, kSample - kMissBar);
+  Append(&column, Probe::kMiss, kMissBar);
+  // Everything after the sample hits, interleaved with misses and NULLs
+  // that the filter must reject without losing a hit.
+  for (int64_t i = 0; i < kSample; ++i) {
+    Append(&column, Probe::kHit, 3);
+    Append(&column, Probe::kMiss, 1);
+    Append(&column, Probe::kNull, 1);
+  }
+  EXPECT_EQ(RefineAndCountBuilds(column), 1);
+}
+
+TEST(TransferSchedule, NullsDoNotCountTowardTheSample) {
+  // Half of the first 2 * kSample rows are NULL and every non-null key
+  // misses: the sample is the first kSample NON-NULL keys, all misses.
+  std::vector<Value> column;
+  for (int64_t i = 0; i < kSample; ++i) {
+    Append(&column, Probe::kNull, 1);
+    Append(&column, Probe::kMiss, 1);
+  }
+  Append(&column, Probe::kHit, kSample);
+  Append(&column, Probe::kMiss, kSample);
+  EXPECT_EQ(RefineAndCountBuilds(column), 1);
+}
+
+/// The smallest IMDB profile (scale factors 0.01, 0.02, 0.025, 0.03
+/// tried) on which the JOB-lite differential sweep builds Bloom filters.
+EngineLab& TransferLab() {
+  static EngineLab* lab =
+      MakeLab(1, datagen::ScaleProfile::Medium().Scaled(0.03));
+  return *lab;
+}
+
+TEST(TransferSchedule, JobLiteSweepBuildsFiltersAndMatchesScalar) {
+  EngineLab& lab = TransferLab();
+  obs::MetricsRegistry metrics;
+  {
+    obs::MetricsScope scope(&metrics);
+    for (const Query& q : lab.workload) CheckQueryAgreement(q, lab);
+  }
+  EXPECT_GT(metrics.Get(obs::Counter::kOracleBloomBuilds), 0);
+}
+
+/// Extends a materialized cast_info self-join (thousands of rows) by a
+/// movie_info base filtered to a few movies, so nearly every probe of the
+/// join loop misses and its schedule builds a filter mid-stream.
+TEST(TransferSchedule, JoinLoopFilterMatchesScalar) {
+  EngineLab& lab = TransferLab();
+  std::vector<Query> queries;
+  const util::Status status = query::LoadSqlWorkloadText(
+      R"sql(
+-- join_loop_transfer
+SELECT COUNT(*) FROM movie_info AS mi, cast_info AS c1, cast_info AS c2
+WHERE c1.role_id = c2.role_id AND c1.movie_id = mi.movie_id
+AND mi.movie_id < 20;
+)sql",
+      "join_loop_transfer", lab.scalar->schema(), &queries);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  const Query& q = queries[0];
+  const AliasMask self_join = query::MaskOf(1) | query::MaskOf(2);
+  Oracle& reference = lab.scalar->oracle();
+  Oracle& batched = lab.vectorized->oracle();
+
+  // Materialize the self-join first, so the full query extends it through
+  // the join loop alone (no semi-join reduction).
+  const Oracle::CardResult pair = batched.TrueJoinRows(q, self_join);
+  ASSERT_FALSE(pair.overflow);
+  ASSERT_GE(pair.rows, 4 * kernels::kBloomSampleProbes);
+  EXPECT_EQ(pair.rows, reference.TrueJoinRows(q, self_join).rows);
+
+  obs::MetricsRegistry metrics;
+  Oracle::CardResult got;
+  {
+    obs::MetricsScope scope(&metrics);
+    got = batched.TrueJoinRows(q, q.FullMask());
+  }
+  EXPECT_EQ(metrics.Get(obs::Counter::kOracleBloomBuilds), 1);
+  const Oracle::CardResult want = reference.TrueJoinRows(q, q.FullMask());
+  EXPECT_EQ(got.rows, want.rows);
+  EXPECT_EQ(got.overflow, want.overflow);
+  EXPECT_GT(got.rows, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -593,19 +704,29 @@ TEST(VectorizedSteadyState, WarmedKernelsAllocateNothing) {
 
   query::BoundPredicate range;
   range.kind = query::Predicate::Kind::kRange;
-  range.lo = 500;
+  range.lo = 0;
   range.hi = 3'200;
 
+  // The set holds under 1/10 of the selected key range, so the refine
+  // misses often enough that its Bloom schedule fires every round.
+  query::BoundPredicate low;
+  low.kind = query::Predicate::Kind::kRange;
+  low.lo = 0;
+  low.hi = 299;
+
+  std::vector<RowId> set_rows;
   std::vector<RowId> selected;
   kernels::ValueSet set;
   kernels::JoinHashTable table;
   BloomFilter bloom;
 
   auto pipeline = [&]() -> int64_t {
+    set_rows.clear();
+    kernels::SelectPredicate(column.data(), kRows, low, &set_rows);
     selected.clear();
     kernels::SelectPredicate(column.data(), kRows, range, &selected);
-    set.Build(column.data(), all_rows.data(), kRows);
-    set.FillBloom(&bloom, 0.01, 42);
+    set.Build(column.data(), set_rows.data(),
+              static_cast<int64_t>(set_rows.size()));
     kernels::RefineBySet(column.data(), set, &bloom, &selected);
     table.Build(column.data(), selected.data(),
                 static_cast<int64_t>(selected.size()));
@@ -618,8 +739,11 @@ TEST(VectorizedSteadyState, WarmedKernelsAllocateNothing) {
     return pairs;
   };
 
+  obs::MetricsRegistry metrics;
+  obs::MetricsScope scope(&metrics);
   const int64_t warm = pipeline();
   ASSERT_GT(warm, 0);
+  ASSERT_EQ(metrics.Get(obs::Counter::kOracleBloomBuilds), 1);
 
   const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
   const int64_t steady = pipeline();
