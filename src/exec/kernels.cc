@@ -318,4 +318,23 @@ void JoinHashTable::FillBloom(BloomFilter* bloom) const {
   FillBloomFromSlots(slot_keys_, mask_, distinct_, bloom);
 }
 
+void JoinHashTable::ReleaseBuildScratch() {
+  std::vector<int32_t>().swap(slot_cursor_);
+  std::vector<int32_t>().swap(row_slot_);
+}
+
+int64_t JoinHashTable::bytes() const {
+  auto held = [](const auto& v) {
+    return static_cast<int64_t>(v.capacity() * sizeof(v[0]));
+  };
+  return held(slot_keys_) + held(slot_count_) + held(slot_offset_) +
+         held(slot_cursor_) + held(row_slot_) + held(payload_);
+}
+
+int64_t JoinHashTable::RetainedBytes(int64_t rows) {
+  return static_cast<int64_t>(SlotCapacity(rows)) *
+             static_cast<int64_t>(sizeof(Value) + 2 * sizeof(int32_t)) +
+         rows * static_cast<int64_t>(sizeof(RowId));
+}
+
 }  // namespace lqolab::exec::kernels

@@ -193,6 +193,17 @@ class JoinHashTable {
   /// transfer) and counts obs::Counter::kOracleBloomBuilds.
   void FillBloom(BloomFilter* bloom) const;
 
+  /// Frees the storage only Build() uses (its cursors and slot memo);
+  /// Probe() keeps working. For a table that is kept for reuse, not rebuilt.
+  void ReleaseBuildScratch();
+
+  /// Heap bytes the table holds.
+  int64_t bytes() const;
+
+  /// Upper bound on bytes() of a fresh table after Build() over `rows` rows
+  /// and ReleaseBuildScratch().
+  static int64_t RetainedBytes(int64_t rows);
+
  private:
   std::vector<storage::Value> slot_keys_;  // kNullValue marks an empty slot
   std::vector<int32_t> slot_count_;

@@ -20,8 +20,6 @@ using storage::Value;
 
 namespace {
 
-constexpr int64_t kMatBudgetBytes = 384ll * 1024 * 1024;
-
 // How many iterations ahead join-probe loops hint the next key's hash-slot
 // cache line (random accesses the hardware prefetcher cannot predict).
 constexpr int64_t kProbePrefetchDistance = 16;
@@ -34,6 +32,38 @@ uint64_t HashCombine(uint64_t h, uint64_t v) {
 uint64_t HashString(uint64_t h, const std::string& s) {
   for (char c : s) h = HashCombine(h, static_cast<uint64_t>(c));
   return h;
+}
+
+template <typename T>
+void AppendBytes(std::string* out, T v) {
+  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+
+/// Key of the replica-wide base cache: the table, then each bound predicate
+/// as a self-delimiting byte string (column, kind, range, sorted literal
+/// codes), the predicates sorted. It names no alias and no query, and a
+/// conjunction's rows do not depend on its order, so every query asking
+/// for the same filtered table gets the same entry. Literals are bound
+/// dictionary codes of the replica's shared, frozen tables.
+std::string BaseKey(catalog::TableId table, const query::BoundPredicate* preds,
+                    size_t pred_count) {
+  std::vector<std::string> parts(pred_count);
+  for (size_t p = 0; p < pred_count; ++p) {
+    const query::BoundPredicate& pred = preds[p];
+    std::string& part = parts[p];
+    AppendBytes(&part, pred.column);
+    AppendBytes(&part, static_cast<int32_t>(pred.kind));
+    AppendBytes(&part, pred.lo);
+    AppendBytes(&part, pred.hi);
+    AppendBytes(&part, static_cast<uint64_t>(pred.values.size()));
+    part.append(reinterpret_cast<const char*>(pred.values.data()),
+                pred.values.size() * sizeof(Value));
+  }
+  std::sort(parts.begin(), parts.end());
+  std::string key;
+  AppendBytes(&key, table);
+  for (const std::string& part : parts) key += part;
+  return key;
 }
 
 }  // namespace
@@ -57,7 +87,10 @@ uint64_t QueryFingerprint(const Query& q) {
   return h;
 }
 
-Oracle::Oracle(const DbContext* ctx) : ctx_(ctx) { LQOLAB_CHECK(ctx != nullptr); }
+Oracle::Oracle(const DbContext* ctx, int64_t budget_bytes)
+    : ctx_(ctx), budget_bytes_(budget_bytes) {
+  LQOLAB_CHECK(ctx != nullptr);
+}
 
 Oracle::QueryMemo& Oracle::Memo(const Query& q) {
   QueryMemo& memo = memos_[QueryFingerprint(q)];
@@ -65,8 +98,7 @@ Oracle::QueryMemo& Oracle::Memo(const Query& q) {
     memo.bound = true;
     const size_t n = q.relations.size();
     memo.preds.resize(n);
-    memo.filtered.resize(n);
-    memo.filtered_ready.assign(n, 0);
+    memo.filtered.assign(n, nullptr);
     for (size_t a = 0; a < n; ++a) {
       memo.preds[a] = query::BindAliasPredicates(
           q, static_cast<AliasId>(a), ctx_->table(q.relations[a].table));
@@ -102,14 +134,10 @@ void Oracle::FilterSharded(const storage::ShardedTableSet& shards,
   kernels::MergeShardRows(shard_rows_, rows);
 }
 
-void Oracle::EnsureFiltered(QueryMemo& memo, const Query& q, AliasId alias) {
-  if (memo.filtered_ready[static_cast<size_t>(alias)]) return;
-  const catalog::TableId table_id =
-      q.relations[static_cast<size_t>(alias)].table;
+void Oracle::Filter(catalog::TableId table_id,
+                    const query::BoundPredicate* preds, size_t pred_count,
+                    std::vector<RowId>* rows) {
   const storage::Table& table = ctx_->table(table_id);
-  const auto& preds = memo.preds[static_cast<size_t>(alias)];
-  std::vector<RowId>& rows = memo.filtered[static_cast<size_t>(alias)];
-  rows.clear();
   const int64_t n = table.row_count();
   if (ctx_->config.vectorized_exec) {
     // Batched engine: full-column selection kernel on the first predicate,
@@ -117,37 +145,56 @@ void Oracle::EnsureFiltered(QueryMemo& memo, const Query& q, AliasId alias) {
     // same ascending output as the row loop below. With sharding active the
     // kernels run shard-at-a-time and the matches are merged back.
     const storage::ShardedTableSet* shards = ctx_->shards();
-    if (preds.empty()) {
-      kernels::SelectAll(n, &rows);
+    if (pred_count == 0) {
+      kernels::SelectAll(n, rows);
     } else if (shards != nullptr) {
-      FilterSharded(*shards, table_id, preds.data(), preds.size(), &rows);
+      FilterSharded(*shards, table_id, preds, pred_count, rows);
     } else {
       kernels::SelectPredicate(table.column(preds[0].column).data(), n,
-                               preds[0], &rows);
-      for (size_t p = 1; p < preds.size(); ++p) {
+                               preds[0], rows);
+      for (size_t p = 1; p < pred_count; ++p) {
         kernels::RefinePredicate(table.column(preds[p].column).data(),
-                                 preds[p], &rows);
+                                 preds[p], rows);
       }
     }
-  } else {
-    for (RowId r = 0; r < n; ++r) {
-      bool match = true;
-      for (const auto& pred : preds) {
-        if (!pred.Matches(table.column(pred.column).at(r))) {
-          match = false;
-          break;
-        }
-      }
-      if (match) rows.push_back(r);
-    }
+    return;
   }
-  memo.filtered_ready[static_cast<size_t>(alias)] = 1;
+  for (RowId r = 0; r < n; ++r) {
+    bool match = true;
+    for (size_t p = 0; p < pred_count; ++p) {
+      if (!preds[p].Matches(table.column(preds[p].column).at(r))) {
+        match = false;
+        break;
+      }
+    }
+    if (match) rows->push_back(r);
+  }
+}
+
+Oracle::FilteredBase& Oracle::Base(catalog::TableId table,
+                                   const query::BoundPredicate* preds,
+                                   size_t pred_count) {
+  auto [it, inserted] = bases_.try_emplace(BaseKey(table, preds, pred_count));
+  if (inserted) {
+    Filter(table, preds, pred_count, &it->second.rows);
+  } else {
+    obs::Count(obs::Counter::kOracleBaseReuses);
+  }
+  return it->second;
+}
+
+void Oracle::EnsureFiltered(QueryMemo& memo, const Query& q, AliasId alias) {
+  FilteredBase*& base = memo.filtered[static_cast<size_t>(alias)];
+  if (base != nullptr) return;
+  const auto& preds = memo.preds[static_cast<size_t>(alias)];
+  base = &Base(q.relations[static_cast<size_t>(alias)].table, preds.data(),
+               preds.size());
 }
 
 const std::vector<RowId>& Oracle::FilteredRows(const Query& q, AliasId alias) {
   QueryMemo& memo = Memo(q);
   EnsureFiltered(memo, q, alias);
-  return memo.filtered[static_cast<size_t>(alias)];
+  return memo.filtered[static_cast<size_t>(alias)]->rows;
 }
 
 int64_t Oracle::TrueBaseRows(const Query& q, AliasId alias) {
@@ -157,32 +204,11 @@ int64_t Oracle::TrueBaseRows(const Query& q, AliasId alias) {
 const std::vector<RowId>& Oracle::SinglePredicateRows(const Query& q,
                                                       AliasId alias,
                                                       size_t pred_index) {
-  QueryMemo& memo = Memo(q);
-  const uint64_t key =
-      (static_cast<uint64_t>(alias) << 32) | static_cast<uint64_t>(pred_index);
-  auto it = memo.single_pred.find(key);
-  if (it != memo.single_pred.end()) return it->second;
-  const catalog::TableId table_id =
-      q.relations[static_cast<size_t>(alias)].table;
-  const storage::Table& table = ctx_->table(table_id);
-  const auto& preds = memo.preds[static_cast<size_t>(alias)];
+  const auto& preds = Memo(q).preds[static_cast<size_t>(alias)];
   LQOLAB_CHECK_LT(pred_index, preds.size());
-  const auto& pred = preds[pred_index];
-  std::vector<RowId> rows;
-  const int64_t n = table.row_count();
-  const storage::Column& column = table.column(pred.column);
-  if (ctx_->config.vectorized_exec) {
-    if (const storage::ShardedTableSet* shards = ctx_->shards()) {
-      FilterSharded(*shards, table_id, &pred, 1, &rows);
-    } else {
-      kernels::SelectPredicate(column.data(), n, pred, &rows);
-    }
-  } else {
-    for (RowId r = 0; r < n; ++r) {
-      if (pred.Matches(column.at(r))) rows.push_back(r);
-    }
-  }
-  return memo.single_pred.emplace(key, std::move(rows)).first->second;
+  return Base(q.relations[static_cast<size_t>(alias)].table,
+              &preds[pred_index], 1)
+      .rows;
 }
 
 const std::vector<query::BoundPredicate>& Oracle::BoundPredicates(
@@ -201,7 +227,8 @@ Oracle::CardResult Oracle::TrueJoinRows(const Query& q, AliasMask mask) {
     const AliasId alias = static_cast<AliasId>(std::countr_zero(mask));
     EnsureFiltered(memo, q, alias);
     const CardResult result{
-        static_cast<int64_t>(memo.filtered[static_cast<size_t>(alias)].size()),
+        static_cast<int64_t>(
+            memo.filtered[static_cast<size_t>(alias)]->rows.size()),
         false};
     memo.cards[mask] = result;
     return result;
@@ -227,8 +254,9 @@ Oracle::CardResult Oracle::TrueJoinRows(const Query& q, AliasMask mask) {
     if (rest_it == memo.mats.end()) continue;
     EnsureFiltered(memo, q, alias);
     int64_t count = 0;
-    if (CountExtension(q, rest_it->second, alias,
-                       memo.filtered[static_cast<size_t>(alias)], &count)) {
+    if (CountExtension(memo, q, rest_it->second, alias,
+                       memo.filtered[static_cast<size_t>(alias)]->rows,
+                       &count)) {
       result.rows = count;
       memo.cards[mask] = result;
       return result;
@@ -267,8 +295,8 @@ bool Oracle::TreeCount(QueryMemo& memo, const Query& q, AliasMask mask,
     const AliasId alias = static_cast<AliasId>(std::countr_zero(bits));
     bits &= bits - 1;
     EnsureFiltered(memo, q, alias);
-    row_counts[alias].assign(memo.filtered[static_cast<size_t>(alias)].size(),
-                             1.0);
+    row_counts[alias].assign(
+        memo.filtered[static_cast<size_t>(alias)]->rows.size(), 1.0);
   }
 
   // Peel leaves: repeatedly take an alias with exactly one remaining edge,
@@ -310,7 +338,7 @@ bool Oracle::TreeCount(QueryMemo& memo, const Query& q, AliasMask mask,
     const storage::Column& leaf_values =
         ctx_->table(q.relations[static_cast<size_t>(leaf)].table)
             .column(leaf_col);
-    const auto& leaf_rows = memo.filtered[static_cast<size_t>(leaf)];
+    const auto& leaf_rows = memo.filtered[static_cast<size_t>(leaf)]->rows;
     const auto& leaf_counts = row_counts[leaf];
     std::unordered_map<Value, double> message;
     message.reserve(leaf_rows.size());
@@ -324,7 +352,8 @@ bool Oracle::TreeCount(QueryMemo& memo, const Query& q, AliasMask mask,
     const storage::Column& parent_values =
         ctx_->table(q.relations[static_cast<size_t>(parent)].table)
             .column(parent_col);
-    const auto& parent_rows = memo.filtered[static_cast<size_t>(parent)];
+    const auto& parent_rows =
+        memo.filtered[static_cast<size_t>(parent)]->rows;
     auto& parent_counts = row_counts[parent];
     for (size_t i = 0; i < parent_rows.size(); ++i) {
       if (parent_counts[i] == 0.0) continue;
@@ -349,24 +378,25 @@ bool Oracle::TreeCount(QueryMemo& memo, const Query& q, AliasMask mask,
   return true;
 }
 
-bool Oracle::CountExtension(const Query& q, const Intermediate& left,
-                            AliasId alias,
+bool Oracle::CountExtension(QueryMemo& memo, const Query& q,
+                            const Intermediate& left, AliasId alias,
                             const std::vector<storage::RowId>& base_rows,
                             int64_t* count) {
   return ctx_->config.vectorized_exec
-             ? CountExtensionVectorized(q, left, alias, base_rows, count)
+             ? CountExtensionVectorized(memo, q, left, alias, base_rows, count)
              : CountExtensionScalar(q, left, alias, base_rows, count);
 }
 
 /// Build side of a batched base-relation join: the shared storage::Index on
-/// the hash-edge column when the base is the whole table, else join_table_
-/// built over the base rows. Both list a key's rows in ascending row-id
-/// order — an index sorts by (value, row), a build groups its ascending
-/// input in input order — and both skip NULL keys, so the choice changes no
-/// match, no output order and no cap trip point.
+/// the hash-edge column when the base is the whole table, else a
+/// JoinHashTable over the base rows — the base's cached table or
+/// join_table_. All list a key's rows in ascending row-id order — an index
+/// sorts by (value, row), a build groups its ascending input in input
+/// order — and all skip NULL keys, so the choice changes no match, no
+/// output order and no cap trip point.
 struct Oracle::BaseProbe {
   const storage::Index* index;  // non-null: probe the index, no build
-  const kernels::JoinHashTable* table;
+  const kernels::JoinHashTable* table;  // else: probe this table
 
   kernels::JoinHashTable::Group Probe(Value v) const {
     if (index == nullptr) return table->Probe(v);
@@ -379,8 +409,8 @@ struct Oracle::BaseProbe {
   }
 };
 
-Oracle::BaseProbe Oracle::PrepareBase(const Query& q, AliasId alias,
-                                      catalog::ColumnId column,
+Oracle::BaseProbe Oracle::PrepareBase(QueryMemo& memo, const Query& q,
+                                      AliasId alias, catalog::ColumnId column,
                                       const std::vector<RowId>& base_rows) {
   const catalog::TableId table_id =
       q.relations[static_cast<size_t>(alias)].table;
@@ -390,12 +420,41 @@ Oracle::BaseProbe Oracle::PrepareBase(const Query& q, AliasId alias,
   if (static_cast<int64_t>(base_rows.size()) == table.row_count()) {
     if (const storage::Index* index = ctx_->FindIndex(table_id, column)) {
       obs::Count(obs::Counter::kOracleIndexJoins);
-      return {index, &join_table_};
+      return {index, nullptr};
+    }
+  }
+  const storage::Value* keys = table.column(column).data();
+  const int64_t n = static_cast<int64_t>(base_rows.size());
+  // Second-touch admission: only an unreduced base — recognized by being
+  // the cached list itself — has a cache key. Its first request builds
+  // into scratch like any other; a request for a key seen before fills a
+  // kept table if the budget has room, and later requests reuse it.
+  FilteredBase* base = memo.filtered[static_cast<size_t>(alias)];
+  if (base != nullptr && &base->rows == &base_rows) {
+    auto build = std::find_if(
+        base->builds.begin(), base->builds.end(),
+        [&](const FilteredBase::Build& b) { return b.column == column; });
+    if (build == base->builds.end()) {
+      base->builds.push_back({column, 0, nullptr});
+      build = base->builds.end() - 1;
+    }
+    if (build->table != nullptr) {
+      obs::Count(obs::Counter::kOracleBuildReuses);
+      return {nullptr, build->table.get()};
+    }
+    if (build->requests++ > 0 &&
+        mat_bytes_ + kernels::JoinHashTable::RetainedBytes(n) <=
+            budget_bytes_) {
+      obs::Count(obs::Counter::kOracleHashBuilds);
+      build->table = std::make_unique<kernels::JoinHashTable>();
+      build->table->Build(keys, base_rows.data(), n);
+      build->table->ReleaseBuildScratch();
+      TrackBytes(build->table->bytes());
+      return {nullptr, build->table.get()};
     }
   }
   obs::Count(obs::Counter::kOracleHashBuilds);
-  join_table_.Build(table.column(column).data(), base_rows.data(),
-                    static_cast<int64_t>(base_rows.size()));
+  join_table_.Build(keys, base_rows.data(), n);
   return {nullptr, &join_table_};
 }
 
@@ -404,7 +463,7 @@ Oracle::BaseProbe Oracle::PrepareBase(const Query& q, AliasId alias,
 /// case walks the same (probe row, base row) pairs as the scalar loop, so
 /// the kMaxCountedPairs cap trips at the identical pair.
 bool Oracle::CountExtensionVectorized(
-    const Query& q, const Intermediate& left, AliasId alias,
+    QueryMemo& memo, const Query& q, const Intermediate& left, AliasId alias,
     const std::vector<storage::RowId>& base_rows, int64_t* count) {
   AliasMask left_mask = 0;
   for (AliasId a : left.aliases) left_mask |= query::MaskOf(a);
@@ -428,7 +487,7 @@ bool Oracle::CountExtensionVectorized(
           .data();
 
   const BaseProbe base =
-      PrepareBase(q, alias, hash_edge.right_column, base_rows);
+      PrepareBase(memo, q, alias, hash_edge.right_column, base_rows);
 
   if (edges.size() == 1) {
     // Pure counting: a group's size is the per-key multiplicity.
@@ -597,7 +656,7 @@ const Oracle::Intermediate* Oracle::Materialize(QueryMemo& memo,
     EnsureFiltered(memo, q, alias);
     Intermediate base;
     base.aliases = {alias};
-    base.data = memo.filtered[static_cast<size_t>(alias)];
+    base.data = memo.filtered[static_cast<size_t>(alias)]->rows;
     base.rows = static_cast<int64_t>(base.data.size());
     TrackBytes(base.bytes());
     auto [it, inserted] = memo.mats.emplace(mask, std::move(base));
@@ -619,8 +678,8 @@ const Oracle::Intermediate* Oracle::Materialize(QueryMemo& memo,
     if (rest_it == memo.mats.end()) continue;
     EnsureFiltered(memo, q, alias);
     Intermediate joined =
-        JoinWithBase(q, rest_it->second, alias,
-                     memo.filtered[static_cast<size_t>(alias)], mask);
+        JoinWithBase(memo, q, rest_it->second, alias,
+                     memo.filtered[static_cast<size_t>(alias)]->rows, mask);
     if (joined.rows < 0) {
       memo.cards[mask] = {0, true};
       return nullptr;
@@ -645,23 +704,25 @@ const Oracle::Intermediate* Oracle::Materialize(QueryMemo& memo,
   // bytes either way: probing unreduced rows only adds probes that emit
   // nothing, and build-side rows removed by reduction sit in groups no
   // surviving probe key reaches. The reference path keeps the reduction
-  // unconditionally, as documentation of the general algorithm.
+  // unconditionally, as documentation of the general algorithm. The
+  // pair's join reads the cached filtered lists themselves, not copies, so
+  // PrepareBase can serve its build side from the base cache.
+  const bool unreduced =
+      ctx_->config.vectorized_exec && std::popcount(mask) == 2;
   std::vector<std::vector<storage::RowId>> reduced;
-  if (ctx_->config.vectorized_exec && std::popcount(mask) == 2) {
-    reduced.resize(q.relations.size());
+  if (unreduced) {
     AliasMask pair_bits = mask;
     while (pair_bits != 0) {
       const AliasId alias = static_cast<AliasId>(std::countr_zero(pair_bits));
       pair_bits &= pair_bits - 1;
       EnsureFiltered(memo, q, alias);
-      reduced[static_cast<size_t>(alias)] =
-          memo.filtered[static_cast<size_t>(alias)];
     }
   } else {
     reduced = SemiJoinReduce(memo, q, mask);
   }
   auto reduced_rows = [&](AliasId a) -> const std::vector<storage::RowId>& {
-    return reduced[static_cast<size_t>(a)];
+    return unreduced ? memo.filtered[static_cast<size_t>(a)]->rows
+                     : reduced[static_cast<size_t>(a)];
   };
 
   std::vector<AliasId> members;
@@ -691,7 +752,7 @@ const Oracle::Intermediate* Oracle::Materialize(QueryMemo& memo,
     }
     LQOLAB_CHECK_GE(next, 0);
     Intermediate joined =
-        JoinWithBase(q, current, next, reduced_rows(next), mask);
+        JoinWithBase(memo, q, current, next, reduced_rows(next), mask);
     if (joined.rows < 0) {
       memo.cards[mask] = {0, true};
       return nullptr;
@@ -716,7 +777,7 @@ std::vector<std::vector<storage::RowId>> Oracle::SemiJoinReduce(
     bits &= bits - 1;
     EnsureFiltered(memo, q, alias);
     reduced[static_cast<size_t>(alias)] =
-        memo.filtered[static_cast<size_t>(alias)];
+        memo.filtered[static_cast<size_t>(alias)]->rows;
   }
   // Edges inside the mask.
   std::vector<query::JoinEdge> edges;
@@ -855,23 +916,24 @@ std::vector<std::vector<storage::RowId>> Oracle::SemiJoinReduce(
 }
 
 Oracle::Intermediate Oracle::JoinWithBase(
-    const Query& q, const Intermediate& left, AliasId alias,
+    QueryMemo& memo, const Query& q, const Intermediate& left, AliasId alias,
     const std::vector<storage::RowId>& base_rows, AliasMask scope) {
   return ctx_->config.vectorized_exec
-             ? JoinWithBaseVectorized(q, left, alias, base_rows, scope)
+             ? JoinWithBaseVectorized(memo, q, left, alias, base_rows, scope)
              : JoinWithBaseScalar(q, left, alias, base_rows, scope);
 }
 
 /// Batched engine: probe the shared index when the base is a whole table,
-/// else build a grouped JoinHashTable over the base rows (one flat payload
-/// array instead of a vector per key), whose key set the probe stream's
-/// BloomSchedule may publish as a Bloom filter; then probe the left
+/// else a grouped JoinHashTable over the base rows (one flat payload array
+/// instead of a vector per key; cached or freshly built), whose key set
+/// the probe stream's BloomSchedule may publish as a Bloom filter; then
+/// probe the left
 /// intermediate in kBatchRows strides, gathering probe keys into an
 /// L1-resident staging buffer. Match set, output order and the overflow
 /// trip point are identical to JoinWithBaseScalar: probes run in left-row
 /// order and each group replays the base rows in insertion order.
 Oracle::Intermediate Oracle::JoinWithBaseVectorized(
-    const Query& q, const Intermediate& left, AliasId alias,
+    QueryMemo& memo, const Query& q, const Intermediate& left, AliasId alias,
     const std::vector<storage::RowId>& base_rows, AliasMask scope) {
   AliasMask left_mask = 0;
   for (AliasId a : left.aliases) left_mask |= query::MaskOf(a);
@@ -883,7 +945,7 @@ Oracle::Intermediate Oracle::JoinWithBaseVectorized(
       ctx_->table(q.relations[static_cast<size_t>(alias)].table);
   const auto& hash_edge = edges[0];
   const BaseProbe base =
-      PrepareBase(q, alias, hash_edge.right_column, base_rows);
+      PrepareBase(memo, q, alias, hash_edge.right_column, base_rows);
 
   const int32_t width = static_cast<int32_t>(left.aliases.size());
   auto position_of = [&](AliasId a) {
@@ -916,8 +978,8 @@ Oracle::Intermediate Oracle::JoinWithBaseVectorized(
   }
 
   // An index probe runs without predicate transfer: the Bloom filter is
-  // filled from join_table_, which only a build refreshes, and as a pure
-  // pre-test its absence changes no output.
+  // filled from the probed table's keys, and as a pure pre-test its absence
+  // changes no output.
   const bool transfer_armed = base.index == nullptr;
   kernels::BloomSchedule transfer;
   const BloomFilter* bloom = nullptr;
@@ -960,7 +1022,7 @@ Oracle::Intermediate Oracle::JoinWithBaseVectorized(
       if (transfer_armed && transfer.sampling()) {
         transfer.Observe(/*non_null=*/true, /*hit=*/group.count != 0);
         if (transfer.Fires()) {
-          join_table_.FillBloom(&transfer_bloom_);
+          base.table->FillBloom(&transfer_bloom_);
           bloom = &transfer_bloom_;
         }
       }
@@ -1113,8 +1175,23 @@ Oracle::Intermediate Oracle::JoinWithBaseScalar(
 
 void Oracle::TrackBytes(int64_t delta) { mat_bytes_ += delta; }
 
+void Oracle::DropBuildTables() {
+  for (auto& [key, base] : bases_) {
+    for (FilteredBase::Build& build : base.builds) {
+      if (build.table == nullptr) continue;
+      mat_bytes_ -= build.table->bytes();
+      build.table.reset();
+    }
+  }
+}
+
 void Oracle::EnforceBudget(QueryMemo& keep, AliasMask keep_mask) {
-  if (mat_bytes_ <= kMatBudgetBytes) return;
+  if (mat_bytes_ <= budget_bytes_) return;
+  // Cached build tables go first: they only save rebuilds, and with them
+  // gone the materializations below are evicted exactly when, and exactly
+  // as, they would be without the cache.
+  DropBuildTables();
+  if (mat_bytes_ <= budget_bytes_) return;
   // Drop materializations of all other queries first, then (if still over)
   // the current query's larger intermediates. Cardinalities are retained.
   for (auto& [fp, memo] : memos_) {
@@ -1122,13 +1199,13 @@ void Oracle::EnforceBudget(QueryMemo& keep, AliasMask keep_mask) {
     for (auto& [mask, mat] : memo.mats) mat_bytes_ -= mat.bytes();
     memo.mats.clear();
   }
-  if (mat_bytes_ <= kMatBudgetBytes) return;
+  if (mat_bytes_ <= budget_bytes_) return;
   std::vector<std::pair<int64_t, AliasMask>> sized;
   for (auto& [mask, mat] : keep.mats) sized.emplace_back(mat.bytes(), mask);
   std::sort(sized.begin(), sized.end(),
             [](const auto& a, const auto& b) { return a.first > b.first; });
   for (const auto& [bytes, mask] : sized) {
-    if (mat_bytes_ <= kMatBudgetBytes / 2) break;
+    if (mat_bytes_ <= budget_bytes_ / 2) break;
     if (mask == keep_mask) continue;
     mat_bytes_ -= bytes;
     keep.mats.erase(mask);
@@ -1139,6 +1216,7 @@ void Oracle::ReleaseMaterializations() {
   for (auto& [fp, memo] : memos_) {
     memo.mats.clear();
   }
+  DropBuildTables();
   mat_bytes_ = 0;
 }
 

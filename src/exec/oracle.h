@@ -2,6 +2,8 @@
 #define LQOLAB_EXEC_ORACLE_H_
 
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -19,8 +21,21 @@ uint64_t QueryFingerprint(const query::Query& q);
 
 /// True-cardinality oracle: computes the exact result sizes of filtered base
 /// relations and of connected join subsets by actually evaluating them over
-/// the data (hash joins over row-id tuples). Results are memoized per query
-/// fingerprint, so repeated plan executions during LQO training are cheap.
+/// the data (hash joins over row-id tuples). Cardinalities and materialized
+/// intermediates are memoized per query fingerprint, so repeated plan
+/// executions during LQO training are cheap.
+///
+/// Filtered bases are shared per replica instead (docs/execution.md,
+/// "Shared filtered bases"): one cache keyed by (table, canonical bound
+/// predicates) holds each distinct filtered row list once, whatever alias,
+/// query id or predicate order asks for it, and single-predicate lists are
+/// the same cache's one-predicate entries. Next to each list, a read-only
+/// build table per join column is kept once a second join asks for it
+/// (second-touch admission); kept tables count against the
+/// materialization budget and are the first thing evicted. Queries of
+/// one workload family repeat their base filters, so each distinct base is
+/// scanned once per replica. A cloned worker replica starts with empty
+/// caches.
 ///
 /// This is the core of the simulation substrate (DESIGN.md §4.1): the
 /// executor charges virtual time as a function of TRUE cardinalities, while
@@ -46,7 +61,14 @@ uint64_t QueryFingerprint(const query::Query& q);
 /// byte-identical. Filtered and reduced bases still build.
 class Oracle {
  public:
-  explicit Oracle(const DbContext* ctx);
+  /// Bytes of materialized intermediates and cached build tables one
+  /// replica keeps before evicting.
+  static constexpr int64_t kMatBudgetBytes = 384ll * 1024 * 1024;
+
+  /// `budget_bytes` replaces kMatBudgetBytes (tests shrink it to exercise
+  /// eviction).
+  explicit Oracle(const DbContext* ctx,
+                  int64_t budget_bytes = kMatBudgetBytes);
 
   Oracle(const Oracle&) = delete;
   Oracle& operator=(const Oracle&) = delete;
@@ -79,11 +101,16 @@ class Oracle {
   const std::vector<query::BoundPredicate>& BoundPredicates(
       const query::Query& q, query::AliasId alias);
 
-  /// Frees all materialized intermediates (cardinalities are kept).
+  /// Frees all materialized intermediates and cached build tables
+  /// (cardinalities and filtered rows are kept).
   void ReleaseMaterializations();
 
-  /// Total bytes currently held in materialized intermediates.
+  /// Total bytes currently held in materialized intermediates and cached
+  /// build tables.
   int64_t materialization_bytes() const { return mat_bytes_; }
+
+  /// Distinct filtered bases in the replica-wide cache, each scanned once.
+  int64_t cached_bases() const { return static_cast<int64_t>(bases_.size()); }
 
  private:
   /// Materialized join result: tuples of row-ids, one per alias in
@@ -99,12 +126,24 @@ class Oracle {
     }
   };
 
+  /// One entry of the replica-wide base cache: the rows of a table passing
+  /// a set of bound predicates, and build tables over exactly those rows.
+  struct FilteredBase {
+    std::vector<storage::RowId> rows;  // ascending
+    struct Build {
+      catalog::ColumnId column;
+      int32_t requests = 0;
+      // Read-only once filled; filled on the second request (if the budget
+      // has room), dropped by eviction and ReleaseMaterializations.
+      std::unique_ptr<kernels::JoinHashTable> table;
+    };
+    std::vector<Build> builds;  // one per join column asked for
+  };
+
   struct QueryMemo {
     bool bound = false;
-    std::vector<std::vector<query::BoundPredicate>> preds;   // per alias
-    std::vector<std::vector<storage::RowId>> filtered;       // per alias
-    std::vector<char> filtered_ready;
-    std::unordered_map<uint64_t, std::vector<storage::RowId>> single_pred;
+    std::vector<std::vector<query::BoundPredicate>> preds;  // per alias
+    std::vector<FilteredBase*> filtered;  // per alias; null until first use
     std::unordered_map<query::AliasMask, CardResult> cards;
     std::unordered_map<query::AliasMask, Intermediate> mats;
   };
@@ -112,6 +151,13 @@ class Oracle {
   QueryMemo& Memo(const query::Query& q);
   void EnsureFiltered(QueryMemo& memo, const query::Query& q,
                       query::AliasId alias);
+  /// The base cache entry for `table` under the conjunction `preds`,
+  /// scanning the table on first request.
+  FilteredBase& Base(catalog::TableId table,
+                     const query::BoundPredicate* preds, size_t pred_count);
+  /// Appends the ascending rows of `table` matching every predicate.
+  void Filter(catalog::TableId table, const query::BoundPredicate* preds,
+              size_t pred_count, std::vector<storage::RowId>* rows);
 
   /// Sharded scan (storage::ShardedTableSet): runs the selection kernels
   /// shard-at-a-time over each shard's dense column segments, maps the
@@ -133,25 +179,29 @@ class Oracle {
   /// Joins `left` with base rows of `alias` over all connecting edges
   /// within `scope`. Returns overflow via `result.rows < 0`. Dispatches to
   /// the batched or the tuple-at-a-time engine per config.
-  Intermediate JoinWithBase(const query::Query& q, const Intermediate& left,
-                            query::AliasId alias,
+  Intermediate JoinWithBase(QueryMemo& memo, const query::Query& q,
+                            const Intermediate& left, query::AliasId alias,
                             const std::vector<storage::RowId>& base_rows,
                             query::AliasMask scope);
   Intermediate JoinWithBaseScalar(
       const query::Query& q, const Intermediate& left, query::AliasId alias,
       const std::vector<storage::RowId>& base_rows, query::AliasMask scope);
   Intermediate JoinWithBaseVectorized(
-      const query::Query& q, const Intermediate& left, query::AliasId alias,
-      const std::vector<storage::RowId>& base_rows, query::AliasMask scope);
+      QueryMemo& memo, const query::Query& q, const Intermediate& left,
+      query::AliasId alias, const std::vector<storage::RowId>& base_rows,
+      query::AliasMask scope);
 
   /// Build side of a batched join with the base rows of `alias` on
   /// `column` (defined in oracle.cc).
   struct BaseProbe;
   /// Probes the shared storage::Index on (alias's table, `column`) when
-  /// `base_rows` is the whole table and the column is indexed — no build —
-  /// else rebuilds join_table_ over `base_rows` and probes that.
-  BaseProbe PrepareBase(const query::Query& q, query::AliasId alias,
-                        catalog::ColumnId column,
+  /// `base_rows` is the whole table and the column is indexed — no build.
+  /// Else, when `base_rows` is the alias's cached filtered list itself
+  /// (not a reduced copy), probes that base's cached build table, filling
+  /// it on the second request; otherwise rebuilds join_table_ and probes
+  /// that.
+  BaseProbe PrepareBase(QueryMemo& memo, const query::Query& q,
+                        query::AliasId alias, catalog::ColumnId column,
                         const std::vector<storage::RowId>& base_rows);
 
   /// Exact count of a TREE-shaped (acyclic) subset by message passing over
@@ -163,15 +213,15 @@ class Oracle {
   /// Streams the one-relation extension of `left` counting result rows
   /// without storing them; returns false when the pair-iteration work cap
   /// is exceeded. Used for subsets too large to materialize.
-  bool CountExtension(const query::Query& q, const Intermediate& left,
-                      query::AliasId alias,
+  bool CountExtension(QueryMemo& memo, const query::Query& q,
+                      const Intermediate& left, query::AliasId alias,
                       const std::vector<storage::RowId>& base_rows,
                       int64_t* count);
   bool CountExtensionScalar(const query::Query& q, const Intermediate& left,
                             query::AliasId alias,
                             const std::vector<storage::RowId>& base_rows,
                             int64_t* count);
-  bool CountExtensionVectorized(const query::Query& q,
+  bool CountExtensionVectorized(QueryMemo& memo, const query::Query& q,
                                 const Intermediate& left,
                                 query::AliasId alias,
                                 const std::vector<storage::RowId>& base_rows,
@@ -184,13 +234,22 @@ class Oracle {
       QueryMemo& memo, const query::Query& q, query::AliasMask mask);
 
   void TrackBytes(int64_t delta);
-  /// Evicts materializations when over budget, never touching `keep_mask`
-  /// of `keep` (callers may hold a pointer into it).
+  /// Evicts when over budget: every cached build table first, then
+  /// materializations, never touching `keep_mask` of `keep` (callers may
+  /// hold a pointer into it). Runs only between joins, so no table it
+  /// drops is being probed.
   void EnforceBudget(QueryMemo& keep, query::AliasMask keep_mask);
+  /// Drops every cached build table (their request counts stay).
+  void DropBuildTables();
 
   const DbContext* ctx_;
+  const int64_t budget_bytes_;
   std::unordered_map<uint64_t, QueryMemo> memos_;
-  int64_t mat_bytes_ = 0;
+  // Replica-wide base cache, keyed by table and canonical bound predicates
+  // (BaseKey in oracle.cc). Node-based, so the FilteredBase pointers that
+  // memos hold stay valid; entries live as long as the oracle.
+  std::unordered_map<std::string, FilteredBase> bases_;
+  int64_t mat_bytes_ = 0;  // intermediates + cached build tables
 
   // Scratch for the batched engine, reused across calls so the steady-state
   // hot path performs no per-tuple heap allocation (the Oracle is already

@@ -7,7 +7,7 @@
 namespace lqolab::obs {
 
 namespace internal {
-thread_local MetricsRegistry* g_current_registry = nullptr;
+constinit thread_local MetricsRegistry* g_current_registry = nullptr;
 }  // namespace internal
 
 namespace {
@@ -29,6 +29,8 @@ constexpr CounterInfo kCounterInfo[] = {
     {"oracle_cardinality_calls", "exec"},
     {"oracle_index_joins", "exec"},
     {"oracle_hash_builds", "exec"},
+    {"oracle_base_reuses", "exec"},
+    {"oracle_build_reuses", "exec"},
     {"oracle_bloom_builds", "exec"},
     {"exec_replans", "exec"},
     {"exec_replan_no_change", "exec"},

@@ -25,6 +25,8 @@ enum class Counter : int32_t {
   kOracleCardinalityCalls,  ///< True-cardinality requests to exec::Oracle.
   kOracleIndexJoins,        ///< Whole-table joins probed via a shared index.
   kOracleHashBuilds,        ///< Join hash tables built over base rows.
+  kOracleBaseReuses,        ///< Filtered bases served by the base cache.
+  kOracleBuildReuses,       ///< Joins probing a cached build table.
   kOracleBloomBuilds,       ///< Predicate-transfer Bloom filters built.
   kExecReplans,             ///< Mid-query cancel-and-replan rounds taken.
   kExecReplanNoChange,      ///< Replans whose new plan equalled the old one.
@@ -169,7 +171,10 @@ class MetricsRegistry {
 };
 
 namespace internal {
-extern thread_local MetricsRegistry* g_current_registry;
+// constinit: the pointer needs no dynamic initialization, so the compiler
+// reads it directly instead of through a TLS init wrapper (which UBSan
+// reports as a null-pointer load/store on every access).
+extern constinit thread_local MetricsRegistry* g_current_registry;
 }  // namespace internal
 
 inline MetricsRegistry* MetricsRegistry::Current() {

@@ -21,10 +21,12 @@
 #     beat straight-through p99 under the poisoned estimator, the replan
 #     differential stayed byte-identical, and the run was reproducible.
 #   - BENCH_engine.json: the batched engine is >= 2x the scalar engine
-#     (speedup_vectorized), every engine config counted the same rows, and
-#     the buffer-pool replay of the JOB-lite page stream costs <= 40 ns per
-#     access in both regimes with exactly the tier counts of the two-LRU
-#     pool it replaced.
+#     (speedup_vectorized), every engine config counted the same rows, the
+#     oracle sweep's JOB-lite base requests resolve to exactly 121 distinct
+#     filtered bases (a cache key that named aliases or queries would scan
+#     more), and the buffer-pool replay of the JOB-lite page stream costs
+#     <= 40 ns per access in both regimes with exactly the tier counts of
+#     the two-LRU pool it replaced.
 #   - BENCH_chaos.json: 100% containment, and no schedule corrupted an
 #     answer.
 # Regenerate with: build/bench/micro_parallel_runner BENCH_parallel_runner.json
@@ -206,6 +208,18 @@ else
     echo "FAIL: engine configs disagree on rows ($row_counts distinct counts) in $engine"
     fail=1
   fi
+  # Base counts are deterministic: 1004 JOB-lite base aliases, 121 distinct
+  # (table, bound predicates) pairs. Keys that leaked alias names would
+  # give 136 fills, keys that leaked alias ids 275.
+  for config in scalar vectorized; do
+    line=$(grep "\"config\": \"$config\"" "$engine")
+    got=$(echo "$line" | grep -o '"base_\(requests\|fills\)": [0-9]*' |
+      awk '{printf "%s ", $2}')
+    if [ "$got" != "1004 121 " ]; then
+      echo "FAIL: $config oracle sweep base requests/fills '${got% }' != '1004 121' in $engine"
+      fail=1
+    fi
+  done
   # Tier counts are virtual (deterministic): a different count means the
   # pool changed which tier served a page, not that it got slower.
   for expected in \

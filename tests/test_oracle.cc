@@ -10,8 +10,10 @@
 
 #include "engine/database.h"
 #include "exec/oracle.h"
+#include "obs/metrics.h"
 #include "query/predicate_binding.h"
 #include "query/sql_workload.h"
+#include "sql/binder.h"
 
 namespace lqolab::exec {
 namespace {
@@ -258,6 +260,267 @@ TEST_F(OracleTest, FingerprintSensitivity) {
   renamed.id = "other";
   EXPECT_NE(QueryFingerprint(renamed), original);
 }
+
+// ---------------------------------------------------------------------------
+// The replica-wide base cache and its build tables.
+// ---------------------------------------------------------------------------
+
+Query BindSql(const std::string& text, const std::string& id,
+              const catalog::Schema& schema) {
+  Query q;
+  const util::Status status = sql::ParseAndBindSql(text, schema, &q);
+  EXPECT_TRUE(status.ok()) << status.message();
+  sql::AssignQueryId(id, &q);
+  return q;
+}
+
+AliasId AliasNamed(const Query& q, const std::string& name) {
+  for (AliasId a = 0; a < q.relation_count(); ++a) {
+    if (q.relations[static_cast<size_t>(a)].alias == name) return a;
+  }
+  ADD_FAILURE() << "no alias " << name << " in " << q.id;
+  return 0;
+}
+
+/// A filtered title joined with filtered movie_companies: both sides have
+/// predicates, so the pair's join builds a hash table over the larger one.
+constexpr const char* kPairSql =
+    "SELECT COUNT(*) FROM title AS t, movie_companies AS mc "
+    "WHERE t.id = mc.movie_id AND t.production_year BETWEEN 1990 AND 2005 "
+    "AND t.kind_id IN (1, 2) AND mc.note IS NOT NULL";
+
+struct BuildCounts {
+  int64_t builds;
+  int64_t reuses;
+};
+
+/// The pair join of kPairSql under a fresh query id (a fresh memo), with
+/// the hash builds and build-table reuses it took.
+BuildCounts RequestPairJoin(Oracle* oracle, const catalog::Schema& schema,
+                            const std::string& id, int64_t* rows = nullptr) {
+  const Query q = BindSql(kPairSql, id, schema);
+  obs::MetricsRegistry metrics;
+  obs::MetricsScope scope(&metrics);
+  const Oracle::CardResult card = oracle->TrueJoinRows(q, q.FullMask());
+  EXPECT_FALSE(card.overflow);
+  if (rows != nullptr) *rows = card.rows;
+  return {metrics.Get(obs::Counter::kOracleHashBuilds),
+          metrics.Get(obs::Counter::kOracleBuildReuses)};
+}
+
+TEST_F(OracleTest, BaseCacheKeyIgnoresAliasesIdsAndPredicateOrder) {
+  const auto replica = db_->CloneContextForWorker();
+  Oracle& oracle = replica->oracle();
+  const catalog::Schema& schema = db_->schema();
+  const Query a = BindSql(kPairSql, "base_a", schema);
+  const Query b = BindSql(
+      "SELECT COUNT(*) FROM movie_companies AS x, title AS m "
+      "WHERE x.note IS NOT NULL AND m.kind_id IN (2, 1) "
+      "AND m.production_year BETWEEN 1990 AND 2005 AND m.id = x.movie_id",
+      "base_b", schema);
+  const Query c = BindSql(
+      "SELECT COUNT(*) FROM title AS t, movie_companies AS mc "
+      "WHERE t.id = mc.movie_id AND t.production_year BETWEEN 1990 AND 2006 "
+      "AND t.kind_id IN (1, 2) AND mc.note IS NOT NULL",
+      "base_c", schema);
+
+  const auto& a_title = oracle.FilteredRows(a, AliasNamed(a, "t"));
+  const auto& a_mc = oracle.FilteredRows(a, AliasNamed(a, "mc"));
+  EXPECT_EQ(oracle.cached_bases(), 2);
+  {
+    obs::MetricsRegistry metrics;
+    obs::MetricsScope scope(&metrics);
+    EXPECT_EQ(&oracle.FilteredRows(b, AliasNamed(b, "m")), &a_title);
+    EXPECT_EQ(&oracle.FilteredRows(b, AliasNamed(b, "x")), &a_mc);
+    EXPECT_EQ(metrics.Get(obs::Counter::kOracleBaseReuses), 2);
+  }
+  EXPECT_EQ(oracle.cached_bases(), 2);
+
+  // One literal apart: a new entry, scanned on its own.
+  const auto& c_title = oracle.FilteredRows(c, AliasNamed(c, "t"));
+  EXPECT_NE(&c_title, &a_title);
+  EXPECT_EQ(oracle.cached_bases(), 3);
+  EXPECT_EQ(&oracle.FilteredRows(c, AliasNamed(c, "mc")), &a_mc);
+  EXPECT_TRUE(std::includes(c_title.begin(), c_title.end(), a_title.begin(),
+                            a_title.end()));
+
+  // A single predicate is a one-predicate base: mc's only predicate is its
+  // whole filter, so both requests share one list.
+  const AliasId mc = AliasNamed(a, "mc");
+  EXPECT_EQ(&oracle.SinglePredicateRows(a, mc, 0), &a_mc);
+  EXPECT_EQ(oracle.cached_bases(), 3);
+}
+
+TEST_F(OracleTest, BuildTableIsKeptOnlyOnSecondRequest) {
+  const auto replica = db_->CloneContextForWorker();
+  Oracle& oracle = replica->oracle();
+  const catalog::Schema& schema = db_->schema();
+  int64_t rows[3];
+  // First request: a scratch build, nothing kept.
+  const BuildCounts first = RequestPairJoin(&oracle, schema, "pair_1", &rows[0]);
+  EXPECT_EQ(first.builds, 1);
+  EXPECT_EQ(first.reuses, 0);
+  // Second request: the key was seen, so this build fills the cache.
+  const BuildCounts second =
+      RequestPairJoin(&oracle, schema, "pair_2", &rows[1]);
+  EXPECT_EQ(second.builds, 1);
+  EXPECT_EQ(second.reuses, 0);
+  // Third request: probes the kept table.
+  const BuildCounts third = RequestPairJoin(&oracle, schema, "pair_3", &rows[2]);
+  EXPECT_EQ(third.builds, 0);
+  EXPECT_EQ(third.reuses, 1);
+  EXPECT_EQ(rows[0], rows[1]);
+  EXPECT_EQ(rows[0], rows[2]);
+  EXPECT_GT(rows[0], 0);
+}
+
+TEST_F(OracleTest, ClonedReplicaStartsWithEmptyCaches) {
+  const auto parent = db_->CloneContextForWorker();
+  const catalog::Schema& schema = db_->schema();
+  RequestPairJoin(&parent->oracle(), schema, "clone_1");
+  RequestPairJoin(&parent->oracle(), schema, "clone_2");
+  EXPECT_EQ(RequestPairJoin(&parent->oracle(), schema, "clone_3").reuses, 1);
+  ASSERT_GT(parent->oracle().cached_bases(), 0);
+
+  const auto clone = parent->CloneContextForWorker();
+  EXPECT_EQ(clone->oracle().cached_bases(), 0);
+  const Query q = BindSql(kPairSql, "clone_4", schema);
+  {
+    obs::MetricsRegistry metrics;
+    obs::MetricsScope scope(&metrics);
+    EXPECT_NE(&clone->oracle().FilteredRows(q, 0),
+              &parent->oracle().FilteredRows(q, 0));
+    // The parent's request reused its entry; the clone's scanned anew.
+    EXPECT_EQ(metrics.Get(obs::Counter::kOracleBaseReuses), 1);
+  }
+  // The clone keeps no table the parent kept: its first build is scratch.
+  const BuildCounts first = RequestPairJoin(&clone->oracle(), schema, "c_1");
+  EXPECT_EQ(first.builds, 1);
+  EXPECT_EQ(first.reuses, 0);
+}
+
+TEST_F(OracleTest, ReleaseDropsBuildTablesButKeepsCards) {
+  const auto replica = db_->CloneContextForWorker();
+  Oracle& oracle = replica->oracle();
+  const catalog::Schema& schema = db_->schema();
+  int64_t rows = 0;
+  RequestPairJoin(&oracle, schema, "rel_1", &rows);
+  RequestPairJoin(&oracle, schema, "rel_2");  // fills the cache
+  const int64_t bases = oracle.cached_bases();
+  oracle.ReleaseMaterializations();
+  EXPECT_EQ(oracle.materialization_bytes(), 0);
+  EXPECT_EQ(oracle.cached_bases(), bases);  // filtered rows stay
+  // The card is memoized: no join, no build.
+  int64_t again = 0;
+  const BuildCounts card = RequestPairJoin(&oracle, schema, "rel_1", &again);
+  EXPECT_EQ(card.builds + card.reuses, 0);
+  EXPECT_EQ(again, rows);
+  // The table is gone: the next request builds (a refill), not reuses.
+  const BuildCounts refill = RequestPairJoin(&oracle, schema, "rel_3");
+  EXPECT_EQ(refill.builds, 1);
+  EXPECT_EQ(refill.reuses, 0);
+}
+
+TEST_F(OracleTest, BudgetEvictsBuildTablesFirstAndKeepsCards) {
+  const catalog::Schema& schema = db_->schema();
+  // Measure one pair intermediate (M) and the kept table (T) on an
+  // unbounded oracle.
+  int64_t intermediate = 0;
+  int64_t table = 0;
+  {
+    Oracle oracle(&db_->context());
+    RequestPairJoin(&oracle, schema, "size_1");
+    intermediate = oracle.materialization_bytes();
+    RequestPairJoin(&oracle, schema, "size_2");
+    table = oracle.materialization_bytes() - 2 * intermediate;
+  }
+  ASSERT_GT(intermediate, 0);
+  ASSERT_GT(table, 0);
+
+  // Room for exactly two intermediates and the table: the third
+  // intermediate goes over, and the table is what gets evicted.
+  const int64_t budget = 2 * intermediate + table;
+  Oracle oracle(&db_->context(), budget);
+  int64_t rows = 0;
+  RequestPairJoin(&oracle, schema, "budget_1", &rows);
+  EXPECT_EQ(RequestPairJoin(&oracle, schema, "budget_2").builds, 1);
+  EXPECT_EQ(oracle.materialization_bytes(), budget);
+  const BuildCounts third = RequestPairJoin(&oracle, schema, "budget_3");
+  EXPECT_EQ(third.reuses, 1);  // probed before the eviction
+  EXPECT_LE(oracle.materialization_bytes(), budget);
+  EXPECT_LE(oracle.materialization_bytes(), 3 * intermediate);
+  // Cards survive eviction.
+  int64_t again = 0;
+  const BuildCounts card = RequestPairJoin(&oracle, schema, "budget_1", &again);
+  EXPECT_EQ(card.builds + card.reuses, 0);
+  EXPECT_EQ(again, rows);
+  // The evicted table is rebuilt, not reused.
+  const BuildCounts after = RequestPairJoin(&oracle, schema, "budget_4");
+  EXPECT_EQ(after.builds, 1);
+  EXPECT_EQ(after.reuses, 0);
+
+  // A budget with no room for a table keeps none: every request builds.
+  Oracle tight(&db_->context(), 2 * intermediate);
+  for (const char* id : {"tight_1", "tight_2", "tight_3", "tight_4"}) {
+    const BuildCounts counts = RequestPairJoin(&tight, schema, id);
+    EXPECT_EQ(counts.builds, 1) << id;
+    EXPECT_EQ(counts.reuses, 0) << id;
+  }
+}
+
+/// Every connected subset of every query through one shared oracle (warm
+/// base cache and build tables from the queries before) equals a fresh
+/// oracle per query, rows and overflow, on both engines.
+void ExpectSharedOracleMatchesFreshPerQuery(engine::Database* db,
+                                            const std::string& workload_name) {
+  const std::vector<Query> workload =
+      query::LoadWorkload(workload_name, db->schema());
+  Oracle shared(&db->context());
+  obs::MetricsRegistry metrics;
+  obs::MetricsScope scope(&metrics);
+  int64_t checked = 0;
+  for (const Query& q : workload) {
+    Oracle fresh(&db->context());
+    for (AliasMask mask = 1; mask <= q.FullMask(); ++mask) {
+      if (!q.IsConnected(mask)) continue;
+      const Oracle::CardResult want = fresh.TrueJoinRows(q, mask);
+      const Oracle::CardResult got = shared.TrueJoinRows(q, mask);
+      ASSERT_EQ(got.rows, want.rows) << q.id << " mask " << mask;
+      ASSERT_EQ(got.overflow, want.overflow) << q.id << " mask " << mask;
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 0);
+  EXPECT_GT(metrics.Get(obs::Counter::kOracleBaseReuses), 0);
+  if (db->config().vectorized_exec) {
+    EXPECT_GT(metrics.Get(obs::Counter::kOracleBuildReuses), 0);
+  }
+}
+
+class SharedOracleSweep : public ::testing::TestWithParam<bool> {};
+
+TEST_P(SharedOracleSweep, JobLiteMatchesFreshOraclePerQuery) {
+  engine::Database::Options options;
+  options.profile = datagen::ScaleProfile::Medium().Scaled(0.01);
+  options.seed = 42;
+  options.config.vectorized_exec = GetParam();
+  const auto db = engine::Database::CreateImdb(options);
+  ExpectSharedOracleMatchesFreshPerQuery(db.get(), "job");
+}
+
+TEST_P(SharedOracleSweep, TpchLiteMatchesFreshOraclePerQuery) {
+  engine::Database::Options options;
+  options.seed = 42;
+  options.config.vectorized_exec = GetParam();
+  const auto db = engine::Database::CreateTpch(
+      options, datagen::TpchScaleProfile::Small().Scaled(0.5));
+  ExpectSharedOracleMatchesFreshPerQuery(db.get(), "tpch");
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, SharedOracleSweep, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Vectorized" : "Scalar";
+                         });
 
 /// Property sweep: for every query, the full-mask cardinality matches the
 /// Yannakakis tree count when the query is acyclic (cross-check of the two
