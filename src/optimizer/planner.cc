@@ -74,8 +74,11 @@ class Planner::CallState {
   CallState(const Planner& planner, const Query& q)
       : est(planner.estimator_, q),
         q(q),
+        constants(planner.cost_model_.Constants()),
         cost_model_(planner.cost_model_),
-        scans_(static_cast<size_t>(q.relation_count())) {}
+        scans_(static_cast<size_t>(q.relation_count())),
+        probes_(static_cast<size_t>(q.relation_count())),
+        probes_filled_(static_cast<size_t>(q.relation_count()), 0) {}
 
   /// CostModel::BestScan, memoized.
   const ScanChoice& BestScan(AliasId alias) {
@@ -85,12 +88,34 @@ class Planner::CallState {
     return scan;
   }
 
+  /// The index `inner` is probed through under an index-NLJ with outer side
+  /// `outer` (CostModel::CanIndexNlj's edge), or null when there is none.
+  /// Each alias's CostModel::IndexProbes list is derived on first use.
+  const IndexProbe* IndexProbeFor(AliasMask outer, AliasId inner) {
+    const size_t i = static_cast<size_t>(inner);
+    if (!probes_filled_[i]) {
+      probes_[i] = cost_model_.IndexProbes(q, inner);
+      probes_filled_[i] = 1;
+    }
+    return CostModel::FirstProbe(probes_[i], outer);
+  }
+
+  /// CostModel::JoinCost under this call's constants.
+  double JoinCost(JoinAlgo algo, double rows_left, double rows_right,
+                  double rows_out, const IndexProbe* probe = nullptr) const {
+    return CostModel::JoinCost(constants, algo, rows_left, rows_right,
+                               rows_out, probe);
+  }
+
   stats::QueryEstimates est;
   const Query& q;
+  const CostConstants constants;
 
  private:
   const CostModel& cost_model_;
   std::vector<ScanChoice> scans_;
+  std::vector<std::vector<IndexProbe>> probes_;
+  std::vector<char> probes_filled_;
 };
 
 Planner::Planner(const exec::DbContext* ctx)
@@ -162,7 +187,7 @@ PlanningResult Planner::PlanDynamicProgramming(CallState& s,
            {JoinAlgo::kHash, JoinAlgo::kNestLoop, JoinAlgo::kMerge}) {
         const double cost =
             left.cost + right.cost +
-            cost_model_.JoinCost(q, algo, left.rows, right.rows, rows_out);
+            s.JoinCost(algo, left.rows, right.rows, rows_out);
         if (cost < entry.cost) {
           entry.valid = true;
           entry.cost = cost;
@@ -175,12 +200,10 @@ PlanningResult Planner::PlanDynamicProgramming(CallState& s,
       }
       if (std::popcount(s2) == 1) {
         const AliasId inner = static_cast<AliasId>(std::countr_zero(s2));
-        catalog::ColumnId probe_column = catalog::kInvalidColumn;
-        if (cost_model_.CanIndexNlj(q, s1, inner, &probe_column)) {
+        if (const IndexProbe* probe = s.IndexProbeFor(s1, inner)) {
           const double cost =
-              left.cost + cost_model_.JoinCost(q, JoinAlgo::kIndexNlj,
-                                               left.rows, right.rows, rows_out,
-                                               inner, probe_column);
+              left.cost + s.JoinCost(JoinAlgo::kIndexNlj, left.rows,
+                                     right.rows, rows_out, probe);
           if (cost < entry.cost) {
             entry.valid = true;
             entry.cost = cost;
@@ -188,7 +211,7 @@ PlanningResult Planner::PlanDynamicProgramming(CallState& s,
             entry.left = s1;
             entry.right = s2;
             entry.algo = JoinAlgo::kIndexNlj;
-            entry.probe_column = probe_column;
+            entry.probe_column = probe->probe_column;
           }
         }
       }
@@ -246,9 +269,13 @@ double Planner::CostJoinOrder(CallState& s, const std::vector<AliasId>& order,
                               PhysicalPlan* plan_out, int64_t* steps) const {
   const Query& q = s.q;
   LQOLAB_CHECK_EQ(order.size(), static_cast<size_t>(q.relation_count()));
+  // GEQO fitness passes no plan_out, so it costs orders without building
+  // the plan nodes.
   PhysicalPlan plan;
+  const bool build = plan_out != nullptr;
   const ScanChoice& first = s.BestScan(order[0]);
-  int32_t current = plan.AddScan(order[0], first.type, first.index_column);
+  int32_t current =
+      build ? plan.AddScan(order[0], first.type, first.index_column) : -1;
   double total = std::min(first.cost, SpoolReadCost(ctx_, query::MaskOf(order[0])));
   AliasMask mask = query::MaskOf(order[0]);
   double rows_left = s.est.BaseRows(order[0]);
@@ -264,33 +291,31 @@ double Planner::CostJoinOrder(CallState& s, const std::vector<AliasId>& order,
 
     double best_cost = kImpossibleCost;
     JoinAlgo best_algo = JoinAlgo::kHash;
-    catalog::ColumnId best_probe = catalog::kInvalidColumn;
     for (JoinAlgo algo :
          {JoinAlgo::kHash, JoinAlgo::kNestLoop, JoinAlgo::kMerge}) {
       const double cost =
-          scan.cost +
-          cost_model_.JoinCost(q, algo, rows_left, rows_right, rows_out);
+          scan.cost + s.JoinCost(algo, rows_left, rows_right, rows_out);
       if (cost < best_cost) {
         best_cost = cost;
         best_algo = algo;
       }
     }
-    catalog::ColumnId probe_column = catalog::kInvalidColumn;
-    if (cost_model_.CanIndexNlj(q, mask, next, &probe_column)) {
-      const double cost = cost_model_.JoinCost(
-          q, JoinAlgo::kIndexNlj, rows_left, rows_right, rows_out, next,
-          probe_column);
+    const IndexProbe* probe = s.IndexProbeFor(mask, next);
+    if (probe != nullptr) {
+      const double cost = s.JoinCost(JoinAlgo::kIndexNlj, rows_left,
+                                     rows_right, rows_out, probe);
       if (cost < best_cost) {
         best_cost = cost;
         best_algo = JoinAlgo::kIndexNlj;
-        best_probe = probe_column;
       }
     }
-    const int32_t right =
-        best_algo == JoinAlgo::kIndexNlj
-            ? plan.AddScan(next, ScanType::kIndex, best_probe)
-            : plan.AddScan(next, scan.type, scan.index_column);
-    current = plan.AddJoin(best_algo, current, right);
+    if (build) {
+      const int32_t right =
+          best_algo == JoinAlgo::kIndexNlj
+              ? plan.AddScan(next, ScanType::kIndex, probe->probe_column)
+              : plan.AddScan(next, scan.type, scan.index_column);
+      current = plan.AddJoin(best_algo, current, right);
+    }
     total += best_cost;
     mask |= next_mask;
     // A spooled intermediate covering the prefix replaces everything paid
@@ -298,7 +323,7 @@ double Planner::CostJoinOrder(CallState& s, const std::vector<AliasId>& order,
     total = std::min(total, SpoolReadCost(ctx_, mask));
     rows_left = rows_out;
   }
-  if (plan_out != nullptr) {
+  if (build) {
     plan.root = current;
     *plan_out = std::move(plan);
   }
@@ -441,7 +466,7 @@ PlanningResult Planner::PlanGenetic(CallState& s,
 double Planner::EstimatePlanCost(const Query& q,
                                  const PhysicalPlan& plan) const {
   LQOLAB_CHECK(!plan.empty());
-  stats::QueryEstimates est(estimator_, q);
+  CallState s(*this, q);
   double total = 0.0;
   // Inner scans of index-NLJ joins are probed, not scanned.
   std::vector<char> skip(plan.nodes.size(), 0);
@@ -463,22 +488,16 @@ double Planner::EstimatePlanCost(const Query& q,
     }
     const PlanNode& left = plan.node(node.left);
     const PlanNode& right = plan.node(node.right);
-    const double rows_left = est.JoinRows(left.mask);
-    const double rows_right = est.JoinRows(right.mask);
-    const double rows_out = est.JoinRows(node.mask);
+    const double rows_left = s.est.JoinRows(left.mask);
+    const double rows_right = s.est.JoinRows(right.mask);
+    const double rows_out = s.est.JoinRows(node.mask);
+    const IndexProbe* probe = nullptr;
     if (node.algo == JoinAlgo::kIndexNlj) {
       LQOLAB_CHECK(right.type == PlanNode::Type::kScan);
-      catalog::ColumnId probe_column = catalog::kInvalidColumn;
-      if (!cost_model_.CanIndexNlj(q, left.mask, right.alias, &probe_column)) {
-        return kImpossibleCost;
-      }
-      total += cost_model_.JoinCost(q, JoinAlgo::kIndexNlj, rows_left,
-                                    rows_right, rows_out, right.alias,
-                                    probe_column);
-    } else {
-      total += cost_model_.JoinCost(q, node.algo, rows_left, rows_right,
-                                    rows_out);
+      probe = s.IndexProbeFor(left.mask, right.alias);
+      if (probe == nullptr) return kImpossibleCost;
     }
+    total += s.JoinCost(node.algo, rows_left, rows_right, rows_out, probe);
   }
   return total;
 }

@@ -36,11 +36,12 @@ struct GeqoParams {
 /// optimizer (GEQO) at config.geqo_threshold relations, exactly like
 /// PostgreSQL. All decisions are made on ESTIMATED cardinalities.
 ///
-/// Each public entry point estimates through one stats::QueryEstimates and
-/// one cheapest-scan-per-alias table that live for that call only, so a
-/// subset's estimate is derived once however many DP splits or GEQO orders
-/// reuse it. Nothing outlives the call: configuration changes (Bao hint
-/// sets, SetConfig) and replan pins between calls need no invalidation.
+/// Each public entry point estimates and costs through one CallState that
+/// lives for that call only, so a subset's estimate, an alias's cheapest
+/// scan or its index facts are derived once however many DP splits or GEQO
+/// orders reuse them. Nothing outlives the call: configuration changes (Bao
+/// hint sets, SetConfig) and replan pins between calls need no
+/// invalidation.
 ///
 /// When metrics collection is enabled on the calling thread (obs/metrics.h),
 /// planning emits the planner_* counters — invocations, DP subproblems,
@@ -80,8 +81,13 @@ class Planner {
   const stats::CardinalityEstimator& estimator() const { return estimator_; }
 
  private:
-  /// State of one public planning call: the query's estimate memo and each
-  /// alias's cheapest access path, filled lazily (planner.cc).
+  /// State of one public planning call (planner.cc): the query's estimate
+  /// memo, the CostConstants of the configuration, and per alias its
+  /// cheapest access path and its index-NLJ candidates
+  /// (CostModel::IndexProbes), the last two filled lazily. Join costs go
+  /// through the static CostModel::JoinCost with these inputs, so no join
+  /// step walks the tables for CachedFraction, looks an index up or
+  /// allocates.
   class CallState;
 
   PlanningResult PlanDynamicProgramming(CallState& s, bool bushy) const;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <vector>
 
 #include "faultlib/faultlib.h"
 #include "util/check.h"
@@ -217,38 +216,42 @@ double QueryEstimates::RawJoinRows(AliasMask mask) {
   // This avoids the catastrophic collapse of the naive full-product formula
   // on deep join chains while keeping the independence assumptions that
   // make the estimator realistically wrong on correlated data.
-  std::vector<AliasId> members;
+  // A mask has at most one member per AliasMask bit, so the working sets
+  // live on the stack.
+  constexpr size_t kMaxMembers = std::numeric_limits<AliasMask>::digits;
+  AliasId members[kMaxMembers] = {};
+  double base[kMaxMembers] = {};
+  bool used[kMaxMembers] = {};
+  size_t count = 0;
   for (AliasId a = 0; a < q.relation_count(); ++a) {
-    if (mask & query::MaskOf(a)) members.push_back(a);
+    if (mask & query::MaskOf(a)) members[count++] = a;
   }
-  if (members.empty()) return 1.0;
-  std::vector<double> base(members.size());
-  for (size_t i = 0; i < members.size(); ++i) {
+  if (count == 0) return 1.0;
+  for (size_t i = 0; i < count; ++i) {
     base[i] = BaseRows(members[i]);
   }
   // Start from the smallest base that keeps connectivity as we extend.
-  std::vector<char> used(members.size(), 0);
   size_t start = 0;
-  for (size_t i = 1; i < members.size(); ++i) {
+  for (size_t i = 1; i < count; ++i) {
     if (base[i] < base[start]) start = i;
   }
-  used[start] = 1;
+  used[start] = true;
   AliasMask covered = query::MaskOf(members[start]);
   double rows = base[start];
-  for (size_t step = 1; step < members.size(); ++step) {
+  for (size_t step = 1; step < count; ++step) {
     // Next: the smallest unused base connected to the covered set.
-    size_t next = members.size();
-    for (size_t i = 0; i < members.size(); ++i) {
+    size_t next = count;
+    for (size_t i = 0; i < count; ++i) {
       if (used[i]) continue;
       if ((Adjacency(members[i]) & covered) == 0) continue;
-      if (next == members.size() || base[i] < base[next]) next = i;
+      if (next == count || base[i] < base[next]) next = i;
     }
-    if (next == members.size()) {
+    if (next == count) {
       // Disconnected subset (cross product): multiply sizes.
-      for (size_t i = 0; i < members.size(); ++i) {
+      for (size_t i = 0; i < count; ++i) {
         if (!used[i]) {
           rows *= base[i];
-          used[i] = 1;
+          used[i] = true;
           covered |= query::MaskOf(members[i]);
         }
       }
@@ -267,7 +270,7 @@ double QueryEstimates::RawJoinRows(AliasMask mask) {
         rows = std::max(1.0, rows * EdgeSelectivity(e));
       }
     }
-    used[next] = 1;
+    used[next] = true;
     covered |= next_bit;
   }
   return std::max(1.0, rows);

@@ -6,9 +6,12 @@
 #     workers for every scale factor, byte-identical parallel measurements,
 #     and a scale-factor curve reaching a 10M+-row database.
 #   - BENCH_fuzz.json: zero discrepancies, the SQL round-trip arm ran
-#     over at least 1000 queries, and the soak sustained >= 40 queries/s
+#     over at least 1000 queries, the soak sustained >= 40 queries/s
 #     (wall clock; planning dominates it, so this floor guards the
-#     planner's per-query estimate memo).
+#     planner's per-query estimate memo), and the geqo_threshold_4 arm
+#     took <= 1.8x the wall clock of the default arm (GEQO costs
+#     thousands of join orders per query, so this guards costing them
+#     from per-call constants).
 #   - BENCH_serve.json: recorded with --sql, every arm deterministic, and
 #     the normalized-template plan-cache key beats per-literal keying on
 #     the varied-literal workload by > 0.3 hit rate.
@@ -91,6 +94,19 @@ else
     fail=1
   elif ! awk -v q="$fuzz_qps" 'BEGIN { exit !(q >= 40) }'; then
     echo "FAIL: fuzz soak at $fuzz_qps queries/s (< 40) in $fuzz"
+    fail=1
+  fi
+  fuzz_wall_ms() {
+    grep -o "\"config\": \"$1\"[^}]*" "$fuzz" |
+      grep -o '"wall_ms": [0-9]*' | awk '{print $2}'
+  }
+  default_ms=$(fuzz_wall_ms default)
+  geqo4_ms=$(fuzz_wall_ms geqo_threshold_4)
+  if [ -z "$default_ms" ] || [ -z "$geqo4_ms" ] || [ "$default_ms" -le 0 ]; then
+    echo "FAIL: no default and geqo_threshold_4 wall_ms recorded in $fuzz"
+    fail=1
+  elif ! awk -v g="$geqo4_ms" -v d="$default_ms" 'BEGIN { exit !(g <= 1.8 * d) }'; then
+    echo "FAIL: geqo_threshold_4 arm took $geqo4_ms ms, > 1.8x the default arm's $default_ms ms in $fuzz"
     fail=1
   fi
 fi

@@ -13,6 +13,7 @@
 #include "digest.h"
 #include "engine/database.h"
 #include "faultlib/faultlib.h"
+#include "lqo/bao.h"
 #include "optimizer/cost_model.h"
 #include "optimizer/physical_plan.h"
 #include "optimizer/planner.h"
@@ -514,6 +515,177 @@ TEST(PlannerDigest, Tpch) {
   const WorkloadDigests d = DigestWorkload(db.get(), "tpch");
   EXPECT_EQ(d.estimates, 17773860210358536620ull);
   EXPECT_EQ(d.plans, 1116172563033697694ull);
+}
+
+// Bao plans every query under each of its hint sets, so disabled operators
+// (and their kDisabledPathCost penalties) drive DP and GEQO here, which the
+// digests above never exercise.
+TEST(PlannerDigest, BaoHintSets) {
+  Database* db = DigestImdb();
+  const DbConfig base = db->config();
+  const std::vector<Query> queries = query::LoadWorkload("job", db->schema());
+  Digest plans;
+  for (const lqo::HintSet& hints : lqo::DefaultHintSets()) {
+    for (const int32_t threshold : {DbConfig::Bao().geqo_threshold, 4}) {
+      DbConfig config = DbConfig::Bao();
+      config.geqo_threshold = threshold;
+      config.enable_nestloop = hints.enable_nestloop;
+      config.enable_hashjoin = hints.enable_hashjoin;
+      config.enable_mergejoin = hints.enable_mergejoin;
+      config.enable_indexscan = hints.enable_indexscan;
+      config.enable_bitmapscan = hints.enable_bitmapscan;
+      config.enable_seqscan = hints.enable_seqscan;
+      db->SetConfig(config);
+      for (const Query& q : queries) {
+        const PlanningResult r = db->planner().Plan(q);
+        plans.Add(q.id);
+        plans.Add(r.plan.ToString(q));
+        plans.AddDouble(r.estimated_cost);
+        plans.AddInt(r.planner_steps);
+        plans.AddInt(r.used_geqo ? 1 : 0);
+        plans.AddDouble(db->planner().EstimatePlanCost(q, r.plan));
+      }
+    }
+  }
+  db->SetConfig(base);
+  EXPECT_EQ(plans.value(), 15498803602810898274ull);
+}
+
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+/// The planner's per-call state costs index-NLJs from each inner alias's
+/// CostModel::IndexProbes list, picked by FirstProbe. For every connected
+/// outer mask and every inner outside it, that pick must be the edge the
+/// single-shot CanIndexNlj returns, which must be the first edge of
+/// Query::EdgesBetween whose inner column is indexed, and both must cost
+/// the join to the same bits. Runs with nested loops on and off, so the
+/// disabled-path penalty is compared too. Returns the pairs that can probe.
+int64_t ExpectIndexProbesMatch(Database* db, const std::string& workload) {
+  const DbConfig base = db->config();
+  DbConfig no_nestloop = base;
+  no_nestloop.enable_nestloop = false;
+  const CostModel& cm = db->planner().cost_model();
+  const std::vector<Query> queries = query::LoadWorkload(workload,
+                                                         db->schema());
+  int64_t probed = 0;
+  for (const DbConfig& config : {base, no_nestloop}) {
+    db->SetConfig(config);
+    const CostConstants k = cm.Constants();
+    for (const Query& q : queries) {
+      stats::QueryEstimates est(db->planner().estimator(), q);
+      std::vector<std::vector<IndexProbe>> probes;
+      for (AliasId inner = 0; inner < q.relation_count(); ++inner) {
+        probes.push_back(cm.IndexProbes(q, inner));
+      }
+      for (AliasMask outer = 1; outer <= q.FullMask(); ++outer) {
+        if (!q.IsConnected(outer)) continue;
+        for (AliasId inner = 0; inner < q.relation_count(); ++inner) {
+          const AliasMask inner_mask = query::MaskOf(inner);
+          if (outer & inner_mask) continue;
+          const catalog::TableId table =
+              q.relations[static_cast<size_t>(inner)].table;
+          catalog::ColumnId expected = catalog::kInvalidColumn;
+          for (const query::JoinEdge& edge : q.EdgesBetween(outer,
+                                                            inner_mask)) {
+            if (db->context().FindIndex(table, edge.right_column) != nullptr) {
+              expected = edge.right_column;
+              break;
+            }
+          }
+          catalog::ColumnId column = catalog::kInvalidColumn;
+          const bool can = cm.CanIndexNlj(q, outer, inner, &column);
+          const IndexProbe* probe =
+              CostModel::FirstProbe(probes[static_cast<size_t>(inner)], outer);
+          EXPECT_EQ(can, expected != catalog::kInvalidColumn)
+              << q.id << " outer " << outer << " inner " << inner;
+          EXPECT_EQ(probe != nullptr, can)
+              << q.id << " outer " << outer << " inner " << inner;
+          if (!can || probe == nullptr) continue;
+          EXPECT_EQ(column, expected) << q.id;
+          EXPECT_EQ(probe->probe_column, column) << q.id;
+          const double rows_left = est.JoinRows(outer);
+          const double rows_right = est.BaseRows(inner);
+          const double rows_out = est.JoinRows(outer | inner_mask);
+          EXPECT_EQ(Bits(CostModel::JoinCost(k, JoinAlgo::kIndexNlj,
+                                             rows_left, rows_right, rows_out,
+                                             probe)),
+                    Bits(cm.JoinCost(q, JoinAlgo::kIndexNlj, rows_left,
+                                     rows_right, rows_out, inner, column)))
+              << q.id << " outer " << outer << " inner " << inner;
+          ++probed;
+        }
+      }
+    }
+  }
+  db->SetConfig(base);
+  return probed;
+}
+
+TEST(CostModel, IndexProbesMatchCanIndexNljAndJoinCost) {
+  for (const std::string workload : {"job", "job_complex", "ext_job"}) {
+    EXPECT_GT(ExpectIndexProbesMatch(DigestImdb(), workload), 0) << workload;
+  }
+  Database::Options options;
+  options.seed = 42;
+  const auto tpch = Database::CreateTpch(
+      options, datagen::TpchScaleProfile::Small().Scaled(0.5));
+  EXPECT_GT(ExpectIndexProbesMatch(tpch.get(), "tpch"), 0);
+}
+
+// GEQO fitness calls CostJoinOrder without plan_out, which skips building
+// the plan; the cost bits and step count must not depend on it. Orders are
+// random connected ones plus the FROM order (often a cross product).
+TEST(Planner, CostJoinOrderSameBitsWithoutPlan) {
+  Database* db = DigestImdb();
+  const DbConfig base = db->config();
+  DbConfig no_nestloop = base;
+  no_nestloop.enable_nestloop = false;
+  util::Rng rng(0x0bde5);
+  for (const DbConfig& config : {base, no_nestloop}) {
+    db->SetConfig(config);
+    for (const std::string workload : {"job", "job_complex"}) {
+      for (const Query& q : query::LoadWorkload(workload, db->schema())) {
+        const int32_t n = q.relation_count();
+        for (int trial = 0; trial < 8; ++trial) {
+          std::vector<AliasId> order;
+          if (trial == 0) {
+            for (AliasId a = 0; a < n; ++a) order.push_back(a);
+          } else {
+            order.push_back(static_cast<AliasId>(rng.UniformInt(0, n - 1)));
+            AliasMask mask = query::MaskOf(order[0]);
+            while (static_cast<int32_t>(order.size()) < n) {
+              std::vector<AliasId> candidates;
+              for (AliasId a = 0; a < n; ++a) {
+                if (!(mask & query::MaskOf(a)) &&
+                    (q.AdjacencyMask(a) & mask)) {
+                  candidates.push_back(a);
+                }
+              }
+              const AliasId pick = candidates[static_cast<size_t>(
+                  rng.UniformInt(0, static_cast<int64_t>(candidates.size()) -
+                                        1))];
+              order.push_back(pick);
+              mask |= query::MaskOf(pick);
+            }
+          }
+          PhysicalPlan plan;
+          int64_t steps_with = 0;
+          int64_t steps_without = 0;
+          const double with =
+              db->planner().CostJoinOrder(q, order, &plan, &steps_with);
+          const double without =
+              db->planner().CostJoinOrder(q, order, nullptr, &steps_without);
+          EXPECT_EQ(Bits(with), Bits(without)) << q.id << " trial " << trial;
+          EXPECT_EQ(steps_with, steps_without) << q.id;
+          if (trial > 0) {
+            ASSERT_LT(with, kImpossibleCost) << q.id;
+            plan.Validate(q);
+          }
+        }
+      }
+    }
+  }
+  db->SetConfig(base);
 }
 
 /// A keyed estimate-poison schedule: 1e-4 underestimates on a seeded
