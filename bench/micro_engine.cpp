@@ -4,12 +4,13 @@
 //
 // `--engine-json [path]` instead runs the execution-engine throughput
 // comparison (scalar vs vectorized oracle hot path over the JOB-lite
-// workload) plus a buffer-pool replay (the page stream the executor charges
-// on JOB-lite, replayed through storage::BufferPool in two sizings) and
-// emits one JSON document; the recorded run lives at BENCH_engine.json.
-// Exit code 1 if the batched engine falls below the 3x speedup floor
-// docs/execution.md documents, or if replay rounds disagree on a tier
-// count.
+// workload), a buffer-pool replay (the page stream the executor charges
+// on JOB-lite, replayed through storage::BufferPool in two sizings) and an
+// index-probe replay (every IMDB foreign key probed both ways through
+// storage::Index::EqualRange), and emits one JSON document; the recorded
+// run lives at BENCH_engine.json. Exit code 1 if the batched engine falls
+// below the 3x speedup floor docs/execution.md documents, or if replay
+// rounds disagree on a tier count or a match count.
 
 #include <benchmark/benchmark.h>
 
@@ -26,6 +27,7 @@
 #include "ml/nn.h"
 #include "stats/column_stats.h"
 #include "storage/buffer_pool.h"
+#include "storage/index.h"
 
 namespace {
 
@@ -190,16 +192,19 @@ int64_t OracleSweep(engine::Database* db,
   return rows;
 }
 
-/// The page keys the executor charges on the JOB-lite workload, recorded
-/// the way bench/layer_profile's `job` runs it: IMDB at the medium scale
-/// profile, a cold pool, each query planned once and executed three times
-/// with no cache drops in between.
-std::vector<uint64_t> RecordJobLitePages() {
+/// IMDB at the medium scale profile, the data bench/layer_profile's `job`
+/// runs on.
+std::unique_ptr<engine::Database> CreateMediumImdb() {
   engine::Database::Options options;
   options.profile = datagen::ScaleProfile::Medium();
   options.seed = bench::kSeed;
-  const std::unique_ptr<engine::Database> db =
-      engine::Database::CreateImdb(options);
+  return engine::Database::CreateImdb(options);
+}
+
+/// The page keys the executor charges on the JOB-lite workload, recorded
+/// the way bench/layer_profile's `job` runs it: a cold pool, each query
+/// planned once and executed three times with no cache drops in between.
+std::vector<uint64_t> RecordJobLitePages(engine::Database* db) {
   const std::vector<query::Query> workload =
       query::LoadWorkload("job", db->schema());
   std::vector<uint64_t> stream;
@@ -210,6 +215,78 @@ std::vector<uint64_t> RecordJobLitePages() {
   }
   db->context().pool().RecordAccesses(nullptr);
   return stream;
+}
+
+struct IndexProbeResult {
+  int64_t probes = 0;
+  int64_t matched_rows = 0;
+  double ns_per_probe = 0.0;  // best (min) round
+  bool deterministic = true;  // every round matched the same rows
+};
+
+/// Probes every IMDB foreign key both ways through the shared indexes, as
+/// whole-table joins do: each child row's non-NULL key against the parent's
+/// `id` index, and each parent id against the child's key index, in row
+/// order. Replayed kRounds times; the fastest round is kept (min-of-N, as
+/// in EngineComparison).
+IndexProbeResult IndexProbeReplay(engine::Database* db) {
+  struct Stream {
+    const storage::Value* keys;
+    int64_t rows;
+    const storage::Index* index;
+  };
+  const catalog::Schema& schema = db->schema();
+  const exec::DbContext& ctx = db->context();
+  std::vector<Stream> streams;
+  for (catalog::TableId child = 0; child < schema.table_count(); ++child) {
+    const storage::Table& child_table = ctx.table(child);
+    for (const catalog::ForeignKey& fk : schema.table(child).foreign_keys) {
+      const storage::Table& parent_table = ctx.table(fk.referenced_table);
+      streams.push_back({child_table.column(fk.column).data(),
+                         child_table.row_count(),
+                         ctx.FindIndex(fk.referenced_table, 0)});
+      streams.push_back({parent_table.column(0).data(),
+                         parent_table.row_count(),
+                         ctx.FindIndex(child, fk.column)});
+    }
+  }
+
+  constexpr int kRounds = 7;
+  IndexProbeResult result;
+  for (int round = 0; round < kRounds; ++round) {
+    int64_t probes = 0;
+    int64_t matched = 0;
+    const auto t0 = std::chrono::steady_clock::now();
+    for (const Stream& stream : streams) {
+      for (int64_t row = 0; row < stream.rows; ++row) {
+        const storage::Value key = stream.keys[row];
+        if (key == storage::kNullValue) continue;
+        ++probes;
+        matched += static_cast<int64_t>(stream.index->EqualRange(key).size());
+      }
+    }
+    benchmark::DoNotOptimize(matched);
+    const double ns = std::chrono::duration<double, std::nano>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count() /
+                      static_cast<double>(probes);
+    if (round == 0) {
+      result.probes = probes;
+      result.matched_rows = matched;
+      result.ns_per_probe = ns;
+    } else {
+      result.deterministic &=
+          probes == result.probes && matched == result.matched_rows;
+      result.ns_per_probe = std::min(result.ns_per_probe, ns);
+    }
+  }
+  std::fprintf(stderr,
+               "index probe replay: %lld probes over %zu key columns, %lld "
+               "matched rows, best round %.1f ns/probe\n",
+               static_cast<long long>(result.probes), streams.size(),
+               static_cast<long long>(result.matched_rows),
+               result.ns_per_probe);
+  return result;
 }
 
 struct ReplayResult {
@@ -339,10 +416,12 @@ int EngineComparison(const char* path) {
     results.push_back(result);
   }
 
-  const std::vector<uint64_t> stream = RecordJobLitePages();
+  const std::unique_ptr<engine::Database> medium = CreateMediumImdb();
+  const std::vector<uint64_t> stream = RecordJobLitePages(medium.get());
   const ReplayResult replays[] = {
       BufferReplay(stream, "no_fill", 131072, 262144),
       BufferReplay(stream, "both_evict", 512, 4096)};
+  const IndexProbeResult index_probe = IndexProbeReplay(medium.get());
 
   const double speedup_vectorized =
       results[1].rows_per_sec / results[0].rows_per_sec;
@@ -386,6 +465,13 @@ int EngineComparison(const char* path) {
     json += buffer;
   }
   json += "  ],\n";
+  std::snprintf(buffer, sizeof(buffer),
+                "  \"index_probe\": {\"probes\": %lld, \"matched_rows\": %lld, "
+                "\"ns_per_probe\": %.1f},\n",
+                static_cast<long long>(index_probe.probes),
+                static_cast<long long>(index_probe.matched_rows),
+                index_probe.ns_per_probe);
+  json += buffer;
   std::snprintf(buffer, sizeof(buffer), "  \"speedup_vectorized\": %.2f\n}\n",
                 speedup_vectorized);
   json += buffer;
@@ -402,7 +488,10 @@ int EngineComparison(const char* path) {
   } else {
     std::fputs(json.c_str(), stdout);
   }
-  return speedup_vectorized >= 3.0 && replays_deterministic ? 0 : 1;
+  return speedup_vectorized >= 3.0 && replays_deterministic &&
+                 index_probe.deterministic
+             ? 0
+             : 1;
 }
 
 }  // namespace

@@ -390,10 +390,11 @@ bool Oracle::CountExtension(QueryMemo& memo, const Query& q,
 /// Build side of a batched base-relation join: the shared storage::Index on
 /// the hash-edge column when the base is the whole table, else a
 /// JoinHashTable over the base rows — the base's cached table or
-/// join_table_. All list a key's rows in ascending row-id order — an index
-/// sorts by (value, row), a build groups its ascending input in input
-/// order — and all skip NULL keys, so the choice changes no match, no
-/// output order and no cap trip point.
+/// join_table_. All list a key's rows in ascending row-id order — an
+/// index's counting sort (or, for a sparse column, its (value, row) sort)
+/// keeps rows ascending within a key, a build groups its ascending input
+/// in input order — and all skip NULL keys, so the choice changes no
+/// match, no output order and no cap trip point.
 struct Oracle::BaseProbe {
   const storage::Index* index;  // non-null: probe the index, no build
   const kernels::JoinHashTable* table;  // else: probe this table
@@ -405,7 +406,11 @@ struct Oracle::BaseProbe {
   }
 
   void Prefetch(Value v) const {
-    if (index == nullptr) table->PrefetchProbe(v);
+    if (index == nullptr) {
+      table->PrefetchProbe(v);
+    } else {
+      index->PrefetchEqualRange(v);
+    }
   }
 };
 

@@ -56,9 +56,10 @@ uint64_t QueryFingerprint(const query::Query& q);
 /// When the base of a batched join is a whole table (no predicate, nothing
 /// reduced away) and its join column is indexed, the batched engine probes
 /// the shared, read-only storage::Index instead of building a hash table
-/// over every row: Index::EqualRange returns the same rows in the same
-/// ascending order a build over all rows would group, so results stay
-/// byte-identical. Filtered and reduced bases still build.
+/// over every row: the index's counting sort keeps rows ascending within a
+/// key, so Index::EqualRange returns the same rows in the same order a
+/// build over all rows would group, and results stay byte-identical.
+/// Filtered and reduced bases still build.
 class Oracle {
  public:
   /// Bytes of materialized intermediates and cached build tables one

@@ -2,6 +2,7 @@
 
 #include <functional>
 #include <sstream>
+#include <utility>
 
 #include "obs/trace.h"
 #include "util/check.h"
@@ -78,8 +79,14 @@ std::string RenderNodeJson(const ExplainInput& in, int32_t i) {
   o.Set("os_hits", stats.os_hits);
   o.Set("disk_reads", stats.disk_reads);
   if (node.type == PlanNode::Type::kJoin) {
-    o.SetRaw("children", "[" + RenderNodeJson(in, node.left) + "," +
-                             RenderNodeJson(in, node.right) + "]");
+    // Appended, not `"[" + ...`: GCC 12 misreports -Wrestrict on
+    // `const char* + std::string&&`.
+    std::string children = "[";
+    children += RenderNodeJson(in, node.left);
+    children += ",";
+    children += RenderNodeJson(in, node.right);
+    children += "]";
+    o.SetRaw("children", std::move(children));
   }
   return o.ToString();
 }

@@ -33,7 +33,12 @@ JsonObject& JsonObject::Set(const std::string& key, bool value) {
 }
 
 JsonObject& JsonObject::Set(const std::string& key, const std::string& value) {
-  fields_.emplace_back(key, "\"" + Escape(value) + "\"");
+  // Appended, not `"\"" + ...`: GCC 12 misreports -Wrestrict on
+  // `const char* + std::string&&`.
+  std::string quoted = "\"";
+  quoted += Escape(value);
+  quoted += '"';
+  fields_.emplace_back(key, std::move(quoted));
   return *this;
 }
 

@@ -1,50 +1,73 @@
 #include "storage/index.h"
 
 #include <algorithm>
-#include <cmath>
-#include <numeric>
-
-#include "util/check.h"
+#include <limits>
+#include <utility>
 
 namespace lqolab::storage {
 
 Index::Index(const Table& table, catalog::ColumnId column) : column_(column) {
   const Column& data = table.column(column);
+  const Value* keys = data.data();
   const int64_t n = data.size();
-  std::vector<std::pair<Value, RowId>> entries;
-  entries.reserve(static_cast<size_t>(n));
-  for (RowId row = 0; row < n; ++row) {
-    const Value value = data.at(row);
+  int64_t entries = 0;
+  Value min = std::numeric_limits<Value>::max();
+  Value max = std::numeric_limits<Value>::min();
+  for (int64_t row = 0; row < n; ++row) {
+    const Value value = keys[row];
     if (value == kNullValue) continue;
-    entries.emplace_back(value, row);
+    ++entries;
+    min = std::min(min, value);
+    max = std::max(max, value);
   }
-  std::sort(entries.begin(), entries.end());
-  values_.reserve(entries.size());
-  rows_.reserve(entries.size());
-  for (const auto& [value, row] : entries) {
-    values_.push_back(value);
-    rows_.push_back(row);
+  rows_.resize(static_cast<size_t>(entries));
+  const int64_t span =
+      entries == 0 ? 0
+                   : static_cast<int64_t>(max) - static_cast<int64_t>(min) + 1;
+
+  if (span <= entries + kSpanSlack) {
+    // Counting sort: count each key into the slot after its own, prefix-sum
+    // so offsets_[s] is slot s's start, then scatter rows in ascending
+    // order, advancing each start to its end — which leaves slot s's end,
+    // the start of s + 1, in offsets_[s]; shifting by one restores starts.
+    min_ = entries == 0 ? 0 : min;
+    offsets_.assign(static_cast<size_t>(span) + 1, 0);
+    for (int64_t row = 0; row < n; ++row) {
+      const Value value = keys[row];
+      if (value == kNullValue) continue;
+      ++offsets_[Slot(value) + 1];
+    }
+    for (size_t s = 1; s < offsets_.size(); ++s) offsets_[s] += offsets_[s - 1];
+    for (int64_t row = 0; row < n; ++row) {
+      const Value value = keys[row];
+      if (value == kNullValue) continue;
+      rows_[offsets_[Slot(value)]++] = static_cast<RowId>(row);
+    }
+    std::copy_backward(offsets_.begin(), offsets_.end() - 1, offsets_.end());
+    offsets_[0] = 0;
+    return;
+  }
+
+  std::vector<std::pair<Value, RowId>> sorted;
+  sorted.reserve(static_cast<size_t>(entries));
+  for (int64_t row = 0; row < n; ++row) {
+    if (keys[row] != kNullValue) {
+      sorted.emplace_back(keys[row], static_cast<RowId>(row));
+    }
+  }
+  std::sort(sorted.begin(), sorted.end());
+  values_.reserve(sorted.size());
+  for (size_t i = 0; i < sorted.size(); ++i) {
+    values_.push_back(sorted[i].first);
+    rows_[i] = sorted[i].second;
   }
 }
 
-std::span<const RowId> Index::EqualRange(Value value) const {
-  return Range(value, value);
-}
-
-std::span<const RowId> Index::Range(Value lo, Value hi) const {
-  if (lo > hi || rows_.empty()) return {};
-  const auto begin = std::lower_bound(values_.begin(), values_.end(), lo);
-  const auto end = std::upper_bound(begin, values_.end(), hi);
-  const size_t offset = static_cast<size_t>(begin - values_.begin());
-  const size_t count = static_cast<size_t>(end - begin);
-  return {rows_.data() + offset, count};
-}
-
-int64_t Index::CountRange(Value lo, Value hi) const {
-  if (lo > hi || rows_.empty()) return 0;
-  const auto begin = std::lower_bound(values_.begin(), values_.end(), lo);
-  const auto end = std::upper_bound(begin, values_.end(), hi);
-  return end - begin;
+std::span<const RowId> Index::SparseEqualRange(Value value) const {
+  const auto [begin, end] =
+      std::equal_range(values_.begin(), values_.end(), value);
+  return {rows_.data() + (begin - values_.begin()),
+          static_cast<size_t>(end - begin)};
 }
 
 int32_t Index::height() const {
@@ -56,14 +79,6 @@ int32_t Index::height() const {
     ++height;
   }
   return height;
-}
-
-Value Index::min_value() const {
-  return values_.empty() ? kNullValue : values_.front();
-}
-
-Value Index::max_value() const {
-  return values_.empty() ? kNullValue : values_.back();
 }
 
 }  // namespace lqolab::storage

@@ -53,8 +53,13 @@ namespace lqolab::util {
 #define LQOLAB_CHECK_GE(a, b) LQOLAB_CHECK_OP(>=, a, b)
 
 #ifdef NDEBUG
+// Type-checks the condition (so its operands count as used) without
+// evaluating it.
 #define LQOLAB_DCHECK(condition) \
   do {                           \
+    if (false) {                 \
+      (void)(condition);         \
+    }                            \
   } while (0)
 #else
 #define LQOLAB_DCHECK(condition) LQOLAB_CHECK(condition)

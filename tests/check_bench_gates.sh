@@ -27,9 +27,12 @@
 #     (speedup_vectorized), every engine config counted the same rows, the
 #     oracle sweep's JOB-lite base requests resolve to exactly 121 distinct
 #     filtered bases (a cache key that named aliases or queries would scan
-#     more), and the buffer-pool replay of the JOB-lite page stream costs
+#     more), the buffer-pool replay of the JOB-lite page stream costs
 #     <= 40 ns per access in both regimes with exactly the tier counts of
-#     the two-LRU pool it replaced.
+#     the two-LRU pool it replaced, and the index-probe replay (every IMDB
+#     foreign key probed both ways) makes exactly its recorded probes and
+#     matches at <= 20 ns per probe (the binary-search index it replaced
+#     took ~100 ns).
 #   - BENCH_chaos.json: 100% containment, and no schedule corrupted an
 #     answer.
 # Regenerate with: build/bench/micro_parallel_runner BENCH_parallel_runner.json
@@ -236,6 +239,7 @@ else
       fail=1
     fi
   done
+  field() { echo "$line" | grep -o "\"$1\": [0-9.]*" | awk '{print $2}'; }
   # Tier counts are virtual (deterministic): a different count means the
   # pool changed which tier served a page, not that it got slower.
   for expected in \
@@ -248,7 +252,6 @@ else
       fail=1
       continue
     fi
-    field() { echo "$line" | grep -o "\"$1\": [0-9.]*" | awk '{print $2}'; }
     got="$1 $(field accesses) $(field shared_hits) $(field os_hits) $(field disk_reads) $(field evictions)"
     if [ "$got" != "$expected" ]; then
       echo "FAIL: buffer replay tier counts '$got' != '$expected' in $engine"
@@ -260,6 +263,19 @@ else
       fail=1
     fi
   done
+  # Probe and match counts are fixed by the seed-42 medium IMDB: a
+  # different count means an index returned different rows.
+  line=$(grep '"index_probe":' "$engine")
+  got="$(field probes) $(field matched_rows)"
+  if [ "$got" != "1958276 2781762" ]; then
+    echo "FAIL: index probe replay probes/matched rows '$got' != '1958276 2781762' in $engine"
+    fail=1
+  fi
+  ns=$(field ns_per_probe)
+  if [ -z "$ns" ] || ! awk -v n="$ns" 'BEGIN { exit !(n <= 20) }'; then
+    echo "FAIL: index probe replay at ${ns:-?} ns/probe (> 20) in $engine"
+    fail=1
+  fi
 fi
 
 chaos="$root/BENCH_chaos.json"

@@ -2,8 +2,11 @@
 // two-tier buffer pool (checked against a two-LruCache reference model).
 
 #include <algorithm>
+#include <climits>
 #include <list>
+#include <span>
 #include <unordered_map>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -69,6 +72,53 @@ class IndexTest : public ::testing::Test {
     }
     index_ = std::make_unique<Index>(table_, 0);
   }
+
+  /// Indexes `values` (row i holds values[i]), checks the layout the data
+  /// picks, and compares EqualRange with a scan for every probe value: each
+  /// in [min - 2, max + 2] (clamped to Value) when that span is below
+  /// kMaxSweep, else each within 2 of a key (min and max included), plus
+  /// kNullValue and INT32_MAX. Row lists must match exactly, ascending.
+  static void ExpectMatchesScan(const std::vector<Value>& values,
+                                bool expect_dense) {
+    constexpr int64_t kMaxSweep = 1 << 20;
+    const catalog::TableDef def = TwoColumnDef();
+    Table table(0, def);
+    for (Value v : values) table.AppendRow({v, kNullValue});
+    const Index index(table, 0);
+    EXPECT_EQ(index.dense(), expect_dense);
+
+    std::vector<int64_t> keys;  // 64-bit: min - 2 and max + 2 may leave Value
+    for (Value v : values) {
+      if (v != kNullValue) keys.push_back(v);
+    }
+    EXPECT_EQ(index.entry_count(), static_cast<int64_t>(keys.size()));
+    std::vector<int64_t> probes = {kNullValue, INT32_MAX};
+    if (!keys.empty()) {
+      const int64_t lo = *std::min_element(keys.begin(), keys.end()) - 2;
+      const int64_t hi = *std::max_element(keys.begin(), keys.end()) + 2;
+      if (hi - lo < kMaxSweep) {
+        for (int64_t v = lo; v <= hi; ++v) probes.push_back(v);
+      } else {
+        for (const int64_t key : keys) {
+          for (int64_t d = -2; d <= 2; ++d) probes.push_back(key + d);
+        }
+      }
+    }
+    for (const int64_t probe : probes) {
+      if (probe < INT32_MIN || probe > INT32_MAX) continue;
+      const Value v = static_cast<Value>(probe);
+      std::vector<RowId> expected;
+      if (v != kNullValue) {
+        for (size_t row = 0; row < values.size(); ++row) {
+          if (values[row] == v) expected.push_back(static_cast<RowId>(row));
+        }
+      }
+      const std::span<const RowId> got = index.EqualRange(v);
+      ASSERT_EQ(std::vector<RowId>(got.begin(), got.end()), expected)
+          << "probe " << v;
+    }
+  }
+
   catalog::TableDef def_;
   Table table_;
   std::unique_ptr<Index> index_;
@@ -85,17 +135,62 @@ TEST_F(IndexTest, EqualRange) {
   EXPECT_TRUE(index_->EqualRange(99).empty());
 }
 
-TEST_F(IndexTest, RangeQueries) {
-  EXPECT_EQ(index_->Range(5, 10).size(), 4u);
-  EXPECT_EQ(index_->CountRange(5, 10), 4);
-  EXPECT_EQ(index_->CountRange(0, 15), 6);
-  EXPECT_EQ(index_->CountRange(11, 14), 0);
-  EXPECT_EQ(index_->CountRange(10, 5), 0);  // inverted range
+TEST_F(IndexTest, DenseForeignKeyMatchesScan) {
+  // A foreign-key-like column: keys 1..1000 in random order, repeated,
+  // with NULLs.
+  util::Rng rng(7);
+  std::vector<Value> values;
+  for (int i = 0; i < 5000; ++i) {
+    values.push_back(rng.Bernoulli(0.1)
+                         ? kNullValue
+                         : static_cast<Value>(rng.UniformInt(1, 1000)));
+  }
+  ExpectMatchesScan(values, /*expect_dense=*/true);
 }
 
-TEST_F(IndexTest, MinMax) {
-  EXPECT_EQ(index_->min_value(), 0);
-  EXPECT_EQ(index_->max_value(), 15);
+TEST_F(IndexTest, SparseColumnTakesFallbackAndMatchesScan) {
+  // 300 entries over a span of ~300k: wider than entries + kSpanSlack.
+  util::Rng rng(11);
+  std::vector<Value> values;
+  for (int i = 0; i < 300; ++i) {
+    values.push_back(static_cast<Value>(1000 * rng.UniformInt(0, 299)));
+  }
+  values.push_back(kNullValue);
+  ExpectMatchesScan(values, /*expect_dense=*/false);
+}
+
+TEST_F(IndexTest, LayoutRuleBoundary) {
+  // One entry each at 0 and span - 1: dense exactly up to 2 + kSpanSlack.
+  const Value widest = static_cast<Value>(2 + Index::kSpanSlack - 1);
+  ExpectMatchesScan({0, widest}, /*expect_dense=*/true);
+  ExpectMatchesScan({0, static_cast<Value>(widest + 1)},
+                    /*expect_dense=*/false);
+}
+
+TEST_F(IndexTest, NegativeValuesMatchScan) {
+  util::Rng rng(13);
+  std::vector<Value> values;
+  for (int i = 0; i < 2000; ++i) {
+    values.push_back(static_cast<Value>(rng.UniformInt(-700, 300)));
+  }
+  ExpectMatchesScan(values, /*expect_dense=*/true);
+}
+
+TEST_F(IndexTest, ExtremeValuesMatchScan) {
+  // max - min + 1 = 2^32 - 1: the span overflows 32-bit arithmetic.
+  ExpectMatchesScan({INT32_MAX, INT32_MIN + 1, kNullValue, INT32_MAX, 0},
+                    /*expect_dense=*/false);
+  // Dense spans at either end of Value's range.
+  ExpectMatchesScan({INT32_MAX, INT32_MAX - 3, kNullValue, INT32_MAX},
+                    /*expect_dense=*/true);
+  ExpectMatchesScan({INT32_MIN + 1, INT32_MIN + 4, INT32_MIN + 1},
+                    /*expect_dense=*/true);
+}
+
+TEST_F(IndexTest, AllNullAndEmptyColumnsMatchScan) {
+  ExpectMatchesScan({kNullValue, kNullValue, kNullValue},
+                    /*expect_dense=*/true);
+  ExpectMatchesScan({}, /*expect_dense=*/true);
 }
 
 TEST_F(IndexTest, HeightGrowsWithSize) {
