@@ -108,8 +108,8 @@ class BenchTrace {
   std::unique_ptr<obs::MetricsScope> scope_;
 };
 
-/// Training worker count for the LQO Options::parallelism knob: at least 1
-/// so benches always use the deterministic replay path.
+/// Training worker count for LearnedOptimizer::set_training_parallelism: at
+/// least 1 so benches always use the deterministic replay path.
 inline int32_t TrainParallelism() {
   const int32_t workers = EnvParallelism();
   return workers > 0 ? workers : util::ThreadPool::DefaultParallelism();

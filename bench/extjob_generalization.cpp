@@ -52,8 +52,8 @@ int main() {
     lqo::BaoOptimizer::Options bao;
     bao.epochs = 3;
     bao.train_epochs = 12;
-    bao.parallelism = bench::TrainParallelism();
     methods.push_back(std::make_unique<lqo::BaoOptimizer>(bao));
+    methods.back()->set_training_parallelism(bench::TrainParallelism());
     lqo::LeroOptimizer::Options lero;
     lero.epochs = 2;
     lero.pair_epochs = 8;
@@ -61,8 +61,8 @@ int main() {
     lqo::NeoOptimizer::Options neo;
     neo.iterations = 2;
     neo.train_epochs = 12;
-    neo.parallelism = bench::TrainParallelism();
     methods.push_back(std::make_unique<lqo::NeoOptimizer>(neo));
+    methods.back()->set_training_parallelism(bench::TrainParallelism());
     lqo::RtosOptimizer::Options rtos;
     rtos.iterations = 2;
     rtos.train_epochs = 10;
@@ -81,8 +81,8 @@ int main() {
     balsa.pretrain_epochs = 2;
     balsa.iterations = 2;
     balsa.train_epochs = 8;
-    balsa.parallelism = bench::TrainParallelism();
     methods.push_back(std::make_unique<lqo::BalsaOptimizer>(balsa));
+    methods.back()->set_training_parallelism(bench::TrainParallelism());
   }
   for (auto& method : methods) {
     method->Train(train, db.get());

@@ -29,43 +29,40 @@ using namespace lqolab;
 
 std::unique_ptr<lqo::LearnedOptimizer> MakeMethod(const std::string& name,
                                                   uint64_t seed) {
+  std::unique_ptr<lqo::LearnedOptimizer> method;
   if (name == "neo") {
     lqo::NeoOptimizer::Options options;
     options.iterations = 2;
     options.train_epochs = 12;
     options.seed = seed;
-    options.parallelism = bench::TrainParallelism();
-    return std::make_unique<lqo::NeoOptimizer>(options);
-  }
-  if (name == "bao") {
+    method = std::make_unique<lqo::NeoOptimizer>(options);
+  } else if (name == "bao") {
     lqo::BaoOptimizer::Options options;
     options.epochs = 3;
     options.train_epochs = 12;
     options.seed = seed;
-    options.parallelism = bench::TrainParallelism();
-    return std::make_unique<lqo::BaoOptimizer>(options);
-  }
-  if (name == "balsa") {
+    method = std::make_unique<lqo::BaoOptimizer>(options);
+  } else if (name == "balsa") {
     lqo::BalsaOptimizer::Options options;
     options.pretrain_samples_per_query = 8;
     options.pretrain_epochs = 2;
     options.iterations = 3;
     options.train_epochs = 8;
     options.seed = seed;
-    options.parallelism = bench::TrainParallelism();
-    return std::make_unique<lqo::BalsaOptimizer>(options);
-  }
-  if (name == "leon") {
+    method = std::make_unique<lqo::BalsaOptimizer>(options);
+  } else if (name == "leon") {
     lqo::LeonOptimizer::Options options;
     options.beam_masks = 10;
     options.topk_per_mask = 2;
     options.exec_per_query = 2;
     options.pair_epochs = 4;
     options.seed = seed;
-    options.parallelism = bench::TrainParallelism();
-    return std::make_unique<lqo::LeonOptimizer>(options);
+    method = std::make_unique<lqo::LeonOptimizer>(options);
   }
-  return nullptr;
+  if (method != nullptr) {
+    method->set_training_parallelism(bench::TrainParallelism());
+  }
+  return method;
 }
 
 }  // namespace

@@ -57,33 +57,29 @@ int main(int argc, char** argv) {
 
     std::vector<std::unique_ptr<lqo::LearnedOptimizer>> methods;
     {
-      const int32_t workers = bench::TrainParallelism();
       lqo::BaoOptimizer::Options bao;
       bao.epochs = 3;
       bao.train_epochs = 12;
-      bao.parallelism = workers;
       methods.push_back(std::make_unique<lqo::BaoOptimizer>(bao));
       lqo::NeoOptimizer::Options neo;
       neo.iterations = 2;
       neo.train_epochs = 12;
-      neo.parallelism = workers;
       methods.push_back(std::make_unique<lqo::NeoOptimizer>(neo));
       lqo::BalsaOptimizer::Options balsa;
       balsa.pretrain_samples_per_query = 8;
       balsa.pretrain_epochs = 2;
       balsa.iterations = 3;
       balsa.train_epochs = 8;
-      balsa.parallelism = workers;
       methods.push_back(std::make_unique<lqo::BalsaOptimizer>(balsa));
       lqo::LeonOptimizer::Options leon;
       leon.beam_masks = 10;
       leon.topk_per_mask = 2;
       leon.exec_per_query = 2;
       leon.pair_epochs = 4;
-      leon.parallelism = workers;
       methods.push_back(std::make_unique<lqo::LeonOptimizer>(leon));
     }
     for (auto& method : methods) {
+      method->set_training_parallelism(bench::TrainParallelism());
       const lqo::TrainReport report = method->Train(train, db.get());
       auto result = benchkit::MeasureWorkload(
           db.get(), method.get(), test, protocol, bench::MeasureOptions());

@@ -57,9 +57,10 @@ int main(int argc, char** argv) {
   lqo::BaoOptimizer::Options options;
   options.epochs = 3;
   options.train_epochs = 12;
-  options.parallelism = bench::TrainParallelism();
   lqo::BaoOptimizer bao_full(options);
   lqo::BaoOptimizer bao_50(options);
+  bao_full.set_training_parallelism(bench::TrainParallelism());
+  bao_50.set_training_parallelism(bench::TrainParallelism());
   bao_full.Train(train, full.get());
   bao_50.Train(train, half.get());  // different cardinality regime
 

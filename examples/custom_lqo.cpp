@@ -47,9 +47,7 @@ class CostCorrectorOptimizer : public lqo::LearnedOptimizer {
       auto [it, inserted] = correction_.emplace(q.template_id, ratio);
       if (!inserted) it->second = 0.5 * it->second + 0.5 * ratio;
     }
-    report.training_time_ns =
-        report.execution_ns +
-        report.plans_executed * lqo::timing::kTrainPlanOverheadNs;
+    report.training_time_ns = report.TrainingTimeNs();
     return report;
   }
 

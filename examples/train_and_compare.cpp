@@ -37,9 +37,8 @@ int main() {
   // Train Bao (hint-set selection on top of the native optimizer). The
   // training episodes execute concurrently on worker replicas; the result
   // is identical for any worker count, including 1.
-  lqo::BaoOptimizer::Options bao_options;
-  bao_options.parallelism = util::ThreadPool::DefaultParallelism();
-  lqo::BaoOptimizer bao(bao_options);
+  lqo::BaoOptimizer bao;
+  bao.set_training_parallelism(util::ThreadPool::DefaultParallelism());
   const lqo::TrainReport report = bao.Train(train, db.get());
   std::printf("bao trained: %lld plans executed, modeled training time %s\n",
               static_cast<long long>(report.plans_executed),

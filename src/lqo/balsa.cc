@@ -6,7 +6,6 @@
 #include "engine/exec_batch.h"
 #include "exec/oracle.h"
 #include "lqo/plan_search.h"
-#include "obs/metrics.h"
 #include "util/check.h"
 
 namespace lqolab::lqo {
@@ -39,7 +38,6 @@ double BalsaOptimizer::Fit(const std::vector<Sample>& samples, int32_t epochs,
   std::vector<size_t> order(samples.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
   double loss_sum = 0.0;
-  int64_t updates = 0;
   for (int32_t epoch = 0; epoch < epochs; ++epoch) {
     for (size_t i = order.size(); i > 1; --i) {
       rng_state_ = rng_state_ * 6364136223846793005ULL + 1442695040888963407ULL;
@@ -52,10 +50,9 @@ double BalsaOptimizer::Fit(const std::vector<Sample>& samples, int32_t epochs,
           net_->TrainRegression(qenc, sample.query, sample.plan,
                                 *plan_encoder_, sample.target, adam_.get());
       ++report->nn_updates;
-      ++updates;
     }
   }
-  return updates > 0 ? loss_sum / static_cast<double>(updates) : 0.0;
+  return loss_sum;
 }
 
 SearchResult BalsaOptimizer::SearchPlan(const Query& q, Database* db,
@@ -83,24 +80,6 @@ TrainReport BalsaOptimizer::Train(const std::vector<Query>& train_set,
 
   // Episode telemetry: the cost-model pretrain is episode 0, each
   // fine-tuning iteration is one episode after it.
-  auto record_episode = [&report](int32_t episode, double loss,
-                                  const TrainReport& before) {
-    EpisodeStats stats;
-    stats.episode = episode;
-    stats.loss = loss;
-    stats.plans_executed = report.plans_executed - before.plans_executed;
-    stats.execution_ns = report.execution_ns - before.execution_ns;
-    stats.nn_updates = report.nn_updates - before.nn_updates;
-    stats.nn_evals = report.nn_evals - before.nn_evals;
-    stats.training_time_ns =
-        stats.execution_ns +
-        stats.plans_executed * timing::kTrainPlanOverheadNs +
-        stats.nn_updates * timing::kNnUpdateNs +
-        stats.nn_evals * timing::kNnEvalNs;
-    report.episodes.push_back(stats);
-    obs::Count(obs::Counter::kTrainEpisodes);
-  };
-
   // --- Phase 1: pretrain on the cost model (no execution, no expertise).
   std::vector<Sample> pretrain;
   for (const Query& q : train_set) {
@@ -117,106 +96,59 @@ TrainReport BalsaOptimizer::Train(const std::vector<Query>& train_set,
   }
   {
     const TrainReport before = report;
-    const double loss = Fit(pretrain, options_.pretrain_epochs, &report);
-    record_episode(0, loss, before);
+    report.RecordEpisode(before, 0,
+                         Fit(pretrain, options_.pretrain_epochs, &report));
   }
 
-  // --- Phase 2: on-policy fine-tuning with safe timeouts.
-  std::unique_ptr<engine::BatchExecutor> batch_exec;
-  if (options_.parallelism > 0) {
-    batch_exec = std::make_unique<engine::BatchExecutor>(
-        db, options_.seed, options_.parallelism);
-  }
-  // A query's safe timeout derives from its best latency in EARLIER
-  // candidate rounds only, so a round is an independent batch: searches and
-  // timeouts are fixed serially (preserving the rng_state_ draw sequence
-  // within the round), then the round's plans execute concurrently.
-  // Note the serial path interleaves per query instead (q-major, not
-  // c-major) — the parallel trajectory is deterministic but intentionally
-  // its own history.
-  auto run_round = [&](const std::vector<Query>& queries, int32_t c,
-                       std::vector<Sample>* fresh) {
-    const double epsilon = c == 0 ? 0.0 : 0.05;
-    std::vector<optimizer::PhysicalPlan> plans;
-    std::vector<engine::PlanExec> batch;
-    plans.reserve(queries.size());
-    batch.reserve(queries.size());
-    for (const Query& q : queries) {
-      SearchResult search = SearchPlan(q, db, epsilon);
-      report.nn_evals += search.evals;
-      plans.push_back(std::move(search.plan));
-    }
-    for (size_t i = 0; i < queries.size(); ++i) {
-      VirtualNanos timeout = 0;
-      auto best = best_latency_.find(exec::QueryFingerprint(queries[i]));
-      if (best != best_latency_.end()) {
-        timeout = static_cast<VirtualNanos>(
-            static_cast<double>(best->second) * options_.timeout_factor);
-        timeout = std::max<VirtualNanos>(timeout, util::kNanosPerMilli);
-      }
-      batch.push_back({&queries[i], &plans[i], timeout});
-    }
-    const std::vector<engine::QueryRun> runs = batch_exec->Execute(batch);
-    for (size_t i = 0; i < runs.size(); ++i) {
-      const uint64_t fp = exec::QueryFingerprint(queries[i]);
-      ++report.plans_executed;
-      report.execution_ns += runs[i].execution_ns;
-      if (!runs[i].timed_out) {
-        auto [it, inserted] = best_latency_.emplace(fp, runs[i].execution_ns);
-        if (!inserted && runs[i].execution_ns < it->second) {
-          it->second = runs[i].execution_ns;
-        }
-      }
-      fresh->push_back({queries[i], std::move(plans[i]),
-                        LatencyToTarget(runs[i].execution_ns)});
-    }
-  };
+  // --- Phase 2: on-policy fine-tuning with safe timeouts. A query's safe
+  // timeout derives from its best latency in EARLIER candidate rounds only,
+  // so a round is one batch: searches and timeouts are fixed serially
+  // (preserving the rng_state_ draw sequence within the round), then the
+  // round's plans execute.
+  engine::BatchExecutor executor(db, options_.seed, training_parallelism());
   for (int32_t iter = 0; iter < options_.iterations; ++iter) {
     const TrainReport before = report;
     std::vector<Sample> fresh;
-    if (batch_exec != nullptr) {
-      for (int32_t c = 0; c <= options_.exploration_plans; ++c) {
-        run_round(train_set, c, &fresh);
-      }
-    } else {
+    for (int32_t c = 0; c <= options_.exploration_plans; ++c) {
+      const double epsilon = c == 0 ? 0.0 : 0.05;
+      std::vector<optimizer::PhysicalPlan> plans;
+      plans.reserve(train_set.size());
       for (const Query& q : train_set) {
-        const uint64_t fp = exec::QueryFingerprint(q);
-        for (int32_t c = 0; c <= options_.exploration_plans; ++c) {
-          const double epsilon = c == 0 ? 0.0 : 0.05;
-          SearchResult search = SearchPlan(q, db, epsilon);
-          report.nn_evals += search.evals;
-          VirtualNanos timeout = 0;
-          auto best = best_latency_.find(fp);
-          if (best != best_latency_.end()) {
-            timeout = static_cast<VirtualNanos>(
-                static_cast<double>(best->second) * options_.timeout_factor);
-            timeout = std::max<VirtualNanos>(timeout, util::kNanosPerMilli);
-          }
-          const engine::QueryRun run =
-              db->ExecutePlan(q, search.plan, 0, timeout);
-          ++report.plans_executed;
-          report.execution_ns += run.execution_ns;
-          if (!run.timed_out) {
-            auto [it, inserted] = best_latency_.emplace(fp, run.execution_ns);
-            if (!inserted && run.execution_ns < it->second) {
-              it->second = run.execution_ns;
-            }
-          }
-          fresh.push_back({q, std::move(search.plan),
-                           LatencyToTarget(run.execution_ns)});
+        SearchResult search = SearchPlan(q, db, epsilon);
+        report.nn_evals += search.evals;
+        plans.push_back(std::move(search.plan));
+      }
+      std::vector<engine::PlanExec> batch;
+      batch.reserve(train_set.size());
+      for (size_t i = 0; i < train_set.size(); ++i) {
+        VirtualNanos timeout = 0;
+        auto best = best_latency_.find(exec::QueryFingerprint(train_set[i]));
+        if (best != best_latency_.end()) {
+          timeout = static_cast<VirtualNanos>(
+              static_cast<double>(best->second) * options_.timeout_factor);
+          timeout = std::max<VirtualNanos>(timeout, util::kNanosPerMilli);
         }
+        batch.push_back({&train_set[i], &plans[i], timeout});
+      }
+      const std::vector<engine::QueryRun> runs = executor.Execute(batch);
+      report.AddRuns(runs);
+      for (size_t i = 0; i < runs.size(); ++i) {
+        if (!runs[i].timed_out) {
+          auto [it, inserted] = best_latency_.emplace(
+              exec::QueryFingerprint(train_set[i]), runs[i].execution_ns);
+          if (!inserted && runs[i].execution_ns < it->second) {
+            it->second = runs[i].execution_ns;
+          }
+        }
+        fresh.push_back({train_set[i], std::move(plans[i]),
+                         LatencyToTarget(runs[i].execution_ns)});
       }
     }
     // Balsa trains on the most recent data, not a replay buffer.
-    const double loss = Fit(fresh, options_.train_epochs, &report);
-    record_episode(iter + 1, loss, before);
+    report.RecordEpisode(before, iter + 1,
+                         Fit(fresh, options_.train_epochs, &report));
   }
-
-  report.training_time_ns =
-      report.execution_ns +
-      report.plans_executed * timing::kTrainPlanOverheadNs +
-      report.nn_updates * timing::kNnUpdateNs +
-      report.nn_evals * timing::kNnEvalNs;
+  report.training_time_ns = report.TrainingTimeNs();
   return report;
 }
 

@@ -31,13 +31,6 @@ class BalsaOptimizer : public LearnedOptimizer {
     double learning_rate = 1e-3;
     double timeout_factor = 2.0;
     uint64_t seed = 2;
-    /// Training-execution workers. 0 keeps the serial in-place path
-    /// (executions share the parent's cache state); >= 1 executes each
-    /// candidate round on isolated worker replicas with deterministic
-    /// replay — results are then independent of the worker count. The
-    /// safe-timeout dependency (a round's timeouts derive from earlier
-    /// rounds' best latencies) is preserved by batching per round.
-    int32_t parallelism = 0;
   };
 
   BalsaOptimizer();
@@ -58,8 +51,8 @@ class BalsaOptimizer : public LearnedOptimizer {
   };
 
   void EnsureModel(engine::Database* db);
-  /// Trains `epochs` shuffled passes over `samples`; returns the mean
-  /// regression loss over all updates (0 when `samples` is empty).
+  /// Trains `epochs` shuffled passes over `samples`; returns the summed
+  /// regression loss of its updates.
   double Fit(const std::vector<Sample>& samples, int32_t epochs,
              TrainReport* report);
   SearchResult SearchPlan(const query::Query& q, engine::Database* db,

@@ -120,7 +120,6 @@ double BaoOptimizer::Fit(TrainReport* report) {
   std::vector<size_t> order(experience_.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
   double loss_sum = 0.0;
-  int64_t updates = 0;
   for (int32_t epoch = 0; epoch < options_.train_epochs; ++epoch) {
     for (size_t i = order.size(); i > 1; --i) {
       rng_state_ = rng_state_ * 6364136223846793005ULL + 1442695040888963407ULL;
@@ -132,34 +131,25 @@ double BaoOptimizer::Fit(TrainReport* report) {
           net_->TrainRegression({}, sample.query, sample.plan, *plan_encoder_,
                                 sample.target, adam_.get());
       ++report->nn_updates;
-      ++updates;
     }
   }
-  return updates > 0 ? loss_sum / static_cast<double>(updates) : 0.0;
+  return loss_sum;
 }
 
 TrainReport BaoOptimizer::Train(const std::vector<Query>& train_set,
                                 Database* db) {
   EnsureModel(db);
   TrainReport report;
-  std::unique_ptr<engine::BatchExecutor> batch_exec;
-  if (options_.parallelism > 0) {
-    batch_exec = std::make_unique<engine::BatchExecutor>(
-        db, options_.seed, options_.parallelism);
-  }
+  engine::BatchExecutor executor(db, options_.seed, training_parallelism());
   for (int32_t epoch = 0; epoch < options_.epochs; ++epoch) {
     const TrainReport before = report;
     const double epsilon =
         options_.initial_epsilon / static_cast<double>(epoch + 1);
-    // Phase A (serial): per-arm planning, model scoring and the
-    // epsilon-greedy arm choice — all the state that must advance in query
-    // order (parent config, rng_state_ draws).
-    struct ChosenArm {
-      const Query* query = nullptr;
-      optimizer::PhysicalPlan plan;
-    };
-    std::vector<ChosenArm> episode;
-    episode.reserve(train_set.size());
+    // Per-arm planning, model scoring and the epsilon-greedy arm choice
+    // advance serially in query order (parent config, rng_state_ draws);
+    // then the episode's chosen plans execute as one batch.
+    std::vector<optimizer::PhysicalPlan> chosen_plans;
+    chosen_plans.reserve(train_set.size());
     for (const Query& q : train_set) {
       std::vector<ArmCandidate> candidates = PlanArms(q, db, &report);
       report.nn_evals += static_cast<int64_t>(candidates.size());
@@ -177,54 +167,18 @@ TrainReport BaoOptimizer::Train(const std::vector<Query>& train_set,
           }
         }
       }
-      episode.push_back({&q, std::move(candidates[chosen].plan)});
+      chosen_plans.push_back(std::move(candidates[chosen].plan));
     }
-    // Phase B: execute the episode's chosen plans — concurrently on worker
-    // replicas when parallelism was requested, else serially in place.
-    std::vector<engine::QueryRun> runs;
-    if (batch_exec != nullptr) {
-      std::vector<engine::PlanExec> batch;
-      batch.reserve(episode.size());
-      for (const ChosenArm& arm : episode) {
-        batch.push_back({arm.query, &arm.plan, 0});
-      }
-      runs = batch_exec->Execute(batch);
-    } else {
-      runs.reserve(episode.size());
-      for (const ChosenArm& arm : episode) {
-        runs.push_back(db->ExecutePlan(*arm.query, arm.plan));
-      }
-    }
-    // Phase C (serial): collect experience and fit.
-    for (size_t i = 0; i < episode.size(); ++i) {
-      ++report.plans_executed;
-      report.execution_ns += runs[i].execution_ns;
-      experience_.push_back({*episode[i].query, std::move(episode[i].plan),
+    const std::vector<engine::QueryRun> runs =
+        executor.Execute(train_set, chosen_plans);
+    report.AddRuns(runs);
+    for (size_t i = 0; i < runs.size(); ++i) {
+      experience_.push_back({train_set[i], std::move(chosen_plans[i]),
                              LatencyToTarget(runs[i].execution_ns)});
     }
-    const double loss = Fit(&report);
-    // Episode telemetry: this epoch's deltas plus its share of the modeled
-    // training-time formula below.
-    EpisodeStats stats;
-    stats.episode = epoch;
-    stats.loss = loss;
-    stats.plans_executed = report.plans_executed - before.plans_executed;
-    stats.execution_ns = report.execution_ns - before.execution_ns;
-    stats.nn_updates = report.nn_updates - before.nn_updates;
-    stats.nn_evals = report.nn_evals - before.nn_evals;
-    stats.training_time_ns =
-        stats.execution_ns +
-        stats.plans_executed * timing::kTrainPlanOverheadNs +
-        stats.nn_updates * timing::kNnUpdateNs +
-        stats.nn_evals * timing::kNnEvalNs;
-    report.episodes.push_back(stats);
-    obs::Count(obs::Counter::kTrainEpisodes);
+    report.RecordEpisode(before, epoch, Fit(&report));
   }
-  report.training_time_ns =
-      report.execution_ns +
-      report.plans_executed * timing::kTrainPlanOverheadNs +
-      report.nn_updates * timing::kNnUpdateNs +
-      report.nn_evals * timing::kNnEvalNs;
+  report.training_time_ns = report.TrainingTimeNs();
   return report;
 }
 

@@ -43,11 +43,6 @@ class BaoOptimizer : public LearnedOptimizer {
     double learning_rate = 1e-3;
     double initial_epsilon = 0.5;
     uint64_t seed = 3;
-    /// Training-execution workers. 0 keeps the serial in-place path
-    /// (executions share the parent's cache state); >= 1 executes each
-    /// episode's plans on isolated worker replicas with deterministic
-    /// replay — results are then independent of the worker count.
-    int32_t parallelism = 0;
   };
 
   BaoOptimizer();
@@ -73,8 +68,8 @@ class BaoOptimizer : public LearnedOptimizer {
   };
 
   void EnsureModel(engine::Database* db);
-  /// Replays the experience buffer through the value net; returns the mean
-  /// regression loss over all updates performed.
+  /// Replays the experience buffer through the value net; returns the
+  /// summed regression loss of its updates.
   double Fit(TrainReport* report);
   std::vector<ArmCandidate> PlanArms(const query::Query& q,
                                      engine::Database* db,

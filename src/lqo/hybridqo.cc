@@ -5,6 +5,7 @@
 #include <limits>
 #include <map>
 
+#include "engine/exec_batch.h"
 #include "lqo/plan_search.h"
 #include "util/check.h"
 
@@ -141,10 +142,14 @@ TrainReport HybridQoOptimizer::Train(const std::vector<Query>& train_set,
                                      Database* db) {
   EnsureModel(db);
   TrainReport report;
+  engine::BatchExecutor executor(db, options_.seed, training_parallelism());
   for (int32_t epoch = 0; epoch < options_.epochs; ++epoch) {
+    const TrainReport before = report;
+    // Cost-guided MCTS proposes candidates; execute the latency-net pick
+    // (first epoch: the cost-best candidate) and learn its latency.
+    std::vector<PhysicalPlan> chosen_plans;
+    chosen_plans.reserve(train_set.size());
     for (const Query& q : train_set) {
-      // Cost-guided MCTS proposes candidates; execute the latency-net pick
-      // (first epoch: the cost-best candidate) and learn its latency.
       std::vector<PhysicalPlan> candidates =
           CandidatesFromMcts(q, db, &report.planner_calls);
       const std::vector<float> qenc = query_encoder_->Encode(q);
@@ -161,15 +166,19 @@ TrainReport HybridQoOptimizer::Train(const std::vector<Query>& train_set,
           }
         }
       }
-      const engine::QueryRun run = db->ExecutePlan(q, candidates[chosen]);
-      ++report.plans_executed;
-      report.execution_ns += run.execution_ns;
-      replay_.push_back({q, std::move(candidates[chosen]),
-                         LatencyToTarget(run.execution_ns)});
+      chosen_plans.push_back(std::move(candidates[chosen]));
+    }
+    const std::vector<engine::QueryRun> runs =
+        executor.Execute(train_set, chosen_plans);
+    report.AddRuns(runs);
+    for (size_t i = 0; i < runs.size(); ++i) {
+      replay_.push_back({train_set[i], std::move(chosen_plans[i]),
+                         LatencyToTarget(runs[i].execution_ns)});
     }
     // Fit the latency model.
     std::vector<size_t> idx(replay_.size());
     for (size_t i = 0; i < idx.size(); ++i) idx[i] = i;
+    double loss_sum = 0.0;
     for (int32_t te = 0; te < options_.train_epochs; ++te) {
       for (size_t i = idx.size(); i > 1; --i) {
         rng_state_ =
@@ -178,19 +187,15 @@ TrainReport HybridQoOptimizer::Train(const std::vector<Query>& train_set,
       }
       for (size_t i : idx) {
         const Sample& sample = replay_[i];
-        latency_net_->TrainRegression(query_encoder_->Encode(sample.query),
-                                      sample.query, sample.plan,
-                                      *plan_encoder_, sample.target,
-                                      adam_.get());
+        loss_sum += latency_net_->TrainRegression(
+            query_encoder_->Encode(sample.query), sample.query, sample.plan,
+            *plan_encoder_, sample.target, adam_.get());
         ++report.nn_updates;
       }
     }
+    report.RecordEpisode(before, epoch, loss_sum);
   }
-  report.training_time_ns =
-      report.execution_ns +
-      report.plans_executed * timing::kTrainPlanOverheadNs +
-      report.nn_updates * timing::kNnUpdateNs +
-      report.nn_evals * timing::kNnEvalNs;
+  report.training_time_ns = report.TrainingTimeNs();
   return report;
 }
 

@@ -30,10 +30,10 @@ inline constexpr util::VirtualNanos kLeonSubplanCallNs =
     100'000'000;  // 100 ms
 }  // namespace timing
 
-/// One training episode's telemetry (an epoch for Bao, an iteration for
-/// Neo/Balsa, one query's pairwise step for LEON). Deltas, not running
-/// totals: summing a field over episodes gives the TrainReport total for
-/// the phase that emitted them. Exported as JSONL "episode" records by
+/// One training episode's telemetry (an epoch for Bao, Lero and HybridQO,
+/// an iteration for Neo, Balsa, LOGER and RTOS, one query's pairwise step
+/// for LEON). Deltas, not running totals: summing a field over episodes
+/// gives the TrainReport total. Exported as JSONL "episode" records by
 /// benchkit::WriteWorkloadTrace.
 struct EpisodeStats {
   int32_t episode = 0;
@@ -62,6 +62,25 @@ struct TrainReport {
   util::VirtualNanos execution_ns = 0;
   /// Per-episode telemetry in training order (see EpisodeStats).
   std::vector<EpisodeStats> episodes;
+
+  /// Counts executed training plans and their execution time.
+  void AddRuns(const std::vector<engine::QueryRun>& runs);
+
+  /// Modeled training time of this report's counters: execution time,
+  /// `plan_overhead_ns` per executed plan, NN updates and evaluations, plus
+  /// `planner_call_ns` per planner call (LEON's subplan cost calls; free
+  /// for the others).
+  util::VirtualNanos TrainingTimeNs(
+      util::VirtualNanos planner_call_ns = 0,
+      util::VirtualNanos plan_overhead_ns = timing::kTrainPlanOverheadNs) const;
+
+  /// Books one training episode: appends the counter deltas since `before`
+  /// (a copy of this report taken when the episode began) with their
+  /// TrainingTimeNs(planner_call_ns), and counts obs kTrainEpisodes.
+  /// `loss_sum` is the summed loss of the episode's NN updates; the
+  /// episode's loss is its mean over them.
+  void RecordEpisode(const TrainReport& before, int32_t episode,
+                     double loss_sum, util::VirtualNanos planner_call_ns = 0);
 };
 
 /// A plan prediction with its modeled inference time (encoding + candidate
@@ -116,6 +135,19 @@ class LearnedOptimizer {
 
   /// The method's Table 1 row.
   virtual EncodingSpec encoding_spec() const = 0;
+
+  /// Training-execution workers for later Train() calls. 0 (the default)
+  /// executes each episode's plans in place on the training database,
+  /// sharing its cache state; >= 1 executes them on that many isolated
+  /// worker replicas with deterministic replay, so the trained model does
+  /// not depend on the worker count (engine::BatchExecutor).
+  void set_training_parallelism(int32_t workers) {
+    training_parallelism_ = workers;
+  }
+  int32_t training_parallelism() const { return training_parallelism_; }
+
+ private:
+  int32_t training_parallelism_ = 0;
 };
 
 }  // namespace lqolab::lqo

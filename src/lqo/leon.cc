@@ -7,7 +7,6 @@
 
 #include "engine/exec_batch.h"
 #include "lqo/plan_search.h"
-#include "obs/metrics.h"
 #include "util/check.h"
 
 namespace lqolab::lqo {
@@ -154,27 +153,17 @@ TrainReport LeonOptimizer::Train(const std::vector<Query>& train_set,
   EnsureModel(db);
   TrainReport report;
 
-  struct Executed {
-    PhysicalPlan plan;
-    VirtualNanos latency = 0;
-  };
-
-  std::unique_ptr<engine::BatchExecutor> batch_exec;
-  if (options_.parallelism > 0) {
-    batch_exec = std::make_unique<engine::BatchExecutor>(
-        db, options_.seed, options_.parallelism);
-  }
+  engine::BatchExecutor executor(db, options_.seed, training_parallelism());
 
   int32_t episode_index = 0;
   for (const Query& q : train_set) {
     // Respect the end-to-end training budget (the paper capped LEON's
-    // training at 120 hours and notes the budget cuts it short).
-    const VirtualNanos modeled =
-        report.execution_ns +
-        report.planner_calls * timing::kLeonSubplanCallNs +
-        report.nn_updates * timing::kNnUpdateNs +
-        report.nn_evals * timing::kNnEvalNs;
-    if (modeled >= options_.train_budget_ns) break;
+    // training at 120 hours and notes the budget cuts it short). The check
+    // leaves out the per-plan overhead.
+    if (report.TrainingTimeNs(timing::kLeonSubplanCallNs, 0) >=
+        options_.train_budget_ns) {
+      break;
+    }
     const TrainReport before = report;
 
     std::vector<Candidate> candidates =
@@ -196,79 +185,41 @@ TrainReport LeonOptimizer::Train(const std::vector<Query>& train_set,
       to_execute.push_back(i);
     }
 
-    // The selected candidates are independent executions of one query:
-    // run them concurrently when parallelism was requested.
-    std::vector<Executed> executed;
-    std::vector<engine::QueryRun> runs;
-    if (batch_exec != nullptr) {
-      std::vector<engine::PlanExec> batch;
-      batch.reserve(to_execute.size());
-      for (size_t idx : to_execute) {
-        batch.push_back({&q, &candidates[idx].plan, 0});
-      }
-      runs = batch_exec->Execute(batch);
-    } else {
-      runs.reserve(to_execute.size());
-      for (size_t idx : to_execute) {
-        runs.push_back(db->ExecutePlan(q, candidates[idx].plan));
-      }
+    // The selected candidates are independent executions of one query.
+    std::vector<engine::PlanExec> batch;
+    batch.reserve(to_execute.size());
+    for (size_t idx : to_execute) {
+      batch.push_back({&q, &candidates[idx].plan, 0});
     }
-    for (size_t i = 0; i < to_execute.size(); ++i) {
-      ++report.plans_executed;
-      report.execution_ns += runs[i].execution_ns;
-      executed.push_back({candidates[to_execute[i]].plan,
-                          runs[i].execution_ns});
-    }
+    const std::vector<engine::QueryRun> runs = executor.Execute(batch);
+    report.AddRuns(runs);
 
     // Pairwise ranking updates on the executed plans of this query.
     const std::vector<float> qenc = query_encoder_->Encode(q);
     double loss_sum = 0.0;
-    int64_t loss_count = 0;
     for (int32_t epoch = 0; epoch < options_.pair_epochs; ++epoch) {
-      for (size_t i = 0; i < executed.size(); ++i) {
-        for (size_t j = 0; j < executed.size(); ++j) {
-          if (executed[i].latency >= executed[j].latency) continue;
-          loss_sum += net_a_->TrainPairwise(qenc, q, executed[i].plan,
-                                            executed[j].plan, *plan_encoder_,
+      for (size_t i = 0; i < batch.size(); ++i) {
+        for (size_t j = 0; j < batch.size(); ++j) {
+          if (runs[i].execution_ns >= runs[j].execution_ns) continue;
+          loss_sum += net_a_->TrainPairwise(qenc, q, *batch[i].plan,
+                                            *batch[j].plan, *plan_encoder_,
                                             adam_a_.get());
-          loss_sum += net_b_->TrainPairwise(qenc, q, executed[i].plan,
-                                            executed[j].plan, *plan_encoder_,
+          loss_sum += net_b_->TrainPairwise(qenc, q, *batch[i].plan,
+                                            *batch[j].plan, *plan_encoder_,
                                             adam_b_.get());
           report.nn_updates += 2;
-          loss_count += 2;
         }
       }
     }
 
     // One query's active-learning step is one episode; its training-time
     // share uses LEON's formula (subplan calls dominate).
-    EpisodeStats stats;
-    stats.episode = episode_index++;
-    stats.loss =
-        loss_count > 0 ? loss_sum / static_cast<double>(loss_count) : 0.0;
-    stats.plans_executed = report.plans_executed - before.plans_executed;
-    stats.execution_ns = report.execution_ns - before.execution_ns;
-    stats.nn_updates = report.nn_updates - before.nn_updates;
-    stats.nn_evals = report.nn_evals - before.nn_evals;
-    stats.training_time_ns =
-        stats.execution_ns +
-        (report.planner_calls - before.planner_calls) *
-            timing::kLeonSubplanCallNs +
-        stats.nn_updates * timing::kNnUpdateNs +
-        stats.nn_evals * timing::kNnEvalNs +
-        stats.plans_executed * timing::kTrainPlanOverheadNs;
-    report.episodes.push_back(stats);
-    obs::Count(obs::Counter::kTrainEpisodes);
+    report.RecordEpisode(before, episode_index++, loss_sum,
+                         timing::kLeonSubplanCallNs);
   }
 
-  report.training_time_ns =
-      report.execution_ns +
-      report.planner_calls * timing::kLeonSubplanCallNs +
-      report.nn_updates * timing::kNnUpdateNs +
-      report.nn_evals * timing::kNnEvalNs +
-      report.plans_executed * timing::kTrainPlanOverheadNs;
-  report.training_time_ns = std::min<VirtualNanos>(
-      report.training_time_ns,
+  report.training_time_ns = std::min<util::VirtualNanos>(
+      report.TrainingTimeNs(timing::kLeonSubplanCallNs),
       options_.train_budget_ns + 3600ll * 1'000'000'000);
   return report;
 }

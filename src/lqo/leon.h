@@ -32,11 +32,6 @@ class LeonOptimizer : public LearnedOptimizer {
     /// (the paper capped LEON at 120 hours).
     util::VirtualNanos train_budget_ns = 120ll * 3600 * 1'000'000'000;
     uint64_t seed = 4;
-    /// Training-execution workers. 0 keeps the serial in-place path
-    /// (executions share the parent's cache state); >= 1 executes each
-    /// query's candidate set on isolated worker replicas with deterministic
-    /// replay — results are then independent of the worker count.
-    int32_t parallelism = 0;
   };
 
   LeonOptimizer();

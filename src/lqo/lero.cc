@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 
+#include "engine/exec_batch.h"
 #include "util/check.h"
 
 namespace lqolab::lqo {
@@ -61,28 +62,41 @@ TrainReport LeroOptimizer::Train(const std::vector<Query>& train_set,
                                  Database* db) {
   EnsureModel(db);
   TrainReport report;
+  engine::BatchExecutor executor(db, options_.seed, training_parallelism());
   for (int32_t epoch = 0; epoch < options_.epochs; ++epoch) {
+    const TrainReport before = report;
+    // Lero explores its candidate set during training: every distinct
+    // candidate of every query executes, in query order.
+    std::vector<std::vector<Candidate>> candidates;
+    candidates.reserve(train_set.size());
+    std::vector<engine::PlanExec> batch;
     for (const Query& q : train_set) {
-      std::vector<Candidate> candidates = GenerateCandidates(q, db, &report);
-      // Execute every distinct candidate (Lero explores its candidate set
-      // during training) and record pairwise labels by measured latency.
+      candidates.push_back(GenerateCandidates(q, db, &report));
+      for (const Candidate& candidate : candidates.back()) {
+        batch.push_back({&q, &candidate.plan, 0});
+      }
+    }
+    const std::vector<engine::QueryRun> runs = executor.Execute(batch);
+    report.AddRuns(runs);
+    // Pairwise labels by measured latency: adjacent ranks give clean
+    // comparator pairs.
+    size_t next_run = 0;
+    for (size_t qi = 0; qi < train_set.size(); ++qi) {
       std::vector<std::pair<VirtualNanos, size_t>> measured;
-      for (size_t i = 0; i < candidates.size(); ++i) {
-        const engine::QueryRun run = db->ExecutePlan(q, candidates[i].plan);
-        ++report.plans_executed;
-        report.execution_ns += run.execution_ns;
-        measured.emplace_back(run.execution_ns, i);
+      for (size_t i = 0; i < candidates[qi].size(); ++i) {
+        measured.emplace_back(runs[next_run++].execution_ns, i);
       }
       std::sort(measured.begin(), measured.end());
       for (size_t i = 0; i + 1 < measured.size(); ++i) {
-        // Adjacent ranks give clean comparator pairs.
-        pairs_.push_back({q, candidates[measured[i].second].plan,
-                          candidates[measured[i + 1].second].plan});
+        pairs_.push_back({train_set[qi],
+                          candidates[qi][measured[i].second].plan,
+                          candidates[qi][measured[i + 1].second].plan});
       }
     }
     // Comparator training over accumulated pairs.
     std::vector<size_t> idx(pairs_.size());
     for (size_t i = 0; i < idx.size(); ++i) idx[i] = i;
+    double loss_sum = 0.0;
     for (int32_t pe = 0; pe < options_.pair_epochs; ++pe) {
       for (size_t i = idx.size(); i > 1; --i) {
         rng_state_ =
@@ -91,17 +105,15 @@ TrainReport LeroOptimizer::Train(const std::vector<Query>& train_set,
       }
       for (size_t i : idx) {
         const Pair& pair = pairs_[i];
-        net_->TrainPairwise({}, pair.query, pair.better, pair.worse,
-                            *plan_encoder_, adam_.get());
+        loss_sum += net_->TrainPairwise({}, pair.query, pair.better,
+                                        pair.worse, *plan_encoder_,
+                                        adam_.get());
         ++report.nn_updates;
       }
     }
+    report.RecordEpisode(before, epoch, loss_sum);
   }
-  report.training_time_ns =
-      report.execution_ns +
-      report.plans_executed * timing::kTrainPlanOverheadNs +
-      report.nn_updates * timing::kNnUpdateNs +
-      report.nn_evals * timing::kNnEvalNs;
+  report.training_time_ns = report.TrainingTimeNs();
   return report;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "engine/exec_batch.h"
 #include "util/check.h"
 
 namespace lqolab::lqo {
@@ -118,10 +119,10 @@ SearchResult LogerOptimizer::BeamSearch(const Query& q, Database* db,
   return result;
 }
 
-void LogerOptimizer::Fit(Database* db, int32_t epochs, TrainReport* report) {
-  (void)db;
+double LogerOptimizer::Fit(int32_t epochs, TrainReport* report) {
   std::vector<size_t> idx(replay_.size());
   for (size_t i = 0; i < idx.size(); ++i) idx[i] = i;
+  double loss_sum = 0.0;
   for (int32_t epoch = 0; epoch < epochs; ++epoch) {
     for (size_t i = idx.size(); i > 1; --i) {
       rng_state_ = rng_state_ * 6364136223846793005ULL + 1442695040888963407ULL;
@@ -129,45 +130,59 @@ void LogerOptimizer::Fit(Database* db, int32_t epochs, TrainReport* report) {
     }
     for (size_t i : idx) {
       const Sample& sample = replay_[i];
-      net_->TrainRegression(query_encoder_->Encode(sample.query), sample.query,
-                            sample.plan, *plan_encoder_, sample.target,
-                            adam_.get());
+      loss_sum += net_->TrainRegression(
+          query_encoder_->Encode(sample.query), sample.query, sample.plan,
+          *plan_encoder_, sample.target, adam_.get());
       ++report->nn_updates;
     }
   }
+  return loss_sum;
 }
 
 TrainReport LogerOptimizer::Train(const std::vector<Query>& train_set,
                                   Database* db) {
   EnsureModel(db);
   TrainReport report;
-  // Bootstrap from the native optimizer.
-  for (const Query& q : train_set) {
-    const Database::Planned planned = db->PlanQuery(q);
-    ++report.planner_calls;
-    const engine::QueryRun run = db->ExecutePlan(q, planned.plan);
-    ++report.plans_executed;
-    report.execution_ns += run.execution_ns;
-    replay_.push_back({q, planned.plan, LatencyToTarget(run.execution_ns)});
+  engine::BatchExecutor executor(db, options_.seed, training_parallelism());
+  // Executes one plan per training query and adds the runs to the replay
+  // buffer.
+  auto collect = [&](std::vector<PhysicalPlan> plans) {
+    const std::vector<engine::QueryRun> runs =
+        executor.Execute(train_set, plans);
+    report.AddRuns(runs);
+    for (size_t i = 0; i < runs.size(); ++i) {
+      replay_.push_back({train_set[i], std::move(plans[i]),
+                         LatencyToTarget(runs[i].execution_ns)});
+    }
+  };
+  // Bootstrap from the native optimizer: episode 0, no fitting yet.
+  {
+    std::vector<PhysicalPlan> plans;
+    plans.reserve(train_set.size());
+    for (const Query& q : train_set) {
+      plans.push_back(db->PlanQuery(q).plan);
+      ++report.planner_calls;
+    }
+    collect(std::move(plans));
+    report.RecordEpisode(TrainReport{}, 0, 0.0);
   }
   for (int32_t iter = 0; iter < options_.iterations; ++iter) {
-    Fit(db, options_.train_epochs, &report);
+    const TrainReport before = report;
+    const double loss_sum = Fit(options_.train_epochs, &report);
+    std::vector<PhysicalPlan> plans;
+    plans.reserve(train_set.size());
     for (const Query& q : train_set) {
       SearchResult search = BeamSearch(q, db, options_.epsilon);
       report.nn_evals += search.evals;
-      const engine::QueryRun run = db->ExecutePlan(q, search.plan);
-      ++report.plans_executed;
-      report.execution_ns += run.execution_ns;
-      replay_.push_back(
-          {q, std::move(search.plan), LatencyToTarget(run.execution_ns)});
+      plans.push_back(std::move(search.plan));
     }
+    collect(std::move(plans));
+    report.RecordEpisode(before, iter + 1, loss_sum);
   }
-  Fit(db, options_.train_epochs, &report);
-  report.training_time_ns =
-      report.execution_ns +
-      report.plans_executed * timing::kTrainPlanOverheadNs +
-      report.nn_updates * timing::kNnUpdateNs +
-      report.nn_evals * timing::kNnEvalNs;
+  const TrainReport before = report;
+  report.RecordEpisode(before, options_.iterations + 1,
+                       Fit(options_.train_epochs, &report));
+  report.training_time_ns = report.TrainingTimeNs();
   return report;
 }
 

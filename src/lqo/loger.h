@@ -51,7 +51,9 @@ class LogerOptimizer : public LearnedOptimizer {
   /// Epsilon-beam search over (next relation, join algorithm) actions.
   SearchResult BeamSearch(const query::Query& q, engine::Database* db,
                           double epsilon);
-  void Fit(engine::Database* db, int32_t epochs, TrainReport* report);
+  /// Trains `epochs` shuffled passes over the replay buffer; returns the
+  /// summed regression loss of its updates.
+  double Fit(int32_t epochs, TrainReport* report);
 
   Options options_;
   std::unique_ptr<QueryEncoder> query_encoder_;

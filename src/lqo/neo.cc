@@ -5,7 +5,6 @@
 
 #include "engine/exec_batch.h"
 #include "lqo/plan_search.h"
-#include "obs/metrics.h"
 #include "util/check.h"
 
 namespace lqolab::lqo {
@@ -32,14 +31,11 @@ void NeoOptimizer::EnsureModel(Database* db) {
   shuffle_state_ = options_.seed ^ 0x5deece66dULL;
 }
 
-double NeoOptimizer::FitReplay(Database* db, int32_t epochs,
-                               TrainReport* report) {
-  (void)db;
+double NeoOptimizer::FitReplay(int32_t epochs, TrainReport* report) {
   if (replay_.empty()) return 0.0;
   std::vector<size_t> order(replay_.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
   double loss_sum = 0.0;
-  int64_t updates = 0;
   for (int32_t epoch = 0; epoch < epochs; ++epoch) {
     // Deterministic Fisher-Yates.
     for (size_t i = order.size(); i > 1; --i) {
@@ -54,10 +50,9 @@ double NeoOptimizer::FitReplay(Database* db, int32_t epochs,
           net_->TrainRegression(qenc, sample.query, sample.plan,
                                 *plan_encoder_, sample.target, adam_.get());
       ++report->nn_updates;
-      ++updates;
     }
   }
-  return updates > 0 ? loss_sum / static_cast<double>(updates) : 0.0;
+  return loss_sum;
 }
 
 SearchResult NeoOptimizer::SearchPlan(const Query& q, Database* db) {
@@ -88,24 +83,7 @@ TrainReport NeoOptimizer::Train(const std::vector<Query>& train_set,
   holdout_losses_.clear();
   iterations_run_ = 0;
 
-  std::unique_ptr<engine::BatchExecutor> batch_exec;
-  if (options_.parallelism > 0) {
-    batch_exec = std::make_unique<engine::BatchExecutor>(
-        db, options_.seed, options_.parallelism);
-  }
-  // Runs a batch of planned candidates: concurrently on worker replicas
-  // when parallelism was requested, else serially in place (bit-identical
-  // to the historical interleaved loop — plan search never depends on
-  // execution state).
-  auto execute_all = [&](const std::vector<engine::PlanExec>& batch) {
-    if (batch_exec != nullptr) return batch_exec->Execute(batch);
-    std::vector<engine::QueryRun> runs;
-    runs.reserve(batch.size());
-    for (const engine::PlanExec& task : batch) {
-      runs.push_back(db->ExecutePlan(*task.query, *task.plan));
-    }
-    return runs;
-  };
+  engine::BatchExecutor executor(db, options_.seed, training_parallelism());
 
   // A FIXED holdout (paper §5.1: comparable measurements require a fixed
   // validation set): every k-th training query, never trained on.
@@ -116,31 +94,25 @@ TrainReport NeoOptimizer::Train(const std::vector<Query>& train_set,
           ? std::max<int32_t>(2, static_cast<int32_t>(
                                      1.0 / options_.holdout_fraction))
           : 0;
+  std::vector<Query> holdout_queries;
   std::vector<optimizer::PhysicalPlan> holdout_plans;
-  std::vector<const Query*> holdout_queries;
   for (size_t i = 0; i < train_set.size(); ++i) {
     const Query& q = train_set[i];
     if (holdout_every > 0 &&
         static_cast<int32_t>(i) % holdout_every == holdout_every - 1) {
-      Database::Planned planned = db->PlanQuery(q);
+      holdout_queries.push_back(q);
+      holdout_plans.push_back(db->PlanQuery(q).plan);
       ++report.planner_calls;
-      holdout_queries.push_back(&q);
-      holdout_plans.push_back(std::move(planned.plan));
     } else {
       effective_train.push_back(q);
     }
   }
   {
-    std::vector<engine::PlanExec> batch;
-    batch.reserve(holdout_plans.size());
-    for (size_t i = 0; i < holdout_plans.size(); ++i) {
-      batch.push_back({holdout_queries[i], &holdout_plans[i], 0});
-    }
-    const std::vector<engine::QueryRun> runs = execute_all(batch);
+    const std::vector<engine::QueryRun> runs =
+        executor.Execute(holdout_queries, holdout_plans);
+    report.AddRuns(runs);
     for (size_t i = 0; i < runs.size(); ++i) {
-      ++report.plans_executed;
-      report.execution_ns += runs[i].execution_ns;
-      holdout.push_back({*holdout_queries[i], std::move(holdout_plans[i]),
+      holdout.push_back({holdout_queries[i], std::move(holdout_plans[i]),
                          LatencyToTarget(runs[i].execution_ns)});
     }
   }
@@ -150,54 +122,29 @@ TrainReport NeoOptimizer::Train(const std::vector<Query>& train_set,
     std::vector<optimizer::PhysicalPlan> plans;
     plans.reserve(effective_train.size());
     for (const Query& q : effective_train) {
-      Database::Planned planned = db->PlanQuery(q);
+      plans.push_back(db->PlanQuery(q).plan);
       ++report.planner_calls;
-      plans.push_back(std::move(planned.plan));
     }
-    std::vector<engine::PlanExec> batch;
-    batch.reserve(plans.size());
-    for (size_t i = 0; i < plans.size(); ++i) {
-      batch.push_back({&effective_train[i], &plans[i], 0});
-    }
-    const std::vector<engine::QueryRun> runs = execute_all(batch);
+    const std::vector<engine::QueryRun> runs =
+        executor.Execute(effective_train, plans);
+    report.AddRuns(runs);
     for (size_t i = 0; i < runs.size(); ++i) {
-      ++report.plans_executed;
-      report.execution_ns += runs[i].execution_ns;
       replay_.push_back({effective_train[i], std::move(plans[i]),
                          LatencyToTarget(runs[i].execution_ns)});
     }
   }
 
-  // Per-iteration episode telemetry: deltas of the report counters plus the
-  // iteration's mean replay loss.
-  auto record_episode = [&report](int32_t episode, double loss,
-                                  const TrainReport& before) {
-    EpisodeStats stats;
-    stats.episode = episode;
-    stats.loss = loss;
-    stats.plans_executed = report.plans_executed - before.plans_executed;
-    stats.execution_ns = report.execution_ns - before.execution_ns;
-    stats.nn_updates = report.nn_updates - before.nn_updates;
-    stats.nn_evals = report.nn_evals - before.nn_evals;
-    stats.training_time_ns =
-        stats.execution_ns +
-        stats.plans_executed * timing::kTrainPlanOverheadNs +
-        stats.nn_updates * timing::kNnUpdateNs +
-        stats.nn_evals * timing::kNnEvalNs;
-    report.episodes.push_back(stats);
-    obs::Count(obs::Counter::kTrainEpisodes);
-  };
   // The bootstrap above (holdout + expert-demonstration executions) is
   // episode 0 — no fitting has happened yet, so its loss is 0 — keeping
   // the invariant that episode deltas partition the report totals.
-  record_episode(0, 0.0, TrainReport{});
+  report.RecordEpisode(TrainReport{}, 0, 0.0);
 
   double best_holdout = 1e30;
   int32_t worse_streak = 0;
   for (int32_t iter = 0; iter < options_.iterations; ++iter) {
     ++iterations_run_;
     const TrainReport before = report;
-    const double iter_loss = FitReplay(db, options_.train_epochs, &report);
+    const double loss_sum = FitReplay(options_.train_epochs, &report);
     if (!holdout.empty()) {
       const double loss = HoldoutLoss(holdout);
       report.nn_evals += static_cast<int64_t>(holdout.size());
@@ -206,7 +153,7 @@ TrainReport NeoOptimizer::Train(const std::vector<Query>& train_set,
         best_holdout = loss;
         worse_streak = 0;
       } else if (++worse_streak >= options_.patience) {
-        record_episode(iter + 1, iter_loss, before);
+        report.RecordEpisode(before, iter + 1, loss_sum);
         break;  // early stopping on the fixed holdout
       }
     }
@@ -220,15 +167,10 @@ TrainReport NeoOptimizer::Train(const std::vector<Query>& train_set,
       report.nn_evals += search.evals;
       plans.push_back(std::move(search.plan));
     }
-    std::vector<engine::PlanExec> batch;
-    batch.reserve(plans.size());
-    for (size_t i = 0; i < plans.size(); ++i) {
-      batch.push_back({&effective_train[i], &plans[i], 0});
-    }
-    const std::vector<engine::QueryRun> runs = execute_all(batch);
+    const std::vector<engine::QueryRun> runs =
+        executor.Execute(effective_train, plans);
+    report.AddRuns(runs);
     for (size_t i = 0; i < runs.size(); ++i) {
-      ++report.plans_executed;
-      report.execution_ns += runs[i].execution_ns;
       replay_.push_back({effective_train[i], std::move(plans[i]),
                          LatencyToTarget(runs[i].execution_ns)});
       if (static_cast<int64_t>(replay_.size()) > options_.replay_capacity) {
@@ -238,19 +180,15 @@ TrainReport NeoOptimizer::Train(const std::vector<Query>& train_set,
                            options_.replay_capacity));
       }
     }
-    record_episode(iter + 1, iter_loss, before);
+    report.RecordEpisode(before, iter + 1, loss_sum);
   }
   {
     const TrainReport before = report;
-    const double final_loss = FitReplay(db, options_.train_epochs, &report);
-    record_episode(iterations_run_ + 1, final_loss, before);
+    report.RecordEpisode(before, iterations_run_ + 1,
+                         FitReplay(options_.train_epochs, &report));
   }
 
-  report.training_time_ns =
-      report.execution_ns +
-      report.plans_executed * timing::kTrainPlanOverheadNs +
-      report.nn_updates * timing::kNnUpdateNs +
-      report.nn_evals * timing::kNnEvalNs;
+  report.training_time_ns = report.TrainingTimeNs();
   return report;
 }
 

@@ -32,11 +32,6 @@ class NeoOptimizer : public LearnedOptimizer {
     double holdout_fraction = 0.0;
     int32_t patience = 2;
     uint64_t seed = 1;
-    /// Training-execution workers. 0 keeps the serial in-place path
-    /// (executions share the parent's cache state); >= 1 executes each
-    /// collection batch on isolated worker replicas with deterministic
-    /// replay — results are then independent of the worker count.
-    int32_t parallelism = 0;
   };
 
   NeoOptimizer();
@@ -67,8 +62,8 @@ class NeoOptimizer : public LearnedOptimizer {
 
   void EnsureModel(engine::Database* db);
   /// Trains `epochs` shuffled passes over the replay buffer; returns the
-  /// mean regression loss over all updates (0 when the buffer is empty).
-  double FitReplay(engine::Database* db, int32_t epochs, TrainReport* report);
+  /// summed regression loss of its updates.
+  double FitReplay(int32_t epochs, TrainReport* report);
   SearchResult SearchPlan(const query::Query& q, engine::Database* db);
 
   double HoldoutLoss(const std::vector<Sample>& holdout);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "engine/exec_batch.h"
 #include "util/check.h"
 
 namespace lqolab::lqo {
@@ -91,7 +92,7 @@ std::vector<AliasId> RtosOptimizer::SearchOrder(const Query& q, Database* db,
 
 double RtosOptimizer::TrainOn(const std::vector<Sample>& samples, Database* db,
                               int32_t epochs, TrainReport* report) {
-  double last_loss = 0.0;
+  double loss_sum = 0.0;
   std::vector<size_t> idx(samples.size());
   for (size_t i = 0; i < idx.size(); ++i) idx[i] = i;
   for (int32_t epoch = 0; epoch < epochs; ++epoch) {
@@ -102,55 +103,76 @@ double RtosOptimizer::TrainOn(const std::vector<Sample>& samples, Database* db,
     for (size_t i : idx) {
       const Sample& sample = samples[i];
       const PhysicalPlan plan = PlanForOrder(sample.query, db, sample.order);
-      last_loss = net_->TrainRegression(query_encoder_->Encode(sample.query),
+      loss_sum += net_->TrainRegression(query_encoder_->Encode(sample.query),
                                         sample.query, plan, *plan_encoder_,
                                         sample.target, adam_.get());
-      if (report != nullptr) ++report->nn_updates;
+      ++report->nn_updates;
     }
   }
-  return last_loss;
+  return loss_sum;
 }
 
 TrainReport RtosOptimizer::Train(const std::vector<Query>& train_set,
                                  Database* db) {
   EnsureModel(db);
   TrainReport report;
-
-  // Bootstrap orders from the native planner's plans (their leaf order).
-  for (const Query& q : train_set) {
-    const auto planned = db->PlanQuery(q);
-    ++report.planner_calls;
-    std::vector<AliasId> order;
-    for (const auto& node : planned.plan.nodes) {
-      if (node.type == optimizer::PlanNode::Type::kScan) {
-        order.push_back(node.alias);
-      }
+  engine::BatchExecutor executor(db, options_.seed, training_parallelism());
+  // Executes one join order per training query and adds the runs to the
+  // replay buffer.
+  auto collect = [&](std::vector<std::vector<AliasId>> orders) {
+    std::vector<PhysicalPlan> plans;
+    plans.reserve(orders.size());
+    for (size_t i = 0; i < orders.size(); ++i) {
+      plans.push_back(PlanForOrder(train_set[i], db, orders[i]));
     }
-    // The leaf sequence of a plan is not always a valid left-deep order;
-    // repair by greedy connectivity.
-    order = RepairOrder(q, order);
-    const engine::QueryRun run = db->ExecutePlan(q, PlanForOrder(q, db, order));
-    ++report.plans_executed;
-    report.execution_ns += run.execution_ns;
-    replay_.push_back({q, std::move(order),
-                       LatencyToTarget(run.execution_ns)});
+    const std::vector<engine::QueryRun> runs =
+        executor.Execute(train_set, plans);
+    report.AddRuns(runs);
+    for (size_t i = 0; i < runs.size(); ++i) {
+      replay_.push_back({train_set[i], std::move(orders[i]),
+                         LatencyToTarget(runs[i].execution_ns)});
+    }
+  };
+
+  // Bootstrap orders from the native planner's plans (their leaf order):
+  // episode 0, no fitting yet.
+  {
+    std::vector<std::vector<AliasId>> orders;
+    orders.reserve(train_set.size());
+    for (const Query& q : train_set) {
+      const auto planned = db->PlanQuery(q);
+      ++report.planner_calls;
+      std::vector<AliasId> order;
+      for (const auto& node : planned.plan.nodes) {
+        if (node.type == optimizer::PlanNode::Type::kScan) {
+          order.push_back(node.alias);
+        }
+      }
+      // The leaf sequence of a plan is not always a valid left-deep order;
+      // repair by greedy connectivity.
+      orders.push_back(RepairOrder(q, order));
+    }
+    collect(std::move(orders));
+    report.RecordEpisode(TrainReport{}, 0, 0.0);
   }
 
   for (int32_t iter = 0; iter < options_.iterations; ++iter) {
-    TrainOn(replay_, db, options_.train_epochs, &report);
+    const TrainReport before = report;
+    const double loss_sum =
+        TrainOn(replay_, db, options_.train_epochs, &report);
+    std::vector<std::vector<AliasId>> orders;
+    orders.reserve(train_set.size());
     for (const Query& q : train_set) {
       int64_t evals = 0;
-      std::vector<AliasId> order = SearchOrder(q, db, &evals);
+      orders.push_back(SearchOrder(q, db, &evals));
       report.nn_evals += evals;
-      const engine::QueryRun run =
-          db->ExecutePlan(q, PlanForOrder(q, db, order));
-      ++report.plans_executed;
-      report.execution_ns += run.execution_ns;
-      replay_.push_back({q, std::move(order),
-                         LatencyToTarget(run.execution_ns)});
     }
+    collect(std::move(orders));
+    report.RecordEpisode(before, iter + 1, loss_sum);
   }
-  TrainOn(replay_, db, options_.train_epochs, &report);
+  const TrainReport before = report;
+  const double final_loss_sum =
+      TrainOn(replay_, db, options_.train_epochs, &report);
 
   // Table 1: RTOS measures final aggregated performance via
   // cross-validation. Compute a k-fold holdout loss over the replay data.
@@ -177,12 +199,10 @@ TrainReport RtosOptimizer::Train(const std::vector<Query>& train_set,
     }
   }
   last_cv_loss_ = measured > 0 ? cv_total / measured : 0.0;
+  // The last episode: the final fit plus its cross-validation evaluations.
+  report.RecordEpisode(before, options_.iterations + 1, final_loss_sum);
 
-  report.training_time_ns =
-      report.execution_ns +
-      report.plans_executed * timing::kTrainPlanOverheadNs +
-      report.nn_updates * timing::kNnUpdateNs +
-      report.nn_evals * timing::kNnEvalNs;
+  report.training_time_ns = report.TrainingTimeNs();
   return report;
 }
 

@@ -61,6 +61,8 @@ class RtosOptimizer : public LearnedOptimizer {
   std::vector<query::AliasId> SearchOrder(const query::Query& q,
                                           engine::Database* db,
                                           int64_t* evals);
+  /// Trains `epochs` shuffled passes over `samples`; returns the summed
+  /// regression loss of its updates.
   double TrainOn(const std::vector<Sample>& samples, engine::Database* db,
                  int32_t epochs, TrainReport* report);
 

@@ -17,6 +17,9 @@
 #include "lqo/value_net.h"
 #include "query/sql_workload.h"
 
+#include "digest.h"
+#include "small_lqos.h"
+
 namespace lqolab::lqo {
 namespace {
 
@@ -375,6 +378,83 @@ TEST_F(LqoTest, TrainingDeterministicForSeed) {
   const Query& q = (*workload_)[45];
   EXPECT_EQ(bao1.Plan(q, db1.get()).plan.ToString(q),
             bao2.Plan(q, db2.get()).plan.ToString(q));
+}
+
+// Pins the in-place training trajectory (no worker replicas: executions
+// share the database's cache, warm-up and noise state) of every LQO, bit
+// for bit: the TrainReport totals, then Plan()'s plan, inference and
+// planning time on held-out queries. Each test builds its own database so
+// the digest does not depend on which tests ran before it. A mismatch
+// means training behaves differently, e.g. executes its plans in another
+// order.
+uint64_t TrainingDigest(const std::string& lqo_name) {
+  const std::unique_ptr<LearnedOptimizer> lqo = testutil::SmallLqo(lqo_name);
+  Database::Options options;
+  options.profile = datagen::ScaleProfile::Small();
+  options.seed = 42;
+  const auto db = Database::CreateImdb(options);
+  const std::vector<Query> workload =
+      query::LoadWorkload("job", db->schema());
+  // Train on the first variant of the first 8 small templates; hold out
+  // the next 4 small queries outside the train set.
+  std::vector<Query> train, held_out;
+  std::set<int32_t> templates;
+  for (const Query& q : workload) {
+    if (q.relation_count() > 8) continue;
+    if (train.size() < 8 && templates.insert(q.template_id).second) {
+      train.push_back(q);
+    } else if (train.size() == 8 && held_out.size() < 4 &&
+               templates.count(q.template_id) == 0) {
+      held_out.push_back(q);
+    }
+  }
+  const TrainReport report = lqo->Train(train, db.get());
+  testutil::Digest digest;
+  digest.AddInt(report.plans_executed);
+  digest.AddInt(report.execution_ns);
+  digest.AddInt(report.nn_updates);
+  digest.AddInt(report.nn_evals);
+  digest.AddInt(report.planner_calls);
+  digest.AddInt(report.training_time_ns);
+  for (const Query& q : held_out) {
+    const Prediction prediction = lqo->Plan(q, db.get());
+    digest.Add(prediction.plan.ToString(q));
+    digest.AddInt(prediction.inference_ns);
+    digest.AddInt(prediction.planning_ns);
+  }
+  return digest.value();
+}
+
+TEST(LqoTrainingDigest, Bao) {
+  EXPECT_EQ(TrainingDigest("bao"), 0x5333a348cc163296ull);
+}
+
+TEST(LqoTrainingDigest, Neo) {
+  EXPECT_EQ(TrainingDigest("neo"), 0x67bd742155ec5224ull);
+}
+
+TEST(LqoTrainingDigest, Balsa) {
+  EXPECT_EQ(TrainingDigest("balsa"), 0x2dfadc5a9dd2542eull);
+}
+
+TEST(LqoTrainingDigest, Leon) {
+  EXPECT_EQ(TrainingDigest("leon"), 0x6f427959676f74f0ull);
+}
+
+TEST(LqoTrainingDigest, Lero) {
+  EXPECT_EQ(TrainingDigest("lero"), 0xe542bdac67568d8full);
+}
+
+TEST(LqoTrainingDigest, Loger) {
+  EXPECT_EQ(TrainingDigest("loger"), 0x8cfd2119849aec0full);
+}
+
+TEST(LqoTrainingDigest, Rtos) {
+  EXPECT_EQ(TrainingDigest("rtos"), 0x5e53aba4f41d5ea7ull);
+}
+
+TEST(LqoTrainingDigest, HybridQo) {
+  EXPECT_EQ(TrainingDigest("hybridqo"), 0x79c748c86ce53489ull);
 }
 
 }  // namespace

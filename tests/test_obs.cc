@@ -19,12 +19,13 @@
 #include "benchkit/measurement.h"
 #include "benchkit/parallel_runner.h"
 #include "engine/database.h"
-#include "lqo/bao.h"
 #include "obs/explain.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "query/sql_workload.h"
 #include "storage/buffer_pool.h"
+
+#include "small_lqos.h"
 
 namespace lqolab::obs {
 namespace {
@@ -405,43 +406,54 @@ TEST_F(ObsEngineTest, ParallelWorkloadCountersEqualSerialRun) {
   EXPECT_GT(serial.Get(Counter::kExecPlansExecuted), 0);
 }
 
-TEST_F(ObsEngineTest, BaoTrainingEmitsEpisodes) {
+TEST_F(ObsEngineTest, EveryLqoTrainingEmitsEpisodes) {
   std::vector<Query> train(workload_->begin(), workload_->begin() + 4);
-  lqo::BaoOptimizer::Options options;
-  options.epochs = 2;
-  options.train_epochs = 2;
-  options.seed = 42;
-  // Deterministic-replay training path: executions run on worker replicas,
-  // so the shared fixture database's cache state stays untouched.
-  options.parallelism = 1;
-  lqo::BaoOptimizer bao(options);
-
-  MetricsRegistry metrics;
-  lqo::TrainReport report;
-  {
-    MetricsScope scope(&metrics);
-    report = bao.Train(train, db_);
+  for (const std::string& name : testutil::LqoNames()) {
+    SCOPED_TRACE(name);
+    const auto lqo = testutil::SmallLqo(name);
+    // Deterministic-replay training path: executions run on worker
+    // replicas, so the shared fixture database's cache state stays
+    // untouched.
+    lqo->set_training_parallelism(1);
+    MetricsRegistry metrics;
+    lqo::TrainReport report;
+    {
+      MetricsScope scope(&metrics);
+      report = lqo->Train(train, db_);
+    }
+    ASSERT_FALSE(report.episodes.empty());
+    // Neo, LOGER and RTOS bootstrap in episode 0 by executing plans they
+    // do not fit yet; every later episode, and every episode of the other
+    // trainers, updates the model.
+    const size_t first_fit =
+        name == "neo" || name == "loger" || name == "rtos" ? 1 : 0;
+    int64_t plans = 0, updates = 0, evals = 0;
+    util::VirtualNanos exec_ns = 0;
+    for (size_t i = 0; i < report.episodes.size(); ++i) {
+      const lqo::EpisodeStats& e = report.episodes[i];
+      EXPECT_EQ(e.episode, static_cast<int32_t>(i));
+      EXPECT_GE(e.loss, 0.0);
+      if (i >= first_fit) {
+        EXPECT_GT(e.nn_updates, 0);
+      }
+      plans += e.plans_executed;
+      updates += e.nn_updates;
+      evals += e.nn_evals;
+      exec_ns += e.execution_ns;
+    }
+    // Episode deltas partition the report totals.
+    EXPECT_EQ(plans, report.plans_executed);
+    EXPECT_EQ(updates, report.nn_updates);
+    EXPECT_EQ(evals, report.nn_evals);
+    EXPECT_EQ(exec_ns, report.execution_ns);
+    EXPECT_GT(report.plans_executed, 0);
+    EXPECT_EQ(metrics.Get(Counter::kTrainEpisodes),
+              static_cast<int64_t>(report.episodes.size()));
+    if (name == "bao") {
+      EXPECT_EQ(report.episodes.size(), 2u);
+      EXPECT_GT(metrics.Get(Counter::kHintSetsPlanned), 0);
+    }
   }
-  ASSERT_EQ(report.episodes.size(), 2u);
-  int64_t plans = 0, updates = 0, evals = 0;
-  util::VirtualNanos exec_ns = 0;
-  for (size_t i = 0; i < report.episodes.size(); ++i) {
-    const lqo::EpisodeStats& e = report.episodes[i];
-    EXPECT_EQ(e.episode, static_cast<int32_t>(i));
-    EXPECT_GE(e.loss, 0.0);
-    EXPECT_GT(e.nn_updates, 0);
-    plans += e.plans_executed;
-    updates += e.nn_updates;
-    evals += e.nn_evals;
-    exec_ns += e.execution_ns;
-  }
-  // Episode deltas partition the report totals.
-  EXPECT_EQ(plans, report.plans_executed);
-  EXPECT_EQ(updates, report.nn_updates);
-  EXPECT_EQ(evals, report.nn_evals);
-  EXPECT_EQ(exec_ns, report.execution_ns);
-  EXPECT_EQ(metrics.Get(Counter::kTrainEpisodes), 2);
-  EXPECT_GT(metrics.Get(Counter::kHintSetsPlanned), 0);
 }
 
 TEST(BufferPoolObsTest, CountsEvictions) {

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,6 +19,8 @@
 #include "lqo/bao.h"
 #include "query/sql_workload.h"
 #include "util/thread_pool.h"
+
+#include "small_lqos.h"
 
 namespace lqolab::benchkit {
 namespace {
@@ -301,24 +304,30 @@ TEST_F(ParallelRunnerTest, CloneSharesStorageAndPlansIdentically) {
 TEST_F(ParallelRunnerTest, TrainingBatchesDeterministicAcrossWorkerCounts) {
   std::vector<Query> train(workload_->begin(), workload_->begin() + 6);
   std::vector<Query> test(workload_->begin() + 6, workload_->begin() + 10);
-  // Two Bao instances trained with the replay batch path at different
-  // worker counts must land on identical models (same measurements on the
-  // same test set) — the training trajectory may not depend on scheduling.
-  std::vector<WorkloadMeasurement> results;
-  for (const int32_t parallelism : {1, 3}) {
-    lqo::BaoOptimizer::Options options;
-    options.epochs = 2;
-    options.train_epochs = 2;
-    options.parallelism = parallelism;
-    lqo::BaoOptimizer bao(options);
-    bao.Train(train, db_);
-    Protocol protocol;
-    RunnerOptions measure;
-    measure.parallelism = 1;
-    results.push_back(MeasureWorkload(db_, &bao, test, protocol, measure));
+  // Every LQO trained with the replay batch path at different worker
+  // counts must land on the same model (same training report, same
+  // measurements on the same test set) — the training trajectory may not
+  // depend on scheduling.
+  for (const std::string& name : testutil::LqoNames()) {
+    std::vector<lqo::TrainReport> reports;
+    std::vector<WorkloadMeasurement> results;
+    for (const int32_t parallelism : {1, 3}) {
+      const auto lqo = testutil::SmallLqo(name);
+      lqo->set_training_parallelism(parallelism);
+      reports.push_back(lqo->Train(train, db_));
+      Protocol protocol;
+      RunnerOptions measure;
+      measure.parallelism = 1;
+      results.push_back(
+          MeasureWorkload(db_, lqo.get(), test, protocol, measure));
+    }
+    EXPECT_EQ(reports[0].execution_ns, reports[1].execution_ns) << name;
+    EXPECT_EQ(reports[0].training_time_ns, reports[1].training_time_ns)
+        << name;
+    const std::string label = name + " trained at 1 vs 3 workers";
+    ExpectSameMeasurements(results[0].queries, results[1].queries,
+                           label.c_str());
   }
-  ExpectSameMeasurements(results[0].queries, results[1].queries,
-                         "bao trained at 1 vs 3 workers");
 }
 
 TEST_F(ParallelRunnerTest, BatchExecutorReplaysWarmupTrajectory) {
