@@ -1,14 +1,13 @@
 // Fuzz soak: runs the differential plan-correctness oracle (src/fuzz/) over
 // a rotation of engine configurations — bushy/left-deep, GEQO seeds, a
-// lowered GEQO threshold, the scalar reference engine and hash-sharded
-// storage (table_shards=8, on top of the sharded-twin arm every
-// configuration already runs) — with the native-passthrough and Bao arms
-// in the execution cross-check. Every configuration also runs the SQL
-// round-trip arm: each generated query renders to SQL, re-binds through
-// the sql/ frontend, and must fingerprint, render and DP-plan
-// byte-identically. Emits one JSON document (stdout, or the file given
-// as argv[1]) with queries/sec, checks/sec and the discrepancy count, which
-// must be zero; the recorded run lives at BENCH_fuzz.json.
+// lowered GEQO threshold and the scalar reference engine — with the
+// native-passthrough and Bao arms in the execution cross-check. Every
+// configuration also runs the SQL round-trip arm: each generated query
+// renders to SQL, re-binds through the sql/ frontend, and must
+// fingerprint, render and DP-plan byte-identically. Emits one JSON
+// document (stdout, or the file given as argv[1]) with queries/sec,
+// checks/sec and the discrepancy count, which must be zero; the recorded
+// run lives at BENCH_fuzz.json.
 //
 // Knobs (environment):
 //   LQOLAB_FUZZ_QUERIES   queries per configuration (default 250)
@@ -79,14 +78,6 @@ std::vector<ConfigSpec> ConfigRotation() {
   engine::DbConfig scalar_exec = engine::DbConfig::OurFramework();
   scalar_exec.vectorized_exec = false;
   specs.push_back({"scalar_exec", scalar_exec});
-
-  // Hash-sharded storage as the MAIN database (the oracle also runs its
-  // sharded-twin arm inside every other configuration): every check —
-  // execution cross-check, reference counts, estimator sweeps — runs
-  // against the sharded scan path and the per-shard buffer pools.
-  engine::DbConfig sharded = engine::DbConfig::OurFramework();
-  sharded.table_shards = 8;
-  specs.push_back({"sharded_8", sharded});
   return specs;
 }
 

@@ -208,12 +208,12 @@ std::vector<uint64_t> RecordJobLitePages(engine::Database* db) {
   const std::vector<query::Query> workload =
       query::LoadWorkload("job", db->schema());
   std::vector<uint64_t> stream;
-  db->context().pool().RecordAccesses(&stream);
+  db->context().buffer_pool->RecordAccesses(&stream);
   for (const query::Query& q : workload) {
     const auto planned = db->PlanQuery(q);
     for (int run = 0; run < 3; ++run) db->ExecutePlan(q, planned.plan);
   }
-  db->context().pool().RecordAccesses(nullptr);
+  db->context().buffer_pool->RecordAccesses(nullptr);
   return stream;
 }
 

@@ -45,8 +45,8 @@ struct ScaleProfile {
   /// The scale-factor knob of the parallelism benchmarks: sf x Medium().
   /// sf 1 is the default ~0.66M-row database; sf 16 crosses 10M rows
   /// (~10.6M) while keeping the same skew and correlation structure, so
-  /// storage-layer changes (table sharding, per-shard buffer pools) can be
-  /// benchmarked against a heap that dwarfs every cache tier.
+  /// storage-layer changes (buffer pool, page charging) can be benchmarked
+  /// against a heap that dwarfs every cache tier.
   static ScaleProfile ForScaleFactor(double sf) {
     return Medium().Scaled(sf);
   }

@@ -109,22 +109,6 @@ struct DbConfig {
   /// "changing the internal cardinality estimations").
   double join_selectivity_scale = 1.0;
 
-  // --- Storage layout -----------------------------------------------------
-  /// Opt-in table sharding: when > 1, the stored tables are hash-partitioned
-  /// into this many shards (storage::ShardedTableSet) at build time, scans
-  /// run shard-at-a-time over dense per-shard column segments, and the
-  /// buffer cache splits into one pool per shard (docs/parallelism.md).
-  /// Results, plans and cardinalities are byte-identical to the unsharded
-  /// layout (locked by `ctest -L shard` and the fuzzer's sharded arm);
-  /// only the virtual cache-hit pattern may shift, because each shard has
-  /// its own LRU. Build-time only: Database::TrySetConfig preserves the
-  /// built value (a config carrying a different shard count applies its
-  /// other fields and keeps the existing layout), and like vectorized_exec
-  /// it is not part of
-  /// serve::PlanCacheKey — the planner never reads it. 1 = disabled;
-  /// valid range up to storage::ShardedTableSet::kMaxShards (64).
-  int32_t table_shards = 1;
-
   // --- Mid-query adaptive re-optimization (docs/overload.md) -------------
   /// Cancel-and-replan when an observed node cardinality diverges from the
   /// planner's estimate by more than replan_qerror_threshold: the executor

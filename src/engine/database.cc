@@ -78,10 +78,6 @@ std::unique_ptr<Database> Database::FromTables(
 void Database::FinishBuild(std::shared_ptr<SharedContext> shared) {
   BuildIndexes(*shared);
   Analyze(*shared);
-  if (ctx_.config.table_shards > 1) {
-    shared->shards = std::make_shared<const storage::ShardedTableSet>(
-        shared->tables, ctx_.config.table_shards);
-  }
   // Freeze: from here on the shared context is only ever read.
   ctx_.shared = std::move(shared);
   ctx_.schema = &ctx_.shared->schema;
@@ -94,7 +90,7 @@ std::unique_ptr<Database> Database::CloneContextForWorker() const {
   options.config = ctx_.config;
   std::unique_ptr<Database> db(new Database(options));
   // The whole post-build state transfers as one refcount bump; only the
-  // per-replica runtime (buffer pools, oracle, planner, executor) is built.
+  // per-replica runtime (buffer pool, oracle, planner, executor) is built.
   db->ctx_.shared = ctx_.shared;
   db->ctx_.schema = ctx_.schema;
   db->InitRuntime();
@@ -151,29 +147,10 @@ void Database::Analyze(SharedContext& shared) {
   }
 }
 
-namespace {
-
-/// Per-shard pool capacity: the configured capacity split evenly across
-/// shards (floored like ScaledPages so tiny configs stay usable).
-int64_t ShardPages(int64_t mb, int32_t num_shards) {
-  return std::max<int64_t>(16, ScaledPages(mb) / num_shards);
-}
-
-}  // namespace
-
 void Database::InitRuntime() {
   ctx_.buffer_pool = std::make_unique<storage::BufferPool>(
       ScaledPages(ctx_.config.shared_buffers_mb),
       ScaledPages(ctx_.config.ram_mb));
-  ctx_.shard_pools.clear();
-  if (const storage::ShardedTableSet* shards = ctx_.shards()) {
-    const int32_t n = shards->num_shards();
-    for (int32_t s = 0; s < n; ++s) {
-      ctx_.shard_pools.push_back(std::make_unique<storage::BufferPool>(
-          ShardPages(ctx_.config.shared_buffers_mb, n),
-          ShardPages(ctx_.config.ram_mb, n)));
-    }
-  }
   oracle_ = std::make_unique<exec::Oracle>(&ctx_);
   planner_ = std::make_unique<optimizer::Planner>(&ctx_);
   executor_ = std::make_unique<exec::Executor>(&ctx_, oracle_.get());
@@ -184,34 +161,21 @@ void Database::SetConfig(const DbConfig& config) {
 }
 
 util::Status Database::TrySetConfig(const DbConfig& config) {
-  DbConfig next = config;
-  // Sharding is physical layout, fixed when the tables were partitioned at
-  // build time: the built value is preserved no matter what the incoming
-  // config says (see DbConfig::table_shards).
-  next.table_shards = ctx_.config.table_shards;
   const bool memory_changed =
-      next.shared_buffers_mb != ctx_.config.shared_buffers_mb ||
-      next.ram_mb != ctx_.config.ram_mb;
+      config.shared_buffers_mb != ctx_.config.shared_buffers_mb ||
+      config.ram_mb != ctx_.config.ram_mb;
   if (memory_changed) {
-    if (next.shared_buffers_mb <= 0 || next.ram_mb <= 0) {
+    if (config.shared_buffers_mb <= 0 || config.ram_mb <= 0) {
       return util::Status(util::StatusCode::kResourceExhausted,
                           "non-positive buffer sizing");
     }
     const util::Status status =
-        ctx_.buffer_pool->TryResize(ScaledPages(next.shared_buffers_mb),
-                                    ScaledPages(next.ram_mb));
+        ctx_.buffer_pool->TryResize(ScaledPages(config.shared_buffers_mb),
+                                    ScaledPages(config.ram_mb));
     if (!status.ok()) return status;  // Old config and caches intact.
-    const int32_t n = static_cast<int32_t>(ctx_.shard_pools.size());
-    for (auto& pool : ctx_.shard_pools) {
-      // Strictly smaller positive capacities than the main resize that just
-      // succeeded, so this cannot fail.
-      LQOLAB_CHECK(pool->TryResize(ShardPages(next.shared_buffers_mb, n),
-                                   ShardPages(next.ram_mb, n))
-                       .ok());
-    }
     run_counts_.clear();
   }
-  ctx_.config = next;
+  ctx_.config = config;
   return util::Status::Ok();
 }
 
@@ -417,7 +381,6 @@ int64_t Database::RunCount(const query::Query& q) const {
 
 void Database::DropCaches() {
   ctx_.buffer_pool->DropCaches();
-  for (auto& pool : ctx_.shard_pools) pool->DropCaches();
   run_counts_.clear();
 }
 

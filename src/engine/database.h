@@ -104,9 +104,9 @@ class Database {
   /// Creates an isolated worker replica for parallel measurement. O(1) in
   /// database size: the replica adopts this instance's frozen
   /// engine::SharedContext (catalog, column segments, dictionaries,
-  /// indexes, statistics, shard layout) by shared_ptr — nothing is copied —
-  /// and owns only fresh per-replica state: buffer pools, oracle, planner,
-  /// executor, warm-up counters and the noise stream. Executions on the
+  /// indexes, statistics) by shared_ptr — nothing is copied — and owns
+  /// only fresh per-replica state: buffer pool, oracle, planner, executor,
+  /// warm-up counters and the noise stream. Executions on the
   /// replica never observe or perturb the parent (or any sibling). Pair
   /// with BeginQueryReplay() for scheduling-independent results.
   std::unique_ptr<Database> CloneContextForWorker() const;
@@ -237,9 +237,9 @@ class Database {
  private:
   explicit Database(const Options& options);
 
-  /// Indexes + ANALYZE + optional sharding over an assembled (schema,
-  /// tables) SharedContext, then freezes it into ctx_ and initializes the
-  /// per-replica runtime. The build-time half of every factory.
+  /// Indexes + ANALYZE over an assembled (schema, tables) SharedContext,
+  /// then freezes it into ctx_ and initializes the per-replica runtime. The
+  /// build-time half of every factory.
   void FinishBuild(std::shared_ptr<SharedContext> shared);
   void BuildIndexes(SharedContext& shared);
   static void Analyze(SharedContext& shared);

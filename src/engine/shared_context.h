@@ -9,22 +9,20 @@
 #include "catalog/schema.h"
 #include "stats/column_stats.h"
 #include "storage/index.h"
-#include "storage/sharded_table.h"
 #include "storage/table.h"
 
 namespace lqolab::engine {
 
 /// Everything about a database that is immutable once the build pipeline
-/// (datagen -> BuildIndexes -> ANALYZE -> optional sharding) has run: the
-/// catalog, the column segments and their string dictionaries, the
-/// secondary indexes, the per-column statistics (MCVs, histograms) and the
-/// optional hash-partitioned shard layout.
+/// (datagen -> BuildIndexes -> ANALYZE) has run: the catalog, the column
+/// segments and their string dictionaries, the secondary indexes and the
+/// per-column statistics (MCVs, histograms).
 ///
 /// Database assembles one SharedContext per build, then freezes it behind
 /// `shared_ptr<const SharedContext>`. Worker replicas
 /// (Database::CloneContextForWorker) copy only that pointer — cloning is
 /// O(1) regardless of data size — and layer their own mutable state (buffer
-/// pools, warm-up counters, noise RNG, metrics sinks) on top in
+/// pool, warm-up counters, noise RNG, metrics sinks) on top in
 /// exec::DbContext. Nothing here is written after the freeze, so concurrent
 /// readers need no synchronization (tests/test_parallel_runner.cc stresses
 /// this under TSAN).
@@ -37,9 +35,6 @@ struct SharedContext {
       indexes;
   /// ANALYZE output, one entry per table.
   std::vector<stats::TableStats> table_stats;
-  /// Hash-partitioned shard layout; null unless DbConfig::table_shards > 1
-  /// at build time.
-  std::shared_ptr<const storage::ShardedTableSet> shards;
 };
 
 }  // namespace lqolab::engine

@@ -38,22 +38,18 @@ struct CardinalityPins {
 /// and executor. Owned and assembled by engine::Database.
 ///
 /// All immutable post-build state (catalog, column segments, indexes,
-/// statistics, shard layout) lives in one engine::SharedContext referenced
-/// here by shared_ptr: worker replicas copy the pointer, never the data.
+/// statistics) lives in one engine::SharedContext referenced here by
+/// shared_ptr: worker replicas copy the pointer, never the data.
 /// What remains in the context itself is exactly the per-replica mutable
-/// state — buffer pools and configuration.
+/// state — the buffer pool and configuration.
 struct DbContext {
   /// Convenience alias for `&shared->schema` (kept as a raw pointer because
   /// query generation and plan encoding take the schema standalone).
   const catalog::Schema* schema = nullptr;
   std::shared_ptr<const engine::SharedContext> shared;
-  /// Main buffer cache. With sharding enabled it serves index and any
-  /// non-sharded pages; heap pages of sharded tables go to shard_pools.
+  /// The replica's buffer cache: every heap and index page charge goes
+  /// through it.
   std::unique_ptr<storage::BufferPool> buffer_pool;
-  /// One pool per shard (empty unless config.table_shards > 1), each sized
-  /// 1/num_shards of the configured capacities: sharding partitions the
-  /// cache the way it partitions the heap.
-  std::vector<std::unique_ptr<storage::BufferPool>> shard_pools;
   engine::DbConfig config;
   /// Installed (non-null) only while engine::Database::ExecutePlanAdaptive
   /// is re-planning; consulted first by stats::CardinalityEstimator. Owned
@@ -90,38 +86,6 @@ struct DbContext {
                                          catalog::ColumnId column) const {
     return shared->table_stats[static_cast<size_t>(table)]
         .columns[static_cast<size_t>(column)];
-  }
-
-  /// Shard layout, or nullptr when sharding is disabled.
-  const storage::ShardedTableSet* shards() const {
-    return shared == nullptr ? nullptr : shared->shards.get();
-  }
-
-  /// Pool serving `shard` (-1 or out of range = the main pool). The single
-  /// routing point for every page charge in the executor.
-  storage::BufferPool& pool(int32_t shard = -1) const {
-    if (shard >= 0 && static_cast<size_t>(shard) < shard_pools.size()) {
-      return *shard_pools[static_cast<size_t>(shard)];
-    }
-    return *buffer_pool;
-  }
-
-  // Buffer counters aggregated across the main and shard pools, so
-  // EXPLAIN ANALYZE tier breakdowns mean the same thing sharded or not.
-  int64_t buffer_shared_hits() const {
-    int64_t n = buffer_pool->shared_hits();
-    for (const auto& p : shard_pools) n += p->shared_hits();
-    return n;
-  }
-  int64_t buffer_os_hits() const {
-    int64_t n = buffer_pool->os_hits();
-    for (const auto& p : shard_pools) n += p->os_hits();
-    return n;
-  }
-  int64_t buffer_disk_reads() const {
-    int64_t n = buffer_pool->disk_reads();
-    for (const auto& p : shard_pools) n += p->disk_reads();
-    return n;
   }
 };
 

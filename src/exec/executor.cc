@@ -58,8 +58,7 @@ Executor::Executor(DbContext* ctx, Oracle* oracle)
   LQOLAB_CHECK(oracle != nullptr);
 }
 
-VirtualNanos Executor::ChargePage(uint64_t key, bool sequential,
-                                  int32_t shard) {
+VirtualNanos Executor::ChargePage(uint64_t key, bool sequential) {
   ++pages_accessed_;
   obs::Count(obs::Counter::kExecPagesAccessed);
   // Single choke point of every buffer access: the canonical storage fault
@@ -69,7 +68,7 @@ VirtualNanos Executor::ChargePage(uint64_t key, bool sequential,
   if (fault.is_error() && fault_status_.ok()) {
     fault_status_ = fault.error("buffer.read_page");
   }
-  const AccessTier tier = ctx_->pool(shard).Access(key);
+  const AccessTier tier = ctx_->buffer_pool->Access(key);
   VirtualNanos nanos = TierCost(tier, sequential);
   if (fault.is_latency()) nanos += fault.latency_ns;
   return nanos;
@@ -80,33 +79,19 @@ VirtualNanos Executor::ChargeHeapFetches(catalog::TableId table,
                                          bool page_ordered) {
   if (rows.empty()) return 0;
   VirtualNanos total = 0;
-  const storage::ShardedTableSet* shards = ctx_->shards();
   const int64_t n = static_cast<int64_t>(rows.size());
   const int64_t step = std::max<int64_t>(1, n / kMaxPageLoop);
   int64_t charged = 0;
   int64_t last_page = -1;
-  int32_t last_shard = -1;
   for (int64_t i = 0; i < n; i += step) {
-    const RowId row = rows[static_cast<size_t>(i)];
-    int32_t shard = -1;
-    int64_t page;
-    if (shards != nullptr) {
-      // Sharded heap: the row lives on a shard-local page of its shard's
-      // buffer pool.
-      shard = shards->shard_of_row(table, row);
-      page = shards->local_page(table, row);
-    } else {
-      page = storage::Table::PageOfRow(row);
-    }
-    if (page_ordered && page == last_page && shard == last_shard) {
-      continue;  // row-ids sorted: dedup
-    }
+    const int64_t page =
+        storage::Table::PageOfRow(rows[static_cast<size_t>(i)]);
+    if (page_ordered && page == last_page) continue;  // row-ids sorted: dedup
     last_page = page;
-    last_shard = shard;
     total += ChargePage(
         BufferPool::PageKey(table, PageKind::kHeap, catalog::kInvalidColumn,
                             page),
-        page_ordered, shard);
+        page_ordered);
     ++charged;
   }
   if (charged == 0) return 0;
@@ -125,26 +110,16 @@ VirtualNanos Executor::ChargeRandomHeapPages(catalog::TableId table,
   const int64_t pages =
       std::max<int64_t>(1, ctx_->table(table).page_count());
   const int64_t loops = std::min(touches, kMaxPageLoop);
-  const storage::ShardedTableSet* shards = ctx_->shards();
   VirtualNanos total = 0;
   uint64_t state = 0x9e3779b97f4a7c15ULL ^ static_cast<uint64_t>(table);
   for (int64_t i = 0; i < loops; ++i) {
     state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-    int64_t page = static_cast<int64_t>((state >> 33) %
-                                        static_cast<uint64_t>(pages));
-    int32_t shard = -1;
-    if (shards != nullptr) {
-      // Map the probed global page to the shard-local page of its first row
-      // (deterministic, and distributes probes across shard pools the same
-      // way the heap itself is distributed).
-      const RowId row = static_cast<RowId>(page * storage::kRowsPerPage);
-      shard = shards->shard_of_row(table, row);
-      page = shards->local_page(table, row);
-    }
+    const int64_t page = static_cast<int64_t>((state >> 33) %
+                                              static_cast<uint64_t>(pages));
     total += ChargePage(
         BufferPool::PageKey(table, PageKind::kHeap, catalog::kInvalidColumn,
                             page),
-        /*sequential=*/false, shard);
+        /*sequential=*/false);
   }
   const double scale =
       static_cast<double>(touches) / static_cast<double>(loops);
@@ -181,23 +156,10 @@ VirtualNanos Executor::ScanCost(const Query& q, const PlanNode& node,
 
   switch (node.scan_type) {
     case ScanType::kSeq: {
-      if (const storage::ShardedTableSet* shards = ctx_->shards()) {
-        // Sharded heap: one sequential sweep per shard, each through its
-        // own buffer pool.
-        for (int32_t s = 0; s < shards->num_shards(); ++s) {
-          const int64_t shard_pages = shards->shard(table_id, s).page_count();
-          for (int64_t p = 0; p < shard_pages; ++p) {
-            io += ChargePage(BufferPool::PageKey(table_id, PageKind::kHeap,
-                                                 catalog::kInvalidColumn, p),
-                             /*sequential=*/true, s);
-          }
-        }
-      } else {
-        for (int64_t p = 0; p < pages; ++p) {
-          io += ChargePage(BufferPool::PageKey(table_id, PageKind::kHeap,
-                                               catalog::kInvalidColumn, p),
-                           /*sequential=*/true);
-        }
+      for (int64_t p = 0; p < pages; ++p) {
+        io += ChargePage(BufferPool::PageKey(table_id, PageKind::kHeap,
+                                             catalog::kInvalidColumn, p),
+                         /*sequential=*/true);
       }
       cpu = static_cast<double>(total_rows) *
             static_cast<double>(tc.scan_tuple + pred_count * tc.pred_eval);
@@ -515,11 +477,10 @@ ExecutionResult Executor::Execute(const Query& q, const PhysicalPlan& plan,
         }
       }
     }
-    // Aggregated across the main and shard pools, so sharded tier
-    // breakdowns stay comparable to unsharded ones.
-    const int64_t shared_before = ctx_->buffer_shared_hits();
-    const int64_t os_before = ctx_->buffer_os_hits();
-    const int64_t disk_before = ctx_->buffer_disk_reads();
+    const BufferPool& pool = *ctx_->buffer_pool;
+    const int64_t shared_before = pool.shared_hits();
+    const int64_t os_before = pool.os_hits();
+    const int64_t disk_before = pool.disk_reads();
     bool node_overflow = false;
     VirtualNanos node_cost = 0;
     if (node.type == PlanNode::Type::kScan) {
@@ -543,9 +504,9 @@ ExecutionResult Executor::Execute(const Query& q, const PhysicalPlan& plan,
             outer.overflow ? -1 : std::max<int64_t>(1, outer.rows);
       }
     }
-    stats.shared_hits = ctx_->buffer_shared_hits() - shared_before;
-    stats.os_hits = ctx_->buffer_os_hits() - os_before;
-    stats.disk_reads = ctx_->buffer_disk_reads() - disk_before;
+    stats.shared_hits = pool.shared_hits() - shared_before;
+    stats.os_hits = pool.os_hits() - os_before;
+    stats.disk_reads = pool.disk_reads() - disk_before;
     if (node_overflow) {
       overflow = true;
       break;

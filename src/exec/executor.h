@@ -136,10 +136,8 @@ class Executor {
 
  private:
   /// Charges one page access and returns its cost. `sequential` selects the
-  /// cheaper read-ahead disk cost on a miss. `shard` routes the access to a
-  /// per-shard buffer pool (-1 = the main pool; see DbContext::pool).
-  util::VirtualNanos ChargePage(uint64_t key, bool sequential,
-                                int32_t shard = -1);
+  /// cheaper read-ahead disk cost on a miss.
+  util::VirtualNanos ChargePage(uint64_t key, bool sequential);
 
   /// Charges page accesses for `count` heap fetches given by row-ids,
   /// sampling at most kMaxPageLoop accesses and scaling the charge.

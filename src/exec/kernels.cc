@@ -119,31 +119,6 @@ void RefinePredicate(const Value* data, const query::BoundPredicate& pred,
   DispatchPredicate(pred, [&](auto match) { RefineImpl(data, rows, match); });
 }
 
-void MergeShardRows(const std::vector<std::vector<RowId>>& lists,
-                    std::vector<RowId>* out) {
-  out->clear();
-  size_t total = 0;
-  for (const auto& list : lists) total += list.size();
-  out->reserve(total);
-  // Cursor-based k-way merge; k is the shard count (≤ 64, typically ≤ 8),
-  // so a linear min scan over the heads beats heap bookkeeping.
-  std::vector<size_t> cursor(lists.size(), 0);
-  while (out->size() < total) {
-    size_t best = lists.size();
-    RowId best_row = 0;
-    for (size_t l = 0; l < lists.size(); ++l) {
-      if (cursor[l] >= lists[l].size()) continue;
-      const RowId head = lists[l][cursor[l]];
-      if (best == lists.size() || head < best_row) {
-        best = l;
-        best_row = head;
-      }
-    }
-    out->push_back(best_row);
-    ++cursor[best];
-  }
-}
-
 namespace {
 
 /// Smallest power of two ≥ 2n (load factor ≤ 0.5), floored at 16 slots.

@@ -82,13 +82,6 @@ void RefinePredicate(const storage::Value* data,
                      const query::BoundPredicate& pred,
                      std::vector<storage::RowId>* rows);
 
-/// K-way merge of per-shard match lists (storage::ShardedTableSet scans):
-/// each input list is ascending and the lists are pairwise disjoint, so the
-/// merged output is the exact ascending row-id list an unsharded scan would
-/// have produced. `*out` is cleared first.
-void MergeShardRows(const std::vector<std::vector<storage::RowId>>& lists,
-                    std::vector<storage::RowId>* out);
-
 /// Open-addressing set of non-null join-key values — the batch counterpart
 /// of the reference path's std::unordered_set<Value> in semi-join
 /// reduction. Build() reuses slot storage across calls.

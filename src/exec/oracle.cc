@@ -107,33 +107,6 @@ Oracle::QueryMemo& Oracle::Memo(const Query& q) {
   return memo;
 }
 
-void Oracle::FilterSharded(const storage::ShardedTableSet& shards,
-                           catalog::TableId table,
-                           const query::BoundPredicate* preds,
-                           size_t pred_count, std::vector<RowId>* rows) {
-  LQOLAB_DCHECK(pred_count > 0);
-  const int32_t n = shards.num_shards();
-  if (static_cast<int32_t>(shard_rows_.size()) < n) shard_rows_.resize(n);
-  for (int32_t s = 0; s < n; ++s) {
-    const storage::ShardedTableSet::Shard& shard = shards.shard(table, s);
-    shard_local_.clear();
-    kernels::SelectPredicate(shard.column_data(preds[0].column),
-                             shard.row_count(), preds[0], &shard_local_);
-    for (size_t p = 1; p < pred_count; ++p) {
-      kernels::RefinePredicate(shard.column_data(preds[p].column), preds[p],
-                               &shard_local_);
-    }
-    // Local -> global: shard.row_ids is ascending, so order is preserved.
-    std::vector<RowId>& global = shard_rows_[static_cast<size_t>(s)];
-    global.clear();
-    global.reserve(shard_local_.size());
-    for (RowId local : shard_local_) {
-      global.push_back(shard.row_ids[static_cast<size_t>(local)]);
-    }
-  }
-  kernels::MergeShardRows(shard_rows_, rows);
-}
-
 void Oracle::Filter(catalog::TableId table_id,
                     const query::BoundPredicate* preds, size_t pred_count,
                     std::vector<RowId>* rows) {
@@ -142,13 +115,9 @@ void Oracle::Filter(catalog::TableId table_id,
   if (ctx_->config.vectorized_exec) {
     // Batched engine: full-column selection kernel on the first predicate,
     // then in-place refinement per remaining predicate. Same conjunction,
-    // same ascending output as the row loop below. With sharding active the
-    // kernels run shard-at-a-time and the matches are merged back.
-    const storage::ShardedTableSet* shards = ctx_->shards();
+    // same ascending output as the row loop below.
     if (pred_count == 0) {
       kernels::SelectAll(n, rows);
-    } else if (shards != nullptr) {
-      FilterSharded(*shards, table_id, preds, pred_count, rows);
     } else {
       kernels::SelectPredicate(table.column(preds[0].column).data(), n,
                                preds[0], rows);

@@ -160,15 +160,6 @@ class Oracle {
   void Filter(catalog::TableId table, const query::BoundPredicate* preds,
               size_t pred_count, std::vector<storage::RowId>* rows);
 
-  /// Sharded scan (storage::ShardedTableSet): runs the selection kernels
-  /// shard-at-a-time over each shard's dense column segments, maps the
-  /// shard-local matches back to global row ids and k-way-merges them —
-  /// byte-identical to running the kernels over the unsharded columns.
-  void FilterSharded(const storage::ShardedTableSet& shards,
-                     catalog::TableId table,
-                     const query::BoundPredicate* preds, size_t pred_count,
-                     std::vector<storage::RowId>* rows);
-
   /// Returns the materialized subset or nullptr on overflow. Prefers
   /// extending a cached submask materialization by one relation (exact and
   /// blowup-free); otherwise evaluates the subset from scratch with
@@ -261,10 +252,6 @@ class Oracle {
   std::vector<kernels::ValueSet> semi_set_pool_;
   kernels::JoinHashTable join_table_;
   BloomFilter transfer_bloom_;
-  // FilterSharded staging: per-shard global match lists and the
-  // shard-local selection buffer.
-  std::vector<std::vector<storage::RowId>> shard_rows_;
-  std::vector<storage::RowId> shard_local_;
 };
 
 }  // namespace lqolab::exec

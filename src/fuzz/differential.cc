@@ -212,18 +212,6 @@ DifferentialOracle::DifferentialOracle(engine::Database* db,
                                        const DifferentialOptions& options)
     : db_(db), options_(options) {
   LQOLAB_CHECK(db != nullptr);
-  if (options_.shard_twin > 1) {
-    // The twin adopts the main database's table objects (shared_ptr copies,
-    // no data copy) and hash-partitions them into a ShardedTableSet; only
-    // the physical layout differs, so any row-count divergence is a sharding
-    // bug by construction.
-    engine::Database::Options twin_options;
-    twin_options.config = db->config();
-    twin_options.config.table_shards = options_.shard_twin;
-    twin_options.config.vectorized_exec = true;  // sharded scans live there
-    shard_twin_ =
-        engine::Database::FromTables(twin_options, db->context().tables());
-  }
 }
 
 void DifferentialOracle::AddLqoArm(lqo::LearnedOptimizer* arm) {
@@ -451,31 +439,6 @@ void DifferentialOracle::CheckExecution(const Query& q,
           {"engine_differential",
            std::string(flipped.vectorized_exec ? "vectorized" : "scalar") +
                " engine reported " + std::to_string(run.result_rows) +
-               " rows != " + std::to_string(outcomes.front().rows) + " for " +
-               q.id});
-    }
-  }
-
-  // Storage differential: re-run one plan on the hash-sharded twin. Shard-
-  // at-a-time selection plus the k-way row-id merge must reproduce the
-  // unsharded engine's rows exactly (docs/parallelism.md); as with the
-  // engine arm only rows are compared — per-shard buffer pools partition
-  // the LRU space, so virtual times may legitimately differ.
-  if (shard_twin_ != nullptr) {
-    ++report->checks.shard_differential;
-    const std::unique_ptr<engine::Database> replica =
-        shard_twin_->CloneContextForWorker();
-    replica->BeginQueryReplay(options_.exec_seed, q);
-    const engine::QueryRun run = replica->ExecutePlan(
-        q, plans.front().plan, 0, options_.exec_timeout_ns);
-    ++report->plans_executed;
-    if (run.timed_out) {
-      ++report->timeouts;
-    } else if (run.result_rows != outcomes.front().rows) {
-      report->discrepancies.push_back(
-          {"shard_differential",
-           "sharded storage (" + std::to_string(options_.shard_twin) +
-               " shards) reported " + std::to_string(run.result_rows) +
                " rows != " + std::to_string(outcomes.front().rows) + " for " +
                q.id});
     }

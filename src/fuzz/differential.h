@@ -2,7 +2,6 @@
 #define LQOLAB_FUZZ_DIFFERENTIAL_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -28,10 +27,6 @@ struct CheckCounts {
                                     ///< the same plan re-run with
                                     ///< vectorized_exec flipped must report
                                     ///< the same result rows.
-  int64_t shard_differential = 0;   ///< Sharded-vs-unsharded storage arm:
-                                    ///< the same plan re-run on the
-                                    ///< hash-sharded twin database must
-                                    ///< report the same result rows.
   int64_t sql_round_trip = 0;       ///< SQL-emission arm: render the query
                                     ///< to SQL, parse+bind it back, and the
                                     ///< rebound query must fingerprint,
@@ -45,8 +40,7 @@ struct CheckCounts {
   int64_t total() const {
     return cost_enumeration + execution + estimator + plan_cache +
            hint_roundtrip + fault_execution +
-           engine_differential + shard_differential + sql_round_trip +
-           replan_differential;
+           engine_differential + sql_round_trip + replan_differential;
   }
   CheckCounts& operator+=(const CheckCounts& o) {
     cost_enumeration += o.cost_enumeration;
@@ -56,7 +50,6 @@ struct CheckCounts {
     hint_roundtrip += o.hint_roundtrip;
     fault_execution += o.fault_execution;
     engine_differential += o.engine_differential;
-    shard_differential += o.shard_differential;
     sql_round_trip += o.sql_round_trip;
     replan_differential += o.replan_differential;
     return *this;
@@ -104,13 +97,6 @@ struct DifferentialOptions {
   util::VirtualNanos exec_timeout_ns = 600'000'000'000;  // 10 virtual min
   /// Replay seed used for every differential execution.
   uint64_t exec_seed = 42;
-  /// Shard count of the sharded-storage twin arm: the oracle builds a
-  /// second database over the SAME table objects with
-  /// DbConfig::table_shards set to this (and vectorized_exec on, which the
-  /// sharded scan path requires) and re-runs one plan per query on it —
-  /// hash-partitioned storage must never change result rows. 0 or 1
-  /// disables the arm.
-  int32_t shard_twin = 4;
   /// Adaptive-replan twin arm (on by default): one plan per query re-runs
   /// with DbConfig::adaptive_replan enabled under a keyed "stats.estimate"
   /// poison schedule (catastrophic underestimates on a seeded half of the
@@ -180,9 +166,6 @@ class DifferentialOracle {
   engine::Database* db_;
   DifferentialOptions options_;
   std::vector<lqo::LearnedOptimizer*> arms_;
-  /// Sharded-storage twin (shares `db_`'s table objects; nullptr when the
-  /// arm is disabled via DifferentialOptions::shard_twin).
-  std::unique_ptr<engine::Database> shard_twin_;
 };
 
 }  // namespace lqolab::fuzz

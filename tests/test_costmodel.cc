@@ -122,7 +122,7 @@ TEST(PlanFeaturizerTest, FixedWidthDeterministicAndFinite) {
 CostSample SeqSample(uint64_t sequence, double actual = 100.0) {
   CostSample s;
   s.sequence = sequence;
-  s.query_id = "q" + std::to_string(sequence);
+  s.query_id = std::string("q").append(std::to_string(sequence));
   s.features = {1.0f, 2.0f};
   s.actual_ns = static_cast<util::VirtualNanos>(actual);
   s.analytic_cost = actual / 2.0;

@@ -275,12 +275,7 @@ struct BufferDigests {
 BufferDigests DigestBufferRuns(Database* db, const std::string& workload) {
   const std::vector<Query> queries = query::LoadWorkload(workload,
                                                          db->schema());
-  exec::DbContext& ctx = db->context();
-  auto pool_evictions = [&ctx] {
-    int64_t n = ctx.buffer_pool->evictions();
-    for (const auto& pool : ctx.shard_pools) n += pool->evictions();
-    return n;
-  };
+  storage::BufferPool& pool = *db->context().buffer_pool;
   BufferDigests out;
   testutil::Digest digest;
   for (const DbConfig& config : BufferDigestConfigs()) {
@@ -301,30 +296,22 @@ BufferDigests DigestBufferRuns(Database* db, const std::string& workload) {
         }
       }
       if (pass == 0) {
-        ctx.buffer_pool->DropSharedBuffers();
-        for (const auto& pool : ctx.shard_pools) pool->DropSharedBuffers();
+        pool.DropSharedBuffers();
       } else if (pass == 1) {
         db->DropCaches();
       }
     }
-    out.evictions += pool_evictions();
+    out.evictions += pool.evictions();
   }
   out.runs = digest.value();
   return out;
 }
 
-std::unique_ptr<Database> MakeTpchDb(int32_t table_shards) {
+std::unique_ptr<Database> MakeTpchDb() {
   Database::Options options;
   options.seed = 42;
-  options.config.table_shards = table_shards;
   return Database::CreateTpch(options,
                               datagen::TpchScaleProfile::Small().Scaled(0.5));
-}
-
-std::unique_ptr<Database> MakeShardedImdb(int32_t table_shards) {
-  DbConfig config = DbConfig::OurFramework();
-  config.table_shards = table_shards;
-  return MakeDb(config);
 }
 
 // Bit-for-bit pins of the buffer-cache model as the executor sees it. The
@@ -332,27 +319,15 @@ std::unique_ptr<Database> MakeShardedImdb(int32_t table_shards) {
 // change to which tier serves a single page access, or to how many pages
 // either tier evicts, fails one of them.
 TEST(ExecutorBufferDigest, Job) {
-  const BufferDigests d = DigestBufferRuns(MakeShardedImdb(1).get(), "job");
+  const BufferDigests d = DigestBufferRuns(MakeDb().get(), "job");
   EXPECT_EQ(d.runs, 10428271227144689753ull);
   EXPECT_EQ(d.evictions, 331118);
 }
 
-TEST(ExecutorBufferDigest, JobSharded) {
-  const BufferDigests d = DigestBufferRuns(MakeShardedImdb(2).get(), "job");
-  EXPECT_EQ(d.runs, 14765002301754562497ull);
-  EXPECT_EQ(d.evictions, 209605);
-}
-
 TEST(ExecutorBufferDigest, Tpch) {
-  const BufferDigests d = DigestBufferRuns(MakeTpchDb(1).get(), "tpch");
+  const BufferDigests d = DigestBufferRuns(MakeTpchDb().get(), "tpch");
   EXPECT_EQ(d.runs, 15293372500270488133ull);
   EXPECT_EQ(d.evictions, 24665);
-}
-
-TEST(ExecutorBufferDigest, TpchSharded) {
-  const BufferDigests d = DigestBufferRuns(MakeTpchDb(2).get(), "tpch");
-  EXPECT_EQ(d.runs, 841519650556234835ull);
-  EXPECT_EQ(d.evictions, 22220);
 }
 
 }  // namespace

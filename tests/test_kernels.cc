@@ -4,7 +4,7 @@
 // SinglePredicateRows / TrueJoinRows (including overflow flags) across all
 // JOB-lite queries and the fuzz replay corpus. Whole-table bases, which the
 // batched engine answers from the shared index instead of a hash build, get
-// their own edge-case queries (also sharded) and counter checks. Plus
+// their own edge-case queries and counter checks. Plus
 // property tests for the Bloom filter and the lazy predicate-transfer
 // schedule, and a steady-state zero-allocation check for the kernels.
 
@@ -97,14 +97,12 @@ struct EngineLab {
   std::vector<Query> workload;
 };
 
-EngineLab* MakeLab(int32_t table_shards,
-                   const datagen::ScaleProfile& profile =
+EngineLab* MakeLab(const datagen::ScaleProfile& profile =
                        datagen::ScaleProfile::Medium().Scaled(0.01)) {
   auto* l = new EngineLab;
   engine::Database::Options options;
   options.profile = profile;
   options.seed = 42;
-  options.config.table_shards = table_shards;
 
   options.config.vectorized_exec = false;
   l->scalar = engine::Database::CreateImdb(options);
@@ -116,15 +114,9 @@ EngineLab* MakeLab(int32_t table_shards,
   return l;
 }
 
-/// The two engines over unsharded tables, or (`table_shards` 2) over the
-/// hash-partitioned layout.
-EngineLab& Lab(int32_t table_shards = 1) {
-  if (table_shards == 2) {
-    static EngineLab* sharded = MakeLab(2);
-    return *sharded;
-  }
-  LQOLAB_CHECK_EQ(table_shards, 1);
-  static EngineLab* lab = MakeLab(1);
+/// The scalar and batched engines over identically seeded IMDB builds.
+EngineLab& Lab() {
+  static EngineLab* lab = MakeLab();
   return *lab;
 }
 
@@ -278,10 +270,8 @@ std::vector<Query> WholeTableQueries(const catalog::Schema& schema) {
   return queries;
 }
 
-class WholeTableDifferential : public ::testing::TestWithParam<int32_t> {};
-
-TEST_P(WholeTableDifferential, IndexProbesMatchScalar) {
-  EngineLab& lab = Lab(GetParam());
+TEST(WholeTableDifferential, IndexProbesMatchScalar) {
+  EngineLab& lab = Lab();
   const catalog::Schema& schema = lab.scalar->schema();
   const catalog::TableId cast_info = schema.FindTable("cast_info");
   const storage::Column& person_role_id = lab.scalar->context()
@@ -305,9 +295,6 @@ TEST_P(WholeTableDifferential, IndexProbesMatchScalar) {
     EXPECT_GT(metrics.Get(obs::Counter::kOracleIndexJoins), 0) << q.id;
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(TableShards, WholeTableDifferential,
-                         ::testing::Values(1, 2));
 
 /// Cold workload passes (fresh database, caches dropped before each query)
 /// count the oracle's index joins and hash builds per engine.
@@ -636,7 +623,7 @@ TEST(TransferSchedule, NullsDoNotCountTowardTheSample) {
 /// tried) on which the JOB-lite differential sweep builds Bloom filters.
 EngineLab& TransferLab() {
   static EngineLab* lab =
-      MakeLab(1, datagen::ScaleProfile::Medium().Scaled(0.03));
+      MakeLab(datagen::ScaleProfile::Medium().Scaled(0.03));
   return *lab;
 }
 

@@ -301,6 +301,43 @@ TEST_F(ParallelRunnerTest, CloneSharesStorageAndPlansIdentically) {
   EXPECT_EQ(a.plan.ToString(q), b.plan.ToString(q));
 }
 
+TEST_F(ParallelRunnerTest, WorkerMutationNeverLeaksToParentOrSiblings) {
+  // Replicas adopt the parent's SharedContext by pointer: same tables, no
+  // per-worker copies of immutable state.
+  const auto a = db_->CloneContextForWorker();
+  const auto b = db_->CloneContextForWorker();
+  EXPECT_EQ(&a->context().table(0), &db_->context().table(0));
+  EXPECT_EQ(a->context().shared, db_->context().shared);
+  EXPECT_EQ(a->context().shared, b->context().shared);
+
+  // Parent buffer counters are invisible to a worker's runs.
+  const storage::BufferPool& parent_pool = *db_->context().buffer_pool;
+  const int64_t parent_hits = parent_pool.shared_hits();
+  const int64_t parent_os_hits = parent_pool.os_hits();
+  const int64_t parent_reads = parent_pool.disk_reads();
+  const Query& q = (*workload_)[3];
+  const auto planned = db_->PlanQuery(q);
+  b->BeginQueryReplay(42, q);
+  const engine::QueryRun first = b->ExecutePlan(q, planned.plan, 0);
+  ASSERT_TRUE(first.status.ok());
+  EXPECT_GT(first.pages_accessed, 0);
+  EXPECT_EQ(parent_pool.shared_hits(), parent_hits);
+  EXPECT_EQ(parent_pool.os_hits(), parent_os_hits);
+  EXPECT_EQ(parent_pool.disk_reads(), parent_reads);
+
+  // Heavy churn on sibling `a` must not perturb `b`'s replay determinism.
+  for (int i = 0; i < 3; ++i) {
+    const Query& other = (*workload_)[static_cast<size_t>(i)];
+    a->BeginQueryReplay(99, other);
+    a->ExecutePlan(other, a->PlanQuery(other).plan, 0);
+  }
+  b->BeginQueryReplay(42, q);
+  const engine::QueryRun second = b->ExecutePlan(q, planned.plan, 0);
+  EXPECT_EQ(first.result_rows, second.result_rows);
+  EXPECT_EQ(first.execution_ns, second.execution_ns);
+  EXPECT_EQ(first.pages_accessed, second.pages_accessed);
+}
+
 TEST_F(ParallelRunnerTest, TrainingBatchesDeterministicAcrossWorkerCounts) {
   std::vector<Query> train(workload_->begin(), workload_->begin() + 6);
   std::vector<Query> test(workload_->begin() + 6, workload_->begin() + 10);
