@@ -5,7 +5,9 @@
 // `--engine-json [path]` instead runs the execution-engine throughput
 // comparison (scalar vs vectorized oracle hot path over the JOB-lite
 // workload), a buffer-pool replay (the page stream the executor charges
-// on JOB-lite, replayed through storage::BufferPool in two sizings) and an
+// on JOB-lite, replayed through storage::BufferPool in two sizings), a
+// heap-charge replay (JOB-lite's index-NLJ heap charges, replayed through
+// exec::Executor::ChargeRandomHeapPages on a fresh replica) and an
 // index-probe replay (every IMDB foreign key probed both ways through
 // storage::Index::EqualRange), and emits one JSON document; the recorded
 // run lives at BENCH_engine.json. Exit code 1 if the batched engine falls
@@ -201,20 +203,86 @@ std::unique_ptr<engine::Database> CreateMediumImdb() {
   return engine::Database::CreateImdb(options);
 }
 
-/// The page keys the executor charges on the JOB-lite workload, recorded
-/// the way bench/layer_profile's `job` runs it: a cold pool, each query
-/// planned once and executed three times with no cache drops in between.
-std::vector<uint64_t> RecordJobLitePages(engine::Database* db) {
+struct JobLiteCharges {
+  /// Every page key the executor charges, in order.
+  std::vector<uint64_t> pages;
+  /// Every (table, touches) index-NLJ heap charge, in order.
+  std::vector<exec::Executor::HeapCharge> heap_charges;
+};
+
+/// The page keys and heap charges the executor makes on the JOB-lite
+/// workload, recorded the way bench/layer_profile's `job` runs it: a cold
+/// pool, each query planned once and executed three times with no cache
+/// drops in between.
+JobLiteCharges RecordJobLiteCharges(engine::Database* db) {
   const std::vector<query::Query> workload =
       query::LoadWorkload("job", db->schema());
-  std::vector<uint64_t> stream;
-  db->context().buffer_pool->RecordAccesses(&stream);
+  JobLiteCharges charges;
+  db->context().buffer_pool->RecordAccesses(&charges.pages);
+  db->executor().RecordHeapCharges(&charges.heap_charges);
   for (const query::Query& q : workload) {
     const auto planned = db->PlanQuery(q);
     for (int run = 0; run < 3; ++run) db->ExecutePlan(q, planned.plan);
   }
   db->context().buffer_pool->RecordAccesses(nullptr);
-  return stream;
+  db->executor().RecordHeapCharges(nullptr);
+  return charges;
+}
+
+struct HeapChargeResult {
+  int64_t calls = 0;
+  int64_t accesses = 0;  // sampled touches: min(touches, kMaxPageLoop) each
+  int64_t shared_hits = 0;
+  int64_t os_hits = 0;
+  int64_t disk_reads = 0;
+  double ns_per_touch = 0.0;  // best (min) round, per access
+  bool deterministic = true;  // every round saw the same tier counts
+};
+
+/// Replays the recorded heap charges through Executor::ChargeRandomHeapPages
+/// (the code index-NLJ joins call) on a fresh replica of `db` (a cold pool
+/// of the database's configuration, cloned outside the timer) kRounds times
+/// and keeps the fastest round (min-of-N, as in EngineComparison).
+HeapChargeResult HeapChargeReplay(
+    engine::Database* db,
+    const std::vector<exec::Executor::HeapCharge>& charges) {
+  constexpr int kRounds = 7;
+  HeapChargeResult result;
+  result.calls = static_cast<int64_t>(charges.size());
+  for (int round = 0; round < kRounds; ++round) {
+    const auto replica = db->CloneContextForWorker();
+    exec::Executor& executor = replica->executor();
+    const storage::BufferPool& pool = *replica->context().buffer_pool;
+    const auto t0 = std::chrono::steady_clock::now();
+    for (const auto& [table, touches] : charges) {
+      benchmark::DoNotOptimize(executor.ChargeRandomHeapPages(table, touches));
+    }
+    const double elapsed_ns = std::chrono::duration<double, std::nano>(
+                                  std::chrono::steady_clock::now() - t0)
+                                  .count();
+    const int64_t counts[] = {pool.shared_hits(), pool.os_hits(),
+                              pool.disk_reads()};
+    const int64_t accesses = counts[0] + counts[1] + counts[2];
+    const double ns = elapsed_ns / static_cast<double>(accesses);
+    if (round == 0) {
+      result.accesses = accesses;
+      result.shared_hits = counts[0];
+      result.os_hits = counts[1];
+      result.disk_reads = counts[2];
+      result.ns_per_touch = ns;
+    } else {
+      result.deterministic &= counts[0] == result.shared_hits &&
+                              counts[1] == result.os_hits &&
+                              counts[2] == result.disk_reads;
+      result.ns_per_touch = std::min(result.ns_per_touch, ns);
+    }
+  }
+  std::fprintf(stderr,
+               "heap charge replay: %lld calls, %lld accesses, best round "
+               "%.1f ns/touch\n",
+               static_cast<long long>(result.calls),
+               static_cast<long long>(result.accesses), result.ns_per_touch);
+  return result;
 }
 
 struct IndexProbeResult {
@@ -417,10 +485,12 @@ int EngineComparison(const char* path) {
   }
 
   const std::unique_ptr<engine::Database> medium = CreateMediumImdb();
-  const std::vector<uint64_t> stream = RecordJobLitePages(medium.get());
+  const JobLiteCharges charges = RecordJobLiteCharges(medium.get());
   const ReplayResult replays[] = {
-      BufferReplay(stream, "no_fill", 131072, 262144),
-      BufferReplay(stream, "both_evict", 512, 4096)};
+      BufferReplay(charges.pages, "no_fill", 131072, 262144),
+      BufferReplay(charges.pages, "both_evict", 512, 4096)};
+  const HeapChargeResult heap_charge =
+      HeapChargeReplay(medium.get(), charges.heap_charges);
   const IndexProbeResult index_probe = IndexProbeReplay(medium.get());
 
   const double speedup_vectorized =
@@ -466,6 +536,17 @@ int EngineComparison(const char* path) {
   }
   json += "  ],\n";
   std::snprintf(buffer, sizeof(buffer),
+                "  \"heap_charge\": {\"calls\": %lld, \"accesses\": %lld, "
+                "\"shared_hits\": %lld, \"os_hits\": %lld, "
+                "\"disk_reads\": %lld, \"ns_per_touch\": %.1f},\n",
+                static_cast<long long>(heap_charge.calls),
+                static_cast<long long>(heap_charge.accesses),
+                static_cast<long long>(heap_charge.shared_hits),
+                static_cast<long long>(heap_charge.os_hits),
+                static_cast<long long>(heap_charge.disk_reads),
+                heap_charge.ns_per_touch);
+  json += buffer;
+  std::snprintf(buffer, sizeof(buffer),
                 "  \"index_probe\": {\"probes\": %lld, \"matched_rows\": %lld, "
                 "\"ns_per_probe\": %.1f},\n",
                 static_cast<long long>(index_probe.probes),
@@ -489,7 +570,7 @@ int EngineComparison(const char* path) {
     std::fputs(json.c_str(), stdout);
   }
   return speedup_vectorized >= 3.0 && replays_deterministic &&
-                 index_probe.deterministic
+                 heap_charge.deterministic && index_probe.deterministic
              ? 0
              : 1;
 }

@@ -1,5 +1,6 @@
 #include "engine/database.h"
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <set>
@@ -78,6 +79,7 @@ std::unique_ptr<Database> Database::FromTables(
 void Database::FinishBuild(std::shared_ptr<SharedContext> shared) {
   BuildIndexes(*shared);
   Analyze(*shared);
+  BuildHeapProbePages(*shared);
   // Freeze: from here on the shared context is only ever read.
   ctx_.shared = std::move(shared);
   ctx_.schema = &ctx_.shared->schema;
@@ -144,6 +146,35 @@ void Database::Analyze(SharedContext& shared) {
   shared.table_stats.reserve(shared.tables.size());
   for (const auto& table : shared.tables) {
     shared.table_stats.push_back(stats::Analyze(*table));
+  }
+}
+
+namespace {
+
+template <typename Page>
+std::vector<Page> DrawHeapProbePages(uint64_t table, uint64_t pages) {
+  std::vector<Page> sequence(static_cast<size_t>(exec::kMaxPageLoop));
+  uint64_t state = 0x9e3779b97f4a7c15ULL ^ table;
+  for (Page& page : sequence) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    page = static_cast<Page>((state >> 33) % pages);
+  }
+  return sequence;
+}
+
+}  // namespace
+
+void Database::BuildHeapProbePages(SharedContext& shared) {
+  shared.heap_probe_pages.assign(shared.tables.size(), HeapProbePages{});
+  for (size_t t = 0; t < shared.tables.size(); ++t) {
+    const auto pages = static_cast<uint64_t>(
+        std::max<int64_t>(1, shared.tables[t]->page_count()));
+    HeapProbePages& sequence = shared.heap_probe_pages[t];
+    if (pages <= uint64_t{1} << 16) {
+      sequence.narrow = DrawHeapProbePages<uint16_t>(t, pages);
+    } else {
+      sequence.wide = DrawHeapProbePages<uint32_t>(t, pages);
+    }
   }
 }
 

@@ -121,6 +121,7 @@ class Database {
   uint64_t seed() const { return seed_; }
   exec::DbContext& context() { return ctx_; }
   exec::Oracle& oracle() { return *oracle_; }
+  exec::Executor& executor() { return *executor_; }
   const optimizer::Planner& planner() const { return *planner_; }
 
   /// Changes the configuration. Memory-sizing changes resize (and thus
@@ -237,12 +238,14 @@ class Database {
  private:
   explicit Database(const Options& options);
 
-  /// Indexes + ANALYZE over an assembled (schema, tables) SharedContext,
-  /// then freezes it into ctx_ and initializes the per-replica runtime. The
-  /// build-time half of every factory.
+  /// Indexes, ANALYZE and the heap probe sequences over an assembled
+  /// (schema, tables) SharedContext, then freezes it into ctx_ and
+  /// initializes the per-replica runtime. The build-time half of every
+  /// factory.
   void FinishBuild(std::shared_ptr<SharedContext> shared);
   void BuildIndexes(SharedContext& shared);
   static void Analyze(SharedContext& shared);
+  static void BuildHeapProbePages(SharedContext& shared);
   void InitRuntime();
   double WarmupMultiplier(const query::Query& q);
 

@@ -1,6 +1,7 @@
 #ifndef LQOLAB_ENGINE_SHARED_CONTEXT_H_
 #define LQOLAB_ENGINE_SHARED_CONTEXT_H_
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <utility>
@@ -12,6 +13,18 @@
 #include "storage/table.h"
 
 namespace lqolab::engine {
+
+/// The heap pages an index nested-loop join's inner fetches touch on one
+/// table, in order: exec::kMaxPageLoop draws of an LCG seeded by the table
+/// id, each modulo the table's page count (at least 1). The executor
+/// charges a prefix of it per join (exec::Executor::ChargeRandomHeapPages).
+/// Page numbers take 16 bits when the table has at most 65536 pages (every
+/// table of both benchmark schemas at their benchmark scales), else 32;
+/// exactly one of the two vectors is filled.
+struct HeapProbePages {
+  std::vector<uint16_t> narrow;
+  std::vector<uint32_t> wide;
+};
 
 /// Everything about a database that is immutable once the build pipeline
 /// (datagen -> BuildIndexes -> ANALYZE) has run: the catalog, the column
@@ -35,6 +48,8 @@ struct SharedContext {
       indexes;
   /// ANALYZE output, one entry per table.
   std::vector<stats::TableStats> table_stats;
+  /// One entry per table; see HeapProbePages.
+  std::vector<HeapProbePages> heap_probe_pages;
 };
 
 }  // namespace lqolab::engine

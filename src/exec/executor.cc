@@ -16,29 +16,12 @@ using optimizer::PhysicalPlan;
 using optimizer::PlanNode;
 using optimizer::ScanType;
 using query::Query;
-using storage::AccessTier;
 using storage::BufferPool;
 using storage::PageKind;
 using storage::RowId;
 using util::VirtualNanos;
 
 namespace {
-
-/// Maximum buffer-pool operations charged per scan; larger fetch counts are
-/// sampled and the cost scaled, keeping real time bounded.
-constexpr int64_t kMaxPageLoop = 20'000;
-
-VirtualNanos TierCost(AccessTier tier, bool sequential) {
-  switch (tier) {
-    case AccessTier::kSharedHit:
-      return cost::kSharedHitNs;
-    case AccessTier::kOsHit:
-      return cost::kOsHitNs;
-    case AccessTier::kDisk:
-      return sequential ? cost::kDiskSeqReadNs : cost::kDiskReadNs;
-  }
-  return cost::kDiskReadNs;
-}
 
 double SafeLog2(double x) { return x < 2.0 ? 1.0 : std::log2(x); }
 
@@ -58,42 +41,90 @@ Executor::Executor(DbContext* ctx, Oracle* oracle)
   LQOLAB_CHECK(oracle != nullptr);
 }
 
-VirtualNanos Executor::ChargePage(uint64_t key, bool sequential) {
-  ++pages_accessed_;
-  obs::Count(obs::Counter::kExecPagesAccessed);
-  // Single choke point of every buffer access: the canonical storage fault
-  // site. Errors latch into fault_status_ (the walk aborts at the next node
-  // boundary); latency spikes charge extra virtual time like a slow read.
-  const faultlib::FaultAction fault = LQOLAB_FAULT_POINT("buffer.read_page");
-  if (fault.is_error() && fault_status_.ok()) {
-    fault_status_ = fault.error("buffer.read_page");
+uint64_t* Executor::PageKeys() {
+  if (page_keys_ == nullptr) {
+    page_keys_ = std::make_unique_for_overwrite<uint64_t[]>(kMaxPageLoop);
   }
-  const AccessTier tier = ctx_->buffer_pool->Access(key);
-  VirtualNanos nanos = TierCost(tier, sequential);
-  if (fault.is_latency()) nanos += fault.latency_ns;
-  return nanos;
+  return page_keys_.get();
+}
+
+VirtualNanos Executor::ChargePages(const uint64_t* keys, int64_t n,
+                                   bool sequential) {
+  if (n == 0) return 0;
+  pages_accessed_ += n;
+  obs::Count(obs::Counter::kExecPagesAccessed, n);
+  VirtualNanos total = 0;
+  // Every buffer access is the canonical storage fault site. The hits are
+  // taken per page, in page order, before the accesses: a hit's outcome
+  // depends only on its index, so they fire exactly as they would
+  // interleaved with the accesses. Errors latch into fault_status_ (the
+  // walk aborts at the next node boundary); latency spikes charge extra
+  // virtual time like a slow read.
+  if (faultlib::FaultInjector* injector = faultlib::Current()) {
+    for (int64_t i = 0; i < n; ++i) {
+      const faultlib::FaultAction fault = injector->Hit("buffer.read_page");
+      if (fault.is_error() && fault_status_.ok()) {
+        fault_status_ = fault.error("buffer.read_page");
+      }
+      if (fault.is_latency()) total += fault.latency_ns;
+    }
+  }
+  const BufferPool::TierCounts tiers = ctx_->buffer_pool->AccessMany(keys, n);
+  return total + tiers.shared_hits * cost::kSharedHitNs +
+         tiers.os_hits * cost::kOsHitNs +
+         tiers.disk_reads *
+             (sequential ? cost::kDiskSeqReadNs : cost::kDiskReadNs);
+}
+
+VirtualNanos Executor::ChargePageRange(catalog::TableId table, PageKind kind,
+                                       catalog::ColumnId index_column,
+                                       int64_t count, bool sequential) {
+  if (count <= 0) return 0;
+  // PageKey checks the last page's components, so the keys below it in
+  // the same segment are valid too.
+  const uint64_t first =
+      BufferPool::PageKey(table, kind, index_column, count - 1) -
+      static_cast<uint64_t>(count - 1);
+  uint64_t* keys = PageKeys();
+  VirtualNanos total = 0;
+  for (int64_t begin = 0; begin < count; begin += kMaxPageLoop) {
+    const int64_t n = std::min(kMaxPageLoop, count - begin);
+    for (int64_t i = 0; i < n; ++i) {
+      keys[i] = first + static_cast<uint64_t>(begin + i);
+    }
+    total += ChargePages(keys, n, sequential);
+  }
+  return total;
 }
 
 VirtualNanos Executor::ChargeHeapFetches(catalog::TableId table,
                                          const std::vector<RowId>& rows,
                                          bool page_ordered) {
   if (rows.empty()) return 0;
+  // Row-ids are non-negative int32s, so every page is below kMaxPages.
+  const uint64_t heap =
+      BufferPool::PageKey(table, PageKind::kHeap, catalog::kInvalidColumn, 0);
+  uint64_t* keys = PageKeys();
   VirtualNanos total = 0;
   const int64_t n = static_cast<int64_t>(rows.size());
   const int64_t step = std::max<int64_t>(1, n / kMaxPageLoop);
   int64_t charged = 0;
+  int64_t batched = 0;
   int64_t last_page = -1;
   for (int64_t i = 0; i < n; i += step) {
     const int64_t page =
         storage::Table::PageOfRow(rows[static_cast<size_t>(i)]);
     if (page_ordered && page == last_page) continue;  // row-ids sorted: dedup
     last_page = page;
-    total += ChargePage(
-        BufferPool::PageKey(table, PageKind::kHeap, catalog::kInvalidColumn,
-                            page),
-        page_ordered);
-    ++charged;
+    keys[batched++] = heap | static_cast<uint64_t>(page);
+    if (batched == kMaxPageLoop) {
+      total += ChargePages(keys, batched, page_ordered);
+      charged += batched;
+      batched = 0;
+    }
   }
+  total += ChargePages(keys, batched, page_ordered);
+  charged += batched;
   if (charged == 0) return 0;
   // Scale sampled charges back to the full fetch count (random-order scans
   // revisit pages; page-ordered ones were deduplicated above, so their
@@ -107,20 +138,23 @@ VirtualNanos Executor::ChargeHeapFetches(catalog::TableId table,
 VirtualNanos Executor::ChargeRandomHeapPages(catalog::TableId table,
                                              int64_t touches) {
   if (touches <= 0) return 0;
-  const int64_t pages =
-      std::max<int64_t>(1, ctx_->table(table).page_count());
-  const int64_t loops = std::min(touches, kMaxPageLoop);
-  VirtualNanos total = 0;
-  uint64_t state = 0x9e3779b97f4a7c15ULL ^ static_cast<uint64_t>(table);
-  for (int64_t i = 0; i < loops; ++i) {
-    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-    const int64_t page = static_cast<int64_t>((state >> 33) %
-                                              static_cast<uint64_t>(pages));
-    total += ChargePage(
-        BufferPool::PageKey(table, PageKind::kHeap, catalog::kInvalidColumn,
-                            page),
-        /*sequential=*/false);
+  if (heap_charge_log_ != nullptr) {
+    heap_charge_log_->emplace_back(table, touches);
   }
+  const int64_t loops = std::min(touches, kMaxPageLoop);
+  const engine::HeapProbePages& pages =
+      ctx_->shared->heap_probe_pages[static_cast<size_t>(table)];
+  const uint64_t heap =
+      BufferPool::PageKey(table, PageKind::kHeap, catalog::kInvalidColumn, 0);
+  uint64_t* keys = PageKeys();
+  if (pages.wide.empty()) {
+    const uint16_t* narrow = pages.narrow.data();
+    for (int64_t i = 0; i < loops; ++i) keys[i] = heap | narrow[i];
+  } else {
+    const uint32_t* wide = pages.wide.data();
+    for (int64_t i = 0; i < loops; ++i) keys[i] = heap | wide[i];
+  }
+  const VirtualNanos total = ChargePages(keys, loops, /*sequential=*/false);
   const double scale =
       static_cast<double>(touches) / static_cast<double>(loops);
   return SaturatingNanos(static_cast<double>(total) * scale);
@@ -156,11 +190,8 @@ VirtualNanos Executor::ScanCost(const Query& q, const PlanNode& node,
 
   switch (node.scan_type) {
     case ScanType::kSeq: {
-      for (int64_t p = 0; p < pages; ++p) {
-        io += ChargePage(BufferPool::PageKey(table_id, PageKind::kHeap,
-                                             catalog::kInvalidColumn, p),
-                         /*sequential=*/true);
-      }
+      io += ChargePageRange(table_id, PageKind::kHeap, catalog::kInvalidColumn,
+                            pages, /*sequential=*/true);
       cpu = static_cast<double>(total_rows) *
             static_cast<double>(tc.scan_tuple + pred_count * tc.pred_eval);
       const double speedup = ParallelSpeedup(pages);
@@ -193,12 +224,9 @@ VirtualNanos Executor::ScanCost(const Query& q, const PlanNode& node,
                                  cost::kIndexDescentNs);
       // Leaf pages proportional to matches.
       const int64_t leaf_pages = std::max<int64_t>(1, matches / 256);
-      for (int64_t p = 0; p < std::min<int64_t>(leaf_pages, kMaxPageLoop);
-           ++p) {
-        io += ChargePage(BufferPool::PageKey(table_id, PageKind::kIndexLeaf,
-                                             node.index_column, p),
-                         /*sequential=*/true);
-      }
+      io += ChargePageRange(table_id, PageKind::kIndexLeaf, node.index_column,
+                            std::min(leaf_pages, kMaxPageLoop),
+                            /*sequential=*/true);
       const int64_t residual = std::max<int64_t>(0, pred_count - 1);
       if (node.scan_type == ScanType::kIndex) {
         io += ChargeHeapFetches(table_id, matched, /*page_ordered=*/false);

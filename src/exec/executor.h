@@ -2,6 +2,7 @@
 #define LQOLAB_EXEC_EXECUTOR_H_
 
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -107,6 +108,11 @@ struct ExecutionResult {
   std::vector<PlanNodeStats> node_stats;
 };
 
+/// Maximum buffer-pool accesses charged per page loop; larger fetch counts
+/// are sampled and the cost scaled, keeping real time bounded. Also the
+/// length of every engine::HeapProbePages sequence.
+inline constexpr int64_t kMaxPageLoop = 20'000;
+
 /// Virtual-time executor. Walks a physical plan bottom-up, obtains every
 /// node's true input/output cardinalities from the Oracle, and charges
 /// simulated nanoseconds: per-tuple CPU by operator type and per-page costs
@@ -116,6 +122,12 @@ struct ExecutionResult {
 /// The work done per execution is O(plan size + pages touched), independent
 /// of how catastrophic the plan is: true cardinalities are memoized in the
 /// oracle and the arithmetic is analytic. Timeouts are therefore free.
+///
+/// Every page loop (sequential scan, index leaves, heap fetches, index-NLJ
+/// inner fetches) fills a scratch array of page keys and charges it with
+/// one ChargePages call: one storage::BufferPool::AccessMany, one counter
+/// update, and per-page fault hits only while a fault injector is
+/// installed.
 class Executor {
  public:
   Executor(DbContext* ctx, Oracle* oracle);
@@ -134,10 +146,39 @@ class Executor {
                           const QueryDeadline* deadline = nullptr,
                           ReplanMonitor* monitor = nullptr);
 
+  /// Charges `touches` random page touches of `table`'s heap (index-NLJ
+  /// inner fetches, whose row-ids are not materialized): the first
+  /// min(touches, kMaxPageLoop) pages of the table's
+  /// engine::HeapProbePages, cost scaled to `touches`. Public so
+  /// bench/micro_engine can replay recorded calls through it.
+  util::VirtualNanos ChargeRandomHeapPages(catalog::TableId table,
+                                           int64_t touches);
+
+  /// (table, touches) of one ChargeRandomHeapPages call.
+  using HeapCharge = std::pair<catalog::TableId, int64_t>;
+
+  /// Appends every ChargeRandomHeapPages call to `*log` until called again
+  /// with nullptr; recording changes no charge. bench/micro_engine uses it
+  /// to replay the heap charges of a real execution.
+  void RecordHeapCharges(std::vector<HeapCharge>* log) {
+    heap_charge_log_ = log;
+  }
+
  private:
-  /// Charges one page access and returns its cost. `sequential` selects the
-  /// cheaper read-ahead disk cost on a miss.
-  util::VirtualNanos ChargePage(uint64_t key, bool sequential);
+  /// Charges the accesses of keys[0..n) in order and returns their cost:
+  /// n buffer.read_page fault hits in page order first (only while a fault
+  /// injector is installed), then one BufferPool::AccessMany, each tier's
+  /// count times its cost. `sequential` selects the cheaper read-ahead disk
+  /// cost on a miss.
+  util::VirtualNanos ChargePages(const uint64_t* keys, int64_t n,
+                                 bool sequential);
+
+  /// Charges pages 0..count-1 of one heap or index segment in order, in
+  /// batches of at most kMaxPageLoop.
+  util::VirtualNanos ChargePageRange(catalog::TableId table,
+                                     storage::PageKind kind,
+                                     catalog::ColumnId index_column,
+                                     int64_t count, bool sequential);
 
   /// Charges page accesses for `count` heap fetches given by row-ids,
   /// sampling at most kMaxPageLoop accesses and scaling the charge.
@@ -145,11 +186,9 @@ class Executor {
                                        const std::vector<storage::RowId>& rows,
                                        bool page_ordered);
 
-  /// Charges `pages` random page touches of `table`'s heap using a
-  /// deterministic probe sequence (used for index-NLJ inner fetches where
-  /// exact row-ids are not materialized).
-  util::VirtualNanos ChargeRandomHeapPages(catalog::TableId table,
-                                           int64_t touches);
+  /// The reused scratch array of kMaxPageLoop page keys, allocated on first
+  /// use.
+  uint64_t* PageKeys();
 
   util::VirtualNanos ScanCost(const query::Query& q,
                               const optimizer::PlanNode& node,
@@ -163,6 +202,8 @@ class Executor {
   DbContext* ctx_;
   Oracle* oracle_;
   int64_t pages_accessed_ = 0;
+  std::unique_ptr<uint64_t[]> page_keys_;
+  std::vector<HeapCharge>* heap_charge_log_ = nullptr;
   /// First injected fault error of the current execution (sticky until the
   /// node-boundary check aborts the walk); OK when no fault fired.
   util::Status fault_status_;

@@ -54,6 +54,7 @@ struct CheckCounts {
     replan_differential += o.replan_differential;
     return *this;
   }
+  bool operator==(const CheckCounts&) const = default;
 };
 
 /// One violated invariant: which check tripped and a human-readable detail

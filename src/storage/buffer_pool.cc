@@ -13,11 +13,20 @@ namespace {
 constexpr uint64_t kPageMask = (uint64_t{1} << 48) - 1;
 constexpr catalog::ColumnId kHeapColumnBits = 63;
 
+static_assert(static_cast<int>(AccessTier::kSharedHit) == 0 &&
+                  static_cast<int>(AccessTier::kOsHit) == 1 &&
+                  static_cast<int>(AccessTier::kDisk) == 2,
+              "AccessMany counts tiers in an array indexed by AccessTier");
+
 static_assert(BufferPool::kMaxPages * kRowsPerPage >
                   int64_t{std::numeric_limits<RowId>::max()},
               "every heap page of a table must have a valid PageKey");
 
 }  // namespace
+
+// The per-key steps of Access and AccessMany. Each has two callers, so GCC
+// would otherwise keep them out of line and pay a call per page.
+#define LQOLAB_POOL_INLINE [[gnu::always_inline]] inline
 
 BufferPool::BufferPool(int64_t shared_pages, int64_t os_pages) {
   LQOLAB_CHECK_GE(shared_pages, 0);
@@ -43,16 +52,19 @@ uint64_t BufferPool::PageKey(catalog::TableId table, PageKind kind,
          static_cast<uint64_t>(page_no);
 }
 
-int32_t BufferPool::EntryOf(uint64_t page_key) {
-  const size_t prefix = static_cast<size_t>(page_key >> 48);
-  if (prefix >= segment_of_.size()) segment_of_.resize(prefix + 1, kNull);
-  if (segment_of_[prefix] == kNull) {
-    segment_of_[prefix] = static_cast<int32_t>(segments_.size());
+LQOLAB_POOL_INLINE std::vector<int32_t>& BufferPool::SegmentOf(
+    uint64_t prefix) {
+  const size_t index = static_cast<size_t>(prefix);
+  if (index >= segment_of_.size()) segment_of_.resize(index + 1, kNull);
+  if (segment_of_[index] == kNull) {
+    segment_of_[index] = static_cast<int32_t>(segments_.size());
     segments_.emplace_back();
   }
-  std::vector<int32_t>& chunks =
-      segments_[static_cast<size_t>(segment_of_[prefix])];
-  const uint64_t page = page_key & kPageMask;
+  return segments_[static_cast<size_t>(segment_of_[index])];
+}
+
+LQOLAB_POOL_INLINE int32_t BufferPool::EntryOf(std::vector<int32_t>& chunks,
+                                               uint64_t page) {
   const size_t chunk = static_cast<size_t>(page >> kChunkBits);
   if (chunk >= chunks.size()) chunks.resize(chunk + 1, kNull);
   if (chunks[chunk] == kNull) {
@@ -119,9 +131,8 @@ void BufferPool::DropUnheldTail() {
   }
 }
 
-AccessTier BufferPool::Access(uint64_t page_key) {
-  if (access_log_ != nullptr) access_log_->push_back(page_key);
-  const int32_t entry = EntryOf(page_key);
+LQOLAB_POOL_INLINE AccessTier BufferPool::Touch(int32_t entry,
+                                                 int64_t* evicted) {
   int32_t node = entries_[static_cast<size_t>(entry)];
   bool was_shared = false;
   bool was_os = false;
@@ -153,30 +164,70 @@ AccessTier BufferPool::Access(uint64_t page_key) {
     }
   }
 
-  int64_t evicted = 0;
-  if (!was_shared) evicted += Admit(shared_, &Node::in_shared, node);
-  if (!was_os) evicted += Admit(os_, &Node::in_os, node);
+  if (!was_shared) *evicted += Admit(shared_, &Node::in_shared, node);
+  if (!was_os) *evicted += Admit(os_, &Node::in_os, node);
   DropUnheldTail();
+  if (was_shared) return AccessTier::kSharedHit;
+  return was_os ? AccessTier::kOsHit : AccessTier::kDisk;
+}
 
-  AccessTier tier;
-  if (was_shared) {
-    ++shared_hits_;
-    tier = AccessTier::kSharedHit;
-    obs::Count(obs::Counter::kBufferSharedHits);
-  } else if (was_os) {
-    ++os_hits_;
-    tier = AccessTier::kOsHit;
-    obs::Count(obs::Counter::kBufferOsHits);
+AccessTier BufferPool::Access(uint64_t page_key) {
+  if (access_log_ != nullptr) access_log_->push_back(page_key);
+  int64_t evicted = 0;
+  const AccessTier tier =
+      Touch(EntryOf(SegmentOf(page_key >> 48), page_key & kPageMask),
+            &evicted);
+  TierCounts counts;
+  if (tier == AccessTier::kSharedHit) {
+    counts.shared_hits = 1;
+  } else if (tier == AccessTier::kOsHit) {
+    counts.os_hits = 1;
   } else {
-    ++disk_reads_;
-    tier = AccessTier::kDisk;
-    obs::Count(obs::Counter::kBufferDiskReads);
+    counts.disk_reads = 1;
   }
-  if (evicted > 0) {
-    evictions_ += evicted;
-    obs::Count(obs::Counter::kBufferEvictions, evicted);
-  }
+  Book(counts, evicted);
   return tier;
+}
+
+BufferPool::TierCounts BufferPool::AccessMany(const uint64_t* keys,
+                                              int64_t n) {
+  LQOLAB_CHECK_GE(n, 0);
+  if (access_log_ != nullptr) {
+    access_log_->insert(access_log_->end(), keys, keys + n);
+  }
+  int64_t by_tier[3] = {0, 0, 0};  // indexed by AccessTier
+  int64_t evicted = 0;
+  for (int64_t i = 0; i < n;) {
+    const uint64_t prefix = keys[i] >> 48;
+    // No other segment is allocated during the run, so `chunks` stays put.
+    std::vector<int32_t>& chunks = SegmentOf(prefix);
+    do {
+      const AccessTier tier = Touch(EntryOf(chunks, keys[i] & kPageMask),
+                                    &evicted);
+      ++by_tier[static_cast<int>(tier)];
+    } while (++i < n && keys[i] >> 48 == prefix);
+  }
+  const TierCounts counts{by_tier[0], by_tier[1], by_tier[2]};
+  Book(counts, evicted);
+  return counts;
+}
+
+LQOLAB_POOL_INLINE void BufferPool::Book(const TierCounts& counts,
+                                         int64_t evicted) {
+  shared_hits_ += counts.shared_hits;
+  os_hits_ += counts.os_hits;
+  disk_reads_ += counts.disk_reads;
+  evictions_ += evicted;
+  if (counts.shared_hits > 0) {
+    obs::Count(obs::Counter::kBufferSharedHits, counts.shared_hits);
+  }
+  if (counts.os_hits > 0) {
+    obs::Count(obs::Counter::kBufferOsHits, counts.os_hits);
+  }
+  if (counts.disk_reads > 0) {
+    obs::Count(obs::Counter::kBufferDiskReads, counts.disk_reads);
+  }
+  if (evicted > 0) obs::Count(obs::Counter::kBufferEvictions, evicted);
 }
 
 void BufferPool::DropSharedBuffers() {

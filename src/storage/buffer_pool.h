@@ -32,6 +32,9 @@ enum class PageKind { kHeap, kIndexLeaf };
 /// holds. The pool keeps that one list, a size and a tail per tier, and a
 /// per-node flag per tier; an access is one directory lookup, one
 /// move-to-front and at most one demotion (the tier's eviction) per tier.
+/// The executor charges pages in batches (AccessMany): each key still takes
+/// those steps in order, but the counters and metrics are booked once per
+/// batch and a run of keys in one segment looks the segment up once.
 ///
 /// The page directory maps a key to its node in two levels: PageKey's top
 /// 16 bits (table, kind, index column) pick a segment, and the page number
@@ -62,13 +65,29 @@ class BufferPool {
   static uint64_t PageKey(catalog::TableId table, PageKind kind,
                           catalog::ColumnId index_column, int64_t page_no);
 
+  /// How many accesses of a batch each tier served.
+  struct TierCounts {
+    int64_t shared_hits = 0;
+    int64_t os_hits = 0;
+    int64_t disk_reads = 0;
+  };
+
   /// Touches a page; returns the tier that served it. The page becomes the
-  /// most recent in both tiers.
+  /// most recent in both tiers. The one-key case of AccessMany (same touch
+  /// routine, same counters).
   AccessTier Access(uint64_t page_key);
 
-  /// Appends every key passed to Access to `*log` until called again with
-  /// nullptr; recording changes no tier decision. bench/micro_engine uses
-  /// it to replay the page stream a real execution charges.
+  /// Touches keys[0..n) in order, exactly as n Access calls would (same
+  /// tiers, evictions and recorded keys), and returns how many each tier
+  /// served. The hit/miss/eviction counters and their obs metrics move
+  /// once per batch, and a run of keys with the same top 16 bits resolves
+  /// its directory segment once. This is how the executor charges pages.
+  TierCounts AccessMany(const uint64_t* keys, int64_t n);
+
+  /// Appends every key passed to Access or AccessMany to `*log` until
+  /// called again with nullptr; recording changes no tier decision.
+  /// bench/micro_engine uses it to replay the page stream a real execution
+  /// charges.
   void RecordAccesses(std::vector<uint64_t>* log) { access_log_ = log; }
 
   /// Drops both tiers (full cold cache).
@@ -124,9 +143,22 @@ class BufferPool {
     int32_t tail = kNull;  // least recent node the tier holds
   };
 
-  /// Index into entries_ of `page_key`'s directory entry, allocating its
-  /// segment and chunk on first touch.
-  int32_t EntryOf(uint64_t page_key);
+  /// Chunk table of the directory segment `prefix` (PageKey's top 16
+  /// bits), allocating the segment on first touch.
+  std::vector<int32_t>& SegmentOf(uint64_t prefix);
+
+  /// Index into entries_ of page `page` of the segment whose chunk table is
+  /// `chunks`, allocating its chunk on first touch.
+  int32_t EntryOf(std::vector<int32_t>& chunks, uint64_t page);
+
+  /// Makes the page of directory entry `entry` the most recent in both
+  /// tiers; returns the tier that served it and adds the pages it evicted
+  /// to `*evicted`. Counters are left to the caller.
+  AccessTier Touch(int32_t entry, int64_t* evicted);
+
+  /// Adds one access's or one batch's tier counts and evictions to the
+  /// counters and their obs metrics.
+  void Book(const TierCounts& counts, int64_t evicted);
 
   /// Adds the head node `node` to `tier`, demoting the tier's tail when
   /// full. Returns the number of pages evicted (0 or 1).

@@ -11,7 +11,9 @@
 #     planner's per-query estimate memo), and the geqo_threshold_4 arm
 #     took <= 1.8x the wall clock of the default arm (GEQO costs
 #     thousands of join orders per query, so this guards costing them
-#     from per-call constants).
+#     from per-call constants). Each arm's wall clock is the fastest of
+#     the soak's 3 repeats (recorded as "repeats": 3), which agree on
+#     every count.
 #   - BENCH_serve.json: recorded with --sql, every arm deterministic, and
 #     the normalized-template plan-cache key beats per-literal keying on
 #     the varied-literal workload by > 0.3 hit rate.
@@ -29,7 +31,12 @@
 #     filtered bases (a cache key that named aliases or queries would scan
 #     more), the buffer-pool replay of the JOB-lite page stream costs
 #     <= 40 ns per access in both regimes with exactly the tier counts of
-#     the two-LRU pool it replaced, and the index-probe replay (every IMDB
+#     the two-LRU pool it replaced, the heap-charge replay (JOB-lite's
+#     index-NLJ heap charges through Executor::ChargeRandomHeapPages on a
+#     fresh replica) makes exactly its recorded accesses and tier counts
+#     at <= 15 ns per touch and <= 0.9x the no_fill replay's ns per
+#     access (batched: 0.38-0.77x; per-page charging: 0.96-2.14x), and the
+#     index-probe replay (every IMDB
 #     foreign key probed both ways) makes exactly its recorded probes and
 #     matches at <= 20 ns per probe (the binary-search index it replaced
 #     took ~100 ns).
@@ -97,6 +104,10 @@ else
     fail=1
   elif ! awk -v q="$fuzz_qps" 'BEGIN { exit !(q >= 40) }'; then
     echo "FAIL: fuzz soak at $fuzz_qps queries/s (< 40) in $fuzz"
+    fail=1
+  fi
+  if ! grep -q '"repeats": 3,' "$fuzz"; then
+    echo "FAIL: $fuzz not recorded as the fastest of 3 repeats per arm"
     fail=1
   fi
   fuzz_wall_ms() {
@@ -263,6 +274,30 @@ else
       fail=1
     fi
   done
+  # Heap-charge counts are virtual too: a different count means the
+  # precomputed heap sequences or the batched pool picked other pages or
+  # tiers than per-page charging did.
+  line=$(grep '"heap_charge":' "$engine")
+  got="$(field calls) $(field accesses) $(field shared_hits) $(field os_hits) $(field disk_reads)"
+  if [ "$got" != "2073 9930420 9909697 0 20723" ]; then
+    echo "FAIL: heap charge replay calls/accesses/tier counts '$got' != '2073 9930420 9909697 0 20723' in $engine"
+    fail=1
+  fi
+  ns=$(field ns_per_touch)
+  if [ -z "$ns" ] || ! awk -v n="$ns" 'BEGIN { exit !(n <= 15) }'; then
+    echo "FAIL: heap charge replay at ${ns:-?} ns/touch (> 15) in $engine"
+    fail=1
+  fi
+  # Same run, same host load: a charged page must cost less than a bare
+  # Access call in the no_fill replay, i.e. batching left no per-page work
+  # beyond the pool's touch.
+  line=$(grep '"regime": "no_fill"' "$engine")
+  access_ns=$(field buffer_ns_per_access)
+  if [ -z "$ns" ] || [ -z "$access_ns" ] ||
+      ! awk -v n="$ns" -v a="$access_ns" 'BEGIN { exit !(n <= 0.9 * a) }'; then
+    echo "FAIL: heap charge replay at ${ns:-?} ns/touch is > 0.9x the no_fill buffer replay's ${access_ns:-?} ns/access in $engine"
+    fail=1
+  fi
   # Probe and match counts are fixed by the seed-42 medium IMDB: a
   # different count means an index returned different rows.
   line=$(grep '"index_probe":' "$engine")

@@ -6,6 +6,7 @@
 // Everything is seeded; the suite runs in a few seconds.
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
 #include <vector>
 
@@ -281,6 +282,47 @@ TEST(ExecutorFaults, StatementTimeoutReportsDeadlineExceeded) {
   EXPECT_TRUE(run.timed_out);
   EXPECT_EQ(run.status.code(), StatusCode::kDeadlineExceeded);
   EXPECT_FALSE(run.status.retryable());
+}
+
+// The executor charges each page loop as one batch and takes the batch's
+// buffer.read_page hits per page, in page order, before its accesses.
+// Every-nth decisions depend only on the hit index, so one injector shared
+// by a few JOB-lite queries (its hit counter runs across them) must fire on
+// exactly the pages it fired on when every page was charged on its own.
+// The constants were recorded with per-page charging; hits equal the pages
+// the runs accessed.
+TEST(ExecutorFaults, BatchedReadPageHitsKeepHitIndices) {
+  FaultPlan plan;
+  FaultRule rule;
+  rule.point = "buffer.read_page";
+  rule.kind = FaultKind::kLatency;
+  rule.latency_ns = 30'000;
+  rule.every_nth = 97;
+  plan.Add(rule);
+  FaultInjector injector(plan);
+
+  const size_t queries[] = {0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 110};
+  const util::VirtualNanos expected_ns[] = {
+      20510671, 25709216, 45311279, 58729511, 25464595, 19991244,
+      85204552, 61308055, 20710609, 102088490, 67819255, 17768304};
+  int64_t pages = 0;
+  for (size_t i = 0; i < std::size(queries); ++i) {
+    const query::Query& q = Workload()[queries[i]];
+    const auto replica = SharedDb()->CloneContextForWorker();
+    const auto planned = replica->PlanQuery(q);
+    replica->BeginQueryReplay(SharedDb()->seed(), q);
+    engine::QueryRun run;
+    {
+      ScopedFaultInjection inject(&injector);
+      run = replica->ExecutePlan(q, planned.plan, planned.planning_ns);
+    }
+    ASSERT_TRUE(run.status.ok()) << q.id;
+    EXPECT_EQ(run.execution_ns, expected_ns[i]) << q.id;
+    pages += run.pages_accessed;
+  }
+  EXPECT_EQ(injector.hits("buffer.read_page"), pages);
+  EXPECT_EQ(pages, 29528);
+  EXPECT_EQ(injector.fires("buffer.read_page"), 304);
 }
 
 // --- Batched-engine fault boundaries ---------------------------------------

@@ -330,5 +330,79 @@ TEST(ExecutorBufferDigest, Tpch) {
   EXPECT_EQ(d.evictions, 24665);
 }
 
+/// Checks every table's SharedContext::heap_probe_pages against the LCG
+/// the executor used to draw per touch (seed 0x9e3779b97f4a7c15 ^ table,
+/// page = (state >> 33) % max(1, page count), kMaxPageLoop draws), stored
+/// in 16 bits exactly when the table has at most 65536 pages, and checks
+/// that ChargeRandomHeapPages charges those pages, in order, as heap keys.
+void ExpectHeapProbesMatchLcg(Database* db) {
+  const engine::SharedContext& shared = *db->context().shared;
+  ASSERT_EQ(shared.heap_probe_pages.size(), shared.tables.size());
+  for (size_t t = 0; t < shared.tables.size(); ++t) {
+    const engine::HeapProbePages& sequence = shared.heap_probe_pages[t];
+    const int64_t pages = std::max<int64_t>(1, shared.tables[t]->page_count());
+    const bool narrow = pages <= 65536;
+    ASSERT_EQ(static_cast<int64_t>(sequence.narrow.size()),
+              narrow ? kMaxPageLoop : 0);
+    ASSERT_EQ(static_cast<int64_t>(sequence.wide.size()),
+              narrow ? 0 : kMaxPageLoop);
+    const auto replica = db->CloneContextForWorker();
+    std::vector<uint64_t> charged;
+    replica->context().buffer_pool->RecordAccesses(&charged);
+    replica->executor().ChargeRandomHeapPages(
+        static_cast<catalog::TableId>(t), kMaxPageLoop + 7);
+    replica->context().buffer_pool->RecordAccesses(nullptr);
+    ASSERT_EQ(static_cast<int64_t>(charged.size()), kMaxPageLoop);
+    uint64_t state = 0x9e3779b97f4a7c15ULL ^ static_cast<uint64_t>(t);
+    for (size_t i = 0; i < static_cast<size_t>(kMaxPageLoop); ++i) {
+      state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+      const int64_t page = static_cast<int64_t>(
+          (state >> 33) % static_cast<uint64_t>(pages));
+      ASSERT_EQ(narrow ? sequence.narrow[i] : sequence.wide[i], page)
+          << "table " << t << " draw " << i;
+      ASSERT_EQ(charged[i],
+                storage::BufferPool::PageKey(static_cast<catalog::TableId>(t),
+                                             storage::PageKind::kHeap,
+                                             catalog::kInvalidColumn, page))
+          << "table " << t << " draw " << i;
+    }
+  }
+}
+
+// Index-NLJ inner fetches charge a prefix of each table's precomputed heap
+// sequence; on every IMDB and TPC-H-lite table it must be the sequence the
+// executor used to draw per touch.
+TEST(ExecutorHeapProbes, SharedSequenceMatchesLcgFormula) {
+  ExpectHeapProbesMatchLcg(MakeDb().get());
+  ExpectHeapProbesMatchLcg(MakeTpchDb().get());
+}
+
+// A table of more than 65536 pages keeps 32-bit page numbers; one of
+// exactly 65536 still fits 16 bits.
+TEST(ExecutorHeapProbes, WideTablesKeepThirtyTwoBitPages) {
+  catalog::Schema schema;
+  for (const char* name : {"fits", "wide"}) {
+    catalog::TableDef def;
+    def.name = name;
+    def.columns = {{"id", catalog::ColumnType::kInt}};
+    schema.AddTable(def);
+  }
+  std::vector<std::shared_ptr<storage::Table>> tables;
+  for (catalog::TableId t = 0; t < 2; ++t) {
+    auto table = std::make_shared<storage::Table>(t, schema.table(t));
+    const int64_t rows = (65536 + t) * storage::kRowsPerPage;
+    for (int64_t r = 0; r < rows; ++r) {
+      table->AppendRow({static_cast<storage::Value>(r)});
+    }
+    tables.push_back(std::move(table));
+  }
+  Database::Options options;
+  options.seed = 42;
+  const auto db = Database::FromTables(options, std::move(schema),
+                                       std::move(tables));
+  ASSERT_EQ(db->context().table(1).page_count(), 65537);
+  ExpectHeapProbesMatchLcg(db.get());
+}
+
 }  // namespace
 }  // namespace lqolab::exec

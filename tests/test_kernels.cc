@@ -39,19 +39,23 @@ namespace {
 std::atomic<uint64_t> g_alloc_count{0};
 }  // namespace
 
-void* operator new(std::size_t size) {
+// Kept out of line: once GCC inlines a replacement into its caller it sees
+// std::malloc/std::free paired with operator new/delete there and warns
+// -Wmismatched-new-delete.
+__attribute__((noinline)) void* operator new(std::size_t size) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   void* p = std::malloc(size == 0 ? 1 : size);
   if (p == nullptr) throw std::bad_alloc();
   return p;
 }
-void* operator new[](std::size_t size) {
+__attribute__((noinline)) void* operator new[](std::size_t size) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   void* p = std::malloc(size == 0 ? 1 : size);
   if (p == nullptr) throw std::bad_alloc();
   return p;
 }
-void* operator new(std::size_t size, std::align_val_t align) {
+__attribute__((noinline)) void* operator new(std::size_t size,
+                                             std::align_val_t align) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   const std::size_t a = static_cast<std::size_t>(align);
   const std::size_t rounded = (size + a - 1) / a * a;
@@ -59,19 +63,38 @@ void* operator new(std::size_t size, std::align_val_t align) {
   if (p == nullptr) throw std::bad_alloc();
   return p;
 }
-void* operator new[](std::size_t size, std::align_val_t align) {
+__attribute__((noinline)) void* operator new[](std::size_t size,
+                                               std::align_val_t align) {
   return operator new(size, align);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+__attribute__((noinline)) void operator delete(void* p) noexcept {
   std::free(p);
 }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+__attribute__((noinline)) void operator delete(void* p,
+                                               std::size_t) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete[](void* p) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete[](void* p,
+                                                 std::size_t) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete(void* p,
+                                               std::align_val_t) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete(void* p, std::size_t,
+                                               std::align_val_t) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete[](void* p,
+                                                 std::align_val_t) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete[](void* p, std::size_t,
+                                                 std::align_val_t) noexcept {
   std::free(p);
 }
 

@@ -381,6 +381,104 @@ TEST(BufferPool, ServesTheWholePageRange) {
   EXPECT_EQ(pool.resident_pages(), 2);
 }
 
+/// AccessMany must be n Access calls: the same key stream fed to one pool
+/// key by key and to another in random batches (empty ones included,
+/// batches crossing segments and runs within one) must agree on every
+/// batch's tier counts, every counter and size, the metrics, the recorded
+/// key log, and the tiers of a follow-up stream. Both bench/micro_engine
+/// buffer-replay sizings: one that never fills, one where both tiers evict.
+TEST(BufferPoolTest, AccessManyMatchesAccess) {
+  const std::pair<int64_t, int64_t> regimes[] = {{131072, 262144},
+                                                 {512, 4096}};
+  for (const auto& [shared_pages, os_pages] : regimes) {
+    SCOPED_TRACE(shared_pages);
+    // Runs of 1..64 keys in one segment (six tables, heap or one of two
+    // index columns), either consecutive pages or random ones.
+    util::Rng rng(static_cast<uint64_t>(shared_pages));
+    const int64_t domain = os_pages / 2;
+    std::vector<uint64_t> stream;
+    while (stream.size() < 200000) {
+      const auto table = static_cast<catalog::TableId>(rng.UniformInt(0, 5));
+      const int64_t column = rng.UniformInt(-1, 1);
+      const PageKind kind = column < 0 ? PageKind::kHeap : PageKind::kIndexLeaf;
+      const int64_t run = rng.UniformInt(1, 64);
+      const bool consecutive = rng.Bernoulli(0.5);
+      const int64_t first = rng.UniformInt(0, domain - 1);
+      for (int64_t i = 0; i < run; ++i) {
+        const int64_t page =
+            consecutive ? (first + i) % domain : rng.UniformInt(0, domain - 1);
+        stream.push_back(BufferPool::PageKey(
+            table, kind, static_cast<catalog::ColumnId>(column), page));
+      }
+    }
+
+    BufferPool single(shared_pages, os_pages);
+    BufferPool batched(shared_pages, os_pages);
+    obs::MetricsRegistry single_metrics;
+    obs::MetricsRegistry batched_metrics;
+    std::vector<uint64_t> single_log;
+    std::vector<uint64_t> batched_log;
+    single.RecordAccesses(&single_log);
+    batched.RecordAccesses(&batched_log);
+    for (size_t begin = 0; begin < stream.size();) {
+      const size_t n = std::min<size_t>(
+          static_cast<size_t>(rng.UniformInt(0, 300)), stream.size() - begin);
+      BufferPool::TierCounts expected;
+      {
+        obs::MetricsScope scope(&single_metrics);
+        for (size_t i = begin; i < begin + n; ++i) {
+          switch (single.Access(stream[i])) {
+            case AccessTier::kSharedHit:
+              ++expected.shared_hits;
+              break;
+            case AccessTier::kOsHit:
+              ++expected.os_hits;
+              break;
+            case AccessTier::kDisk:
+              ++expected.disk_reads;
+              break;
+          }
+        }
+      }
+      BufferPool::TierCounts got;
+      {
+        obs::MetricsScope scope(&batched_metrics);
+        got = batched.AccessMany(stream.data() + begin,
+                                 static_cast<int64_t>(n));
+      }
+      ASSERT_EQ(got.shared_hits, expected.shared_hits) << "batch at " << begin;
+      ASSERT_EQ(got.os_hits, expected.os_hits) << "batch at " << begin;
+      ASSERT_EQ(got.disk_reads, expected.disk_reads) << "batch at " << begin;
+      ASSERT_EQ(batched.shared_hits(), single.shared_hits());
+      ASSERT_EQ(batched.os_hits(), single.os_hits());
+      ASSERT_EQ(batched.disk_reads(), single.disk_reads());
+      ASSERT_EQ(batched.evictions(), single.evictions());
+      ASSERT_EQ(batched.shared_size(), single.shared_size());
+      ASSERT_EQ(batched.os_size(), single.os_size());
+      ASSERT_EQ(batched.resident_pages(), single.resident_pages());
+      begin += n;
+    }
+    single.RecordAccesses(nullptr);
+    batched.RecordAccesses(nullptr);
+    EXPECT_EQ(batched_log, single_log);
+    EXPECT_EQ(batched_log, stream);
+    EXPECT_GT(single.evictions(), 0);
+    for (const obs::Counter c :
+         {obs::Counter::kBufferSharedHits, obs::Counter::kBufferOsHits,
+          obs::Counter::kBufferDiskReads, obs::Counter::kBufferEvictions}) {
+      EXPECT_EQ(batched_metrics.Get(c), single_metrics.Get(c));
+    }
+    EXPECT_EQ(batched_metrics.Get(obs::Counter::kBufferEvictions),
+              single.evictions());
+    // Same recency order: a follow-up stream is served from the same tiers.
+    for (int i = 0; i < 20000; ++i) {
+      const uint64_t key = stream[static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(stream.size()) - 1))];
+      ASSERT_EQ(batched.Access(key), single.Access(key)) << "follow-up " << i;
+    }
+  }
+}
+
 /// Reference model for BufferPool: the pool as it was before it kept one
 /// page table, two LruCaches touched with the same key on every access.
 class ReferencePool {
