@@ -7,12 +7,14 @@
 // workload), a buffer-pool replay (the page stream the executor charges
 // on JOB-lite, replayed through storage::BufferPool in two sizings), a
 // heap-charge replay (JOB-lite's index-NLJ heap charges, replayed through
-// exec::Executor::ChargeRandomHeapPages on a fresh replica) and an
+// exec::Executor::ChargeRandomHeapPages on a fresh replica), an
 // index-probe replay (every IMDB foreign key probed both ways through
-// storage::Index::EqualRange), and emits one JSON document; the recorded
-// run lives at BENCH_engine.json. Exit code 1 if the batched engine falls
-// below the 3x speedup floor docs/execution.md documents, or if replay
-// rounds disagree on a tier count or a match count.
+// storage::Index::EqualRange) and an analyze replay (stats::Analyze over
+// every table of TPC-H-lite 4x and IMDB medium), and emits one JSON
+// document; the recorded run lives at BENCH_engine.json. Exit code 1 if
+// the batched engine falls below the 3x speedup floor docs/execution.md
+// documents, or if replay rounds disagree on a tier count, a match count
+// or a statistics digest.
 
 #include <benchmark/benchmark.h>
 
@@ -24,6 +26,7 @@
 #include <string>
 
 #include "bench_common.h"
+#include "datagen/tpch_generator.h"
 #include "lqo/encoding.h"
 #include "lqo/value_net.h"
 #include "ml/nn.h"
@@ -417,6 +420,108 @@ ReplayResult BufferReplay(const std::vector<uint64_t>& stream,
   return result;
 }
 
+struct AnalyzeResult {
+  const char* schema = "";
+  int64_t columns = 0;
+  int64_t values = 0;         // rows summed over columns
+  uint64_t digest = 0;        // FNV-1a over every ColumnStats field
+  double ms = 0.0;            // best (min) round
+  bool deterministic = true;  // every round produced the same digest
+};
+
+/// FNV-1a over the bytes of `value`, folded into `digest`.
+template <typename T>
+void FnvAdd(uint64_t* digest, const T& value) {
+  const auto* bytes = reinterpret_cast<const unsigned char*>(&value);
+  for (size_t i = 0; i < sizeof(T); ++i) {
+    *digest = (*digest ^ bytes[i]) * 1099511628211ull;
+  }
+}
+
+uint64_t StatsDigest(const std::vector<stats::TableStats>& tables) {
+  uint64_t digest = 1469598103934665603ull;
+  for (const stats::TableStats& table : tables) {
+    for (const stats::ColumnStats& cs : table.columns) {
+      FnvAdd(&digest, cs.row_count);
+      FnvAdd(&digest, cs.null_count);
+      FnvAdd(&digest, cs.n_distinct);
+      FnvAdd(&digest, cs.min_value);
+      FnvAdd(&digest, cs.max_value);
+      FnvAdd(&digest, cs.mcv_values.size());
+      for (size_t i = 0; i < cs.mcv_values.size(); ++i) {
+        FnvAdd(&digest, cs.mcv_values[i]);
+        FnvAdd(&digest, cs.mcv_freqs[i]);
+      }
+      FnvAdd(&digest, cs.histogram_bounds.size());
+      for (const storage::Value bound : cs.histogram_bounds) {
+        FnvAdd(&digest, bound);
+      }
+      FnvAdd(&digest, cs.histogram_fraction);
+    }
+  }
+  return digest;
+}
+
+/// Runs stats::Analyze over every table of one database build, as
+/// Database::FinishBuild does, kRounds times and keeps the fastest round
+/// (min-of-N, as in EngineComparison).
+AnalyzeResult AnalyzeReplay(const char* schema,
+                            const std::vector<const storage::Table*>& tables) {
+  constexpr int kRounds = 7;
+  AnalyzeResult result;
+  result.schema = schema;
+  for (const storage::Table* table : tables) {
+    result.columns += table->column_count();
+    result.values += table->column_count() * table->row_count();
+  }
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<stats::TableStats> stats;
+    stats.reserve(tables.size());
+    const auto t0 = std::chrono::steady_clock::now();
+    for (const storage::Table* table : tables) {
+      stats.push_back(stats::Analyze(*table));
+    }
+    const double ms = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+    const uint64_t digest = StatsDigest(stats);
+    if (round == 0) {
+      result.digest = digest;
+      result.ms = ms;
+    } else {
+      result.deterministic &= digest == result.digest;
+      result.ms = std::min(result.ms, ms);
+    }
+  }
+  std::fprintf(stderr,
+               "analyze replay %s: %lld columns, %lld values, best round "
+               "%.1f ms, digest %016llx\n",
+               schema, static_cast<long long>(result.columns),
+               static_cast<long long>(result.values), result.ms,
+               static_cast<unsigned long long>(result.digest));
+  return result;
+}
+
+/// Analyze replays over the two databases bench/layer_profile builds:
+/// TPC-H-lite at 4x medium (`tpch`) and IMDB at the medium profile (`job`).
+std::vector<AnalyzeResult> AnalyzeReplays(engine::Database* medium_imdb) {
+  std::vector<AnalyzeResult> results;
+  {
+    const auto tpch = datagen::GenerateTpch(
+        catalog::BuildTpchSchema(),
+        datagen::TpchScaleProfile::Medium().Scaled(4.0), bench::kSeed);
+    std::vector<const storage::Table*> tables;
+    for (const auto& table : tpch) tables.push_back(table.get());
+    results.push_back(AnalyzeReplay("tpch_lite_4x", tables));
+  }
+  std::vector<const storage::Table*> tables;
+  for (catalog::TableId t = 0; t < medium_imdb->schema().table_count(); ++t) {
+    tables.push_back(&medium_imdb->context().table(t));
+  }
+  results.push_back(AnalyzeReplay("imdb_medium", tables));
+  return results;
+}
+
 int EngineComparison(const char* path) {
   struct Spec {
     const char* name;
@@ -492,6 +597,7 @@ int EngineComparison(const char* path) {
   const HeapChargeResult heap_charge =
       HeapChargeReplay(medium.get(), charges.heap_charges);
   const IndexProbeResult index_probe = IndexProbeReplay(medium.get());
+  const std::vector<AnalyzeResult> analyzes = AnalyzeReplays(medium.get());
 
   const double speedup_vectorized =
       results[1].rows_per_sec / results[0].rows_per_sec;
@@ -553,6 +659,22 @@ int EngineComparison(const char* path) {
                 static_cast<long long>(index_probe.matched_rows),
                 index_probe.ns_per_probe);
   json += buffer;
+  json += "  \"analyze\": [\n";
+  bool analyzes_deterministic = true;
+  for (size_t i = 0; i < analyzes.size(); ++i) {
+    const AnalyzeResult& a = analyzes[i];
+    analyzes_deterministic &= a.deterministic;
+    std::snprintf(buffer, sizeof(buffer),
+                  "    {\"schema\": \"%s\", \"columns\": %lld, "
+                  "\"values\": %lld, \"stats_digest\": \"%016llx\", "
+                  "\"ms\": %.1f}%s\n",
+                  a.schema, static_cast<long long>(a.columns),
+                  static_cast<long long>(a.values),
+                  static_cast<unsigned long long>(a.digest), a.ms,
+                  i + 1 < analyzes.size() ? "," : "");
+    json += buffer;
+  }
+  json += "  ],\n";
   std::snprintf(buffer, sizeof(buffer), "  \"speedup_vectorized\": %.2f\n}\n",
                 speedup_vectorized);
   json += buffer;
@@ -570,7 +692,8 @@ int EngineComparison(const char* path) {
     std::fputs(json.c_str(), stdout);
   }
   return speedup_vectorized >= 3.0 && replays_deterministic &&
-                 heap_charge.deterministic && index_probe.deterministic
+                 heap_charge.deterministic && index_probe.deterministic &&
+                 analyzes_deterministic
              ? 0
              : 1;
 }

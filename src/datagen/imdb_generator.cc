@@ -242,6 +242,7 @@ void ImdbGenerator::GenerateTitle() {
   const auto pcodes = Pool("tp", 300);
   ZipfTable pcode_zipf(300, 1.0);
   ZipfTable year_zipf(125, 0.6);  // rank 0 -> most recent year
+  ZipfTable season_zipf(30, 1.0);
   title_kind_.resize(static_cast<size_t>(profile_.title));
   title_year_.resize(static_cast<size_t>(profile_.title));
   for (int64_t i = 0; i < profile_.title; ++i) {
@@ -259,7 +260,7 @@ void ImdbGenerator::GenerateTitle() {
     Value season = kNullValue;
     Value episode = kNullValue;
     if (kind == 2) {
-      season = static_cast<Value>(rng.Zipf(30, 1.0) + 1);
+      season = static_cast<Value>(season_zipf.Sample(&rng) + 1);
       episode = static_cast<Value>(rng.UniformInt(1, 24));
     }
     table(Table::kTitle)
@@ -329,6 +330,7 @@ void ImdbGenerator::GenerateCastInfo() {
   ZipfTable movie_zipf(profile_.title, 0.3);
   ZipfTable person_zipf(profile_.name, 0.35);
   ZipfTable char_zipf(profile_.char_name, 0.4);
+  ZipfTable nr_order_zipf(50, 1.0);
   // Role weights by gender: male-heavy roles vs actress for women.
   const std::vector<double> male_roles = {40, 1, 8, 9, 4, 4, 1, 7, 5, 15, 3, 3};
   const std::vector<double> female_roles = {2, 45, 5, 7, 2, 2, 6, 4, 5, 15, 4, 3};
@@ -351,9 +353,10 @@ void ImdbGenerator::GenerateCastInfo() {
             ? kNullValue
             : Str(Table::kCastInfo, 5,
                   notes[static_cast<size_t>(rng.UniformInt(0, 3))]);
-    const Value nr_order = rng.Uniform() < 0.3
-                               ? kNullValue
-                               : static_cast<Value>(rng.Zipf(50, 1.0) + 1);
+    const Value nr_order =
+        rng.Uniform() < 0.3
+            ? kNullValue
+            : static_cast<Value>(nr_order_zipf.Sample(&rng) + 1);
     table(Table::kCastInfo)
         .AppendRow({static_cast<Value>(i + 1), static_cast<Value>(person + 1),
                     static_cast<Value>(movie + 1), person_role, role, note,
@@ -426,6 +429,7 @@ void ImdbGenerator::GenerateMovieInfo() {
   ZipfTable genre_zipf(24, 0.9);
   ZipfTable country_zipf(30, 1.2);
   ZipfTable lang_zipf(25, 1.3);
+  ZipfTable runtime_zipf(12, 0.8);
   for (int64_t i = 0; i < profile_.movie_info; ++i) {
     const int32_t movie =
         movie_pop_[static_cast<size_t>(movie_zipf.Sample(&rng))];
@@ -452,7 +456,7 @@ void ImdbGenerator::GenerateMovieInfo() {
         info = languages[static_cast<size_t>(lang_zipf.Sample(&rng))];
         break;
       case info_types::kRuntime:
-        info = runtimes[static_cast<size_t>(rng.Zipf(12, 0.8))];
+        info = runtimes[static_cast<size_t>(runtime_zipf.Sample(&rng))];
         break;
       case info_types::kReleaseDates:
         info = releases[static_cast<size_t>(rng.UniformInt(0, 35))];
@@ -545,6 +549,7 @@ void ImdbGenerator::GeneratePersonInfo() {
                                          info_types::kHeight,
                                          info_types::kBiography};
   const auto birth_decades = Pool("born", 14);
+  ZipfTable decade_zipf(14, 0.5);
   const auto heights = Pool("cm", 20);
   const auto bios = Pool("bio", 50);
   for (int64_t i = 0; i < profile_.person_info; ++i) {
@@ -554,7 +559,7 @@ void ImdbGenerator::GeneratePersonInfo() {
     const int32_t info_type = type_ids[pick];
     std::string info;
     if (info_type == info_types::kBirthDate) {
-      info = birth_decades[static_cast<size_t>(rng.Zipf(14, 0.5))];
+      info = birth_decades[static_cast<size_t>(decade_zipf.Sample(&rng))];
     } else if (info_type == info_types::kHeight) {
       info = heights[static_cast<size_t>(rng.UniformInt(0, 19))];
     } else {

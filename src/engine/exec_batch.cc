@@ -18,7 +18,13 @@ BatchExecutor::BatchExecutor(Database* db, uint64_t global_seed,
   }
 }
 
-BatchExecutor::~BatchExecutor() = default;
+BatchExecutor::~BatchExecutor() {
+  // In place, the episodes' materialized intermediates stay in db's oracle
+  // memo, and a trainer's episodes are over once its executor goes. Drop
+  // them (cardinalities and filtered bases stay cached) so they do not
+  // outlive training.
+  if (pool_ == nullptr) db_->oracle().ReleaseMaterializations();
+}
 
 std::vector<QueryRun> BatchExecutor::Execute(
     const std::vector<PlanExec>& batch) {

@@ -26,7 +26,9 @@ struct PlanExec {
 ///
 /// In place (parallelism 0): serially on `db` itself, in batch order,
 /// exactly as a loop of db->ExecutePlan calls — executions share the
-/// database's cache, warm-up and noise state. No replica, no thread.
+/// database's cache, warm-up and noise state. No replica, no thread. The
+/// executor's destructor releases the oracle's materialized intermediates
+/// (Oracle::ReleaseMaterializations), which only re-executions would read.
 ///
 /// Replay (parallelism >= 1): across isolated worker replicas of `db` (the
 /// training-episode counterpart of benchkit::ParallelRunner). Every

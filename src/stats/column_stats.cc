@@ -1,9 +1,10 @@
 #include "stats/column_stats.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <limits>
+#include <span>
 
-#include "util/check.h"
+#include "storage/index.h"
 
 namespace lqolab::stats {
 
@@ -92,81 +93,164 @@ double ColumnStats::NullSelectivity() const { return null_fraction(); }
 
 double ColumnStats::NotNullSelectivity() const { return 1.0 - null_fraction(); }
 
+namespace {
+
+/// One distinct value and its number of rows.
+struct ValueCount {
+  Value value;
+  int64_t count;
+};
+
+/// The MCV order: higher count first, ties broken by the smaller value.
+bool McvBefore(const ValueCount& a, const ValueCount& b) {
+  return a.count != b.count ? a.count > b.count : a.value < b.value;
+}
+
+/// The distinct non-NULL values of one column with their counts, visited
+/// in ascending value order. A dense column (span at most non-NULL rows +
+/// storage::Index::kSpanSlack, the index's layout rule) is a count per
+/// slot of [min, max]; a sparse one is a sorted copy of its values.
+class DistinctValues {
+ public:
+  /// Counts `values` (non-NULL ones within [min, max], `non_null` of them)
+  /// into `counts` or `sorted`, whichever the span calls for; both
+  /// buffers are reused across the columns of a table.
+  DistinctValues(const std::vector<Value>& values, int64_t non_null,
+                 Value min, Value max, std::vector<uint32_t>* counts,
+                 std::vector<Value>* sorted)
+      : min_(min) {
+    const int64_t span =
+        static_cast<int64_t>(max) - static_cast<int64_t>(min) + 1;
+    if (span <= non_null + storage::Index::kSpanSlack) {
+      counts->assign(static_cast<size_t>(span), 0);
+      for (Value v : values) {
+        if (v != kNullValue) ++(*counts)[Slot(v)];
+      }
+      counts_ = *counts;
+      return;
+    }
+    sorted->clear();
+    sorted->reserve(static_cast<size_t>(non_null));
+    for (Value v : values) {
+      if (v != kNullValue) sorted->push_back(v);
+    }
+    std::sort(sorted->begin(), sorted->end());
+    sorted_ = *sorted;
+  }
+
+  /// Calls visit(ValueCount) once per distinct value, ascending.
+  template <typename Visit>
+  void ForEach(Visit&& visit) const {
+    for (size_t s = 0; s < counts_.size(); ++s) {
+      if (counts_[s] != 0) {
+        visit(ValueCount{static_cast<Value>(min_ + static_cast<int64_t>(s)),
+                         counts_[s]});
+      }
+    }
+    for (size_t i = 0; i < sorted_.size();) {
+      size_t j = i + 1;
+      while (j < sorted_.size() && sorted_[j] == sorted_[i]) ++j;
+      visit(ValueCount{sorted_[i], static_cast<int64_t>(j - i)});
+      i = j;
+    }
+  }
+
+ private:
+  size_t Slot(Value v) const {
+    return static_cast<size_t>(static_cast<int64_t>(v) - min_);
+  }
+
+  int64_t min_;
+  std::span<const uint32_t> counts_;
+  std::span<const Value> sorted_;
+};
+
+/// Fills n_distinct, the MCVs and the histogram of `cs` from `distinct`;
+/// `non_null` is the number of non-NULL rows (at least one).
+void Summarize(const DistinctValues& distinct, int64_t non_null,
+               ColumnStats* cs) {
+  ValueCount best{kNullValue, 0};
+  distinct.ForEach([&](const ValueCount& vc) {
+    ++cs->n_distinct;
+    if (vc.count > best.count) best = vc;  // ascending: first max is smallest
+  });
+
+  // MCVs: values appearing more than ~1.25x the average frequency, capped
+  // at kMcvTarget (mirrors analyze.c's "common enough" rule); the most
+  // common value is always kept.
+  const double avg_freq = static_cast<double>(non_null) /
+                          static_cast<double>(cs->n_distinct);
+  std::vector<ValueCount> mcvs;
+  distinct.ForEach([&](const ValueCount& vc) {
+    if (static_cast<double>(vc.count) > 1.25 * avg_freq) mcvs.push_back(vc);
+  });
+  if (mcvs.empty()) mcvs.push_back(best);
+  const size_t kept = std::min<size_t>(mcvs.size(), kMcvTarget);
+  std::partial_sort(mcvs.begin(), mcvs.begin() + static_cast<ptrdiff_t>(kept),
+                    mcvs.end(), McvBefore);
+  mcvs.resize(kept);
+  int64_t mcv_rows = 0;
+  for (const ValueCount& vc : mcvs) {
+    cs->mcv_values.push_back(vc.value);
+    cs->mcv_freqs.push_back(static_cast<double>(vc.count) /
+                            static_cast<double>(cs->row_count));
+    mcv_rows += vc.count;
+  }
+
+  // Equi-depth histogram over the non-MCV values in ascending order: bound
+  // b is the value at position b * (H - 1) / buckets of those H values.
+  const int64_t hist_rows = non_null - mcv_rows;
+  cs->histogram_fraction = static_cast<double>(hist_rows) /
+                           static_cast<double>(cs->row_count);
+  if (hist_rows < 2) return;
+  std::vector<Value> mcv_sorted = cs->mcv_values;
+  std::sort(mcv_sorted.begin(), mcv_sorted.end());
+  const uint64_t last = static_cast<uint64_t>(hist_rows) - 1;
+  const uint64_t buckets = std::min<uint64_t>(kHistogramBuckets, last);
+  cs->histogram_bounds.reserve(buckets + 1);
+  size_t next_mcv = 0;
+  uint64_t position = 0;  // non-MCV values before the current one
+  uint64_t b = 0;
+  distinct.ForEach([&](const ValueCount& vc) {
+    if (next_mcv < mcv_sorted.size() && mcv_sorted[next_mcv] == vc.value) {
+      ++next_mcv;
+      return;
+    }
+    position += static_cast<uint64_t>(vc.count);
+    while (b <= buckets && b * last / buckets < position) {
+      cs->histogram_bounds.push_back(vc.value);
+      ++b;
+    }
+  });
+}
+
+}  // namespace
+
 TableStats Analyze(const storage::Table& table) {
   TableStats stats;
   stats.columns.reserve(static_cast<size_t>(table.column_count()));
+  std::vector<uint32_t> counts;  // a dense column's count per value
+  std::vector<Value> sorted;     // a sparse column's values, ascending
   for (int32_t c = 0; c < table.column_count(); ++c) {
-    const storage::Column& column = table.column(c);
-    ColumnStats cs;
-    cs.row_count = column.size();
-
-    std::vector<Value> non_null;
-    non_null.reserve(static_cast<size_t>(column.size()));
-    for (Value v : column.values()) {
+    const std::vector<Value>& values = table.column(c).values();
+    ColumnStats& cs = stats.columns.emplace_back();
+    cs.row_count = static_cast<int64_t>(values.size());
+    Value min = std::numeric_limits<Value>::max();
+    Value max = std::numeric_limits<Value>::min();
+    for (Value v : values) {
       if (v == kNullValue) {
         ++cs.null_count;
-      } else {
-        non_null.push_back(v);
+        continue;
       }
+      min = std::min(min, v);
+      max = std::max(max, v);
     }
-    if (non_null.empty()) {
-      stats.columns.push_back(cs);
-      continue;
-    }
-    std::sort(non_null.begin(), non_null.end());
-    cs.min_value = non_null.front();
-    cs.max_value = non_null.back();
-
-    // Count distincts and frequencies in one pass over the sorted values.
-    std::vector<std::pair<int64_t, Value>> freq;  // (count, value)
-    for (size_t i = 0; i < non_null.size();) {
-      size_t j = i;
-      while (j < non_null.size() && non_null[j] == non_null[i]) ++j;
-      freq.emplace_back(static_cast<int64_t>(j - i), non_null[i]);
-      i = j;
-    }
-    cs.n_distinct = static_cast<int64_t>(freq.size());
-
-    // MCVs: values appearing more than ~1.25x the average frequency, capped
-    // at kMcvTarget (mirrors analyze.c's "common enough" rule).
-    const double avg_freq = static_cast<double>(non_null.size()) /
-                            static_cast<double>(freq.size());
-    std::sort(freq.begin(), freq.end(),
-              [](const auto& a, const auto& b) { return a.first > b.first; });
-    std::vector<bool> is_mcv_rank(freq.size(), false);
-    for (size_t i = 0; i < freq.size() && i < kMcvTarget; ++i) {
-      if (static_cast<double>(freq[i].first) <= 1.25 * avg_freq && i > 0) break;
-      cs.mcv_values.push_back(freq[i].second);
-      cs.mcv_freqs.push_back(static_cast<double>(freq[i].first) /
-                             static_cast<double>(cs.row_count));
-      is_mcv_rank[i] = true;
-    }
-
-    // Histogram over non-MCV values.
-    std::vector<Value> hist_values;
-    if (cs.mcv_values.empty()) {
-      hist_values = non_null;
-    } else {
-      std::vector<Value> mcv_sorted = cs.mcv_values;
-      std::sort(mcv_sorted.begin(), mcv_sorted.end());
-      for (Value v : non_null) {
-        if (!std::binary_search(mcv_sorted.begin(), mcv_sorted.end(), v)) {
-          hist_values.push_back(v);
-        }
-      }
-    }
-    cs.histogram_fraction = static_cast<double>(hist_values.size()) /
-                            static_cast<double>(cs.row_count);
-    if (hist_values.size() >= 2) {
-      const size_t buckets = std::min<size_t>(
-          kHistogramBuckets, hist_values.size() - 1);
-      cs.histogram_bounds.reserve(buckets + 1);
-      for (size_t b = 0; b <= buckets; ++b) {
-        const size_t idx = b * (hist_values.size() - 1) / buckets;
-        cs.histogram_bounds.push_back(hist_values[idx]);
-      }
-    }
-    stats.columns.push_back(std::move(cs));
+    const int64_t non_null = cs.row_count - cs.null_count;
+    if (non_null == 0) continue;
+    cs.min_value = min;
+    cs.max_value = max;
+    Summarize(DistinctValues(values, non_null, min, max, &counts, &sorted),
+              non_null, &cs);
   }
   return stats;
 }

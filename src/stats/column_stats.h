@@ -19,7 +19,8 @@ struct ColumnStats {
   storage::Value min_value = storage::kNullValue;
   storage::Value max_value = storage::kNullValue;
 
-  /// Most common values, sorted by descending frequency.
+  /// Most common values, ordered by descending count with ties broken by
+  /// ascending value.
   std::vector<storage::Value> mcv_values;
   /// Frequency (fraction of all rows) per MCV.
   std::vector<double> mcv_freqs;
@@ -61,7 +62,9 @@ constexpr int32_t kMcvTarget = 50;
 constexpr int32_t kHistogramBuckets = 100;
 
 /// Computes statistics for every column of `table` (a full-table ANALYZE;
-/// the generated database is small enough not to need sampling).
+/// the generated database is small enough not to need sampling). Values
+/// are counted, not sorted, when a column's span is dense enough for a
+/// storage::Index offset table; the output depends only on the data.
 TableStats Analyze(const storage::Table& table);
 
 }  // namespace lqolab::stats

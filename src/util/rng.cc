@@ -88,20 +88,35 @@ Rng Rng::Fork() { return Rng(Next()); }
 
 ZipfTable::ZipfTable(int64_t n, double s) {
   LQOLAB_CHECK_GT(n, 0);
-  cdf_.resize(static_cast<size_t>(n));
+  LQOLAB_CHECK_LE(n, int64_t{UINT32_MAX});
+  ranks_.resize(static_cast<size_t>(n));
   double total = 0.0;
   for (int64_t rank = 0; rank < n; ++rank) {
     total += 1.0 / std::pow(static_cast<double>(rank + 1), s);
-    cdf_[static_cast<size_t>(rank)] = total;
+    ranks_[static_cast<size_t>(rank)].cdf = total;
   }
-  for (auto& value : cdf_) value /= total;
+  for (Rank& r : ranks_) r.cdf /= total;
+  // ranks_[j].guide is the first rank whose CDF maps to slot j or later,
+  // under the same rounding as RankOf's slot of u. Slot is monotone, so
+  // every rank before ranks_[Slot(u)].guide has a CDF below u: a scan from
+  // there can never start past the std::lower_bound answer.
+  size_t slot = 0;
+  for (size_t rank = 0; rank < ranks_.size(); ++rank) {
+    const size_t last = Slot(ranks_[rank].cdf);
+    while (slot <= last) ranks_[slot++].guide = static_cast<uint32_t>(rank);
+  }
 }
 
-int64_t ZipfTable::Sample(Rng* rng) const {
-  const double u = rng->Uniform();
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  if (it == cdf_.end()) return static_cast<int64_t>(cdf_.size()) - 1;
-  return static_cast<int64_t>(it - cdf_.begin());
+size_t ZipfTable::Slot(double u) const {
+  return std::min(ranks_.size() - 1,
+                  static_cast<size_t>(u * static_cast<double>(ranks_.size())));
+}
+
+int64_t ZipfTable::RankOf(double u) const {
+  size_t rank = ranks_[Slot(u)].guide;
+  while (rank < ranks_.size() && ranks_[rank].cdf < u) ++rank;
+  if (rank == ranks_.size()) return static_cast<int64_t>(ranks_.size()) - 1;
+  return static_cast<int64_t>(rank);
 }
 
 }  // namespace lqolab::util

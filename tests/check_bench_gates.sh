@@ -39,7 +39,9 @@
 #     index-probe replay (every IMDB
 #     foreign key probed both ways) makes exactly its recorded probes and
 #     matches at <= 20 ns per probe (the binary-search index it replaced
-#     took ~100 ns).
+#     took ~100 ns), and the analyze replay (stats::Analyze over every
+#     table of TPC-H-lite 4x and IMDB medium, min of 7) produces exactly
+#     its pinned statistics digests in <= 300 and <= 100 ms.
 #   - BENCH_chaos.json: 100% containment, and no schedule corrupted an
 #     answer.
 # Regenerate with: build/bench/micro_parallel_runner BENCH_parallel_runner.json
@@ -252,10 +254,12 @@ else
   done
   field() { echo "$line" | grep -o "\"$1\": [0-9.]*" | awk '{print $2}'; }
   # Tier counts are virtual (deterministic): a different count means the
-  # pool changed which tier served a page, not that it got slower.
+  # pool changed which tier served a page, not that it got slower. The
+  # stream itself follows the JOB-lite plans, so a statistics change that
+  # moves a plan moves these counts too.
   for expected in \
-      'no_fill 10161390 10140294 0 21096 0' \
-      'both_evict 10161390 3573365 4337015 2251010 8834427'; do
+      'no_fill 10001337 9980241 0 21096 0' \
+      'both_evict 10001337 3515408 4244759 2241170 8722491'; do
     set -- $expected
     line=$(grep "\"regime\": \"$1\"" "$engine")
     if [ -z "$line" ]; then
@@ -279,8 +283,8 @@ else
   # tiers than per-page charging did.
   line=$(grep '"heap_charge":' "$engine")
   got="$(field calls) $(field accesses) $(field shared_hits) $(field os_hits) $(field disk_reads)"
-  if [ "$got" != "2073 9930420 9909697 0 20723" ]; then
-    echo "FAIL: heap charge replay calls/accesses/tier counts '$got' != '2073 9930420 9909697 0 20723' in $engine"
+  if [ "$got" != "2073 9770367 9749644 0 20723" ]; then
+    echo "FAIL: heap charge replay calls/accesses/tier counts '$got' != '2073 9770367 9749644 0 20723' in $engine"
     fail=1
   fi
   ns=$(field ns_per_touch)
@@ -311,6 +315,26 @@ else
     echo "FAIL: index probe replay at ${ns:-?} ns/probe (> 20) in $engine"
     fail=1
   fi
+  # ANALYZE over every table of the two databases bench/layer_profile
+  # builds. The digest covers every ColumnStats field and is fixed by the
+  # seed-42 data and the explicit MCV order (count descending, then value
+  # ascending); the sort-based Analyze took 924 and 153 ms here.
+  for expected in 'tpch_lite_4x b5a789c7b22ef4b1 300' \
+                  'imdb_medium 55129bf638417fbe 100'; do
+    read -r schema want bound <<< "$expected"
+    line=$(grep "\"schema\": \"$schema\"" "$engine")
+    got=$(echo "$line" | grep -o '"stats_digest": "[0-9a-f]*"' |
+      grep -o '[0-9a-f]\{16\}')
+    if [ "$got" != "$want" ]; then
+      echo "FAIL: analyze replay $schema stats digest '${got:-?}' != '$want' in $engine"
+      fail=1
+    fi
+    ms=$(field ms)
+    if [ -z "$ms" ] || ! awk -v n="$ms" -v b="$bound" 'BEGIN { exit !(n <= b) }'; then
+      echo "FAIL: analyze replay $schema at ${ms:-?} ms (> $bound) in $engine"
+      fail=1
+    fi
+  done
 fi
 
 chaos="$root/BENCH_chaos.json"

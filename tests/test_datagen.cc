@@ -4,13 +4,17 @@
 
 #include <algorithm>
 #include <set>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 
 #include <gtest/gtest.h>
 
 #include "catalog/imdb_schema.h"
+#include "catalog/tpch_schema.h"
 #include "datagen/imdb_generator.h"
+#include "datagen/tpch_generator.h"
+#include "digest.h"
 #include "storage/table.h"
 
 namespace lqolab::datagen {
@@ -243,6 +247,46 @@ TEST_F(SubsampleTest, StringsSurviveReencoding) {
   auto half = SubsampleTitleCascade(*schema_, *tables_, 0.5, 7);
   const storage::Column& info = (*half[Table::kMovieInfo]).column(3);
   EXPECT_NE(info.LookupString("drama"), storage::kNullValue);
+}
+
+/// FNV-1a over every value (raw bytes) and every dictionary string of
+/// every column of `tables`.
+uint64_t TablesDigest(
+    const std::vector<std::unique_ptr<storage::Table>>& tables) {
+  testutil::Digest digest;
+  for (const auto& table : tables) {
+    for (int32_t c = 0; c < table->column_count(); ++c) {
+      const storage::Column& column = table->column(c);
+      digest.Add(std::string_view(
+          reinterpret_cast<const char*>(column.data()),
+          column.values().size() * sizeof(storage::Value)));
+      for (storage::Value code = 0; code < column.dictionary_size(); ++code) {
+        digest.Add(column.StringAt(code));
+      }
+    }
+  }
+  return digest.value();
+}
+
+// Bit-for-bit pins of the seed-42 generated data at the test scale and at
+// the scale bench/layer_profile builds, so a faster sampler (e.g.
+// ZipfTable's guide table) provably draws the same tables.
+TEST(DatagenDigest, Imdb) {
+  const catalog::Schema schema = catalog::BuildImdbSchema();
+  EXPECT_EQ(TablesDigest(GenerateImdb(schema, ScaleProfile::Small(), 42)),
+            10437199409422354321ull);
+  EXPECT_EQ(TablesDigest(GenerateImdb(schema, ScaleProfile::Medium(), 42)),
+            7078012393086258203ull);
+}
+
+TEST(DatagenDigest, Tpch) {
+  const catalog::Schema schema = catalog::BuildTpchSchema();
+  EXPECT_EQ(TablesDigest(GenerateTpch(
+                schema, TpchScaleProfile::Small().Scaled(0.5), 42)),
+            12851138646500778531ull);
+  EXPECT_EQ(TablesDigest(GenerateTpch(
+                schema, TpchScaleProfile::Medium().Scaled(4.0), 42)),
+            10458454990044755760ull);
 }
 
 }  // namespace

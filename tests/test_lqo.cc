@@ -430,7 +430,7 @@ TEST(LqoTrainingDigest, Bao) {
 }
 
 TEST(LqoTrainingDigest, Neo) {
-  EXPECT_EQ(TrainingDigest("neo"), 0x67bd742155ec5224ull);
+  EXPECT_EQ(TrainingDigest("neo"), 0xb9653576fe8596c9ull);
 }
 
 TEST(LqoTrainingDigest, Balsa) {
@@ -438,7 +438,7 @@ TEST(LqoTrainingDigest, Balsa) {
 }
 
 TEST(LqoTrainingDigest, Leon) {
-  EXPECT_EQ(TrainingDigest("leon"), 0x6f427959676f74f0ull);
+  EXPECT_EQ(TrainingDigest("leon"), 0x68d83829c0982054ull);
 }
 
 TEST(LqoTrainingDigest, Lero) {
@@ -450,7 +450,7 @@ TEST(LqoTrainingDigest, Loger) {
 }
 
 TEST(LqoTrainingDigest, Rtos) {
-  EXPECT_EQ(TrainingDigest("rtos"), 0x5e53aba4f41d5ea7ull);
+  EXPECT_EQ(TrainingDigest("rtos"), 0x9ce6c824ce767482ull);
 }
 
 TEST(LqoTrainingDigest, HybridQo) {

@@ -2,14 +2,23 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "catalog/imdb_schema.h"
+#include "catalog/tpch_schema.h"
+#include "datagen/imdb_generator.h"
+#include "datagen/tpch_generator.h"
+#include "digest.h"
 #include "engine/database.h"
 #include "query/sql_workload.h"
 #include "stats/cardinality_estimator.h"
 #include "stats/column_stats.h"
+#include "storage/index.h"
 
 namespace lqolab::stats {
 namespace {
@@ -152,6 +161,220 @@ TEST(Analyze, EqSelectivityOutOfRangeIsZero) {
   EXPECT_EQ(cs.EqSelectivity(-5), 0.0);
   EXPECT_EQ(cs.EqSelectivity(1000), 0.0);
   EXPECT_EQ(cs.EqSelectivity(kNullValue), 0.0);
+}
+
+/// Analyze's specification, the sort-based way: sort the non-NULL values,
+/// sort every (count, value) pair by count descending then value
+/// ascending, admit MCVs from the front, and read the histogram bounds off
+/// the sorted non-MCV values.
+ColumnStats ReferenceStats(const storage::Column& column) {
+  ColumnStats cs;
+  cs.row_count = column.size();
+  std::vector<Value> non_null;
+  for (Value v : column.values()) {
+    if (v == kNullValue) {
+      ++cs.null_count;
+    } else {
+      non_null.push_back(v);
+    }
+  }
+  if (non_null.empty()) return cs;
+  std::sort(non_null.begin(), non_null.end());
+  cs.min_value = non_null.front();
+  cs.max_value = non_null.back();
+  std::vector<std::pair<int64_t, Value>> freq;  // (count, value)
+  for (size_t i = 0; i < non_null.size();) {
+    size_t j = i;
+    while (j < non_null.size() && non_null[j] == non_null[i]) ++j;
+    freq.emplace_back(static_cast<int64_t>(j - i), non_null[i]);
+    i = j;
+  }
+  cs.n_distinct = static_cast<int64_t>(freq.size());
+  const double avg_freq = static_cast<double>(non_null.size()) /
+                          static_cast<double>(freq.size());
+  std::sort(freq.begin(), freq.end(), [](const auto& a, const auto& b) {
+    return a.first != b.first ? a.first > b.first : a.second < b.second;
+  });
+  for (size_t i = 0; i < freq.size() && i < kMcvTarget; ++i) {
+    if (static_cast<double>(freq[i].first) <= 1.25 * avg_freq && i > 0) break;
+    cs.mcv_values.push_back(freq[i].second);
+    cs.mcv_freqs.push_back(static_cast<double>(freq[i].first) /
+                           static_cast<double>(cs.row_count));
+  }
+  std::vector<Value> mcv_sorted = cs.mcv_values;
+  std::sort(mcv_sorted.begin(), mcv_sorted.end());
+  std::vector<Value> hist_values;
+  for (Value v : non_null) {
+    if (!std::binary_search(mcv_sorted.begin(), mcv_sorted.end(), v)) {
+      hist_values.push_back(v);
+    }
+  }
+  cs.histogram_fraction = static_cast<double>(hist_values.size()) /
+                          static_cast<double>(cs.row_count);
+  if (hist_values.size() >= 2) {
+    const size_t buckets =
+        std::min<size_t>(kHistogramBuckets, hist_values.size() - 1);
+    for (size_t b = 0; b <= buckets; ++b) {
+      cs.histogram_bounds.push_back(
+          hist_values[b * (hist_values.size() - 1) / buckets]);
+    }
+  }
+  return cs;
+}
+
+void ExpectSameStats(const ColumnStats& got, const ColumnStats& want,
+                     const std::string& label) {
+  EXPECT_EQ(got.row_count, want.row_count) << label;
+  EXPECT_EQ(got.null_count, want.null_count) << label;
+  EXPECT_EQ(got.n_distinct, want.n_distinct) << label;
+  EXPECT_EQ(got.min_value, want.min_value) << label;
+  EXPECT_EQ(got.max_value, want.max_value) << label;
+  EXPECT_EQ(got.mcv_values, want.mcv_values) << label;
+  EXPECT_EQ(got.mcv_freqs, want.mcv_freqs) << label;
+  EXPECT_EQ(got.histogram_bounds, want.histogram_bounds) << label;
+  EXPECT_EQ(got.histogram_fraction, want.histogram_fraction) << label;
+}
+
+/// Column shapes for the reference comparison; each names the layout it
+/// exercises (dense spans are counted, sparse ones sorted).
+enum class Shape {
+  kDenseNegative,    // [-40, 40] with 10% NULLs
+  kZipf,             // skewed, many count ties in the tail
+  kSparseWide,       // anywhere in the int32 range, nearly all distinct
+  kSparseRepeated,   // 30 values spaced 10^8 apart
+  kSpanAtSlack,      // span == rows + kSpanSlack: the last dense span
+  kSpanPastSlack,    // span == rows + kSpanSlack + 1: the first sparse one
+  kAllNull,
+  kOneValue,         // one distinct value plus NULLs
+  kAllDistinct,      // a shuffled run of ids from -500
+  kTieAtMcvCut,      // 70 values of 3 rows each (20 past the cap) + ones
+  kInt32Extremes,    // INT32_MIN + 1, 0 and INT32_MAX
+  kCount
+};
+
+std::vector<Value> ShapeValues(Shape shape, int64_t rows, util::Rng* rng) {
+  std::vector<Value> values(static_cast<size_t>(rows));
+  const int64_t slack = storage::Index::kSpanSlack;
+  for (int64_t i = 0; i < rows; ++i) {
+    Value& v = values[static_cast<size_t>(i)];
+    switch (shape) {
+      case Shape::kDenseNegative:
+        v = rng->Bernoulli(0.1) ? kNullValue
+                                : static_cast<Value>(rng->UniformInt(-40, 40));
+        break;
+      case Shape::kZipf:
+        v = static_cast<Value>(rng->Zipf(200, 1.1)) - 7;
+        break;
+      case Shape::kSparseWide:
+        v = static_cast<Value>(rng->UniformInt(INT32_MIN + 1, INT32_MAX));
+        break;
+      case Shape::kSparseRepeated:
+        v = static_cast<Value>(rng->UniformInt(0, 29) * 100000000 -
+                               1500000000);
+        break;
+      case Shape::kSpanAtSlack:
+      case Shape::kSpanPastSlack: {
+        const int64_t span =
+            rows + slack + (shape == Shape::kSpanPastSlack ? 1 : 0);
+        const int64_t offset = i == 0   ? 0
+                               : i == 1 ? span - 1
+                                        : rng->UniformInt(0, span - 1);
+        v = static_cast<Value>(-1000 + offset);
+        break;
+      }
+      case Shape::kAllNull:
+        v = kNullValue;
+        break;
+      case Shape::kOneValue:
+        v = rng->Bernoulli(0.3) ? kNullValue : 42;
+        break;
+      case Shape::kAllDistinct:
+        v = static_cast<Value>(i - 500);
+        break;
+      case Shape::kTieAtMcvCut:
+        v = i < 210 ? static_cast<Value>((i % 70) * 7 - 200)
+                    : static_cast<Value>(10000 + i);
+        break;
+      case Shape::kInt32Extremes: {
+        const Value picks[] = {INT32_MIN + 1, 0, INT32_MAX};
+        v = picks[rng->UniformInt(0, 2)];
+        break;
+      }
+      case Shape::kCount:
+        break;
+    }
+  }
+  rng->Shuffle(&values);
+  return values;
+}
+
+TEST(Analyze, MatchesSortedReference) {
+  constexpr int kShapes = static_cast<int>(Shape::kCount);
+  catalog::TableDef def;
+  def.name = "shapes";
+  for (int c = 0; c < kShapes; ++c) {
+    def.columns.push_back({"c" + std::to_string(c), catalog::ColumnType::kInt});
+  }
+  util::Rng rng(2024);
+  const int64_t row_counts[] = {0, 1, 2, 3, 5, 17, 101, 250, 1000, 3000};
+  for (int trial = 0; trial < 30; ++trial) {
+    const int64_t rows =
+        trial < 10 ? row_counts[trial] : rng.UniformInt(2, 4000);
+    std::vector<std::vector<Value>> columns;
+    for (int c = 0; c < kShapes; ++c) {
+      columns.push_back(ShapeValues(static_cast<Shape>(c), rows, &rng));
+    }
+    storage::Table table(0, def);
+    std::vector<Value> row(kShapes);
+    for (int64_t r = 0; r < rows; ++r) {
+      for (int c = 0; c < kShapes; ++c) {
+        row[static_cast<size_t>(c)] =
+            columns[static_cast<size_t>(c)][static_cast<size_t>(r)];
+      }
+      table.AppendRow(row);
+    }
+    const TableStats stats = Analyze(table);
+    ASSERT_EQ(stats.columns.size(), static_cast<size_t>(kShapes));
+    for (int c = 0; c < kShapes; ++c) {
+      ExpectSameStats(stats.columns[static_cast<size_t>(c)],
+                      ReferenceStats(table.column(c)),
+                      "trial " + std::to_string(trial) + " rows " +
+                          std::to_string(rows) + " shape " +
+                          std::to_string(c));
+    }
+  }
+}
+
+TEST(Analyze, McvTiesBreakBySmallerValue) {
+  // Once dense (span 600) and once sparse (span ~2.4 * 10^9).
+  for (const int64_t scale : {1, 4000000}) {
+    SCOPED_TRACE("scale " + std::to_string(scale));
+    const auto tied = [&](int k) {
+      return static_cast<Value>((2 * k - 100) * scale);
+    };
+    storage::Table table(0, SingleIntColumnDef());
+    // 60 values of 4 rows each, all common enough to be MCVs, inserted
+    // largest first; the cap keeps the 50 smallest. 200 values of 1 row.
+    for (int rep = 0; rep < 4; ++rep) {
+      for (int k = 59; k >= 0; --k) table.AppendRow({0, tied(k)});
+    }
+    for (int k = 199; k >= 0; --k) {
+      table.AppendRow({0, static_cast<Value>((2 * k + 101) * scale)});
+    }
+    const ColumnStats cs = Analyze(table).columns[1];
+    std::vector<Value> want;
+    for (int k = 0; k < kMcvTarget; ++k) want.push_back(tied(k));
+    EXPECT_EQ(cs.mcv_values, want);
+    EXPECT_EQ(cs.mcv_freqs, std::vector<double>(kMcvTarget, 4.0 / 440.0));
+    // The ten tied values past the cap fall to the histogram.
+    EXPECT_EQ(cs.histogram_fraction, 240.0 / 440.0);
+    ASSERT_FALSE(cs.histogram_bounds.empty());
+    EXPECT_EQ(cs.histogram_bounds.front(), tied(kMcvTarget));
+  }
+  // All distinct: no value is common, and the one kept is the smallest.
+  storage::Table table(0, SingleIntColumnDef());
+  for (int k = 999; k >= 0; --k) table.AppendRow({0, static_cast<Value>(k)});
+  EXPECT_EQ(Analyze(table).columns[1].mcv_values, std::vector<Value>{0});
 }
 
 /// Builds a table whose value distribution is picked by `shape` (uniform,
@@ -426,6 +649,50 @@ TEST_P(EstimatePrefixProperty, FiniteOnAllPrefixes) {
 
 INSTANTIATE_TEST_SUITE_P(AllQueries, EstimatePrefixProperty,
                          ::testing::Range(0, 113, 7));
+
+/// FNV-1a over every ColumnStats field of every column of `tables`, each
+/// column also checked against the sort-based reference.
+uint64_t StatsDigest(
+    const std::vector<std::unique_ptr<storage::Table>>& tables) {
+  testutil::Digest digest;
+  for (const auto& table : tables) {
+    const TableStats stats = Analyze(*table);
+    for (int32_t c = 0; c < table->column_count(); ++c) {
+      const ColumnStats& cs = stats.columns[static_cast<size_t>(c)];
+      ExpectSameStats(cs, ReferenceStats(table->column(c)),
+                      table->def().name + " column " + std::to_string(c));
+      for (const int64_t v : {cs.row_count, cs.null_count, cs.n_distinct,
+                              int64_t{cs.min_value}, int64_t{cs.max_value}}) {
+        digest.AddInt(v);
+      }
+      digest.AddInt(static_cast<int64_t>(cs.mcv_values.size()));
+      for (size_t i = 0; i < cs.mcv_values.size(); ++i) {
+        digest.AddInt(cs.mcv_values[i]);
+        digest.AddDouble(cs.mcv_freqs[i]);
+      }
+      digest.AddInt(static_cast<int64_t>(cs.histogram_bounds.size()));
+      for (const Value bound : cs.histogram_bounds) digest.AddInt(bound);
+      digest.AddDouble(cs.histogram_fraction);
+    }
+  }
+  return digest.value();
+}
+
+// Bit-for-bit pins of the statistics of the seed-42 databases every
+// planner pin is built on (PlannerDigest.*, tests/golden/plans.txt).
+TEST(StatsDigest, Imdb) {
+  EXPECT_EQ(StatsDigest(datagen::GenerateImdb(
+                catalog::BuildImdbSchema(), datagen::ScaleProfile::Small(),
+                42)),
+            8303858783607107598ull);
+}
+
+TEST(StatsDigest, Tpch) {
+  EXPECT_EQ(StatsDigest(datagen::GenerateTpch(
+                catalog::BuildTpchSchema(),
+                datagen::TpchScaleProfile::Small().Scaled(0.5), 42)),
+            12151411037300540196ull);
+}
 
 }  // namespace
 }  // namespace lqolab::stats

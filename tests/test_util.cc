@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -87,6 +89,71 @@ TEST(Rng, ZipfZeroExponentIsUniform) {
   for (int i = 0; i < 20000; ++i) ++counts[static_cast<size_t>(rng.Zipf(10, 0.0))];
   const auto [min_it, max_it] = std::minmax_element(counts.begin(), counts.end());
   EXPECT_LT(static_cast<double>(*max_it) / static_cast<double>(*min_it), 1.3);
+}
+
+/// Mismatches between ZipfTable::RankOf and std::lower_bound over the
+/// table's CDF (the last rank when past the end) on each of `us`; `first`
+/// receives the first mismatching u.
+int64_t LowerBoundMismatches(const ZipfTable& table,
+                             const std::vector<double>& cdf,
+                             const std::vector<double>& us, double* first) {
+  int64_t mismatches = 0;
+  for (const double u : us) {
+    const auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
+    const int64_t expected = it == cdf.end()
+                                 ? static_cast<int64_t>(cdf.size()) - 1
+                                 : static_cast<int64_t>(it - cdf.begin());
+    if (table.RankOf(u) != expected && mismatches++ == 0) *first = u;
+  }
+  return mismatches;
+}
+
+TEST(ZipfTableTest, GuideMatchesLowerBound) {
+  const std::pair<int64_t, double> domains[] = {
+      {1, 1.0},    {2, 0.0},        {30, 1.0},       {50, 1.0},
+      {1000, 0.5}, {1000000, 0.0},  {1000000, 0.9}};
+  for (const auto& [n, s] : domains) {
+    SCOPED_TRACE("n=" + std::to_string(n) + " s=" + std::to_string(s));
+    const ZipfTable table(n, s);
+    ASSERT_EQ(table.domain_size(), n);
+    std::vector<double> cdf(static_cast<size_t>(n));
+    for (int64_t r = 0; r < n; ++r) cdf[static_cast<size_t>(r)] = table.cdf(r);
+
+    // Hand-picked u: 0, every CDF value and its neighbours, every guide
+    // slot boundary j / n and its neighbours, and the largest doubles
+    // below 1.
+    std::vector<double> us = {0.0, 0x1.0p-53};
+    for (const double c : cdf) {
+      us.push_back(c);
+      us.push_back(std::nextafter(c, 0.0));
+      us.push_back(std::nextafter(c, 2.0));
+    }
+    for (int64_t j = 0; j < n; ++j) {
+      const double boundary = static_cast<double>(j) / static_cast<double>(n);
+      us.push_back(boundary);
+      us.push_back(std::nextafter(boundary, 0.0));
+      us.push_back(std::nextafter(boundary, 2.0));
+    }
+    for (int k = 1; k <= 64; ++k) us.push_back(1.0 - k * 0x1.0p-53);
+    double first = 0.0;
+    EXPECT_EQ(LowerBoundMismatches(table, cdf, us, &first), 0)
+        << "first mismatch at u=" << first;
+
+    // Random draws: Sample consumes one Uniform() and maps it by RankOf.
+    us.clear();
+    Rng rng(n * 31 + 7);
+    Rng twin = rng;
+    for (int i = 0; i < 1000000; ++i) {
+      const double u = twin.Uniform();
+      us.push_back(u);
+      if (table.Sample(&rng) != table.RankOf(u)) {
+        ADD_FAILURE() << "Sample disagrees with RankOf at draw " << i;
+        break;
+      }
+    }
+    EXPECT_EQ(LowerBoundMismatches(table, cdf, us, &first), 0)
+        << "first mismatch at u=" << first;
+  }
 }
 
 TEST(Rng, ShufflePreservesElements) {
