@@ -1,6 +1,8 @@
 #include "exec/kernels.h"
 
 #include <algorithm>
+#include <bit>
+#include <limits>
 
 #include "obs/metrics.h"
 #include "util/check.h"
@@ -128,19 +130,38 @@ size_t SlotCapacity(int64_t n) {
   return cap;
 }
 
+/// Layout rules: the direct layout is chosen when it takes no more bytes
+/// than the open-addressing one would for the same input. A ValueSet slot
+/// is one 4-byte value, a bitmap 1 bit per key value; a retained
+/// JoinHashTable slot is a key, a count and an offset (12 bytes), an offset
+/// table 4 bytes per key value plus one closing bound.
+bool DirectSet(const KeyRange& range) {
+  return range.span() <=
+         32 * static_cast<int64_t>(SlotCapacity(range.rows));
+}
+
+bool DirectTable(const KeyRange& range) {
+  return range.span() + 1 <=
+         3 * static_cast<int64_t>(SlotCapacity(range.rows));
+}
+
 /// How many iterations ahead probe loops hint their next hash-slot cache
 /// line (a random access the hardware prefetcher cannot predict).
 constexpr size_t kPrefetchDistance = 16;
 
-/// Rebuilds `*bloom` over the non-null keys of an open-addressing slot
-/// array. Only the active prefix [0, mask] holds the current build's keys;
-/// the tail may carry stale values from an earlier, larger build. Target
-/// FPR and seed are fixed so runs are deterministic.
-void FillBloomFromSlots(const std::vector<Value>& slots, size_t mask,
-                        int64_t distinct, BloomFilter* bloom) {
+/// Resizes `*bloom` for `distinct` keys and counts the build. Target FPR
+/// and seed are fixed so runs are deterministic; the caller adds the keys.
+void ResetBloom(int64_t distinct, BloomFilter* bloom) {
   obs::Count(obs::Counter::kOracleBloomBuilds);
   bloom->Reset(std::max<int64_t>(distinct, 1), /*target_fpr=*/0.01,
                /*seed=*/0x51de7a55c0ffeeULL);
+}
+
+/// Adds the non-null keys of an open-addressing slot array to `*bloom`.
+/// Only the active prefix [0, mask] holds the current build's keys; the
+/// tail may carry stale values from an earlier, larger build.
+void AddSlots(const std::vector<Value>& slots, size_t mask,
+              BloomFilter* bloom) {
   for (size_t i = 0; i <= mask; ++i) {
     if (slots[i] != kNullValue) bloom->Add(slots[i]);
   }
@@ -148,7 +169,42 @@ void FillBloomFromSlots(const std::vector<Value>& slots, size_t mask,
 
 }  // namespace
 
+KeyRange KeyRange::Of(const Value* column, const RowId* rows, int64_t n) {
+  KeyRange range;
+  range.rows = n;
+  Value min = std::numeric_limits<Value>::max();
+  Value max = std::numeric_limits<Value>::min();
+  for (int64_t j = 0; j < n; ++j) {
+    const Value v = column[rows[j]];
+    if (v == kNullValue) continue;
+    ++range.keys;
+    min = std::min(min, v);
+    max = std::max(max, v);
+  }
+  if (range.keys > 0) {
+    range.min = min;
+    range.max = max;
+  }
+  return range;
+}
+
 void ValueSet::Build(const Value* column, const RowId* rows, int64_t n) {
+  const KeyRange range = KeyRange::Of(column, rows, n);
+  direct_ = DirectSet(range);
+  if (direct_) {
+    min_ = range.min;
+    span_ = static_cast<uint64_t>(range.span());
+    bits_.assign((span_ + 63) / 64, 0);
+    for (int64_t j = 0; j < n; ++j) {
+      const Value v = column[rows[j]];
+      if (v == kNullValue) continue;
+      const uint64_t s = Slot(v);
+      bits_[s >> 6] |= uint64_t{1} << (s & 63);
+    }
+    distinct_ = 0;
+    for (const uint64_t word : bits_) distinct_ += std::popcount(word);
+    return;
+  }
   // Only the first SlotCapacity(n) slots are active for this build (mask_
   // covers exactly them): a set that once held a large key set must not
   // keep clearing and probing its historical capacity for every small
@@ -176,7 +232,17 @@ void ValueSet::Build(const Value* column, const RowId* rows, int64_t n) {
 }
 
 void ValueSet::FillBloom(BloomFilter* bloom) const {
-  FillBloomFromSlots(slots_, mask_, distinct_, bloom);
+  ResetBloom(distinct_, bloom);
+  if (!direct_) {
+    AddSlots(slots_, mask_, bloom);
+    return;
+  }
+  for (size_t w = 0; w < bits_.size(); ++w) {
+    for (uint64_t word = bits_[w]; word != 0; word &= word - 1) {
+      const int64_t s = static_cast<int64_t>(w * 64) + std::countr_zero(word);
+      bloom->Add(static_cast<Value>(static_cast<int64_t>(min_) + s));
+    }
+  }
 }
 
 void RefineBySet(const Value* column, const ValueSet& set, BloomFilter* bloom,
@@ -220,7 +286,41 @@ void RefineBySet(const Value* column, const ValueSet& set, BloomFilter* bloom,
   rows->resize(count);
 }
 
-void JoinHashTable::Build(const Value* column, const RowId* rows, int64_t n) {
+void JoinHashTable::Build(const Value* column, const RowId* rows,
+                          const KeyRange& range) {
+  const int64_t n = range.rows;
+  payload_size_ = static_cast<size_t>(range.keys);
+  if (payload_.size() < payload_size_) payload_.resize(payload_size_);
+  direct_ = DirectTable(range);
+  if (direct_) {
+    // Counting sort, as storage::Index's dense layout: count each key into
+    // the slot after its own, prefix-sum so offsets_[s] is slot s's start,
+    // then scatter rows in input order, advancing each start to its end —
+    // which leaves slot s's end, the start of s + 1, in offsets_[s];
+    // shifting by one restores starts.
+    min_ = range.min;
+    span_ = static_cast<uint64_t>(range.span());
+    offsets_.assign(span_ + 1, 0);
+    for (int64_t j = 0; j < n; ++j) {
+      const Value v = column[rows[j]];
+      if (v == kNullValue) continue;
+      ++offsets_[Slot(v) + 1];
+    }
+    distinct_ = 0;
+    for (size_t s = 1; s <= span_; ++s) {
+      distinct_ += offsets_[s] != 0 ? 1 : 0;
+      offsets_[s] += offsets_[s - 1];
+    }
+    for (int64_t j = 0; j < n; ++j) {
+      const Value v = column[rows[j]];
+      if (v == kNullValue) continue;
+      payload_[static_cast<size_t>(offsets_[Slot(v)]++)] = rows[j];
+    }
+    std::copy_backward(offsets_.begin(), offsets_.end() - 1, offsets_.end());
+    offsets_[0] = 0;
+    return;
+  }
+
   // Active-prefix sizing, as in ValueSet::Build: clear and address only
   // the SlotCapacity(n) slots this build needs, not the historical
   // capacity, so small rebuilds stay cheap and cache-resident. Only
@@ -230,9 +330,9 @@ void JoinHashTable::Build(const Value* column, const RowId* rows, int64_t n) {
   if (slot_keys_.size() < needed) {
     slot_keys_.resize(needed);
     slot_count_.resize(needed);
-    slot_offset_.resize(needed);
     slot_cursor_.resize(needed);
   }
+  if (offsets_.size() < needed) offsets_.resize(needed);
   std::fill(slot_keys_.begin(),
             slot_keys_.begin() + static_cast<ptrdiff_t>(needed), kNullValue);
   mask_ = needed - 1;
@@ -273,12 +373,10 @@ void JoinHashTable::Build(const Value* column, const RowId* rows, int64_t n) {
   int32_t offset = 0;
   for (size_t i = 0; i <= mask_; ++i) {
     if (slot_keys_[i] == kNullValue) continue;
-    slot_offset_[i] = offset;
+    offsets_[i] = offset;
     slot_cursor_[i] = offset;
     offset += slot_count_[i];
   }
-  payload_size_ = static_cast<size_t>(offset);
-  if (payload_.size() < payload_size_) payload_.resize(payload_size_);
 
   // Pass 2: fill each group in input order — this is what makes Probe()
   // byte-compatible with the reference path's per-key vectors.
@@ -290,7 +388,17 @@ void JoinHashTable::Build(const Value* column, const RowId* rows, int64_t n) {
 }
 
 void JoinHashTable::FillBloom(BloomFilter* bloom) const {
-  FillBloomFromSlots(slot_keys_, mask_, distinct_, bloom);
+  ResetBloom(distinct_, bloom);
+  if (!direct_) {
+    AddSlots(slot_keys_, mask_, bloom);
+    return;
+  }
+  for (uint64_t s = 0; s < span_; ++s) {
+    if (offsets_[s + 1] != offsets_[s]) {
+      bloom->Add(static_cast<Value>(static_cast<int64_t>(min_) +
+                                    static_cast<int64_t>(s)));
+    }
+  }
 }
 
 void JoinHashTable::ReleaseBuildScratch() {
@@ -302,14 +410,19 @@ int64_t JoinHashTable::bytes() const {
   auto held = [](const auto& v) {
     return static_cast<int64_t>(v.capacity() * sizeof(v[0]));
   };
-  return held(slot_keys_) + held(slot_count_) + held(slot_offset_) +
+  return held(offsets_) + held(slot_keys_) + held(slot_count_) +
          held(slot_cursor_) + held(row_slot_) + held(payload_);
 }
 
-int64_t JoinHashTable::RetainedBytes(int64_t rows) {
-  return static_cast<int64_t>(SlotCapacity(rows)) *
+int64_t JoinHashTable::RetainedBytes(const KeyRange& range) {
+  const int64_t payload = range.keys * static_cast<int64_t>(sizeof(RowId));
+  if (DirectTable(range)) {
+    return (range.span() + 1) * static_cast<int64_t>(sizeof(int32_t)) +
+           payload;
+  }
+  return static_cast<int64_t>(SlotCapacity(range.rows)) *
              static_cast<int64_t>(sizeof(Value) + 2 * sizeof(int32_t)) +
-         rows * static_cast<int64_t>(sizeof(RowId));
+         payload;
 }
 
 }  // namespace lqolab::exec::kernels

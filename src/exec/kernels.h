@@ -82,9 +82,33 @@ void RefinePredicate(const storage::Value* data,
                      const query::BoundPredicate& pred,
                      std::vector<storage::RowId>* rows);
 
-/// Open-addressing set of non-null join-key values — the batch counterpart
-/// of the reference path's std::unordered_set<Value> in semi-join
-/// reduction. Build() reuses slot storage across calls.
+/// The non-null keys of a build input `column[rows[i]]`, i in [0, n): how
+/// many there are and the range they cover. ValueSet and JoinHashTable
+/// choose their layout from it.
+struct KeyRange {
+  int64_t rows = 0;  // input rows, NULL keys included
+  int64_t keys = 0;  // non-null keys
+  storage::Value min = 0;  // smallest and largest non-null key;
+  storage::Value max = -1;  // 0 and -1 when there is none
+
+  /// max - min + 1, in 64 bits: a 32-bit key range overflows int32_t.
+  /// 0 when there is no non-null key.
+  int64_t span() const {
+    return static_cast<int64_t>(max) - static_cast<int64_t>(min) + 1;
+  }
+
+  static KeyRange Of(const storage::Value* column, const storage::RowId* rows,
+                     int64_t n);
+};
+
+/// Set of non-null join-key values — the batch counterpart of the
+/// reference path's std::unordered_set<Value> in semi-join reduction.
+/// Build() picks one of two layouts from its input's KeyRange:
+/// - direct: a bitmap over [min, max], when it takes no more bytes than
+///   the open-addressing slot array would for the same input (1 bit per
+///   key value against 4 bytes per slot: span <= 32 * slots);
+/// - open addressing: a slot array of 2n-4n values, for sparse keys.
+/// Build() reuses both layouts' storage across calls.
 class ValueSet {
  public:
   /// Rebuilds the set from `column[rows[i]]` for i in [0, n); null keys are
@@ -92,8 +116,14 @@ class ValueSet {
   void Build(const storage::Value* column, const storage::RowId* rows,
              int64_t n);
 
-  /// Never true for a value that was not inserted; null never matches.
+  /// Never true for a value that was not inserted. `v` must not be null:
+  /// callers skip NULL keys, and open addressing marks its empty slots
+  /// with kNullValue.
   bool Contains(storage::Value v) const {
+    if (direct_) {
+      const uint64_t s = Slot(v);
+      return s < span_ && ((bits_[s >> 6] >> (s & 63)) & 1) != 0;
+    }
     size_t i = HashValue(v) & mask_;
     while (true) {
       const storage::Value k = slots_[i];
@@ -105,15 +135,24 @@ class ValueSet {
 
   int64_t distinct() const { return distinct_; }
 
-  /// Hints the cache line of `v`'s home slot into cache. Probe loops call
-  /// this a few iterations ahead of Contains() so the (random) slot load
+  /// True when the last Build() chose the bitmap layout.
+  bool direct() const { return direct_; }
+
+  /// Hints the cache line Contains(v) reads into cache. Probe loops call
+  /// this a few iterations ahead of Contains() so the (random) load
   /// overlaps useful work instead of stalling the loop.
   void PrefetchContains(storage::Value v) const {
+    if (direct_) {
+      const uint64_t s = Slot(v);
+      if (s < span_) __builtin_prefetch(bits_.data() + (s >> 6));
+      return;
+    }
     __builtin_prefetch(slots_.data() + (HashValue(v) & mask_));
   }
 
   /// Rebuilds `*bloom` over this set's values (predicate transfer) and
-  /// counts obs::Counter::kOracleBloomBuilds.
+  /// counts obs::Counter::kOracleBloomBuilds. Either layout adds the same
+  /// keys, so the filter's bits do not depend on the layout.
   void FillBloom(BloomFilter* bloom) const;
 
   /// 32-bit finalizer (xxhash-style avalanche) shared by ValueSet and
@@ -129,7 +168,19 @@ class ValueSet {
   }
 
  private:
-  std::vector<storage::Value> slots_;  // kNullValue marks an empty slot
+  /// Bit of `v` in the direct layout; a value below min_ wraps past span_.
+  uint64_t Slot(storage::Value v) const {
+    return static_cast<uint64_t>(static_cast<int64_t>(v) -
+                                 static_cast<int64_t>(min_));
+  }
+
+  bool direct_ = false;
+  // Direct layout: bit v - min_ of bits_ is set when v is in the set.
+  std::vector<uint64_t> bits_;
+  storage::Value min_ = 0;
+  uint64_t span_ = 0;
+  // Open-addressing layout; kNullValue marks an empty slot.
+  std::vector<storage::Value> slots_;
   size_t mask_ = 0;
   int64_t distinct_ = 0;
 };
@@ -142,18 +193,33 @@ class ValueSet {
 void RefineBySet(const storage::Value* column, const ValueSet& set,
                  BloomFilter* bloom, std::vector<storage::RowId>* rows);
 
-/// Batched hash-join build side: groups base row-ids by join-key value.
+/// Batched join build side: groups base row-ids by join-key value.
 /// Byte-compatibility contract with the reference path's
 /// std::unordered_map<Value, std::vector<RowId>>: Probe(v) returns the
-/// matching rows in exactly the order they appeared in the Build() input
-/// (a two-pass grouped layout — count, prefix-sum, fill — instead of
-/// per-key vectors, so building allocates O(1) times, not per key).
+/// matching rows in exactly the order they appeared in the Build() input.
+/// Both layouts group the rows in one flat payload array by counting,
+/// prefix-summing and scattering in input order, so building allocates
+/// O(1) times, not per key. Build() picks the layout from its input's
+/// KeyRange:
+/// - direct: an offset table over [min, max], as storage::Index's dense
+///   layout — key v's rows are payload[offsets[v - min], offsets[v - min
+///   + 1]) — when it takes no more bytes than the open-addressing slots
+///   would for the same input (4 bytes per key value against 12 retained
+///   bytes per slot: span + 1 <= 3 * slots);
+/// - open addressing: key, count and offset slots (2n-4n of each) plus a
+///   pass-1 slot memo per input row, for sparse keys.
 class JoinHashTable {
  public:
   /// Rebuilds from `column[rows[i]]` for i in [0, n); null keys are
-  /// skipped. Reuses slot and payload storage across calls.
+  /// skipped. Reuses both layouts' storage across calls.
   void Build(const storage::Value* column, const storage::RowId* rows,
-             int64_t n);
+             int64_t n) {
+    Build(column, rows, KeyRange::Of(column, rows, n));
+  }
+
+  /// The same, for a caller that already holds the input's KeyRange.
+  void Build(const storage::Value* column, const storage::RowId* rows,
+             const KeyRange& range);
 
   struct Group {
     const storage::RowId* rows = nullptr;
@@ -161,13 +227,19 @@ class JoinHashTable {
   };
 
   /// The base rows whose key equals `v`, in Build() input order; an empty
-  /// group when absent (or when `v` is null).
+  /// group when absent. `v` must not be null, as for ValueSet::Contains.
   Group Probe(storage::Value v) const {
+    if (direct_) {
+      const uint64_t s = Slot(v);
+      if (s >= span_) return {};
+      const int32_t begin = offsets_[s];
+      return {payload_.data() + begin, offsets_[s + 1] - begin};
+    }
     size_t i = ValueSet::HashValue(v) & mask_;
     while (true) {
       const storage::Value k = slot_keys_[i];
       if (k == v) {
-        return {payload_.data() + slot_offset_[i], slot_count_[i]};
+        return {payload_.data() + offsets_[i], slot_count_[i]};
       }
       if (k == storage::kNullValue) return {};
       i = (i + 1) & mask_;
@@ -177,30 +249,53 @@ class JoinHashTable {
   int64_t distinct() const { return distinct_; }
   int64_t payload_rows() const { return static_cast<int64_t>(payload_size_); }
 
-  /// Hints the cache line of `v`'s home slot into cache ahead of Probe().
+  /// True when the last Build() chose the offset-table layout.
+  bool direct() const { return direct_; }
+
+  /// Hints the cache line Probe(v) reads first into cache.
   void PrefetchProbe(storage::Value v) const {
+    if (direct_) {
+      const uint64_t s = Slot(v);
+      if (s < span_) __builtin_prefetch(offsets_.data() + s);
+      return;
+    }
     __builtin_prefetch(slot_keys_.data() + (ValueSet::HashValue(v) & mask_));
   }
 
   /// Rebuilds `*bloom` over this table's distinct keys (predicate
-  /// transfer) and counts obs::Counter::kOracleBloomBuilds.
+  /// transfer) and counts obs::Counter::kOracleBloomBuilds. Either layout
+  /// adds the same keys, so the filter's bits do not depend on the layout.
   void FillBloom(BloomFilter* bloom) const;
 
-  /// Frees the storage only Build() uses (its cursors and slot memo);
-  /// Probe() keeps working. For a table that is kept for reuse, not rebuilt.
+  /// Frees the storage only the open-addressing Build() uses (its cursors
+  /// and slot memo); Probe() keeps working. For a table that is kept for
+  /// reuse, not rebuilt.
   void ReleaseBuildScratch();
 
   /// Heap bytes the table holds.
   int64_t bytes() const;
 
-  /// Upper bound on bytes() of a fresh table after Build() over `rows` rows
-  /// and ReleaseBuildScratch().
-  static int64_t RetainedBytes(int64_t rows);
+  /// bytes() of a fresh table after Build() over an input with this
+  /// KeyRange and ReleaseBuildScratch(): the exact size of the layout the
+  /// build will choose.
+  static int64_t RetainedBytes(const KeyRange& range);
 
  private:
+  /// Offset slot of `v` in the direct layout; a value below min_ wraps
+  /// past span_.
+  uint64_t Slot(storage::Value v) const {
+    return static_cast<uint64_t>(static_cast<int64_t>(v) -
+                                 static_cast<int64_t>(min_));
+  }
+
+  bool direct_ = false;
+  storage::Value min_ = 0;  // direct layout: key of offset slot 0
+  uint64_t span_ = 0;       // direct layout: offset slots, one per key value
+  // Payload offsets. Direct layout: span_ + 1 group bounds. Open
+  // addressing: occupied slot i's group starts at offsets_[i].
+  std::vector<int32_t> offsets_;
   std::vector<storage::Value> slot_keys_;  // kNullValue marks an empty slot
   std::vector<int32_t> slot_count_;
-  std::vector<int32_t> slot_offset_;
   std::vector<int32_t> slot_cursor_;
   std::vector<int32_t> row_slot_;  // pass-1 slot memo, -1 for null keys
   std::vector<storage::RowId> payload_;

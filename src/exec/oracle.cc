@@ -398,37 +398,42 @@ Oracle::BaseProbe Oracle::PrepareBase(QueryMemo& memo, const Query& q,
     }
   }
   const storage::Value* keys = table.column(column).data();
-  const int64_t n = static_cast<int64_t>(base_rows.size());
   // Second-touch admission: only an unreduced base — recognized by being
   // the cached list itself — has a cache key. Its first request builds
   // into scratch like any other; a request for a key seen before fills a
-  // kept table if the budget has room, and later requests reuse it.
+  // kept table if the budget has room for the exact layout the build will
+  // choose, and later requests reuse it.
   FilteredBase* base = memo.filtered[static_cast<size_t>(alias)];
+  FilteredBase::Build* build = nullptr;
   if (base != nullptr && &base->rows == &base_rows) {
-    auto build = std::find_if(
+    auto it = std::find_if(
         base->builds.begin(), base->builds.end(),
         [&](const FilteredBase::Build& b) { return b.column == column; });
-    if (build == base->builds.end()) {
+    if (it == base->builds.end()) {
       base->builds.push_back({column, 0, nullptr});
-      build = base->builds.end() - 1;
+      it = base->builds.end() - 1;
     }
+    build = &*it;
     if (build->table != nullptr) {
       obs::Count(obs::Counter::kOracleBuildReuses);
       return {nullptr, build->table.get()};
     }
-    if (build->requests++ > 0 &&
-        mat_bytes_ + kernels::JoinHashTable::RetainedBytes(n) <=
-            budget_bytes_) {
-      obs::Count(obs::Counter::kOracleHashBuilds);
-      build->table = std::make_unique<kernels::JoinHashTable>();
-      build->table->Build(keys, base_rows.data(), n);
-      build->table->ReleaseBuildScratch();
-      TrackBytes(build->table->bytes());
-      return {nullptr, build->table.get()};
-    }
   }
   obs::Count(obs::Counter::kOracleHashBuilds);
-  join_table_.Build(keys, base_rows.data(), n);
+  const kernels::KeyRange range = kernels::KeyRange::Of(
+      keys, base_rows.data(), static_cast<int64_t>(base_rows.size()));
+  if (build != nullptr && build->requests++ > 0 &&
+      mat_bytes_ + kernels::JoinHashTable::RetainedBytes(range) <=
+          budget_bytes_) {
+    build->table = std::make_unique<kernels::JoinHashTable>();
+    build->table->Build(keys, base_rows.data(), range);
+    build->table->ReleaseBuildScratch();
+    LQOLAB_DCHECK(build->table->bytes() ==
+                  kernels::JoinHashTable::RetainedBytes(range));
+    TrackBytes(build->table->bytes());
+    return {nullptr, build->table.get()};
+  }
+  join_table_.Build(keys, base_rows.data(), range);
   return {nullptr, &join_table_};
 }
 
@@ -1186,12 +1191,17 @@ void Oracle::EnforceBudget(QueryMemo& keep, AliasMask keep_mask) {
   }
 }
 
-void Oracle::ReleaseMaterializations() {
+void Oracle::ReleaseIntermediates() {
   for (auto& [fp, memo] : memos_) {
+    for (auto& [mask, mat] : memo.mats) mat_bytes_ -= mat.bytes();
     memo.mats.clear();
   }
+}
+
+void Oracle::ReleaseMaterializations() {
+  ReleaseIntermediates();
   DropBuildTables();
-  mat_bytes_ = 0;
+  LQOLAB_DCHECK(mat_bytes_ == 0);
 }
 
 }  // namespace lqolab::exec

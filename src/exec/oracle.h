@@ -31,7 +31,8 @@ uint64_t QueryFingerprint(const query::Query& q);
 /// query id or predicate order asks for it, and single-predicate lists are
 /// the same cache's one-predicate entries. Next to each list, a read-only
 /// build table per join column is kept once a second join asks for it
-/// (second-touch admission); kept tables count against the
+/// (second-touch admission, by the exact bytes of the layout the build
+/// chooses: JoinHashTable::RetainedBytes); kept tables count against the
 /// materialization budget and are the first thing evicted. Queries of
 /// one workload family repeat their base filters, so each distinct base is
 /// scanned once per replica. A cloned worker replica starts with empty
@@ -59,7 +60,9 @@ uint64_t QueryFingerprint(const query::Query& q);
 /// over every row: the index's counting sort keeps rows ascending within a
 /// key, so Index::EqualRange returns the same rows in the same order a
 /// build over all rows would group, and results stay byte-identical.
-/// Filtered and reduced bases still build.
+/// Filtered and reduced bases still build, into an offset table over the
+/// key range when that is no larger than open addressing (nearly every
+/// build: join keys are dense ids), else into open-addressing slots.
 class Oracle {
  public:
   /// Bytes of materialized intermediates and cached build tables one
@@ -101,6 +104,12 @@ class Oracle {
   /// Bound predicates of an alias (resolved dictionary codes).
   const std::vector<query::BoundPredicate>& BoundPredicates(
       const query::Query& q, query::AliasId alias);
+
+  /// Frees all materialized intermediates (cardinalities, filtered rows
+  /// and cached build tables are kept). A finished query's intermediates
+  /// are read again only to extend a subset whose cardinality is not yet
+  /// cached.
+  void ReleaseIntermediates();
 
   /// Frees all materialized intermediates and cached build tables
   /// (cardinalities and filtered rows are kept).
@@ -248,7 +257,8 @@ class Oracle {
   // single-threaded per replica, so plain members are safe).
   // SemiJoinReduce keeps one ValueSet per distinct (probe alias, column)
   // build key so an unchanged probe side never rebuilds its set across
-  // passes; the pool persists so slot storage is reused across queries.
+  // passes; the pool persists so bitmap and slot storage is reused across
+  // queries, as join_table_'s is across builds.
   std::vector<kernels::ValueSet> semi_set_pool_;
   kernels::JoinHashTable join_table_;
   BloomFilter transfer_bloom_;

@@ -24,7 +24,8 @@ enum class Counter : int32_t {
   kExecCancelled,           ///< Executions aborted by a QueryDeadline cancel.
   kOracleCardinalityCalls,  ///< True-cardinality requests to exec::Oracle.
   kOracleIndexJoins,        ///< Whole-table joins probed via a shared index.
-  kOracleHashBuilds,        ///< Join hash tables built over base rows.
+  kOracleHashBuilds,        ///< Join build tables built over base rows,
+                            ///< offset-table or open-addressing alike.
   kOracleBaseReuses,        ///< Filtered bases served by the base cache.
   kOracleBuildReuses,       ///< Joins probing a cached build table.
   kOracleBloomBuilds,       ///< Predicate-transfer Bloom filters built.

@@ -417,6 +417,12 @@ void QueryServer::WorkerLoop(WorkerState* state) {
     } else {
       ticket.promise.set_value(std::move(served));
     }
+    // Free the ticket's materialized intermediates once it is answered.
+    // Later tickets reuse the replica's filtered bases, build tables and
+    // cardinalities; kept, the intermediates would pile up to the oracle's
+    // budget and make the server's memory depend on which worker ran which
+    // query.
+    state->db->oracle().ReleaseIntermediates();
     {
       std::lock_guard<std::mutex> lock(queue_mu_);
       state->active_deadline = nullptr;

@@ -41,7 +41,15 @@
 #     matches at <= 20 ns per probe (the binary-search index it replaced
 #     took ~100 ns), and the analyze replay (stats::Analyze over every
 #     table of TPC-H-lite 4x and IMDB medium, min of 7) produces exactly
-#     its pinned statistics digests in <= 300 and <= 100 ms.
+#     its pinned statistics digests in <= 300 and <= 100 ms, and the
+#     tpch_cold arm (one cold ExecutePlan of every TPC-H-lite query on a
+#     fresh replica of TPC-H-lite 4x, min of 5) returns exactly its
+#     pinned result rows, virtual execution_ns and oracle hash/Bloom
+#     build counts in <= 350 ms. The open-addressing build tables and
+#     semi-join sets that the direct-addressed layouts replaced fail that
+#     bound: 404.1-636.4 ms in six runs with the same arm compiled in,
+#     against 253.8-336.7 ms for the direct layouts in five runs (a sixth,
+#     on a host that slowed every replay about twofold, read 397.9 ms).
 #   - BENCH_chaos.json: 100% containment, and no schedule corrupted an
 #     answer.
 # Regenerate with: build/bench/micro_parallel_runner BENCH_parallel_runner.json
@@ -335,6 +343,20 @@ else
       fail=1
     fi
   done
+  # Cold TPC-H-lite executions. The counts are virtual and fixed by the
+  # seed-42 data and plans: a different count means the oracle joined,
+  # built or filtered differently, not that it got slower.
+  line=$(grep '"tpch_cold":' "$engine")
+  got="$(field queries) $(field result_rows) $(field execution_ns) $(field hash_builds) $(field bloom_builds)"
+  if [ "$got" != "32 204722 17957385937 70 19" ]; then
+    echo "FAIL: tpch_cold queries/result rows/execution_ns/hash builds/bloom builds '$got' != '32 204722 17957385937 70 19' in $engine"
+    fail=1
+  fi
+  ms=$(field ms)
+  if [ -z "$ms" ] || ! awk -v n="$ms" 'BEGIN { exit !(n <= 350) }'; then
+    echo "FAIL: tpch_cold at ${ms:-?} ms (> 350) in $engine"
+    fail=1
+  fi
 fi
 
 chaos="$root/BENCH_chaos.json"

@@ -5,15 +5,19 @@
 // JOB-lite queries and the fuzz replay corpus. Whole-table bases, which the
 // batched engine answers from the shared index instead of a hash build, get
 // their own edge-case queries and counter checks. Plus
-// property tests for the Bloom filter and the lazy predicate-transfer
-// schedule, and a steady-state zero-allocation check for the kernels.
+// reference checks of both build-side layouts (direct and open addressing)
+// of the join table and the semi-join set, property tests for the Bloom
+// filter and the lazy predicate-transfer schedule, and a steady-state
+// zero-allocation check for the kernels.
 
 #include <atomic>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <new>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -457,33 +461,243 @@ TEST(SelectionKernels, MatchScalarSemanticsAcrossKinds) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Build-side layouts: JoinHashTable and ValueSet choose a direct layout (an
+// offset table, a bitmap) when the input's key range is dense enough and
+// open addressing otherwise. Every input is checked against the reference
+// path's containers, on a fresh object and on one object rebuilt across
+// all inputs in turn.
+// ---------------------------------------------------------------------------
+
+constexpr Value kInt32Max = std::numeric_limits<Value>::max();
+
+/// The layout rules' slot count: the smallest power of two ≥ 2n, at
+/// least 16.
+int64_t SlotCapacity(int64_t n) {
+  int64_t cap = 16;
+  while (cap < 2 * n) cap <<= 1;
+  return cap;
+}
+
+/// One build input and the layout each structure must choose for it.
+struct LayoutInput {
+  std::string name;
+  std::vector<Value> column;
+  bool direct_table;
+  bool direct_set;
+};
+
+/// `rows` keys in [lo, lo + span), both ends present, every 10th row NULL
+/// (NULL rows count toward the slot capacity, as in a build).
+std::vector<Value> SpanColumn(int64_t rows, uint64_t seed, Value lo,
+                              int64_t span) {
+  util::Rng rng(seed);
+  std::vector<Value> column(static_cast<size_t>(rows));
+  for (int64_t r = 0; r < rows; ++r) {
+    const int64_t offset = r == 0   ? 0
+                           : r == 1 ? span - 1
+                           : r % 10 == 9
+                               ? -1
+                               : static_cast<int64_t>(
+                                     rng.UniformInt(0, span - 1));
+    column[static_cast<size_t>(r)] =
+        offset < 0 ? storage::kNullValue
+                   : static_cast<Value>(static_cast<int64_t>(lo) + offset);
+  }
+  return column;
+}
+
+/// Inputs in rebuild order: a wide dense build, a sparse one, then a
+/// 64-key dense one whose first out-of-range slot still holds the wide
+/// build's bits and offsets, so a probe past the span that reads it fails.
+std::vector<LayoutInput> LayoutInputs() {
+  std::vector<LayoutInput> inputs;
+  inputs.push_back({"dense_wide", SyntheticColumn(20'000, 5, 1'000, 0.05),
+                    true, true});
+  {
+    // 2,000 distinct keys over ±1e9, each repeated.
+    util::Rng rng(17);
+    std::vector<Value> keys;
+    for (int i = 0; i < 2'000; ++i) {
+      keys.push_back(
+          static_cast<Value>(rng.UniformInt(-1'000'000'000, 1'000'000'000)));
+    }
+    std::vector<Value> column(20'000);
+    for (auto& v : column) {
+      v = rng.Uniform() < 0.05
+              ? storage::kNullValue
+              : keys[static_cast<size_t>(rng.UniformInt(0, 1'999))];
+    }
+    inputs.push_back({"sparse", std::move(column), false, false});
+  }
+  inputs.push_back({"dense_64", SpanColumn(2'000, 9, 0, 64), true, true});
+  inputs.push_back(
+      {"dense_300", SyntheticColumn(20'000, 11, 300, 0.05), true, true});
+  {
+    std::vector<Value> column = SyntheticColumn(3'000, 13, 300, 0.05);
+    for (auto& v : column) {
+      if (v != storage::kNullValue) v -= 300;  // keys in [-300, -1]
+    }
+    inputs.push_back({"negative", std::move(column), true, true});
+  }
+  inputs.push_back({"near_int32_min",
+                    SpanColumn(3'000, 19, storage::kNullValue + 1, 300), true,
+                    true});
+  inputs.push_back({"near_int32_max",
+                    SpanColumn(3'000, 23, kInt32Max - 299, 300), true, true});
+  {
+    // The widest span a non-null key set can have: 2^32 - 1.
+    std::vector<Value> column;
+    for (int i = 0; i < 1'000; ++i) {
+      const Value pick[] = {storage::kNullValue + 1, kInt32Max, 0, -5, 77,
+                            storage::kNullValue};
+      column.push_back(pick[i % 6]);
+    }
+    inputs.push_back({"int32_extremes", std::move(column), false, false});
+  }
+  inputs.push_back({"all_null",
+                    std::vector<Value>(500, storage::kNullValue), true, true});
+  inputs.push_back({"empty", {}, true, true});
+  // Each rule's bound and one past it, at 100 rows (256 slots): the table
+  // is direct up to span + 1 == 3 * 256, the set up to span == 32 * 256.
+  const int64_t n = 100;
+  const int64_t cap = SlotCapacity(n);
+  inputs.push_back({"table_bound", SpanColumn(n, 29, -400, 3 * cap - 1), true,
+                    true});
+  inputs.push_back({"table_bound_plus_1", SpanColumn(n, 31, -400, 3 * cap),
+                    false, true});
+  inputs.push_back(
+      {"set_bound", SpanColumn(n, 37, -400, 32 * cap), false, true});
+  inputs.push_back({"set_bound_plus_1", SpanColumn(n, 41, -400, 32 * cap + 1),
+                    false, false});
+  return inputs;
+}
+
+/// Probe values for an input: every key, its neighbours, both non-null
+/// int32 ends and a few arbitrary values (callers never probe NULL).
+std::vector<Value> ProbeValues(const std::vector<Value>& column) {
+  std::vector<Value> probes = {storage::kNullValue + 1,
+                               kInt32Max,
+                               kInt32Max - 1,
+                               0,
+                               -1,
+                               -7,
+                               1'000,
+                               123'456'789};
+  for (const Value v : column) {
+    if (v == storage::kNullValue) continue;
+    probes.push_back(v);
+    if (v > storage::kNullValue + 1) probes.push_back(v - 1);
+    if (v < kInt32Max) probes.push_back(v + 1);
+  }
+  return probes;
+}
+
+/// Checks `table` and `set`, built over all rows of `input`, against the
+/// reference path's per-key vectors and value set.
+void ExpectMatchesReference(const LayoutInput& input,
+                            const kernels::JoinHashTable& table,
+                            const kernels::ValueSet& set) {
+  SCOPED_TRACE(input.name);
+  std::unordered_map<Value, std::vector<RowId>> groups;
+  std::unordered_set<Value> present;
+  int64_t keys = 0;
+  for (size_t r = 0; r < input.column.size(); ++r) {
+    const Value v = input.column[r];
+    if (v == storage::kNullValue) continue;
+    groups[v].push_back(static_cast<RowId>(r));
+    present.insert(v);
+    ++keys;
+  }
+  EXPECT_EQ(table.direct(), input.direct_table);
+  EXPECT_EQ(set.direct(), input.direct_set);
+  EXPECT_EQ(table.distinct(), static_cast<int64_t>(groups.size()));
+  EXPECT_EQ(table.payload_rows(), keys);
+  EXPECT_EQ(set.distinct(), static_cast<int64_t>(present.size()));
+  for (const Value v : ProbeValues(input.column)) {
+    const auto it = groups.find(v);
+    const kernels::JoinHashTable::Group group = table.Probe(v);
+    if (it == groups.end()) {
+      ASSERT_EQ(group.count, 0) << "absent key " << v;
+    } else {
+      const std::vector<RowId>& expected = it->second;
+      ASSERT_EQ(group.count, static_cast<int32_t>(expected.size())) << v;
+      for (int32_t i = 0; i < group.count; ++i) {
+        ASSERT_EQ(group.rows[i], expected[static_cast<size_t>(i)])
+            << "key " << v << " position " << i;
+      }
+    }
+    ASSERT_EQ(set.Contains(v), present.count(v) > 0) << "value " << v;
+  }
+}
+
 TEST(JoinHashTableKernel, ProbeReplaysReferenceInsertionOrder) {
-  const auto column = SyntheticColumn(20'000, 11, 300, 0.05);
+  kernels::JoinHashTable reused_table;
+  kernels::ValueSet reused_set;
+  for (const LayoutInput& input : LayoutInputs()) {
+    const int64_t n = static_cast<int64_t>(input.column.size());
+    std::vector<RowId> rows;
+    kernels::SelectAll(n, &rows);
+    const kernels::KeyRange range =
+        kernels::KeyRange::Of(input.column.data(), rows.data(), n);
+
+    kernels::JoinHashTable table;
+    kernels::ValueSet set;
+    table.Build(input.column.data(), rows.data(), n);
+    set.Build(input.column.data(), rows.data(), n);
+    ExpectMatchesReference(input, table, set);
+    // A kept table is admitted by exactly the bytes it will hold.
+    table.ReleaseBuildScratch();
+    EXPECT_EQ(table.bytes(), kernels::JoinHashTable::RetainedBytes(range))
+        << input.name;
+    ExpectMatchesReference(input, table, set);
+
+    reused_table.Build(input.column.data(), rows.data(), range);
+    reused_set.Build(input.column.data(), rows.data(), n);
+    ExpectMatchesReference(input, reused_table, reused_set);
+  }
+}
+
+/// The same key set built with and without NULL padding rows: the padding
+/// raises the slot capacity until both structures go direct, and the
+/// Bloom filter either layout fills has the same bits.
+TEST(JoinHashTableKernel, FillBloomAddsTheSameKeysFromEitherLayout) {
+  std::vector<Value> column;
+  for (Value k = 0; k < 500; ++k) column.push_back(k * 97 - 20'000);
   std::vector<RowId> rows;
   kernels::SelectAll(static_cast<int64_t>(column.size()), &rows);
+  kernels::JoinHashTable sparse_table;
+  kernels::ValueSet sparse_set;
+  sparse_table.Build(column.data(), rows.data(),
+                     static_cast<int64_t>(rows.size()));
+  sparse_set.Build(column.data(), rows.data(),
+                   static_cast<int64_t>(rows.size()));
+  ASSERT_FALSE(sparse_table.direct());
+  ASSERT_FALSE(sparse_set.direct());
 
-  kernels::JoinHashTable table;
-  table.Build(column.data(), rows.data(), static_cast<int64_t>(rows.size()));
+  column.resize(20'000, storage::kNullValue);
+  rows.clear();
+  kernels::SelectAll(static_cast<int64_t>(column.size()), &rows);
+  kernels::JoinHashTable direct_table;
+  kernels::ValueSet direct_set;
+  direct_table.Build(column.data(), rows.data(),
+                     static_cast<int64_t>(rows.size()));
+  direct_set.Build(column.data(), rows.data(),
+                   static_cast<int64_t>(rows.size()));
+  ASSERT_TRUE(direct_table.direct());
+  ASSERT_TRUE(direct_set.direct());
 
-  // Reference: the scalar path's per-key vectors.
-  std::unordered_map<Value, std::vector<RowId>> reference;
-  for (const RowId r : rows) {
-    const Value v = column[static_cast<size_t>(r)];
-    if (v != storage::kNullValue) reference[v].push_back(r);
+  BloomFilter from_sparse;
+  BloomFilter from_direct;
+  sparse_table.FillBloom(&from_sparse);
+  direct_table.FillBloom(&from_direct);
+  EXPECT_TRUE(from_sparse.BitsEqual(from_direct));
+  sparse_set.FillBloom(&from_sparse);
+  direct_set.FillBloom(&from_direct);
+  EXPECT_TRUE(from_sparse.BitsEqual(from_direct));
+  for (Value k = 0; k < 500; ++k) {
+    ASSERT_TRUE(from_direct.MayContain(k * 97 - 20'000));
   }
-
-  int64_t groups = 0;
-  for (const auto& [key, expected] : reference) {
-    const kernels::JoinHashTable::Group group = table.Probe(key);
-    ASSERT_EQ(group.count, static_cast<int32_t>(expected.size())) << key;
-    for (int32_t i = 0; i < group.count; ++i) {
-      ASSERT_EQ(group.rows[i], expected[static_cast<size_t>(i)])
-          << "key " << key << " position " << i;
-    }
-    ++groups;
-  }
-  EXPECT_EQ(table.distinct(), groups);
-  EXPECT_EQ(table.Probe(-7).count, 0);  // absent key
 }
 
 // ---------------------------------------------------------------------------
@@ -560,31 +774,51 @@ void Append(std::vector<Value>* column, Probe kind, int64_t n) {
 
 /// Refines every row of `column` against the set [0, kSetKeys), checks the
 /// result against a straight-line exact refine, and returns how many Bloom
-/// filters the kernel built.
+/// filters the kernel built. Runs twice: as given, where the set is a
+/// bitmap, and with every key multiplied by a stride that spreads the set
+/// too thin for one, where it is open addressing; both runs must keep the
+/// same rows and build the same number of filters.
 int64_t RefineAndCountBuilds(const std::vector<Value>& column) {
-  std::vector<Value> keys(static_cast<size_t>(kSetKeys));
-  for (Value k = 0; k < kSetKeys; ++k) keys[static_cast<size_t>(k)] = k;
-  std::vector<RowId> key_rows;
-  kernels::SelectAll(kSetKeys, &key_rows);
-  kernels::ValueSet set;
-  set.Build(keys.data(), key_rows.data(), kSetKeys);
+  constexpr Value kSparseStride = 100'003;
+  std::vector<RowId> kept[2];
+  int64_t builds[2] = {0, 0};
+  for (const bool sparse : {false, true}) {
+    const Value stride = sparse ? kSparseStride : 1;
+    std::vector<Value> keys(static_cast<size_t>(kSetKeys));
+    for (Value k = 0; k < kSetKeys; ++k) {
+      keys[static_cast<size_t>(k)] = k * stride;
+    }
+    std::vector<Value> probes = column;
+    for (Value& v : probes) {
+      if (v != storage::kNullValue) v *= stride;
+    }
+    std::vector<RowId> key_rows;
+    kernels::SelectAll(kSetKeys, &key_rows);
+    kernels::ValueSet set;
+    set.Build(keys.data(), key_rows.data(), kSetKeys);
+    EXPECT_EQ(set.direct(), !sparse);
 
-  std::vector<RowId> rows;
-  kernels::SelectAll(static_cast<int64_t>(column.size()), &rows);
-  std::vector<RowId> want;
-  for (const RowId r : rows) {
-    const Value v = column[static_cast<size_t>(r)];
-    if (v != storage::kNullValue && set.Contains(v)) want.push_back(r);
-  }
+    std::vector<RowId> rows;
+    kernels::SelectAll(static_cast<int64_t>(probes.size()), &rows);
+    std::vector<RowId> want;
+    for (const RowId r : rows) {
+      const Value v = probes[static_cast<size_t>(r)];
+      if (v != storage::kNullValue && set.Contains(v)) want.push_back(r);
+    }
 
-  BloomFilter bloom;
-  obs::MetricsRegistry metrics;
-  {
-    obs::MetricsScope scope(&metrics);
-    kernels::RefineBySet(column.data(), set, &bloom, &rows);
+    BloomFilter bloom;
+    obs::MetricsRegistry metrics;
+    {
+      obs::MetricsScope scope(&metrics);
+      kernels::RefineBySet(probes.data(), set, &bloom, &rows);
+    }
+    EXPECT_TRUE(rows == want) << "refine diverged from the exact refine";
+    kept[sparse ? 1 : 0] = std::move(rows);
+    builds[sparse ? 1 : 0] = metrics.Get(obs::Counter::kOracleBloomBuilds);
   }
-  EXPECT_TRUE(rows == want) << "refine diverged from the exact refine";
-  return metrics.Get(obs::Counter::kOracleBloomBuilds);
+  EXPECT_TRUE(kept[0] == kept[1]) << "the set's layout changed the rows kept";
+  EXPECT_EQ(builds[0], builds[1]);
+  return builds[0];
 }
 
 constexpr int64_t kSample = kernels::kBloomSampleProbes;

@@ -421,6 +421,32 @@ TEST_F(OracleTest, ReleaseDropsBuildTablesButKeepsCards) {
   EXPECT_EQ(refill.reuses, 0);
 }
 
+TEST_F(OracleTest, ReleaseIntermediatesKeepsBuildTablesAndCards) {
+  const auto replica = db_->CloneContextForWorker();
+  Oracle& oracle = replica->oracle();
+  const catalog::Schema& schema = db_->schema();
+  int64_t rows = 0;
+  RequestPairJoin(&oracle, schema, "keep_1", &rows);
+  const int64_t intermediate = oracle.materialization_bytes();
+  RequestPairJoin(&oracle, schema, "keep_2");  // fills the cache
+  const int64_t table = oracle.materialization_bytes() - 2 * intermediate;
+  ASSERT_GT(intermediate, 0);
+  ASSERT_GT(table, 0);
+  const int64_t bases = oracle.cached_bases();
+  oracle.ReleaseIntermediates();
+  EXPECT_EQ(oracle.materialization_bytes(), table);  // the kept table only
+  EXPECT_EQ(oracle.cached_bases(), bases);
+  int64_t again = 0;
+  const BuildCounts card = RequestPairJoin(&oracle, schema, "keep_1", &again);
+  EXPECT_EQ(card.builds + card.reuses, 0);
+  EXPECT_EQ(again, rows);
+  const BuildCounts reuse = RequestPairJoin(&oracle, schema, "keep_3");
+  EXPECT_EQ(reuse.builds, 0);
+  EXPECT_EQ(reuse.reuses, 1);
+  oracle.ReleaseMaterializations();
+  EXPECT_EQ(oracle.materialization_bytes(), 0);
+}
+
 TEST_F(OracleTest, BudgetEvictsBuildTablesFirstAndKeepsCards) {
   const catalog::Schema& schema = db_->schema();
   // Measure one pair intermediate (M) and the kept table (T) on an
