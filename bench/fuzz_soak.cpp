@@ -5,8 +5,9 @@
 // configuration also runs the SQL round-trip arm: each generated query
 // renders to SQL, re-binds through the sql/ frontend, and must
 // fingerprint, render and DP-plan byte-identically. Each configuration
-// runs kRepeats times from a fresh database; its wall_ms is the fastest
-// repeat (min-of-N: interference only ever slows a repeat down), and the
+// runs kRepeats times from a fresh database, repeat-major (every
+// configuration once, then again); its wall_ms is the fastest repeat
+// (min-of-N: interference only ever slows a repeat down), and the
 // soak exits 1 if the repeats disagree on any count. Emits one JSON
 // document (stdout, or the file given as argv[1]) with queries/sec and
 // checks/sec over the summed per-configuration wall_ms, and the
@@ -144,13 +145,17 @@ int main(int argc, char** argv) {
       static_cast<uint64_t>(EnvInt("LQOLAB_FUZZ_SEED", 42));
   const int64_t budget_ms = EnvInt("LQOLAB_FUZZ_BUDGET_MS", 0);
 
-  std::vector<ConfigResult> results;
+  // Repeat-major: every configuration's repeat 1, then every repeat 2, and
+  // so on, so host load that drifts during the soak reaches each
+  // configuration's fastest repeat alike.
+  const std::vector<ConfigSpec> specs = ConfigRotation();
+  std::vector<ConfigResult> results(specs.size());
   bool repeats_agree = true;
-  for (const ConfigSpec& spec : ConfigRotation()) {
-    ConfigResult result;
-    result.name = spec.name;
-    for (int repeat = 0; repeat < kRepeats; ++repeat) {
-      fuzz::FuzzStats stats = RunConfig(spec, seed, queries, budget_ms);
+  for (int repeat = 0; repeat < kRepeats; ++repeat) {
+    for (size_t c = 0; c < specs.size(); ++c) {
+      ConfigResult& result = results[c];
+      result.name = specs[c].name;
+      fuzz::FuzzStats stats = RunConfig(specs[c], seed, queries, budget_ms);
       std::fprintf(stderr,
                    "%s (repeat %d): %lld queries, %lld checks, %zu "
                    "discrepancies, %lld ms\n",
@@ -172,11 +177,12 @@ int main(int argc, char** argv) {
       result.stats.elapsed_ms =
           std::min(result.stats.elapsed_ms, stats.elapsed_ms);
     }
+  }
+  for (const ConfigResult& result : results) {
     for (const auto& d : result.stats.discrepancies) {
       std::fprintf(stderr, "  DISCREPANCY %s: %s\n", d.check.c_str(),
                    d.detail.c_str());
     }
-    results.push_back(std::move(result));
   }
 
   int64_t total_queries = 0;

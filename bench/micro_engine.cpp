@@ -12,11 +12,12 @@
 // storage::Index::EqualRange), an analyze replay (stats::Analyze over
 // every table of TPC-H-lite 4x and IMDB medium) and a cold TPC-H-lite
 // arm (every query's first ExecutePlan on a fresh replica of TPC-H-lite
-// 4x), and emits one JSON document; the recorded run lives at
-// BENCH_engine.json. Exit code 1 if the batched engine falls below the 3x
-// speedup floor docs/execution.md documents, or if replay rounds disagree
-// on a tier count, a match count, a statistics digest or a cold-arm
-// count.
+// 4x) and a GEQO arm (every JOB-lite query at or past geqo_threshold
+// planned under Bao's six hint sets on IMDB medium), and emits one JSON
+// document; the recorded run lives at BENCH_engine.json. Exit code 1 if
+// the batched engine falls below the 3x speedup floor docs/execution.md
+// documents, or if replay rounds disagree on a tier count, a match count,
+// a statistics digest, a cold-arm count or a GEQO count or plan digest.
 
 #include <benchmark/benchmark.h>
 
@@ -30,6 +31,7 @@
 
 #include "bench_common.h"
 #include "datagen/tpch_generator.h"
+#include "lqo/bao.h"
 #include "lqo/encoding.h"
 #include "lqo/value_net.h"
 #include "ml/nn.h"
@@ -597,6 +599,94 @@ TpchColdResult TpchColdReplay(engine::Database* db) {
   return result;
 }
 
+struct GeqoResult {
+  int64_t queries = 0;        // JOB-lite queries at or past geqo_threshold
+  int64_t planner_calls = 0;  // per round: queries x hint sets
+  int64_t planner_steps = 0;  // summed PlanningResult::planner_steps
+  int64_t plans_costed = 0;   // obs::Counter::kPlannerGeqoPlansCosted
+  uint64_t digest = 0;        // FNV-1a over every plan, cost and step count
+  double ms = 0.0;            // best (min) timed round
+  bool deterministic = true;  // every round gave the same counts and digest
+};
+
+/// GEQO planning as Bao's inference does it: every JOB-lite query with at
+/// least geqo_threshold relations is planned under each of
+/// lqo::DefaultHintSets() (the enable_* overlays on the database's
+/// configuration). Each round plans on a fresh replica, cloned outside the
+/// timer; kRounds timed rounds, the fastest kept (min-of-N, as in
+/// EngineComparison).
+GeqoResult GeqoReplay(engine::Database* db) {
+  constexpr int kRounds = 5;
+  const engine::DbConfig base = db->config();
+  std::vector<query::Query> workload;
+  for (query::Query& q : query::LoadWorkload("job", db->schema())) {
+    if (q.relation_count() >= base.geqo_threshold) {
+      workload.push_back(std::move(q));
+    }
+  }
+  std::vector<engine::DbConfig> configs;
+  for (const lqo::HintSet& hints : lqo::DefaultHintSets()) {
+    engine::DbConfig config = base;
+    config.enable_nestloop = hints.enable_nestloop;
+    config.enable_hashjoin = hints.enable_hashjoin;
+    config.enable_mergejoin = hints.enable_mergejoin;
+    config.enable_indexscan = hints.enable_indexscan;
+    config.enable_bitmapscan = hints.enable_bitmapscan;
+    config.enable_seqscan = hints.enable_seqscan;
+    configs.push_back(config);
+  }
+  GeqoResult result;
+  result.queries = static_cast<int64_t>(workload.size());
+  for (int round = 0; round < kRounds; ++round) {
+    const auto replica = db->CloneContextForWorker();
+    obs::MetricsRegistry metrics;
+    int64_t calls = 0;
+    int64_t steps = 0;
+    uint64_t digest = 1469598103934665603ull;
+    const auto t0 = std::chrono::steady_clock::now();
+    {
+      obs::MetricsScope scope(&metrics);
+      for (const engine::DbConfig& config : configs) {
+        replica->SetConfig(config);
+        for (const query::Query& q : workload) {
+          const optimizer::PlanningResult r = replica->planner().Plan(q);
+          ++calls;
+          steps += r.planner_steps;
+          for (const char c : r.plan.ToString(q)) FnvAdd(&digest, c);
+          FnvAdd(&digest, r.estimated_cost);
+          FnvAdd(&digest, r.planner_steps);
+        }
+      }
+    }
+    const double ms = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+    const int64_t costed = metrics.Get(obs::Counter::kPlannerGeqoPlansCosted);
+    if (round == 0) {
+      result.planner_calls = calls;
+      result.planner_steps = steps;
+      result.plans_costed = costed;
+      result.digest = digest;
+      result.ms = ms;
+      continue;
+    }
+    result.deterministic &= calls == result.planner_calls &&
+                            steps == result.planner_steps &&
+                            costed == result.plans_costed &&
+                            digest == result.digest;
+    result.ms = std::min(result.ms, ms);
+  }
+  std::fprintf(stderr,
+               "geqo replay: %lld queries, %lld planner calls, %lld steps, "
+               "%lld plans costed, digest %016llx, best round %.1f ms\n",
+               static_cast<long long>(result.queries),
+               static_cast<long long>(result.planner_calls),
+               static_cast<long long>(result.planner_steps),
+               static_cast<long long>(result.plans_costed),
+               static_cast<unsigned long long>(result.digest), result.ms);
+  return result;
+}
+
 int EngineComparison(const char* path) {
   struct Spec {
     const char* name;
@@ -665,6 +755,7 @@ int EngineComparison(const char* path) {
   }
 
   const std::unique_ptr<engine::Database> medium = CreateMediumImdb();
+  const GeqoResult geqo = GeqoReplay(medium.get());
   const JobLiteCharges charges = RecordJobLiteCharges(medium.get());
   const ReplayResult replays[] = {
       BufferReplay(charges.pages, "no_fill", 131072, 262144),
@@ -763,6 +854,16 @@ int EngineComparison(const char* path) {
                 static_cast<long long>(tpch_cold.hash_builds),
                 static_cast<long long>(tpch_cold.bloom_builds), tpch_cold.ms);
   json += buffer;
+  std::snprintf(buffer, sizeof(buffer),
+                "  \"geqo\": {\"queries\": %lld, \"planner_calls\": %lld, "
+                "\"planner_steps\": %lld, \"plans_costed\": %lld, "
+                "\"plan_digest\": \"%016llx\", \"ms\": %.1f},\n",
+                static_cast<long long>(geqo.queries),
+                static_cast<long long>(geqo.planner_calls),
+                static_cast<long long>(geqo.planner_steps),
+                static_cast<long long>(geqo.plans_costed),
+                static_cast<unsigned long long>(geqo.digest), geqo.ms);
+  json += buffer;
   std::snprintf(buffer, sizeof(buffer), "  \"speedup_vectorized\": %.2f\n}\n",
                 speedup_vectorized);
   json += buffer;
@@ -781,7 +882,8 @@ int EngineComparison(const char* path) {
   }
   return speedup_vectorized >= 3.0 && replays_deterministic &&
                  heap_charge.deterministic && index_probe.deterministic &&
-                 analyzes_deterministic && tpch_cold.deterministic
+                 analyzes_deterministic && tpch_cold.deterministic &&
+                 geqo.deterministic
              ? 0
              : 1;
 }

@@ -133,7 +133,8 @@ PlanningResult Planner::Plan(const Query& q) const {
     }
     PlanningResult result;
     result.estimated_cost =
-        CostJoinOrder(s, order, &result.plan, &result.planner_steps);
+        CostJoinOrder(s, order, 0, nullptr, &result.plan,
+                      &result.planner_steps);
     LQOLAB_CHECK_LT(result.estimated_cost, kImpossibleCost);
     return result;
   }
@@ -262,25 +263,43 @@ double Planner::CostJoinOrder(const Query& q,
                               const std::vector<AliasId>& order,
                               PhysicalPlan* plan_out, int64_t* steps) const {
   CallState s(*this, q);
-  return CostJoinOrder(s, order, plan_out, steps);
+  return CostJoinOrder(s, order, 0, nullptr, plan_out, steps);
 }
 
 double Planner::CostJoinOrder(CallState& s, const std::vector<AliasId>& order,
+                              size_t resume, PrefixState* prefix,
                               PhysicalPlan* plan_out, int64_t* steps) const {
   const Query& q = s.q;
   LQOLAB_CHECK_EQ(order.size(), static_cast<size_t>(q.relation_count()));
+  LQOLAB_CHECK_LE(resume, order.size());
+  LQOLAB_CHECK(resume == 0 || (prefix != nullptr && plan_out == nullptr));
   // GEQO fitness passes no plan_out, so it costs orders without building
   // the plan nodes.
   PhysicalPlan plan;
   const bool build = plan_out != nullptr;
-  const ScanChoice& first = s.BestScan(order[0]);
-  int32_t current =
-      build ? plan.AddScan(order[0], first.type, first.index_column) : -1;
-  double total = std::min(first.cost, SpoolReadCost(ctx_, query::MaskOf(order[0])));
-  AliasMask mask = query::MaskOf(order[0]);
-  double rows_left = s.est.BaseRows(order[0]);
+  int32_t current = -1;
+  AliasMask mask = 0;
+  double total;
+  double rows_left;
+  size_t i;
+  if (resume == 0) {
+    const ScanChoice& first = s.BestScan(order[0]);
+    if (build) current = plan.AddScan(order[0], first.type, first.index_column);
+    mask = query::MaskOf(order[0]);
+    total = std::min(first.cost, SpoolReadCost(ctx_, mask));
+    rows_left = s.est.BaseRows(order[0]);
+    if (prefix != nullptr) prefix[0] = {total, rows_left};
+    i = 1;
+  } else {
+    for (size_t j = 0; j < resume; ++j) mask |= query::MaskOf(order[j]);
+    total = prefix[resume - 1].total;
+    rows_left = prefix[resume - 1].rows;
+    // The held prefix's join steps count as if costed again.
+    if (steps != nullptr) *steps += static_cast<int64_t>(resume - 1);
+    i = resume;
+  }
 
-  for (size_t i = 1; i < order.size(); ++i) {
+  for (; i < order.size(); ++i) {
     const AliasId next = order[i];
     const AliasMask next_mask = query::MaskOf(next);
     if ((s.est.Adjacency(next) & mask) == 0) return kImpossibleCost;
@@ -322,6 +341,7 @@ double Planner::CostJoinOrder(CallState& s, const std::vector<AliasId>& order,
     // so far with one cheap re-read (the executor elides the subtree).
     total = std::min(total, SpoolReadCost(ctx_, mask));
     rows_left = rows_out;
+    if (prefix != nullptr) prefix[i] = {total, rows_left};
   }
   if (build) {
     plan.root = current;
@@ -340,6 +360,7 @@ PlanningResult Planner::PlanGenetic(CallState& s,
                                     const GeqoParams& params) const {
   const Query& q = s.q;
   const int32_t n = q.relation_count();
+  const size_t size = static_cast<size_t>(n);
   LQOLAB_CHECK_GE(n, 2);
   util::Rng rng(params.seed ^ exec::QueryFingerprint(q));
   PlanningResult result;
@@ -347,13 +368,13 @@ PlanningResult Planner::PlanGenetic(CallState& s,
 
   // A random connected order: start anywhere, extend by a random adjacent
   // unvisited relation.
-  auto random_order = [&]() {
-    std::vector<AliasId> order;
-    order.push_back(
-        static_cast<AliasId>(rng.UniformInt(0, n - 1)));
-    AliasMask mask = query::MaskOf(order[0]);
-    while (static_cast<int32_t>(order.size()) < n) {
-      std::vector<AliasId> candidates;
+  std::vector<AliasId> candidates;
+  candidates.reserve(size);
+  auto random_order = [&](std::vector<AliasId>* order) {
+    (*order)[0] = static_cast<AliasId>(rng.UniformInt(0, n - 1));
+    AliasMask mask = query::MaskOf((*order)[0]);
+    for (size_t len = 1; len < size; ++len) {
+      candidates.clear();
       for (AliasId a = 0; a < n; ++a) {
         if ((mask & query::MaskOf(a)) == 0 &&
             (s.est.Adjacency(a) & mask) != 0) {
@@ -363,92 +384,106 @@ PlanningResult Planner::PlanGenetic(CallState& s,
       LQOLAB_CHECK(!candidates.empty());
       const AliasId pick = candidates[static_cast<size_t>(
           rng.UniformInt(0, static_cast<int64_t>(candidates.size()) - 1))];
-      order.push_back(pick);
+      (*order)[len] = pick;
       mask |= query::MaskOf(pick);
     }
-    return order;
   };
 
   // Turns a preference sequence into a valid connected order: repeatedly
   // take the earliest preferred relation adjacent to the current prefix.
-  auto repair = [&](const std::vector<AliasId>& preference) {
-    std::vector<AliasId> order;
-    std::vector<char> used(static_cast<size_t>(n), 0);
-    order.push_back(preference[0]);
-    used[static_cast<size_t>(preference[0])] = 1;
+  auto repair = [&](const std::vector<AliasId>& preference,
+                    std::vector<AliasId>* order) {
+    (*order)[0] = preference[0];
     AliasMask mask = query::MaskOf(preference[0]);
-    while (static_cast<int32_t>(order.size()) < n) {
+    // preference[0, first_free) are all taken, so each scan starts past
+    // them: the child's prefix from parent A costs one test per step.
+    size_t first_free = 1;
+    for (size_t len = 1; len < size; ++len) {
+      while ((mask & query::MaskOf(preference[first_free])) != 0) {
+        ++first_free;
+      }
       AliasId chosen = -1;
-      for (AliasId a : preference) {
-        if (!used[static_cast<size_t>(a)] &&
+      for (size_t j = first_free; j < size; ++j) {
+        const AliasId a = preference[j];
+        if ((mask & query::MaskOf(a)) == 0 &&
             (s.est.Adjacency(a) & mask) != 0) {
           chosen = a;
           break;
         }
       }
       LQOLAB_CHECK_GE(chosen, 0);
-      order.push_back(chosen);
-      used[static_cast<size_t>(chosen)] = 1;
+      (*order)[len] = chosen;
       mask |= query::MaskOf(chosen);
     }
-    return order;
   };
 
   struct Individual {
     std::vector<AliasId> order;
+    /// State after each position of `order` (CostJoinOrder's prefix).
+    std::vector<PrefixState> prefix;
     double fitness = kImpossibleCost;
   };
   int64_t plans_costed = 0;
-  auto evaluate = [&](Individual* ind) {
-    ind->fitness = CostJoinOrder(s, ind->order, nullptr,
-                                 &result.planner_steps);
+  // Costs `ind` from position `resume`, whose prefix states it holds.
+  auto evaluate = [&](Individual* ind, size_t resume) {
+    ind->fitness = CostJoinOrder(s, ind->order, resume, ind->prefix.data(),
+                                 nullptr, &result.planner_steps);
     ++plans_costed;
   };
 
   std::vector<Individual> population(
       static_cast<size_t>(params.pool_size));
   for (auto& ind : population) {
-    ind.order = random_order();
-    evaluate(&ind);
+    ind.order.resize(size);
+    ind.prefix.resize(size);
+    random_order(&ind.order);
+    evaluate(&ind, 0);
   }
   auto by_fitness = [](const Individual& a, const Individual& b) {
     return a.fitness < b.fitness;
   };
   std::sort(population.begin(), population.end(), by_fitness);
 
+  std::vector<AliasId> preference(size);
   for (int32_t gen = 0; gen < params.generations; ++gen) {
     const size_t survivors = population.size() / 2;
     for (size_t i = survivors; i < population.size(); ++i) {
       // Order crossover with connectivity repair: child prefers a prefix of
-      // parent A, then parent B's order.
-      const auto& pa =
+      // parent A, then parent B's order. Parents are survivors, so the
+      // child overwrites a non-survivor's buffers in place.
+      const Individual& pa =
           population[static_cast<size_t>(rng.UniformInt(
-                         0, static_cast<int64_t>(survivors) - 1))]
-              .order;
-      const auto& pb =
+              0, static_cast<int64_t>(survivors) - 1))];
+      const Individual& pb =
           population[static_cast<size_t>(rng.UniformInt(
-                         0, static_cast<int64_t>(survivors) - 1))]
-              .order;
+              0, static_cast<int64_t>(survivors) - 1))];
       const size_t cut =
           static_cast<size_t>(rng.UniformInt(1, n - 1));
-      std::vector<AliasId> preference(pa.begin(),
-                                      pa.begin() + static_cast<long>(cut));
-      for (AliasId a : pb) {
-        if (std::find(preference.begin(), preference.end(), a) ==
-            preference.end()) {
-          preference.push_back(a);
-        }
+      AliasMask kept = 0;
+      size_t len = 0;
+      for (; len < cut; ++len) {
+        preference[len] = pa.order[len];
+        kept |= query::MaskOf(pa.order[len]);
       }
-      Individual child;
-      child.order = repair(preference);
+      for (AliasId a : pb.order) {
+        if ((kept & query::MaskOf(a)) == 0) preference[len++] = a;
+      }
+      Individual& child = population[i];
+      repair(preference, &child.order);
       if (rng.Uniform() < params.mutation_rate) {
         const size_t x = static_cast<size_t>(rng.UniformInt(0, n - 1));
         const size_t y = static_cast<size_t>(rng.UniformInt(0, n - 1));
         std::swap(child.order[x], child.order[y]);
-        child.order = repair(child.order);
+        preference = child.order;
+        repair(preference, &child.order);
       }
-      evaluate(&child);
-      population[i] = std::move(child);
+      // Resume from parent A's state at the end of the common prefix.
+      size_t common = 0;
+      while (common < size && child.order[common] == pa.order[common]) {
+        ++common;
+      }
+      std::copy_n(pa.prefix.begin(), common, child.prefix.begin());
+      evaluate(&child, common);
     }
     std::sort(population.begin(), population.end(), by_fitness);
   }
@@ -456,7 +491,7 @@ PlanningResult Planner::PlanGenetic(CallState& s,
   const Individual& best = population.front();
   LQOLAB_CHECK_LT(best.fitness, kImpossibleCost);
   result.estimated_cost =
-      CostJoinOrder(s, best.order, &result.plan, nullptr);
+      CostJoinOrder(s, best.order, 0, nullptr, &result.plan, nullptr);
   result.plan.Validate(q);
   obs::Count(obs::Counter::kPlannerGeqoGenerations, params.generations);
   obs::Count(obs::Counter::kPlannerGeqoPlansCosted, plans_costed);

@@ -1,6 +1,7 @@
 #ifndef LQOLAB_OPTIMIZER_PLANNER_H_
 #define LQOLAB_OPTIMIZER_PLANNER_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -42,6 +43,16 @@ struct GeqoParams {
 /// orders reuse them. Nothing outlives the call: configuration changes (Bao
 /// hint sets, SetConfig) and replan pins between calls need no
 /// invalidation.
+///
+/// GEQO costs each crossover child from its parent's prefix: every
+/// individual keeps its running cost and estimated rows after each
+/// position of its order, and a child resumes from parent A's state at the
+/// end of their common prefix, costing only the tail. Costs, plans and
+/// planner_steps are those of costing every order from its first relation
+/// (skipped steps are still counted); only the repeated costing of the
+/// shared prefix is saved. Crossover and repair track the relations
+/// taken in an alias bitmask and reuse one preference buffer and the
+/// population's own order buffers across generations.
 ///
 /// When metrics collection is enabled on the calling thread (obs/metrics.h),
 /// planning emits the planner_* counters — invocations, DP subproblems,
@@ -90,9 +101,22 @@ class Planner {
   /// allocates.
   class CallState;
 
+  /// Running state of a left-deep order after its first i + 1 relations:
+  /// the cost so far (after the spool clamp) and the estimated rows.
+  struct PrefixState {
+    double total = 0.0;
+    double rows = 0.0;
+  };
+
   PlanningResult PlanDynamicProgramming(CallState& s, bool bushy) const;
   PlanningResult PlanGenetic(CallState& s, const GeqoParams& params) const;
+  /// Costs `order` from position `resume` on. With resume > 0, prefix[0,
+  /// resume) must already hold this order's states (GEQO children resume
+  /// from their parent's), no plan is built, and the skipped steps are
+  /// still counted in `steps`. When `prefix` is non-null, the state after
+  /// every costed position is written to it.
   double CostJoinOrder(CallState& s, const std::vector<query::AliasId>& order,
+                       size_t resume, PrefixState* prefix,
                        PhysicalPlan* plan_out, int64_t* steps) const;
 
   const exec::DbContext* ctx_;

@@ -123,12 +123,31 @@ QueryEstimates::QueryEstimates(const CardinalityEstimator& estimator,
       q_(q),
       base_rows_(static_cast<size_t>(q.relation_count()), -1.0),
       edge_selectivity_(q.edges.size(), -1.0),
-      adjacency_(static_cast<size_t>(q.relation_count()), 0) {
+      adjacency_(static_cast<size_t>(q.relation_count()), 0),
+      incident_begin_(static_cast<size_t>(q.relation_count()) + 1, 0) {
   for (const JoinEdge& edge : q.edges) {
     adjacency_[static_cast<size_t>(edge.left_alias)] |=
         query::MaskOf(edge.right_alias);
     adjacency_[static_cast<size_t>(edge.right_alias)] |=
         query::MaskOf(edge.left_alias);
+  }
+  // Per-alias lists of incident edge indices (CSR), each in q.edges order:
+  // count, take running ends, then fill back to front so each list's
+  // cursor comes to rest at its start.
+  for (const JoinEdge& edge : q.edges) {
+    ++incident_begin_[static_cast<size_t>(edge.left_alias)];
+    ++incident_begin_[static_cast<size_t>(edge.right_alias)];
+  }
+  for (size_t a = 1; a < incident_begin_.size(); ++a) {
+    incident_begin_[a] += incident_begin_[a - 1];
+  }
+  incident_edges_.resize(incident_begin_.back());
+  for (size_t e = q.edges.size(); e-- > 0;) {
+    const uint32_t index = static_cast<uint32_t>(e);
+    incident_edges_[--incident_begin_[static_cast<size_t>(
+        q.edges[e].left_alias)]] = index;
+    incident_edges_[--incident_begin_[static_cast<size_t>(
+        q.edges[e].right_alias)]] = index;
   }
 }
 
@@ -258,12 +277,19 @@ double QueryEstimates::RawJoinRows(AliasMask mask) {
       break;
     }
     rows *= base[next];
-    const AliasMask next_bit = query::MaskOf(members[next]);
-    for (size_t e = 0; e < q.edges.size(); ++e) {
-      const AliasMask l = query::MaskOf(q.edges[e].left_alias);
-      const AliasMask r = query::MaskOf(q.edges[e].right_alias);
-      if (((l & covered) && (r & next_bit)) ||
-          ((r & covered) && (l & next_bit))) {
+    const AliasId next_alias = members[next];
+    const AliasMask next_bit = query::MaskOf(next_alias);
+    // Only edges incident to the new alias can join it to the covered set;
+    // its list keeps q.edges order, so selectivities apply in that order.
+    const size_t incident_end =
+        incident_begin_[static_cast<size_t>(next_alias) + 1];
+    for (size_t k = incident_begin_[static_cast<size_t>(next_alias)];
+         k < incident_end; ++k) {
+      const uint32_t e = incident_edges_[k];
+      const JoinEdge& edge = q.edges[e];
+      const AliasId other =
+          edge.left_alias == next_alias ? edge.right_alias : edge.left_alias;
+      if (query::MaskOf(other) & covered) {
         // Per-edge clamp, as above: cliques connect each new relation to
         // the whole covered set, and multiplying all of those edge
         // selectivities before clamping can underflow to 0.

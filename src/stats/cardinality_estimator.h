@@ -29,7 +29,11 @@ namespace lqolab::stats {
 ///   3. The keyed "stats.estimate" fault point — a kPoison rule scales the
 ///      estimate by its poison_scale, deterministically per (query, mask)
 ///      regardless of thread interleaving (FaultInjector::HitKeyed). It is
-///      hit on every unpinned call, memoized or not.
+///      hit on every unpinned JoinRows call, memoized or not; how many calls
+///      a plan takes is the caller's (the planner's GEQO resumes children
+///      from a parent's costed prefix without estimating it again), so hit
+///      counts follow the planner while each decision depends only on
+///      (query, mask).
 ///
 /// The per-query entry points below are single-shot wrappers over a fresh
 /// QueryEstimates; callers that estimate many subsets of one query (the
@@ -103,6 +107,10 @@ class QueryEstimates {
   std::vector<double> base_rows_;
   std::vector<double> edge_selectivity_;
   std::vector<query::AliasMask> adjacency_;
+  /// Edges incident to alias a: incident_edges_[incident_begin_[a],
+  /// incident_begin_[a + 1]), ascending q.edges indices.
+  std::vector<uint32_t> incident_begin_;
+  std::vector<uint32_t> incident_edges_;
   std::unordered_map<query::AliasMask, double> raw_join_rows_;
 };
 

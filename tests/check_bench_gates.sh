@@ -50,6 +50,13 @@
 #     bound: 404.1-636.4 ms in six runs with the same arm compiled in,
 #     against 253.8-336.7 ms for the direct layouts in five runs (a sixth,
 #     on a host that slowed every replay about twofold, read 397.9 ms).
+#     Its geqo arm (every JOB-lite query at or past geqo_threshold planned
+#     under Bao's six hint sets on IMDB medium, min of 5) makes exactly
+#     its pinned planner calls, summed planner_steps and GEQO plans
+#     costed with its pinned plan digest in <= 250 ms. GEQO that costs
+#     every child from its first relation fails that bound: 358.1-435.3
+#     ms in eight runs with the same arm compiled in, against 118.7-164.5
+#     ms in eight for children resumed from their parent's prefix.
 #   - BENCH_chaos.json: 100% containment, and no schedule corrupted an
 #     answer.
 # Regenerate with: build/bench/micro_parallel_runner BENCH_parallel_runner.json
@@ -355,6 +362,21 @@ else
   ms=$(field ms)
   if [ -z "$ms" ] || ! awk -v n="$ms" 'BEGIN { exit !(n <= 350) }'; then
     echo "FAIL: tpch_cold at ${ms:-?} ms (> 350) in $engine"
+    fail=1
+  fi
+  # GEQO under Bao's hint sets. The counts and the digest (plans, cost
+  # bits, step counts) are fixed by the seed-42 medium IMDB: a different
+  # one means the planner chose or costed differently, not that it got
+  # slower.
+  line=$(grep '"geqo":' "$engine")
+  got="$(field queries) $(field planner_calls) $(field planner_steps) $(field plans_costed) $(echo "$line" | grep -o '"plan_digest": "[0-9a-f]*"' | grep -o '[0-9a-f]\{16\}')"
+  if [ "$got" != "23 138 2127840 171120 38215e79dfa8becb" ]; then
+    echo "FAIL: geqo queries/planner calls/steps/plans costed/plan digest '$got' != '23 138 2127840 171120 38215e79dfa8becb' in $engine"
+    fail=1
+  fi
+  ms=$(field ms)
+  if [ -z "$ms" ] || ! awk -v n="$ms" 'BEGIN { exit !(n <= 250) }'; then
+    echo "FAIL: geqo arm at ${ms:-?} ms (> 250) in $engine"
     fail=1
   fi
 fi
