@@ -19,8 +19,9 @@
 //      DbConfig::adaptive_replan off and on. Gate: mid-query cancel-and-
 //      replan must beat straight-through execution at p99.
 //   4. Replan differential: every JOB-lite query executes its clean plan
-//      straight through and via ExecutePlanAdaptive under the poison; the
-//      result rows must be byte-identical (replans may only cost time).
+//      straight through and with DbConfig::adaptive_replan on under the
+//      poison; the result rows must be byte-identical (replans may only
+//      cost time).
 //
 // All latency/goodput figures are virtual-time and machine-independent;
 // only wall_ms measures the machine. --quick shrinks the arrival counts
@@ -253,7 +254,7 @@ int main(int argc, char** argv) {
       adaptive_replica->SetConfig(adaptive);
       adaptive_replica->BeginQueryReplay(bench::kSeed, q);
       const engine::QueryRun replanned =
-          adaptive_replica->ExecutePlanAdaptive(q, poisoned_planned.plan);
+          adaptive_replica->ExecutePlan(q, poisoned_planned.plan);
       adaptive_ns += static_cast<double>(replanned.execution_ns);
       differential_replans += replanned.replans;
       if (replanned.result_rows != clean.result_rows ||

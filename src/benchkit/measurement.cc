@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "exec/cost_constants.h"
 #include "util/check.h"
 #include "util/statistics.h"
 
@@ -55,14 +54,8 @@ QueryMeasurement MeasureLqo(Database* db, lqo::LearnedOptimizer* lqo,
   const lqo::Prediction prediction = lqo->Plan(q, db);
   QueryMeasurement measurement;
   measurement.inference_ns = prediction.inference_ns;
-  // Forced plans skip join-order search in the engine; the hint-based
-  // methods (Bao) report their per-hint-set plannings here instead.
-  const VirtualNanos planning =
-      prediction.planning_ns > 0
-          ? prediction.planning_ns
-          : static_cast<VirtualNanos>(q.relation_count()) *
-                exec::cost::kPlanPerRelationNs;
-  return MeasureRuns(db, q, prediction.plan, planning, protocol,
+  return MeasureRuns(db, q, prediction.plan,
+                     lqo::ChargedPlanningNs(prediction, q), protocol,
                      std::move(measurement));
 }
 

@@ -3,8 +3,6 @@
 #include <utility>
 #include <vector>
 
-#include "exec/cost_constants.h"
-#include "obs/metrics.h"
 #include "util/check.h"
 
 namespace lqolab::benchkit {
@@ -16,39 +14,15 @@ using util::VirtualNanos;
 ParallelRunner::ParallelRunner(Database* db, const RunnerOptions& options)
     : parent_(db),
       seed_(options.seed),
-      pool_(options.parallelism > 0 ? options.parallelism
-                                    : util::ThreadPool::DefaultParallelism()) {
-  LQOLAB_CHECK(db != nullptr);
-  replicas_.reserve(static_cast<size_t>(pool_.size()));
-  for (int32_t w = 0; w < pool_.size(); ++w) {
-    replicas_.push_back(db->CloneContextForWorker());
-  }
-}
+      replicas_(*db, options.parallelism > 0
+                         ? options.parallelism
+                         : util::ThreadPool::DefaultParallelism()) {}
 
 ParallelRunner::~ParallelRunner() = default;
 
 void ParallelRunner::ForEachQuery(
     int64_t n, const std::function<void(Database*, int64_t)>& fn) {
-  // Worker threads have their own thread-local registry slot (empty by
-  // default), so metrics recorded inside the pool would be lost. When the
-  // calling thread has a registry installed, give each worker a private
-  // one and merge them afterwards: counters are sums and every item runs
-  // exactly once, so the totals equal a serial run's regardless of how
-  // items were scheduled across workers.
-  obs::MetricsRegistry* parent_metrics = obs::MetricsRegistry::Current();
-  std::vector<obs::MetricsRegistry> worker_metrics(
-      parent_metrics != nullptr ? static_cast<size_t>(pool_.size()) : 0);
-  pool_.ParallelFor(n, [this, &fn, &worker_metrics](int32_t worker,
-                                                    int64_t item) {
-    obs::MetricsScope scope(
-        worker_metrics.empty()
-            ? nullptr
-            : &worker_metrics[static_cast<size_t>(worker)]);
-    fn(replicas_[static_cast<size_t>(worker)].get(), item);
-  });
-  for (const obs::MetricsRegistry& m : worker_metrics) {
-    parent_metrics->MergeFrom(m);
-  }
+  replicas_.ForEach(n, fn);
 }
 
 WorkloadMeasurement MeasureWorkload(Database* db, lqo::LearnedOptimizer* lqo,
@@ -99,13 +73,7 @@ WorkloadMeasurement MeasureWorkload(ParallelRunner* runner,
               predictions[static_cast<size_t>(i)];
           measurement.inference_ns = prediction.inference_ns;
           plan = prediction.plan;
-          // Forced plans skip join-order search in the engine; hint-based
-          // methods (Bao) report their per-hint-set plannings instead.
-          planning_ns =
-              prediction.planning_ns > 0
-                  ? prediction.planning_ns
-                  : static_cast<VirtualNanos>(q.relation_count()) *
-                        exec::cost::kPlanPerRelationNs;
+          planning_ns = lqo::ChargedPlanningNs(prediction, q);
         } else {
           // Native planning is const over (storage, stats, config), all of
           // which the replica shares with the parent: same plan, same

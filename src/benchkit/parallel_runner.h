@@ -8,6 +8,7 @@
 
 #include "benchkit/measurement.h"
 #include "engine/database.h"
+#include "engine/exec_batch.h"
 #include "lqo/interface.h"
 #include "query/query.h"
 #include "util/thread_pool.h"
@@ -46,14 +47,14 @@ class ParallelRunner {
   ParallelRunner(const ParallelRunner&) = delete;
   ParallelRunner& operator=(const ParallelRunner&) = delete;
 
-  int32_t parallelism() const { return pool_.size(); }
+  int32_t parallelism() const { return replicas_.size(); }
   uint64_t seed() const { return seed_; }
   engine::Database* parent() const { return parent_; }
   /// Queries executed by a worker other than the one whose static block
   /// they started in, over this runner's lifetime (util::ThreadPool's
   /// work-stealing counter). Observability only — results do not depend on
   /// which worker ran a query.
-  int64_t steals() const { return pool_.steals(); }
+  int64_t steals() const { return replicas_.steals(); }
 
   /// Runs fn(worker_replica, item) exactly once for every item in [0, n)
   /// and blocks until all completed. At most one item runs on a given
@@ -67,8 +68,7 @@ class ParallelRunner {
  private:
   engine::Database* parent_;
   uint64_t seed_;
-  std::vector<std::unique_ptr<engine::Database>> replicas_;
-  util::ThreadPool pool_;
+  engine::ReplicaPool replicas_;
 };
 
 /// Unified workload measurement with deterministic replay. Plans every

@@ -262,52 +262,47 @@ QueryRun Database::ExecutePlan(const query::Query& q,
                                const optimizer::PhysicalPlan& plan,
                                VirtualNanos planning_ns,
                                VirtualNanos timeout_ns,
-                               const exec::QueryDeadline* deadline) {
+                               const exec::QueryDeadline* deadline,
+                               const exec::CardinalityPins* seed_pins) {
+  // One warm-up step and one noise draw per query run, shared by every
+  // attempt: a replan continues the same query run, it does not start a new
+  // one.
   const double warm = WarmupMultiplier(q);
   const double noise =
       std::exp(noise_rng_.Gaussian(0.0, cost::kNoiseSigma));
   const VirtualNanos timeout =
       timeout_ns > 0 ? timeout_ns
                      : ctx_.config.statement_timeout_ms * util::kNanosPerMilli;
-  const exec::ExecutionResult result =
-      executor_->Execute(q, plan, timeout, warm * noise, deadline);
   QueryRun run;
-  run.status = result.status;
   run.planning_ns = planning_ns;
-  run.execution_ns = result.execution_ns;
+  exec::ExecutionResult result =
+      ctx_.config.adaptive_replan
+          ? ExecuteReplanning(q, plan, timeout, warm * noise, deadline,
+                              seed_pins, &run)
+          : executor_->Execute(q, plan, timeout, warm * noise, deadline);
+  run.status = std::move(result.status);
+  // Abandoned prefixes and replan planning are spent mid-execution.
+  run.execution_ns =
+      run.replan_wasted_ns + run.replan_planning_ns + result.execution_ns;
   run.timed_out = result.timed_out;
   run.result_rows = result.result_rows;
   run.pages_accessed = result.pages_accessed;
-  run.node_rows = result.node_rows;
-  run.node_stats = result.node_stats;
+  run.node_rows = std::move(result.node_rows);
+  run.node_stats = std::move(result.node_stats);
   obs::Count(obs::Counter::kExecPlansExecuted);
   if (run.timed_out) obs::Count(obs::Counter::kExecTimeouts);
   obs::Observe(obs::Histogram::kExecutionLatencyNs, run.execution_ns);
   return run;
 }
 
-QueryRun Database::ExecutePlanAdaptive(const query::Query& q,
-                                       const optimizer::PhysicalPlan& plan,
-                                       VirtualNanos planning_ns,
-                                       VirtualNanos timeout_ns,
-                                       const exec::QueryDeadline* deadline,
-                                       const exec::CardinalityPins* seed_pins) {
-  if (!ctx_.config.adaptive_replan) {
-    return ExecutePlan(q, plan, planning_ns, timeout_ns, deadline);
-  }
-  // One warm-up step and one noise draw for the whole query, shared by
-  // every attempt: a replan continues the same query run, it does not
-  // start a new one.
-  const double warm = WarmupMultiplier(q);
-  const double noise = std::exp(noise_rng_.Gaussian(0.0, cost::kNoiseSigma));
-  const double mult = warm * noise;
-  const VirtualNanos timeout =
-      timeout_ns > 0 ? timeout_ns
-                     : ctx_.config.statement_timeout_ms * util::kNanosPerMilli;
-
+exec::ExecutionResult Database::ExecuteReplanning(
+    const query::Query& q, const optimizer::PhysicalPlan& plan,
+    VirtualNanos timeout, double time_multiplier,
+    const exec::QueryDeadline* deadline,
+    const exec::CardinalityPins* seed_pins, QueryRun* run) {
   // Pins and the spooled-intermediate set live on the context for the
-  // duration of the adaptive loop so the estimator and cost model
-  // (re-planning) and the monitor (re-execution) all see them.
+  // duration of the loop so the estimator and cost model (re-planning) and
+  // the monitor (re-execution) all see them.
   exec::CardinalityPins pins;
   if (seed_pins != nullptr) pins = *seed_pins;
   // Intermediates fully materialized (and paid for) by abandoned attempts,
@@ -325,14 +320,13 @@ QueryRun Database::ExecutePlanAdaptive(const query::Query& q,
   ctx_.card_pins = &pins;
   ctx_.spooled = &materialized;
 
-  QueryRun run;
-  run.planning_ns = planning_ns;
   optimizer::PhysicalPlan current = plan;
+  exec::ExecutionResult result;
   VirtualNanos spent = 0;  // Abandoned prefixes + replan planning time.
-  int32_t replans = 0;
   for (;;) {
-    const bool monitor_armed = replans < ctx_.config.replan_max_per_query;
-    if (!monitor_armed && replans > 0) {
+    const bool monitor_armed =
+        run->replans < ctx_.config.replan_max_per_query;
+    if (!monitor_armed && run->replans > 0) {
       obs::Count(obs::Counter::kExecReplanCapped);
     }
     exec::ReplanMonitor monitor;
@@ -344,25 +338,15 @@ QueryRun Database::ExecutePlanAdaptive(const query::Query& q,
     monitor.min_rows = ctx_.config.replan_min_rows;
     monitor.materialized = materialized;
     const bool pass_monitor = monitor_armed || !materialized.empty();
-    const exec::ExecutionResult result =
-        executor_->Execute(q, current, timeout - spent, mult, deadline,
-                           pass_monitor ? &monitor : nullptr);
-    if (!result.replan_requested) {
-      run.status = result.status;
-      run.execution_ns = spent + result.execution_ns;
-      run.timed_out = result.timed_out;
-      run.result_rows = result.result_rows;
-      run.pages_accessed = result.pages_accessed;
-      run.node_rows = result.node_rows;
-      run.node_stats = result.node_stats;
-      break;
-    }
+    result = executor_->Execute(q, current, timeout - spent, time_multiplier,
+                                deadline, pass_monitor ? &monitor : nullptr);
+    if (!result.replan_requested) break;
     // Divergence: keep the prefix latency, pin every observed truth, then
     // re-plan the remainder with the estimator grounded on those pins.
     obs::Count(obs::Counter::kExecReplans);
     spent += result.execution_ns;
-    run.replan_wasted_ns += result.execution_ns;
-    ++replans;
+    run->replan_wasted_ns += result.execution_ns;
+    ++run->replans;
     for (const auto& [mask, rows] : monitor.observed) {
       pins.Pin(mask, static_cast<double>(rows));
     }
@@ -371,30 +355,27 @@ QueryRun Database::ExecutePlanAdaptive(const query::Query& q,
     }
     const Planned replanned = PlanQuery(q);
     spent += replanned.planning_ns;
-    run.replan_planning_ns += replanned.planning_ns;
+    run->replan_planning_ns += replanned.planning_ns;
     if (replanned.plan == current) {
       obs::Count(obs::Counter::kExecReplanNoChange);
     }
     current = replanned.plan;
     if (spent >= timeout) {
       // The wasted attempts alone exhausted the statement timeout.
-      run.status = util::Status(util::StatusCode::kDeadlineExceeded,
-                                "statement timeout");
-      run.execution_ns = timeout;
-      run.timed_out = true;
+      result = exec::ExecutionResult();
+      result.status = util::Status(util::StatusCode::kDeadlineExceeded,
+                                   "statement timeout");
+      result.execution_ns = timeout - spent;
+      result.timed_out = true;
       break;
     }
   }
-  run.replans = replans;
-  if (replans > 0) {
-    run.replanned_plan =
+  if (run->replans > 0) {
+    run->replanned_plan =
         std::make_shared<const optimizer::PhysicalPlan>(std::move(current));
-    run.replan_pins = std::make_shared<const exec::CardinalityPins>(pins);
+    run->replan_pins = std::make_shared<const exec::CardinalityPins>(pins);
   }
-  obs::Count(obs::Counter::kExecPlansExecuted);
-  if (run.timed_out) obs::Count(obs::Counter::kExecTimeouts);
-  obs::Observe(obs::Histogram::kExecutionLatencyNs, run.execution_ns);
-  return run;
+  return result;
 }
 
 QueryRun Database::Run(const query::Query& q) {

@@ -45,7 +45,7 @@ struct QueryRun {
   /// same order as node_rows. Input to obs::ExplainAnalyzeText/Json.
   std::vector<exec::PlanNodeStats> node_stats;
 
-  // --- Adaptive re-optimization (ExecutePlanAdaptive only) ---------------
+  // --- Adaptive re-optimization (DbConfig::adaptive_replan) --------------
   /// Cancel-and-replan rounds taken (0 = the given plan ran straight
   /// through; node_rows/node_stats always describe the final attempt).
   int32_t replans = 0;
@@ -59,8 +59,8 @@ struct QueryRun {
   /// is copied around freely.
   std::shared_ptr<const optimizer::PhysicalPlan> replanned_plan;
   /// Cardinality truths accumulated across replan rounds, set only when
-  /// replans > 0. Feeding these back as `seed_pins` of a later
-  /// ExecutePlanAdaptive call (the serve path's plan-cache feedback) lets
+  /// replans > 0. Feeding these back as `seed_pins` of a later adaptive
+  /// ExecutePlan call (the serve path's plan-cache feedback) lets
   /// repeat arrivals run the corrected plan without re-paying divergence
   /// detection and replan planning time.
   std::shared_ptr<const exec::CardinalityPins> replan_pins;
@@ -173,28 +173,23 @@ class Database {
   /// (Balsa-style training timeouts). A non-null `deadline` lets another
   /// thread cancel the execution mid-plan (serve shutdown); the cancel code
   /// surfaces in QueryRun::status.
-  QueryRun ExecutePlan(const query::Query& q,
-                       const optimizer::PhysicalPlan& plan,
-                       util::VirtualNanos planning_ns = 0,
-                       util::VirtualNanos timeout_ns = 0,
-                       const exec::QueryDeadline* deadline = nullptr);
-
-  /// ExecutePlan with mid-query adaptive re-optimization
+  ///
+  /// With DbConfig::adaptive_replan on, execution re-optimizes mid-query
   /// (docs/overload.md): when an observed node cardinality diverges from
   /// its estimate past DbConfig::replan_qerror_threshold, the attempt is
   /// abandoned (its prefix latency is kept), the observed truths are pinned
   /// into the estimator, the query is re-planned and re-executed, at most
-  /// replan_max_per_query times. Results are byte-identical to ExecutePlan
-  /// — only latency, plan choice and the replan_* QueryRun fields differ.
-  /// Pass-through to ExecutePlan when DbConfig::adaptive_replan is false.
-  /// A non-null `seed_pins` pre-loads cardinality truths from an earlier
-  /// adaptive run (QueryRun::replan_pins) so the estimator starts corrected.
-  QueryRun ExecutePlanAdaptive(const query::Query& q,
-                               const optimizer::PhysicalPlan& plan,
-                               util::VirtualNanos planning_ns = 0,
-                               util::VirtualNanos timeout_ns = 0,
-                               const exec::QueryDeadline* deadline = nullptr,
-                               const exec::CardinalityPins* seed_pins = nullptr);
+  /// replan_max_per_query times. Result rows never change — only latency,
+  /// plan choice and the replan_* QueryRun fields do. A non-null
+  /// `seed_pins` pre-loads cardinality truths from an earlier adaptive run
+  /// (QueryRun::replan_pins) so the estimator starts corrected; it is
+  /// ignored when adaptive replanning is off.
+  QueryRun ExecutePlan(const query::Query& q,
+                       const optimizer::PhysicalPlan& plan,
+                       util::VirtualNanos planning_ns = 0,
+                       util::VirtualNanos timeout_ns = 0,
+                       const exec::QueryDeadline* deadline = nullptr,
+                       const exec::CardinalityPins* seed_pins = nullptr);
 
   /// Plans and executes.
   QueryRun Run(const query::Query& q);
@@ -248,6 +243,15 @@ class Database {
   static void BuildHeapProbePages(SharedContext& shared);
   void InitRuntime();
   double WarmupMultiplier(const query::Query& q);
+  /// ExecutePlan's cancel-and-replan loop (DbConfig::adaptive_replan):
+  /// runs attempts of `plan`, then of each re-plan, until one completes or
+  /// the wasted time exhausts `timeout`. Fills the replan_* fields of `run`
+  /// and returns the final attempt's result.
+  exec::ExecutionResult ExecuteReplanning(
+      const query::Query& q, const optimizer::PhysicalPlan& plan,
+      util::VirtualNanos timeout, double time_multiplier,
+      const exec::QueryDeadline* deadline,
+      const exec::CardinalityPins* seed_pins, QueryRun* run);
 
   uint64_t seed_;
   exec::DbContext ctx_;

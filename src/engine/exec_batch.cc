@@ -6,15 +6,38 @@
 
 namespace lqolab::engine {
 
+ReplicaPool::ReplicaPool(const Database& db, int32_t workers)
+    : pool_(workers) {
+  replicas_.reserve(static_cast<size_t>(pool_.size()));
+  for (int32_t w = 0; w < pool_.size(); ++w) {
+    replicas_.push_back(db.CloneContextForWorker());
+  }
+}
+
+void ReplicaPool::ForEach(int64_t n,
+                          const std::function<void(Database*, int64_t)>& fn) {
+  obs::MetricsRegistry* parent_metrics = obs::MetricsRegistry::Current();
+  std::vector<obs::MetricsRegistry> worker_metrics(
+      parent_metrics != nullptr ? static_cast<size_t>(pool_.size()) : 0);
+  pool_.ParallelFor(n, [&](int32_t worker, int64_t item) {
+    obs::MetricsScope scope(
+        worker_metrics.empty()
+            ? nullptr
+            : &worker_metrics[static_cast<size_t>(worker)]);
+    fn(replicas_[static_cast<size_t>(worker)].get(), item);
+  });
+  for (const obs::MetricsRegistry& m : worker_metrics) {
+    parent_metrics->MergeFrom(m);
+  }
+}
+
 BatchExecutor::BatchExecutor(Database* db, uint64_t global_seed,
                              int32_t parallelism)
     : db_(db), seed_(global_seed) {
   LQOLAB_CHECK(db != nullptr);
   LQOLAB_CHECK_GE(parallelism, 0);
-  if (parallelism == 0) return;
-  pool_ = std::make_unique<util::ThreadPool>(parallelism);
-  for (int32_t w = 0; w < pool_->size(); ++w) {
-    replicas_.push_back(db->CloneContextForWorker());
+  if (parallelism > 0) {
+    replicas_ = std::make_unique<ReplicaPool>(*db, parallelism);
   }
 }
 
@@ -23,7 +46,7 @@ BatchExecutor::~BatchExecutor() {
   // memo, and a trainer's episodes are over once its executor goes. Drop
   // them (cardinalities and filtered bases stay cached) so they do not
   // outlive training.
-  if (pool_ == nullptr) db_->oracle().ReleaseMaterializations();
+  if (replicas_ == nullptr) db_->oracle().ReleaseMaterializations();
 }
 
 std::vector<QueryRun> BatchExecutor::Execute(
@@ -33,7 +56,7 @@ std::vector<QueryRun> BatchExecutor::Execute(
     LQOLAB_CHECK(task.query != nullptr);
     LQOLAB_CHECK(task.plan != nullptr);
   }
-  if (pool_ == nullptr) {
+  if (replicas_ == nullptr) {
     for (size_t i = 0; i < batch.size(); ++i) {
       runs[i] = db_->ExecutePlan(*batch[i].query, *batch[i].plan, 0,
                                  batch[i].timeout_ns);
@@ -46,19 +69,8 @@ std::vector<QueryRun> BatchExecutor::Execute(
   for (size_t i = 0; i < batch.size(); ++i) {
     run_index[i] = exec_counts_[exec::QueryFingerprint(*batch[i].query)]++;
   }
-  // Same per-worker-registry merge as ParallelRunner::ForEachQuery: worker
-  // threads collect into private registries, summed into the caller's
-  // afterwards so totals match a serial execution of the batch.
-  obs::MetricsRegistry* parent_metrics = obs::MetricsRegistry::Current();
-  std::vector<obs::MetricsRegistry> worker_metrics(
-      parent_metrics != nullptr ? static_cast<size_t>(pool_->size()) : 0);
-  pool_->ParallelFor(
-      static_cast<int64_t>(batch.size()), [&](int32_t worker, int64_t i) {
-        obs::MetricsScope scope(
-            worker_metrics.empty()
-                ? nullptr
-                : &worker_metrics[static_cast<size_t>(worker)]);
-        Database* db = replicas_[static_cast<size_t>(worker)].get();
+  replicas_->ForEach(
+      static_cast<int64_t>(batch.size()), [&](Database* db, int64_t i) {
         const PlanExec& task = batch[static_cast<size_t>(i)];
         const int64_t stage = run_index[static_cast<size_t>(i)];
         db->BeginQueryReplay(seed_, *task.query,
@@ -67,9 +79,6 @@ std::vector<QueryRun> BatchExecutor::Execute(
         runs[static_cast<size_t>(i)] =
             db->ExecutePlan(*task.query, *task.plan, 0, task.timeout_ns);
       });
-  for (const obs::MetricsRegistry& m : worker_metrics) {
-    parent_metrics->MergeFrom(m);
-  }
   return runs;
 }
 

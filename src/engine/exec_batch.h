@@ -2,6 +2,7 @@
 #define LQOLAB_ENGINE_EXEC_BATCH_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -12,6 +13,33 @@
 #include "util/thread_pool.h"
 
 namespace lqolab::engine {
+
+/// A fixed-size work-stealing pool (util::ThreadPool) whose workers each own
+/// an isolated replica of one database (Database::CloneContextForWorker):
+/// the replica loop under benchkit::ParallelRunner and BatchExecutor's
+/// replay mode.
+class ReplicaPool {
+ public:
+  /// Clones one replica of `db` per worker; `workers` is clamped to >= 1.
+  ReplicaPool(const Database& db, int32_t workers);
+
+  int32_t size() const { return pool_.size(); }
+  /// util::ThreadPool::steals over the pool's lifetime.
+  int64_t steals() const { return pool_.steals(); }
+
+  /// Runs fn(worker_replica, item) exactly once for every item in [0, n)
+  /// and blocks until all completed; at most one item runs on a replica at
+  /// a time. Worker threads have their own thread-local metrics slot, so
+  /// when the calling thread has a registry installed each worker collects
+  /// into a private one, summed into the caller's afterwards: counters are
+  /// sums and every item runs exactly once, so the totals equal a serial
+  /// run's regardless of how items were scheduled.
+  void ForEach(int64_t n, const std::function<void(Database*, int64_t)>& fn);
+
+ private:
+  std::vector<std::unique_ptr<Database>> replicas_;
+  util::ThreadPool pool_;  // Declared last: joined before replicas go.
+};
 
 /// One forced-plan execution in a batch.
 struct PlanExec {
@@ -49,7 +77,7 @@ class BatchExecutor {
   BatchExecutor(const BatchExecutor&) = delete;
   BatchExecutor& operator=(const BatchExecutor&) = delete;
 
-  int32_t parallelism() const { return pool_ ? pool_->size() : 0; }
+  int32_t parallelism() const { return replicas_ ? replicas_->size() : 0; }
 
   /// Executes every entry of `batch` and returns the runs in batch order.
   std::vector<QueryRun> Execute(const std::vector<PlanExec>& batch);
@@ -61,9 +89,8 @@ class BatchExecutor {
  private:
   Database* db_;
   uint64_t seed_;
-  std::vector<std::unique_ptr<Database>> replicas_;
   /// Null in place.
-  std::unique_ptr<util::ThreadPool> pool_;
+  std::unique_ptr<ReplicaPool> replicas_;
   /// Executions seen per query fingerprint (drives warm-up replay).
   std::unordered_map<uint64_t, int64_t> exec_counts_;
 };

@@ -51,11 +51,12 @@ struct DbContext {
   /// through it.
   std::unique_ptr<storage::BufferPool> buffer_pool;
   engine::DbConfig config;
-  /// Installed (non-null) only while engine::Database::ExecutePlanAdaptive
-  /// is re-planning; consulted first by stats::CardinalityEstimator. Owned
-  /// by the adaptive loop, never by the context.
+  /// Installed (non-null) only while engine::Database::ExecutePlan is
+  /// re-planning (DbConfig::adaptive_replan); consulted first by
+  /// stats::CardinalityEstimator. Owned by the adaptive loop, never by the
+  /// context.
   const CardinalityPins* card_pins = nullptr;
-  /// Installed (non-null) only while ExecutePlanAdaptive is re-planning:
+  /// Installed (non-null) only while ExecutePlan is re-planning:
   /// alias mask -> true rows of every intermediate an abandoned attempt
   /// fully materialized. The planner prices these subsets at spool re-read
   /// cost (optimizer/planner.cc) so a re-plan gravitates toward work

@@ -68,7 +68,7 @@ struct ReplanMonitor {
   /// these subsets reads the spooled intermediate (rows * kMatReadNs)
   /// instead of recomputing its whole subtree — the POP/Rio-style
   /// checkpoint reuse that makes abandoning a bad plan affordable. Fed by
-  /// ExecutionResult::completed (see Database::ExecutePlanAdaptive).
+  /// ExecutionResult::completed (see Database::ExecutePlan).
   std::unordered_map<uint32_t, int64_t> materialized;
 };
 

@@ -447,8 +447,9 @@ void DifferentialOracle::CheckExecution(const Query& q,
   // Replan differential: one plan re-runs with mid-query adaptive
   // re-optimization enabled, under a keyed estimator poison that forces
   // q-error divergences mid-plan. The cancel/replan/resume protocol
-  // (Database::ExecutePlanAdaptive) must never change result rows — replans
-  // may only cost time, exactly like the paper's timeout fallbacks.
+  // (Database::ExecutePlan under DbConfig::adaptive_replan) must never
+  // change result rows — replans may only cost time, exactly like the
+  // paper's timeout fallbacks.
   if (options_.replan_twin) {
     ++report->checks.replan_differential;
     faultlib::FaultPlan poison;
@@ -472,7 +473,7 @@ void DifferentialOracle::CheckExecution(const Query& q,
     adaptive.replan_min_rows = 1;
     replica->SetConfig(adaptive);
     replica->BeginQueryReplay(options_.exec_seed, q);
-    const engine::QueryRun run = replica->ExecutePlanAdaptive(
+    const engine::QueryRun run = replica->ExecutePlan(
         q, plans.front().plan, 0, options_.exec_timeout_ns);
     ++report->plans_executed;
     if (run.timed_out) {

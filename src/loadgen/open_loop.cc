@@ -28,7 +28,6 @@ OpenLoopResult OpenLoopRunner::Run(const OpenLoopOptions& options) {
   sopts.workers = options.real_workers;
   sopts.queue_capacity = options.queue_capacity;
   sopts.route = serve::RouteMode::kPglite;
-  sopts.deterministic_replay = true;
   sopts.seed = options.seed;
   sopts.virtual_workers = options.virtual_workers;
   sopts.shed_on_predicted_miss = options.shed_on_predicted_miss;

@@ -1,5 +1,6 @@
 #include "lqo/interface.h"
 
+#include "exec/cost_constants.h"
 #include "lqo/balsa.h"
 #include "lqo/bao.h"
 #include "lqo/leon.h"
@@ -11,6 +12,13 @@
 #include "obs/metrics.h"
 
 namespace lqolab::lqo {
+
+util::VirtualNanos ChargedPlanningNs(const Prediction& prediction,
+                                     const query::Query& q) {
+  if (prediction.planning_ns > 0) return prediction.planning_ns;
+  return static_cast<util::VirtualNanos>(q.relation_count()) *
+         exec::cost::kPlanPerRelationNs;
+}
 
 void TrainReport::AddRuns(const std::vector<engine::QueryRun>& runs) {
   for (const engine::QueryRun& run : runs) {

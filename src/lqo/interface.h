@@ -94,6 +94,13 @@ struct Prediction {
   util::VirtualNanos planning_ns = 0;
 };
 
+/// Modeled planning time charged for executing `prediction.plan` for `q`:
+/// Prediction::planning_ns when the method reported one (hint-based
+/// methods such as Bao), else the engine's per-relation baseline — forced
+/// plans skip join-order search.
+util::VirtualNanos ChargedPlanningNs(const Prediction& prediction,
+                                     const query::Query& q);
+
 /// Row of Table 1 (encoding components of an LQO).
 struct EncodingSpec {
   std::string name;

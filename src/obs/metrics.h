@@ -47,18 +47,18 @@ enum class Counter : int32_t {
   kPlanCacheMisses,     ///< Plan-cache lookups that had to plan.
   kPlanCacheEvictions,  ///< Cached plans dropped (capacity or Clear).
   kServeQueries,        ///< Queries served to completion by a QueryServer.
-  kServeRejected,       ///< Admissions rejected on a full queue (TrySubmit).
+  kServeRejected,       ///< Open-loop admissions refused on a full queue.
   kServeFallbacks,      ///< LQO-plan timeouts re-executed on the pglite plan.
   kServeLqoPlanned,     ///< Inference calls through the published model.
   kServeModelSwaps,     ///< Models published to a hot-swap slot.
   kServeRetries,        ///< Re-executions after a retryable transient fault.
-  kServeShutdownDropped,  ///< Queued queries surfaced as kShutdown at drain.
+  kServeShutdownDropped,  ///< Refused or dropped as kShutdown at shutdown.
   kServeInferFaults,      ///< Inference faults absorbed by routing native.
   kServeBreakerTrips,          ///< Circuit breaker kClosed -> kOpen edges.
   kServeBreakerShortCircuits,  ///< LQO requests short-circuited while open.
   kServeBreakerProbes,         ///< Half-open probe requests let through.
   kServeBreakerRecoveries,     ///< Circuit breaker kHalfOpen -> kClosed edges.
-  kServeSqlQueries,       ///< SQL-text admissions parsed and bound (SubmitSql).
+  kServeSqlQueries,       ///< SQL-text admissions bound and queued (SubmitSql).
   kServeSqlRejected,      ///< SQL-text admissions refused at parse/bind.
   kServeOpenLoopQueries,  ///< Open-loop (SubmitAt) admissions accepted.
   kServeShed,             ///< Admissions shed: predicted wait > deadline.

@@ -5,7 +5,6 @@
 #include <functional>
 #include <utility>
 
-#include "exec/cost_constants.h"
 #include "exec/oracle.h"
 #include "faultlib/faultlib.h"
 #include "serve/dispatcher.h"
@@ -44,6 +43,26 @@ void DegradePlan(optimizer::PhysicalPlan* plan) {
       node.algo = optimizer::JoinAlgo::kNestLoop;
     }
   }
+}
+
+/// Virtual backoff before transient-fault retry k (1-based): this << (k-1),
+/// charged to the client-visible latency (ServedQuery::backoff_ns).
+constexpr VirtualNanos kRetryBackoffNs = 100'000;
+
+/// Bounded wall-clock drain at Shutdown: queued queries still unclaimed
+/// after this long resolve as explicit kShutdown results instead of
+/// executing.
+constexpr std::chrono::milliseconds kShutdownDrain{2'000};
+
+util::Status ShutdownStatus() {
+  return util::Status(util::StatusCode::kShutdown,
+                      "server shut down before execution");
+}
+
+std::future<ServedQuery> Resolved(ServedQuery served) {
+  std::promise<ServedQuery> promise;
+  promise.set_value(std::move(served));
+  return promise.get_future();
 }
 
 }  // namespace
@@ -93,7 +112,7 @@ QueryServer::QueryServer(Database* db, const ServerOptions& options)
 QueryServer::~QueryServer() { Shutdown(); }
 
 std::future<ServedQuery> QueryServer::Submit(Query q) {
-  return Enqueue(std::move(q), /*template_fp=*/0);
+  return Admit({std::move(q), /*sql_template_fp=*/0, std::nullopt});
 }
 
 std::future<ServedQuery> QueryServer::SubmitSql(const std::string& sql,
@@ -103,109 +122,53 @@ std::future<ServedQuery> QueryServer::SubmitSql(const std::string& sql,
   if (!bound.ok()) {
     // Malformed text is the client's failure, resolved at admission; no
     // ticket, no retry, no engine work.
-    {
-      std::lock_guard<std::mutex> lock(control_mu_);
-      control_metrics_.Add(obs::Counter::kServeSqlRejected, 1);
-    }
-    ServedQuery served;
-    served.query_id = id;
-    served.ticket = -1;
-    served.route = options_.route;
-    served.status = bound;
-    std::promise<ServedQuery> promise;
-    promise.set_value(std::move(served));
-    return promise.get_future();
+    return Resolved(Refusal(id, std::nullopt, /*ticket_id=*/-1,
+                            obs::Counter::kServeSqlRejected, bound));
   }
-  {
-    std::lock_guard<std::mutex> lock(control_mu_);
-    control_metrics_.Add(obs::Counter::kServeSqlQueries, 1);
-  }
-  return Enqueue(std::move(prepared.query), prepared.template_fingerprint);
-}
-
-std::future<ServedQuery> QueryServer::Enqueue(Query q, uint64_t template_fp) {
-  std::future<ServedQuery> result;
-  {
-    std::unique_lock<std::mutex> lock(queue_mu_);
-    space_cv_.wait(lock, [&] {
-      return stopping_ ||
-             static_cast<int32_t>(queue_.size()) < options_.queue_capacity;
-    });
-    if (stopping_) {
-      // Racing with Shutdown: the query will never run. Resolve it as an
-      // explicit kShutdown result instead of aborting the process.
-      lock.unlock();
-      return ShutdownFuture(q);
-    }
-    Ticket ticket;
-    ticket.query = std::move(q);
-    ticket.id = next_ticket_++;
-    ticket.sql_template_fp = template_fp;
-    ticket.occurrence = occurrences_[exec::QueryFingerprint(ticket.query)]++;
-    result = ticket.promise.get_future();
-    queue_.push_back(std::move(ticket));
-  }
-  queue_cv_.notify_one();
-  return result;
-}
-
-bool QueryServer::TrySubmit(Query q, std::future<ServedQuery>* result) {
-  {
-    std::unique_lock<std::mutex> lock(queue_mu_);
-    if (stopping_) {
-      // Accepted and explicitly refused (not backpressure): hand back an
-      // immediately-resolved kShutdown result.
-      lock.unlock();
-      *result = ShutdownFuture(q);
-      return true;
-    }
-    if (static_cast<int32_t>(queue_.size()) >= options_.queue_capacity) {
-      obs::Count(obs::Counter::kServeRejected);
-      return false;
-    }
-    Ticket ticket;
-    ticket.query = std::move(q);
-    ticket.id = next_ticket_++;
-    ticket.occurrence = occurrences_[exec::QueryFingerprint(ticket.query)]++;
-    *result = ticket.promise.get_future();
-    queue_.push_back(std::move(ticket));
-  }
-  queue_cv_.notify_one();
-  return true;
+  return Admit({std::move(prepared.query), prepared.template_fingerprint,
+                std::nullopt});
 }
 
 std::future<ServedQuery> QueryServer::SubmitAt(Query q,
                                                const OpenLoopArrival& arrival) {
-  // Pre-built refusal results resolve outside queue_mu_.
-  ServedQuery refused;
-  refused.query_id = q.id;
-  refused.ticket = -1;
-  refused.route = options_.route;
-  refused.tenant = arrival.tenant;
-  refused.arrival_vt = arrival.arrival_vt;
-  refused.completion_vt = arrival.arrival_vt;
-  {
-    std::unique_lock<std::mutex> lock(queue_mu_);
-    if (stopping_) {
-      lock.unlock();
-      return ShutdownFuture(q);
-    }
-    if (static_cast<int32_t>(queue_.size()) >= options_.queue_capacity) {
-      // Open-loop arrivals never block: a full queue is a refusal the SLO
-      // accountant sees, not backpressure the arrival process absorbs.
-      lock.unlock();
-      {
-        std::lock_guard<std::mutex> control(control_mu_);
-        control_metrics_.Add(obs::Counter::kServeRejected, 1);
-      }
-      refused.rejected = true;
-      refused.status = util::Status(util::StatusCode::kResourceExhausted,
-                                    "admission queue full");
-      std::promise<ServedQuery> promise;
-      promise.set_value(std::move(refused));
-      return promise.get_future();
-    }
-    if (options_.shed_on_predicted_miss && arrival.deadline_budget_ns > 0) {
+  return Admit({std::move(q), /*sql_template_fp=*/0, arrival});
+}
+
+std::future<ServedQuery> QueryServer::Admit(Admission admission) {
+  const std::optional<OpenLoopArrival>& arrival = admission.arrival;
+  // Read before `admission` moves into its ticket.
+  const bool open_loop = arrival.has_value();
+  const bool sql = admission.sql_template_fp != 0;
+  std::unique_lock<std::mutex> lock(queue_mu_);
+  // Refusals resolve outside queue_mu_.
+  const auto refuse = [&](obs::Counter counter, util::Status status) {
+    lock.unlock();
+    return Resolved(Refusal(admission.query.id, arrival, /*ticket_id=*/-1,
+                            counter, std::move(status)));
+  };
+  const auto queue_full = [&] {
+    return static_cast<int32_t>(queue_.size()) >= options_.queue_capacity;
+  };
+  // A closed-loop client blocks on a full queue (backpressure pauses the
+  // workload); an open-loop arrival happens whether or not there is room.
+  if (!open_loop) {
+    space_cv_.wait(lock, [&] { return stopping_ || !queue_full(); });
+  }
+  if (stopping_) {
+    // Racing with Shutdown: the query will never run. Resolve it as an
+    // explicit kShutdown result instead of aborting the process.
+    return refuse(obs::Counter::kServeShutdownDropped, ShutdownStatus());
+  }
+  if (queue_full()) {
+    // Only open-loop arrivals get here: a full queue is a refusal the SLO
+    // accountant sees, not backpressure the arrival process absorbs.
+    return refuse(obs::Counter::kServeRejected,
+                  util::Status(util::StatusCode::kResourceExhausted,
+                               "admission queue full"));
+  }
+  Ticket ticket;
+  if (open_loop) {
+    if (options_.shed_on_predicted_miss && arrival->deadline_budget_ns > 0) {
       // Deadline-aware shedding: predict this arrival's completion on the
       // estimate heap (same G/G/k placement the dispatcher performs, on
       // caller estimates instead of completed truths) and refuse it when
@@ -213,52 +176,34 @@ std::future<ServedQuery> QueryServer::SubmitAt(Query q,
       // than to let it queue, miss anyway, and drag every later query
       // further past its own budget.
       const VirtualNanos predicted_start =
-          std::max(arrival.arrival_vt, admit_heap_.front());
-      if (predicted_start + arrival.estimated_service_ns >
-          arrival.arrival_vt + arrival.deadline_budget_ns) {
-        lock.unlock();
-        {
-          std::lock_guard<std::mutex> control(control_mu_);
-          control_metrics_.Add(obs::Counter::kServeShed, 1);
-        }
-        refused.shed = true;
-        refused.status = util::Status(util::StatusCode::kUnavailable,
-                                      "shed: predicted deadline miss");
-        std::promise<ServedQuery> promise;
-        promise.set_value(std::move(refused));
-        return promise.get_future();
+          std::max(arrival->arrival_vt, admit_heap_.front());
+      if (predicted_start + arrival->estimated_service_ns >
+          arrival->arrival_vt + arrival->deadline_budget_ns) {
+        return refuse(obs::Counter::kServeShed,
+                      util::Status(util::StatusCode::kUnavailable,
+                                   "shed: predicted deadline miss"));
       }
     }
     // Admit: advance the estimate heap by this arrival's service estimate
     // (refused arrivals above consumed no capacity, so they left it alone).
     std::pop_heap(admit_heap_.begin(), admit_heap_.end(),
                   std::greater<VirtualNanos>());
-    admit_heap_.back() = std::max(arrival.arrival_vt, admit_heap_.back()) +
-                         arrival.estimated_service_ns;
+    admit_heap_.back() = std::max(arrival->arrival_vt, admit_heap_.back()) +
+                         arrival->estimated_service_ns;
     std::push_heap(admit_heap_.begin(), admit_heap_.end(),
                    std::greater<VirtualNanos>());
-
-    Ticket ticket;
-    ticket.query = std::move(q);
-    ticket.id = next_ticket_++;
-    ticket.occurrence = occurrences_[exec::QueryFingerprint(ticket.query)]++;
-    ticket.open_loop = true;
     ticket.open_seq = next_open_seq_++;
-    ticket.arrival_vt = arrival.arrival_vt;
-    ticket.deadline_vt = arrival.deadline_budget_ns > 0
-                             ? arrival.arrival_vt + arrival.deadline_budget_ns
-                             : 0;
-    ticket.tenant = arrival.tenant;
-    std::future<ServedQuery> result = ticket.promise.get_future();
-    queue_.push_back(std::move(ticket));
-    lock.unlock();
-    {
-      std::lock_guard<std::mutex> control(control_mu_);
-      control_metrics_.Add(obs::Counter::kServeOpenLoopQueries, 1);
-    }
-    queue_cv_.notify_one();
-    return result;
   }
+  ticket.id = next_ticket_++;
+  ticket.occurrence = occurrences_[exec::QueryFingerprint(admission.query)]++;
+  ticket.admission = std::move(admission);
+  std::future<ServedQuery> result = ticket.promise.get_future();
+  queue_.push_back(std::move(ticket));
+  lock.unlock();
+  if (open_loop) CountControl(obs::Counter::kServeOpenLoopQueries);
+  if (sql) CountControl(obs::Counter::kServeSqlQueries);
+  queue_cv_.notify_one();
+  return result;
 }
 
 uint64_t QueryServer::PublishModel(
@@ -271,26 +216,56 @@ void QueryServer::Drain() {
   idle_cv_.wait(lock, [&] { return queue_.empty() && in_flight_ == 0; });
 }
 
-ServedQuery QueryServer::ShutdownResult(const Query& q, int64_t ticket_id) {
+void QueryServer::CountControl(obs::Counter counter) {
+  // Admission and shutdown run on client threads with no MetricsScope;
+  // record on the server's own control registry instead.
+  std::lock_guard<std::mutex> lock(control_mu_);
+  control_metrics_.Add(counter, 1);
+}
+
+ServedQuery QueryServer::Refusal(const std::string& query_id,
+                                 const std::optional<OpenLoopArrival>& arrival,
+                                 int64_t ticket_id, obs::Counter counter,
+                                 util::Status status) {
   ServedQuery served;
-  served.query_id = q.id;
+  served.query_id = query_id;
   served.ticket = ticket_id;
   served.route = options_.route;
-  served.status = util::Status(util::StatusCode::kShutdown,
-                               "server shut down before execution");
-  {
-    // Shutdown/Submit run on client threads with no MetricsScope; record
-    // on the server's own control registry instead.
-    std::lock_guard<std::mutex> lock(control_mu_);
-    control_metrics_.Add(obs::Counter::kServeShutdownDropped, 1);
+  served.status = std::move(status);
+  served.rejected = counter == obs::Counter::kServeRejected;
+  served.shed = counter == obs::Counter::kServeShed;
+  if (arrival) {
+    served.tenant = arrival->tenant;
+    served.arrival_vt = arrival->arrival_vt;
+    served.completion_vt = arrival->arrival_vt;
   }
+  CountControl(counter);
   return served;
 }
 
-std::future<ServedQuery> QueryServer::ShutdownFuture(const Query& q) {
-  std::promise<ServedQuery> promise;
-  promise.set_value(ShutdownResult(q, /*ticket_id=*/-1));
-  return promise.get_future();
+void QueryServer::Complete(Ticket* ticket, ServedQuery served) {
+  const std::optional<OpenLoopArrival>& arrival = ticket->admission.arrival;
+  if (!arrival) {
+    ticket->promise.set_value(std::move(served));
+    return;
+  }
+  // Open-loop: the dispatcher computes the virtual placement (queue wait,
+  // completion, deadline verdict) in admission order and resolves the
+  // promise — possibly buffering behind a slower earlier admission. A
+  // ticket dropped at shutdown reports zero service: sequence order must
+  // keep advancing or every admission behind it would buffer forever.
+  served.tenant = arrival->tenant;
+  served.arrival_vt = arrival->arrival_vt;
+  OpenLoopCompletion completion;
+  completion.arrival_vt = arrival->arrival_vt;
+  completion.deadline_vt =
+      arrival->deadline_budget_ns > 0
+          ? arrival->arrival_vt + arrival->deadline_budget_ns
+          : 0;
+  completion.service_ns = served.latency_ns();
+  completion.served = std::move(served);
+  completion.promise = std::move(ticket->promise);
+  dispatcher_->Complete(ticket->open_seq, std::move(completion));
 }
 
 void QueryServer::Shutdown() {
@@ -301,8 +276,7 @@ void QueryServer::Shutdown() {
     queue_cv_.notify_all();
     space_cv_.notify_all();
     // Bounded drain: give the workers a window to absorb the backlog.
-    idle_cv_.wait_for(lock,
-                      std::chrono::milliseconds(options_.shutdown_drain_ms),
+    idle_cv_.wait_for(lock, kShutdownDrain,
                       [&] { return queue_.empty() && in_flight_ == 0; });
     // Whatever is still queued will never run; claim it for explicit
     // kShutdown resolution below.
@@ -322,23 +296,9 @@ void QueryServer::Shutdown() {
   }
   queue_cv_.notify_all();
   for (Ticket& ticket : dropped) {
-    ServedQuery served = ShutdownResult(ticket.query, ticket.id);
-    if (ticket.open_loop) {
-      // Dropped open-loop admissions still report to the dispatcher (zero
-      // service): sequence order must keep advancing or every in-flight
-      // admission behind them would buffer forever.
-      served.tenant = ticket.tenant;
-      served.arrival_vt = ticket.arrival_vt;
-      OpenLoopCompletion completion;
-      completion.arrival_vt = ticket.arrival_vt;
-      completion.deadline_vt = ticket.deadline_vt;
-      completion.service_ns = 0;
-      completion.served = std::move(served);
-      completion.promise = std::move(ticket.promise);
-      dispatcher_->Complete(ticket.open_seq, std::move(completion));
-    } else {
-      ticket.promise.set_value(std::move(served));
-    }
+    Complete(&ticket, Refusal(ticket.admission.query.id, std::nullopt,
+                              ticket.id, obs::Counter::kServeShutdownDropped,
+                              ShutdownStatus()));
   }
   for (std::thread& worker : workers_) {
     if (worker.joinable()) worker.join();
@@ -393,7 +353,7 @@ void QueryServer::WorkerLoop(WorkerState* state) {
             deadline.cancelled()) {
           break;
         }
-        backoff += options_.retry_backoff_ns << retries;
+        backoff += kRetryBackoffNs << retries;
         ++retries;
         obs::Count(obs::Counter::kServeRetries);
       }
@@ -401,22 +361,7 @@ void QueryServer::WorkerLoop(WorkerState* state) {
       served.backoff_ns = backoff;
       obs::Count(obs::Counter::kServeQueries);
     }
-    served.tenant = ticket.tenant;
-    served.arrival_vt = ticket.arrival_vt;
-    if (ticket.open_loop) {
-      // Open-loop: the dispatcher computes the virtual placement (queue
-      // wait, completion, deadline verdict) in admission order and resolves
-      // the promise — possibly buffering behind a slower earlier admission.
-      OpenLoopCompletion completion;
-      completion.arrival_vt = ticket.arrival_vt;
-      completion.deadline_vt = ticket.deadline_vt;
-      completion.service_ns = served.latency_ns();
-      completion.served = std::move(served);
-      completion.promise = std::move(ticket.promise);
-      dispatcher_->Complete(ticket.open_seq, std::move(completion));
-    } else {
-      ticket.promise.set_value(std::move(served));
-    }
+    Complete(&ticket, std::move(served));
     // Free the ticket's materialized intermediates once it is answered.
     // Later tickets reuse the replica's filtered bases, build tables and
     // cardinalities; kept, the intermediates would pile up to the oracle's
@@ -508,14 +453,7 @@ QueryServer::Acquired QueryServer::LqoPlan(const Query& q,
   CachedPlan cached;
   cached.plan = std::move(prediction.plan);
   cached.inference_ns = prediction.inference_ns;
-  // Forced plans skip join-order search in the engine; hint-based methods
-  // (Bao) report their per-hint-set plannings instead — the same accounting
-  // as benchkit::MeasureWorkload.
-  cached.planning_ns =
-      prediction.planning_ns > 0
-          ? prediction.planning_ns
-          : static_cast<VirtualNanos>(q.relation_count()) *
-                exec::cost::kPlanPerRelationNs;
+  cached.planning_ns = lqo::ChargedPlanningNs(prediction, q);
   auto shared = std::make_shared<const CachedPlan>(std::move(cached));
   cache_.Insert(key, shared);
   Acquired out;
@@ -536,7 +474,8 @@ QueryServer::Acquired QueryServer::LqoPlan(const Query& q,
 
 ServedQuery QueryServer::Process(Database* replica, const Ticket& ticket,
                                  const exec::QueryDeadline* deadline) {
-  const Query& q = ticket.query;
+  const Query& q = ticket.admission.query;
+  const uint64_t template_fp = ticket.admission.sql_template_fp;
   ServedQuery served;
   served.query_id = q.id;
   served.ticket = ticket.id;
@@ -556,20 +495,18 @@ ServedQuery QueryServer::Process(Database* replica, const Ticket& ticket,
   std::shared_ptr<const optimizer::PhysicalPlan> replanned;
   const auto execute = [&](const Acquired& src, VirtualNanos planning_ns,
                            VirtualNanos deadline_ns, uint64_t salt) {
-    if (options_.deterministic_replay) {
-      replica->BeginQueryReplay(seed_, q, salt);
-    }
-    // Pass-through to ExecutePlan unless DbConfig::adaptive_replan is on.
-    // Pins fed back by an earlier replan of this cache entry seed the
-    // estimator, so the corrected plan runs straight through.
-    engine::QueryRun run = replica->ExecutePlanAdaptive(
+    replica->BeginQueryReplay(seed_, q, salt);
+    // Under DbConfig::adaptive_replan, pins fed back by an earlier replan of
+    // this cache entry seed the estimator, so the corrected plan runs
+    // straight through.
+    engine::QueryRun run = replica->ExecutePlan(
         q, src.plan->plan, planning_ns, deadline_ns, deadline,
         src.plan->pins.get());
     served.replans = run.replans;
     served.replan_wasted_ns = run.replan_wasted_ns;
     replanned = run.replanned_plan;
     if (run.replans > 0) obs::Count(obs::Counter::kServeReplannedQueries);
-    if (!ticket.open_loop && src.key != 0 && run.replans > 0 &&
+    if (!ticket.admission.arrival && src.key != 0 && run.replans > 0 &&
         run.replanned_plan != nullptr && run.status.ok() && !run.timed_out) {
       // Plan feedback: write the corrected plan and its cardinality truths
       // back under the entry's key, so repeat arrivals skip the divergence
@@ -598,7 +535,7 @@ ServedQuery QueryServer::Process(Database* replica, const Ticket& ticket,
     served.breaker_short_circuit = !lqo_allowed;
   }
   if (options_.route != RouteMode::kPglite && lqo_allowed) {
-    lqo = LqoPlan(q, ticket.sql_template_fp);
+    lqo = LqoPlan(q, template_fp);
     if (lqo.infer_fault) {
       served.infer_fault = true;
       obs::Count(obs::Counter::kServeInferFaults);
@@ -610,16 +547,15 @@ ServedQuery QueryServer::Process(Database* replica, const Ticket& ticket,
 
   // The plan whose execution produced the final answer; feeds the observer.
   std::shared_ptr<const CachedPlan> winning;
+  engine::QueryRun run;
   if (options_.route == RouteMode::kLqo && lqo.plan != nullptr) {
     served.cache_hit = lqo.cache_hit;
     served.inference_ns =
         (lqo.cache_hit ? 0 : lqo.plan->inference_ns) + lqo.infer_latency_ns;
     served.planning_ns =
         lqo.cache_hit ? kPlanCacheHitNs : lqo.plan->planning_ns;
-    engine::QueryRun run = execute(lqo, served.planning_ns,
-                                   options_.lqo_deadline_ns,
-                                   ticket.occurrence);
-    served.plan = lqo.plan->plan.ToString(q);
+    run = execute(lqo, served.planning_ns, options_.lqo_deadline_ns,
+                  ticket.occurrence);
     winning = lqo.plan;
     if (run.timed_out) {
       // The paper's timeout protocol: abandon the learned plan, re-execute
@@ -632,24 +568,19 @@ ServedQuery QueryServer::Process(Database* replica, const Ticket& ticket,
       // The fallback plan is cached under the era of the snapshot that
       // timed out (not era 0): a published replacement model must not hit
       // the previous era's fallback entries.
-      const Acquired native = NativePlan(replica, q, ticket.sql_template_fp,
+      const Acquired native = NativePlan(replica, q, template_fp,
                                          lqo.model_version);
       const VirtualNanos replan_ns =
           native.cache_hit ? kPlanCacheHitNs : native.plan->planning_ns;
       served.planning_ns += replan_ns;
       run = execute(native, replan_ns, /*deadline=*/0,
                     ticket.occurrence | kFallbackSaltBit);
-      served.plan = native.plan->plan.ToString(q);
       winning = native.plan;
     } else {
       // Success, or a storage/cancellation failure that is not the model's
       // doing (a transient exec fault retries the whole attempt instead).
       breaker_.RecordSuccess();
     }
-    served.execution_ns = run.execution_ns;
-    served.timed_out = run.timed_out;
-    served.result_rows = run.result_rows;
-    served.status = run.status;
   } else {
     // Native execution: the pglite route, the shadow route, the lqo route
     // before any model is published, and every degraded lqo path (breaker
@@ -660,7 +591,7 @@ ServedQuery QueryServer::Process(Database* replica, const Ticket& ticket,
       breaker_.RecordSuccess();
     }
     const Acquired native =
-        NativePlan(replica, q, ticket.sql_template_fp, /*model_version=*/0);
+        NativePlan(replica, q, template_fp, /*model_version=*/0);
     served.cache_hit = native.cache_hit;
     served.planning_ns =
         native.cache_hit ? kPlanCacheHitNs : native.plan->planning_ns;
@@ -669,26 +600,24 @@ ServedQuery QueryServer::Process(Database* replica, const Ticket& ticket,
       served.inference_ns =
           (lqo.cache_hit ? 0 : lqo.plan->inference_ns) + lqo.infer_latency_ns;
     }
-    const engine::QueryRun run = execute(native, served.planning_ns,
-                                         /*deadline=*/0, ticket.occurrence);
-    served.plan = native.plan->plan.ToString(q);
+    run = execute(native, served.planning_ns, /*deadline=*/0,
+                  ticket.occurrence);
     winning = native.plan;
-    served.execution_ns = run.execution_ns;
-    served.timed_out = run.timed_out;
-    served.result_rows = run.result_rows;
-    served.status = run.status;
   }
+  served.execution_ns = run.execution_ns;
+  served.timed_out = run.timed_out;
+  served.result_rows = run.result_rows;
+  served.status = run.status;
 
-  if (replanned != nullptr) {
-    // Adaptive replanning rewrote the plan mid-flight: report (and feed the
-    // observer) what actually executed, not the admission-time plan.
-    served.plan = replanned->ToString(q);
-  }
-  if (options_.observer != nullptr && winning != nullptr &&
-      served.status.ok() && !served.timed_out) {
-    options_.observer->OnPlanExecuted(
-        q, replanned != nullptr ? *replanned : winning->plan,
-        served.execution_ns, static_cast<uint64_t>(ticket.id));
+  // Adaptive replanning may have rewritten the plan mid-flight: report (and
+  // feed the observer) what actually executed, not the admission-time plan.
+  const optimizer::PhysicalPlan& executed =
+      replanned != nullptr ? *replanned : winning->plan;
+  served.plan = executed.ToString(q);
+  if (options_.observer != nullptr && served.status.ok() &&
+      !served.timed_out) {
+    options_.observer->OnPlanExecuted(q, executed, served.execution_ns,
+                                      static_cast<uint64_t>(ticket.id));
   }
 
   return served;

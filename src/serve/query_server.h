@@ -7,6 +7,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -58,8 +59,9 @@ struct ServerOptions {
   /// Worker threads, each owning a Database::CloneContextForWorker replica;
   /// 0 means util::ThreadPool::DefaultParallelism().
   int32_t workers = 0;
-  /// Bounded admission queue: Submit blocks when full (backpressure),
-  /// TrySubmit rejects.
+  /// Bounded admission queue: closed-loop admission (Submit, SubmitSql)
+  /// blocks when full (backpressure), open-loop admission (SubmitAt)
+  /// refuses.
   int32_t queue_capacity = 128;
   RouteMode route = RouteMode::kPglite;
   /// Plan-cache geometry; capacity_per_shard 0 disables caching.
@@ -68,27 +70,19 @@ struct ServerOptions {
   /// protocol); on expiry the query re-executes on the pglite plan and the
   /// fallback is recorded. 0 uses the configured statement timeout.
   util::VirtualNanos lqo_deadline_ns = 0;
-  /// When true (default), every execution starts from the canonical replay
-  /// state (Database::BeginQueryReplay with a salt fixed at admission), so
-  /// per-query results are identical for any worker count. When false,
-  /// executions share each replica's warm cache state — higher fidelity to
-  /// a long-running server, but results become scheduling-dependent.
-  bool deterministic_replay = true;
-  /// Replay seed; 0 adopts the parent database's generation seed.
+  /// Replay seed; 0 adopts the parent database's generation seed. Every
+  /// execution starts from the canonical replay state
+  /// (Database::BeginQueryReplay with a salt fixed at admission), so
+  /// per-query results are identical for any worker count.
   uint64_t seed = 0;
   /// Bounded retry of transient worker faults: a query whose attempt ends
   /// with a retryable status (kUnavailable / kResourceExhausted) re-runs up
   /// to this many extra times. Deadline expiry, timeouts and cancellation
   /// are never retried — that work already consumed its budget. All queries
   /// here are read-only, hence idempotent; a mutating route must not opt in.
+  /// Retry k (1-based) first waits a virtual backoff of 100 us << (k-1),
+  /// charged to the client-visible latency (ServedQuery::backoff_ns).
   int32_t max_retries = 2;
-  /// Virtual backoff before retry k (1-based): retry_backoff_ns << (k-1).
-  /// Charged to the client-visible latency (ServedQuery::backoff_ns).
-  util::VirtualNanos retry_backoff_ns = 100'000;
-  /// Bounded wall-clock drain at Shutdown: queued queries still unclaimed
-  /// after this many milliseconds resolve as explicit kShutdown results
-  /// instead of executing.
-  int32_t shutdown_drain_ms = 2'000;
   /// Circuit breaker guarding the LQO route (consulted in kLqo mode only).
   CircuitBreakerOptions breaker;
   /// Optional hook observing every successful execution (see
@@ -179,8 +173,8 @@ struct ServedQuery {
   /// Refused at admission: predicted queue wait exceeded the remaining
   /// deadline budget (status kUnavailable).
   bool shed = false;
-  /// Refused at admission: queue full (status kResourceExhausted; the
-  /// open-loop analogue of TrySubmit's false return).
+  /// Refused at admission: queue full (status kResourceExhausted; a
+  /// closed-loop admission blocks instead).
   bool rejected = false;
 
   /// Client-visible latency in virtual time.
@@ -249,13 +243,6 @@ class QueryServer {
   std::future<ServedQuery> SubmitAt(query::Query q,
                                     const OpenLoopArrival& arrival);
 
-  /// Non-blocking admission: returns false (and counts
-  /// obs::Counter::kServeRejected on the calling thread) when the queue is
-  /// full. During shutdown, returns true with an immediately-resolved
-  /// kShutdown future (the query was accepted and explicitly refused, not
-  /// backpressured).
-  bool TrySubmit(query::Query q, std::future<ServedQuery>* result);
-
   /// Publishes a trained model to the router (atomic hot swap; never blocks
   /// serving). In-flight queries finish on the snapshot they acquired; the
   /// version change invalidates every LQO-routed plan-cache entry. Returns
@@ -265,10 +252,10 @@ class QueryServer {
   /// Blocks until the queue is empty and no query is in flight.
   void Drain();
 
-  /// Stops admissions, drains the queue for at most
-  /// ServerOptions::shutdown_drain_ms, resolves any still-queued query with
-  /// status kShutdown, cancels in-flight executions mid-plan through their
-  /// QueryDeadline, and joins the worker pool. Every future ever handed out
+  /// Stops admissions, drains the queue for at most two wall-clock seconds,
+  /// resolves any still-queued query with status kShutdown, cancels
+  /// in-flight executions mid-plan through their QueryDeadline, and joins
+  /// the worker pool. Every future ever handed out
   /// is guaranteed to resolve. Idempotent; called by the destructor.
   void Shutdown();
 
@@ -289,24 +276,27 @@ class QueryServer {
   const ServerOptions& options() const { return options_; }
 
  private:
-  struct Ticket {
+  /// One admission, whichever entry point it came through.
+  struct Admission {
     query::Query query;
-    int64_t id = 0;
     /// Normalized-template fingerprint of a SubmitSql admission; 0 on the
     /// struct route (plan cache keys per query instead).
     uint64_t sql_template_fp = 0;
+    /// Set for an open-loop (SubmitAt) arrival: it is refused instead of
+    /// blocking on a full queue, may be shed, and completes through the
+    /// VirtualDispatcher. Unset for closed-loop Submit/SubmitSql.
+    std::optional<OpenLoopArrival> arrival;
+  };
+
+  struct Ticket {
+    Admission admission;
+    int64_t id = 0;
     /// 0-based occurrence of this query fingerprint among admissions;
     /// fixes the replay salt at admission so executions are independent of
     /// which worker runs them, in which order.
     uint64_t occurrence = 0;
-    /// Open-loop (SubmitAt) admissions route their completion through the
-    /// VirtualDispatcher under `open_seq` instead of resolving directly.
-    bool open_loop = false;
+    /// Dispatcher sequence number of an open-loop admission.
     uint64_t open_seq = 0;
-    util::VirtualNanos arrival_vt = 0;
-    /// Absolute virtual deadline (arrival + budget); 0 = none.
-    util::VirtualNanos deadline_vt = 0;
-    int32_t tenant = 0;
     std::promise<ServedQuery> promise;
   };
 
@@ -341,16 +331,27 @@ class QueryServer {
   ServedQuery Process(engine::Database* replica, const Ticket& ticket,
                       const exec::QueryDeadline* deadline);
 
-  /// An immediately-resolved kShutdown result for a query refused at
-  /// admission; counts kServeShutdownDropped on the control registry.
-  std::future<ServedQuery> ShutdownFuture(const query::Query& q);
-  /// Builds the kShutdown result for a refused/dropped ticket.
-  ServedQuery ShutdownResult(const query::Query& q, int64_t ticket_id);
+  /// The one admission path under Submit, SubmitSql and SubmitAt: takes
+  /// queue_mu_, refuses when stopping, blocks (closed loop) or refuses
+  /// (open loop) on a full queue, sheds predicted deadline misses, numbers
+  /// the ticket and its replay occurrence, and enqueues it. Every admission
+  /// counter is recorded here or in Refusal, on the control registry.
+  std::future<ServedQuery> Admit(Admission admission);
 
-  /// Shared admission tail of Submit/SubmitSql: builds the ticket (with the
-  /// SQL route's template fingerprint, 0 on the struct route), blocks on a
-  /// full queue, and resolves kShutdown when racing with Shutdown.
-  std::future<ServedQuery> Enqueue(query::Query q, uint64_t template_fp);
+  /// The result of a query refused at admission (`ticket_id` -1) or dropped
+  /// at shutdown; counts `counter` on the control registry and sets
+  /// ServedQuery::rejected / shed when it is kServeRejected / kServeShed.
+  ServedQuery Refusal(const std::string& query_id,
+                      const std::optional<OpenLoopArrival>& arrival,
+                      int64_t ticket_id, obs::Counter counter,
+                      util::Status status);
+
+  /// Adds one to `counter` on the control registry.
+  void CountControl(obs::Counter counter);
+
+  /// Resolves a dequeued ticket: an open-loop ticket through the
+  /// dispatcher (its virtual placement), any other directly.
+  void Complete(Ticket* ticket, ServedQuery served);
 
   /// Returns the native plan for `q`, through the cache (planning on the
   /// worker's own replica on a miss — identical plan on every worker).
@@ -373,7 +374,7 @@ class QueryServer {
   HotSwapSlot<lqo::LearnedOptimizer> model_;
   CircuitBreaker breaker_;
 
-  /// Counters emitted by non-worker threads (shutdown drops); merged into
+  /// Counters emitted by non-worker threads (admission); merged into
   /// SnapshotMetrics alongside the per-worker registries.
   mutable std::mutex control_mu_;
   obs::MetricsRegistry control_metrics_;

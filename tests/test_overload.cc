@@ -19,6 +19,7 @@
 #include "loadgen/arrival.h"
 #include "loadgen/open_loop.h"
 #include "loadgen/slo.h"
+#include "obs/metrics.h"
 #include "query/sql_workload.h"
 #include "serve/circuit_breaker.h"
 #include "serve/dispatcher.h"
@@ -408,6 +409,9 @@ TEST(SubmitAt, QueueFullRejectsInsteadOfBlocking) {
   EXPECT_EQ(ok + rejected, 64);
   EXPECT_GT(ok, 0);
   EXPECT_GT(rejected, 0);
+  // Every refusal is counted once, on the server's own registry.
+  EXPECT_EQ(server.SnapshotMetrics().Get(obs::Counter::kServeRejected),
+            rejected);
 }
 
 TEST(SubmitAt, ShedsPredictedDeadlineMisses) {

@@ -5,7 +5,9 @@
 // plan feedback that lets repeat arrivals run the corrected plan straight
 // through.
 
+#include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -97,28 +99,56 @@ AdaptiveSample RunAdaptive(const query::Query& q,
   replica->BeginQueryReplay(kSeed, q);
   sample.poisoned_plan = replica->PlanQuery(q).plan;
   replica->BeginQueryReplay(kSeed, q);
-  sample.adaptive = replica->ExecutePlanAdaptive(q, sample.poisoned_plan);
+  sample.adaptive = replica->ExecutePlan(q, sample.poisoned_plan);
   return sample;
 }
 
-TEST(AdaptiveReplan, PassThroughWhenDisabled) {
-  const query::Query& q = Workload()[0];
-  const auto replica = SharedDb()->CloneContextForWorker();
-  ASSERT_FALSE(replica->config().adaptive_replan);
-  const auto planned = replica->PlanQuery(q);
+void ExpectSameRun(const engine::QueryRun& a, const engine::QueryRun& b,
+                   const std::string& id) {
+  EXPECT_EQ(a.status.code(), b.status.code()) << id;
+  EXPECT_EQ(a.execution_ns, b.execution_ns) << id;
+  EXPECT_EQ(a.timed_out, b.timed_out) << id;
+  EXPECT_EQ(a.result_rows, b.result_rows) << id;
+  EXPECT_EQ(a.pages_accessed, b.pages_accessed) << id;
+  EXPECT_EQ(a.node_rows, b.node_rows) << id;
+  ASSERT_EQ(a.node_stats.size(), b.node_stats.size()) << id;
+  for (size_t n = 0; n < a.node_stats.size(); ++n) {
+    const exec::PlanNodeStats& x = a.node_stats[n];
+    const exec::PlanNodeStats& y = b.node_stats[n];
+    EXPECT_EQ(x.actual_rows, y.actual_rows) << id << " node " << n;
+    EXPECT_EQ(x.loops, y.loops) << id << " node " << n;
+    EXPECT_EQ(x.self_time_ns, y.self_time_ns) << id << " node " << n;
+    EXPECT_EQ(x.shared_hits, y.shared_hits) << id << " node " << n;
+    EXPECT_EQ(x.os_hits, y.os_hits) << id << " node " << n;
+    EXPECT_EQ(x.disk_reads, y.disk_reads) << id << " node " << n;
+  }
+  EXPECT_EQ(a.replans, b.replans) << id;
+  EXPECT_EQ(a.replan_wasted_ns, b.replan_wasted_ns) << id;
+  EXPECT_EQ(a.replan_planning_ns, b.replan_planning_ns) << id;
+}
 
-  replica->BeginQueryReplay(kSeed, q);
-  const engine::QueryRun plain = replica->ExecutePlan(q, planned.plan);
-  replica->BeginQueryReplay(kSeed, q);
-  const engine::QueryRun adaptive =
-      replica->ExecutePlanAdaptive(q, planned.plan);
-
-  EXPECT_EQ(adaptive.result_rows, plain.result_rows);
-  EXPECT_EQ(adaptive.execution_ns, plain.execution_ns);
-  EXPECT_EQ(adaptive.replans, 0);
-  EXPECT_EQ(adaptive.replan_wasted_ns, 0);
-  EXPECT_EQ(adaptive.replanned_plan, nullptr);
-  EXPECT_EQ(adaptive.replan_pins, nullptr);
+// ExecutePlan's single-attempt path: with replanning on but a divergence
+// trigger that can never fire, the armed monitor only observes, so every
+// query's run is the adaptive-off run — same latency, rows and per-node
+// statistics, zero replans.
+TEST(AdaptiveReplan, UntriggerableMonitorMatchesReplanOff) {
+  const auto off = SharedDb()->CloneContextForWorker();
+  ASSERT_FALSE(off->config().adaptive_replan);
+  const auto on = SharedDb()->CloneContextForWorker();
+  engine::DbConfig adaptive = AdaptiveConfig(on->config());
+  adaptive.replan_qerror_threshold = std::numeric_limits<double>::infinity();
+  on->SetConfig(adaptive);
+  for (const query::Query& q : Workload()) {
+    const auto planned = off->PlanQuery(q);
+    off->BeginQueryReplay(kSeed, q);
+    const engine::QueryRun plain = off->ExecutePlan(q, planned.plan);
+    on->BeginQueryReplay(kSeed, q);
+    const engine::QueryRun single = on->ExecutePlan(q, planned.plan);
+    ExpectSameRun(single, plain, q.id);
+    EXPECT_EQ(single.replans, 0) << q.id;
+    EXPECT_EQ(single.replanned_plan, nullptr) << q.id;
+    EXPECT_EQ(single.replan_pins, nullptr) << q.id;
+  }
 }
 
 // The acceptance contract: every JOB-lite query under the poisoned
@@ -228,7 +258,7 @@ TEST(AdaptiveReplan, SeededPinsSuppressReplans) {
   const auto replica = SharedDb()->CloneContextForWorker();
   replica->SetConfig(AdaptiveConfig(replica->config()));
   replica->BeginQueryReplay(kSeed, *q);
-  const engine::QueryRun corrected = replica->ExecutePlanAdaptive(
+  const engine::QueryRun corrected = replica->ExecutePlan(
       *q, *sample.adaptive.replanned_plan, /*planning_ns=*/0, /*timeout_ns=*/0,
       /*deadline=*/nullptr, sample.adaptive.replan_pins.get());
 
@@ -236,6 +266,33 @@ TEST(AdaptiveReplan, SeededPinsSuppressReplans) {
   EXPECT_EQ(corrected.replans, 0);
   EXPECT_EQ(corrected.result_rows, sample.adaptive.result_rows);
   EXPECT_LT(corrected.execution_ns, sample.adaptive.execution_ns);
+}
+
+// `seed_pins` only seeds the replan loop: with adaptive replanning off it
+// is ignored, so the seeded run equals the unseeded one.
+TEST(AdaptiveReplan, SeedPinsIgnoredWhenReplanOff) {
+  faultlib::FaultInjector poison(PoisonPlan());
+  AdaptiveSample sample;
+  const query::Query* q = FindCleanlyCorrectedQuery(&poison, &sample);
+  ASSERT_NE(q, nullptr);
+  ASSERT_NE(sample.adaptive.replan_pins, nullptr);
+
+  faultlib::ScopedFaultInjection inject(&poison);
+  const auto replica = SharedDb()->CloneContextForWorker();
+  // The replan thresholds that made this query replan, with the switch off:
+  // a loop that ran anyway would trigger on the poisoned plan.
+  engine::DbConfig off = AdaptiveConfig(replica->config());
+  off.adaptive_replan = false;
+  replica->SetConfig(off);
+  replica->BeginQueryReplay(kSeed, *q);
+  const engine::QueryRun unseeded =
+      replica->ExecutePlan(*q, sample.poisoned_plan);
+  replica->BeginQueryReplay(kSeed, *q);
+  const engine::QueryRun seeded = replica->ExecutePlan(
+      *q, sample.poisoned_plan, /*planning_ns=*/0, /*timeout_ns=*/0,
+      /*deadline=*/nullptr, sample.adaptive.replan_pins.get());
+  ExpectSameRun(seeded, unseeded, q->id);
+  EXPECT_EQ(seeded.replans, 0);
 }
 
 // The serve path's plan feedback: a closed-loop execution that replanned
@@ -256,7 +313,6 @@ TEST(ServeFeedback, ClosedLoopCachesCorrectedPlan) {
     ServerOptions options;
     options.workers = 1;
     options.route = RouteMode::kPglite;
-    options.deterministic_replay = true;
     options.seed = kSeed;
     QueryServer server(db, options);
 

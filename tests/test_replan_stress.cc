@@ -83,7 +83,6 @@ TEST(ReplanStress, ConcurrentMixedSubmittersGetOracleAnswers) {
   ServerOptions options;
   options.workers = 4;
   options.route = RouteMode::kPglite;
-  options.deterministic_replay = true;
   options.seed = kSeed;
   options.virtual_workers = 4;
   QueryServer server(db.get(), options);
@@ -150,7 +149,6 @@ TEST(ReplanStress, ShutdownRacingAdaptiveSubmittersResolvesEveryFuture) {
   options.workers = 4;
   options.queue_capacity = 16;  // Small queue: submitters block mid-race.
   options.route = RouteMode::kPglite;
-  options.deterministic_replay = true;
   options.seed = kSeed;
   QueryServer server(db.get(), options);
 

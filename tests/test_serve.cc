@@ -3,9 +3,7 @@
 // statement-timeout story applied to learned plans), deterministic replay
 // across worker counts, and model hot swap.
 
-#include <condition_variable>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -416,12 +414,20 @@ TEST(QueryServer, SubmitAfterShutdownResolvesAsShutdownStatus) {
   EXPECT_EQ(refused.status.code(), util::StatusCode::kShutdown);
   EXPECT_EQ(refused.result_rows, 0);
 
-  std::future<ServedQuery> tried;
-  ASSERT_TRUE(server.TrySubmit(Workload()[2], &tried));
-  EXPECT_EQ(tried.get().status.code(), util::StatusCode::kShutdown);
+  const ServedQuery open_loop =
+      server.SubmitAt(Workload()[2], serve::OpenLoopArrival{}).get();
+  EXPECT_EQ(open_loop.status.code(), util::StatusCode::kShutdown);
+  EXPECT_FALSE(open_loop.rejected);
 
+  const ServedQuery sql =
+      server.SubmitSql(Workload()[3].ToSql(SharedDb()->schema())).get();
+  EXPECT_EQ(sql.status.code(), util::StatusCode::kShutdown);
+
+  // One drop per entry point; none of them admitted anything.
   const obs::MetricsRegistry metrics = server.SnapshotMetrics();
-  EXPECT_EQ(metrics.Get(obs::Counter::kServeShutdownDropped), 2);
+  EXPECT_EQ(metrics.Get(obs::Counter::kServeShutdownDropped), 3);
+  EXPECT_EQ(metrics.Get(obs::Counter::kServeOpenLoopQueries), 0);
+  EXPECT_EQ(metrics.Get(obs::Counter::kServeSqlQueries), 0);
   EXPECT_EQ(metrics.Get(obs::Counter::kServeQueries), 1);
 }
 
@@ -571,66 +577,6 @@ TEST(QueryServer, ModelSwapInvalidatesTemplateKeyedFallbackPlans) {
   const obs::MetricsRegistry metrics = server.SnapshotMetrics();
   EXPECT_EQ(metrics.Get(obs::Counter::kPlanCacheHits), 2);
   EXPECT_EQ(metrics.Get(obs::Counter::kPlanCacheMisses), 4);
-}
-
-/// Blocks Plan() until released, to hold a worker busy deterministically.
-class GatedOptimizer : public lqo::NativePassthroughOptimizer {
- public:
-  lqo::Prediction Plan(const query::Query& q,
-                       engine::Database* db) override {
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [&] { return released_; });
-    }
-    return NativePassthroughOptimizer::Plan(q, db);
-  }
-
-  void Release() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      released_ = true;
-    }
-    cv_.notify_all();
-  }
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool released_ = false;
-};
-
-TEST(QueryServer, TrySubmitRejectsWhenQueueIsFull) {
-  obs::MetricsRegistry metrics;
-  obs::MetricsScope scope(&metrics);
-
-  ServerOptions options;
-  options.workers = 1;
-  options.queue_capacity = 1;
-  options.route = RouteMode::kLqo;
-  QueryServer server(SharedDb(), options);
-  auto gate = std::make_shared<GatedOptimizer>();
-  server.PublishModel(gate);
-
-  // First query occupies the worker (blocked in Plan); cache misses keep
-  // the second in the queue; the third must be rejected.
-  std::future<ServedQuery> first = server.Submit(Workload()[0]);
-  std::future<ServedQuery> second;
-  while (!server.TrySubmit(Workload()[1], &second)) {
-    // The worker may not have dequeued the first ticket yet; spin until
-    // the queue has room (it will, as soon as the worker picks it up).
-  }
-  std::future<ServedQuery> third;
-  bool accepted = true;
-  // Queue (capacity 1) now holds the second ticket while the worker blocks
-  // on the first: this admission must fail.
-  accepted = server.TrySubmit(Workload()[2], &third);
-  EXPECT_FALSE(accepted);
-  EXPECT_GE(metrics.Get(obs::Counter::kServeRejected), 1);
-
-  gate->Release();
-  EXPECT_GT(first.get().result_rows, -1);
-  EXPECT_GT(second.get().result_rows, -1);
-  server.Drain();
 }
 
 TEST(HotSwapSlot, VersionsAreMonotonicAndSnapshotConsistent) {
