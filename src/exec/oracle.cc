@@ -1152,6 +1152,13 @@ Oracle::Intermediate Oracle::JoinWithBaseScalar(
   return out;
 }
 
+const std::vector<RowId>* Oracle::MaterializedTuples(const Query& q,
+                                                    AliasMask mask) {
+  const QueryMemo& memo = Memo(q);
+  auto it = memo.mats.find(mask);
+  return it == memo.mats.end() ? nullptr : &it->second.data;
+}
+
 void Oracle::TrackBytes(int64_t delta) { mat_bytes_ += delta; }
 
 void Oracle::DropBuildTables() {

@@ -105,6 +105,12 @@ class Oracle {
   const std::vector<query::BoundPredicate>& BoundPredicates(
       const query::Query& q, query::AliasId alias);
 
+  /// The materialized join over `mask` — row ids, one per alias of `mask`
+  /// in ascending alias order, row-major — or nullptr when `mask` was
+  /// counted without materializing or its materialization was released.
+  const std::vector<storage::RowId>* MaterializedTuples(const query::Query& q,
+                                                        query::AliasMask mask);
+
   /// Frees all materialized intermediates (cardinalities, filtered rows
   /// and cached build tables are kept). A finished query's intermediates
   /// are read again only to extend a subset whose cardinality is not yet
