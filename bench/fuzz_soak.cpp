@@ -1,7 +1,8 @@
 // Fuzz soak: runs the differential plan-correctness oracle (src/fuzz/) over
-// a rotation of engine configurations — bushy/left-deep, GEQO seeds, a
-// lowered GEQO threshold and the scalar reference engine — with the
-// native-passthrough and Bao arms in the execution cross-check. Every
+// a rotation of engine configurations — bushy/left-deep, GEQO seeds and a
+// lowered GEQO threshold — with the native-passthrough and Bao arms in the
+// execution cross-check, and the oracle's engine arm comparing every query
+// with the tuple-at-a-time reference, fuzz::ScalarOracle. Every
 // configuration also runs the SQL round-trip arm: each generated query
 // renders to SQL, re-binds through the sql/ frontend, and must
 // fingerprint, render and DP-plan byte-identically. Each configuration
@@ -76,13 +77,6 @@ std::vector<ConfigSpec> ConfigRotation() {
   geqo_heavy.geqo_threshold = 4;  // GEQO plans most generated queries
   geqo_heavy.geqo_seed = 7;
   specs.push_back({"geqo_threshold_4", geqo_heavy});
-
-  // Scalar reference engine: together with the oracle's built-in
-  // engine-differential arm (which re-runs one plan with vectorized_exec
-  // flipped per query), this rotates the full soak across both engines.
-  engine::DbConfig scalar_exec = engine::DbConfig::OurFramework();
-  scalar_exec.vectorized_exec = false;
-  specs.push_back({"scalar_exec", scalar_exec});
   return specs;
 }
 

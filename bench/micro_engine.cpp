@@ -3,8 +3,8 @@
 // oracle, and value-network forward/backward passes.
 //
 // `--engine-json [path]` instead runs the execution-engine throughput
-// comparison (scalar vs vectorized oracle hot path over the JOB-lite
-// workload), a buffer-pool replay (the page stream the executor charges
+// comparison (the tuple-at-a-time reference, fuzz::ScalarOracle, vs the
+// batched exec::Oracle over the JOB-lite workload), a buffer-pool replay (the page stream the executor charges
 // on JOB-lite, replayed through storage::BufferPool in two sizings), a
 // heap-charge replay (JOB-lite's index-NLJ heap charges, replayed through
 // exec::Executor::ChargeRandomHeapPages on a fresh replica), an
@@ -31,6 +31,7 @@
 
 #include "bench_common.h"
 #include "datagen/tpch_generator.h"
+#include "fuzz/scalar_oracle.h"
 #include "lqo/bao.h"
 #include "lqo/encoding.h"
 #include "lqo/value_net.h"
@@ -176,28 +177,29 @@ BENCHMARK(BM_GenerateSmallImdb);
 // --- Execution-engine throughput comparison (--engine-json) ----------------
 
 /// One cold pass of the oracle hot path over the whole workload: filter
-/// every base relation and materialize every connected 2-alias join. Run on
-/// a fresh replica, whose oracle has no memo and an empty base cache, so
-/// each distinct filtered base is scanned once per pass and each join runs
-/// its kernels; the returned row count (identical for every engine, by the
-/// byte-identity contract) is the throughput numerator.
-int64_t OracleSweep(engine::Database* db,
+/// every base relation and materialize every connected 2-alias join. Run
+/// over a fresh replica's context, with an oracle that has no memo and an
+/// empty base cache, so each distinct filtered base is scanned once per
+/// pass and each join runs its kernels; the returned row count (identical
+/// for both oracles, by the byte-identity contract) is the throughput
+/// numerator.
+int64_t OracleSweep(exec::Oracle& oracle,
                     const std::vector<query::Query>& workload) {
   int64_t rows = 0;
   for (const query::Query& q : workload) {
     for (query::AliasId a = 0; a < q.relation_count(); ++a) {
-      rows += static_cast<int64_t>(db->oracle().FilteredRows(q, a).size());
+      rows += static_cast<int64_t>(oracle.FilteredRows(q, a).size());
     }
     for (query::AliasId a = 0; a < q.relation_count(); ++a) {
       for (query::AliasId b = static_cast<query::AliasId>(a + 1);
            b < q.relation_count(); ++b) {
         const query::AliasMask mask = query::MaskOf(a) | query::MaskOf(b);
         if (!q.IsConnected(mask)) continue;
-        const auto card = db->oracle().TrueJoinRows(q, mask);
+        const auto card = oracle.TrueJoinRows(q, mask);
         if (!card.overflow) rows += card.rows;
       }
     }
-    db->oracle().ReleaseMaterializations();
+    oracle.ReleaseMaterializations();
   }
   return rows;
 }
@@ -688,13 +690,6 @@ GeqoResult GeqoReplay(engine::Database* db) {
 }
 
 int EngineComparison(const char* path) {
-  struct Spec {
-    const char* name;
-    bool vectorized;
-  };
-  const Spec specs[] = {{"scalar", false}, {"vectorized", true}};
-  constexpr int kRounds = 5;
-
   struct Result {
     const char* name;
     int64_t rows = 0;       // rows produced by one sweep round
@@ -704,44 +699,42 @@ int EngineComparison(const char* path) {
     int64_t base_requests = 0;
     int64_t base_fills = 0;
   };
-  std::vector<Result> results;
-  for (const Spec& spec : specs) {
-    // Each round runs on a fresh replica, cloned outside the timer, so no
-    // round finds the bases or build tables of an earlier one.
-    auto fresh_replica = [&] {
-      auto replica = SharedDb()->CloneContextForWorker();
-      engine::DbConfig config = replica->config();
-      config.vectorized_exec = spec.vectorized;
-      replica->SetConfig(config);
-      return replica;
-    };
-    Result result;
-    result.name = spec.name;
-    {
-      // Untimed warm-up round (page first-touch of the shared columns),
-      // which also counts the base cache's requests and fills.
-      const auto replica = fresh_replica();
-      obs::MetricsRegistry metrics;
-      obs::MetricsScope scope(&metrics);
-      OracleSweep(replica.get(), SharedWorkload());
-      result.base_fills = replica->oracle().cached_bases();
-      result.base_requests =
-          result.base_fills + metrics.Get(obs::Counter::kOracleBaseReuses);
-    }
+  // [0]: the tuple-at-a-time reference, fuzz::ScalarOracle, built over the
+  // replica's context; [1]: the replica's own batched oracle.
+  Result results[] = {{"scalar"}, {"vectorized"}};
+  constexpr int kRounds = 5;
 
-    // Each round is timed separately and the best round is reported:
-    // min-of-N is robust to scheduler interference, which only ever slows
-    // a round down, so the minimum is the cleanest estimate of the
-    // engine's actual throughput.
-    for (int round = 1; round <= kRounds; ++round) {
-      const auto replica = fresh_replica();
+  // Round 0 is an untimed warm-up (page first-touch of the shared columns),
+  // which also counts the base cache's requests and fills; rounds 1..kRounds
+  // are timed separately and the best round is reported: min-of-N is robust
+  // to scheduler interference, which only ever slows a round down. The two
+  // oracles alternate within each round, so both minima see the same host
+  // load. Every round runs on a fresh replica, cloned outside the timer, so
+  // no round finds the bases or build tables of an earlier one.
+  for (int round = 0; round <= kRounds; ++round) {
+    for (size_t i = 0; i < std::size(results); ++i) {
+      Result& result = results[i];
+      const auto replica = SharedDb()->CloneContextForWorker();
+      fuzz::ScalarOracle reference(&replica->context());
+      exec::Oracle& oracle = i == 0 ? reference : replica->oracle();
+      if (round == 0) {
+        obs::MetricsRegistry metrics;
+        obs::MetricsScope scope(&metrics);
+        OracleSweep(oracle, SharedWorkload());
+        result.base_fills = oracle.cached_bases();
+        result.base_requests =
+            result.base_fills + metrics.Get(obs::Counter::kOracleBaseReuses);
+        continue;
+      }
       const auto t0 = std::chrono::steady_clock::now();
-      result.rows = OracleSweep(replica.get(), SharedWorkload());
+      result.rows = OracleSweep(oracle, SharedWorkload());
       const double ms = std::chrono::duration<double, std::milli>(
                             std::chrono::steady_clock::now() - t0)
                             .count();
       if (round == 1 || ms < result.wall_ms) result.wall_ms = ms;
     }
+  }
+  for (Result& result : results) {
     result.rows_per_sec = 1000.0 * static_cast<double>(result.rows) /
                           result.wall_ms;
     std::fprintf(stderr,
@@ -751,7 +744,6 @@ int EngineComparison(const char* path) {
                  result.wall_ms, result.rows_per_sec,
                  static_cast<long long>(result.base_requests),
                  static_cast<long long>(result.base_fills));
-    results.push_back(result);
   }
 
   const std::unique_ptr<engine::Database> medium = CreateMediumImdb();
@@ -776,7 +768,7 @@ int EngineComparison(const char* path) {
   json += "  \"seed\": " + std::to_string(bench::kSeed) + ",\n";
   char buffer[256];
   json += "  \"configs\": [\n";
-  for (size_t i = 0; i < results.size(); ++i) {
+  for (size_t i = 0; i < std::size(results); ++i) {
     std::snprintf(buffer, sizeof(buffer),
                   "    {\"config\": \"%s\", \"rows\": %lld, "
                   "\"wall_ms\": %.1f, \"rows_per_sec\": %.1f, "
@@ -785,7 +777,7 @@ int EngineComparison(const char* path) {
                   results[i].wall_ms, results[i].rows_per_sec,
                   static_cast<long long>(results[i].base_requests),
                   static_cast<long long>(results[i].base_fills),
-                  i + 1 < results.size() ? "," : "");
+                  i + 1 < std::size(results) ? "," : "");
     json += buffer;
   }
   json += "  ],\n";

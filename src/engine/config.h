@@ -95,15 +95,6 @@ struct DbConfig {
   /// serving experiments.
   CostModelBackend cost_model_backend = CostModelBackend::kAnalytic;
 
-  // --- Execution engine ---------------------------------------------------
-  /// Batch-at-a-time oracle/executor hot path (exec/kernels.h), which
-  /// always applies lazy Bloom predicate transfer (docs/execution.md). When
-  /// false the original tuple-at-a-time code runs; both produce
-  /// byte-identical row sets, so the scalar path stays available as the
-  /// differential reference for tests/test_kernels.cc and the fuzzer. Not
-  /// part of serve::PlanCacheKey — the planner never reads it.
-  bool vectorized_exec = true;
-
   /// Multiplier applied to equi-join selectivities, clamped to [.., 1].
   /// Lero generates its candidate plans by sweeping this knob (its
   /// "changing the internal cardinality estimations").
@@ -115,8 +106,8 @@ struct DbConfig {
   /// stops, the observed prefix truths are pinned into the estimator, the
   /// remainder is re-planned and re-executed. Off by default — results are
   /// byte-identical either way (locked by the replan differential suite);
-  /// only latency and plan choice change. Like vectorized_exec, not part of
-  /// serve::PlanCacheKey — the *initial* plan is unaffected.
+  /// only latency and plan choice change. Not part of serve::PlanCacheKey —
+  /// the *initial* plan is unaffected.
   bool adaptive_replan = false;
   /// Divergence trigger: max(actual/est, est/actual) >= threshold.
   double replan_qerror_threshold = 8.0;

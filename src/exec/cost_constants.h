@@ -49,14 +49,14 @@ inline constexpr int64_t kBytesPerTupleSlot = 48;
 /// CPU penalty multiplier per extra hash-batch / sort-merge pass.
 inline constexpr double kSpillPassPenalty = 0.55;
 
-// --- Engine-dependent per-tuple CPU costs ----------------------------------
-/// The per-tuple CPU constants that depend on which execution engine runs
-/// the hot path. The tuple-at-a-time reference pays the constants above;
-/// the batched kernels (DbConfig::vectorized_exec, exec/kernels.h) amortize
-/// interpretation overhead across kBatchRows-row strides and are charged a
-/// recalibrated set. Page/IO costs and the nested-loop compare are engine-
-/// independent (the batch engine does not change page access or the NLJ
-/// inner loop), so only these six constants move.
+// --- Executor per-tuple CPU costs -----------------------------------------
+/// The per-tuple CPU constants the executor charges. The batched kernels
+/// (exec/kernels.h) amortize interpretation overhead across kBatchRows-row
+/// strides, so the executor's clock runs on a recalibrated set of the six
+/// tuple-at-a-time constants above. Page/IO costs and the nested-loop
+/// compare are unaffected (batching changes neither page access nor the
+/// NLJ inner loop). The planner's CostModel deliberately stays on the
+/// tuple-at-a-time constants (optimizer/cost_model.cc).
 struct TupleCosts {
   VirtualNanos scan_tuple;
   VirtualNanos pred_eval;
@@ -66,27 +66,14 @@ struct TupleCosts {
   VirtualNanos join_output;
 };
 
-inline constexpr TupleCosts kScalarTupleCosts{
-    kScanTupleNs,  kPredEvalNs,  kBitmapBuildNs,
-    kHashBuildNs,  kHashProbeNs, kJoinOutputNs};
-
-/// Calibrated against micro_engine's measured scalar-vs-vectorized row
-/// throughput (BENCH_engine.json; method in docs/execution.md): the batch
-/// kernels run the filter and hash-join loops ≥3x faster, so the virtual
-/// clock charges roughly a third per tuple, with the scalar ratios between
+/// Calibrated against micro_engine's measured tuple-at-a-time vs batched
+/// row throughput (BENCH_engine.json; method in docs/execution.md): the
+/// batch kernels run the filter and hash-join loops ≥3x faster, so the
+/// virtual clock charges roughly a third per tuple, with the ratios between
 /// operators preserved so relative plan quality keeps its shape.
 inline constexpr TupleCosts kVectorizedTupleCosts{
     /*scan_tuple=*/13, /*pred_eval=*/4,   /*bitmap_build=*/8,
     /*hash_build=*/36, /*hash_probe=*/24, /*join_output=*/14};
-
-/// The executor selects per config at query time. The planner's CostModel
-/// deliberately stays on kScalarTupleCosts (optimizer/cost_model.cc): its
-/// costs are unit-free rankings compared only to each other, and pinning
-/// them keeps golden plans and every recorded estimate stable across
-/// engine flips.
-inline constexpr const TupleCosts& TupleCostsFor(bool vectorized_exec) {
-  return vectorized_exec ? kVectorizedTupleCosts : kScalarTupleCosts;
-}
 
 // --- Parallel execution ----------------------------------------------------
 /// Pages below which a scan is not parallelized.

@@ -175,8 +175,7 @@ double Executor::ParallelSpeedup(int64_t driving_pages) const {
 VirtualNanos Executor::ScanCost(const Query& q, const PlanNode& node,
                                 bool* overflow) {
   *overflow = false;
-  const cost::TupleCosts& tc =
-      cost::TupleCostsFor(ctx_->config.vectorized_exec);
+  const cost::TupleCosts& tc = cost::kVectorizedTupleCosts;
   const catalog::TableId table_id =
       q.relations[static_cast<size_t>(node.alias)].table;
   const storage::Table& table = ctx_->table(table_id);
@@ -271,8 +270,7 @@ VirtualNanos Executor::ScanCost(const Query& q, const PlanNode& node,
 VirtualNanos Executor::JoinCost(const Query& q, const PhysicalPlan& plan,
                                 const PlanNode& node, bool* overflow) {
   *overflow = false;
-  const cost::TupleCosts& tc =
-      cost::TupleCostsFor(ctx_->config.vectorized_exec);
+  const cost::TupleCosts& tc = cost::kVectorizedTupleCosts;
   const PlanNode& left = plan.node(node.left);
   const PlanNode& right = plan.node(node.right);
   const Oracle::CardResult in_l = oracle_->TrueJoinRows(q, left.mask);
@@ -471,8 +469,7 @@ ExecutionResult Executor::Execute(const Query& q, const PhysicalPlan& plan,
       stats.actual_rows = rows;
       const VirtualNanos node_cost = SaturatingNanos(
           static_cast<double>(rows) *
-          static_cast<double>(
-              cost::TupleCostsFor(ctx_->config.vectorized_exec).scan_tuple));
+          static_cast<double>(cost::kVectorizedTupleCosts.scan_tuple));
       stats.self_time_ns =
           SaturatingNanos(static_cast<double>(node_cost) * time_multiplier);
       total += static_cast<double>(node_cost);

@@ -379,7 +379,7 @@ void JoinHashTable::Build(const Value* column, const RowId* rows,
   }
 
   // Pass 2: fill each group in input order — this is what makes Probe()
-  // byte-compatible with the reference path's per-key vectors.
+  // byte-compatible with the reference's per-key vectors.
   for (int64_t j = 0; j < n; ++j) {
     const int32_t i = row_slot_[static_cast<size_t>(j)];
     if (i < 0) continue;

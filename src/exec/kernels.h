@@ -12,9 +12,9 @@
 /// (docs/execution.md). Rows move through the kernels as selection vectors —
 /// dense, ascending std::vector<RowId> — produced and consumed in
 /// kBatchRows-sized strides over raw column arrays. Every kernel is written
-/// to be byte-compatible with the tuple-at-a-time reference in
-/// exec/oracle.cc: same match semantics, same output order, so the two
-/// paths are interchangeable (tests/test_kernels.cc enforces this).
+/// to be byte-compatible with the tuple-at-a-time reference,
+/// fuzz::ScalarOracle: same match semantics, same output order, so the two
+/// are interchangeable (tests/test_kernels.cc enforces this).
 ///
 /// All kernels append into caller-owned buffers and never shrink capacity,
 /// so a warmed caller (Oracle's scratch members) runs them with zero heap
@@ -102,7 +102,7 @@ struct KeyRange {
 };
 
 /// Set of non-null join-key values — the batch counterpart of the
-/// reference path's std::unordered_set<Value> in semi-join reduction.
+/// reference's std::unordered_set<Value> in semi-join reduction.
 /// Build() picks one of two layouts from its input's KeyRange:
 /// - direct: a bitmap over [min, max], when it takes no more bytes than
 ///   the open-addressing slot array would for the same input (1 bit per
@@ -194,7 +194,7 @@ void RefineBySet(const storage::Value* column, const ValueSet& set,
                  BloomFilter* bloom, std::vector<storage::RowId>* rows);
 
 /// Batched join build side: groups base row-ids by join-key value.
-/// Byte-compatibility contract with the reference path's
+/// Byte-compatibility contract with the reference's
 /// std::unordered_map<Value, std::vector<RowId>>: Probe(v) returns the
 /// matching rows in exactly the order they appeared in the Build() input.
 /// Both layouts group the rows in one flat payload array by counting,

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 #include <span>
-#include <unordered_set>
 
 #include "exec/cost_constants.h"
 #include "obs/metrics.h"
@@ -92,6 +91,49 @@ Oracle::Oracle(const DbContext* ctx, int64_t budget_bytes)
   LQOLAB_CHECK(ctx != nullptr);
 }
 
+int32_t Oracle::Intermediate::PositionOf(AliasId alias) const {
+  for (size_t i = 0; i < aliases.size(); ++i) {
+    if (aliases[i] == alias) return static_cast<int32_t>(i);
+  }
+  LQOLAB_CHECK_MSG(false, "alias not in intermediate");
+  return -1;
+}
+
+std::vector<query::JoinEdge> Oracle::EdgesWithin(const Query& q,
+                                                 AliasMask mask) {
+  std::vector<query::JoinEdge> edges;
+  for (const auto& edge : q.edges) {
+    if ((mask & query::MaskOf(edge.left_alias)) &&
+        (mask & query::MaskOf(edge.right_alias))) {
+      edges.push_back(edge);
+    }
+  }
+  return edges;
+}
+
+std::vector<Oracle::EdgeProbe> Oracle::ProbeEdges(const Query& q,
+                                                  const Intermediate& left,
+                                                  AliasId alias) const {
+  AliasMask left_mask = 0;
+  for (AliasId a : left.aliases) left_mask |= query::MaskOf(a);
+  // Normalized so that left_alias is inside `left`.
+  const auto edges = q.EdgesBetween(left_mask, query::MaskOf(alias));
+  LQOLAB_CHECK(!edges.empty());
+  const storage::Table& base_table =
+      ctx_->table(q.relations[static_cast<size_t>(alias)].table);
+  std::vector<EdgeProbe> probes;
+  probes.reserve(edges.size());
+  for (const query::JoinEdge& edge : edges) {
+    probes.push_back(
+        {left.PositionOf(edge.left_alias), edge.right_column,
+         ctx_->table(q.relations[static_cast<size_t>(edge.left_alias)].table)
+             .column(edge.left_column)
+             .data(),
+         base_table.column(edge.right_column).data()});
+  }
+  return probes;
+}
+
 Oracle::QueryMemo& Oracle::Memo(const Query& q) {
   QueryMemo& memo = memos_[QueryFingerprint(q)];
   if (!memo.bound) {
@@ -110,33 +152,19 @@ Oracle::QueryMemo& Oracle::Memo(const Query& q) {
 void Oracle::Filter(catalog::TableId table_id,
                     const query::BoundPredicate* preds, size_t pred_count,
                     std::vector<RowId>* rows) {
+  // Full-column selection kernel on the first predicate, then in-place
+  // refinement per remaining predicate.
   const storage::Table& table = ctx_->table(table_id);
   const int64_t n = table.row_count();
-  if (ctx_->config.vectorized_exec) {
-    // Batched engine: full-column selection kernel on the first predicate,
-    // then in-place refinement per remaining predicate. Same conjunction,
-    // same ascending output as the row loop below.
-    if (pred_count == 0) {
-      kernels::SelectAll(n, rows);
-    } else {
-      kernels::SelectPredicate(table.column(preds[0].column).data(), n,
-                               preds[0], rows);
-      for (size_t p = 1; p < pred_count; ++p) {
-        kernels::RefinePredicate(table.column(preds[p].column).data(),
-                                 preds[p], rows);
-      }
-    }
+  if (pred_count == 0) {
+    kernels::SelectAll(n, rows);
     return;
   }
-  for (RowId r = 0; r < n; ++r) {
-    bool match = true;
-    for (size_t p = 0; p < pred_count; ++p) {
-      if (!preds[p].Matches(table.column(preds[p].column).at(r))) {
-        match = false;
-        break;
-      }
-    }
-    if (match) rows->push_back(r);
+  kernels::SelectPredicate(table.column(preds[0].column).data(), n, preds[0],
+                           rows);
+  for (size_t p = 1; p < pred_count; ++p) {
+    kernels::RefinePredicate(table.column(preds[p].column).data(), preds[p],
+                             rows);
   }
 }
 
@@ -244,15 +272,9 @@ Oracle::CardResult Oracle::TrueJoinRows(const Query& q, AliasMask mask) {
 
 bool Oracle::TreeCount(QueryMemo& memo, const Query& q, AliasMask mask,
                        int64_t* count) {
-  // Collect the subset's internal edges; bail out on cycles (message
-  // passing is exact only for tree-shaped join graphs).
-  std::vector<query::JoinEdge> edges;
-  for (const auto& edge : q.edges) {
-    if ((mask & query::MaskOf(edge.left_alias)) &&
-        (mask & query::MaskOf(edge.right_alias))) {
-      edges.push_back(edge);
-    }
-  }
+  // Bail out on cycles (message passing is exact only for tree-shaped join
+  // graphs).
+  const std::vector<query::JoinEdge> edges = EdgesWithin(q, mask);
   const int32_t members = std::popcount(mask);
   if (static_cast<int32_t>(edges.size()) != members - 1) return false;
 
@@ -347,16 +369,7 @@ bool Oracle::TreeCount(QueryMemo& memo, const Query& q, AliasMask mask,
   return true;
 }
 
-bool Oracle::CountExtension(QueryMemo& memo, const Query& q,
-                            const Intermediate& left, AliasId alias,
-                            const std::vector<storage::RowId>& base_rows,
-                            int64_t* count) {
-  return ctx_->config.vectorized_exec
-             ? CountExtensionVectorized(memo, q, left, alias, base_rows, count)
-             : CountExtensionScalar(q, left, alias, base_rows, count);
-}
-
-/// Build side of a batched base-relation join: the shared storage::Index on
+/// Build side of a base-relation join: the shared storage::Index on
 /// the hash-edge column when the base is the whole table, else a
 /// JoinHashTable over the base rows — the base's cached table or
 /// join_table_. All list a key's rows in ascending row-id order — an
@@ -437,38 +450,25 @@ Oracle::BaseProbe Oracle::PrepareBase(QueryMemo& memo, const Query& q,
   return {nullptr, &join_table_};
 }
 
-/// Batched engine for the streaming-count fallback. The single-edge case
-/// sums grouped key multiplicities from the base's BaseProbe; the residual
-/// case walks the same (probe row, base row) pairs as the scalar loop, so
-/// the kMaxCountedPairs cap trips at the identical pair.
-bool Oracle::CountExtensionVectorized(
-    QueryMemo& memo, const Query& q, const Intermediate& left, AliasId alias,
-    const std::vector<storage::RowId>& base_rows, int64_t* count) {
-  AliasMask left_mask = 0;
-  for (AliasId a : left.aliases) left_mask |= query::MaskOf(a);
-  const auto edges = q.EdgesBetween(left_mask, query::MaskOf(alias));
-  LQOLAB_CHECK(!edges.empty());
-  const storage::Table& base_table =
-      ctx_->table(q.relations[static_cast<size_t>(alias)].table);
-  const auto& hash_edge = edges[0];
+/// The streaming-count fallback. The single-edge case sums grouped key
+/// multiplicities from the base's BaseProbe; the residual case walks the
+/// (probe row, base row) pairs in probe order and base-row order within a
+/// key, so the kMaxCountedPairs cap trips at the same pair as the
+/// reference's loop (fuzz::ScalarOracle).
+bool Oracle::CountExtension(QueryMemo& memo, const Query& q,
+                            const Intermediate& left, AliasId alias,
+                            const std::vector<storage::RowId>& base_rows,
+                            int64_t* count) {
+  const std::vector<EdgeProbe> edges = ProbeEdges(q, left, alias);
+  const std::span<const EdgeProbe> residual(edges.begin() + 1, edges.end());
   const int32_t width = static_cast<int32_t>(left.aliases.size());
-  auto position_of = [&](AliasId a) {
-    for (int32_t i = 0; i < width; ++i) {
-      if (left.aliases[static_cast<size_t>(i)] == a) return i;
-    }
-    LQOLAB_CHECK_MSG(false, "alias not in intermediate");
-    return -1;
-  };
-  const int32_t hash_pos = position_of(hash_edge.left_alias);
-  const Value* probe_col =
-      ctx_->table(q.relations[static_cast<size_t>(hash_edge.left_alias)].table)
-          .column(hash_edge.left_column)
-          .data();
+  const int32_t hash_pos = edges[0].left_pos;
+  const Value* probe_col = edges[0].left_col;
 
   const BaseProbe base =
-      PrepareBase(memo, q, alias, hash_edge.right_column, base_rows);
+      PrepareBase(memo, q, alias, edges[0].right_column, base_rows);
 
-  if (edges.size() == 1) {
+  if (residual.empty()) {
     // Pure counting: a group's size is the per-key multiplicity.
     int64_t total = 0;
     for (int64_t row = 0; row < left.rows; ++row) {
@@ -485,22 +485,6 @@ bool Oracle::CountExtensionVectorized(
     return true;
   }
 
-  constexpr int64_t kMaxCountedPairs = 400'000'000;
-  struct EdgeProbe {
-    int32_t left_pos;
-    const Value* left_col;
-    const Value* right_col;
-  };
-  std::vector<EdgeProbe> residual;
-  for (size_t e = 1; e < edges.size(); ++e) {
-    residual.push_back(
-        {position_of(edges[e].left_alias),
-         ctx_->table(
-                 q.relations[static_cast<size_t>(edges[e].left_alias)].table)
-             .column(edges[e].left_column)
-             .data(),
-         base_table.column(edges[e].right_column).data()});
-  }
   int64_t total = 0;
   int64_t pairs = 0;
   for (int64_t row = 0; row < left.rows; ++row) {
@@ -514,108 +498,7 @@ bool Oracle::CountExtensionVectorized(
     for (int32_t g = 0; g < group.count; ++g) {
       const RowId base_row = group.rows[g];
       if (++pairs > kMaxCountedPairs) return false;
-      bool ok = true;
-      for (const auto& probe : residual) {
-        const Value lv = probe.left_col[tuple[probe.left_pos]];
-        if (lv == storage::kNullValue || lv != probe.right_col[base_row]) {
-          ok = false;
-          break;
-        }
-      }
-      if (ok) ++total;
-    }
-  }
-  *count = total;
-  return true;
-}
-
-bool Oracle::CountExtensionScalar(const Query& q, const Intermediate& left,
-                                  AliasId alias,
-                                  const std::vector<storage::RowId>& base_rows,
-                                  int64_t* count) {
-  AliasMask left_mask = 0;
-  for (AliasId a : left.aliases) left_mask |= query::MaskOf(a);
-  const auto edges = q.EdgesBetween(left_mask, query::MaskOf(alias));
-  LQOLAB_CHECK(!edges.empty());
-  const storage::Table& base_table =
-      ctx_->table(q.relations[static_cast<size_t>(alias)].table);
-  const auto& hash_edge = edges[0];
-  const storage::Column& base_key = base_table.column(hash_edge.right_column);
-  obs::Count(obs::Counter::kOracleHashBuilds);  // both branches hash the base
-  const int32_t width = static_cast<int32_t>(left.aliases.size());
-  auto position_of = [&](AliasId a) {
-    for (int32_t i = 0; i < width; ++i) {
-      if (left.aliases[static_cast<size_t>(i)] == a) return i;
-    }
-    LQOLAB_CHECK_MSG(false, "alias not in intermediate");
-    return -1;
-  };
-  const int32_t hash_pos = position_of(hash_edge.left_alias);
-  const storage::Column& probe_col =
-      ctx_->table(q.relations[static_cast<size_t>(hash_edge.left_alias)].table)
-          .column(hash_edge.left_column);
-
-  if (edges.size() == 1) {
-    // Pure counting: sum per-key multiplicities, O(|left| + |base|).
-    std::unordered_map<Value, int64_t> counts;
-    counts.reserve(base_rows.size());
-    for (RowId r : base_rows) {
-      const Value v = base_key.at(r);
-      if (v != storage::kNullValue) ++counts[v];
-    }
-    int64_t total = 0;
-    for (int64_t row = 0; row < left.rows; ++row) {
-      const Value v = probe_col.at(left.data[static_cast<size_t>(
-          row * width + hash_pos)]);
-      if (v == storage::kNullValue) continue;
-      auto it = counts.find(v);
-      if (it != counts.end()) total += it->second;
-    }
-    *count = total;
-    return true;
-  }
-
-  // Residual edges: iterate matching pairs with a work cap.
-  constexpr int64_t kMaxCountedPairs = 400'000'000;
-  std::unordered_map<Value, std::vector<RowId>> hash;
-  hash.reserve(base_rows.size());
-  for (RowId r : base_rows) {
-    const Value v = base_key.at(r);
-    if (v != storage::kNullValue) hash[v].push_back(r);
-  }
-  struct EdgeProbe {
-    int32_t left_pos;
-    const storage::Column* left_col;
-    const storage::Column* right_col;
-  };
-  std::vector<EdgeProbe> residual;
-  for (size_t e = 1; e < edges.size(); ++e) {
-    residual.push_back(
-        {position_of(edges[e].left_alias),
-         &ctx_->table(
-                  q.relations[static_cast<size_t>(edges[e].left_alias)].table)
-              .column(edges[e].left_column),
-         &base_table.column(edges[e].right_column)});
-  }
-  int64_t total = 0;
-  int64_t pairs = 0;
-  for (int64_t row = 0; row < left.rows; ++row) {
-    const RowId* tuple = left.data.data() + row * width;
-    const Value v = probe_col.at(tuple[hash_pos]);
-    if (v == storage::kNullValue) continue;
-    auto it = hash.find(v);
-    if (it == hash.end()) continue;
-    for (RowId base_row : it->second) {
-      if (++pairs > kMaxCountedPairs) return false;
-      bool ok = true;
-      for (const auto& probe : residual) {
-        const Value lv = probe.left_col->at(tuple[probe.left_pos]);
-        if (lv == storage::kNullValue || lv != probe.right_col->at(base_row)) {
-          ok = false;
-          break;
-        }
-      }
-      if (ok) ++total;
+      if (AllMatch(residual, tuple, base_row)) ++total;
     }
   }
   *count = total;
@@ -677,17 +560,15 @@ const Oracle::Intermediate* Oracle::Materialize(QueryMemo& memo,
   // tuple of the subset (exactly, for acyclic subsets), so intermediates
   // stay near the subset's result size.
   //
-  // Batched engine, 2-alias subsets: reduction is pure overhead — the one
-  // join discards non-matching rows itself, produces no oversized
-  // intermediate (its output IS the subset's result), and emits the same
-  // bytes either way: probing unreduced rows only adds probes that emit
+  // 2-alias subsets skip reduction, which is pure overhead for them: the
+  // one join discards non-matching rows itself, produces no oversized
+  // intermediate (its output IS the subset's result), and finds the same
+  // tuples either way — probing unreduced rows only adds probes that emit
   // nothing, and build-side rows removed by reduction sit in groups no
-  // surviving probe key reaches. The reference path keeps the reduction
-  // unconditionally, as documentation of the general algorithm. The
-  // pair's join reads the cached filtered lists themselves, not copies, so
-  // PrepareBase can serve its build side from the base cache.
-  const bool unreduced =
-      ctx_->config.vectorized_exec && std::popcount(mask) == 2;
+  // surviving probe key reaches. The pair's join reads the cached filtered
+  // lists themselves, not copies, so PrepareBase can serve its build side
+  // from the base cache.
+  const bool unreduced = std::popcount(mask) == 2;
   std::vector<std::vector<storage::RowId>> reduced;
   if (unreduced) {
     AliasMask pair_bits = mask;
@@ -758,65 +639,53 @@ std::vector<std::vector<storage::RowId>> Oracle::SemiJoinReduce(
     reduced[static_cast<size_t>(alias)] =
         memo.filtered[static_cast<size_t>(alias)]->rows;
   }
-  // Edges inside the mask.
-  std::vector<query::JoinEdge> edges;
-  for (const auto& edge : q.edges) {
-    if ((mask & query::MaskOf(edge.left_alias)) &&
-        (mask & query::MaskOf(edge.right_alias))) {
-      edges.push_back(edge);
-    }
-  }
-  // Fixpoint bookkeeping for the batched engine: a directed reduction is a
-  // pure membership filter, so re-running it is a no-op unless one of its
-  // two sides shrank since it last ran. Versions count shrinks per alias;
-  // each directed edge remembers the versions it last ran against and is
-  // skipped when both are unchanged — identical rows kept, without the
-  // redundant set rebuilds the reference path tolerates.
+  const std::vector<query::JoinEdge> edges = EdgesWithin(q, mask);
+  // Fixpoint bookkeeping: a directed reduction is a pure membership
+  // filter, so re-running it is a no-op unless one of its two sides shrank
+  // since it last ran. Versions count shrinks per alias; each directed edge
+  // remembers the versions it last ran against and is skipped when both
+  // are unchanged — identical rows kept, without the redundant set
+  // rebuilds the reference (fuzz::ScalarOracle) tolerates.
   std::vector<uint32_t> version(q.relations.size(), 0);
   std::vector<uint32_t> ran_keep(edges.size() * 2, UINT32_MAX);
   std::vector<uint32_t> ran_probe(edges.size() * 2, UINT32_MAX);
-  // Batched engine: directed slots that probe the same (alias, column)
-  // share one cached ValueSet from semi_set_pool_, rebuilt only when the
-  // probe side has shrunk since the set was last built. The reference path
-  // deliberately rebuilds its unordered_set every time.
+  // Directed slots that probe the same (alias, column) share one cached
+  // ValueSet from semi_set_pool_, rebuilt only when the probe side has
+  // shrunk since the set was last built. The reference deliberately
+  // rebuilds its unordered_set every time.
   struct BuildKey {
     AliasId alias;
     catalog::ColumnId column;
   };
   std::vector<BuildKey> build_keys;
   std::vector<size_t> slot_key(edges.size() * 2, 0);
-  std::vector<uint32_t> built_version;
-  if (ctx_->config.vectorized_exec) {
-    auto key_index = [&](AliasId alias, catalog::ColumnId column) {
-      for (size_t i = 0; i < build_keys.size(); ++i) {
-        if (build_keys[i].alias == alias && build_keys[i].column == column) {
-          return i;
-        }
+  auto key_index = [&](AliasId alias, catalog::ColumnId column) {
+    for (size_t i = 0; i < build_keys.size(); ++i) {
+      if (build_keys[i].alias == alias && build_keys[i].column == column) {
+        return i;
       }
-      build_keys.push_back({alias, column});
-      return build_keys.size() - 1;
-    };
-    for (size_t e = 0; e < edges.size(); ++e) {
-      slot_key[2 * e] = key_index(edges[e].right_alias, edges[e].right_column);
-      slot_key[2 * e + 1] =
-          key_index(edges[e].left_alias, edges[e].left_column);
     }
-    if (semi_set_pool_.size() < build_keys.size()) {
-      semi_set_pool_.resize(build_keys.size());
-    }
-    built_version.assign(build_keys.size(), UINT32_MAX);
+    build_keys.push_back({alias, column});
+    return build_keys.size() - 1;
+  };
+  for (size_t e = 0; e < edges.size(); ++e) {
+    slot_key[2 * e] = key_index(edges[e].right_alias, edges[e].right_column);
+    slot_key[2 * e + 1] = key_index(edges[e].left_alias, edges[e].left_column);
   }
+  if (semi_set_pool_.size() < build_keys.size()) {
+    semi_set_pool_.resize(build_keys.size());
+  }
+  std::vector<uint32_t> built_version(build_keys.size(), UINT32_MAX);
   // A few reduction passes (2 suffice for tree-shaped subsets when edges
   // are swept in both directions; a 3rd catches most cycle effects).
   for (int pass = 0; pass < 3; ++pass) {
     bool changed = false;
-    // Batched engine: the probe side publishes its key set as an
-    // open-addressing ValueSet (plus, when the kernel's BloomSchedule
-    // fires, a Bloom filter consulted before the exact lookup — sideways
-    // information passing), and the keep side is compacted in place.
-    // Membership is exactly the reference path's unordered_set semantics,
-    // so both engines keep the same rows.
-    auto reduce_side_batched = [&](size_t slot, AliasId keep,
+    // The probe side publishes its key set as a ValueSet (plus, when the
+    // kernel's BloomSchedule fires, a Bloom filter consulted before the
+    // exact lookup — sideways information passing), and the keep side is
+    // compacted in place. Membership is exactly the reference's
+    // unordered_set semantics, so both keep the same rows.
+    auto reduce_side = [&](size_t slot, AliasId keep,
                                    catalog::ColumnId keep_col, AliasId probe,
                                    catalog::ColumnId probe_col) {
       if (ran_keep[slot] == version[static_cast<size_t>(keep)] &&
@@ -848,40 +717,6 @@ std::vector<std::vector<storage::RowId>> Oracle::SemiJoinReduce(
       ran_keep[slot] = version[static_cast<size_t>(keep)];
       ran_probe[slot] = version[static_cast<size_t>(probe)];
     };
-    auto reduce_side = [&](size_t slot, AliasId keep,
-                           catalog::ColumnId keep_col, AliasId probe,
-                           catalog::ColumnId probe_col) {
-      if (ctx_->config.vectorized_exec) {
-        reduce_side_batched(slot, keep, keep_col, probe, probe_col);
-        return;
-      }
-      auto& keep_rows = reduced[static_cast<size_t>(keep)];
-      const auto& probe_rows = reduced[static_cast<size_t>(probe)];
-      const storage::Column& keep_values =
-          ctx_->table(q.relations[static_cast<size_t>(keep)].table)
-              .column(keep_col);
-      const storage::Column& probe_values =
-          ctx_->table(q.relations[static_cast<size_t>(probe)].table)
-              .column(probe_col);
-      std::unordered_set<Value> present;
-      present.reserve(probe_rows.size());
-      for (RowId r : probe_rows) {
-        const Value v = probe_values.at(r);
-        if (v != storage::kNullValue) present.insert(v);
-      }
-      std::vector<RowId> kept;
-      kept.reserve(keep_rows.size());
-      for (RowId r : keep_rows) {
-        const Value v = keep_values.at(r);
-        if (v != storage::kNullValue && present.count(v) > 0) {
-          kept.push_back(r);
-        }
-      }
-      if (kept.size() != keep_rows.size()) {
-        keep_rows = std::move(kept);
-        changed = true;
-      }
-    };
     for (size_t e = 0; e < edges.size(); ++e) {
       const auto& edge = edges[e];
       reduce_side(2 * e, edge.left_alias, edge.left_column, edge.right_alias,
@@ -894,67 +729,26 @@ std::vector<std::vector<storage::RowId>> Oracle::SemiJoinReduce(
   return reduced;
 }
 
+/// Probes the shared index when the base is a whole table, else a grouped
+/// JoinHashTable over the base rows (one flat payload array instead of a
+/// vector per key; cached or freshly built), whose key set the probe
+/// stream's BloomSchedule may publish as a Bloom filter; the left
+/// intermediate is probed in kBatchRows strides, gathering probe keys into
+/// an L1-resident staging buffer. Match set, output order and the overflow
+/// trip point are identical to the reference's hash join
+/// (fuzz::ScalarOracle): probes run in left-row order and each group
+/// replays the base rows in insertion order.
 Oracle::Intermediate Oracle::JoinWithBase(
     QueryMemo& memo, const Query& q, const Intermediate& left, AliasId alias,
     const std::vector<storage::RowId>& base_rows, AliasMask scope) {
-  return ctx_->config.vectorized_exec
-             ? JoinWithBaseVectorized(memo, q, left, alias, base_rows, scope)
-             : JoinWithBaseScalar(q, left, alias, base_rows, scope);
-}
-
-/// Batched engine: probe the shared index when the base is a whole table,
-/// else a grouped JoinHashTable over the base rows (one flat payload array
-/// instead of a vector per key; cached or freshly built), whose key set
-/// the probe stream's BloomSchedule may publish as a Bloom filter; then
-/// probe the left
-/// intermediate in kBatchRows strides, gathering probe keys into an
-/// L1-resident staging buffer. Match set, output order and the overflow
-/// trip point are identical to JoinWithBaseScalar: probes run in left-row
-/// order and each group replays the base rows in insertion order.
-Oracle::Intermediate Oracle::JoinWithBaseVectorized(
-    QueryMemo& memo, const Query& q, const Intermediate& left, AliasId alias,
-    const std::vector<storage::RowId>& base_rows, AliasMask scope) {
-  AliasMask left_mask = 0;
-  for (AliasId a : left.aliases) left_mask |= query::MaskOf(a);
-  LQOLAB_DCHECK((left_mask & ~scope) == 0);
-  const auto edges = q.EdgesBetween(left_mask, query::MaskOf(alias));
-  LQOLAB_CHECK(!edges.empty());
-
-  const storage::Table& base_table =
-      ctx_->table(q.relations[static_cast<size_t>(alias)].table);
-  const auto& hash_edge = edges[0];
+  for (AliasId a : left.aliases) LQOLAB_DCHECK(scope & query::MaskOf(a));
+  const std::vector<EdgeProbe> edges = ProbeEdges(q, left, alias);
+  const std::span<const EdgeProbe> residual(edges.begin() + 1, edges.end());
   const BaseProbe base =
-      PrepareBase(memo, q, alias, hash_edge.right_column, base_rows);
-
+      PrepareBase(memo, q, alias, edges[0].right_column, base_rows);
   const int32_t width = static_cast<int32_t>(left.aliases.size());
-  auto position_of = [&](AliasId a) {
-    for (int32_t i = 0; i < width; ++i) {
-      if (left.aliases[static_cast<size_t>(i)] == a) return i;
-    }
-    LQOLAB_CHECK_MSG(false, "alias not in intermediate");
-    return -1;
-  };
-  struct EdgeProbe {
-    int32_t left_pos;
-    const Value* left_col;
-    const Value* right_col;
-  };
-  std::vector<EdgeProbe> residual;
-  const int32_t hash_pos = position_of(hash_edge.left_alias);
-  const Value* hash_probe_col =
-      ctx_->table(q.relations[static_cast<size_t>(hash_edge.left_alias)].table)
-          .column(hash_edge.left_column)
-          .data();
-  for (size_t e = 1; e < edges.size(); ++e) {
-    EdgeProbe probe;
-    probe.left_pos = position_of(edges[e].left_alias);
-    probe.left_col =
-        ctx_->table(q.relations[static_cast<size_t>(edges[e].left_alias)].table)
-            .column(edges[e].left_column)
-            .data();
-    probe.right_col = base_table.column(edges[e].right_column).data();
-    residual.push_back(probe);
-  }
+  const int32_t hash_pos = edges[0].left_pos;
+  const Value* hash_probe_col = edges[0].left_col;
 
   // An index probe runs without predicate transfer: the Bloom filter is
   // filled from the probed table's keys, and as a pure pre-test its absence
@@ -968,12 +762,7 @@ Oracle::Intermediate Oracle::JoinWithBaseVectorized(
   out.aliases.insert(
       std::upper_bound(out.aliases.begin(), out.aliases.end(), alias), alias);
   const int32_t out_width = width + 1;
-  const int32_t insert_pos = [&] {
-    for (int32_t i = 0; i < out_width; ++i) {
-      if (out.aliases[static_cast<size_t>(i)] == alias) return i;
-    }
-    return -1;
-  }();
+  const int32_t insert_pos = out.PositionOf(alias);
 
   // Output rows are staged in an L1-resident flush buffer and appended to
   // out.data one chunk at a time, so vector bookkeeping is paid once per
@@ -1009,15 +798,7 @@ Oracle::Intermediate Oracle::JoinWithBaseVectorized(
       const RowId* tuple = batch_tuples + i * width;
       for (int32_t g = 0; g < group.count; ++g) {
         const RowId base_row = group.rows[g];
-        bool ok = true;
-        for (const auto& probe : residual) {
-          const Value lv = probe.left_col[tuple[probe.left_pos]];
-          if (lv == storage::kNullValue || lv != probe.right_col[base_row]) {
-            ok = false;
-            break;
-          }
-        }
-        if (!ok) continue;
+        if (!AllMatch(residual, tuple, base_row)) continue;
         if (out.rows >= cost::kMaxIntermediateRows ||
             out.rows * out_width >= cost::kMaxIntermediateCells) {
           out.rows = -1;  // overflow
@@ -1041,114 +822,6 @@ Oracle::Intermediate Oracle::JoinWithBaseVectorized(
     }
   }
   out.data.insert(out.data.end(), flush, flush + flush_used);
-  return out;
-}
-
-Oracle::Intermediate Oracle::JoinWithBaseScalar(
-    const Query& q, const Intermediate& left, AliasId alias,
-    const std::vector<storage::RowId>& base_rows, AliasMask scope) {
-  AliasMask left_mask = 0;
-  for (AliasId a : left.aliases) left_mask |= query::MaskOf(a);
-  LQOLAB_DCHECK((left_mask & ~scope) == 0);
-  // Edges normalized so that left_alias is inside `left`.
-  const auto edges = q.EdgesBetween(left_mask, query::MaskOf(alias));
-  LQOLAB_CHECK(!edges.empty());
-
-  const storage::Table& base_table =
-      ctx_->table(q.relations[static_cast<size_t>(alias)].table);
-
-  // Hash the base relation on the first edge's column.
-  const auto& hash_edge = edges[0];
-  const storage::Column& base_key =
-      base_table.column(hash_edge.right_column);
-  obs::Count(obs::Counter::kOracleHashBuilds);
-  std::unordered_map<Value, std::vector<RowId>> hash;
-  hash.reserve(base_rows.size());
-  for (RowId r : base_rows) {
-    const Value v = base_key.at(r);
-    if (v == storage::kNullValue) continue;
-    hash[v].push_back(r);
-  }
-
-  // Positions of the probe-side aliases within the left tuple layout.
-  const int32_t width = static_cast<int32_t>(left.aliases.size());
-  auto position_of = [&](AliasId a) {
-    for (int32_t i = 0; i < width; ++i) {
-      if (left.aliases[static_cast<size_t>(i)] == a) return i;
-    }
-    LQOLAB_CHECK_MSG(false, "alias not in intermediate");
-    return -1;
-  };
-  struct EdgeProbe {
-    int32_t left_pos;
-    const storage::Column* left_col;
-    const storage::Column* right_col;
-  };
-  std::vector<EdgeProbe> residual;
-  const int32_t hash_pos = position_of(hash_edge.left_alias);
-  const storage::Column& hash_probe_col =
-      ctx_->table(q.relations[static_cast<size_t>(hash_edge.left_alias)].table)
-          .column(hash_edge.left_column);
-  for (size_t e = 1; e < edges.size(); ++e) {
-    EdgeProbe probe;
-    probe.left_pos = position_of(edges[e].left_alias);
-    probe.left_col =
-        &ctx_->table(q.relations[static_cast<size_t>(edges[e].left_alias)].table)
-             .column(edges[e].left_column);
-    probe.right_col = &base_table.column(edges[e].right_column);
-    residual.push_back(probe);
-  }
-
-  // New layout: aliases sorted ascending with `alias` inserted.
-  Intermediate out;
-  out.aliases = left.aliases;
-  out.aliases.insert(
-      std::upper_bound(out.aliases.begin(), out.aliases.end(), alias), alias);
-  const int32_t out_width = width + 1;
-  const int32_t insert_pos = [&] {
-    for (int32_t i = 0; i < out_width; ++i) {
-      if (out.aliases[static_cast<size_t>(i)] == alias) return i;
-    }
-    return -1;
-  }();
-
-  for (int64_t row = 0; row < left.rows; ++row) {
-    const RowId* tuple = left.data.data() + row * width;
-    const Value probe_value =
-        hash_probe_col.at(tuple[hash_pos]);
-    if (probe_value == storage::kNullValue) continue;
-    auto it = hash.find(probe_value);
-    if (it == hash.end()) continue;
-    for (RowId base_row : it->second) {
-      bool ok = true;
-      for (const auto& probe : residual) {
-        const Value lv = probe.left_col->at(tuple[probe.left_pos]);
-        if (lv == storage::kNullValue ||
-            lv != probe.right_col->at(base_row)) {
-          ok = false;
-          break;
-        }
-      }
-      if (!ok) continue;
-      if (out.rows >= cost::kMaxIntermediateRows ||
-          out.rows * out_width >= cost::kMaxIntermediateCells) {
-        out.rows = -1;  // overflow
-        out.data.clear();
-        out.data.shrink_to_fit();
-        return out;
-      }
-      for (int32_t i = 0; i < out_width; ++i) {
-        if (i < insert_pos) {
-          out.data.push_back(tuple[i]);
-        } else if (i == insert_pos) {
-          out.data.push_back(base_row);
-        } else {
-          out.data.push_back(tuple[i - 1]);
-        }
-      }
-      ++out.rows;
-    }
-  }
   return out;
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -43,26 +44,25 @@ uint64_t QueryFingerprint(const query::Query& q);
 /// the planner sees only the estimator — exactly the gap that separates good
 /// plans from bad ones on the real system.
 ///
-/// Two interchangeable engines implement the hot path (docs/execution.md):
-/// the batch-at-a-time kernels of exec/kernels.h (DbConfig::vectorized_exec,
-/// the default), whose semi-join refine and join probe loop always run
-/// under the lazy Bloom predicate-transfer schedule
-/// (kernels::BloomSchedule), and the original tuple-at-a-time reference.
-/// Both return byte-identical row sets — the vectorized path reproduces
-/// the reference's match semantics and output ordering exactly, and
-/// predicate transfer is a pure pre-test that cannot change results — so
-/// the scalar path stays selectable at runtime as the differential
-/// baseline (tests/test_kernels.cc, fuzz::DifferentialOracle).
+/// The hot path runs the batch-at-a-time kernels of exec/kernels.h, whose
+/// semi-join refine and join probe loop run under the lazy Bloom
+/// predicate-transfer schedule (kernels::BloomSchedule). Four protected
+/// virtual methods — Filter, SemiJoinReduce, JoinWithBase and
+/// CountExtension — are the only test seam: fuzz::ScalarOracle overrides
+/// them with the original tuple-at-a-time reference and keeps this class's
+/// memo, base cache, fallback chain, caps and eviction, so both return
+/// byte-identical row sets and trip overflow at the same point
+/// (tests/test_kernels.cc, tests/test_answers.cc, fuzz::DifferentialOracle).
 ///
-/// When the base of a batched join is a whole table (no predicate, nothing
-/// reduced away) and its join column is indexed, the batched engine probes
-/// the shared, read-only storage::Index instead of building a hash table
-/// over every row: the index's counting sort keeps rows ascending within a
-/// key, so Index::EqualRange returns the same rows in the same order a
-/// build over all rows would group, and results stay byte-identical.
-/// Filtered and reduced bases still build, into an offset table over the
-/// key range when that is no larger than open addressing (nearly every
-/// build: join keys are dense ids), else into open-addressing slots.
+/// When the base of a join is a whole table (no predicate, nothing reduced
+/// away) and its join column is indexed, the oracle probes the shared,
+/// read-only storage::Index instead of building a hash table over every
+/// row: the index's counting sort keeps rows ascending within a key, so
+/// Index::EqualRange returns the same rows in the same order a build over
+/// all rows would group, and results stay byte-identical. Filtered and
+/// reduced bases still build, into an offset table over the key range when
+/// that is no larger than open addressing (nearly every build: join keys
+/// are dense ids), else into open-addressing slots.
 class Oracle {
  public:
   /// Bytes of materialized intermediates and cached build tables one
@@ -73,6 +73,7 @@ class Oracle {
   /// eviction).
   explicit Oracle(const DbContext* ctx,
                   int64_t budget_bytes = kMatBudgetBytes);
+  virtual ~Oracle() = default;
 
   Oracle(const Oracle&) = delete;
   Oracle& operator=(const Oracle&) = delete;
@@ -128,7 +129,7 @@ class Oracle {
   /// Distinct filtered bases in the replica-wide cache, each scanned once.
   int64_t cached_bases() const { return static_cast<int64_t>(bases_.size()); }
 
- private:
+ protected:
   /// Materialized join result: tuples of row-ids, one per alias in
   /// `aliases` (ascending), row-major in `data`.
   struct Intermediate {
@@ -140,6 +141,8 @@ class Oracle {
       return static_cast<int64_t>(data.capacity()) *
              static_cast<int64_t>(sizeof(storage::RowId));
     }
+    /// Column of `alias` within a tuple.
+    int32_t PositionOf(query::AliasId alias) const;
   };
 
   /// One entry of the replica-wide base cache: the rows of a table passing
@@ -164,16 +167,80 @@ class Oracle {
     std::unordered_map<query::AliasMask, Intermediate> mats;
   };
 
-  QueryMemo& Memo(const query::Query& q);
+  /// One equality joining a left tuple to a base row: the left alias's
+  /// column within the tuple, the base's join column, and the raw value
+  /// arrays of both.
+  struct EdgeProbe {
+    int32_t left_pos;
+    catalog::ColumnId right_column;
+    const storage::Value* left_col;
+    const storage::Value* right_col;
+  };
+
+  /// Whether every equality in `probes` holds between `tuple` and
+  /// `base_row` (NULL matches nothing).
+  static bool AllMatch(std::span<const EdgeProbe> probes,
+                       const storage::RowId* tuple, storage::RowId base_row) {
+    for (const EdgeProbe& probe : probes) {
+      const storage::Value lv = probe.left_col[tuple[probe.left_pos]];
+      if (lv == storage::kNullValue || lv != probe.right_col[base_row]) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  const DbContext& ctx() const { return *ctx_; }
+
+  /// The join edges with both ends inside `mask`.
+  static std::vector<query::JoinEdge> EdgesWithin(const query::Query& q,
+                                                  query::AliasMask mask);
+
+  /// The edges joining `left` to the base rows of `alias` (at least one):
+  /// the first is hashed, the rest are residual equalities checked per
+  /// matching pair.
+  std::vector<EdgeProbe> ProbeEdges(const query::Query& q,
+                                    const Intermediate& left,
+                                    query::AliasId alias) const;
+
   void EnsureFiltered(QueryMemo& memo, const query::Query& q,
                       query::AliasId alias);
+
+  /// Appends the ascending rows of `table` matching every predicate.
+  virtual void Filter(catalog::TableId table,
+                      const query::BoundPredicate* preds, size_t pred_count,
+                      std::vector<storage::RowId>* rows);
+
+  /// Semi-join-reduces the filtered row lists of every alias in `mask`
+  /// (rows without a join partner on some edge inside `mask` are dropped;
+  /// sound for computing the join over `mask`).
+  virtual std::vector<std::vector<storage::RowId>> SemiJoinReduce(
+      QueryMemo& memo, const query::Query& q, query::AliasMask mask);
+
+  /// Joins `left` with base rows of `alias` over all connecting edges
+  /// within `scope`. Returns overflow via `result.rows < 0`.
+  virtual Intermediate JoinWithBase(
+      QueryMemo& memo, const query::Query& q, const Intermediate& left,
+      query::AliasId alias, const std::vector<storage::RowId>& base_rows,
+      query::AliasMask scope);
+
+  /// Streams the one-relation extension of `left` counting result rows
+  /// without storing them; returns false when the pair-iteration work cap
+  /// is exceeded. Used for subsets too large to materialize.
+  virtual bool CountExtension(QueryMemo& memo, const query::Query& q,
+                              const Intermediate& left, query::AliasId alias,
+                              const std::vector<storage::RowId>& base_rows,
+                              int64_t* count);
+
+  /// Pair-iteration cap of CountExtension's residual-edge walk.
+  static constexpr int64_t kMaxCountedPairs = 400'000'000;
+
+ private:
+  QueryMemo& Memo(const query::Query& q);
   /// The base cache entry for `table` under the conjunction `preds`,
   /// scanning the table on first request.
   FilteredBase& Base(catalog::TableId table,
                      const query::BoundPredicate* preds, size_t pred_count);
-  /// Appends the ascending rows of `table` matching every predicate.
-  void Filter(catalog::TableId table, const query::BoundPredicate* preds,
-              size_t pred_count, std::vector<storage::RowId>* rows);
 
   /// Returns the materialized subset or nullptr on overflow. Prefers
   /// extending a cached submask materialization by one relation (exact and
@@ -183,23 +250,8 @@ class Oracle {
   const Intermediate* Materialize(QueryMemo& memo, const query::Query& q,
                                   query::AliasMask mask);
 
-  /// Joins `left` with base rows of `alias` over all connecting edges
-  /// within `scope`. Returns overflow via `result.rows < 0`. Dispatches to
-  /// the batched or the tuple-at-a-time engine per config.
-  Intermediate JoinWithBase(QueryMemo& memo, const query::Query& q,
-                            const Intermediate& left, query::AliasId alias,
-                            const std::vector<storage::RowId>& base_rows,
-                            query::AliasMask scope);
-  Intermediate JoinWithBaseScalar(
-      const query::Query& q, const Intermediate& left, query::AliasId alias,
-      const std::vector<storage::RowId>& base_rows, query::AliasMask scope);
-  Intermediate JoinWithBaseVectorized(
-      QueryMemo& memo, const query::Query& q, const Intermediate& left,
-      query::AliasId alias, const std::vector<storage::RowId>& base_rows,
-      query::AliasMask scope);
-
-  /// Build side of a batched join with the base rows of `alias` on
-  /// `column` (defined in oracle.cc).
+  /// Build side of a join with the base rows of `alias` on `column`
+  /// (defined in oracle.cc).
   struct BaseProbe;
   /// Probes the shared storage::Index on (alias's table, `column`) when
   /// `base_rows` is the whole table and the column is indexed — no build.
@@ -216,29 +268,6 @@ class Oracle {
   /// size. Returns false when the subset's edges contain a cycle.
   bool TreeCount(QueryMemo& memo, const query::Query& q,
                  query::AliasMask mask, int64_t* count);
-
-  /// Streams the one-relation extension of `left` counting result rows
-  /// without storing them; returns false when the pair-iteration work cap
-  /// is exceeded. Used for subsets too large to materialize.
-  bool CountExtension(QueryMemo& memo, const query::Query& q,
-                      const Intermediate& left, query::AliasId alias,
-                      const std::vector<storage::RowId>& base_rows,
-                      int64_t* count);
-  bool CountExtensionScalar(const query::Query& q, const Intermediate& left,
-                            query::AliasId alias,
-                            const std::vector<storage::RowId>& base_rows,
-                            int64_t* count);
-  bool CountExtensionVectorized(QueryMemo& memo, const query::Query& q,
-                                const Intermediate& left,
-                                query::AliasId alias,
-                                const std::vector<storage::RowId>& base_rows,
-                                int64_t* count);
-
-  /// Semi-join-reduces the filtered row lists of every alias in `mask`
-  /// (rows without a join partner on some edge inside `mask` are dropped;
-  /// sound for computing the join over `mask`).
-  std::vector<std::vector<storage::RowId>> SemiJoinReduce(
-      QueryMemo& memo, const query::Query& q, query::AliasMask mask);
 
   void TrackBytes(int64_t delta);
   /// Evicts when over budget: every cached build table first, then
@@ -258,7 +287,7 @@ class Oracle {
   std::unordered_map<std::string, FilteredBase> bases_;
   int64_t mat_bytes_ = 0;  // intermediates + cached build tables
 
-  // Scratch for the batched engine, reused across calls so the steady-state
+  // Scratch for the batched kernels, reused across calls so the steady-state
   // hot path performs no per-tuple heap allocation (the Oracle is already
   // single-threaded per replica, so plain members are safe).
   // SemiJoinReduce keeps one ValueSet per distinct (probe alias, column)

@@ -23,10 +23,10 @@ struct CheckCounts {
   int64_t hint_roundtrip = 0;    ///< Hint render/parse round trips.
   int64_t fault_execution = 0;   ///< Fault-mode re-executions (availability
                                  ///< may drop, cardinality must not change).
-  int64_t engine_differential = 0;  ///< Vectorized-vs-scalar engine arm:
-                                    ///< the same plan re-run with
-                                    ///< vectorized_exec flipped must report
-                                    ///< the same result rows.
+  int64_t engine_differential = 0;  ///< Engine arm: a fresh
+                                    ///< fuzz::ScalarOracle's full-mask
+                                    ///< count must equal the executed
+                                    ///< result rows.
   int64_t sql_round_trip = 0;       ///< SQL-emission arm: render the query
                                     ///< to SQL, parse+bind it back, and the
                                     ///< rebound query must fingerprint,

@@ -1,0 +1,44 @@
+#ifndef LQOLAB_FUZZ_SCALAR_ORACLE_H_
+#define LQOLAB_FUZZ_SCALAR_ORACLE_H_
+
+#include <cstdint>
+#include <vector>
+
+#include "exec/oracle.h"
+
+namespace lqolab::fuzz {
+
+/// The tuple-at-a-time reference for exec::Oracle's batched kernels. It
+/// overrides the oracle's four seam methods with the original code: a
+/// row-at-a-time predicate loop (Filter), std::unordered_set semi-join
+/// reduction rebuilt on every pass (SemiJoinReduce), and std::unordered_map
+/// hash joins and key counts over every base, whole tables included
+/// (JoinWithBase, CountExtension). Everything else — the memo, the
+/// replica-wide base cache, the fallback chain (materialize, then streaming
+/// count, then TreeCount), the caps and the eviction policy — is the
+/// product oracle's, so the two must agree on every row set, count and
+/// overflow flag. Tests and fuzz::DifferentialOracle build one over a
+/// database's context and compare it with the database's own oracle; the
+/// other reference, fuzz::ReferenceCount, shares no code with either.
+class ScalarOracle final : public exec::Oracle {
+ public:
+  using exec::Oracle::Oracle;
+
+ private:
+  void Filter(catalog::TableId table, const query::BoundPredicate* preds,
+              size_t pred_count, std::vector<storage::RowId>* rows) override;
+  std::vector<std::vector<storage::RowId>> SemiJoinReduce(
+      QueryMemo& memo, const query::Query& q, query::AliasMask mask) override;
+  Intermediate JoinWithBase(QueryMemo& memo, const query::Query& q,
+                            const Intermediate& left, query::AliasId alias,
+                            const std::vector<storage::RowId>& base_rows,
+                            query::AliasMask scope) override;
+  bool CountExtension(QueryMemo& memo, const query::Query& q,
+                      const Intermediate& left, query::AliasId alias,
+                      const std::vector<storage::RowId>& base_rows,
+                      int64_t* count) override;
+};
+
+}  // namespace lqolab::fuzz
+
+#endif  // LQOLAB_FUZZ_SCALAR_ORACLE_H_

@@ -8,14 +8,14 @@
 
 namespace lqolab::optimizer {
 
-// The planner's cost model deliberately uses the SCALAR per-tuple constants
-// (cost::kScanTupleNs etc., i.e. cost::kScalarTupleCosts) regardless of
-// DbConfig::vectorized_exec. Planner costs are unit-free rankings compared
+// The planner's cost model deliberately uses the tuple-at-a-time per-tuple
+// constants (cost::kScanTupleNs etc.), not the batched executor's
+// cost::kVectorizedTupleCosts. Planner costs are unit-free rankings compared
 // only against each other, and pglite's real planner would not re-cost
-// plans per executor engine either; pinning them keeps plan choices, golden
-// fixtures (tests/golden/plans.txt) and cached estimates byte-stable across
-// engine flips. Only the executor's virtual-time charges switch engines,
-// via cost::TupleCostsFor (exec/executor.cc).
+// plans per executor implementation either; pinning them keeps plan
+// choices, golden fixtures (tests/golden/plans.txt) and cached estimates
+// byte-stable when the executor's calibration moves. Only the executor's
+// virtual-time charges use kVectorizedTupleCosts (exec/executor.cc).
 namespace cost = exec::cost;
 using query::AliasId;
 using query::AliasMask;

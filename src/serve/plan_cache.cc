@@ -18,9 +18,8 @@ uint64_t MixConfig(uint64_t key, const engine::DbConfig& config,
                    uint64_t model_version) {
   // Pack the boolean planner switches into one word; mix the numeric knobs
   // in separately. DbConfig::name is display-only and deliberately ignored,
-  // as is the execution-engine knob vectorized_exec: the planner never
-  // reads it and both engines return byte-identical row sets, so a cached
-  // plan stays valid across flips of the flag.
+  // as are the knobs the planner never reads (adaptive_replan and its
+  // thresholds change only how a plan runs, never the plan itself).
   uint64_t flags = 0;
   const bool bools[] = {
       config.geqo,           config.enable_seqscan,  config.enable_indexscan,

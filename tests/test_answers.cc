@@ -2,7 +2,8 @@
 // workloads, evaluated at its full mask on the seed-42 test databases (IMDB
 // ScaleProfile::Small(), TPC-H TpchScaleProfile::Small().Scaled(0.5)),
 // must give the answer recorded in workloads/<file>.answers — under the
-// product oracle and under the tuple-at-a-time reference alike.
+// product exec::Oracle and under the tuple-at-a-time reference,
+// fuzz::ScalarOracle, alike.
 //
 // Each line is "<query id> <rows|overflow> <digest|->". The digest is
 // order-independent: the sum over result tuples of Σ_a h(a, row_a) mod
@@ -18,6 +19,7 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -25,6 +27,7 @@
 
 #include "engine/database.h"
 #include "exec/oracle.h"
+#include "fuzz/scalar_oracle.h"
 #include "query/sql_workload.h"
 #include "util/rng.h"
 
@@ -38,6 +41,9 @@ struct AnswerFile {
   const char* file;      // workloads/<file>.answers
   bool tpch;
 };
+
+// Names the parameter in test listings (gtest would print its bytes).
+void PrintTo(const AnswerFile& f, std::ostream* os) { *os << f.file; }
 
 constexpr AnswerFile kAnswerFiles[] = {
     {"job", "job_lite", false},
@@ -56,27 +62,26 @@ const char* EngineName(Engine e) {
   return e == Engine::kProduct ? "product" : "scalar";
 }
 
-engine::Database& Db(bool tpch, Engine e) {
-  static const auto build = [](bool tpch, bool vectorized) {
-    engine::Database::Options options;
-    options.seed = 42;
-    options.config.vectorized_exec = vectorized;
-    if (tpch) {
-      return engine::Database::CreateTpch(
-                 options, datagen::TpchScaleProfile::Small().Scaled(0.5))
-          .release();
-    }
+engine::Database& Db(bool tpch) {
+  static engine::Database* dbs[2] = {};
+  engine::Database*& db = dbs[tpch];
+  if (db != nullptr) return *db;
+  engine::Database::Options options;
+  options.seed = 42;
+  if (tpch) {
+    db = engine::Database::CreateTpch(
+             options, datagen::TpchScaleProfile::Small().Scaled(0.5))
+             .release();
+  } else {
     options.profile = datagen::ScaleProfile::Small();
-    return engine::Database::CreateImdb(options).release();
-  };
-  static engine::Database* dbs[2][2] = {};
-  engine::Database*& db = dbs[tpch][e == Engine::kProduct];
-  if (db == nullptr) db = build(tpch, e == Engine::kProduct);
+    db = engine::Database::CreateImdb(options).release();
+  }
   return *db;
 }
 
-std::unique_ptr<exec::Oracle> MakeOracle(const exec::DbContext* ctx) {
-  return std::make_unique<exec::Oracle>(ctx);
+std::unique_ptr<exec::Oracle> MakeOracle(Engine e, const exec::DbContext* ctx) {
+  if (e == Engine::kProduct) return std::make_unique<exec::Oracle>(ctx);
+  return std::make_unique<fuzz::ScalarOracle>(ctx);
 }
 
 /// Σ over tuples of Σ_a h(a, row_a) mod 2^64; `tuples` is row-major with
@@ -110,8 +115,9 @@ std::string AnswerLine(exec::Oracle& oracle, const query::Query& q) {
 
 /// One answer line per query of `f`, from a fresh oracle of `engine`.
 std::vector<std::string> Answers(const AnswerFile& f, Engine engine) {
-  engine::Database& db = Db(f.tpch, engine);
-  const std::unique_ptr<exec::Oracle> oracle = MakeOracle(&db.context());
+  engine::Database& db = Db(f.tpch);
+  const std::unique_ptr<exec::Oracle> oracle =
+      MakeOracle(engine, &db.context());
   std::vector<std::string> lines;
   for (const query::Query& q : query::LoadWorkload(f.workload, db.schema())) {
     lines.push_back(AnswerLine(*oracle, q));

@@ -327,87 +327,78 @@ TEST(ExecutorFaults, BatchedReadPageHitsKeepHitIndices) {
 }
 
 // --- Batched-engine fault boundaries ---------------------------------------
-// The vectorized engine (DbConfig::vectorized_exec) keeps long-lived scratch
-// state — selection vectors, grouped join tables, Bloom filters — that an
-// aborted run leaves mid-flight. These tests pin that faults, cancellation
-// and oracle overflow behave identically on both engines and never poison
-// later clean runs through that reused state.
-
-std::unique_ptr<engine::Database> EngineReplica(bool vectorized) {
-  auto replica = SharedDb()->CloneContextForWorker();
-  engine::DbConfig config = replica->config();
-  config.vectorized_exec = vectorized;
-  replica->SetConfig(config);
-  return replica;
-}
+// The batched oracle keeps long-lived scratch state — selection vectors,
+// grouped join tables, Bloom filters — that an aborted run leaves
+// mid-flight. These tests pin that faults, cancellation and oracle overflow
+// are contained and never poison later clean runs through that reused
+// state. (Rows match the tuple-at-a-time reference by tests/test_kernels.cc
+// and tests/test_answers.cc.)
 
 TEST(BatchedEngineFaults, ExecNodeFaultMidPlanIsContainedOnBothEngines) {
   const query::Query& q = Workload()[0];
-  std::vector<int64_t> clean_rows;
-  for (const bool vectorized : {false, true}) {
-    const auto replica = EngineReplica(vectorized);
-    const auto planned = replica->PlanQuery(q);
+  const auto replica = SharedDb()->CloneContextForWorker();
+  const auto planned = replica->PlanQuery(q);
 
-    FaultPlan plan;
-    FaultRule rule = ErrorRule("exec.node");
-    rule.every_nth = 1;
-    rule.skip_hits = 2;  // fires at the third node boundary: mid-plan, with
-                         // batched scratch already holding partial state
-    plan.Add(rule);
-    FaultInjector injector(plan);
+  FaultPlan plan;
+  FaultRule rule = ErrorRule("exec.node");
+  rule.every_nth = 1;
+  rule.skip_hits = 2;  // fires at the third node boundary: mid-plan, with
+                       // batched scratch already holding partial state
+  plan.Add(rule);
+  FaultInjector injector(plan);
 
-    replica->BeginQueryReplay(SharedDb()->seed(), q);
-    engine::QueryRun faulted;
-    {
-      ScopedFaultInjection inject(&injector);
-      faulted = replica->ExecutePlan(q, planned.plan, planned.planning_ns);
-    }
-    EXPECT_FALSE(faulted.status.ok()) << (vectorized ? "vec" : "scalar");
-    EXPECT_EQ(faulted.result_rows, 0);
-    EXPECT_GT(injector.fires("exec.node"), 0);
-
-    // Clean replay on the same replica must be untouched by the abandoned
-    // intermediate state.
-    replica->BeginQueryReplay(SharedDb()->seed(), q);
-    const engine::QueryRun after =
-        replica->ExecutePlan(q, planned.plan, planned.planning_ns);
-    EXPECT_TRUE(after.status.ok());
-    clean_rows.push_back(after.result_rows);
+  replica->BeginQueryReplay(SharedDb()->seed(), q);
+  engine::QueryRun faulted;
+  {
+    ScopedFaultInjection inject(&injector);
+    faulted = replica->ExecutePlan(q, planned.plan, planned.planning_ns);
   }
-  ASSERT_EQ(clean_rows.size(), 2u);
-  EXPECT_EQ(clean_rows[0], clean_rows[1]) << "scalar vs vectorized rows";
+  EXPECT_FALSE(faulted.status.ok());
+  EXPECT_EQ(faulted.result_rows, 0);
+  EXPECT_GT(injector.fires("exec.node"), 0);
+
+  // Clean replay on the same replica must be untouched by the abandoned
+  // intermediate state: it reports the rows of a run on an untouched one.
+  replica->BeginQueryReplay(SharedDb()->seed(), q);
+  const engine::QueryRun after =
+      replica->ExecutePlan(q, planned.plan, planned.planning_ns);
+  EXPECT_TRUE(after.status.ok());
+  const auto untouched = SharedDb()->CloneContextForWorker();
+  untouched->BeginQueryReplay(SharedDb()->seed(), q);
+  const engine::QueryRun clean =
+      untouched->ExecutePlan(q, planned.plan, planned.planning_ns);
+  ASSERT_TRUE(clean.status.ok());
+  EXPECT_EQ(after.result_rows, clean.result_rows);
 }
 
 TEST(BatchedEngineFaults, DeadlineCancellationBehavesIdenticallyPerEngine) {
   const query::Query& q = Workload()[3];
-  for (const bool vectorized : {false, true}) {
-    obs::MetricsRegistry metrics;
-    obs::MetricsScope scope(&metrics);
-    const auto replica = EngineReplica(vectorized);
-    const auto planned = replica->PlanQuery(q);
+  obs::MetricsRegistry metrics;
+  obs::MetricsScope scope(&metrics);
+  const auto replica = SharedDb()->CloneContextForWorker();
+  const auto planned = replica->PlanQuery(q);
 
-    exec::QueryDeadline deadline;
-    deadline.Cancel(StatusCode::kCancelled);
-    replica->BeginQueryReplay(SharedDb()->seed(), q);
-    const engine::QueryRun run = replica->ExecutePlan(
-        q, planned.plan, planned.planning_ns, /*timeout_ns=*/0, &deadline);
-    EXPECT_EQ(run.status.code(), StatusCode::kCancelled);
-    EXPECT_EQ(run.result_rows, 0);
-    EXPECT_EQ(metrics.Get(obs::Counter::kExecCancelled), 1);
+  exec::QueryDeadline deadline;
+  deadline.Cancel(StatusCode::kCancelled);
+  replica->BeginQueryReplay(SharedDb()->seed(), q);
+  const engine::QueryRun run = replica->ExecutePlan(
+      q, planned.plan, planned.planning_ns, /*timeout_ns=*/0, &deadline);
+  EXPECT_EQ(run.status.code(), StatusCode::kCancelled);
+  EXPECT_EQ(run.result_rows, 0);
+  EXPECT_EQ(metrics.Get(obs::Counter::kExecCancelled), 1);
 
-    replica->BeginQueryReplay(SharedDb()->seed(), q);
-    const engine::QueryRun after =
-        replica->ExecutePlan(q, planned.plan, planned.planning_ns);
-    EXPECT_TRUE(after.status.ok()) << (vectorized ? "vec" : "scalar");
-  }
+  replica->BeginQueryReplay(SharedDb()->seed(), q);
+  const engine::QueryRun after =
+      replica->ExecutePlan(q, planned.plan, planned.planning_ns);
+  EXPECT_TRUE(after.status.ok());
 }
 
 TEST(BatchedEngineFaults, OracleOverflowTimesOutIdenticallyOnBothEngines) {
   // Cyclic self-join on the ~12-value role_id column: the triangle's true
   // cardinality exceeds every materialization cap and the cycle defeats the
-  // oracle's tree-count fallback, so the subset is an honest overflow. Both
-  // engines must classify the plan as timed out rather than disagree on a
-  // partial count.
+  // oracle's tree-count fallback, so the subset is an honest overflow. The
+  // plan must be classified as timed out rather than report a partial
+  // count.
   const catalog::Schema& schema = SharedDb()->schema();
   const catalog::TableId cast_info = schema.FindTable("cast_info");
   ASSERT_NE(cast_info, catalog::kInvalidTable);
@@ -422,16 +413,14 @@ TEST(BatchedEngineFaults, OracleOverflowTimesOutIdenticallyOnBothEngines) {
              {1, role_id, 2, role_id},
              {2, role_id, 0, role_id}};
 
-  for (const bool vectorized : {false, true}) {
-    const auto replica = EngineReplica(vectorized);
-    const auto planned = replica->PlanQuery(q);
-    replica->BeginQueryReplay(SharedDb()->seed(), q);
-    const engine::QueryRun run =
-        replica->ExecutePlan(q, planned.plan, planned.planning_ns);
-    EXPECT_TRUE(run.timed_out) << (vectorized ? "vec" : "scalar");
-    EXPECT_EQ(run.status.code(), StatusCode::kDeadlineExceeded);
-    EXPECT_EQ(run.result_rows, 0);
-  }
+  const auto replica = SharedDb()->CloneContextForWorker();
+  const auto planned = replica->PlanQuery(q);
+  replica->BeginQueryReplay(SharedDb()->seed(), q);
+  const engine::QueryRun run =
+      replica->ExecutePlan(q, planned.plan, planned.planning_ns);
+  EXPECT_TRUE(run.timed_out);
+  EXPECT_EQ(run.status.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(run.result_rows, 0);
 }
 
 TEST(AllocationPressure, TrySetConfigDegradesToTypedStatus) {

@@ -239,39 +239,6 @@ TEST(GoldenPlans, SqlTemplateCacheHitsAreByteIdenticalToFixture) {
       << bad.status.message();
 }
 
-/// The execution-engine knob DbConfig::vectorized_exec is deliberately
-/// invisible to the planner — its cost model stays pinned to the scalar
-/// constants — and excluded from the plan cache key. So servers over
-/// either engine must serve byte-identical plans, cold and from cache,
-/// with identical result rows.
-TEST(GoldenPlans, PlansAreByteIdenticalAcrossExecutionEngines) {
-  engine::Database::Options options;
-  options.profile = datagen::ScaleProfile::Small();
-  options.seed = 42;
-  options.config.vectorized_exec = false;
-  const auto scalar_db = engine::Database::CreateImdb(options);
-  options.config.vectorized_exec = true;
-  const auto vectorized_db = engine::Database::CreateImdb(options);
-  const auto workload = query::LoadWorkload("job", vectorized_db->schema());
-
-  serve::ServerOptions server_options;
-  server_options.workers = 2;
-  serve::QueryServer scalar_server(scalar_db.get(), server_options);
-  serve::QueryServer vectorized_server(vectorized_db.get(), server_options);
-
-  for (size_t i = 0; i < workload.size(); i += 5) {
-    const query::Query& q = workload[i];
-    const serve::ServedQuery scalar_cold = scalar_server.Submit(q).get();
-    const serve::ServedQuery cold = vectorized_server.Submit(q).get();
-    const serve::ServedQuery warm = vectorized_server.Submit(q).get();
-    EXPECT_EQ(cold.plan, scalar_cold.plan) << q.id;
-    EXPECT_EQ(cold.result_rows, scalar_cold.result_rows) << q.id;
-    EXPECT_FALSE(cold.cache_hit);
-    EXPECT_TRUE(warm.cache_hit) << q.id;
-    EXPECT_EQ(warm.plan, cold.plan) << q.id;
-  }
-}
-
 }  // namespace
 }  // namespace lqolab
 

@@ -1,10 +1,11 @@
 // Differential test suite for the batched execution engine (ctest label
-// `exec`): the vectorized oracle hot path must return byte-identical
-// results to the tuple-at-a-time scalar reference — same FilteredRows /
-// SinglePredicateRows / TrueJoinRows (including overflow flags) across all
-// JOB-lite queries and the fuzz replay corpus. Whole-table bases, which the
-// batched engine answers from the shared index instead of a hash build, get
-// their own edge-case queries and counter checks. Plus
+// `exec`): a database's exec::Oracle must return byte-identical results to
+// fuzz::ScalarOracle, the tuple-at-a-time reference, over the same context
+// — same FilteredRows / SinglePredicateRows / TrueJoinRows (including
+// overflow flags) across all JOB-lite queries and the fuzz replay corpus.
+// Whole-table bases, which the batched oracle answers from the shared index
+// instead of a hash build, get their own edge-case queries and counter
+// checks. Plus
 // reference checks of both build-side layouts (direct and open addressing)
 // of the join table and the semi-join set, property tests for the Bloom
 // filter and the lazy predicate-transfer schedule, and a steady-state
@@ -24,9 +25,11 @@
 
 #include "engine/database.h"
 #include "exec/bloom.h"
+#include "exec/cost_constants.h"
 #include "exec/kernels.h"
 #include "exec/oracle.h"
 #include "fuzz/corpus.h"
+#include "fuzz/scalar_oracle.h"
 #include "obs/metrics.h"
 #include "query/predicate_binding.h"
 #include "query/sql_workload.h"
@@ -112,15 +115,15 @@ using storage::RowId;
 using storage::Value;
 
 // ---------------------------------------------------------------------------
-// Differential A/B: scalar reference vs vectorized. Two separate Database
-// instances over the same (profile, seed) hold the same physical data but
-// run independent oracles, so agreement is a genuine recomputation check,
-// not a memo hit.
+// Differential A/B: scalar reference vs vectorized. The database's oracle
+// and a fuzz::ScalarOracle over the same context share the data but no
+// memo, base cache or build table, so agreement is a genuine recomputation
+// check, not a memo hit.
 // ---------------------------------------------------------------------------
 
 struct EngineLab {
-  std::unique_ptr<engine::Database> scalar;
-  std::unique_ptr<engine::Database> vectorized;
+  std::unique_ptr<engine::Database> db;
+  std::unique_ptr<fuzz::ScalarOracle> reference;
   std::vector<Query> workload;
 };
 
@@ -130,18 +133,13 @@ EngineLab* MakeLab(const datagen::ScaleProfile& profile =
   engine::Database::Options options;
   options.profile = profile;
   options.seed = 42;
-
-  options.config.vectorized_exec = false;
-  l->scalar = engine::Database::CreateImdb(options);
-
-  options.config.vectorized_exec = true;
-  l->vectorized = engine::Database::CreateImdb(options);
-
-  l->workload = query::LoadWorkload("job", l->scalar->schema());
+  l->db = engine::Database::CreateImdb(options);
+  l->reference = std::make_unique<fuzz::ScalarOracle>(&l->db->context());
+  l->workload = query::LoadWorkload("job", l->db->schema());
   return l;
 }
 
-/// The scalar and batched engines over identically seeded IMDB builds.
+/// The batched oracle and the scalar reference over one IMDB build.
 EngineLab& Lab() {
   static EngineLab* lab = MakeLab();
   return *lab;
@@ -163,12 +161,12 @@ std::vector<AliasMask> DifferentialMasks(const Query& q) {
   return masks;
 }
 
-/// Runs the full byte-identity sweep for one query across the two engines:
+/// Runs the full byte-identity sweep for one query across the two oracles:
 /// filtered rows per alias, single-predicate rows per predicate, and join
 /// cardinalities (rows AND overflow flag) per differential mask.
 void CheckQueryAgreement(const Query& q, EngineLab& lab = Lab()) {
-  Oracle& reference = lab.scalar->oracle();
-  Oracle& batched = lab.vectorized->oracle();
+  Oracle& reference = *lab.reference;
+  Oracle& batched = lab.db->oracle();
   for (AliasId a = 0; a < q.relation_count(); ++a) {
     const std::vector<RowId>& want = reference.FilteredRows(q, a);
     const std::vector<RowId>& got = batched.FilteredRows(q, a);
@@ -212,23 +210,23 @@ TEST(CorpusDifferential, ReplayCorpusMatchesScalar) {
   for (const std::string& path : paths) {
     Query q;
     const util::Status loaded =
-        fuzz::LoadReproducer(path, lab.scalar->schema(), &q);
+        fuzz::LoadReproducer(path, lab.db->schema(), &q);
     ASSERT_TRUE(loaded.ok()) << loaded.ToString();
     CheckQueryAgreement(q);
   }
 }
 
-/// The overflow path must trip identically in both engines. Tree-shaped
+/// The overflow path must trip identically in both oracles. Tree-shaped
 /// queries never overflow (TreeCount computes them exactly without
 /// materializing), so this builds a 4-cycle cast_info self-join on the
 /// low-cardinality role_id column: every 3-alias sub-path explodes past
 /// kMaxIntermediateRows (so no submask materialization exists to stream an
-/// extension count from) and the cycle defeats TreeCount — each engine must
+/// extension count from) and the cycle defeats TreeCount — each oracle must
 /// give up at exactly the same point and report overflow, while the
 /// adjacent 2-alias subsets still materialize exactly.
 TEST(OverflowDifferential, SelfJoinOverflowFlagsAgree) {
   EngineLab& lab = Lab();
-  const catalog::Schema& schema = lab.scalar->schema();
+  const catalog::Schema& schema = lab.db->schema();
   const catalog::TableId cast_info = schema.FindTable("cast_info");
   ASSERT_NE(cast_info, catalog::kInvalidTable);
   const catalog::ColumnId role_id =
@@ -247,22 +245,57 @@ TEST(OverflowDifferential, SelfJoinOverflowFlagsAgree) {
              {3, role_id, 0, role_id}};
 
   const Oracle::CardResult reference =
-      lab.scalar->oracle().TrueJoinRows(q, q.FullMask());
-  const Oracle::CardResult got =
-      lab.vectorized->oracle().TrueJoinRows(q, q.FullMask());
+      lab.reference->TrueJoinRows(q, q.FullMask());
+  const Oracle::CardResult got = lab.db->oracle().TrueJoinRows(q, q.FullMask());
   EXPECT_EQ(got.rows, reference.rows);
   EXPECT_EQ(got.overflow, reference.overflow);
   // Pin the shape so the test genuinely covers the overflow branch: the
   // triple explodes past the intermediate caps, the pair stays exact.
   EXPECT_TRUE(reference.overflow);
   const Oracle::CardResult pair =
-      lab.scalar->oracle().TrueJoinRows(q, query::MaskOf(0) | query::MaskOf(1));
+      lab.reference->TrueJoinRows(q, query::MaskOf(0) | query::MaskOf(1));
   EXPECT_FALSE(pair.overflow);
   EXPECT_GT(pair.rows, 0);
 }
 
+/// The streaming-count fallback must agree too. With the cast_info
+/// self-join pair materialized, a third cast_info joined on role_id is too
+/// large to materialize but is counted by extending the pair: through one
+/// edge (a chain: per-key multiplicities) and through two (a triangle: the
+/// pair walk checking the residual edge under kMaxCountedPairs).
+TEST(OverflowDifferential, StreamingCountsAgree) {
+  EngineLab& lab = Lab();
+  const catalog::Schema& schema = lab.db->schema();
+  const catalog::TableId cast_info = schema.FindTable("cast_info");
+  ASSERT_NE(cast_info, catalog::kInvalidTable);
+  const catalog::ColumnId role_id =
+      schema.table(cast_info).FindColumn("role_id");
+  ASSERT_NE(role_id, catalog::kInvalidColumn);
+
+  for (const bool triangle : {false, true}) {
+    Query q;
+    q.id = triangle ? "kernels_count_triangle" : "kernels_count_chain";
+    q.relations = {{cast_info, "c1"}, {cast_info, "c2"}, {cast_info, "c3"}};
+    q.edges = {{0, role_id, 1, role_id}, {1, role_id, 2, role_id}};
+    if (triangle) q.edges.push_back({2, role_id, 0, role_id});
+    const AliasMask pair = query::MaskOf(0) | query::MaskOf(1);
+    ASSERT_FALSE(lab.reference->TrueJoinRows(q, pair).overflow);
+    ASSERT_FALSE(lab.db->oracle().TrueJoinRows(q, pair).overflow);
+
+    const Oracle::CardResult want =
+        lab.reference->TrueJoinRows(q, q.FullMask());
+    const Oracle::CardResult got =
+        lab.db->oracle().TrueJoinRows(q, q.FullMask());
+    EXPECT_EQ(got.rows, want.rows) << q.id;
+    EXPECT_EQ(got.overflow, want.overflow) << q.id;
+    // Counted, not materialized: no materialization holds this many rows.
+    EXPECT_FALSE(want.overflow) << q.id;
+    EXPECT_GT(want.rows, cost::kMaxIntermediateRows) << q.id;
+  }
+}
+
 // ---------------------------------------------------------------------------
-// Whole-table bases: the batched engine probes the shared storage::Index
+// Whole-table bases: the batched oracle probes the shared storage::Index
 // instead of building a hash table over every row. Each query below puts
 // an unfiltered relation on the build side of some join, on an indexed
 // column, in a shape where a wrong or incomplete group would change a
@@ -299,9 +332,9 @@ std::vector<Query> WholeTableQueries(const catalog::Schema& schema) {
 
 TEST(WholeTableDifferential, IndexProbesMatchScalar) {
   EngineLab& lab = Lab();
-  const catalog::Schema& schema = lab.scalar->schema();
+  const catalog::Schema& schema = lab.db->schema();
   const catalog::TableId cast_info = schema.FindTable("cast_info");
-  const storage::Column& person_role_id = lab.scalar->context()
+  const storage::Column& person_role_id = lab.db->context()
       .table(cast_info)
       .column(schema.table(cast_info).FindColumn("person_role_id"));
   int64_t nulls = 0;
@@ -317,14 +350,14 @@ TEST(WholeTableDifferential, IndexProbesMatchScalar) {
       obs::MetricsScope scope(&metrics);
       CheckQueryAgreement(q, lab);
     }
-    // The batched engine took the index path for this query at least
-    // once, so agreement above covers it (the scalar engine never does).
+    // The batched oracle took the index path for this query at least
+    // once, so agreement above covers it (the reference never does).
     EXPECT_GT(metrics.Get(obs::Counter::kOracleIndexJoins), 0) << q.id;
   }
 }
 
 /// Cold workload passes (fresh database, caches dropped before each query)
-/// count the oracle's index joins and hash builds per engine.
+/// count the oracle's index joins and hash builds.
 struct ColdPassCounts {
   int64_t index_joins = 0;
   int64_t hash_builds = 0;
@@ -344,18 +377,17 @@ ColdPassCounts ColdPass(engine::Database& db, const std::string& workload) {
           metrics.Get(obs::Counter::kOracleHashBuilds)};
 }
 
-engine::Database::Options ColdPassOptions(bool vectorized_exec) {
+engine::Database::Options ColdPassOptions() {
   engine::Database::Options options;
   options.profile = datagen::ScaleProfile::Medium().Scaled(0.01);
   options.seed = 42;
-  options.config.vectorized_exec = vectorized_exec;
   return options;
 }
 
 /// Without this, a silent fall-back to the build path would still pass
 /// every identity test above.
 TEST(IndexJoinCounters, BatchedEngineProbesSharedIndexes) {
-  const engine::Database::Options options = ColdPassOptions(true);
+  const engine::Database::Options options = ColdPassOptions();
   auto imdb = engine::Database::CreateImdb(options);
   const ColdPassCounts job = ColdPass(*imdb, "job");
   EXPECT_GT(job.index_joins, 0);
@@ -366,11 +398,24 @@ TEST(IndexJoinCounters, BatchedEngineProbesSharedIndexes) {
   EXPECT_GT(ColdPass(*tpch, "tpch").index_joins, 0);
 }
 
-TEST(IndexJoinCounters, ScalarEngineRecordsNoIndexJoins) {
-  auto imdb = engine::Database::CreateImdb(ColdPassOptions(false));
-  const ColdPassCounts job = ColdPass(*imdb, "job");
-  EXPECT_EQ(job.index_joins, 0);
-  EXPECT_GT(job.hash_builds, 0);
+/// The reference hashes every base, whole tables included: a sweep of
+/// every differential mask of JOB-lite records hash builds and no index
+/// join.
+TEST(IndexJoinCounters, ScalarReferenceRecordsNoIndexJoins) {
+  auto imdb = engine::Database::CreateImdb(ColdPassOptions());
+  fuzz::ScalarOracle reference(&imdb->context());
+  obs::MetricsRegistry metrics;
+  {
+    obs::MetricsScope scope(&metrics);
+    for (const Query& q : query::LoadWorkload("job", imdb->schema())) {
+      for (const AliasMask mask : DifferentialMasks(q)) {
+        reference.TrueJoinRows(q, mask);
+      }
+      reference.ReleaseMaterializations();
+    }
+  }
+  EXPECT_EQ(metrics.Get(obs::Counter::kOracleIndexJoins), 0);
+  EXPECT_GT(metrics.Get(obs::Counter::kOracleHashBuilds), 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -907,12 +952,12 @@ SELECT COUNT(*) FROM movie_info AS mi, cast_info AS c1, cast_info AS c2
 WHERE c1.role_id = c2.role_id AND c1.movie_id = mi.movie_id
 AND mi.movie_id < 20;
 )sql",
-      "join_loop_transfer", lab.scalar->schema(), &queries);
+      "join_loop_transfer", lab.db->schema(), &queries);
   ASSERT_TRUE(status.ok()) << status.ToString();
   const Query& q = queries[0];
   const AliasMask self_join = query::MaskOf(1) | query::MaskOf(2);
-  Oracle& reference = lab.scalar->oracle();
-  Oracle& batched = lab.vectorized->oracle();
+  Oracle& reference = *lab.reference;
+  Oracle& batched = lab.db->oracle();
 
   // Materialize the self-join first, so the full query extends it through
   // the join loop alone (no semi-join reduction).

@@ -4,12 +4,14 @@
 #include <algorithm>
 #include <bit>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "engine/database.h"
 #include "exec/oracle.h"
+#include "fuzz/scalar_oracle.h"
 #include "obs/metrics.h"
 #include "query/predicate_binding.h"
 #include "query/sql_workload.h"
@@ -494,23 +496,30 @@ TEST_F(OracleTest, BudgetEvictsBuildTablesFirstAndKeepsCards) {
   }
 }
 
+/// The batched oracle, or the tuple-at-a-time reference (fuzz::ScalarOracle).
+std::unique_ptr<Oracle> MakeOracle(bool batched, const DbContext* ctx) {
+  if (batched) return std::make_unique<Oracle>(ctx);
+  return std::make_unique<fuzz::ScalarOracle>(ctx);
+}
+
 /// Every connected subset of every query through one shared oracle (warm
 /// base cache and build tables from the queries before) equals a fresh
-/// oracle per query, rows and overflow, on both engines.
+/// oracle per query, rows and overflow, for both oracles.
 void ExpectSharedOracleMatchesFreshPerQuery(engine::Database* db,
-                                            const std::string& workload_name) {
+                                            const std::string& workload_name,
+                                            bool batched) {
   const std::vector<Query> workload =
       query::LoadWorkload(workload_name, db->schema());
-  Oracle shared(&db->context());
+  const std::unique_ptr<Oracle> shared = MakeOracle(batched, &db->context());
   obs::MetricsRegistry metrics;
   obs::MetricsScope scope(&metrics);
   int64_t checked = 0;
   for (const Query& q : workload) {
-    Oracle fresh(&db->context());
+    const std::unique_ptr<Oracle> fresh = MakeOracle(batched, &db->context());
     for (AliasMask mask = 1; mask <= q.FullMask(); ++mask) {
       if (!q.IsConnected(mask)) continue;
-      const Oracle::CardResult want = fresh.TrueJoinRows(q, mask);
-      const Oracle::CardResult got = shared.TrueJoinRows(q, mask);
+      const Oracle::CardResult want = fresh->TrueJoinRows(q, mask);
+      const Oracle::CardResult got = shared->TrueJoinRows(q, mask);
       ASSERT_EQ(got.rows, want.rows) << q.id << " mask " << mask;
       ASSERT_EQ(got.overflow, want.overflow) << q.id << " mask " << mask;
       ++checked;
@@ -518,29 +527,28 @@ void ExpectSharedOracleMatchesFreshPerQuery(engine::Database* db,
   }
   EXPECT_GT(checked, 0);
   EXPECT_GT(metrics.Get(obs::Counter::kOracleBaseReuses), 0);
-  if (db->config().vectorized_exec) {
+  if (batched) {
     EXPECT_GT(metrics.Get(obs::Counter::kOracleBuildReuses), 0);
   }
 }
 
+/// Parameter: true for the batched oracle, false for the reference.
 class SharedOracleSweep : public ::testing::TestWithParam<bool> {};
 
 TEST_P(SharedOracleSweep, JobLiteMatchesFreshOraclePerQuery) {
   engine::Database::Options options;
   options.profile = datagen::ScaleProfile::Medium().Scaled(0.01);
   options.seed = 42;
-  options.config.vectorized_exec = GetParam();
   const auto db = engine::Database::CreateImdb(options);
-  ExpectSharedOracleMatchesFreshPerQuery(db.get(), "job");
+  ExpectSharedOracleMatchesFreshPerQuery(db.get(), "job", GetParam());
 }
 
 TEST_P(SharedOracleSweep, TpchLiteMatchesFreshOraclePerQuery) {
   engine::Database::Options options;
   options.seed = 42;
-  options.config.vectorized_exec = GetParam();
   const auto db = engine::Database::CreateTpch(
       options, datagen::TpchScaleProfile::Small().Scaled(0.5));
-  ExpectSharedOracleMatchesFreshPerQuery(db.get(), "tpch");
+  ExpectSharedOracleMatchesFreshPerQuery(db.get(), "tpch", GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(Engines, SharedOracleSweep, ::testing::Bool(),
