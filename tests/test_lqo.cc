@@ -2,6 +2,7 @@
 // invariance property of §4.1), value networks, plan search, and the four
 // method reimplementations.
 
+#include <bit>
 #include <memory>
 #include <set>
 
@@ -380,35 +381,51 @@ TEST_F(LqoTest, TrainingDeterministicForSeed) {
             bao2.Plan(q, db2.get()).plan.ToString(q));
 }
 
-// Pins the in-place training trajectory (no worker replicas: executions
-// share the database's cache, warm-up and noise state) of every LQO, bit
-// for bit: the TrainReport totals, then Plan()'s plan, inference and
-// planning time on held-out queries. Each test builds its own database so
-// the digest does not depend on which tests ran before it. A mismatch
-// means training behaves differently, e.g. executes its plans in another
-// order.
-uint64_t TrainingDigest(const std::string& lqo_name) {
-  const std::unique_ptr<LearnedOptimizer> lqo = testutil::SmallLqo(lqo_name);
+// An LQO from testutil::SmallLqo trained in place (no worker replicas:
+// executions share the database's cache, warm-up and noise state) on its
+// own seed-42 small IMDB database, so what the digests below see does not
+// depend on which tests ran before them.
+struct SmallTraining {
+  std::unique_ptr<LearnedOptimizer> lqo;
+  std::unique_ptr<Database> db;
+  TrainReport report;
+  /// Small JOB-lite queries of templates outside the train set.
+  std::vector<Query> held_out;
+};
+
+SmallTraining TrainSmallInPlace(const std::string& lqo_name) {
+  SmallTraining run;
+  run.lqo = testutil::SmallLqo(lqo_name);
   Database::Options options;
   options.profile = datagen::ScaleProfile::Small();
   options.seed = 42;
-  const auto db = Database::CreateImdb(options);
+  run.db = Database::CreateImdb(options);
   const std::vector<Query> workload =
-      query::LoadWorkload("job", db->schema());
+      query::LoadWorkload("job", run.db->schema());
   // Train on the first variant of the first 8 small templates; hold out
   // the next 4 small queries outside the train set.
-  std::vector<Query> train, held_out;
+  std::vector<Query> train;
   std::set<int32_t> templates;
   for (const Query& q : workload) {
     if (q.relation_count() > 8) continue;
     if (train.size() < 8 && templates.insert(q.template_id).second) {
       train.push_back(q);
-    } else if (train.size() == 8 && held_out.size() < 4 &&
+    } else if (train.size() == 8 && run.held_out.size() < 4 &&
                templates.count(q.template_id) == 0) {
-      held_out.push_back(q);
+      run.held_out.push_back(q);
     }
   }
-  const TrainReport report = lqo->Train(train, db.get());
+  run.report = run.lqo->Train(train, run.db.get());
+  return run;
+}
+
+// Pins every LQO's in-place training trajectory bit for bit: the
+// TrainReport totals, then Plan()'s plan, inference and planning time on
+// held-out queries. A mismatch means training behaves differently, e.g.
+// executes its plans in another order.
+uint64_t TrainingDigest(const std::string& lqo_name) {
+  const SmallTraining run = TrainSmallInPlace(lqo_name);
+  const TrainReport& report = run.report;
   testutil::Digest digest;
   digest.AddInt(report.plans_executed);
   digest.AddInt(report.execution_ns);
@@ -416,11 +433,31 @@ uint64_t TrainingDigest(const std::string& lqo_name) {
   digest.AddInt(report.nn_evals);
   digest.AddInt(report.planner_calls);
   digest.AddInt(report.training_time_ns);
-  for (const Query& q : held_out) {
-    const Prediction prediction = lqo->Plan(q, db.get());
+  for (const Query& q : run.held_out) {
+    const Prediction prediction = run.lqo->Plan(q, run.db.get());
     digest.Add(prediction.plan.ToString(q));
     digest.AddInt(prediction.inference_ns);
     digest.AddInt(prediction.planning_ns);
+  }
+  return digest.value();
+}
+
+// Pins the same training's episode split and every EpisodeStats field of
+// every episode, the mean loss as its raw IEEE bits. The totals above can
+// hold while losses drift (a model update summed in another float order)
+// or while work moves between episodes; this digest catches both.
+uint64_t EpisodeDigest(const std::string& lqo_name) {
+  const SmallTraining run = TrainSmallInPlace(lqo_name);
+  testutil::Digest digest;
+  digest.AddInt(static_cast<int64_t>(run.report.episodes.size()));
+  for (const EpisodeStats& e : run.report.episodes) {
+    digest.AddInt(e.episode);
+    digest.AddInt(static_cast<int64_t>(std::bit_cast<uint64_t>(e.loss)));
+    digest.AddInt(e.plans_executed);
+    digest.AddInt(e.execution_ns);
+    digest.AddInt(e.nn_updates);
+    digest.AddInt(e.nn_evals);
+    digest.AddInt(e.training_time_ns);
   }
   return digest.value();
 }
@@ -455,6 +492,38 @@ TEST(LqoTrainingDigest, Rtos) {
 
 TEST(LqoTrainingDigest, HybridQo) {
   EXPECT_EQ(TrainingDigest("hybridqo"), 0x79c748c86ce53489ull);
+}
+
+TEST(LqoEpisodeDigest, Bao) {
+  EXPECT_EQ(EpisodeDigest("bao"), 0xf05b6c8ed8833ec0ull);
+}
+
+TEST(LqoEpisodeDigest, Neo) {
+  EXPECT_EQ(EpisodeDigest("neo"), 0xb599294d8b458c2cull);
+}
+
+TEST(LqoEpisodeDigest, Balsa) {
+  EXPECT_EQ(EpisodeDigest("balsa"), 0x9c7f15e3120282dcull);
+}
+
+TEST(LqoEpisodeDigest, Leon) {
+  EXPECT_EQ(EpisodeDigest("leon"), 0xbf0de795c6d94155ull);
+}
+
+TEST(LqoEpisodeDigest, Lero) {
+  EXPECT_EQ(EpisodeDigest("lero"), 0x01c0ca26bfffe9a2ull);
+}
+
+TEST(LqoEpisodeDigest, Loger) {
+  EXPECT_EQ(EpisodeDigest("loger"), 0x2b64d76ea429061cull);
+}
+
+TEST(LqoEpisodeDigest, Rtos) {
+  EXPECT_EQ(EpisodeDigest("rtos"), 0x5c850422c0d3978full);
+}
+
+TEST(LqoEpisodeDigest, HybridQo) {
+  EXPECT_EQ(EpisodeDigest("hybridqo"), 0x6be37495e4179343ull);
 }
 
 }  // namespace
