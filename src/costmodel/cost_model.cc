@@ -59,15 +59,4 @@ void AnalyticCostModel::Calibrate(const std::vector<CostSample>& samples) {
   calibrated_.store(true);
 }
 
-std::shared_ptr<const PlanCostModel> SelectBackend(
-    const engine::DbConfig& config,
-    std::shared_ptr<const PlanCostModel> analytic,
-    std::shared_ptr<const PlanCostModel> learned) {
-  if (config.cost_model_backend == engine::CostModelBackend::kLearnedMlp) {
-    LQOLAB_CHECK(learned != nullptr);
-    return learned;
-  }
-  return analytic;
-}
-
 }  // namespace lqolab::costmodel

@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "engine/config.h"
 #include "optimizer/physical_plan.h"
 #include "optimizer/planner.h"
 #include "query/query.h"
@@ -51,8 +50,7 @@ double MedianSampleQError(const PlanCostModel& model,
 /// physical plan, predict its execution time in virtual nanoseconds. This
 /// is deliberately narrower than optimizer::CostModel (which prices
 /// operators *during* DP search): these backends rank finished candidate
-/// plans at the serving layer, and are interchangeable behind
-/// engine::DbConfig::cost_model_backend. Implementations must be safe for
+/// plans at the serving layer. Implementations must be safe for
 /// concurrent Predict* calls — serve workers share one instance.
 class PlanCostModel {
  public:
@@ -107,14 +105,6 @@ class AnalyticCostModel : public PlanCostModel {
   std::atomic<double> ns_per_unit_{1.0};
   std::atomic<bool> calibrated_{false};
 };
-
-/// Resolves engine::DbConfig::cost_model_backend to a concrete model:
-/// kAnalytic returns `analytic`, kLearnedMlp returns `learned` (which must
-/// be non-null in that case).
-std::shared_ptr<const PlanCostModel> SelectBackend(
-    const engine::DbConfig& config,
-    std::shared_ptr<const PlanCostModel> analytic,
-    std::shared_ptr<const PlanCostModel> learned);
 
 }  // namespace lqolab::costmodel
 

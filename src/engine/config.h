@@ -29,17 +29,6 @@ enum class EstimatorMode {
   kNaiveProduct,
 };
 
-/// Cost-model backend used where the serving layer ranks whole candidate
-/// plans (costmodel::CostGuidedOptimizer, bench/cost_model_bakeoff). The
-/// DP planner always prices operators with the analytic model during join
-/// search; this knob selects what scores the *finished* candidates. Part
-/// of serve::PlanCacheKey — flipping the backend must not serve plans
-/// ranked by the other model. See docs/cost_models.md.
-enum class CostModelBackend {
-  kAnalytic,
-  kLearnedMlp,
-};
-
 struct DbConfig {
   std::string name = "default";
 
@@ -89,11 +78,6 @@ struct DbConfig {
 
   /// Estimator variant (ablation bench only; kFull elsewhere).
   EstimatorMode estimator_mode = EstimatorMode::kFull;
-
-  /// Which cost model ranks candidate plans at the serving layer (see
-  /// CostModelBackend above). kAnalytic everywhere except learned-cost
-  /// serving experiments.
-  CostModelBackend cost_model_backend = CostModelBackend::kAnalytic;
 
   /// Multiplier applied to equi-join selectivities, clamped to [.., 1].
   /// Lero generates its candidate plans by sweeping this knob (its

@@ -85,10 +85,12 @@ struct DifferentialOptions {
   /// Executing every arm's plan on a fresh replica is the most expensive
   /// check; cap the relation count it applies to.
   int32_t exec_max_relations = 8;
-  /// Also cap the edge count: dense cliques force the oracle off its
-  /// linear-time acyclic path into materialization, which can take seconds
-  /// per plan. 9 keeps every tree (<= 7 edges at 8 relations) and cyclic
-  /// queries up to a 4-clique in the execution check.
+  /// Also cap the edge count. The oracle materializes every join subset
+  /// of every shape (acyclic or not; counting a tree without tuples is only
+  /// its last fallback), and dense cliques with many residual edges can
+  /// take seconds per plan to materialize. 9 keeps every tree (<= 7 edges
+  /// at 8 relations) and cyclic queries up to a 4-clique in the execution
+  /// check.
   int32_t exec_max_edges = 9;
   /// Pair-iteration budget of the independent nested-loop reference count
   /// (checked against every executed plan's result on small queries).

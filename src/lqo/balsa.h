@@ -1,15 +1,12 @@
 #ifndef LQOLAB_LQO_BALSA_H_
 #define LQOLAB_LQO_BALSA_H_
 
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
-#include "lqo/encoding.h"
-#include "lqo/plan_search.h"
 #include "lqo/interface.h"
+#include "lqo/plan_search.h"
 #include "lqo/value_net.h"
-#include "ml/nn.h"
 
 namespace lqolab::lqo {
 
@@ -44,28 +41,13 @@ class BalsaOptimizer : public LearnedOptimizer {
   EncodingSpec encoding_spec() const override;
 
  private:
-  struct Sample {
-    query::Query query;
-    optimizer::PhysicalPlan plan;
-    float target = 0.0f;
-  };
-
-  void EnsureModel(engine::Database* db);
-  /// Trains `epochs` shuffled passes over `samples`; returns the summed
-  /// regression loss of its updates.
-  double Fit(const std::vector<Sample>& samples, int32_t epochs,
-             TrainReport* report);
   SearchResult SearchPlan(const query::Query& q, engine::Database* db,
                           double epsilon);
 
   Options options_;
-  std::unique_ptr<QueryEncoder> query_encoder_;
-  std::unique_ptr<PlanEncoder> plan_encoder_;
-  std::unique_ptr<TreeValueNet> net_;
-  std::unique_ptr<ml::Adam> adam_;
+  ValueModel model_;
   /// Best observed latency per query fingerprint (drives safe timeouts).
   std::unordered_map<uint64_t, util::VirtualNanos> best_latency_;
-  uint64_t rng_state_ = 0;
 };
 
 }  // namespace lqolab::lqo

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <memory>
 
 #include "engine/exec_batch.h"
 #include "obs/metrics.h"
@@ -78,20 +77,16 @@ bool ViolatesHintSet(const optimizer::PhysicalPlan& plan,
 BaoOptimizer::BaoOptimizer() : BaoOptimizer(Options()) {}
 
 BaoOptimizer::BaoOptimizer(Options options)
-    : options_(options), hint_sets_(DefaultHintSets()) {}
+    : options_(options),
+      hint_sets_(DefaultHintSets()),
+      // No query encoding (Table 1).
+      model_({.style = PlanEncodingStyle::kCardinalityOnly,
+              .encode_query = false,
+              .hidden = options.hidden,
+              .learning_rate = options.learning_rate,
+              .seed = options.seed,
+              .stream_salt = 0x2545f491ULL}) {}
 BaoOptimizer::~BaoOptimizer() = default;
-
-void BaoOptimizer::EnsureModel(Database* db) {
-  if (net_ != nullptr) return;
-  plan_encoder_ = std::make_unique<PlanEncoder>(
-      &db->context(), &db->planner().estimator(),
-      PlanEncodingStyle::kCardinalityOnly);
-  // query_dim = 0: Bao has no query encoding (Table 1).
-  net_ = std::make_unique<TreeValueNet>(plan_encoder_->node_dim(), 0,
-                                        options_.hidden, options_.seed);
-  adam_ = std::make_unique<ml::Adam>(net_->Params(), options_.learning_rate);
-  rng_state_ = options_.seed ^ 0x2545f491ULL;
-}
 
 std::vector<BaoOptimizer::ArmCandidate> BaoOptimizer::PlanArms(
     const Query& q, Database* db, TrainReport* report) {
@@ -109,36 +104,16 @@ std::vector<BaoOptimizer::ArmCandidate> BaoOptimizer::PlanArms(
     ArmCandidate candidate;
     candidate.plan = std::move(planned.plan);
     candidate.planning_ns = planned.planning_ns;
-    candidate.score = net_->Score({}, q, candidate.plan, *plan_encoder_);
+    candidate.score = model_.Score({}, q, candidate.plan);
     candidates.push_back(std::move(candidate));
   }
   db->SetConfig(saved);
   return candidates;
 }
 
-double BaoOptimizer::Fit(TrainReport* report) {
-  std::vector<size_t> order(experience_.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  double loss_sum = 0.0;
-  for (int32_t epoch = 0; epoch < options_.train_epochs; ++epoch) {
-    for (size_t i = order.size(); i > 1; --i) {
-      rng_state_ = rng_state_ * 6364136223846793005ULL + 1442695040888963407ULL;
-      std::swap(order[i - 1], order[(rng_state_ >> 33) % i]);
-    }
-    for (size_t idx : order) {
-      const Sample& sample = experience_[idx];
-      loss_sum +=
-          net_->TrainRegression({}, sample.query, sample.plan, *plan_encoder_,
-                                sample.target, adam_.get());
-      ++report->nn_updates;
-    }
-  }
-  return loss_sum;
-}
-
 TrainReport BaoOptimizer::Train(const std::vector<Query>& train_set,
                                 Database* db) {
-  EnsureModel(db);
+  model_.Bind(db);
   TrainReport report;
   engine::BatchExecutor executor(db, options_.seed, training_parallelism());
   for (int32_t epoch = 0; epoch < options_.epochs; ++epoch) {
@@ -146,7 +121,7 @@ TrainReport BaoOptimizer::Train(const std::vector<Query>& train_set,
     const double epsilon =
         options_.initial_epsilon / static_cast<double>(epoch + 1);
     // Per-arm planning, model scoring and the epsilon-greedy arm choice
-    // advance serially in query order (parent config, rng_state_ draws);
+    // advance serially in query order (parent config, training stream);
     // then the episode's chosen plans execute as one batch.
     std::vector<optimizer::PhysicalPlan> chosen_plans;
     chosen_plans.reserve(train_set.size());
@@ -154,10 +129,9 @@ TrainReport BaoOptimizer::Train(const std::vector<Query>& train_set,
       std::vector<ArmCandidate> candidates = PlanArms(q, db, &report);
       report.nn_evals += static_cast<int64_t>(candidates.size());
       size_t chosen = 0;
-      rng_state_ = rng_state_ * 6364136223846793005ULL + 1442695040888963407ULL;
-      const double u = static_cast<double>(rng_state_ >> 11) * 0x1.0p-53;
-      if (u < epsilon) {
-        chosen = (rng_state_ >> 33) % candidates.size();
+      const uint64_t draw = model_.stream().Next();
+      if (TrainingStream::UnitOf(draw) < epsilon) {
+        chosen = TrainingStream::IndexOf(draw, candidates.size());
       } else {
         double best = std::numeric_limits<double>::infinity();
         for (size_t i = 0; i < candidates.size(); ++i) {
@@ -172,18 +146,18 @@ TrainReport BaoOptimizer::Train(const std::vector<Query>& train_set,
     const std::vector<engine::QueryRun> runs =
         executor.Execute(train_set, chosen_plans);
     report.AddRuns(runs);
-    for (size_t i = 0; i < runs.size(); ++i) {
-      experience_.push_back({train_set[i], std::move(chosen_plans[i]),
-                             LatencyToTarget(runs[i].execution_ns)});
-    }
-    report.RecordEpisode(before, epoch, Fit(&report));
+    ValueModel::AppendRuns(train_set, std::move(chosen_plans), runs,
+                           &experience_);
+    report.RecordEpisode(
+        before, epoch,
+        model_.Fit(experience_, options_.train_epochs, &report));
   }
   report.training_time_ns = report.TrainingTimeNs();
   return report;
 }
 
 Prediction BaoOptimizer::Plan(const Query& q, Database* db) {
-  EnsureModel(db);
+  model_.Bind(db);
   std::vector<ArmCandidate> candidates = PlanArms(q, db, nullptr);
   size_t chosen = 0;
   double best = std::numeric_limits<double>::infinity();

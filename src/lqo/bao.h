@@ -1,14 +1,11 @@
 #ifndef LQOLAB_LQO_BAO_H_
 #define LQOLAB_LQO_BAO_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "lqo/encoding.h"
 #include "lqo/interface.h"
 #include "lqo/value_net.h"
-#include "ml/nn.h"
 
 namespace lqolab::lqo {
 
@@ -56,32 +53,20 @@ class BaoOptimizer : public LearnedOptimizer {
   EncodingSpec encoding_spec() const override;
 
  private:
-  struct Sample {
-    query::Query query;
-    optimizer::PhysicalPlan plan;
-    float target = 0.0f;
-  };
   struct ArmCandidate {
     optimizer::PhysicalPlan plan;
     util::VirtualNanos planning_ns = 0;
     double score = 0.0;
   };
 
-  void EnsureModel(engine::Database* db);
-  /// Replays the experience buffer through the value net; returns the
-  /// summed regression loss of its updates.
-  double Fit(TrainReport* report);
   std::vector<ArmCandidate> PlanArms(const query::Query& q,
                                      engine::Database* db,
                                      TrainReport* report);
 
   Options options_;
   std::vector<HintSet> hint_sets_;
-  std::unique_ptr<PlanEncoder> plan_encoder_;
-  std::unique_ptr<TreeValueNet> net_;
-  std::unique_ptr<ml::Adam> adam_;
-  std::vector<Sample> experience_;
-  uint64_t rng_state_ = 0;
+  ValueModel model_;
+  std::vector<ValueModel::Sample> experience_;
 };
 
 }  // namespace lqolab::lqo

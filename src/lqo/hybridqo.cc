@@ -18,23 +18,13 @@ using query::AliasMask;
 using query::Query;
 
 HybridQoOptimizer::HybridQoOptimizer() : HybridQoOptimizer(Options()) {}
-HybridQoOptimizer::HybridQoOptimizer(Options options) : options_(options) {}
+HybridQoOptimizer::HybridQoOptimizer(Options options)
+    : options_(options),
+      latency_model_({.hidden = options.hidden,
+                      .learning_rate = options.learning_rate,
+                      .seed = options.seed,
+                      .stream_salt = 0x27bb2ee6ULL}) {}
 HybridQoOptimizer::~HybridQoOptimizer() = default;
-
-void HybridQoOptimizer::EnsureModel(Database* db) {
-  if (latency_net_ != nullptr) return;
-  const auto& ctx = db->context();
-  query_encoder_ = std::make_unique<QueryEncoder>(&ctx,
-                                                  &db->planner().estimator());
-  plan_encoder_ = std::make_unique<PlanEncoder>(
-      &ctx, &db->planner().estimator(), PlanEncodingStyle::kWithTableIdentity);
-  latency_net_ = std::make_unique<TreeValueNet>(
-      plan_encoder_->node_dim(), query_encoder_->dim(), options_.hidden,
-      options_.seed);
-  adam_ = std::make_unique<ml::Adam>(latency_net_->Params(),
-                                     options_.learning_rate);
-  rng_state_ = options_.seed ^ 0x27bb2ee6ULL;
-}
 
 std::vector<PhysicalPlan> HybridQoOptimizer::CandidatesFromMcts(
     const Query& q, Database* db, int64_t* cost_calls) {
@@ -47,10 +37,7 @@ std::vector<PhysicalPlan> HybridQoOptimizer::CandidatesFromMcts(
     int32_t visits = 0;
   };
   std::map<std::vector<AliasId>, NodeStats> stats;
-  auto uniform = [&]() {
-    rng_state_ = rng_state_ * 6364136223846793005ULL + 1442695040888963407ULL;
-    return static_cast<double>(rng_state_ >> 11) * 0x1.0p-53;
-  };
+  TrainingStream& stream = latency_model_.stream();
   auto children_of = [&](const std::vector<AliasId>& prefix) {
     std::vector<AliasId> children;
     AliasMask mask = 0;
@@ -89,11 +76,11 @@ std::vector<PhysicalPlan> HybridQoOptimizer::CandidatesFromMcts(
         const NodeStats& ns = stats[next];
         const double exploit =
             ns.visits > 0 ? ns.total_reward / ns.visits : 0.0;
+        // Unvisited children first, tie-broken randomly.
         const double explore =
-            ns.visits > 0
-                ? options_.ucb_constant *
-                      std::sqrt(std::log(parent_visits) / ns.visits)
-                : 10.0 + uniform();  // unvisited first, tie-broken randomly
+            ns.visits > 0 ? options_.ucb_constant *
+                                std::sqrt(std::log(parent_visits) / ns.visits)
+                          : 10.0 + stream.Uniform();
         if (exploit + explore > best_ucb) {
           best_ucb = exploit + explore;
           chosen = child;
@@ -140,7 +127,7 @@ std::vector<PhysicalPlan> HybridQoOptimizer::CandidatesFromMcts(
 
 TrainReport HybridQoOptimizer::Train(const std::vector<Query>& train_set,
                                      Database* db) {
-  EnsureModel(db);
+  latency_model_.Bind(db);
   TrainReport report;
   engine::BatchExecutor executor(db, options_.seed, training_parallelism());
   for (int32_t epoch = 0; epoch < options_.epochs; ++epoch) {
@@ -152,13 +139,12 @@ TrainReport HybridQoOptimizer::Train(const std::vector<Query>& train_set,
     for (const Query& q : train_set) {
       std::vector<PhysicalPlan> candidates =
           CandidatesFromMcts(q, db, &report.planner_calls);
-      const std::vector<float> qenc = query_encoder_->Encode(q);
+      const std::vector<float> qenc = latency_model_.EncodeQuery(q);
       size_t chosen = 0;
       if (epoch > 0) {
         double best = std::numeric_limits<double>::infinity();
         for (size_t i = 0; i < candidates.size(); ++i) {
-          const double score =
-              latency_net_->Score(qenc, q, candidates[i], *plan_encoder_);
+          const double score = latency_model_.Score(qenc, q, candidates[i]);
           ++report.nn_evals;
           if (score < best) {
             best = score;
@@ -171,46 +157,27 @@ TrainReport HybridQoOptimizer::Train(const std::vector<Query>& train_set,
     const std::vector<engine::QueryRun> runs =
         executor.Execute(train_set, chosen_plans);
     report.AddRuns(runs);
-    for (size_t i = 0; i < runs.size(); ++i) {
-      replay_.push_back({train_set[i], std::move(chosen_plans[i]),
-                         LatencyToTarget(runs[i].execution_ns)});
-    }
-    // Fit the latency model.
-    std::vector<size_t> idx(replay_.size());
-    for (size_t i = 0; i < idx.size(); ++i) idx[i] = i;
-    double loss_sum = 0.0;
-    for (int32_t te = 0; te < options_.train_epochs; ++te) {
-      for (size_t i = idx.size(); i > 1; --i) {
-        rng_state_ =
-            rng_state_ * 6364136223846793005ULL + 1442695040888963407ULL;
-        std::swap(idx[i - 1], idx[(rng_state_ >> 33) % i]);
-      }
-      for (size_t i : idx) {
-        const Sample& sample = replay_[i];
-        loss_sum += latency_net_->TrainRegression(
-            query_encoder_->Encode(sample.query), sample.query, sample.plan,
-            *plan_encoder_, sample.target, adam_.get());
-        ++report.nn_updates;
-      }
-    }
-    report.RecordEpisode(before, epoch, loss_sum);
+    ValueModel::AppendRuns(train_set, std::move(chosen_plans), runs,
+                           &replay_);
+    report.RecordEpisode(
+        before, epoch,
+        latency_model_.Fit(replay_, options_.train_epochs, &report));
   }
   report.training_time_ns = report.TrainingTimeNs();
   return report;
 }
 
 Prediction HybridQoOptimizer::Plan(const Query& q, Database* db) {
-  EnsureModel(db);
+  latency_model_.Bind(db);
   Prediction prediction;
   int64_t cost_calls = 0;
   std::vector<PhysicalPlan> candidates =
       CandidatesFromMcts(q, db, &cost_calls);
-  const std::vector<float> qenc = query_encoder_->Encode(q);
+  const std::vector<float> qenc = latency_model_.EncodeQuery(q);
   size_t chosen = 0;
   double best = std::numeric_limits<double>::infinity();
   for (size_t i = 0; i < candidates.size(); ++i) {
-    const double score =
-        latency_net_->Score(qenc, q, candidates[i], *plan_encoder_);
+    const double score = latency_model_.Score(qenc, q, candidates[i]);
     ++prediction.nn_evals;
     if (score < best) {
       best = score;

@@ -1,13 +1,10 @@
 #ifndef LQOLAB_LQO_HYBRIDQO_H_
 #define LQOLAB_LQO_HYBRIDQO_H_
 
-#include <memory>
 #include <vector>
 
-#include "lqo/encoding.h"
 #include "lqo/interface.h"
 #include "lqo/value_net.h"
-#include "ml/nn.h"
 
 namespace lqolab::lqo {
 
@@ -43,26 +40,15 @@ class HybridQoOptimizer : public LearnedOptimizer {
   EncodingSpec encoding_spec() const override;
 
  private:
-  struct Sample {
-    query::Query query;
-    optimizer::PhysicalPlan plan;
-    float target = 0.0f;
-  };
-
-  void EnsureModel(engine::Database* db);
   /// MCTS-with-UCB over join-order prefixes against the cost model;
   /// returns the engine-completed candidate plans of the best prefixes.
   std::vector<optimizer::PhysicalPlan> CandidatesFromMcts(
       const query::Query& q, engine::Database* db, int64_t* cost_calls);
 
   Options options_;
-  std::unique_ptr<QueryEncoder> query_encoder_;
-  std::unique_ptr<PlanEncoder> plan_encoder_;
   /// The latency model (the cost side is the engine's own cost model).
-  std::unique_ptr<TreeValueNet> latency_net_;
-  std::unique_ptr<ml::Adam> adam_;
-  std::vector<Sample> replay_;
-  uint64_t rng_state_ = 0;
+  ValueModel latency_model_;
+  std::vector<ValueModel::Sample> replay_;
 };
 
 }  // namespace lqolab::lqo

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <map>
-#include <memory>
 
 #include "engine/exec_batch.h"
 #include "lqo/plan_search.h"
@@ -22,34 +21,30 @@ using util::VirtualNanos;
 
 LeonOptimizer::LeonOptimizer() : LeonOptimizer(Options()) {}
 
-LeonOptimizer::LeonOptimizer(Options options) : options_(options) {}
-LeonOptimizer::~LeonOptimizer() = default;
+namespace {
 
-void LeonOptimizer::EnsureModel(Database* db) {
-  if (net_a_ != nullptr) return;
-  const auto& ctx = db->context();
-  query_encoder_ = std::make_unique<QueryEncoder>(&ctx,
-                                                  &db->planner().estimator());
-  plan_encoder_ = std::make_unique<PlanEncoder>(
-      &ctx, &db->planner().estimator(), PlanEncodingStyle::kWithTableIdentity);
-  net_a_ = std::make_unique<TreeValueNet>(plan_encoder_->node_dim(),
-                                          query_encoder_->dim(),
-                                          options_.hidden, options_.seed);
-  net_b_ = std::make_unique<TreeValueNet>(
-      plan_encoder_->node_dim(), query_encoder_->dim(), options_.hidden,
-      options_.seed ^ 0xdeadbeefULL);
-  adam_a_ = std::make_unique<ml::Adam>(net_a_->Params(),
-                                       options_.learning_rate);
-  adam_b_ = std::make_unique<ml::Adam>(net_b_->Params(),
-                                       options_.learning_rate);
-  rng_state_ = options_.seed ^ 0x94d049bbULL;
+// LEON draws no random numbers, so its models' streams go unused.
+ValueModel::Spec LeonSpec(const LeonOptimizer::Options& options,
+                          uint64_t seed) {
+  return {.output = ValueModel::Output::kPairwise,
+          .hidden = options.hidden,
+          .learning_rate = options.learning_rate,
+          .seed = seed};
 }
+
+}  // namespace
+
+LeonOptimizer::LeonOptimizer(Options options)
+    : options_(options),
+      model_a_(LeonSpec(options, options.seed)),
+      model_b_(LeonSpec(options, options.seed ^ 0xdeadbeefULL)) {}
+LeonOptimizer::~LeonOptimizer() = default;
 
 std::vector<LeonOptimizer::Candidate> LeonOptimizer::Enumerate(
     const Query& q, Database* db, int64_t* cost_calls, int64_t* nn_evals) {
   const optimizer::Planner& planner = db->planner();
   const optimizer::CostModel& cm = planner.cost_model();
-  const std::vector<float> qenc = query_encoder_->Encode(q);
+  const std::vector<float> qenc = model_a_.EncodeQuery(q);
 
   // Per-subset top-k candidate lists, beamed per level.
   std::map<AliasMask, std::vector<Candidate>> level;
@@ -63,8 +58,8 @@ std::vector<LeonOptimizer::Candidate> LeonOptimizer::Enumerate(
   }
 
   auto net_adjust = [&](Candidate* c) {
-    const double sa = net_a_->Score(qenc, q, c->plan, *plan_encoder_);
-    const double sb = net_b_->Score(qenc, q, c->plan, *plan_encoder_);
+    const double sa = model_a_.Score(qenc, q, c->plan);
+    const double sb = model_b_.Score(qenc, q, c->plan);
     *nn_evals += 2;
     c->uncertainty = std::abs(sa - sb);
     c->score += 0.5 * (sa + sb) * 0.5;  // learned correction, damped
@@ -150,7 +145,8 @@ std::vector<LeonOptimizer::Candidate> LeonOptimizer::Enumerate(
 
 TrainReport LeonOptimizer::Train(const std::vector<Query>& train_set,
                                  Database* db) {
-  EnsureModel(db);
+  model_a_.Bind(db);
+  model_b_.Bind(db);
   TrainReport report;
 
   engine::BatchExecutor executor(db, options_.seed, training_parallelism());
@@ -194,21 +190,24 @@ TrainReport LeonOptimizer::Train(const std::vector<Query>& train_set,
     const std::vector<engine::QueryRun> runs = executor.Execute(batch);
     report.AddRuns(runs);
 
-    // Pairwise ranking updates on the executed plans of this query.
-    const std::vector<float> qenc = query_encoder_->Encode(q);
+    // Pairwise ranking updates on the executed plans of this query, both
+    // networks in step, in a fixed order.
+    std::vector<ValueModel::Sample> pairs;
+    for (size_t i = 0; i < batch.size(); ++i) {
+      for (size_t j = 0; j < batch.size(); ++j) {
+        if (runs[i].execution_ns >= runs[j].execution_ns) continue;
+        pairs.push_back({.query = q,
+                         .plan = *batch[i].plan,
+                         .worse = *batch[j].plan});
+      }
+    }
+    const std::vector<float> qenc = model_a_.EncodeQuery(q);
     double loss_sum = 0.0;
     for (int32_t epoch = 0; epoch < options_.pair_epochs; ++epoch) {
-      for (size_t i = 0; i < batch.size(); ++i) {
-        for (size_t j = 0; j < batch.size(); ++j) {
-          if (runs[i].execution_ns >= runs[j].execution_ns) continue;
-          loss_sum += net_a_->TrainPairwise(qenc, q, *batch[i].plan,
-                                            *batch[j].plan, *plan_encoder_,
-                                            adam_a_.get());
-          loss_sum += net_b_->TrainPairwise(qenc, q, *batch[i].plan,
-                                            *batch[j].plan, *plan_encoder_,
-                                            adam_b_.get());
-          report.nn_updates += 2;
-        }
+      for (const ValueModel::Sample& pair : pairs) {
+        loss_sum += model_a_.Step(qenc, pair);
+        loss_sum += model_b_.Step(qenc, pair);
+        report.nn_updates += 2;
       }
     }
 
@@ -225,7 +224,8 @@ TrainReport LeonOptimizer::Train(const std::vector<Query>& train_set,
 }
 
 Prediction LeonOptimizer::Plan(const Query& q, Database* db) {
-  EnsureModel(db);
+  model_a_.Bind(db);
+  model_b_.Bind(db);
   Prediction prediction;
   int64_t cost_calls = 0;
   std::vector<Candidate> candidates =

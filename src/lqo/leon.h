@@ -1,13 +1,10 @@
 #ifndef LQOLAB_LQO_LEON_H_
 #define LQOLAB_LQO_LEON_H_
 
-#include <memory>
 #include <vector>
 
-#include "lqo/encoding.h"
 #include "lqo/interface.h"
 #include "lqo/value_net.h"
-#include "ml/nn.h"
 
 namespace lqolab::lqo {
 
@@ -51,8 +48,6 @@ class LeonOptimizer : public LearnedOptimizer {
     double uncertainty = 0.0;  ///< ensemble disagreement
   };
 
-  void EnsureModel(engine::Database* db);
-
   /// Beamed left-deep enumeration; returns full-plan candidates sorted by
   /// score and counts cost-estimate calls / NN evaluations.
   std::vector<Candidate> Enumerate(const query::Query& q,
@@ -60,13 +55,9 @@ class LeonOptimizer : public LearnedOptimizer {
                                    int64_t* nn_evals);
 
   Options options_;
-  std::unique_ptr<QueryEncoder> query_encoder_;
-  std::unique_ptr<PlanEncoder> plan_encoder_;
-  std::unique_ptr<TreeValueNet> net_a_;
-  std::unique_ptr<TreeValueNet> net_b_;
-  std::unique_ptr<ml::Adam> adam_a_;
-  std::unique_ptr<ml::Adam> adam_b_;
-  uint64_t rng_state_ = 0;
+  /// The two-network ensemble; their disagreement is the uncertainty.
+  ValueModel model_a_;
+  ValueModel model_b_;
 };
 
 }  // namespace lqolab::lqo

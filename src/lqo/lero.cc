@@ -15,20 +15,16 @@ using query::Query;
 using util::VirtualNanos;
 
 LeroOptimizer::LeroOptimizer() : LeroOptimizer(Options()) {}
-LeroOptimizer::LeroOptimizer(Options options) : options_(std::move(options)) {}
+LeroOptimizer::LeroOptimizer(Options options)
+    : options_(std::move(options)),
+      // No query encoding (Table 1): the comparator sees plans only.
+      model_({.encode_query = false,
+              .output = ValueModel::Output::kPairwise,
+              .hidden = options_.hidden,
+              .learning_rate = options_.learning_rate,
+              .seed = options_.seed,
+              .stream_salt = 0x6c078965ULL}) {}
 LeroOptimizer::~LeroOptimizer() = default;
-
-void LeroOptimizer::EnsureModel(Database* db) {
-  if (net_ != nullptr) return;
-  plan_encoder_ = std::make_unique<PlanEncoder>(
-      &db->context(), &db->planner().estimator(),
-      PlanEncodingStyle::kWithTableIdentity);
-  // No query encoding (Table 1): the comparator sees plans only.
-  net_ = std::make_unique<TreeValueNet>(plan_encoder_->node_dim(), 0,
-                                        options_.hidden, options_.seed);
-  adam_ = std::make_unique<ml::Adam>(net_->Params(), options_.learning_rate);
-  rng_state_ = options_.seed ^ 0x6c078965ULL;
-}
 
 std::vector<LeroOptimizer::Candidate> LeroOptimizer::GenerateCandidates(
     const Query& q, Database* db, TrainReport* report) {
@@ -54,13 +50,12 @@ std::vector<LeroOptimizer::Candidate> LeroOptimizer::GenerateCandidates(
 
 bool LeroOptimizer::Prefer(const Query& q, const PhysicalPlan& a,
                            const PhysicalPlan& b) {
-  return net_->Score({}, q, a, *plan_encoder_) <
-         net_->Score({}, q, b, *plan_encoder_);
+  return model_.Score({}, q, a) < model_.Score({}, q, b);
 }
 
 TrainReport LeroOptimizer::Train(const std::vector<Query>& train_set,
                                  Database* db) {
-  EnsureModel(db);
+  model_.Bind(db);
   TrainReport report;
   engine::BatchExecutor executor(db, options_.seed, training_parallelism());
   for (int32_t epoch = 0; epoch < options_.epochs; ++epoch) {
@@ -88,37 +83,22 @@ TrainReport LeroOptimizer::Train(const std::vector<Query>& train_set,
       }
       std::sort(measured.begin(), measured.end());
       for (size_t i = 0; i + 1 < measured.size(); ++i) {
-        pairs_.push_back({train_set[qi],
-                          candidates[qi][measured[i].second].plan,
-                          candidates[qi][measured[i + 1].second].plan});
+        pairs_.push_back(
+            {.query = train_set[qi],
+             .plan = candidates[qi][measured[i].second].plan,
+             .worse = candidates[qi][measured[i + 1].second].plan});
       }
     }
     // Comparator training over accumulated pairs.
-    std::vector<size_t> idx(pairs_.size());
-    for (size_t i = 0; i < idx.size(); ++i) idx[i] = i;
-    double loss_sum = 0.0;
-    for (int32_t pe = 0; pe < options_.pair_epochs; ++pe) {
-      for (size_t i = idx.size(); i > 1; --i) {
-        rng_state_ =
-            rng_state_ * 6364136223846793005ULL + 1442695040888963407ULL;
-        std::swap(idx[i - 1], idx[(rng_state_ >> 33) % i]);
-      }
-      for (size_t i : idx) {
-        const Pair& pair = pairs_[i];
-        loss_sum += net_->TrainPairwise({}, pair.query, pair.better,
-                                        pair.worse, *plan_encoder_,
-                                        adam_.get());
-        ++report.nn_updates;
-      }
-    }
-    report.RecordEpisode(before, epoch, loss_sum);
+    report.RecordEpisode(before, epoch,
+                         model_.Fit(pairs_, options_.pair_epochs, &report));
   }
   report.training_time_ns = report.TrainingTimeNs();
   return report;
 }
 
 Prediction LeroOptimizer::Plan(const Query& q, Database* db) {
-  EnsureModel(db);
+  model_.Bind(db);
   std::vector<Candidate> candidates = GenerateCandidates(q, db, nullptr);
   // Tournament by pairwise comparison (the plan comparator module).
   size_t best = 0;

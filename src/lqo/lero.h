@@ -1,13 +1,10 @@
 #ifndef LQOLAB_LQO_LERO_H_
 #define LQOLAB_LQO_LERO_H_
 
-#include <memory>
 #include <vector>
 
-#include "lqo/encoding.h"
 #include "lqo/interface.h"
 #include "lqo/value_net.h"
-#include "ml/nn.h"
 
 namespace lqolab::lqo {
 
@@ -45,13 +42,6 @@ class LeroOptimizer : public LearnedOptimizer {
     optimizer::PhysicalPlan plan;
     util::VirtualNanos planning_ns = 0;
   };
-  struct Pair {
-    query::Query query;
-    optimizer::PhysicalPlan better;
-    optimizer::PhysicalPlan worse;
-  };
-
-  void EnsureModel(engine::Database* db);
   /// Plans the query under every scaling factor; deduplicates plans.
   std::vector<Candidate> GenerateCandidates(const query::Query& q,
                                             engine::Database* db,
@@ -61,11 +51,9 @@ class LeroOptimizer : public LearnedOptimizer {
               const optimizer::PhysicalPlan& b);
 
   Options options_;
-  std::unique_ptr<PlanEncoder> plan_encoder_;
-  std::unique_ptr<TreeValueNet> net_;
-  std::unique_ptr<ml::Adam> adam_;
-  std::vector<Pair> pairs_;
-  uint64_t rng_state_ = 0;
+  ValueModel model_;
+  /// Comparator pairs: `plan` measured faster than `worse`.
+  std::vector<ValueModel::Sample> pairs_;
 };
 
 }  // namespace lqolab::lqo

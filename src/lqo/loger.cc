@@ -17,27 +17,18 @@ using query::AliasMask;
 using query::Query;
 
 LogerOptimizer::LogerOptimizer() : LogerOptimizer(Options()) {}
-LogerOptimizer::LogerOptimizer(Options options) : options_(options) {}
+LogerOptimizer::LogerOptimizer(Options options)
+    : options_(options),
+      model_({.hidden = options.hidden,
+              .learning_rate = options.learning_rate,
+              .seed = options.seed,
+              .stream_salt = 0x41c64e6dULL}) {}
 LogerOptimizer::~LogerOptimizer() = default;
-
-void LogerOptimizer::EnsureModel(Database* db) {
-  if (net_ != nullptr) return;
-  const auto& ctx = db->context();
-  query_encoder_ = std::make_unique<QueryEncoder>(&ctx,
-                                                  &db->planner().estimator());
-  plan_encoder_ = std::make_unique<PlanEncoder>(
-      &ctx, &db->planner().estimator(), PlanEncodingStyle::kWithTableIdentity);
-  net_ = std::make_unique<TreeValueNet>(plan_encoder_->node_dim(),
-                                        query_encoder_->dim(), options_.hidden,
-                                        options_.seed);
-  adam_ = std::make_unique<ml::Adam>(net_->Params(), options_.learning_rate);
-  rng_state_ = options_.seed ^ 0x41c64e6dULL;
-}
 
 SearchResult LogerOptimizer::BeamSearch(const Query& q, Database* db,
                                         double epsilon) {
   SearchResult result;
-  const std::vector<float> qenc = query_encoder_->Encode(q);
+  const std::vector<float> qenc = model_.EncodeQuery(q);
   const auto& cm = db->planner().cost_model();
 
   struct State {
@@ -51,10 +42,7 @@ SearchResult LogerOptimizer::BeamSearch(const Query& q, Database* db,
     plan.AddScan(a, scan.type, scan.index_column);
     return plan;
   };
-  auto uniform = [&]() {
-    rng_state_ = rng_state_ * 6364136223846793005ULL + 1442695040888963407ULL;
-    return static_cast<double>(rng_state_ >> 11) * 0x1.0p-53;
-  };
+  TrainingStream& stream = model_.stream();
 
   // Initial beam: every relation as the starting leaf, ranked by score of
   // its engine-completed greedy extension (cheap proxy: base estimate).
@@ -86,10 +74,10 @@ SearchResult LogerOptimizer::BeamSearch(const Query& q, Database* db,
           State next;
           next.plan = CombinePlans(state.plan, leaf(a), algo);
           next.mask = state.mask | query::MaskOf(a);
-          next.score = net_->Score(qenc, q, next.plan, *plan_encoder_);
+          next.score = model_.Score(qenc, q, next.plan);
           ++result.evals;
-          if (epsilon > 0.0 && uniform() < epsilon) {
-            next.score -= uniform();  // epsilon-beam: random promotion
+          if (epsilon > 0.0 && stream.Uniform() < epsilon) {
+            next.score -= stream.Uniform();  // epsilon-beam: random promotion
           }
           expanded.push_back(std::move(next));
         }
@@ -100,7 +88,7 @@ SearchResult LogerOptimizer::BeamSearch(const Query& q, Database* db,
           inner.AddScan(a, ScanType::kIndex, probe);
           next.plan = CombinePlans(state.plan, inner, JoinAlgo::kIndexNlj);
           next.mask = state.mask | query::MaskOf(a);
-          next.score = net_->Score(qenc, q, next.plan, *plan_encoder_);
+          next.score = model_.Score(qenc, q, next.plan);
           ++result.evals;
           expanded.push_back(std::move(next));
         }
@@ -119,29 +107,9 @@ SearchResult LogerOptimizer::BeamSearch(const Query& q, Database* db,
   return result;
 }
 
-double LogerOptimizer::Fit(int32_t epochs, TrainReport* report) {
-  std::vector<size_t> idx(replay_.size());
-  for (size_t i = 0; i < idx.size(); ++i) idx[i] = i;
-  double loss_sum = 0.0;
-  for (int32_t epoch = 0; epoch < epochs; ++epoch) {
-    for (size_t i = idx.size(); i > 1; --i) {
-      rng_state_ = rng_state_ * 6364136223846793005ULL + 1442695040888963407ULL;
-      std::swap(idx[i - 1], idx[(rng_state_ >> 33) % i]);
-    }
-    for (size_t i : idx) {
-      const Sample& sample = replay_[i];
-      loss_sum += net_->TrainRegression(
-          query_encoder_->Encode(sample.query), sample.query, sample.plan,
-          *plan_encoder_, sample.target, adam_.get());
-      ++report->nn_updates;
-    }
-  }
-  return loss_sum;
-}
-
 TrainReport LogerOptimizer::Train(const std::vector<Query>& train_set,
                                   Database* db) {
-  EnsureModel(db);
+  model_.Bind(db);
   TrainReport report;
   engine::BatchExecutor executor(db, options_.seed, training_parallelism());
   // Executes one plan per training query and adds the runs to the replay
@@ -150,10 +118,7 @@ TrainReport LogerOptimizer::Train(const std::vector<Query>& train_set,
     const std::vector<engine::QueryRun> runs =
         executor.Execute(train_set, plans);
     report.AddRuns(runs);
-    for (size_t i = 0; i < runs.size(); ++i) {
-      replay_.push_back({train_set[i], std::move(plans[i]),
-                         LatencyToTarget(runs[i].execution_ns)});
-    }
+    ValueModel::AppendRuns(train_set, std::move(plans), runs, &replay_);
   };
   // Bootstrap from the native optimizer: episode 0, no fitting yet.
   {
@@ -168,7 +133,8 @@ TrainReport LogerOptimizer::Train(const std::vector<Query>& train_set,
   }
   for (int32_t iter = 0; iter < options_.iterations; ++iter) {
     const TrainReport before = report;
-    const double loss_sum = Fit(options_.train_epochs, &report);
+    const double loss_sum =
+        model_.Fit(replay_, options_.train_epochs, &report);
     std::vector<PhysicalPlan> plans;
     plans.reserve(train_set.size());
     for (const Query& q : train_set) {
@@ -181,13 +147,13 @@ TrainReport LogerOptimizer::Train(const std::vector<Query>& train_set,
   }
   const TrainReport before = report;
   report.RecordEpisode(before, options_.iterations + 1,
-                       Fit(options_.train_epochs, &report));
+                       model_.Fit(replay_, options_.train_epochs, &report));
   report.training_time_ns = report.TrainingTimeNs();
   return report;
 }
 
 Prediction LogerOptimizer::Plan(const Query& q, Database* db) {
-  EnsureModel(db);
+  model_.Bind(db);
   SearchResult search = BeamSearch(q, db, 0.0);
   Prediction prediction;
   prediction.plan = std::move(search.plan);

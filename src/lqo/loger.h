@@ -1,14 +1,11 @@
 #ifndef LQOLAB_LQO_LOGER_H_
 #define LQOLAB_LQO_LOGER_H_
 
-#include <memory>
 #include <vector>
 
-#include "lqo/encoding.h"
 #include "lqo/interface.h"
 #include "lqo/plan_search.h"
 #include "lqo/value_net.h"
-#include "ml/nn.h"
 
 namespace lqolab::lqo {
 
@@ -41,27 +38,13 @@ class LogerOptimizer : public LearnedOptimizer {
   EncodingSpec encoding_spec() const override;
 
  private:
-  struct Sample {
-    query::Query query;
-    optimizer::PhysicalPlan plan;
-    float target = 0.0f;
-  };
-
-  void EnsureModel(engine::Database* db);
   /// Epsilon-beam search over (next relation, join algorithm) actions.
   SearchResult BeamSearch(const query::Query& q, engine::Database* db,
                           double epsilon);
-  /// Trains `epochs` shuffled passes over the replay buffer; returns the
-  /// summed regression loss of its updates.
-  double Fit(int32_t epochs, TrainReport* report);
 
   Options options_;
-  std::unique_ptr<QueryEncoder> query_encoder_;
-  std::unique_ptr<PlanEncoder> plan_encoder_;
-  std::unique_ptr<TreeValueNet> net_;
-  std::unique_ptr<ml::Adam> adam_;
-  std::vector<Sample> replay_;
-  uint64_t rng_state_ = 0;
+  ValueModel model_;
+  std::vector<ValueModel::Sample> replay_;
 };
 
 }  // namespace lqolab::lqo

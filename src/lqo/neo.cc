@@ -1,7 +1,6 @@
 #include "lqo/neo.h"
 
 #include <algorithm>
-#include <memory>
 
 #include "engine/exec_batch.h"
 #include "lqo/plan_search.h"
@@ -14,63 +13,30 @@ using query::Query;
 
 NeoOptimizer::NeoOptimizer() : NeoOptimizer(Options()) {}
 
-NeoOptimizer::NeoOptimizer(Options options) : options_(options) {}
+NeoOptimizer::NeoOptimizer(Options options)
+    : options_(options),
+      model_({.hidden = options.hidden,
+              .learning_rate = options.learning_rate,
+              .seed = options.seed,
+              .stream_salt = 0x5deece66dULL}) {}
 NeoOptimizer::~NeoOptimizer() = default;
 
-void NeoOptimizer::EnsureModel(Database* db) {
-  if (net_ != nullptr) return;
-  const auto& ctx = db->context();
-  query_encoder_ = std::make_unique<QueryEncoder>(&ctx,
-                                                  &db->planner().estimator());
-  plan_encoder_ = std::make_unique<PlanEncoder>(
-      &ctx, &db->planner().estimator(), PlanEncodingStyle::kWithTableIdentity);
-  net_ = std::make_unique<TreeValueNet>(plan_encoder_->node_dim(),
-                                        query_encoder_->dim(), options_.hidden,
-                                        options_.seed);
-  adam_ = std::make_unique<ml::Adam>(net_->Params(), options_.learning_rate);
-  shuffle_state_ = options_.seed ^ 0x5deece66dULL;
-}
-
-double NeoOptimizer::FitReplay(int32_t epochs, TrainReport* report) {
-  if (replay_.empty()) return 0.0;
-  std::vector<size_t> order(replay_.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  double loss_sum = 0.0;
-  for (int32_t epoch = 0; epoch < epochs; ++epoch) {
-    // Deterministic Fisher-Yates.
-    for (size_t i = order.size(); i > 1; --i) {
-      shuffle_state_ =
-          shuffle_state_ * 6364136223846793005ULL + 1442695040888963407ULL;
-      std::swap(order[i - 1], order[(shuffle_state_ >> 33) % i]);
-    }
-    for (size_t idx : order) {
-      const Sample& sample = replay_[idx];
-      const std::vector<float> qenc = query_encoder_->Encode(sample.query);
-      loss_sum +=
-          net_->TrainRegression(qenc, sample.query, sample.plan,
-                                *plan_encoder_, sample.target, adam_.get());
-      ++report->nn_updates;
-    }
-  }
-  return loss_sum;
-}
-
 SearchResult NeoOptimizer::SearchPlan(const Query& q, Database* db) {
-  const std::vector<float> qenc = query_encoder_->Encode(q);
+  const std::vector<float> qenc = model_.EncodeQuery(q);
   return GreedyBottomUpSearch(
       q, db->planner().cost_model(),
       [&](const optimizer::PhysicalPlan& candidate) {
-        return net_->Score(qenc, q, candidate, *plan_encoder_);
+        return model_.Score(qenc, q, candidate);
       });
 }
 
-double NeoOptimizer::HoldoutLoss(const std::vector<Sample>& holdout) {
+double NeoOptimizer::HoldoutLoss(
+    const std::vector<ValueModel::Sample>& holdout) {
   if (holdout.empty()) return 0.0;
   double total = 0.0;
-  for (const Sample& sample : holdout) {
-    const double predicted =
-        net_->Score(query_encoder_->Encode(sample.query), sample.query,
-                    sample.plan, *plan_encoder_);
+  for (const ValueModel::Sample& sample : holdout) {
+    const double predicted = model_.Score(model_.EncodeQuery(sample.query),
+                                          sample.query, sample.plan);
     total += (predicted - sample.target) * (predicted - sample.target);
   }
   return total / static_cast<double>(holdout.size());
@@ -78,7 +44,7 @@ double NeoOptimizer::HoldoutLoss(const std::vector<Sample>& holdout) {
 
 TrainReport NeoOptimizer::Train(const std::vector<Query>& train_set,
                                 Database* db) {
-  EnsureModel(db);
+  model_.Bind(db);
   TrainReport report;
   holdout_losses_.clear();
   iterations_run_ = 0;
@@ -88,7 +54,7 @@ TrainReport NeoOptimizer::Train(const std::vector<Query>& train_set,
   // A FIXED holdout (paper §5.1: comparable measurements require a fixed
   // validation set): every k-th training query, never trained on.
   std::vector<Query> effective_train;
-  std::vector<Sample> holdout;
+  std::vector<ValueModel::Sample> holdout;
   const int32_t holdout_every =
       options_.holdout_fraction > 0.0
           ? std::max<int32_t>(2, static_cast<int32_t>(
@@ -111,10 +77,8 @@ TrainReport NeoOptimizer::Train(const std::vector<Query>& train_set,
     const std::vector<engine::QueryRun> runs =
         executor.Execute(holdout_queries, holdout_plans);
     report.AddRuns(runs);
-    for (size_t i = 0; i < runs.size(); ++i) {
-      holdout.push_back({holdout_queries[i], std::move(holdout_plans[i]),
-                         LatencyToTarget(runs[i].execution_ns)});
-    }
+    ValueModel::AppendRuns(holdout_queries, std::move(holdout_plans), runs,
+                           &holdout);
   }
 
   // Bootstrap with the native optimizer's plans (expert demonstrations).
@@ -128,10 +92,7 @@ TrainReport NeoOptimizer::Train(const std::vector<Query>& train_set,
     const std::vector<engine::QueryRun> runs =
         executor.Execute(effective_train, plans);
     report.AddRuns(runs);
-    for (size_t i = 0; i < runs.size(); ++i) {
-      replay_.push_back({effective_train[i], std::move(plans[i]),
-                         LatencyToTarget(runs[i].execution_ns)});
-    }
+    ValueModel::AppendRuns(effective_train, std::move(plans), runs, &replay_);
   }
 
   // The bootstrap above (holdout + expert-demonstration executions) is
@@ -144,7 +105,8 @@ TrainReport NeoOptimizer::Train(const std::vector<Query>& train_set,
   for (int32_t iter = 0; iter < options_.iterations; ++iter) {
     ++iterations_run_;
     const TrainReport before = report;
-    const double loss_sum = FitReplay(options_.train_epochs, &report);
+    const double loss_sum =
+        model_.Fit(replay_, options_.train_epochs, &report);
     if (!holdout.empty()) {
       const double loss = HoldoutLoss(holdout);
       report.nn_evals += static_cast<int64_t>(holdout.size());
@@ -158,7 +120,7 @@ TrainReport NeoOptimizer::Train(const std::vector<Query>& train_set,
       }
     }
     // On-policy collection: plan with the current network (the net is only
-    // updated in FitReplay, so the searches of one iteration are mutually
+    // updated by its fits, so the searches of one iteration are mutually
     // independent), execute the batch, learn.
     std::vector<optimizer::PhysicalPlan> plans;
     plans.reserve(effective_train.size());
@@ -170,22 +132,18 @@ TrainReport NeoOptimizer::Train(const std::vector<Query>& train_set,
     const std::vector<engine::QueryRun> runs =
         executor.Execute(effective_train, plans);
     report.AddRuns(runs);
-    for (size_t i = 0; i < runs.size(); ++i) {
-      replay_.push_back({effective_train[i], std::move(plans[i]),
-                         LatencyToTarget(runs[i].execution_ns)});
-      if (static_cast<int64_t>(replay_.size()) > options_.replay_capacity) {
-        replay_.erase(replay_.begin(),
-                      replay_.begin() +
-                          (static_cast<long>(replay_.size()) -
-                           options_.replay_capacity));
-      }
+    ValueModel::AppendRuns(effective_train, std::move(plans), runs, &replay_);
+    if (static_cast<int64_t>(replay_.size()) > options_.replay_capacity) {
+      replay_.erase(replay_.begin(),
+                    replay_.begin() + (static_cast<long>(replay_.size()) -
+                                       options_.replay_capacity));
     }
     report.RecordEpisode(before, iter + 1, loss_sum);
   }
   {
     const TrainReport before = report;
     report.RecordEpisode(before, iterations_run_ + 1,
-                         FitReplay(options_.train_epochs, &report));
+                         model_.Fit(replay_, options_.train_epochs, &report));
   }
 
   report.training_time_ns = report.TrainingTimeNs();
@@ -193,7 +151,7 @@ TrainReport NeoOptimizer::Train(const std::vector<Query>& train_set,
 }
 
 Prediction NeoOptimizer::Plan(const Query& q, Database* db) {
-  EnsureModel(db);
+  model_.Bind(db);
   SearchResult search = SearchPlan(q, db);
   Prediction prediction;
   prediction.plan = std::move(search.plan);

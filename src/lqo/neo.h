@@ -1,14 +1,11 @@
 #ifndef LQOLAB_LQO_NEO_H_
 #define LQOLAB_LQO_NEO_H_
 
-#include <memory>
 #include <vector>
 
-#include "lqo/encoding.h"
-#include "lqo/plan_search.h"
 #include "lqo/interface.h"
+#include "lqo/plan_search.h"
 #include "lqo/value_net.h"
-#include "ml/nn.h"
 
 namespace lqolab::lqo {
 
@@ -54,29 +51,15 @@ class NeoOptimizer : public LearnedOptimizer {
   int32_t iterations_run() const { return iterations_run_; }
 
  private:
-  struct Sample {
-    query::Query query;
-    optimizer::PhysicalPlan plan;
-    float target = 0.0f;
-  };
-
-  void EnsureModel(engine::Database* db);
-  /// Trains `epochs` shuffled passes over the replay buffer; returns the
-  /// summed regression loss of its updates.
-  double FitReplay(int32_t epochs, TrainReport* report);
   SearchResult SearchPlan(const query::Query& q, engine::Database* db);
 
-  double HoldoutLoss(const std::vector<Sample>& holdout);
+  double HoldoutLoss(const std::vector<ValueModel::Sample>& holdout);
 
   Options options_;
   std::vector<double> holdout_losses_;
   int32_t iterations_run_ = 0;
-  std::unique_ptr<QueryEncoder> query_encoder_;
-  std::unique_ptr<PlanEncoder> plan_encoder_;
-  std::unique_ptr<TreeValueNet> net_;
-  std::unique_ptr<ml::Adam> adam_;
-  std::vector<Sample> replay_;
-  uint64_t shuffle_state_ = 0;
+  ValueModel model_;
+  std::vector<ValueModel::Sample> replay_;
 };
 
 }  // namespace lqolab::lqo

@@ -2,6 +2,7 @@
 
 #include <limits>
 
+#include "lqo/value_net.h"
 #include "util/check.h"
 
 namespace lqolab::lqo {
@@ -188,11 +189,7 @@ std::vector<AliasId> ExtendGreedily(const Query& q,
 }
 
 PhysicalPlan RandomPlan(const Query& q, const optimizer::CostModel& cost_model,
-                        uint64_t* rng_state) {
-  auto next = [&]() {
-    *rng_state = *rng_state * 6364136223846793005ULL + 1442695040888963407ULL;
-    return *rng_state >> 33;
-  };
+                        TrainingStream* stream) {
   std::vector<PhysicalPlan> fragments;
   for (AliasId a = 0; a < q.relation_count(); ++a) {
     fragments.push_back(LeafPlan(q, cost_model, a));
@@ -210,10 +207,10 @@ PhysicalPlan RandomPlan(const Query& q, const optimizer::CostModel& cost_model,
       }
     }
     LQOLAB_CHECK(!pairs.empty());
-    const auto [i, j] = pairs[next() % pairs.size()];
+    const auto [i, j] = pairs[stream->Below(pairs.size())];
     constexpr JoinAlgo kAlgos[] = {JoinAlgo::kHash, JoinAlgo::kNestLoop,
                                    JoinAlgo::kMerge};
-    const JoinAlgo algo = kAlgos[next() % 3];
+    const JoinAlgo algo = kAlgos[stream->Below(3)];
     PhysicalPlan combined = CombinePlans(fragments[i], fragments[j], algo);
     const size_t erase_at = j;
     fragments[i] = std::move(combined);

@@ -10,6 +10,8 @@
 
 namespace lqolab::lqo {
 
+class TrainingStream;
+
 /// Merges two standalone plan fragments into one plan joined by `algo`
 /// (node indices of `right` are rebased after `left`'s).
 optimizer::PhysicalPlan CombinePlans(const optimizer::PhysicalPlan& left,
@@ -47,10 +49,10 @@ std::vector<query::AliasId> ExtendGreedily(
 
 /// Uniformly random valid plan (random connected join order, random
 /// algorithms, best-cost scans); used for Balsa's cost-based pretraining
-/// sampling. `*rng_state` is a splitmix-style state updated per draw.
+/// sampling. Draws its choices from `*stream`.
 optimizer::PhysicalPlan RandomPlan(const query::Query& q,
                                    const optimizer::CostModel& cost_model,
-                                   uint64_t* rng_state);
+                                   TrainingStream* stream);
 
 }  // namespace lqolab::lqo
 

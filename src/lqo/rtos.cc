@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "engine/exec_batch.h"
+#include "lqo/plan_search.h"
 #include "util/check.h"
 
 namespace lqolab::lqo {
@@ -15,22 +16,13 @@ using query::AliasMask;
 using query::Query;
 
 RtosOptimizer::RtosOptimizer() : RtosOptimizer(Options()) {}
-RtosOptimizer::RtosOptimizer(Options options) : options_(options) {}
+RtosOptimizer::RtosOptimizer(Options options)
+    : options_(options),
+      model_({.hidden = options.hidden,
+              .learning_rate = options.learning_rate,
+              .seed = options.seed,
+              .stream_salt = 0x7f4a7c15ULL}) {}
 RtosOptimizer::~RtosOptimizer() = default;
-
-void RtosOptimizer::EnsureModel(Database* db) {
-  if (net_ != nullptr) return;
-  const auto& ctx = db->context();
-  query_encoder_ = std::make_unique<QueryEncoder>(&ctx,
-                                                  &db->planner().estimator());
-  plan_encoder_ = std::make_unique<PlanEncoder>(
-      &ctx, &db->planner().estimator(), PlanEncodingStyle::kWithTableIdentity);
-  net_ = std::make_unique<TreeValueNet>(plan_encoder_->node_dim(),
-                                        query_encoder_->dim(), options_.hidden,
-                                        options_.seed);
-  adam_ = std::make_unique<ml::Adam>(net_->Params(), options_.learning_rate);
-  rng_state_ = options_.seed ^ 0x7f4a7c15ULL;
-}
 
 PhysicalPlan RtosOptimizer::PlanForOrder(
     const Query& q, Database* db,
@@ -44,7 +36,7 @@ PhysicalPlan RtosOptimizer::PlanForOrder(
 
 std::vector<AliasId> RtosOptimizer::SearchOrder(const Query& q, Database* db,
                                                 int64_t* evals) {
-  const std::vector<float> qenc = query_encoder_->Encode(q);
+  const std::vector<float> qenc = model_.EncodeQuery(q);
   std::vector<AliasId> order;
   AliasMask mask = 0;
   // First relation: the smallest estimated base (RTOS also starts from the
@@ -76,7 +68,7 @@ std::vector<AliasId> RtosOptimizer::SearchOrder(const Query& q, Database* db,
       const double cost = db->planner().CostJoinOrder(
           q, ExtendGreedily(q, candidate), &partial, nullptr);
       (void)cost;
-      const double score = net_->Score(qenc, q, partial, *plan_encoder_);
+      const double score = model_.Score(qenc, q, partial);
       ++*evals;
       if (score < best_score) {
         best_score = score;
@@ -90,36 +82,14 @@ std::vector<AliasId> RtosOptimizer::SearchOrder(const Query& q, Database* db,
   return order;
 }
 
-double RtosOptimizer::TrainOn(const std::vector<Sample>& samples, Database* db,
-                              int32_t epochs, TrainReport* report) {
-  double loss_sum = 0.0;
-  std::vector<size_t> idx(samples.size());
-  for (size_t i = 0; i < idx.size(); ++i) idx[i] = i;
-  for (int32_t epoch = 0; epoch < epochs; ++epoch) {
-    for (size_t i = idx.size(); i > 1; --i) {
-      rng_state_ = rng_state_ * 6364136223846793005ULL + 1442695040888963407ULL;
-      std::swap(idx[i - 1], idx[(rng_state_ >> 33) % i]);
-    }
-    for (size_t i : idx) {
-      const Sample& sample = samples[i];
-      const PhysicalPlan plan = PlanForOrder(sample.query, db, sample.order);
-      loss_sum += net_->TrainRegression(query_encoder_->Encode(sample.query),
-                                        sample.query, plan, *plan_encoder_,
-                                        sample.target, adam_.get());
-      ++report->nn_updates;
-    }
-  }
-  return loss_sum;
-}
-
 TrainReport RtosOptimizer::Train(const std::vector<Query>& train_set,
                                  Database* db) {
-  EnsureModel(db);
+  model_.Bind(db);
   TrainReport report;
   engine::BatchExecutor executor(db, options_.seed, training_parallelism());
   // Executes one join order per training query and adds the runs to the
   // replay buffer.
-  auto collect = [&](std::vector<std::vector<AliasId>> orders) {
+  auto collect = [&](const std::vector<std::vector<AliasId>>& orders) {
     std::vector<PhysicalPlan> plans;
     plans.reserve(orders.size());
     for (size_t i = 0; i < orders.size(); ++i) {
@@ -128,10 +98,7 @@ TrainReport RtosOptimizer::Train(const std::vector<Query>& train_set,
     const std::vector<engine::QueryRun> runs =
         executor.Execute(train_set, plans);
     report.AddRuns(runs);
-    for (size_t i = 0; i < runs.size(); ++i) {
-      replay_.push_back({train_set[i], std::move(orders[i]),
-                         LatencyToTarget(runs[i].execution_ns)});
-    }
+    ValueModel::AppendRuns(train_set, std::move(plans), runs, &replay_);
   };
 
   // Bootstrap orders from the native planner's plans (their leaf order):
@@ -152,14 +119,14 @@ TrainReport RtosOptimizer::Train(const std::vector<Query>& train_set,
       // repair by greedy connectivity.
       orders.push_back(RepairOrder(q, order));
     }
-    collect(std::move(orders));
+    collect(orders);
     report.RecordEpisode(TrainReport{}, 0, 0.0);
   }
 
   for (int32_t iter = 0; iter < options_.iterations; ++iter) {
     const TrainReport before = report;
     const double loss_sum =
-        TrainOn(replay_, db, options_.train_epochs, &report);
+        model_.Fit(replay_, options_.train_epochs, &report);
     std::vector<std::vector<AliasId>> orders;
     orders.reserve(train_set.size());
     for (const Query& q : train_set) {
@@ -167,12 +134,12 @@ TrainReport RtosOptimizer::Train(const std::vector<Query>& train_set,
       orders.push_back(SearchOrder(q, db, &evals));
       report.nn_evals += evals;
     }
-    collect(std::move(orders));
+    collect(orders);
     report.RecordEpisode(before, iter + 1, loss_sum);
   }
   const TrainReport before = report;
   const double final_loss_sum =
-      TrainOn(replay_, db, options_.train_epochs, &report);
+      model_.Fit(replay_, options_.train_epochs, &report);
 
   // Table 1: RTOS measures final aggregated performance via
   // cross-validation. Compute a k-fold holdout loss over the replay data.
@@ -184,11 +151,9 @@ TrainReport RtosOptimizer::Train(const std::vector<Query>& train_set,
     int32_t fold_count = 0;
     for (size_t i = static_cast<size_t>(fold); i < replay_.size();
          i += static_cast<size_t>(folds)) {
-      const Sample& sample = replay_[i];
-      const PhysicalPlan plan = PlanForOrder(sample.query, db, sample.order);
-      const double predicted = net_->Score(
-          query_encoder_->Encode(sample.query), sample.query, plan,
-          *plan_encoder_);
+      const ValueModel::Sample& sample = replay_[i];
+      const double predicted = model_.Score(
+          model_.EncodeQuery(sample.query), sample.query, sample.plan);
       ++report.nn_evals;
       fold_loss += (predicted - sample.target) * (predicted - sample.target);
       ++fold_count;
@@ -207,7 +172,7 @@ TrainReport RtosOptimizer::Train(const std::vector<Query>& train_set,
 }
 
 Prediction RtosOptimizer::Plan(const Query& q, Database* db) {
-  EnsureModel(db);
+  model_.Bind(db);
   Prediction prediction;
   int64_t evals = 0;
   const std::vector<AliasId> order = SearchOrder(q, db, &evals);

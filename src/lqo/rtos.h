@@ -1,14 +1,10 @@
 #ifndef LQOLAB_LQO_RTOS_H_
 #define LQOLAB_LQO_RTOS_H_
 
-#include <memory>
 #include <vector>
 
-#include "lqo/encoding.h"
 #include "lqo/interface.h"
-#include "lqo/plan_search.h"
 #include "lqo/value_net.h"
-#include "ml/nn.h"
 
 namespace lqolab::lqo {
 
@@ -46,13 +42,6 @@ class RtosOptimizer : public LearnedOptimizer {
   double last_cv_loss() const { return last_cv_loss_; }
 
  private:
-  struct Sample {
-    query::Query query;
-    std::vector<query::AliasId> order;
-    float target = 0.0f;
-  };
-
-  void EnsureModel(engine::Database* db);
   /// Builds the physical plan the engine picks for a join order.
   optimizer::PhysicalPlan PlanForOrder(
       const query::Query& q, engine::Database* db,
@@ -61,19 +50,12 @@ class RtosOptimizer : public LearnedOptimizer {
   std::vector<query::AliasId> SearchOrder(const query::Query& q,
                                           engine::Database* db,
                                           int64_t* evals);
-  /// Trains `epochs` shuffled passes over `samples`; returns the summed
-  /// regression loss of its updates.
-  double TrainOn(const std::vector<Sample>& samples, engine::Database* db,
-                 int32_t epochs, TrainReport* report);
 
   Options options_;
-  std::unique_ptr<QueryEncoder> query_encoder_;
-  std::unique_ptr<PlanEncoder> plan_encoder_;
-  std::unique_ptr<TreeValueNet> net_;
-  std::unique_ptr<ml::Adam> adam_;
-  std::vector<Sample> replay_;
+  ValueModel model_;
+  /// Executed orders, each as the plan the engine built for it.
+  std::vector<ValueModel::Sample> replay_;
   double last_cv_loss_ = 0.0;
-  uint64_t rng_state_ = 0;
 };
 
 }  // namespace lqolab::lqo

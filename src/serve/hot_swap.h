@@ -9,29 +9,15 @@
 
 #include "obs/metrics.h"
 
-// The lock-free path needs std::atomic<std::shared_ptr>. Under
-// ThreadSanitizer we use the mutex slot instead: libstdc++ 12's _Sp_atomic
-// releases its internal pointer-word spinlock with relaxed ordering on the
-// load path, which TSAN reports as a race between Publish and Acquire —
-// inside the library, not in this protocol. The mutex slot has identical
-// semantics and TSAN models it exactly.
-#if !defined(__cpp_lib_atomic_shared_ptr) || defined(__SANITIZE_THREAD__)
-#define LQOLAB_SERVE_HOT_SWAP_LOCKED 1
-#endif
-#if !defined(LQOLAB_SERVE_HOT_SWAP_LOCKED) && defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define LQOLAB_SERVE_HOT_SWAP_LOCKED 1
-#endif
-#endif
-
 namespace lqolab::serve {
 
-/// Lock-free publication slot for a shared model (hot swap). A trainer
-/// thread publishes fully built, immutable-from-the-reader's-view snapshots
-/// with Publish(); serving threads read the current snapshot with
-/// Acquire(). Both sides touch a single atomic shared_ptr, so:
-///  - readers never block a publish and a publish never blocks readers
-///    (no mutex on the hot path);
+/// Publication slot for a shared model (hot swap). A trainer thread
+/// publishes fully built, immutable-from-the-reader's-view snapshots with
+/// Publish(); serving threads read the current snapshot with Acquire().
+/// Both sides copy one shared_ptr under a mutex held only for that copy,
+/// so:
+///  - a publish never waits for a query to finish with the old model, and
+///    a reader never waits for a model to be built;
 ///  - a reader sees either the old snapshot or the new one, never a torn
 ///    mix — the pointer and its version travel together inside one
 ///    heap-allocated Versioned block;
@@ -59,16 +45,11 @@ class HotSwapSlot {
 
   /// Returns the current snapshot ({nullptr, 0} before the first Publish).
   Snapshot Acquire() const {
-#if defined(LQOLAB_SERVE_HOT_SWAP_LOCKED)
     std::shared_ptr<const Versioned> current;
     {
       std::lock_guard<std::mutex> lock(mu_);
       current = cell_;
     }
-#else
-    const std::shared_ptr<const Versioned> current =
-        cell_.load(std::memory_order_acquire);
-#endif
     if (current == nullptr) return Snapshot{};
     return Snapshot{current->value, current->version};
   }
@@ -79,14 +60,10 @@ class HotSwapSlot {
     auto next = std::make_shared<const Versioned>(
         Versioned{std::move(value), versions_.fetch_add(1) + 1});
     const uint64_t version = next->version;
-#if defined(LQOLAB_SERVE_HOT_SWAP_LOCKED)
     {
       std::lock_guard<std::mutex> lock(mu_);
-      cell_ = std::move(next);
+      cell_.swap(next);
     }
-#else
-    cell_.store(std::move(next), std::memory_order_release);
-#endif
     obs::Count(obs::Counter::kServeModelSwaps);
     return version;
   }
@@ -100,12 +77,8 @@ class HotSwapSlot {
     uint64_t version;
   };
 
-#if defined(LQOLAB_SERVE_HOT_SWAP_LOCKED)
   mutable std::mutex mu_;
   std::shared_ptr<const Versioned> cell_;  // guarded by mu_
-#else
-  std::atomic<std::shared_ptr<const Versioned>> cell_;
-#endif
   std::atomic<uint64_t> versions_{0};
 };
 

@@ -39,7 +39,6 @@ uint64_t MixConfig(uint64_t key, const engine::DbConfig& config,
   key = util::MixSeed(key, static_cast<uint64_t>(config.estimator_mode),
                       static_cast<uint64_t>(config.join_selectivity_scale *
                                             1024.0));
-  key = util::MixSeed(key, static_cast<uint64_t>(config.cost_model_backend));
   return util::MixSeed(key, model_version);
 }
 

@@ -194,8 +194,8 @@ struct ServedQuery {
 /// (Database::CloneContextForWorker). Plans come from a sharded LRU plan
 /// cache backed by the pluggable router (pglite / published LQO / shadow);
 /// LQO-routed plans run under a per-query deadline with the paper's
-/// timeout-fallback protocol. Models are published through a lock-free
-/// HotSwapSlot, so training can continue while the server drains traffic.
+/// timeout-fallback protocol. Models are published through a HotSwapSlot,
+/// so training can continue while the server drains traffic.
 /// Full architecture notes: docs/serving.md.
 class QueryServer {
  public:
@@ -243,10 +243,10 @@ class QueryServer {
   std::future<ServedQuery> SubmitAt(query::Query q,
                                     const OpenLoopArrival& arrival);
 
-  /// Publishes a trained model to the router (atomic hot swap; never blocks
-  /// serving). In-flight queries finish on the snapshot they acquired; the
-  /// version change invalidates every LQO-routed plan-cache entry. Returns
-  /// the new model version.
+  /// Publishes a trained model to the router (atomic hot swap; serving
+  /// waits at most for one pointer swap). In-flight queries finish on the
+  /// snapshot they acquired; the version change invalidates every
+  /// LQO-routed plan-cache entry. Returns the new model version.
   uint64_t PublishModel(std::shared_ptr<lqo::LearnedOptimizer> model);
 
   /// Blocks until the queue is empty and no query is in flight.

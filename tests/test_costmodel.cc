@@ -209,20 +209,6 @@ TEST(AnalyticCostModelTest, PredictNsMatchesPlannerEstimate) {
   EXPECT_DOUBLE_EQ(model.PredictNs(p.q, p.plan), 2.0 * p.analytic_cost);
 }
 
-TEST(SelectBackendTest, ResolvesConfiguredBackend) {
-  const auto analytic =
-      std::make_shared<AnalyticCostModel>(&SharedDb()->planner());
-  const PlanFeaturizer featurizer = MakeFeaturizer();
-  const auto learned =
-      std::make_shared<LearnedCostModel>(&featurizer, LearnedModelOptions());
-
-  engine::DbConfig config = engine::DbConfig::OurFramework();
-  config.cost_model_backend = engine::CostModelBackend::kAnalytic;
-  EXPECT_EQ(SelectBackend(config, analytic, learned).get(), analytic.get());
-  config.cost_model_backend = engine::CostModelBackend::kLearnedMlp;
-  EXPECT_EQ(SelectBackend(config, analytic, learned).get(), learned.get());
-}
-
 // ---------------------------------------------------------------------------
 // LearnedCostModel training determinism
 

@@ -159,7 +159,6 @@ TEST_F(LqoTest, ValueNetTrainsTowardTargets) {
   }
   EXPECT_LT(last_loss, first_loss * 0.5);
   EXPECT_NEAR(net.Score(qenc, q, planned.plan, encoder), target, 0.3);
-  EXPECT_GT(net.eval_count(), 0);
 }
 
 TEST_F(LqoTest, ValueNetPairwiseLearnsOrder) {
@@ -170,9 +169,9 @@ TEST_F(LqoTest, ValueNetPairwiseLearnsOrder) {
   ml::Adam adam(net.Params(), 2e-3);
   const Query& q = (*workload_)[10];
   const auto planned = db_->PlanQuery(q);
-  uint64_t rng_state = 5;
+  TrainingStream stream(5);
   const PhysicalPlan random =
-      RandomPlan(q, db_->planner().cost_model(), &rng_state);
+      RandomPlan(q, db_->planner().cost_model(), &stream);
   const auto qenc = qencoder.Encode(q);
   for (int step = 0; step < 80; ++step) {
     net.TrainPairwise(qenc, q, planned.plan, random, encoder, &adam);
@@ -221,11 +220,11 @@ TEST_F(LqoTest, GreedySearchWithCostScorerNearDpQuality) {
 
 TEST_F(LqoTest, RandomPlanValidAndDiverse) {
   const Query& q = (*workload_)[30];
-  uint64_t state = 11;
+  TrainingStream stream(11);
   std::set<std::string> shapes;
   for (int i = 0; i < 10; ++i) {
     const PhysicalPlan plan =
-        RandomPlan(q, db_->planner().cost_model(), &state);
+        RandomPlan(q, db_->planner().cost_model(), &stream);
     plan.Validate(q);
     shapes.insert(plan.ToString(q));
   }
@@ -444,8 +443,8 @@ uint64_t TrainingDigest(const std::string& lqo_name) {
 
 // Pins the same training's episode split and every EpisodeStats field of
 // every episode, the mean loss as its raw IEEE bits. The totals above can
-// hold while losses drift (a model update summed in another float order)
-// or while work moves between episodes; this digest catches both.
+// hold while losses drift (samples fitted in another order without moving
+// a plan) or while work moves between episodes; this digest catches both.
 uint64_t EpisodeDigest(const std::string& lqo_name) {
   const SmallTraining run = TrainSmallInPlace(lqo_name);
   testutil::Digest digest;
