@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "catalog/imdb_schema.h"
+#include "digest.h"
 #include "engine/database.h"
 #include "exec/oracle.h"
 #include "fuzz/corpus.h"
@@ -211,14 +212,27 @@ TEST(FuzzDifferential, FiveHundredQueriesZeroDiscrepancies) {
   EXPECT_EQ(stats.queries, 500);
   ReportDiscrepancies(stats.discrepancies);
   EXPECT_TRUE(stats.reproducers.empty());
-  // Every check family must actually have run.
-  EXPECT_GT(stats.checks.cost_enumeration, 0);
-  EXPECT_GT(stats.checks.execution, 0);
-  EXPECT_GT(stats.checks.estimator, 0);
-  EXPECT_GT(stats.checks.plan_cache, 0);
-  EXPECT_GT(stats.checks.hint_roundtrip, 0);
-  EXPECT_GT(stats.checks.engine_differential, 0);
-  EXPECT_GT(stats.checks.sql_round_trip, 0);
+  // Every check family ran, exactly as often as pinned: a changed generator
+  // or oracle constant (a relation or edge cap, the GEQO population, the
+  // replan twin) moves these counts even when every check still passes.
+  EXPECT_EQ(stats.checks.cost_enumeration, 314);
+  EXPECT_EQ(stats.checks.execution, 261);
+  EXPECT_EQ(stats.checks.estimator, 500);
+  EXPECT_EQ(stats.checks.plan_cache, 2000);
+  EXPECT_EQ(stats.checks.hint_roundtrip, 2000);
+  EXPECT_EQ(stats.checks.fault_execution, 0);
+  EXPECT_EQ(stats.checks.engine_differential, 261);
+  EXPECT_EQ(stats.checks.sql_round_trip, 500);
+  EXPECT_EQ(stats.checks.replan_differential, 261);
+  EXPECT_EQ(stats.plans_executed, 1305);
+  EXPECT_EQ(stats.timeouts, 0);
+  // The generated queries themselves, as SQL text.
+  fuzz::QueryGenerator generator(&SharedDb()->context(), options.generator,
+                                 options.seed);
+  testutil::Digest digest;
+  for (int i = 0; i < 500; ++i) digest.Add(Serialize(generator.Next()));
+  EXPECT_EQ(digest.value(), 0xeeb5cddd0572f8ccull)
+      << std::hex << digest.value();
   std::printf("fuzz: %lld queries, %lld checks, %lld plans executed, "
               "%lld timeouts in %lld ms\n",
               static_cast<long long>(stats.queries),
