@@ -161,6 +161,25 @@ inline std::unique_ptr<engine::Database> MakeWorkloadDatabase(
       datagen::TpchScaleProfile::Medium().Scaled(EnvScale(default_scale)));
 }
 
+/// Writes a bench's JSON `document` to `path`, or to stdout when `path` is
+/// null. Returns false, after a "cannot open" line on stderr, when the file
+/// cannot be opened; a written file is reported as "wrote <path>".
+inline bool WriteDocument(const char* path, const std::string& document) {
+  if (path == nullptr) {
+    std::fputs(document.c_str(), stdout);
+    return true;
+  }
+  std::FILE* f = std::fopen(path, "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot open %s\n", path);
+    return false;
+  }
+  std::fputs(document.c_str(), f);
+  std::fclose(f);
+  std::fprintf(stderr, "wrote %s\n", path);
+  return true;
+}
+
 inline void PrintHeader(const char* experiment, const char* paper_ref,
                         const char* summary) {
   std::printf("==============================================================\n");

@@ -23,6 +23,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "bench_common.h"
 #include "engine/database.h"
 #include "faultlib/faultlib.h"
 #include "lqo/native_passthrough.h"
@@ -354,18 +355,7 @@ int main(int argc, char** argv) {
   }
   json += "  ]\n}\n";
 
-  if (argc > 1) {
-    std::FILE* f = std::fopen(argv[1], "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", argv[1]);
-      return 1;
-    }
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::fprintf(stderr, "wrote %s\n", argv[1]);
-  } else {
-    std::fputs(json.c_str(), stdout);
-  }
+  if (!bench::WriteDocument(argc > 1 ? argv[1] : nullptr, json)) return 1;
 
   const bool pass = corrupted == 0 && handled == total && total > 0;
   std::fprintf(stderr, "chaos_soak: %lld/%lld handled (%.1f%%), %s\n",

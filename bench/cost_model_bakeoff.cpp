@@ -509,18 +509,7 @@ int main(int argc, char** argv) {
           (serve.refresh_deterministic ? "true" : "false") + "\n";
   json += "}\n";
 
-  if (out_path != nullptr) {
-    std::FILE* f = std::fopen(out_path, "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", out_path);
-      return 1;
-    }
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::fprintf(stderr, "wrote %s\n", out_path);
-  } else {
-    std::fputs(json.c_str(), stdout);
-  }
+  if (!bench::WriteDocument(out_path, json)) return 1;
 
   bool ok = wins >= 1;
   ok &= serve.first_refresh_promoted;

@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "engine/database.h"
 #include "fuzz/fuzzer.h"
 #include "lqo/bao.h"
@@ -227,17 +228,6 @@ int main(int argc, char** argv) {
   }
   json += "  ]\n}\n";
 
-  if (argc > 1) {
-    std::FILE* f = std::fopen(argv[1], "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", argv[1]);
-      return 1;
-    }
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::fprintf(stderr, "wrote %s\n", argv[1]);
-  } else {
-    std::fputs(json.c_str(), stdout);
-  }
+  if (!bench::WriteDocument(argc > 1 ? argv[1] : nullptr, json)) return 1;
   return total_discrepancies == 0 && repeats_agree ? 0 : 1;
 }

@@ -628,14 +628,7 @@ GeqoResult GeqoReplay(engine::Database* db) {
   }
   std::vector<engine::DbConfig> configs;
   for (const lqo::HintSet& hints : lqo::DefaultHintSets()) {
-    engine::DbConfig config = base;
-    config.enable_nestloop = hints.enable_nestloop;
-    config.enable_hashjoin = hints.enable_hashjoin;
-    config.enable_mergejoin = hints.enable_mergejoin;
-    config.enable_indexscan = hints.enable_indexscan;
-    config.enable_bitmapscan = hints.enable_bitmapscan;
-    config.enable_seqscan = hints.enable_seqscan;
-    configs.push_back(config);
+    configs.push_back(lqo::ApplyHintSet(base, hints));
   }
   GeqoResult result;
   result.queries = static_cast<int64_t>(workload.size());
@@ -860,18 +853,7 @@ int EngineComparison(const char* path) {
                 speedup_vectorized);
   json += buffer;
 
-  if (path != nullptr) {
-    std::FILE* f = std::fopen(path, "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", path);
-      return 1;
-    }
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::fprintf(stderr, "wrote %s\n", path);
-  } else {
-    std::fputs(json.c_str(), stdout);
-  }
+  if (!bench::WriteDocument(path, json)) return 1;
   return speedup_vectorized >= 3.0 && replays_deterministic &&
                  heap_charge.deterministic && index_probe.deterministic &&
                  analyzes_deterministic && tpch_cold.deterministic &&

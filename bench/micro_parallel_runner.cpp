@@ -188,17 +188,7 @@ int main(int argc, char** argv) {
   }
   json += "  ]\n}\n";
 
-  if (argc > 1 && argv[1][0] != '-') {
-    std::FILE* f = std::fopen(argv[1], "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", argv[1]);
-      return 1;
-    }
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::fprintf(stderr, "wrote %s\n", argv[1]);
-  } else {
-    std::fputs(json.c_str(), stdout);
-  }
+  const char* out_path = argc > 1 && argv[1][0] != '-' ? argv[1] : nullptr;
+  if (!bench::WriteDocument(out_path, json)) return 1;
   return all_deterministic ? 0 : 1;
 }

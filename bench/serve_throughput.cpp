@@ -393,18 +393,7 @@ int main(int argc, char** argv) {
   }
   json += "  ]\n}\n";
 
-  if (out_path != nullptr) {
-    std::FILE* f = std::fopen(out_path, "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", out_path);
-      return 1;
-    }
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::fprintf(stderr, "wrote %s\n", out_path);
-  } else {
-    std::fputs(json.c_str(), stdout);
-  }
+  if (!bench::WriteDocument(out_path, json)) return 1;
 
   bool ok = true;
   for (const ArmResult& r : results) ok &= r.deterministic;

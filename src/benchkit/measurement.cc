@@ -31,7 +31,9 @@ QueryMeasurement MeasureRuns(Database* db, const Query& q,
       measurement.execution_ns = run.execution_ns;
       measurement.timed_out = run.timed_out;
       measurement.result_rows = run.result_rows;
-      measurement.node_rows = std::move(run.node_rows);
+      for (const exec::PlanNodeStats& stats : run.node_stats) {
+        measurement.node_rows.push_back(stats.actual_rows);
+      }
     }
   }
   return measurement;

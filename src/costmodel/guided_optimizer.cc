@@ -32,14 +32,7 @@ std::vector<PlanCandidate> GenerateCandidatePlans(Database* db,
     candidates.push_back(std::move(candidate));
   };
   for (const lqo::HintSet& hints : lqo::DefaultHintSets()) {
-    DbConfig config = saved;
-    config.enable_nestloop = hints.enable_nestloop;
-    config.enable_hashjoin = hints.enable_hashjoin;
-    config.enable_mergejoin = hints.enable_mergejoin;
-    config.enable_indexscan = hints.enable_indexscan;
-    config.enable_bitmapscan = hints.enable_bitmapscan;
-    config.enable_seqscan = hints.enable_seqscan;
-    add(config, hints.name);
+    add(lqo::ApplyHintSet(saved, hints), hints.name);
   }
   // Lero-style candidates: perturb the estimator instead of the operator
   // set, surfacing join orders the default cardinalities never pick.

@@ -13,9 +13,13 @@ namespace lqolab::costmodel {
 
 namespace {
 
+/// Hidden width of both MLP layers ({dim, kHidden, kHidden, 1}).
+constexpr int32_t kHidden = 32;
+constexpr double kLearningRate = 3e-3;
+
 ml::Mlp MakeMlp(int32_t in_dim, const LearnedModelOptions& options) {
   util::Rng rng(options.seed);
-  return ml::Mlp({in_dim, options.hidden, options.hidden, 1}, &rng);
+  return ml::Mlp({in_dim, kHidden, kHidden, 1}, &rng);
 }
 
 }  // namespace
@@ -25,9 +29,8 @@ LearnedCostModel::LearnedCostModel(const PlanFeaturizer* featurizer,
     : featurizer_(featurizer),
       options_(options),
       mlp_(MakeMlp(featurizer->dim(), options)),
-      adam_(mlp_.Params(), options.learning_rate) {
+      adam_(mlp_.Params(), kLearningRate) {
   LQOLAB_CHECK(featurizer != nullptr);
-  LQOLAB_CHECK_GT(options.hidden, 0);
   LQOLAB_CHECK_GT(options.epochs, 0);
 }
 

@@ -14,11 +14,8 @@
 namespace lqolab::costmodel {
 
 struct LearnedModelOptions {
-  /// Hidden width of both MLP layers ({dim, hidden, hidden, 1}).
-  int32_t hidden = 32;
   /// Full passes over the training slice (per-sample Adam, sample order).
   int32_t epochs = 60;
-  double learning_rate = 3e-3;
   /// Seeds the Kaiming initialization; everything else is data-ordered, so
   /// (seed, sample corpus) fully determines the trained weights.
   uint64_t seed = 7;

@@ -20,6 +20,13 @@ namespace {
 /// analytic model's unit is wrong by construction, and scoring it would
 /// read as (false) drift.
 constexpr int64_t kCalibrationSamples = 16;
+/// Tail fraction of the sequence-sorted buffer held out for gating (the
+/// newest observations — the split closest to "does it generalize to the
+/// traffic arriving now").
+constexpr double kHoldoutFraction = 0.25;
+/// Median q-error over a full drift window that raises a drift alarm (and
+/// trips the serving breaker).
+constexpr double kDriftMedianThreshold = 16.0;
 
 double MedianOf(std::vector<double> values) {
   LQOLAB_CHECK(!values.empty());
@@ -40,8 +47,6 @@ OnlineRefresher::OnlineRefresher(engine::Database* db,
   LQOLAB_CHECK_GT(options.min_samples, 0);
   LQOLAB_CHECK_GT(options.refresh_every, 0);
   LQOLAB_CHECK_GT(options.drift_window, 0);
-  LQOLAB_CHECK(options.holdout_fraction > 0.0 &&
-               options.holdout_fraction < 1.0);
   incumbent_ = analytic_;
 }
 
@@ -114,7 +119,7 @@ void OnlineRefresher::OnPlanExecuted(const query::Query& q,
           options_.drift_window) {
         const double median = MedianOf(
             {drift_qerrors_.begin(), drift_qerrors_.end()});
-        if (median > options_.drift_median_threshold) {
+        if (median > kDriftMedianThreshold) {
           // The incumbent is consistently wrong on live traffic: raise the
           // alarm and restart the window so one bad stretch fires once.
           alarm = true;
@@ -143,8 +148,7 @@ void OnlineRefresher::Split(const std::vector<CostSample>& samples,
                             std::vector<CostSample>* holdout) const {
   const int64_t n = static_cast<int64_t>(samples.size());
   const int64_t holdout_n = std::max<int64_t>(
-      1, static_cast<int64_t>(static_cast<double>(n) *
-                              options_.holdout_fraction));
+      1, static_cast<int64_t>(static_cast<double>(n) * kHoldoutFraction));
   const int64_t train_n = std::max<int64_t>(0, n - holdout_n);
   train->assign(samples.begin(), samples.begin() + train_n);
   holdout->assign(samples.begin() + train_n, samples.end());

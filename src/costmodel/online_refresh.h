@@ -27,10 +27,6 @@ struct RefreshOptions {
   LearnedModelOptions model;
   /// Buffered samples required before a refresh trains a candidate.
   int64_t min_samples = 48;
-  /// Tail fraction of the sequence-sorted buffer held out for gating (the
-  /// newest observations — the split closest to "does it generalize to the
-  /// traffic arriving now").
-  double holdout_fraction = 0.25;
   /// Promotion gate: candidate holdout median q-error must be <=
   /// gate_ratio * incumbent's. 1.0 = strictly no regression.
   double gate_ratio = 1.0;
@@ -42,9 +38,6 @@ struct RefreshOptions {
   int64_t refresh_every = 256;
   /// Rolling q-error observations per drift check.
   int64_t drift_window = 64;
-  /// Median q-error over a full window that raises a drift alarm (and
-  /// trips the serving breaker).
-  double drift_median_threshold = 16.0;
   /// Optional durable mirror: every harvested sample is appended as a
   /// {"type":"serve_sample"} line (costmodel/trace_ingest.h reads it back).
   /// Must outlive the refresher; nullptr disables.
@@ -144,7 +137,7 @@ class OnlineRefresher : public serve::ServedPlanObserver {
                   const std::vector<CostSample>& holdout, RefreshOutcome* out);
 
   /// Splits `samples` (already sequence-sorted) into train head / holdout
-  /// tail per holdout_fraction.
+  /// tail (the newest quarter, at least one sample).
   void Split(const std::vector<CostSample>& samples,
              std::vector<CostSample>* train,
              std::vector<CostSample>* holdout) const;

@@ -287,7 +287,6 @@ QueryRun Database::ExecutePlan(const query::Query& q,
   run.timed_out = result.timed_out;
   run.result_rows = result.result_rows;
   run.pages_accessed = result.pages_accessed;
-  run.node_rows = std::move(result.node_rows);
   run.node_stats = std::move(result.node_stats);
   obs::Count(obs::Counter::kExecPlansExecuted);
   if (run.timed_out) obs::Count(obs::Counter::kExecTimeouts);

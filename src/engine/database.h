@@ -38,16 +38,14 @@ struct QueryRun {
   int64_t pages_accessed = 0;
   bool used_geqo = false;
   double estimated_cost = 0.0;
-  /// True output rows per plan node (parallel to the plan's node array;
-  /// -1 where the oracle count overflowed).
-  std::vector<int64_t> node_rows;
-  /// Full per-node statistics (rows, loops, self time, buffer tiers);
-  /// same order as node_rows. Input to obs::ExplainAnalyzeText/Json.
+  /// Per plan node (parallel to the plan's node array): rows, loops, self
+  /// time, buffer tiers; actual_rows is -1 where the oracle count
+  /// overflowed. Input to obs::ExplainAnalyzeText/Json.
   std::vector<exec::PlanNodeStats> node_stats;
 
   // --- Adaptive re-optimization (DbConfig::adaptive_replan) --------------
   /// Cancel-and-replan rounds taken (0 = the given plan ran straight
-  /// through; node_rows/node_stats always describe the final attempt).
+  /// through; node_stats always describe the final attempt).
   int32_t replans = 0;
   /// Prefix virtual time paid by abandoned attempts (inside execution_ns).
   util::VirtualNanos replan_wasted_ns = 0;

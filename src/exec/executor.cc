@@ -397,7 +397,6 @@ ExecutionResult Executor::Execute(const Query& q, const PhysicalPlan& plan,
                                   ReplanMonitor* monitor) {
   LQOLAB_CHECK(!plan.empty());
   ExecutionResult result;
-  result.node_rows.assign(plan.nodes.size(), 0);
   result.node_stats.assign(plan.nodes.size(), PlanNodeStats{});
   pages_accessed_ = 0;
   fault_status_ = util::Status::Ok();
@@ -465,7 +464,6 @@ ExecutionResult Executor::Execute(const Query& q, const PhysicalPlan& plan,
       // result-identical; its cardinality was observed by the attempt that
       // materialized it, so the divergence check would be a no-op.
       const int64_t rows = monitor->materialized.at(node.mask);
-      result.node_rows[i] = rows;
       stats.actual_rows = rows;
       const VirtualNanos node_cost = SaturatingNanos(
           static_cast<double>(rows) *
@@ -510,15 +508,13 @@ ExecutionResult Executor::Execute(const Query& q, const PhysicalPlan& plan,
     VirtualNanos node_cost = 0;
     if (node.type == PlanNode::Type::kScan) {
       const Oracle::CardResult rows = oracle_->TrueJoinRows(q, node.mask);
-      result.node_rows[i] = rows.rows;
       stats.actual_rows = rows.rows;
       if (!skip[i]) {
         node_cost = ScanCost(q, node, &node_overflow);
       }
     } else {
       const Oracle::CardResult rows = oracle_->TrueJoinRows(q, node.mask);
-      result.node_rows[i] = rows.overflow ? -1 : rows.rows;
-      stats.actual_rows = result.node_rows[i];
+      stats.actual_rows = rows.overflow ? -1 : rows.rows;
       node_cost = JoinCost(q, plan, node, &node_overflow);
       if (node.algo == JoinAlgo::kIndexNlj && !node_overflow) {
         // The probed inner scan restarts once per outer row (memoized
@@ -551,8 +547,9 @@ ExecutionResult Executor::Execute(const Query& q, const PhysicalPlan& plan,
     // rather than recompute them; the adaptive loop re-plans with the
     // observed truths pinned.
     for (size_t j = 0; j < result.replan_node; ++j) {
-      if (skip[j] || covered[j] || result.node_rows[j] < 0) continue;
-      result.completed.emplace_back(plan.nodes[j].mask, result.node_rows[j]);
+      const int64_t rows = result.node_stats[j].actual_rows;
+      if (skip[j] || covered[j] || rows < 0) continue;
+      result.completed.emplace_back(plan.nodes[j].mask, rows);
     }
     result.execution_ns =
         SaturatingNanos(std::min(scaled, static_cast<double>(timeout_ns)));

@@ -100,11 +100,8 @@ struct ExecutionResult {
   /// next attempt reuses instead of recomputes them.
   std::vector<std::pair<uint32_t, int64_t>> completed;
 
-  /// Per plan node: true output rows (parallel to plan.nodes; join nodes
-  /// whose subset overflowed report -1).
-  std::vector<int64_t> node_rows;
   /// Per plan node: rows/loops/time/buffer breakdown (parallel to
-  /// plan.nodes; node_rows is kept as the compact legacy view).
+  /// plan.nodes; join nodes whose subset overflowed report actual_rows -1).
   std::vector<PlanNodeStats> node_stats;
 };
 

@@ -7,6 +7,7 @@
 #include <memory>
 #include <sstream>
 #include <unordered_map>
+#include <utility>
 
 #include "exec/oracle.h"
 #include "fuzz/scalar_oracle.h"
@@ -16,6 +17,7 @@
 #include "serve/plan_cache.h"
 #include "util/check.h"
 #include "util/rng.h"
+#include "util/virtual_clock.h"
 
 namespace lqolab::fuzz {
 
@@ -27,6 +29,32 @@ using query::AliasMask;
 using query::Query;
 
 namespace {
+
+/// Exhaustive plan enumeration is exponential; cap it (paper-style n<=7).
+constexpr int32_t kExhaustiveMaxRelations = 7;
+/// GEQO-arm population. Far smaller than the production defaults: the
+/// oracle checks every GEQO plan for correctness, not plan quality, and it
+/// runs GEQO on every query instead of only the 12-relation ones.
+constexpr int32_t kGeqoPoolSize = 16;
+constexpr int32_t kGeqoGenerations = 12;
+/// Executing every arm's plan on a fresh replica is the most expensive
+/// check; cap the relation count it applies to.
+constexpr int32_t kExecMaxRelations = 8;
+/// Also cap the edge count. The oracle materializes every join subset of
+/// every shape (acyclic or not; counting a tree without tuples is only its
+/// last fallback), and dense cliques with many residual edges can take
+/// seconds per plan to materialize. 9 keeps every tree (<= 7 edges at 8
+/// relations) and cyclic queries up to a 4-clique in the execution check.
+constexpr int32_t kExecMaxEdges = 9;
+/// Pair-iteration budget of the independent nested-loop reference count
+/// (checked against every executed plan's result on small queries).
+constexpr int64_t kReferenceWorkCap = 4'000'000;
+/// Virtual-time execution budget per plan; far above any sane plan on the
+/// fuzzing profile, so only oracle-overflow queries time out (10 virtual
+/// minutes).
+constexpr util::VirtualNanos kExecTimeoutNs = 600'000'000'000;
+/// Replay seed used for every differential execution.
+constexpr uint64_t kExecSeed = 42;
 
 /// Relative tolerance for cost comparisons: the DP planner and the
 /// reference enumeration evaluate identical formulas, but may associate
@@ -210,8 +238,8 @@ bool ReferenceCount(const exec::DbContext& ctx, const Query& q,
 }
 
 DifferentialOracle::DifferentialOracle(engine::Database* db,
-                                       const DifferentialOptions& options)
-    : db_(db), options_(options) {
+                                       faultlib::FaultPlan fault_plan)
+    : db_(db), fault_plan_(std::move(fault_plan)) {
   LQOLAB_CHECK(db != nullptr);
 }
 
@@ -233,8 +261,8 @@ std::vector<DifferentialOracle::ArmPlan> DifferentialOracle::BuildPlans(
   if (q.relation_count() >= 2) {
     optimizer::GeqoParams params;
     params.seed = cfg.geqo_seed;
-    params.pool_size = options_.geqo_pool_size;
-    params.generations = options_.geqo_generations;
+    params.pool_size = kGeqoPoolSize;
+    params.generations = kGeqoGenerations;
     const PlanningResult geqo = planner.PlanGenetic(q, params);
     plans.push_back({"geqo", geqo.plan, geqo.estimated_cost});
 
@@ -242,8 +270,7 @@ std::vector<DifferentialOracle::ArmPlan> DifferentialOracle::BuildPlans(
     // order handed to the engine as a hint, the way an LQO would. Keyed
     // only on (seed, fingerprint) so a replayed reproducer exercises the
     // exact order that originally failed.
-    util::Rng rng(
-        util::MixSeed(options_.exec_seed, exec::QueryFingerprint(q)));
+    util::Rng rng(util::MixSeed(kExecSeed, exec::QueryFingerprint(q)));
     const int32_t n = q.relation_count();
     std::vector<AliasId> order;
     order.push_back(static_cast<AliasId>(rng.UniformInt(0, n - 1)));
@@ -288,7 +315,7 @@ std::vector<DifferentialOracle::ArmPlan> DifferentialOracle::BuildPlans(
 void DifferentialOracle::CheckCostEnumeration(const Query& q,
                                               const std::vector<ArmPlan>& plans,
                                               CheckReport* report) {
-  if (q.relation_count() > options_.exhaustive_max_relations) return;
+  if (q.relation_count() > kExhaustiveMaxRelations) return;
   const optimizer::Planner& planner = db_->planner();
   ++report->checks.cost_enumeration;
 
@@ -366,8 +393,8 @@ void DifferentialOracle::CheckEstimatorInvariants(const Query& q,
 void DifferentialOracle::CheckExecution(const Query& q,
                                         const std::vector<ArmPlan>& plans,
                                         CheckReport* report) {
-  if (q.relation_count() > options_.exec_max_relations) return;
-  if (static_cast<int32_t>(q.edges.size()) > options_.exec_max_edges) return;
+  if (q.relation_count() > kExecMaxRelations) return;
+  if (static_cast<int32_t>(q.edges.size()) > kExecMaxEdges) return;
   ++report->checks.execution;
 
   struct Outcome {
@@ -381,9 +408,9 @@ void DifferentialOracle::CheckExecution(const Query& q,
     // a genuine cross-check rather than a memo hit.
     const std::unique_ptr<engine::Database> replica =
         db_->CloneContextForWorker();
-    replica->BeginQueryReplay(options_.exec_seed, q);
+    replica->BeginQueryReplay(kExecSeed, q);
     const engine::QueryRun run =
-        replica->ExecutePlan(q, arm.plan, 0, options_.exec_timeout_ns);
+        replica->ExecutePlan(q, arm.plan, 0, kExecTimeoutNs);
     ++report->plans_executed;
     if (run.timed_out) {
       ++report->timeouts;
@@ -406,8 +433,7 @@ void DifferentialOracle::CheckExecution(const Query& q,
   }
 
   int64_t reference = 0;
-  if (ReferenceCount(db_->context(), q, options_.reference_work_cap,
-                     &reference)) {
+  if (ReferenceCount(db_->context(), q, kReferenceWorkCap, &reference)) {
     if (reference != outcomes.front().rows) {
       report->discrepancies.push_back(
           {"execution",
@@ -442,12 +468,11 @@ void DifferentialOracle::CheckExecution(const Query& q,
   // (Database::ExecutePlan under DbConfig::adaptive_replan) must never
   // change result rows — replans may only cost time, exactly like the
   // paper's timeout fallbacks.
-  if (options_.replan_twin) {
+  {  // The poison stays injected until this scope ends.
     ++report->checks.replan_differential;
     faultlib::FaultPlan poison;
     poison.name = "replan_twin";
-    poison.seed =
-        util::MixSeed(options_.exec_seed, exec::QueryFingerprint(q));
+    poison.seed = util::MixSeed(kExecSeed, exec::QueryFingerprint(q));
     faultlib::FaultRule rule;
     rule.point = "stats.estimate";
     rule.kind = faultlib::FaultKind::kPoison;
@@ -464,9 +489,9 @@ void DifferentialOracle::CheckExecution(const Query& q,
     adaptive.replan_qerror_threshold = 4.0;
     adaptive.replan_min_rows = 1;
     replica->SetConfig(adaptive);
-    replica->BeginQueryReplay(options_.exec_seed, q);
-    const engine::QueryRun run = replica->ExecutePlan(
-        q, plans.front().plan, 0, options_.exec_timeout_ns);
+    replica->BeginQueryReplay(kExecSeed, q);
+    const engine::QueryRun run =
+        replica->ExecutePlan(q, plans.front().plan, 0, kExecTimeoutNs);
     ++report->plans_executed;
     if (run.timed_out) {
       ++report->timeouts;
@@ -483,19 +508,18 @@ void DifferentialOracle::CheckExecution(const Query& q,
   // Fault mode: replay every arm under injected faults. Faults are allowed
   // to cost availability (typed error, timeout) but never correctness — a
   // faulted run that completes must report the clean cardinality.
-  if (options_.fault_plan.empty()) return;
+  if (fault_plan_.empty()) return;
   ++report->checks.fault_execution;
-  faultlib::FaultPlan per_query = options_.fault_plan;
-  per_query.seed =
-      util::MixSeed(options_.fault_plan.seed, exec::QueryFingerprint(q));
+  faultlib::FaultPlan per_query = fault_plan_;
+  per_query.seed = util::MixSeed(fault_plan_.seed, exec::QueryFingerprint(q));
   for (const ArmPlan& arm : plans) {
     faultlib::FaultInjector injector(per_query);
     faultlib::ScopedFaultInjection inject(&injector);
     const std::unique_ptr<engine::Database> replica =
         db_->CloneContextForWorker();
-    replica->BeginQueryReplay(options_.exec_seed, q);
+    replica->BeginQueryReplay(kExecSeed, q);
     const engine::QueryRun run =
-        replica->ExecutePlan(q, arm.plan, 0, options_.exec_timeout_ns);
+        replica->ExecutePlan(q, arm.plan, 0, kExecTimeoutNs);
     ++report->plans_executed;
     if (!run.status.ok() || run.timed_out) continue;  // Availability loss.
     if (run.result_rows != outcomes.front().rows) {

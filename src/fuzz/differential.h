@@ -9,7 +9,6 @@
 #include "faultlib/faultlib.h"
 #include "lqo/interface.h"
 #include "query/query.h"
-#include "util/virtual_clock.h"
 
 namespace lqolab::fuzz {
 
@@ -74,49 +73,6 @@ struct CheckReport {
   bool failed() const { return !discrepancies.empty(); }
 };
 
-struct DifferentialOptions {
-  /// Exhaustive plan enumeration is exponential; cap it (paper-style n<=7).
-  int32_t exhaustive_max_relations = 7;
-  /// GEQO-arm population knobs. Far smaller than the production defaults:
-  /// the oracle checks every GEQO plan for correctness, not plan quality,
-  /// and it runs GEQO on every query instead of only the 12-relation ones.
-  int32_t geqo_pool_size = 16;
-  int32_t geqo_generations = 12;
-  /// Executing every arm's plan on a fresh replica is the most expensive
-  /// check; cap the relation count it applies to.
-  int32_t exec_max_relations = 8;
-  /// Also cap the edge count. The oracle materializes every join subset
-  /// of every shape (acyclic or not; counting a tree without tuples is only
-  /// its last fallback), and dense cliques with many residual edges can
-  /// take seconds per plan to materialize. 9 keeps every tree (<= 7 edges
-  /// at 8 relations) and cyclic queries up to a 4-clique in the execution
-  /// check.
-  int32_t exec_max_edges = 9;
-  /// Pair-iteration budget of the independent nested-loop reference count
-  /// (checked against every executed plan's result on small queries).
-  int64_t reference_work_cap = 4'000'000;
-  /// Virtual-time execution budget per plan; far above any sane plan on the
-  /// fuzzing profile, so only oracle-overflow queries time out.
-  util::VirtualNanos exec_timeout_ns = 600'000'000'000;  // 10 virtual min
-  /// Replay seed used for every differential execution.
-  uint64_t exec_seed = 42;
-  /// Adaptive-replan twin arm (on by default): one plan per query re-runs
-  /// with DbConfig::adaptive_replan enabled under a keyed "stats.estimate"
-  /// poison schedule (catastrophic underestimates on a seeded half of the
-  /// key space) that drives the mid-query q-error monitor over its
-  /// threshold. Cancel + replan-with-pinned-truths + re-execute must report
-  /// result rows byte-identical to the straight-through run
-  /// (docs/overload.md).
-  bool replan_twin = true;
-  /// Optional fault mode: when the plan has rules, every arm that passed
-  /// the clean execution check re-runs under a per-query FaultInjector
-  /// seeded from (fault_plan.seed, query fingerprint). A faulted run may
-  /// lose availability (typed error, timeout) but a faulted run that
-  /// SUCCEEDS must report the clean run's result cardinality — injected
-  /// faults must never silently corrupt answers.
-  faultlib::FaultPlan fault_plan;
-};
-
 /// Counts the join result by plain backtracking over filtered base rows —
 /// no hash joins, no semi-join reduction, no memoization — as an
 /// implementation-independent ground truth for exec::Oracle. Returns false
@@ -134,10 +90,19 @@ bool ReferenceCount(const exec::DbContext& ctx, const query::Query& q,
 /// every plan through serve::PlanCache and the plan-hint grammar asserting
 /// byte identity, plus the query itself through its SQL text (the
 /// reproducer format): render, parse and bind back, and the rebound query
-/// must fingerprint, render and DP-plan byte-identically.
+/// must fingerprint, render and DP-plan byte-identically. On every executed
+/// query, one plan also re-runs with adaptive replanning under a keyed
+/// estimator poison and must report the same rows (docs/overload.md).
 class DifferentialOracle {
  public:
-  DifferentialOracle(engine::Database* db, const DifferentialOptions& options);
+  /// With a non-empty `fault_plan`, every arm that passed the clean
+  /// execution check re-runs under a per-query FaultInjector seeded from
+  /// (fault_plan.seed, query fingerprint). A faulted run may lose
+  /// availability (typed error, timeout), but a faulted run that SUCCEEDS
+  /// must report the clean run's result cardinality: injected faults must
+  /// never silently corrupt answers.
+  explicit DifferentialOracle(engine::Database* db,
+                              faultlib::FaultPlan fault_plan = {});
 
   /// Registers an LQO arm whose plans join the execution cross-check.
   /// `arm` must outlive this oracle; it may be untrained (planning must
@@ -167,7 +132,7 @@ class DifferentialOracle {
   void CheckSqlRoundTrip(const query::Query& q, CheckReport* report);
 
   engine::Database* db_;
-  DifferentialOptions options_;
+  faultlib::FaultPlan fault_plan_;
   std::vector<lqo::LearnedOptimizer*> arms_;
 };
 

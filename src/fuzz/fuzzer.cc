@@ -47,7 +47,7 @@ Query WithoutRelation(const Query& q, AliasId victim) {
 }  // namespace
 
 Fuzzer::Fuzzer(engine::Database* db, const FuzzOptions& options)
-    : db_(db), options_(options), oracle_(db, options.differential) {}
+    : db_(db), options_(options), oracle_(db) {}
 
 void Fuzzer::AddLqoArm(lqo::LearnedOptimizer* arm) { oracle_.AddLqoArm(arm); }
 
@@ -120,7 +120,7 @@ FuzzStats Fuzzer::Run() {
       stats.discrepancies.push_back(d);
     }
     if (options_.corpus_dir.empty()) continue;
-    const Query minimal = options_.shrink ? Shrink(q) : q;
+    const Query minimal = Shrink(q);
     // Note the (possibly re-derived) failure on the minimal form.
     const CheckReport minimal_report = oracle_.Check(minimal);
     std::string note = "seed " + std::to_string(options_.seed) + ", query " +

@@ -22,11 +22,9 @@ struct FuzzOptions {
   /// Checked between queries, so the overshoot is one query's worth.
   int64_t time_budget_ms = 0;
   GeneratorOptions generator;
-  DifferentialOptions differential;
-  /// Where reproducers for failing queries are written ("" disables).
+  /// Where reproducers for failing queries, shrunk to a minimal form, are
+  /// written ("" disables).
   std::string corpus_dir;
-  /// Shrink failing queries to minimal reproducers before writing them.
-  bool shrink = true;
 };
 
 /// Aggregate outcome of a fuzzing run (the numbers behind BENCH_fuzz.json).

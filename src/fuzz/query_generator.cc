@@ -17,21 +17,27 @@ using query::Query;
 using stats::ColumnStats;
 using storage::Value;
 
-const char* JoinShapeName(JoinShape shape) {
-  switch (shape) {
-    case JoinShape::kChain: return "chain";
-    case JoinShape::kStar: return "star";
-    case JoinShape::kClique: return "clique";
-  }
-  return "?";
-}
+namespace {
+
+constexpr int32_t kMinRelations = 2;
+/// Cliques get quadratically many edges; cap their size separately so a
+/// 12-relation draw doesn't produce a 66-edge join graph.
+constexpr int32_t kMaxCliqueRelations = 6;
+/// Probability that a relation receives at least one filter predicate.
+constexpr double kPredicateRate = 0.6;
+constexpr int32_t kMaxPredicatesPerRelation = 2;
+/// Rate of deliberately adversarial literals: out-of-domain constants and
+/// empty (inverted) ranges, which must flow through the estimator and
+/// executor without tripping anything.
+constexpr double kAdversarialRate = 0.05;
+
+}  // namespace
 
 QueryGenerator::QueryGenerator(const exec::DbContext* ctx,
                                const GeneratorOptions& options, uint64_t seed)
     : ctx_(ctx), options_(options), rng_(seed) {
   LQOLAB_CHECK(ctx != nullptr);
-  LQOLAB_CHECK_GE(options.min_relations, 1);
-  LQOLAB_CHECK_LE(options.min_relations, options.max_relations);
+  LQOLAB_CHECK_LE(kMinRelations, options.max_relations);
   LQOLAB_CHECK_LE(options.max_relations, 12);
 
   const catalog::Schema& schema = *ctx_->schema;
@@ -151,7 +157,7 @@ void QueryGenerator::BuildClique(Query* q, int32_t n) {
 }
 
 Value QueryGenerator::SampleValue(const ColumnStats& cs) {
-  if (rng_.Bernoulli(options_.adversarial_rate)) {
+  if (rng_.Bernoulli(kAdversarialRate)) {
     // Out-of-domain constant: must estimate to ~0 and match nothing.
     return rng_.Bernoulli(0.5) ? cs.max_value + 1000 : cs.min_value - 1000;
   }
@@ -193,7 +199,7 @@ void QueryGenerator::AddPredicate(Query* q, AliasId alias) {
     pred.kind = Predicate::Kind::kRange;
     Value lo = SampleValue(cs);
     Value hi = SampleValue(cs);
-    if (lo > hi && !rng_.Bernoulli(options_.adversarial_rate)) {
+    if (lo > hi && !rng_.Bernoulli(kAdversarialRate)) {
       std::swap(lo, hi);  // keep the occasional empty range as-is
     }
     pred.int_values = {lo, hi};
@@ -223,9 +229,8 @@ void QueryGenerator::AddPredicate(Query* q, AliasId alias) {
 
 void QueryGenerator::AddPredicates(Query* q) {
   for (AliasId a = 0; a < q->relation_count(); ++a) {
-    if (!rng_.Bernoulli(options_.predicate_rate)) continue;
-    const int64_t count =
-        rng_.UniformInt(1, options_.max_predicates_per_relation);
+    if (!rng_.Bernoulli(kPredicateRate)) continue;
+    const int64_t count = rng_.UniformInt(1, kMaxPredicatesPerRelation);
     for (int64_t i = 0; i < count; ++i) AddPredicate(q, a);
   }
 }
@@ -241,7 +246,7 @@ Query QueryGenerator::Next() {
                           : roll < 0.8 ? JoinShape::kStar
                                        : JoinShape::kClique;
   int32_t n = static_cast<int32_t>(
-      rng_.UniformInt(options_.min_relations, options_.max_relations));
+      rng_.UniformInt(kMinRelations, options_.max_relations));
   switch (shape) {
     case JoinShape::kChain:
       BuildChain(&q, n);
@@ -250,7 +255,7 @@ Query QueryGenerator::Next() {
       BuildStar(&q, n);
       break;
     case JoinShape::kClique:
-      n = std::min(n, options_.max_clique_relations);
+      n = std::min(n, kMaxCliqueRelations);
       BuildClique(&q, std::max(n, 2));
       break;
   }

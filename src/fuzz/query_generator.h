@@ -16,21 +16,9 @@ namespace lqolab::fuzz {
 /// curated workload never reaches.
 enum class JoinShape { kChain, kStar, kClique };
 
-const char* JoinShapeName(JoinShape shape);
-
 struct GeneratorOptions {
-  int32_t min_relations = 2;
+  /// Queries draw 2..max_relations relations (cliques at most 6).
   int32_t max_relations = 12;
-  /// Cliques get quadratically many edges; cap their size separately so a
-  /// 12-relation draw doesn't produce a 66-edge join graph.
-  int32_t max_clique_relations = 6;
-  /// Probability that a relation receives at least one filter predicate.
-  double predicate_rate = 0.6;
-  int32_t max_predicates_per_relation = 2;
-  /// Rate of deliberately adversarial literals: out-of-domain constants and
-  /// empty (inverted) ranges, which must flow through the estimator and
-  /// executor without tripping anything.
-  double adversarial_rate = 0.05;
 };
 
 /// Seeded random query generator over the IMDB-like catalog. Join graphs

@@ -75,18 +75,6 @@ RateProfile RateProfile::Burst(double qps, double multiplier,
   return p;
 }
 
-const char* RateProfileKindName(RateProfile::Kind kind) {
-  switch (kind) {
-    case RateProfile::Kind::kConstant:
-      return "constant";
-    case RateProfile::Kind::kDiurnal:
-      return "diurnal";
-    case RateProfile::Kind::kBurst:
-      return "burst";
-  }
-  return "unknown";
-}
-
 ArrivalGenerator::ArrivalGenerator(const RateProfile& profile,
                                    std::vector<TenantSpec> tenants,
                                    int32_t workload_size, uint64_t seed)

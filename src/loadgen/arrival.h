@@ -43,8 +43,6 @@ struct RateProfile {
                            util::VirtualNanos duration_ns);
 };
 
-const char* RateProfileKindName(RateProfile::Kind kind);
-
 /// One tenant class in a multi-tenant mix: a share of the arrival stream,
 /// its own Zipf skew over the workload (each tenant favours a *different*
 /// seeded permutation of the queries — millions-of-users style hot sets

@@ -11,6 +11,13 @@ namespace lqolab::loadgen {
 
 using util::VirtualNanos;
 
+namespace {
+
+/// Arrival window when OpenLoopOptions::target_arrivals is 0.
+constexpr VirtualNanos kHorizonNs = 10 * util::kNanosPerSecond;
+
+}  // namespace
+
 OpenLoopRunner::OpenLoopRunner(engine::Database* db,
                                std::vector<query::Query> workload)
     : db_(db), workload_(std::move(workload)) {
@@ -19,7 +26,6 @@ OpenLoopRunner::OpenLoopRunner(engine::Database* db,
 }
 
 OpenLoopResult OpenLoopRunner::Run(const OpenLoopOptions& options) {
-  LQOLAB_CHECK_GT(options.horizon_ns, 0);
   LQOLAB_CHECK_GT(options.virtual_workers, 0);
   std::vector<TenantSpec> tenants = options.tenants;
   if (tenants.empty()) tenants.push_back(TenantSpec{});
@@ -73,7 +79,7 @@ OpenLoopResult OpenLoopRunner::Run(const OpenLoopOptions& options) {
   }
   result.offered_qps = profile.base_qps;
 
-  VirtualNanos horizon_ns = options.horizon_ns;
+  VirtualNanos horizon_ns = kHorizonNs;
   if (options.target_arrivals > 0) {
     horizon_ns = static_cast<VirtualNanos>(
         static_cast<double>(options.target_arrivals) / profile.base_qps *

@@ -21,10 +21,10 @@ struct OpenLoopOptions {
   RateProfile profile = RateProfile::Constant(100.0);
   double offered_multiple = 0.0;
   std::vector<TenantSpec> tenants;
-  util::VirtualNanos horizon_ns = 10 * util::kNanosPerSecond;
-  /// When > 0, `horizon_ns` is recomputed so the expected arrival count is
-  /// this value regardless of capacity/multiple — keeps wall-clock cost
-  /// predictable across machines and LQOLAB_SCALE settings.
+  /// When > 0, the arrival window (10 virtual seconds otherwise) is sized
+  /// so the expected arrival count is this value regardless of
+  /// capacity/multiple — keeps wall-clock cost predictable across machines
+  /// and LQOLAB_SCALE settings.
   int64_t target_arrivals = 0;
   /// When > 0, every tenant whose deadline_budget_ns is 0 gets a budget of
   /// this multiple of the mix-weighted mean warm service time — an SLO

@@ -13,12 +13,20 @@ using engine::Database;
 using query::Query;
 using util::VirtualNanos;
 
+namespace {
+
+/// Extra exploratory plans per query in each fine-tuning round.
+constexpr int32_t kExplorationPlans = 1;
+/// A query's safe timeout: this multiple of its best earlier latency.
+constexpr double kTimeoutFactor = 2.0;
+
+}  // namespace
+
 BalsaOptimizer::BalsaOptimizer() : BalsaOptimizer(Options()) {}
 
 BalsaOptimizer::BalsaOptimizer(Options options)
     : options_(options),
-      model_({.hidden = options.hidden,
-              .learning_rate = options.learning_rate,
+      model_({.hidden = 64,
               .seed = options.seed,
               .stream_salt = 0xb5297a4dULL}) {}
 BalsaOptimizer::~BalsaOptimizer() = default;
@@ -72,7 +80,7 @@ TrainReport BalsaOptimizer::Train(const std::vector<Query>& train_set,
   for (int32_t iter = 0; iter < options_.iterations; ++iter) {
     const TrainReport before = report;
     std::vector<ValueModel::Sample> fresh;
-    for (int32_t c = 0; c <= options_.exploration_plans; ++c) {
+    for (int32_t c = 0; c <= kExplorationPlans; ++c) {
       const double epsilon = c == 0 ? 0.0 : 0.05;
       std::vector<optimizer::PhysicalPlan> plans;
       plans.reserve(train_set.size());
@@ -88,7 +96,7 @@ TrainReport BalsaOptimizer::Train(const std::vector<Query>& train_set,
         auto best = best_latency_.find(exec::QueryFingerprint(train_set[i]));
         if (best != best_latency_.end()) {
           timeout = static_cast<VirtualNanos>(
-              static_cast<double>(best->second) * options_.timeout_factor);
+              static_cast<double>(best->second) * kTimeoutFactor);
           timeout = std::max<VirtualNanos>(timeout, util::kNanosPerMilli);
         }
         batch.push_back({&train_set[i], &plans[i], timeout});

@@ -22,11 +22,7 @@ class BalsaOptimizer : public LearnedOptimizer {
     int32_t pretrain_samples_per_query = 15;
     int32_t pretrain_epochs = 3;
     int32_t iterations = 5;
-    int32_t exploration_plans = 1;  ///< extra exploratory plans per query
     int32_t train_epochs = 20;
-    int32_t hidden = 64;
-    double learning_rate = 1e-3;
-    double timeout_factor = 2.0;
     uint64_t seed = 2;
   };
 

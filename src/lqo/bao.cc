@@ -31,8 +31,6 @@ std::vector<HintSet> DefaultHintSets() {
   return sets;
 }
 
-namespace {
-
 DbConfig ApplyHintSet(DbConfig config, const HintSet& hints) {
   config.enable_nestloop = hints.enable_nestloop;
   config.enable_hashjoin = hints.enable_hashjoin;
@@ -42,6 +40,11 @@ DbConfig ApplyHintSet(DbConfig config, const HintSet& hints) {
   config.enable_seqscan = hints.enable_seqscan;
   return config;
 }
+
+namespace {
+
+/// Epoch e explores a random hint set with probability 0.5 / (e + 1).
+constexpr double kInitialEpsilon = 0.5;
 
 // PostgreSQL enable_* settings are soft: when no permitted plan exists the
 // planner falls back to a "disabled" operator anyway. A hint failure is a
@@ -82,8 +85,7 @@ BaoOptimizer::BaoOptimizer(Options options)
       // No query encoding (Table 1).
       model_({.style = PlanEncodingStyle::kCardinalityOnly,
               .encode_query = false,
-              .hidden = options.hidden,
-              .learning_rate = options.learning_rate,
+              .hidden = 48,
               .seed = options.seed,
               .stream_salt = 0x2545f491ULL}) {}
 BaoOptimizer::~BaoOptimizer() = default;
@@ -118,8 +120,7 @@ TrainReport BaoOptimizer::Train(const std::vector<Query>& train_set,
   engine::BatchExecutor executor(db, options_.seed, training_parallelism());
   for (int32_t epoch = 0; epoch < options_.epochs; ++epoch) {
     const TrainReport before = report;
-    const double epsilon =
-        options_.initial_epsilon / static_cast<double>(epoch + 1);
+    const double epsilon = kInitialEpsilon / static_cast<double>(epoch + 1);
     // Per-arm planning, model scoring and the epsilon-greedy arm choice
     // advance serially in query order (parent config, training stream);
     // then the episode's chosen plans execute as one batch.

@@ -25,6 +25,9 @@ struct HintSet {
 /// and uses ~5 in practice).
 std::vector<HintSet> DefaultHintSets();
 
+/// `config` with its six enable_* settings replaced by `hints`'s.
+engine::DbConfig ApplyHintSet(engine::DbConfig config, const HintSet& hints);
+
 /// Simplified Bao (Marcus et al., SIGMOD 2021): sits ON TOP of the native
 /// optimizer, choosing per query which hint set (disabled-operator subset)
 /// the optimizer plans under. The value model is a tree network over a
@@ -36,9 +39,6 @@ class BaoOptimizer : public LearnedOptimizer {
   struct Options {
     int32_t epochs = 4;
     int32_t train_epochs = 25;
-    int32_t hidden = 48;
-    double learning_rate = 1e-3;
-    double initial_epsilon = 0.5;
     uint64_t seed = 3;
   };
 

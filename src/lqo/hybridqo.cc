@@ -17,11 +17,20 @@ using query::AliasId;
 using query::AliasMask;
 using query::Query;
 
+namespace {
+
+/// A hint is the first kPrefixDepth relations of a join order.
+constexpr int32_t kPrefixDepth = 3;
+/// Candidate hints handed to the engine.
+constexpr int32_t kTopPrefixes = 3;
+constexpr double kUcbConstant = 1.2;
+
+}  // namespace
+
 HybridQoOptimizer::HybridQoOptimizer() : HybridQoOptimizer(Options()) {}
 HybridQoOptimizer::HybridQoOptimizer(Options options)
     : options_(options),
-      latency_model_({.hidden = options.hidden,
-                      .learning_rate = options.learning_rate,
+      latency_model_({.hidden = 48,
                       .seed = options.seed,
                       .stream_salt = 0x27bb2ee6ULL}) {}
 HybridQoOptimizer::~HybridQoOptimizer() = default;
@@ -29,7 +38,7 @@ HybridQoOptimizer::~HybridQoOptimizer() = default;
 std::vector<PhysicalPlan> HybridQoOptimizer::CandidatesFromMcts(
     const Query& q, Database* db, int64_t* cost_calls) {
   const int32_t depth =
-      std::min<int32_t>(options_.prefix_depth, q.relation_count());
+      std::min<int32_t>(kPrefixDepth, q.relation_count());
 
   // MCTS node statistics keyed by the order prefix.
   struct NodeStats {
@@ -78,7 +87,7 @@ std::vector<PhysicalPlan> HybridQoOptimizer::CandidatesFromMcts(
             ns.visits > 0 ? ns.total_reward / ns.visits : 0.0;
         // Unvisited children first, tie-broken randomly.
         const double explore =
-            ns.visits > 0 ? options_.ucb_constant *
+            ns.visits > 0 ? kUcbConstant *
                                 std::sqrt(std::log(parent_visits) / ns.visits)
                           : 10.0 + stream.Uniform();
         if (exploit + explore > best_ucb) {
@@ -111,9 +120,7 @@ std::vector<PhysicalPlan> HybridQoOptimizer::CandidatesFromMcts(
 
   std::vector<PhysicalPlan> candidates;
   for (const auto& [reward, prefix] : ranked) {
-    if (static_cast<int32_t>(candidates.size()) >= options_.top_prefixes) {
-      break;
-    }
+    if (static_cast<int32_t>(candidates.size()) >= kTopPrefixes) break;
     PhysicalPlan plan;
     const double cost = db->planner().CostJoinOrder(
         q, ExtendGreedily(q, prefix), &plan, nullptr);

@@ -19,13 +19,8 @@ class HybridQoOptimizer : public LearnedOptimizer {
  public:
   struct Options {
     int32_t mcts_iterations = 60;
-    int32_t prefix_depth = 3;    ///< hint = first `depth` relations
-    int32_t top_prefixes = 3;    ///< candidate hints handed to the engine
-    double ucb_constant = 1.2;
     int32_t train_epochs = 10;
     int32_t epochs = 2;
-    int32_t hidden = 48;
-    double learning_rate = 1e-3;
     uint64_t seed = 8;
   };
 

@@ -24,20 +24,16 @@ LeonOptimizer::LeonOptimizer() : LeonOptimizer(Options()) {}
 namespace {
 
 // LEON draws no random numbers, so its models' streams go unused.
-ValueModel::Spec LeonSpec(const LeonOptimizer::Options& options,
-                          uint64_t seed) {
-  return {.output = ValueModel::Output::kPairwise,
-          .hidden = options.hidden,
-          .learning_rate = options.learning_rate,
-          .seed = seed};
+ValueModel::Spec LeonSpec(uint64_t seed) {
+  return {.output = ValueModel::Output::kPairwise, .hidden = 48, .seed = seed};
 }
 
 }  // namespace
 
 LeonOptimizer::LeonOptimizer(Options options)
     : options_(options),
-      model_a_(LeonSpec(options, options.seed)),
-      model_b_(LeonSpec(options, options.seed ^ 0xdeadbeefULL)) {}
+      model_a_(LeonSpec(options.seed)),
+      model_b_(LeonSpec(options.seed ^ 0xdeadbeefULL)) {}
 LeonOptimizer::~LeonOptimizer() = default;
 
 std::vector<LeonOptimizer::Candidate> LeonOptimizer::Enumerate(

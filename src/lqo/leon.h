@@ -23,8 +23,6 @@ class LeonOptimizer : public LearnedOptimizer {
     int32_t topk_per_mask = 3;  ///< plans kept per subset
     int32_t exec_per_query = 3;
     int32_t pair_epochs = 8;
-    int32_t hidden = 48;
-    double learning_rate = 1e-3;
     /// Modeled end-to-end training budget; training stops when exceeded
     /// (the paper capped LEON at 120 hours).
     util::VirtualNanos train_budget_ns = 120ll * 3600 * 1'000'000'000;

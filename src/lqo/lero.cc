@@ -20,8 +20,7 @@ LeroOptimizer::LeroOptimizer(Options options)
       // No query encoding (Table 1): the comparator sees plans only.
       model_({.encode_query = false,
               .output = ValueModel::Output::kPairwise,
-              .hidden = options_.hidden,
-              .learning_rate = options_.learning_rate,
+              .hidden = 48,
               .seed = options_.seed,
               .stream_salt = 0x6c078965ULL}) {}
 LeroOptimizer::~LeroOptimizer() = default;
@@ -31,7 +30,7 @@ std::vector<LeroOptimizer::Candidate> LeroOptimizer::GenerateCandidates(
   const DbConfig saved = db->config();
   std::vector<Candidate> candidates;
   std::set<std::string> seen;
-  for (double factor : options_.scale_factors) {
+  for (double factor : kScaleFactors) {
     DbConfig config = saved;
     config.join_selectivity_scale = factor;
     db->SetConfig(config);

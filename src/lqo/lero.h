@@ -1,6 +1,7 @@
 #ifndef LQOLAB_LQO_LERO_H_
 #define LQOLAB_LQO_LERO_H_
 
+#include <array>
 #include <vector>
 
 #include "lqo/interface.h"
@@ -17,13 +18,13 @@ namespace lqolab::lqo {
 /// candidate generation runs inside the engine.
 class LeroOptimizer : public LearnedOptimizer {
  public:
+  /// Selectivity scaling sweep used to diversify candidates.
+  static constexpr std::array<double, 5> kScaleFactors = {0.01, 0.1, 1.0,
+                                                          10.0, 100.0};
+
   struct Options {
-    /// Selectivity scaling sweep used to diversify candidates.
-    std::vector<double> scale_factors = {0.01, 0.1, 1.0, 10.0, 100.0};
     int32_t epochs = 3;
     int32_t pair_epochs = 10;
-    int32_t hidden = 48;
-    double learning_rate = 1e-3;
     uint64_t seed = 6;
   };
 

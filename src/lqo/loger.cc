@@ -16,11 +16,18 @@ using query::AliasId;
 using query::AliasMask;
 using query::Query;
 
+namespace {
+
+constexpr int32_t kBeamWidth = 3;
+/// Epsilon-beam exploration during training.
+constexpr double kTrainingEpsilon = 0.1;
+
+}  // namespace
+
 LogerOptimizer::LogerOptimizer() : LogerOptimizer(Options()) {}
 LogerOptimizer::LogerOptimizer(Options options)
     : options_(options),
-      model_({.hidden = options.hidden,
-              .learning_rate = options.learning_rate,
+      model_({.hidden = 48,
               .seed = options.seed,
               .stream_salt = 0x41c64e6dULL}) {}
 LogerOptimizer::~LogerOptimizer() = default;
@@ -56,8 +63,8 @@ SearchResult LogerOptimizer::BeamSearch(const Query& q, Database* db,
   }
   std::sort(beam.begin(), beam.end(),
             [](const State& x, const State& y) { return x.score < y.score; });
-  if (static_cast<int32_t>(beam.size()) > options_.beam_width) {
-    beam.resize(static_cast<size_t>(options_.beam_width));
+  if (static_cast<int32_t>(beam.size()) > kBeamWidth) {
+    beam.resize(static_cast<size_t>(kBeamWidth));
   }
 
   for (int32_t step = 1; step < q.relation_count(); ++step) {
@@ -97,8 +104,8 @@ SearchResult LogerOptimizer::BeamSearch(const Query& q, Database* db,
     LQOLAB_CHECK(!expanded.empty());
     std::sort(expanded.begin(), expanded.end(),
               [](const State& x, const State& y) { return x.score < y.score; });
-    if (static_cast<int32_t>(expanded.size()) > options_.beam_width) {
-      expanded.resize(static_cast<size_t>(options_.beam_width));
+    if (static_cast<int32_t>(expanded.size()) > kBeamWidth) {
+      expanded.resize(static_cast<size_t>(kBeamWidth));
     }
     beam = std::move(expanded);
   }
@@ -138,7 +145,7 @@ TrainReport LogerOptimizer::Train(const std::vector<Query>& train_set,
     std::vector<PhysicalPlan> plans;
     plans.reserve(train_set.size());
     for (const Query& q : train_set) {
-      SearchResult search = BeamSearch(q, db, options_.epsilon);
+      SearchResult search = BeamSearch(q, db, kTrainingEpsilon);
       report.nn_evals += search.evals;
       plans.push_back(std::move(search.plan));
     }

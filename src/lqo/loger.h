@@ -20,10 +20,6 @@ class LogerOptimizer : public LearnedOptimizer {
   struct Options {
     int32_t iterations = 2;
     int32_t train_epochs = 10;
-    int32_t beam_width = 3;
-    double epsilon = 0.1;  ///< epsilon-beam exploration during training
-    int32_t hidden = 48;
-    double learning_rate = 1e-3;
     uint64_t seed = 7;
   };
 

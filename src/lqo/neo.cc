@@ -11,12 +11,18 @@ namespace lqolab::lqo {
 using engine::Database;
 using query::Query;
 
+namespace {
+
+/// Executed plans kept for refits; the oldest are dropped first.
+constexpr int64_t kReplayCapacity = 4000;
+
+}  // namespace
+
 NeoOptimizer::NeoOptimizer() : NeoOptimizer(Options()) {}
 
 NeoOptimizer::NeoOptimizer(Options options)
     : options_(options),
-      model_({.hidden = options.hidden,
-              .learning_rate = options.learning_rate,
+      model_({.hidden = 64,
               .seed = options.seed,
               .stream_salt = 0x5deece66dULL}) {}
 NeoOptimizer::~NeoOptimizer() = default;
@@ -133,10 +139,10 @@ TrainReport NeoOptimizer::Train(const std::vector<Query>& train_set,
         executor.Execute(effective_train, plans);
     report.AddRuns(runs);
     ValueModel::AppendRuns(effective_train, std::move(plans), runs, &replay_);
-    if (static_cast<int64_t>(replay_.size()) > options_.replay_capacity) {
+    if (static_cast<int64_t>(replay_.size()) > kReplayCapacity) {
       replay_.erase(replay_.begin(),
                     replay_.begin() + (static_cast<long>(replay_.size()) -
-                                       options_.replay_capacity));
+                                       kReplayCapacity));
     }
     report.RecordEpisode(before, iter + 1, loss_sum);
   }

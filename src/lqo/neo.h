@@ -19,9 +19,6 @@ class NeoOptimizer : public LearnedOptimizer {
   struct Options {
     int32_t iterations = 3;
     int32_t train_epochs = 30;
-    int32_t hidden = 64;
-    double learning_rate = 1e-3;
-    int64_t replay_capacity = 4000;
     /// When > 0, this fraction of the training queries is held out as a
     /// FIXED validation set (the paper's §5.1 recommendation: fixed
     /// holdout, not CV, not "time series") and training stops early when

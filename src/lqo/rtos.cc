@@ -1,6 +1,5 @@
 #include "lqo/rtos.h"
 
-#include <algorithm>
 #include <limits>
 
 #include "engine/exec_batch.h"
@@ -15,11 +14,17 @@ using query::AliasId;
 using query::AliasMask;
 using query::Query;
 
+namespace {
+
+/// Folds of the cross-validated holdout loss (Table 1).
+constexpr int32_t kCvFolds = 3;
+
+}  // namespace
+
 RtosOptimizer::RtosOptimizer() : RtosOptimizer(Options()) {}
 RtosOptimizer::RtosOptimizer(Options options)
     : options_(options),
-      model_({.hidden = options.hidden,
-              .learning_rate = options.learning_rate,
+      model_({.hidden = 48,
               .seed = options.seed,
               .stream_salt = 0x7f4a7c15ULL}) {}
 RtosOptimizer::~RtosOptimizer() = default;
@@ -144,13 +149,12 @@ TrainReport RtosOptimizer::Train(const std::vector<Query>& train_set,
   // Table 1: RTOS measures final aggregated performance via
   // cross-validation. Compute a k-fold holdout loss over the replay data.
   double cv_total = 0.0;
-  const int32_t folds = std::max<int32_t>(2, options_.cv_folds);
   int32_t measured = 0;
-  for (int32_t fold = 0; fold < folds; ++fold) {
+  for (int32_t fold = 0; fold < kCvFolds; ++fold) {
     double fold_loss = 0.0;
     int32_t fold_count = 0;
     for (size_t i = static_cast<size_t>(fold); i < replay_.size();
-         i += static_cast<size_t>(folds)) {
+         i += static_cast<size_t>(kCvFolds)) {
       const ValueModel::Sample& sample = replay_[i];
       const double predicted = model_.Score(
           model_.EncodeQuery(sample.query), sample.query, sample.plan);

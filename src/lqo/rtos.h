@@ -21,9 +21,6 @@ class RtosOptimizer : public LearnedOptimizer {
   struct Options {
     int32_t iterations = 2;
     int32_t train_epochs = 12;
-    int32_t cv_folds = 3;
-    int32_t hidden = 48;
-    double learning_rate = 1e-3;
     uint64_t seed = 5;
   };
 

@@ -15,6 +15,13 @@ using optimizer::PhysicalPlan;
 using optimizer::PlanNode;
 using query::Query;
 
+namespace {
+
+/// Adam step size of every LQO's value network.
+constexpr double kLearningRate = 1e-3;
+
+}  // namespace
+
 float LatencyToTarget(util::VirtualNanos latency) {
   const double ms =
       static_cast<double>(latency) / static_cast<double>(util::kNanosPerMilli);
@@ -132,7 +139,7 @@ void ValueModel::Bind(engine::Database* db) {
       plan_encoder_->node_dim(),
       query_encoder_ != nullptr ? query_encoder_->dim() : 0, spec_.hidden,
       spec_.seed);
-  adam_ = std::make_unique<ml::Adam>(net_->Params(), spec_.learning_rate);
+  adam_ = std::make_unique<ml::Adam>(net_->Params(), kLearningRate);
 }
 
 std::vector<float> ValueModel::EncodeQuery(const Query& q) const {

@@ -113,7 +113,6 @@ class ValueModel {
     bool encode_query = true;
     Output output = Output::kRegression;
     int32_t hidden = 64;
-    double learning_rate = 1e-3;
     /// Seeds the network weights.
     uint64_t seed = 0;
     /// The training stream starts at seed ^ stream_salt.

@@ -21,8 +21,6 @@ class Matrix {
     LQOLAB_CHECK_GE(cols, 0);
   }
 
-  static Matrix Zeros(int32_t rows, int32_t cols) { return {rows, cols}; }
-
   /// Kaiming-uniform initialization for a layer with `fan_in` inputs.
   static Matrix KaimingUniform(int32_t rows, int32_t cols, int32_t fan_in,
                                util::Rng* rng);

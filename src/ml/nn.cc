@@ -56,10 +56,6 @@ void Adam::Step() {
   }
 }
 
-void Adam::ZeroGrad() {
-  for (Param* p : params_) p->grad.Fill(0.0f);
-}
-
 NodeId MseLoss(Graph* g, NodeId prediction, NodeId target) {
   const NodeId diff = g->Sub(prediction, target);
   return g->Mean(g->Mul(diff, diff));

@@ -76,9 +76,6 @@ class Adam {
   /// Applies one update from the accumulated gradients, then zeroes them.
   void Step();
 
-  /// Zeroes gradients without updating.
-  void ZeroGrad();
-
   int64_t step_count() const { return step_; }
 
  private:

@@ -118,33 +118,4 @@ std::string PhysicalPlan::ToString(const query::Query& q) const {
   return os.str();
 }
 
-std::string PhysicalPlan::ToTreeString(const query::Query& q,
-                                       const catalog::Schema& schema) const {
-  std::ostringstream os;
-  std::function<void(int32_t, int)> render = [&](int32_t i, int depth) {
-    const PlanNode& n = node(i);
-    os << std::string(static_cast<size_t>(depth) * 2, ' ') << "-> ";
-    if (n.type == PlanNode::Type::kScan) {
-      const auto& rel = q.relations[static_cast<size_t>(n.alias)];
-      os << ScanTypeName(n.scan_type) << " on "
-         << schema.table(rel.table).name << " " << rel.alias;
-      if (n.index_column != catalog::kInvalidColumn) {
-        os << " using ("
-           << schema.table(rel.table)
-                  .columns[static_cast<size_t>(n.index_column)]
-                  .name
-           << ")";
-      }
-      os << "\n";
-      return;
-    }
-    os << JoinAlgoName(n.algo) << "\n";
-    render(n.left, depth + 1);
-    render(n.right, depth + 1);
-  };
-  if (empty()) return "<empty>\n";
-  render(root, 0);
-  return os.str();
-}
-
 }  // namespace lqolab::optimizer

@@ -88,10 +88,6 @@ struct PhysicalPlan {
 
   /// One-line rendering, e.g. "HashJoin(Seq(t), IndexNlj(Seq(mc), Idx(cn)))".
   std::string ToString(const query::Query& q) const;
-
-  /// Multi-line EXPLAIN-style rendering.
-  std::string ToTreeString(const query::Query& q,
-                           const catalog::Schema& schema) const;
 };
 
 }  // namespace lqolab::optimizer

@@ -20,6 +20,9 @@ using query::Query;
 
 namespace {
 
+/// Probability that a GEQO crossover child gets one random swap.
+constexpr double kGeqoMutationRate = 0.15;
+
 /// DP table entry for one connected subset.
 struct DpEntry {
   bool valid = false;
@@ -470,7 +473,7 @@ PlanningResult Planner::PlanGenetic(CallState& s,
       }
       Individual& child = population[i];
       repair(preference, &child.order);
-      if (rng.Uniform() < params.mutation_rate) {
+      if (rng.Uniform() < kGeqoMutationRate) {
         const size_t x = static_cast<size_t>(rng.UniformInt(0, n - 1));
         const size_t y = static_cast<size_t>(rng.UniformInt(0, n - 1));
         std::swap(child.order[x], child.order[y]);

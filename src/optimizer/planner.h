@@ -28,7 +28,6 @@ struct PlanningResult {
 struct GeqoParams {
   int32_t pool_size = 40;
   int32_t generations = 60;
-  double mutation_rate = 0.15;
   uint64_t seed = 0;  ///< Combined with the query fingerprint.
 };
 

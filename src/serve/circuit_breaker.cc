@@ -13,18 +13,6 @@ CircuitBreaker::CircuitBreaker(const CircuitBreakerOptions& options)
   LQOLAB_CHECK_GE(options.probe_spacing, 0);
 }
 
-const char* CircuitBreaker::StateName(State state) {
-  switch (state) {
-    case State::kClosed:
-      return "closed";
-    case State::kOpen:
-      return "open";
-    case State::kHalfOpen:
-      return "half_open";
-  }
-  return "unknown";
-}
-
 void CircuitBreaker::TripLocked() {
   state_ = State::kOpen;
   failure_streak_ = 0;

@@ -74,8 +74,6 @@ class CircuitBreaker {
   /// Lifetime requests short-circuited while open.
   int64_t short_circuits() const;
 
-  static const char* StateName(State state);
-
  private:
   void TripLocked();
 

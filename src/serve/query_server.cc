@@ -67,18 +67,6 @@ std::future<ServedQuery> Resolved(ServedQuery served) {
 
 }  // namespace
 
-const char* RouteModeName(RouteMode mode) {
-  switch (mode) {
-    case RouteMode::kPglite:
-      return "pglite";
-    case RouteMode::kLqo:
-      return "lqo";
-    case RouteMode::kShadow:
-      return "shadow";
-  }
-  return "unknown";
-}
-
 QueryServer::QueryServer(Database* db, const ServerOptions& options)
     : parent_(db),
       options_(options),

@@ -35,8 +35,6 @@ enum class RouteMode {
   kShadow,  ///< Model plans (recorded), but the pglite plan executes.
 };
 
-const char* RouteModeName(RouteMode mode);
-
 /// Callback invoked by a worker after it successfully executes a plan
 /// (status OK, not timed out): the hook the online cost-model refresh loop
 /// (costmodel::OnlineRefresher) uses to harvest per-plan actuals without the

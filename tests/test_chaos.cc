@@ -547,7 +547,6 @@ TEST(ServeChaos, SingleWorkerSoakIsDeterministic) {
 }
 
 TEST(DifferentialFaultMode, FaultsNeverChangeCardinalityOfSuccesses) {
-  fuzz::DifferentialOptions options;
   FaultRule storage = ErrorRule("buffer.read_page");
   storage.probability = 0.01;
   FaultRule latency;
@@ -555,11 +554,12 @@ TEST(DifferentialFaultMode, FaultsNeverChangeCardinalityOfSuccesses) {
   latency.kind = FaultKind::kLatency;
   latency.latency_ns = 25'000;
   latency.probability = 0.05;
-  options.fault_plan.seed = 3;
-  options.fault_plan.Add(storage);
-  options.fault_plan.Add(latency);
+  FaultPlan fault_plan;
+  fault_plan.seed = 3;
+  fault_plan.Add(storage);
+  fault_plan.Add(latency);
 
-  fuzz::DifferentialOracle oracle(SharedDb(), options);
+  fuzz::DifferentialOracle oracle(SharedDb(), fault_plan);
   fuzz::CheckCounts checks;
   int32_t checked = 0;
   for (const query::Query& q : Workload()) {

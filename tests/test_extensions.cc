@@ -124,7 +124,7 @@ TEST_F(ExtensionTest, LeroGeneratesDiverseCandidatesAndRestoresConfig) {
   // Candidate generation planned under every scale factor.
   EXPECT_EQ(report.planner_calls,
             static_cast<int64_t>(train.size() *
-                                 options.scale_factors.size()));
+                                 lqo::LeroOptimizer::kScaleFactors.size()));
   // Executed at least one plan per query, at most one per candidate.
   EXPECT_GE(report.plans_executed, static_cast<int64_t>(train.size()));
   EXPECT_LE(report.plans_executed,

@@ -529,14 +529,8 @@ TEST(PlannerDigest, BaoHintSets) {
   Digest plans;
   for (const lqo::HintSet& hints : lqo::DefaultHintSets()) {
     for (const int32_t threshold : {DbConfig::Bao().geqo_threshold, 4}) {
-      DbConfig config = DbConfig::Bao();
+      DbConfig config = lqo::ApplyHintSet(DbConfig::Bao(), hints);
       config.geqo_threshold = threshold;
-      config.enable_nestloop = hints.enable_nestloop;
-      config.enable_hashjoin = hints.enable_hashjoin;
-      config.enable_mergejoin = hints.enable_mergejoin;
-      config.enable_indexscan = hints.enable_indexscan;
-      config.enable_bitmapscan = hints.enable_bitmapscan;
-      config.enable_seqscan = hints.enable_seqscan;
       db->SetConfig(config);
       for (const Query& q : queries) {
         const PlanningResult r = db->planner().Plan(q);
