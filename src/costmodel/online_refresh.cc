@@ -178,7 +178,7 @@ RefreshOutcome OnlineRefresher::Refresh() {
   }
 
   auto candidate =
-      std::make_shared<LearnedCostModel>(&featurizer_, options_.model);
+      std::make_shared<LearnedCostModel>(&featurizer_, LearnedModelOptions{});
   out.train_loss = candidate->Train(train);
   ++refreshes_;
   obs::Count(obs::Counter::kCostmodelRefreshes);

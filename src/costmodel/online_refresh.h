@@ -24,7 +24,6 @@ namespace lqolab::costmodel {
 /// Tuning of one OnlineRefresher (see docs/cost_models.md for the protocol).
 struct RefreshOptions {
   ReplayBufferOptions buffer;
-  LearnedModelOptions model;
   /// Buffered samples required before a refresh trains a candidate.
   int64_t min_samples = 48;
   /// Promotion gate: candidate holdout median q-error must be <=

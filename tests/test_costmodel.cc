@@ -426,7 +426,7 @@ TEST(OnlineRefresherTest, GateRefusesPoisonedCandidate) {
         1e15 / std::max<double>(1.0, static_cast<double>(s.actual_ns)));
   }
   auto candidate = std::make_shared<LearnedCostModel>(
-      &refresher.featurizer(), TestRefreshOptions().model);
+      &refresher.featurizer(), LearnedModelOptions{});
   candidate->Train(poisoned);
 
   const auto incumbent_before = refresher.incumbent();
@@ -459,7 +459,7 @@ TEST(OnlineRefresherTest, GatePromotesPastWeakIncumbentAndPublishes) {
   // CostGuidedOptimizer through the server's hot-swap slot.
   refresher.analytic_model()->set_ns_per_unit(1e7);
   auto candidate = std::make_shared<LearnedCostModel>(
-      &refresher.featurizer(), TestRefreshOptions().model);
+      &refresher.featurizer(), LearnedModelOptions{});
   candidate->Train(refresher.buffer().SnapshotSorted());
 
   const RefreshOutcome out = refresher.ScoreAndMaybePromote(candidate);
