@@ -10,14 +10,16 @@
 // exec::Executor::ChargeRandomHeapPages on a fresh replica), an
 // index-probe replay (every IMDB foreign key probed both ways through
 // storage::Index::EqualRange), an analyze replay (stats::Analyze over
-// every table of TPC-H-lite 4x and IMDB medium) and a cold TPC-H-lite
-// arm (every query's first ExecutePlan on a fresh replica of TPC-H-lite
-// 4x) and a GEQO arm (every JOB-lite query at or past geqo_threshold
-// planned under Bao's six hint sets on IMDB medium), and emits one JSON
-// document; the recorded run lives at BENCH_engine.json. Exit code 1 if
-// the batched engine falls below the 3x speedup floor docs/execution.md
-// documents, or if replay rounds disagree on a tier count, a match count,
-// a statistics digest, a cold-arm count or a GEQO count or plan digest.
+// every table of TPC-H-lite 4x and IMDB medium), two cold arms (every
+// query's first ExecutePlan on a fresh replica: TPC-H-lite on TPC-H-lite
+// 4x, JOB-lite on IMDB medium; each records the rows and row-id cells the
+// oracle's joins write) and a GEQO arm (every JOB-lite query at or past
+// geqo_threshold planned under Bao's six hint sets on IMDB medium), and
+// emits one JSON document; the recorded run lives at BENCH_engine.json.
+// Exit code 1 if the batched engine falls below the 3x speedup floor
+// docs/execution.md documents, or if replay rounds disagree on a tier
+// count, a match count, a statistics digest, a cold-arm count or a GEQO
+// count or plan digest.
 
 #include <benchmark/benchmark.h>
 
@@ -534,30 +536,32 @@ std::unique_ptr<engine::Database> CreateTpch4x() {
       options, datagen::TpchScaleProfile::Medium().Scaled(4.0));
 }
 
-struct TpchColdResult {
+struct ColdResult {
   int64_t queries = 0;
   int64_t result_rows = 0;   // summed over queries
   int64_t execution_ns = 0;  // virtual, summed over queries
   int64_t hash_builds = 0;   // obs::Counter::kOracleHashBuilds per round
   int64_t bloom_builds = 0;  // obs::Counter::kOracleBloomBuilds per round
+  int64_t intermediate_rows = 0;   // kOracleIntermediateRows per round
+  int64_t intermediate_cells = 0;  // kOracleIntermediateCells per round
   double ms = 0.0;           // best (min) timed round
   bool deterministic = true;  // every round gave the same counts
 };
 
-/// One cold execution of every TPC-H-lite query, as the first of
-/// bench/layer_profile's `tpch` executions: each query is planned once up
-/// front, and each round runs every plan once through ExecutePlan on a
-/// fresh replica of `db` (empty oracle memo and base cache, cold pool,
-/// cloned outside the timer), whose time goes mostly to the oracle's
+/// One cold execution of every query of `workload_name`, as the first of
+/// bench/layer_profile's executions: each query is planned once up front,
+/// and each round runs every plan once through ExecutePlan on a fresh
+/// replica of `db` (empty oracle memo and base cache, cold pool, cloned
+/// outside the timer), whose time goes mostly to the oracle's
 /// true-cardinality joins. An untimed warm-up round, then kRounds timed
 /// rounds; the fastest is kept (min-of-N, as in EngineComparison).
-TpchColdResult TpchColdReplay(engine::Database* db) {
+ColdResult ColdReplay(engine::Database* db, const char* workload_name) {
   constexpr int kRounds = 5;
   const std::vector<query::Query> workload =
-      query::LoadWorkload("tpch", db->schema());
+      query::LoadWorkload(workload_name, db->schema());
   std::vector<engine::Database::Planned> plans;
   for (const query::Query& q : workload) plans.push_back(db->PlanQuery(q));
-  TpchColdResult result;
+  ColdResult result;
   result.queries = static_cast<int64_t>(workload.size());
   for (int round = 0; round <= kRounds; ++round) {
     const auto replica = db->CloneContextForWorker();
@@ -576,29 +580,57 @@ TpchColdResult TpchColdReplay(engine::Database* db) {
     const double ms = std::chrono::duration<double, std::milli>(
                           std::chrono::steady_clock::now() - t0)
                           .count();
-    const int64_t hash_builds = metrics.Get(obs::Counter::kOracleHashBuilds);
-    const int64_t bloom_builds = metrics.Get(obs::Counter::kOracleBloomBuilds);
+    ColdResult counts = result;
+    counts.result_rows = rows;
+    counts.execution_ns = execution_ns;
+    counts.hash_builds = metrics.Get(obs::Counter::kOracleHashBuilds);
+    counts.bloom_builds = metrics.Get(obs::Counter::kOracleBloomBuilds);
+    counts.intermediate_rows =
+        metrics.Get(obs::Counter::kOracleIntermediateRows);
+    counts.intermediate_cells =
+        metrics.Get(obs::Counter::kOracleIntermediateCells);
     if (round == 0) {
-      result.result_rows = rows;
-      result.execution_ns = execution_ns;
-      result.hash_builds = hash_builds;
-      result.bloom_builds = bloom_builds;
+      result = counts;
       continue;
     }
-    result.deterministic &= rows == result.result_rows &&
-                            execution_ns == result.execution_ns &&
-                            hash_builds == result.hash_builds &&
-                            bloom_builds == result.bloom_builds;
+    result.deterministic &=
+        counts.result_rows == result.result_rows &&
+        counts.execution_ns == result.execution_ns &&
+        counts.hash_builds == result.hash_builds &&
+        counts.bloom_builds == result.bloom_builds &&
+        counts.intermediate_rows == result.intermediate_rows &&
+        counts.intermediate_cells == result.intermediate_cells;
     if (round == 1 || ms < result.ms) result.ms = ms;
   }
   std::fprintf(stderr,
-               "tpch cold replay: %lld queries, %lld result rows, %lld hash "
-               "builds, %lld bloom builds, best round %.1f ms\n",
-               static_cast<long long>(result.queries),
+               "%s cold replay: %lld queries, %lld result rows, %lld hash "
+               "builds, %lld bloom builds, %lld intermediate rows in %lld "
+               "cells, best round %.1f ms\n",
+               workload_name, static_cast<long long>(result.queries),
                static_cast<long long>(result.result_rows),
                static_cast<long long>(result.hash_builds),
-               static_cast<long long>(result.bloom_builds), result.ms);
+               static_cast<long long>(result.bloom_builds),
+               static_cast<long long>(result.intermediate_rows),
+               static_cast<long long>(result.intermediate_cells), result.ms);
   return result;
+}
+
+/// The cold-replay arm as a JSON member named `name`.
+std::string ColdJson(const char* name, const ColdResult& r) {
+  char buffer[320];
+  std::snprintf(buffer, sizeof(buffer),
+                "  \"%s\": {\"queries\": %lld, \"result_rows\": %lld, "
+                "\"execution_ns\": %lld, \"hash_builds\": %lld, "
+                "\"bloom_builds\": %lld, \"intermediate_rows\": %lld, "
+                "\"intermediate_cells\": %lld, \"ms\": %.1f},\n",
+                name, static_cast<long long>(r.queries),
+                static_cast<long long>(r.result_rows),
+                static_cast<long long>(r.execution_ns),
+                static_cast<long long>(r.hash_builds),
+                static_cast<long long>(r.bloom_builds),
+                static_cast<long long>(r.intermediate_rows),
+                static_cast<long long>(r.intermediate_cells), r.ms);
+  return buffer;
 }
 
 struct GeqoResult {
@@ -751,7 +783,8 @@ int EngineComparison(const char* path) {
   const std::unique_ptr<engine::Database> tpch = CreateTpch4x();
   const std::vector<AnalyzeResult> analyzes =
       AnalyzeReplays(tpch.get(), medium.get());
-  const TpchColdResult tpch_cold = TpchColdReplay(tpch.get());
+  const ColdResult job_cold = ColdReplay(medium.get(), "job");
+  const ColdResult tpch_cold = ColdReplay(tpch.get(), "tpch");
 
   const double speedup_vectorized =
       results[1].rows_per_sec / results[0].rows_per_sec;
@@ -829,16 +862,8 @@ int EngineComparison(const char* path) {
     json += buffer;
   }
   json += "  ],\n";
-  std::snprintf(buffer, sizeof(buffer),
-                "  \"tpch_cold\": {\"queries\": %lld, \"result_rows\": %lld, "
-                "\"execution_ns\": %lld, \"hash_builds\": %lld, "
-                "\"bloom_builds\": %lld, \"ms\": %.1f},\n",
-                static_cast<long long>(tpch_cold.queries),
-                static_cast<long long>(tpch_cold.result_rows),
-                static_cast<long long>(tpch_cold.execution_ns),
-                static_cast<long long>(tpch_cold.hash_builds),
-                static_cast<long long>(tpch_cold.bloom_builds), tpch_cold.ms);
-  json += buffer;
+  json += ColdJson("tpch_cold", tpch_cold);
+  json += ColdJson("job_cold", job_cold);
   std::snprintf(buffer, sizeof(buffer),
                 "  \"geqo\": {\"queries\": %lld, \"planner_calls\": %lld, "
                 "\"planner_steps\": %lld, \"plans_costed\": %lld, "
@@ -857,6 +882,7 @@ int EngineComparison(const char* path) {
   return speedup_vectorized >= 3.0 && replays_deterministic &&
                  heap_charge.deterministic && index_probe.deterministic &&
                  analyzes_deterministic && tpch_cold.deterministic &&
+                 job_cold.deterministic &&
                  geqo.deterministic
              ? 0
              : 1;

@@ -65,6 +65,56 @@ std::string BaseKey(catalog::TableId table, const query::BoundPredicate* preds,
   return key;
 }
 
+/// The aliases of `mask` with an edge to an alias outside it: the only
+/// columns a later extension of `mask` reads.
+AliasMask Frontier(const Query& q, AliasMask mask) {
+  AliasMask frontier = 0;
+  for (AliasMask bits = mask; bits != 0; bits &= bits - 1) {
+    const AliasId alias = static_cast<AliasId>(std::countr_zero(bits));
+    if ((q.AdjacencyMask(alias) & ~mask) != 0) {
+      frontier |= query::MaskOf(alias);
+    }
+  }
+  return frontier;
+}
+
+/// The aliases of `mask` whose row, in any tuple of the join over `mask`,
+/// follows from the rows of `kept` through edges onto primary keys: an
+/// edge x.c = y.id pins y's row to x's, as column 0 is every table's
+/// primary key (catalog::TableDef). A left column that leaves the frontier
+/// needs no merge when the kept columns determine it: the rows stay
+/// distinct. Merging never changes a count, so a key that is not unique in
+/// the data would cost only rows.
+AliasMask KeyDetermined(const Query& q, AliasMask mask, AliasMask kept) {
+  AliasMask closure = kept;
+  for (bool grew = true; grew;) {
+    grew = false;
+    for (const query::JoinEdge& edge : q.edges) {
+      const AliasMask l = query::MaskOf(edge.left_alias);
+      const AliasMask r = query::MaskOf(edge.right_alias);
+      if ((mask & l) == 0 || (mask & r) == 0) continue;
+      if ((closure & l) && !(closure & r) && edge.right_column == 0) {
+        closure |= r;
+        grew = true;
+      } else if ((closure & r) && !(closure & l) && edge.left_column == 0) {
+        closure |= l;
+        grew = true;
+      }
+    }
+  }
+  return closure;
+}
+
+/// Largest logical row count a join result over `mask` may reach: one more
+/// passes cost::kMaxIntermediateRows, or makes (rows − 1) × popcount(mask)
+/// reach cost::kMaxIntermediateCells — where a tuple-at-a-time evaluation,
+/// writing one cell per alias per row, trips.
+int64_t RowCap(AliasMask mask) {
+  const int64_t width = std::popcount(mask);
+  return std::min(cost::kMaxIntermediateRows,
+                  (cost::kMaxIntermediateCells + width - 1) / width);
+}
+
 }  // namespace
 
 uint64_t QueryFingerprint(const Query& q) {
@@ -114,10 +164,9 @@ std::vector<query::JoinEdge> Oracle::EdgesWithin(const Query& q,
 std::vector<Oracle::EdgeProbe> Oracle::ProbeEdges(const Query& q,
                                                   const Intermediate& left,
                                                   AliasId alias) const {
-  AliasMask left_mask = 0;
-  for (AliasId a : left.aliases) left_mask |= query::MaskOf(a);
-  // Normalized so that left_alias is inside `left`.
-  const auto edges = q.EdgesBetween(left_mask, query::MaskOf(alias));
+  // Normalized so that left_alias is inside `left`; every such alias has
+  // an edge leaving left.mask, so it is one of the kept columns.
+  const auto edges = q.EdgesBetween(left.mask, query::MaskOf(alias));
   LQOLAB_CHECK(!edges.empty());
   const storage::Table& base_table =
       ctx_->table(q.relations[static_cast<size_t>(alias)].table);
@@ -450,11 +499,12 @@ Oracle::BaseProbe Oracle::PrepareBase(QueryMemo& memo, const Query& q,
   return {nullptr, &join_table_};
 }
 
-/// The streaming-count fallback. The single-edge case sums grouped key
-/// multiplicities from the base's BaseProbe; the residual case walks the
-/// (probe row, base row) pairs in probe order and base-row order within a
-/// key, so the kMaxCountedPairs cap trips at the same pair as the
-/// reference's loop (fuzz::ScalarOracle).
+/// The streaming-count fallback. The single-edge case sums each row's
+/// weight times its key's group size from the base's BaseProbe; the
+/// residual case walks the (probe row, base row) pairs, adding each row's
+/// weight × group size to the logical pair count first, so the
+/// kMaxCountedPairs cap trips exactly when the reference's pair-at-a-time
+/// loop over the unweighted tuples does (fuzz::ScalarOracle).
 bool Oracle::CountExtension(QueryMemo& memo, const Query& q,
                             const Intermediate& left, AliasId alias,
                             const std::vector<storage::RowId>& base_rows,
@@ -464,41 +514,31 @@ bool Oracle::CountExtension(QueryMemo& memo, const Query& q,
   const int32_t width = static_cast<int32_t>(left.aliases.size());
   const int32_t hash_pos = edges[0].left_pos;
   const Value* probe_col = edges[0].left_col;
+  const int64_t stored = left.stored_rows();
 
   const BaseProbe base =
       PrepareBase(memo, q, alias, edges[0].right_column, base_rows);
 
-  if (residual.empty()) {
-    // Pure counting: a group's size is the per-key multiplicity.
-    int64_t total = 0;
-    for (int64_t row = 0; row < left.rows; ++row) {
-      const int64_t ahead =
-          std::min(row + kProbePrefetchDistance, left.rows - 1);
-      base.Prefetch(
-          probe_col[left.data[static_cast<size_t>(ahead * width + hash_pos)]]);
-      const Value v =
-          probe_col[left.data[static_cast<size_t>(row * width + hash_pos)]];
-      if (v == storage::kNullValue) continue;
-      total += base.Probe(v).count;
-    }
-    *count = total;
-    return true;
-  }
-
   int64_t total = 0;
   int64_t pairs = 0;
-  for (int64_t row = 0; row < left.rows; ++row) {
-    const int64_t ahead = std::min(row + kProbePrefetchDistance, left.rows - 1);
+  for (int64_t row = 0; row < stored; ++row) {
+    const int64_t ahead = std::min(row + kProbePrefetchDistance, stored - 1);
     base.Prefetch(
         probe_col[left.data[static_cast<size_t>(ahead * width + hash_pos)]]);
     const RowId* tuple = left.data.data() + row * width;
     const Value v = probe_col[tuple[hash_pos]];
     if (v == storage::kNullValue) continue;
     const kernels::JoinHashTable::Group group = base.Probe(v);
+    const int64_t weight = left.Weight(row);
+    if (residual.empty()) {
+      // Pure counting: a group's size is the per-key multiplicity.
+      total += weight * group.count;
+      continue;
+    }
+    pairs += weight * group.count;
+    if (pairs > kMaxCountedPairs) return false;
     for (int32_t g = 0; g < group.count; ++g) {
-      const RowId base_row = group.rows[g];
-      if (++pairs > kMaxCountedPairs) return false;
-      if (AllMatch(residual, tuple, base_row)) ++total;
+      if (AllMatch(residual, tuple, group.rows[g])) total += weight;
     }
   }
   *count = total;
@@ -512,20 +552,24 @@ const Oracle::Intermediate* Oracle::Materialize(QueryMemo& memo,
   if (mat_it != memo.mats.end()) return &mat_it->second;
   auto card_it = memo.cards.find(mask);
   if (card_it != memo.cards.end() && card_it->second.overflow) return nullptr;
+  // Single aliases never get here: TrueJoinRows answers them from the
+  // filtered rows.
+  LQOLAB_DCHECK(std::popcount(mask) >= 2);
 
-  if (std::popcount(mask) == 1) {
-    const AliasId alias = static_cast<AliasId>(std::countr_zero(mask));
-    EnsureFiltered(memo, q, alias);
-    Intermediate base;
-    base.aliases = {alias};
-    base.data = memo.filtered[static_cast<size_t>(alias)]->rows;
-    base.rows = static_cast<int64_t>(base.data.size());
-    TrackBytes(base.bytes());
-    auto [it, inserted] = memo.mats.emplace(mask, std::move(base));
+  // Counts what each join writes, then keeps the finished subset.
+  auto count_written = [](const Intermediate& joined) {
+    obs::Count(obs::Counter::kOracleIntermediateRows, joined.stored_rows());
+    obs::Count(obs::Counter::kOracleIntermediateCells,
+               static_cast<int64_t>(joined.data.size()));
+  };
+  auto keep = [&](Intermediate joined) {
+    memo.cards[mask] = {joined.rows, false};
+    TrackBytes(joined.bytes());
+    auto [it, inserted] = memo.mats.emplace(mask, std::move(joined));
     LQOLAB_CHECK(inserted);
     EnforceBudget(memo, mask);
     return &it->second;
-  }
+  };
 
   // Fast path: extend a cached materialization of (mask minus one alias).
   // The extension streams and is exact, so it cannot blow up beyond the
@@ -541,17 +585,13 @@ const Oracle::Intermediate* Oracle::Materialize(QueryMemo& memo,
     EnsureFiltered(memo, q, alias);
     Intermediate joined =
         JoinWithBase(memo, q, rest_it->second, alias,
-                     memo.filtered[static_cast<size_t>(alias)]->rows, mask);
+                     memo.filtered[static_cast<size_t>(alias)]->rows);
     if (joined.rows < 0) {
       memo.cards[mask] = {0, true};
       return nullptr;
     }
-    memo.cards[mask] = {joined.rows, false};
-    TrackBytes(joined.bytes());
-    auto [it, inserted] = memo.mats.emplace(mask, std::move(joined));
-    LQOLAB_CHECK(inserted);
-    EnforceBudget(memo, mask);
-    return &it->second;
+    count_written(joined);
+    return keep(std::move(joined));
   }
 
   // Fresh evaluation: semi-join-reduce every member relation, then join
@@ -591,41 +631,37 @@ const Oracle::Intermediate* Oracle::Materialize(QueryMemo& memo,
     members.push_back(static_cast<AliasId>(std::countr_zero(bits2)));
     bits2 &= bits2 - 1;
   }
-  // Greedy connected order over reduced sizes.
+  // Greedy connected order over reduced sizes. The first relation enters
+  // as itself: every row at weight 1 (it has an edge to the next).
   AliasId start = members[0];
   for (AliasId a : members) {
     if (reduced_rows(a).size() < reduced_rows(start).size()) start = a;
   }
   Intermediate current;
+  current.mask = query::MaskOf(start);
   current.aliases = {start};
   current.data = reduced_rows(start);
   current.rows = static_cast<int64_t>(current.data.size());
-  AliasMask covered = query::MaskOf(start);
-  while (covered != mask) {
+  while (current.mask != mask) {
     AliasId next = -1;
     for (AliasId a : members) {
-      if (covered & query::MaskOf(a)) continue;
-      if ((q.AdjacencyMask(a) & covered) == 0) continue;
+      if (current.mask & query::MaskOf(a)) continue;
+      if ((q.AdjacencyMask(a) & current.mask) == 0) continue;
       if (next < 0 || reduced_rows(a).size() < reduced_rows(next).size()) {
         next = a;
       }
     }
     LQOLAB_CHECK_GE(next, 0);
     Intermediate joined =
-        JoinWithBase(memo, q, current, next, reduced_rows(next), mask);
+        JoinWithBase(memo, q, current, next, reduced_rows(next));
     if (joined.rows < 0) {
       memo.cards[mask] = {0, true};
       return nullptr;
     }
+    count_written(joined);
     current = std::move(joined);
-    covered |= query::MaskOf(next);
   }
-  memo.cards[mask] = {current.rows, false};
-  TrackBytes(current.bytes());
-  auto [it, inserted] = memo.mats.emplace(mask, std::move(current));
-  LQOLAB_CHECK(inserted);
-  EnforceBudget(memo, mask);
-  return &it->second;
+  return keep(std::move(current));
 }
 
 std::vector<std::vector<storage::RowId>> Oracle::SemiJoinReduce(
@@ -734,14 +770,25 @@ std::vector<std::vector<storage::RowId>> Oracle::SemiJoinReduce(
 /// vector per key; cached or freshly built), whose key set the probe
 /// stream's BloomSchedule may publish as a Bloom filter; the left
 /// intermediate is probed in kBatchRows strides, gathering probe keys into
-/// an L1-resident staging buffer. Match set, output order and the overflow
-/// trip point are identical to the reference's hash join
-/// (fuzz::ScalarOracle): probes run in left-row order and each group
-/// replays the base rows in insertion order.
-Oracle::Intermediate Oracle::JoinWithBase(
-    QueryMemo& memo, const Query& q, const Intermediate& left, AliasId alias,
-    const std::vector<storage::RowId>& base_rows, AliasMask scope) {
-  for (AliasId a : left.aliases) LQOLAB_DCHECK(scope & query::MaskOf(a));
+/// an L1-resident staging buffer. Match set, probe order and so the
+/// transfer schedule are the reference's (fuzz::ScalarOracle) over the
+/// weighted rows: probes run in left-row order and each group replays the
+/// base rows in insertion order.
+///
+/// The result keeps the frontier of left.mask | alias (Frontier). A base
+/// row outside it adds its match count to the left row's weight instead of
+/// a row; with no frontier at all the result is one running count. Rows
+/// are merged only when a left column leaves the frontier, since distinct
+/// left tuples otherwise stay distinct, and only when the kept columns do
+/// not determine it through primary keys (KeyDetermined): into a
+/// direct-addressed array by row id when one column is kept, else into
+/// open-addressing slots. Weights are stored from the first row that
+/// weighs more than 1. The cap is checked on the running weight sum, which
+/// only grows, so it trips exactly when the logical result passes RowCap.
+Oracle::Intermediate Oracle::JoinWithBase(QueryMemo& memo, const Query& q,
+                                          const Intermediate& left,
+                                          AliasId alias,
+                                          const std::vector<RowId>& base_rows) {
   const std::vector<EdgeProbe> edges = ProbeEdges(q, left, alias);
   const std::span<const EdgeProbe> residual(edges.begin() + 1, edges.end());
   const BaseProbe base =
@@ -749,6 +796,9 @@ Oracle::Intermediate Oracle::JoinWithBase(
   const int32_t width = static_cast<int32_t>(left.aliases.size());
   const int32_t hash_pos = edges[0].left_pos;
   const Value* hash_probe_col = edges[0].left_col;
+  const int64_t left_rows = left.stored_rows();
+  const int64_t* left_weights =
+      left.weights.empty() ? nullptr : left.weights.data();
 
   // An index probe runs without predicate transfer: the Bloom filter is
   // filled from the probed table's keys, and as a pure pre-test its absence
@@ -758,23 +808,131 @@ Oracle::Intermediate Oracle::JoinWithBase(
   const BloomFilter* bloom = nullptr;
 
   Intermediate out;
-  out.aliases = left.aliases;
-  out.aliases.insert(
-      std::upper_bound(out.aliases.begin(), out.aliases.end(), alias), alias);
-  const int32_t out_width = width + 1;
-  const int32_t insert_pos = out.PositionOf(alias);
+  out.mask = left.mask | query::MaskOf(alias);
+  const AliasMask frontier = Frontier(q, out.mask);
+  // Each kept column's source column in the left tuple; the base row's
+  // column (base_col) is overwritten after the copy.
+  int32_t source[32];
+  int32_t base_col = -1;
+  for (AliasMask bits = frontier; bits != 0; bits &= bits - 1) {
+    const AliasId a = static_cast<AliasId>(std::countr_zero(bits));
+    const int32_t c = static_cast<int32_t>(out.aliases.size());
+    if (a == alias) base_col = c;
+    source[c] = a == alias ? 0 : left.PositionOf(a);
+    out.aliases.push_back(a);
+  }
+  const int32_t out_width = static_cast<int32_t>(out.aliases.size());
+  const bool keep_base = (frontier & query::MaskOf(alias)) != 0;
+  AliasMask left_kept = 0;
+  for (AliasId a : left.aliases) left_kept |= query::MaskOf(a);
+  const bool merge =
+      out_width > 0 &&
+      (left_kept & ~KeyDetermined(q, out.mask, frontier)) != 0;
+  const int64_t cap = RowCap(out.mask);
 
-  // Output rows are staged in an L1-resident flush buffer and appended to
+  int32_t* by_row = nullptr;  // one kept column: output row per row id
+  int32_t slot_mask = 0;      // several: merge_slots_.size() - 1
+  if (merge && out_width == 1) {
+    const int64_t table_rows =
+        ctx_->table(q.relations[static_cast<size_t>(out.aliases[0])].table)
+            .row_count();
+    if (static_cast<int64_t>(merge_by_row_.size()) < table_rows) {
+      merge_by_row_.resize(static_cast<size_t>(table_rows), -1);
+    }
+    by_row = merge_by_row_.data();
+  } else if (merge) {
+    merge_slots_.assign(1024, -1);
+    slot_mask = 1023;
+  }
+  // Rows are staged in an L1-resident flush buffer and appended to
   // out.data one chunk at a time, so vector bookkeeping is paid once per
-  // ~kFlushCells/out_width rows instead of per match.
+  // ~kFlushCells/out_width rows instead of per row. Row r lives in
+  // out.data below `flushed` rows, in the buffer from there on.
   constexpr int32_t kFlushCells = 2048;
   RowId flush[kFlushCells];
   int32_t flush_used = 0;
+  int64_t flushed = 0;
+  int64_t stored = 0;  // rows kept, flushed or staged
+  bool weighted = false;  // out.weights is filled (some row weighs > 1)
+  auto row_at = [&](int64_t r) -> const RowId* {
+    return r < flushed ? out.data.data() + r * out_width
+                       : flush + (r - flushed) * out_width;
+  };
+  auto slot_of = [&](const RowId* row) -> int32_t* {
+    uint64_t h = 0;
+    for (int32_t c = 0; c < out_width; ++c) {
+      h = (h ^ static_cast<uint64_t>(row[c])) * 0x9e3779b97f4a7c15ULL;
+    }
+    for (uint32_t s = static_cast<uint32_t>(h >> 32);; ++s) {
+      int32_t& slot = merge_slots_[s & static_cast<uint32_t>(slot_mask)];
+      if (slot < 0 || std::equal(row, row + out_width, row_at(slot))) {
+        return &slot;
+      }
+    }
+  };
+
+  // Adds `weight` result rows whose kept tuple is the left `tuple`'s and
+  // `base_row`'s kept columns; false once the weight sum passes the cap.
+  // The candidate row is staged and kept only when it is new.
+  auto emit = [&](const RowId* tuple, RowId base_row,
+                  int64_t weight) __attribute__((always_inline)) {
+    out.rows += weight;
+    if (out.rows > cap) return false;
+    if (out_width == 0) return true;
+    if (flush_used + out_width > kFlushCells) {
+      out.data.insert(out.data.end(), flush, flush + flush_used);
+      flushed = stored;
+      flush_used = 0;
+    }
+    RowId* row = flush + flush_used;  // out_width ≤ 32 aliases
+    for (int32_t c = 0; c < out_width; ++c) row[c] = tuple[source[c]];
+    if (base_col >= 0) row[base_col] = base_row;
+    if (merge) {
+      int32_t* slot = by_row != nullptr ? &by_row[row[0]] : slot_of(row);
+      if (*slot >= 0) {
+        if (!weighted) out.weights.assign(stored, 1);
+        weighted = true;
+        out.weights[static_cast<size_t>(*slot)] += weight;
+        return true;
+      }
+      *slot = static_cast<int32_t>(stored);
+    }
+    flush_used += out_width;
+    ++stored;
+    if (weighted) {
+      out.weights.push_back(weight);
+    } else if (weight != 1) {
+      out.weights.assign(stored - 1, 1);
+      out.weights.push_back(weight);
+      weighted = true;
+    }
+    if (merge && by_row == nullptr && 2 * stored > slot_mask) {
+      // Keep the slots at most half full: double and re-insert.
+      merge_slots_.assign(2 * merge_slots_.size(), -1);
+      slot_mask = static_cast<int32_t>(merge_slots_.size()) - 1;
+      for (int64_t r = 0; r < stored; ++r) {
+        *slot_of(row_at(r)) = static_cast<int32_t>(r);
+      }
+    }
+    return true;
+  };
+  auto finish = [&](bool overflow) {
+    out.data.insert(out.data.end(), flush, flush + flush_used);
+    if (by_row != nullptr) {
+      for (const RowId r : out.data) by_row[r] = -1;
+    }
+    if (overflow) {
+      out.rows = -1;
+      out.data = {};
+      out.weights = {};
+    }
+    return std::move(out);
+  };
 
   Value probe_keys[kernels::kBatchRows];
-  for (int64_t batch = 0; batch < left.rows; batch += kernels::kBatchRows) {
+  for (int64_t batch = 0; batch < left_rows; batch += kernels::kBatchRows) {
     const int32_t n = static_cast<int32_t>(
-        std::min<int64_t>(kernels::kBatchRows, left.rows - batch));
+        std::min<int64_t>(kernels::kBatchRows, left_rows - batch));
     const RowId* batch_tuples = left.data.data() + batch * width;
     // Gather this batch's probe keys through the row-id indirection once.
     for (int32_t i = 0; i < n; ++i) {
@@ -796,40 +954,32 @@ Oracle::Intermediate Oracle::JoinWithBase(
       }
       if (group.count == 0) continue;
       const RowId* tuple = batch_tuples + i * width;
+      const int64_t weight =
+          left_weights != nullptr ? left_weights[batch + i] : 1;
+      if (!keep_base) {
+        int64_t matches = group.count;
+        if (!residual.empty()) {
+          matches = 0;
+          for (int32_t g = 0; g < group.count; ++g) {
+            matches += AllMatch(residual, tuple, group.rows[g]) ? 1 : 0;
+          }
+          if (matches == 0) continue;
+        }
+        if (!emit(tuple, 0, weight * matches)) return finish(true);
+        continue;
+      }
       for (int32_t g = 0; g < group.count; ++g) {
         const RowId base_row = group.rows[g];
         if (!AllMatch(residual, tuple, base_row)) continue;
-        if (out.rows >= cost::kMaxIntermediateRows ||
-            out.rows * out_width >= cost::kMaxIntermediateCells) {
-          out.rows = -1;  // overflow
-          out.data.clear();
-          out.data.shrink_to_fit();
-          return out;
-        }
-        if (flush_used + out_width > kFlushCells) {
-          out.data.insert(out.data.end(), flush, flush + flush_used);
-          flush_used = 0;
-        }
-        RowId* staged = flush + flush_used;  // out_width ≤ 32 aliases + 1
-        for (int32_t c = 0; c < insert_pos; ++c) staged[c] = tuple[c];
-        staged[insert_pos] = base_row;
-        for (int32_t c = insert_pos + 1; c < out_width; ++c) {
-          staged[c] = tuple[c - 1];
-        }
-        flush_used += out_width;
-        ++out.rows;
+        if (!emit(tuple, base_row, weight)) return finish(true);
       }
     }
   }
-  out.data.insert(out.data.end(), flush, flush + flush_used);
-  return out;
+  return finish(false);
 }
 
-const std::vector<RowId>* Oracle::MaterializedTuples(const Query& q,
-                                                    AliasMask mask) {
-  const QueryMemo& memo = Memo(q);
-  auto it = memo.mats.find(mask);
-  return it == memo.mats.end() ? nullptr : &it->second.data;
+bool Oracle::HoldsIntermediate(const Query& q, AliasMask mask) {
+  return Memo(q).mats.count(mask) != 0;
 }
 
 void Oracle::TrackBytes(int64_t delta) { mat_bytes_ += delta; }

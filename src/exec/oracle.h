@@ -22,9 +22,18 @@ uint64_t QueryFingerprint(const query::Query& q);
 
 /// True-cardinality oracle: computes the exact result sizes of filtered base
 /// relations and of connected join subsets by actually evaluating them over
-/// the data (hash joins over row-id tuples). Cardinalities and materialized
-/// intermediates are memoized per query fingerprint, so repeated plan
-/// executions during LQO training are cheap.
+/// the data (hash joins over weighted row-id tuples). Cardinalities and
+/// materialized intermediates are memoized per query fingerprint, so
+/// repeated plan executions during LQO training are cheap.
+///
+/// An intermediate is a weighted relation (docs/execution.md, "Weighted
+/// frontier intermediates"): it keeps the row ids of its subset's frontier
+/// aliases only — those with an edge to an alias outside the subset, the
+/// only columns a later extension reads — one row per distinct frontier
+/// tuple with its multiplicity as a weight, and its row count is the weight
+/// sum. A subset with no frontier (every plan's root) is one running count.
+/// The intermediate caps are decided on those logical counts, so every
+/// count and overflow decision is what a tuple-at-a-time evaluation gives.
 ///
 /// Filtered bases are shared per replica instead (docs/execution.md,
 /// "Shared filtered bases"): one cache keyed by (table, canonical bound
@@ -49,20 +58,22 @@ uint64_t QueryFingerprint(const query::Query& q);
 /// predicate-transfer schedule (kernels::BloomSchedule). Four protected
 /// virtual methods — Filter, SemiJoinReduce, JoinWithBase and
 /// CountExtension — are the only test seam: fuzz::ScalarOracle overrides
-/// them with the original tuple-at-a-time reference and keeps this class's
-/// memo, base cache, fallback chain, caps and eviction, so both return
-/// byte-identical row sets and trip overflow at the same point
-/// (tests/test_kernels.cc, tests/test_answers.cc, fuzz::DifferentialOracle).
+/// them with the original tuple-at-a-time reference, which keeps every
+/// alias of a subset at weight 1 and never merges, and keeps this class's
+/// memo, base cache, fallback chain, caps and eviction. Filtered and
+/// single-predicate row lists are byte-identical between the two; joins
+/// agree by count and overflow flag (tests/test_kernels.cc,
+/// tests/test_answers.cc, fuzz::DifferentialOracle).
 ///
 /// When the base of a join is a whole table (no predicate, nothing reduced
 /// away) and its join column is indexed, the oracle probes the shared,
 /// read-only storage::Index instead of building a hash table over every
 /// row: the index's counting sort keeps rows ascending within a key, so
 /// Index::EqualRange returns the same rows in the same order a build over
-/// all rows would group, and results stay byte-identical. Filtered and
-/// reduced bases still build, into an offset table over the key range when
-/// that is no larger than open addressing (nearly every build: join keys
-/// are dense ids), else into open-addressing slots.
+/// all rows would group. Filtered and reduced bases still build, into an
+/// offset table over the key range when that is no larger than open
+/// addressing (nearly every build: join keys are dense ids), else into
+/// open-addressing slots.
 class Oracle {
  public:
   /// Bytes of materialized intermediates and cached build tables one
@@ -106,11 +117,10 @@ class Oracle {
   const std::vector<query::BoundPredicate>& BoundPredicates(
       const query::Query& q, query::AliasId alias);
 
-  /// The materialized join over `mask` — row ids, one per alias of `mask`
-  /// in ascending alias order, row-major — or nullptr when `mask` was
-  /// counted without materializing or its materialization was released.
-  const std::vector<storage::RowId>* MaterializedTuples(const query::Query& q,
-                                                        query::AliasMask mask);
+  /// Whether the join over `mask` is held as a materialized intermediate:
+  /// false when it was counted by a fallback, overflowed, was released or
+  /// was never asked for.
+  bool HoldsIntermediate(const query::Query& q, query::AliasMask mask);
 
   /// Frees all materialized intermediates (cardinalities, filtered rows
   /// and cached build tables are kept). A finished query's intermediates
@@ -130,16 +140,34 @@ class Oracle {
   int64_t cached_bases() const { return static_cast<int64_t>(bases_.size()); }
 
  protected:
-  /// Materialized join result: tuples of row-ids, one per alias in
-  /// `aliases` (ascending), row-major in `data`.
+  /// Materialized join over the subset `mask`, as a weighted relation: one
+  /// row per distinct tuple of row ids over `aliases` (ascending), row-major
+  /// in `data`, with its multiplicity in `weights` (empty: every row weighs
+  /// 1). The product keeps only the subset's frontier aliases, those with
+  /// an edge to an alias outside `mask`; the reference keeps them all.
+  /// `rows` is the weight sum: the subset's logical row count, on which
+  /// the caps are decided.
   struct Intermediate {
+    query::AliasMask mask = 0;
     std::vector<query::AliasId> aliases;
     std::vector<storage::RowId> data;
+    std::vector<int64_t> weights;
     int64_t rows = 0;
 
+    /// Rows physically stored (distinct kept tuples; none without aliases).
+    int64_t stored_rows() const {
+      return aliases.empty() ? 0
+                             : static_cast<int64_t>(data.size() /
+                                                    aliases.size());
+    }
+    int64_t Weight(int64_t row) const {
+      return weights.empty() ? 1 : weights[static_cast<size_t>(row)];
+    }
     int64_t bytes() const {
       return static_cast<int64_t>(data.capacity()) *
-             static_cast<int64_t>(sizeof(storage::RowId));
+                 static_cast<int64_t>(sizeof(storage::RowId)) +
+             static_cast<int64_t>(weights.capacity()) *
+                 static_cast<int64_t>(sizeof(int64_t));
     }
     /// Column of `alias` within a tuple.
     int32_t PositionOf(query::AliasId alias) const;
@@ -192,6 +220,8 @@ class Oracle {
 
   const DbContext& ctx() const { return *ctx_; }
 
+  QueryMemo& Memo(const query::Query& q);
+
   /// The join edges with both ends inside `mask`.
   static std::vector<query::JoinEdge> EdgesWithin(const query::Query& q,
                                                   query::AliasMask mask);
@@ -217,16 +247,19 @@ class Oracle {
   virtual std::vector<std::vector<storage::RowId>> SemiJoinReduce(
       QueryMemo& memo, const query::Query& q, query::AliasMask mask);
 
-  /// Joins `left` with base rows of `alias` over all connecting edges
-  /// within `scope`. Returns overflow via `result.rows < 0`.
+  /// Joins `left` with base rows of `alias` over every edge between them,
+  /// into the intermediate over `left.mask | alias`. Returns overflow via
+  /// `result.rows < 0` once the result's logical rows pass a cap:
+  /// cost::kMaxIntermediateRows, or (rows − 1) × popcount(result.mask)
+  /// reaching cost::kMaxIntermediateCells.
   virtual Intermediate JoinWithBase(
       QueryMemo& memo, const query::Query& q, const Intermediate& left,
-      query::AliasId alias, const std::vector<storage::RowId>& base_rows,
-      query::AliasMask scope);
+      query::AliasId alias, const std::vector<storage::RowId>& base_rows);
 
   /// Streams the one-relation extension of `left` counting result rows
-  /// without storing them; returns false when the pair-iteration work cap
-  /// is exceeded. Used for subsets too large to materialize.
+  /// without storing them; returns false when the logical pairs walked
+  /// (Σ weight × group size) pass kMaxCountedPairs. Used for subsets too
+  /// large to materialize.
   virtual bool CountExtension(QueryMemo& memo, const query::Query& q,
                               const Intermediate& left, query::AliasId alias,
                               const std::vector<storage::RowId>& base_rows,
@@ -236,7 +269,6 @@ class Oracle {
   static constexpr int64_t kMaxCountedPairs = 400'000'000;
 
  private:
-  QueryMemo& Memo(const query::Query& q);
   /// The base cache entry for `table` under the conjunction `preds`,
   /// scanning the table on first request.
   FilteredBase& Base(catalog::TableId table,
@@ -297,6 +329,11 @@ class Oracle {
   std::vector<kernels::ValueSet> semi_set_pool_;
   kernels::JoinHashTable join_table_;
   BloomFilter transfer_bloom_;
+  // JoinWithBase's merge scratch: a row id's output row, or -1, indexed by
+  // row id when one column is kept (every entry is -1 between joins), and
+  // open-addressing slots of output rows when several are.
+  std::vector<int32_t> merge_by_row_;
+  std::vector<int32_t> merge_slots_;
 };
 
 }  // namespace lqolab::exec

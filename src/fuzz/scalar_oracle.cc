@@ -115,8 +115,7 @@ std::vector<std::vector<RowId>> ScalarOracle::SemiJoinReduce(
 /// probes it one left tuple at a time, appending matches cell by cell.
 ScalarOracle::Intermediate ScalarOracle::JoinWithBase(
     QueryMemo& /*memo*/, const Query& q, const Intermediate& left,
-    AliasId alias, const std::vector<RowId>& base_rows, AliasMask scope) {
-  for (AliasId a : left.aliases) LQOLAB_DCHECK(scope & query::MaskOf(a));
+    AliasId alias, const std::vector<RowId>& base_rows) {
   const std::vector<EdgeProbe> edges = ProbeEdges(q, left, alias);
   const std::span<const EdgeProbe> residual(edges.begin() + 1, edges.end());
   obs::Count(obs::Counter::kOracleHashBuilds);
@@ -125,6 +124,7 @@ ScalarOracle::Intermediate ScalarOracle::JoinWithBase(
   // New layout: aliases sorted ascending with `alias` inserted.
   const int32_t width = static_cast<int32_t>(left.aliases.size());
   Intermediate out;
+  out.mask = left.mask | query::MaskOf(alias);
   out.aliases = left.aliases;
   out.aliases.insert(
       std::upper_bound(out.aliases.begin(), out.aliases.end(), alias), alias);
@@ -212,6 +212,13 @@ bool ScalarOracle::CountExtension(QueryMemo& /*memo*/, const Query& q,
   }
   *count = total;
   return true;
+}
+
+const std::vector<RowId>* ScalarOracle::MaterializedTuples(const Query& q,
+                                                          AliasMask mask) {
+  const QueryMemo& memo = Memo(q);
+  auto it = memo.mats.find(mask);
+  return it == memo.mats.end() ? nullptr : &it->second.data;
 }
 
 }  // namespace lqolab::fuzz

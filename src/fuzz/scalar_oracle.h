@@ -13,16 +13,26 @@ namespace lqolab::fuzz {
 /// row-at-a-time predicate loop (Filter), std::unordered_set semi-join
 /// reduction rebuilt on every pass (SemiJoinReduce), and std::unordered_map
 /// hash joins and key counts over every base, whole tables included
-/// (JoinWithBase, CountExtension). Everything else — the memo, the
-/// replica-wide base cache, the fallback chain (materialize, then streaming
-/// count, then TreeCount), the caps and the eviction policy — is the
-/// product oracle's, so the two must agree on every row set, count and
-/// overflow flag. Tests and fuzz::DifferentialOracle build one over a
-/// database's context and compare it with the database's own oracle; the
-/// other reference, fuzz::ReferenceCount, shares no code with either.
+/// (JoinWithBase, CountExtension). Its joins write every result tuple in
+/// full — every alias of the subset, each row at weight 1, never merged —
+/// and trip the caps row by row as the original did, so they check the
+/// product's weighted frontier intermediates and its caps on logical
+/// counts. Everything else — the memo, the replica-wide base cache, the
+/// fallback chain (materialize, then streaming count, then TreeCount), the
+/// caps' thresholds and the eviction policy — is the product oracle's, so
+/// the two must agree on every filtered row set, count and overflow flag.
+/// Tests and fuzz::DifferentialOracle build one over a database's context
+/// and compare it with the database's own oracle; the other reference,
+/// fuzz::ReferenceCount, shares no code with either.
 class ScalarOracle final : public exec::Oracle {
  public:
   using exec::Oracle::Oracle;
+
+  /// The materialized join over `mask` — row ids, one per alias of `mask`
+  /// in ascending alias order, row-major — or nullptr when `mask` was
+  /// counted without materializing or its materialization was released.
+  const std::vector<storage::RowId>* MaterializedTuples(const query::Query& q,
+                                                        query::AliasMask mask);
 
  private:
   void Filter(catalog::TableId table, const query::BoundPredicate* preds,
@@ -31,8 +41,8 @@ class ScalarOracle final : public exec::Oracle {
       QueryMemo& memo, const query::Query& q, query::AliasMask mask) override;
   Intermediate JoinWithBase(QueryMemo& memo, const query::Query& q,
                             const Intermediate& left, query::AliasId alias,
-                            const std::vector<storage::RowId>& base_rows,
-                            query::AliasMask scope) override;
+                            const std::vector<storage::RowId>& base_rows)
+      override;
   bool CountExtension(QueryMemo& memo, const query::Query& q,
                       const Intermediate& left, query::AliasId alias,
                       const std::vector<storage::RowId>& base_rows,

@@ -32,6 +32,8 @@ constexpr CounterInfo kCounterInfo[] = {
     {"oracle_base_reuses", "exec"},
     {"oracle_build_reuses", "exec"},
     {"oracle_bloom_builds", "exec"},
+    {"oracle_intermediate_rows", "exec"},
+    {"oracle_intermediate_cells", "exec"},
     {"exec_replans", "exec"},
     {"exec_replan_no_change", "exec"},
     {"exec_replan_capped", "exec"},

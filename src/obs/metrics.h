@@ -29,6 +29,9 @@ enum class Counter : int32_t {
   kOracleBaseReuses,        ///< Filtered bases served by the base cache.
   kOracleBuildReuses,       ///< Joins probing a cached build table.
   kOracleBloomBuilds,       ///< Predicate-transfer Bloom filters built.
+  kOracleIntermediateRows,  ///< Rows the oracle's joins write: one per
+                            ///< distinct kept (frontier) tuple.
+  kOracleIntermediateCells,  ///< Row-id cells of those rows.
   kExecReplans,             ///< Mid-query cancel-and-replan rounds taken.
   kExecReplanNoChange,      ///< Replans whose new plan equalled the old one.
   kExecReplanCapped,        ///< Final attempts forced straight-through by

@@ -1,14 +1,20 @@
 // Committed answers (ctest label `answers`): every query of the four
 // workloads, evaluated at its full mask on the seed-42 test databases (IMDB
 // ScaleProfile::Small(), TPC-H TpchScaleProfile::Small().Scaled(0.5)),
-// must give the answer recorded in workloads/<file>.answers — under the
-// product exec::Oracle and under the tuple-at-a-time reference,
-// fuzz::ScalarOracle, alike.
+// must give the answer recorded in workloads/<file>.answers, and every
+// shape of tests/answers/fallbacks.sql the one in
+// tests/answers/fallbacks.answers (on the test_kernels database, IMDB
+// Medium().Scaled(0.01); each shape's pair of aliases 0 and 1 is asked
+// first, so the full mask can be counted by extending it).
 //
 // Each line is "<query id> <rows|overflow> <digest|->". The digest is
 // order-independent: the sum over result tuples of Σ_a h(a, row_a) mod
-// 2^64, read from the oracle's own materialized full mask, and "-" where
-// the full mask was counted without materializing.
+// 2^64, read from the reference's materialized full mask, and "-" where
+// the full mask was counted without materializing (a fallback: streaming
+// count or TreeCount) or overflowed. The tuple-at-a-time reference,
+// fuzz::ScalarOracle, must match the whole line. The product
+// exec::Oracle keeps only frontier row ids, and a full mask has none, so
+// it must match "<query id> <rows|overflow>".
 //
 // Regenerate after an INTENDED change (refuses to write when the two
 // oracles disagree):
@@ -36,24 +42,33 @@ namespace {
 
 bool update_answers = false;
 
+enum class Data { kImdbSmall, kTpchSmall, kImdbKernels };
+
 struct AnswerFile {
-  const char* workload;  // query::LoadWorkload name
-  const char* file;      // workloads/<file>.answers
-  bool tpch;
+  const char* workload;  // query::LoadWorkload name; null: tests/answers
+  const char* file;      // <dir>/<file>.answers (and .sql under tests)
+  Data data;
 };
 
 // Names the parameter in test listings (gtest would print its bytes).
 void PrintTo(const AnswerFile& f, std::ostream* os) { *os << f.file; }
 
 constexpr AnswerFile kAnswerFiles[] = {
-    {"job", "job_lite", false},
-    {"ext_job", "ext_job", false},
-    {"job_complex", "job_complex_lite", false},
-    {"tpch", "tpch_lite", true},
+    {"job", "job_lite", Data::kImdbSmall},
+    {"ext_job", "ext_job", Data::kImdbSmall},
+    {"job_complex", "job_complex_lite", Data::kImdbSmall},
+    {"tpch", "tpch_lite", Data::kTpchSmall},
+    {nullptr, "fallbacks", Data::kImdbKernels},
 };
 
+std::string FilePath(const AnswerFile& f, const char* extension) {
+  return std::string(f.workload != nullptr ? LQOLAB_WORKLOADS_DIR
+                                           : LQOLAB_TEST_ANSWERS_DIR) +
+         "/" + f.file + extension;
+}
+
 std::string AnswerPath(const AnswerFile& f) {
-  return std::string(LQOLAB_WORKLOADS_DIR) + "/" + f.file + ".answers";
+  return FilePath(f, ".answers");
 }
 
 enum class Engine { kProduct, kScalar };
@@ -62,19 +77,26 @@ const char* EngineName(Engine e) {
   return e == Engine::kProduct ? "product" : "scalar";
 }
 
-engine::Database& Db(bool tpch) {
-  static engine::Database* dbs[2] = {};
-  engine::Database*& db = dbs[tpch];
+engine::Database& Db(Data data) {
+  static engine::Database* dbs[3] = {};
+  engine::Database*& db = dbs[static_cast<int>(data)];
   if (db != nullptr) return *db;
   engine::Database::Options options;
   options.seed = 42;
-  if (tpch) {
-    db = engine::Database::CreateTpch(
-             options, datagen::TpchScaleProfile::Small().Scaled(0.5))
-             .release();
-  } else {
-    options.profile = datagen::ScaleProfile::Small();
-    db = engine::Database::CreateImdb(options).release();
+  switch (data) {
+    case Data::kTpchSmall:
+      db = engine::Database::CreateTpch(
+               options, datagen::TpchScaleProfile::Small().Scaled(0.5))
+               .release();
+      break;
+    case Data::kImdbSmall:
+      options.profile = datagen::ScaleProfile::Small();
+      db = engine::Database::CreateImdb(options).release();
+      break;
+    case Data::kImdbKernels:
+      options.profile = datagen::ScaleProfile::Medium().Scaled(0.01);
+      db = engine::Database::CreateImdb(options).release();
+      break;
   }
   return *db;
 }
@@ -100,27 +122,48 @@ uint64_t TupleDigest(query::AliasMask mask,
   return digest;
 }
 
-std::string AnswerLine(exec::Oracle& oracle, const query::Query& q) {
+/// The answer line of `q` at its full mask. The reference writes the whole
+/// line; the product, whose intermediates keep only frontier row ids (a
+/// full mask has none), writes "<query id> <rows|overflow>".
+std::string AnswerLine(exec::Oracle& oracle, Engine engine,
+                       const query::Query& q) {
   const query::AliasMask full = q.FullMask();
   const exec::Oracle::CardResult card = oracle.TrueJoinRows(q, full);
-  if (card.overflow) return q.id + " overflow -";
-  std::string line = q.id + " " + std::to_string(card.rows) + " ";
+  const std::string head =
+      q.id + " " + (card.overflow ? "overflow" : std::to_string(card.rows));
+  if (engine == Engine::kProduct) return head;
   const std::vector<storage::RowId>* tuples =
-      oracle.MaterializedTuples(q, full);
-  if (tuples == nullptr) return line + "-";
+      static_cast<fuzz::ScalarOracle&>(oracle).MaterializedTuples(q, full);
+  if (card.overflow || tuples == nullptr) return head + " -";
   char hex[17];
   std::snprintf(hex, sizeof(hex), "%016" PRIx64, TupleDigest(full, *tuples));
-  return line + hex;
+  return head + " " + hex;
+}
+
+/// The "<query id> <rows|overflow>" head of a whole answer line.
+std::string Head(const std::string& line) {
+  return line.substr(0, line.rfind(' '));
 }
 
 /// One answer line per query of `f`, from a fresh oracle of `engine`.
 std::vector<std::string> Answers(const AnswerFile& f, Engine engine) {
-  engine::Database& db = Db(f.tpch);
+  engine::Database& db = Db(f.data);
   const std::unique_ptr<exec::Oracle> oracle =
       MakeOracle(engine, &db.context());
+  std::vector<query::Query> queries;
+  if (f.workload != nullptr) {
+    queries = query::LoadWorkload(f.workload, db.schema());
+  } else {
+    const util::Status status =
+        query::LoadSqlWorkloadFile(FilePath(f, ".sql"), db.schema(), &queries);
+    EXPECT_TRUE(status.ok()) << status.ToString();
+  }
   std::vector<std::string> lines;
-  for (const query::Query& q : query::LoadWorkload(f.workload, db.schema())) {
-    lines.push_back(AnswerLine(*oracle, q));
+  for (const query::Query& q : queries) {
+    if (f.workload == nullptr) {
+      oracle->TrueJoinRows(q, query::MaskOf(0) | query::MaskOf(1));
+    }
+    lines.push_back(AnswerLine(*oracle, engine, q));
   }
   return lines;
 }
@@ -135,17 +178,23 @@ TEST_P(CommittedAnswers, MatchUnderBothOracles) {
     ASSERT_EQ(product.size(), scalar.size());
     bool agree = true;
     for (size_t i = 0; i < product.size(); ++i) {
-      EXPECT_EQ(product[i], scalar[i]) << "oracles disagree";
-      agree = agree && product[i] == scalar[i];
+      EXPECT_EQ(product[i], Head(scalar[i])) << "oracles disagree";
+      agree = agree && product[i] == Head(scalar[i]);
     }
     ASSERT_TRUE(agree) << "not writing " << AnswerPath(f);
     std::ofstream out(AnswerPath(f));
     ASSERT_TRUE(out.is_open()) << AnswerPath(f);
-    out << "# Full-mask answers of workload '" << f.workload
-        << "' on the seed-42 test database: <query> <rows|overflow> "
-           "<digest|->\n";
+    if (f.workload != nullptr) {
+      out << "# Full-mask answers of workload '" << f.workload
+          << "' on the seed-42 test database: <query> <rows|overflow> "
+             "<digest|->\n";
+    } else {
+      out << "# Full-mask answers of " << f.file
+          << ".sql on the seed-42 test_kernels database, each after its "
+             "pair of aliases 0 and 1: <query> <rows|overflow> <digest|->\n";
+    }
     out << "# Regenerate: ./build/tests/test_answers --update-answers\n";
-    for (const std::string& line : product) out << line << "\n";
+    for (const std::string& line : scalar) out << line << "\n";
     std::printf("updated %s (%zu queries)\n", AnswerPath(f).c_str(),
                 product.size());
     return;
@@ -166,7 +215,8 @@ TEST_P(CommittedAnswers, MatchUnderBothOracles) {
         << EngineName(engine) << ": query count differs from "
         << AnswerPath(f);
     for (size_t i = 0; i < lines.size(); ++i) {
-      EXPECT_EQ(lines[i], committed[i])
+      EXPECT_EQ(lines[i], engine == Engine::kProduct ? Head(committed[i])
+                                                     : committed[i])
           << EngineName(engine) << " oracle, " << AnswerPath(f) << " line "
           << i << " — if intended, regenerate with --update-answers";
     }

@@ -1,8 +1,15 @@
 // Differential test suite for the batched execution engine (ctest label
-// `exec`): a database's exec::Oracle must return byte-identical results to
-// fuzz::ScalarOracle, the tuple-at-a-time reference, over the same context
-// — same FilteredRows / SinglePredicateRows / TrueJoinRows (including
-// overflow flags) across all JOB-lite queries and the fuzz replay corpus.
+// `exec`): a database's exec::Oracle must agree with fuzz::ScalarOracle,
+// the tuple-at-a-time reference, over the same context — byte-identical
+// FilteredRows / SinglePredicateRows, and TrueJoinRows equal by count and
+// overflow flag — across all JOB-lite queries and the fuzz replay corpus.
+// The product's intermediates are weighted frontier tuples and the
+// reference's full tuples, so joins are compared on answers, not row sets;
+// the OverflowDifferential cases (shapes shared with
+// tests/answers/fallbacks.sql) also compare which subsets stay
+// materialized, on shapes whose collapsed intermediates trip the rows cap,
+// the cells cap and the streaming count's pair cap on logical rows, and
+// WeightedIntermediates pins the rows and cells the product writes.
 // Whole-table bases, which the batched oracle answers from the shared index
 // instead of a hash build, get their own edge-case queries and counter
 // checks. Plus
@@ -161,9 +168,10 @@ std::vector<AliasMask> DifferentialMasks(const Query& q) {
   return masks;
 }
 
-/// Runs the full byte-identity sweep for one query across the two oracles:
-/// filtered rows per alias, single-predicate rows per predicate, and join
-/// cardinalities (rows AND overflow flag) per differential mask.
+/// Runs the full agreement sweep for one query across the two oracles:
+/// filtered rows per alias and single-predicate rows per predicate byte
+/// for byte, and join cardinalities (rows AND overflow flag) per
+/// differential mask.
 void CheckQueryAgreement(const Query& q, EngineLab& lab = Lab()) {
   Oracle& reference = *lab.reference;
   Oracle& batched = lab.db->oracle();
@@ -216,9 +224,53 @@ TEST(CorpusDifferential, ReplayCorpusMatchesScalar) {
   }
 }
 
+/// The shapes of tests/answers/fallbacks.sql, bound against `schema`.
+std::vector<Query> FallbackShapes(const catalog::Schema& schema) {
+  std::vector<Query> queries;
+  const util::Status status = query::LoadSqlWorkloadFile(
+      std::string(LQOLAB_TEST_ANSWERS_DIR) + "/fallbacks.sql", schema,
+      &queries);
+  LQOLAB_CHECK_MSG(status.ok(), status.ToString());
+  return queries;
+}
+
+Query FallbackShape(const catalog::Schema& schema, const std::string& id) {
+  for (Query& q : FallbackShapes(schema)) {
+    if (q.id == id) return q;
+  }
+  LQOLAB_CHECK_MSG(false, "no fallback shape " << id);
+  return {};
+}
+
+/// TrueJoinRows of `mask` under both oracles must agree on rows, overflow
+/// and on whether the subset stayed materialized (a subset that trips a
+/// cap is answered by a fallback and holds no intermediate). Returns the
+/// reference's answer.
+Oracle::CardResult ExpectSameAnswer(EngineLab& lab, const Query& q,
+                                    AliasMask mask) {
+  const Oracle::CardResult want = lab.reference->TrueJoinRows(q, mask);
+  const Oracle::CardResult got = lab.db->oracle().TrueJoinRows(q, mask);
+  EXPECT_EQ(got.rows, want.rows) << q.id << " mask " << mask;
+  EXPECT_EQ(got.overflow, want.overflow) << q.id << " mask " << mask;
+  EXPECT_EQ(lab.db->oracle().HoldsIntermediate(q, mask),
+            lab.reference->HoldsIntermediate(q, mask))
+      << q.id << " mask " << mask << ": materialized in one oracle only";
+  return want;
+}
+
+/// Physical rows the product oracle's joins write for `mask`.
+int64_t ProductRowsWritten(EngineLab& lab, const Query& q, AliasMask mask) {
+  obs::MetricsRegistry metrics;
+  {
+    obs::MetricsScope scope(&metrics);
+    lab.db->oracle().TrueJoinRows(q, mask);
+  }
+  return metrics.Get(obs::Counter::kOracleIntermediateRows);
+}
+
 /// The overflow path must trip identically in both oracles. Tree-shaped
 /// queries never overflow (TreeCount computes them exactly without
-/// materializing), so this builds a 4-cycle cast_info self-join on the
+/// materializing), so this uses a 4-cycle cast_info self-join on the
 /// low-cardinality role_id column: every 3-alias sub-path explodes past
 /// kMaxIntermediateRows (so no submask materialization exists to stream an
 /// extension count from) and the cycle defeats TreeCount — each oracle must
@@ -226,24 +278,7 @@ TEST(CorpusDifferential, ReplayCorpusMatchesScalar) {
 /// adjacent 2-alias subsets still materialize exactly.
 TEST(OverflowDifferential, SelfJoinOverflowFlagsAgree) {
   EngineLab& lab = Lab();
-  const catalog::Schema& schema = lab.db->schema();
-  const catalog::TableId cast_info = schema.FindTable("cast_info");
-  ASSERT_NE(cast_info, catalog::kInvalidTable);
-  const catalog::ColumnId role_id =
-      schema.table(cast_info).FindColumn("role_id");
-  ASSERT_NE(role_id, catalog::kInvalidColumn);
-
-  Query q;
-  q.id = "kernels_overflow_cycle";
-  q.relations = {{cast_info, "c1"},
-                 {cast_info, "c2"},
-                 {cast_info, "c3"},
-                 {cast_info, "c4"}};
-  q.edges = {{0, role_id, 1, role_id},
-             {1, role_id, 2, role_id},
-             {2, role_id, 3, role_id},
-             {3, role_id, 0, role_id}};
-
+  const Query q = FallbackShape(lab.db->schema(), "kernels_overflow_cycle");
   const Oracle::CardResult reference =
       lab.reference->TrueJoinRows(q, q.FullMask());
   const Oracle::CardResult got = lab.db->oracle().TrueJoinRows(q, q.FullMask());
@@ -265,19 +300,8 @@ TEST(OverflowDifferential, SelfJoinOverflowFlagsAgree) {
 /// pair walk checking the residual edge under kMaxCountedPairs).
 TEST(OverflowDifferential, StreamingCountsAgree) {
   EngineLab& lab = Lab();
-  const catalog::Schema& schema = lab.db->schema();
-  const catalog::TableId cast_info = schema.FindTable("cast_info");
-  ASSERT_NE(cast_info, catalog::kInvalidTable);
-  const catalog::ColumnId role_id =
-      schema.table(cast_info).FindColumn("role_id");
-  ASSERT_NE(role_id, catalog::kInvalidColumn);
-
-  for (const bool triangle : {false, true}) {
-    Query q;
-    q.id = triangle ? "kernels_count_triangle" : "kernels_count_chain";
-    q.relations = {{cast_info, "c1"}, {cast_info, "c2"}, {cast_info, "c3"}};
-    q.edges = {{0, role_id, 1, role_id}, {1, role_id, 2, role_id}};
-    if (triangle) q.edges.push_back({2, role_id, 0, role_id});
+  for (const char* id : {"kernels_count_chain", "kernels_count_triangle"}) {
+    const Query q = FallbackShape(lab.db->schema(), id);
     const AliasMask pair = query::MaskOf(0) | query::MaskOf(1);
     ASSERT_FALSE(lab.reference->TrueJoinRows(q, pair).overflow);
     ASSERT_FALSE(lab.db->oracle().TrueJoinRows(q, pair).overflow);
@@ -292,6 +316,119 @@ TEST(OverflowDifferential, StreamingCountsAgree) {
     EXPECT_FALSE(want.overflow) << q.id;
     EXPECT_GT(want.rows, cost::kMaxIntermediateRows) << q.id;
   }
+}
+
+/// The product's intermediates keep only frontier row ids, merged into
+/// weighted rows, yet every cap is decided on logical rows, exactly where
+/// the reference (every alias, weight 1, never merged) decides it.
+///
+/// Rows cap: in the 4-chain c1–c2–c3–c4 the pair (c1, c2) keeps only c2,
+/// so it holds under 1% of its logical rows; the triple (c1, c2, c3) would
+/// collapse the same way onto c3's 1400 rows, but its logical rows pass
+/// kMaxIntermediateRows, so both oracles refuse to materialize it and
+/// stream-count it from the pair instead.
+TEST(OverflowDifferential, CollapsedIntermediatesTripRowsCapOnLogicalRows) {
+  EngineLab& lab = Lab();
+  const Query q = FallbackShape(lab.db->schema(), "kernels_tree_count");
+  const AliasMask pair = query::MaskOf(0) | query::MaskOf(1);
+  const int64_t pair_rows = ProductRowsWritten(lab, q, pair);
+  const Oracle::CardResult pair_card = ExpectSameAnswer(lab, q, pair);
+  EXPECT_TRUE(lab.db->oracle().HoldsIntermediate(q, pair));
+  EXPECT_GT(pair_rows, 0);
+  EXPECT_LT(pair_rows * 100, pair_card.rows) << "pair did not collapse";
+
+  const AliasMask triple = pair | query::MaskOf(2);
+  const Oracle::CardResult card = ExpectSameAnswer(lab, q, triple);
+  EXPECT_FALSE(card.overflow);  // stream-counted from the pair
+  EXPECT_GT(card.rows, cost::kMaxIntermediateRows);
+  EXPECT_FALSE(lab.db->oracle().HoldsIntermediate(q, triple));
+}
+
+/// Cells cap: c1 and c2 (joined on role_id) each carry four dimensions that
+/// match one row apiece (title, its kind, name, role type), and c3 hangs
+/// off c2. The 10-relation subset without c3, extended from the one
+/// without kt2 as well, keeps only c2 (under 1% of its logical rows).
+/// Adding c3 gives 11 relations whose logical rows stay under
+/// kMaxIntermediateRows but need more than kMaxIntermediateCells
+/// cells at one per relation, so the full mask trips the cells cap in both
+/// oracles — although the product's result, with no frontier, is a single
+/// count — and is stream-counted from the 10-relation subset.
+constexpr const char* kWideCellsSql = R"sql(
+-- kernels_wide_cells
+SELECT COUNT(*) FROM cast_info AS c1, cast_info AS c2, cast_info AS c3,
+  title AS t1, name AS n1, role_type AS rt1, kind_type AS kt1,
+  title AS t2, name AS n2, role_type AS rt2, kind_type AS kt2
+WHERE c1.role_id = c2.role_id AND c2.role_id = c3.role_id
+  AND c1.movie_id = t1.id AND c1.person_id = n1.id AND c1.role_id = rt1.id
+  AND t1.kind_id = kt1.id AND c2.movie_id = t2.id AND c2.person_id = n2.id
+  AND c2.role_id = rt2.id AND t2.kind_id = kt2.id AND c3.movie_id < 50;
+)sql";
+
+Query BindOne(const char* sql, const catalog::Schema& schema) {
+  std::vector<Query> queries;
+  const util::Status status =
+      query::LoadSqlWorkloadText(sql, "kernels", schema, &queries);
+  LQOLAB_CHECK_MSG(status.ok(), status.ToString());
+  LQOLAB_CHECK_EQ(queries.size(), 1u);
+  return queries[0];
+}
+
+TEST(OverflowDifferential, CollapsedIntermediatesTripCellsCapOnLogicalRows) {
+  EngineLab& lab = Lab();
+  const Query q = BindOne(kWideCellsSql, lab.db->schema());
+  auto alias = [&](const std::string& name) {
+    for (AliasId a = 0; a < q.relation_count(); ++a) {
+      if (q.relations[static_cast<size_t>(a)].alias == name) {
+        return query::MaskOf(a);
+      }
+    }
+    ADD_FAILURE() << "no alias " << name;
+    return AliasMask{0};
+  };
+  const AliasMask rest = q.FullMask() & ~alias("c3");
+  ExpectSameAnswer(lab, q, rest & ~alias("kt2"));
+  const int64_t rest_rows = ProductRowsWritten(lab, q, rest);
+  const Oracle::CardResult rest_card = ExpectSameAnswer(lab, q, rest);
+  EXPECT_TRUE(lab.db->oracle().HoldsIntermediate(q, rest));
+  EXPECT_GT(rest_rows, 0);
+  EXPECT_LT(rest_rows * 100, rest_card.rows) << "subset did not collapse";
+
+  const Oracle::CardResult card = ExpectSameAnswer(lab, q, q.FullMask());
+  EXPECT_FALSE(card.overflow);  // stream-counted from `rest`
+  EXPECT_FALSE(lab.db->oracle().HoldsIntermediate(q, q.FullMask()));
+  // Pin the shape: the cells cap decides, not the rows cap.
+  const int64_t width = q.relation_count();
+  EXPECT_LE(card.rows, cost::kMaxIntermediateRows);
+  EXPECT_GE((card.rows - 1) * width, cost::kMaxIntermediateCells);
+}
+
+/// Pair cap: the streaming count walks logical pairs. c0 hangs off c1, and
+/// c3 closes a triangle with c1 and c2 (all on role_id), so the subset
+/// (c0, c1, c2) keeps (c1, c2) with c0's matches as weights. Its extension
+/// by c3 is too large to materialize; counting it walks Σ weight × group
+/// size pairs, past kMaxCountedPairs, though its physical rows times group
+/// sizes stay under it; the cycle defeats TreeCount, so both oracles
+/// overflow.
+constexpr const char* kWeightedPairsSql = R"sql(
+-- kernels_weighted_pairs
+SELECT COUNT(*) FROM cast_info AS c0, cast_info AS c1, cast_info AS c2,
+  cast_info AS c3
+WHERE c0.role_id = c1.role_id AND c1.role_id = c2.role_id
+  AND c1.role_id = c3.role_id AND c2.role_id = c3.role_id
+  AND c0.movie_id < 20;
+)sql";
+
+TEST(OverflowDifferential, StreamingCountWalksLogicalPairs) {
+  EngineLab& lab = Lab();
+  const Query q = BindOne(kWeightedPairsSql, lab.db->schema());
+  const AliasMask left = query::MaskOf(0) | query::MaskOf(1) |
+                         query::MaskOf(2);
+  const Oracle::CardResult left_card = ExpectSameAnswer(lab, q, left);
+  EXPECT_TRUE(lab.db->oracle().HoldsIntermediate(q, left));
+  ASSERT_FALSE(left_card.overflow);
+
+  const Oracle::CardResult card = ExpectSameAnswer(lab, q, q.FullMask());
+  EXPECT_TRUE(card.overflow);
 }
 
 // ---------------------------------------------------------------------------
@@ -416,6 +553,47 @@ TEST(IndexJoinCounters, ScalarReferenceRecordsNoIndexJoins) {
   }
   EXPECT_EQ(metrics.Get(obs::Counter::kOracleIndexJoins), 0);
   EXPECT_GT(metrics.Get(obs::Counter::kOracleHashBuilds), 0);
+}
+
+/// Rows and row-id cells one oracle's joins write over every connected
+/// subset of every JOB-lite query, in ascending mask order (each subset
+/// after all of its submasks, as a bottom-up plan search asks for them).
+struct WrittenCounts {
+  int64_t rows = 0;
+  int64_t cells = 0;
+};
+
+WrittenCounts JobLiteSubsetSweep(Oracle& oracle,
+                                 const std::vector<Query>& workload) {
+  obs::MetricsRegistry metrics;
+  {
+    obs::MetricsScope scope(&metrics);
+    for (const Query& q : workload) {
+      for (AliasMask mask = 1; mask <= q.FullMask(); ++mask) {
+        if (q.IsConnected(mask)) oracle.TrueJoinRows(q, mask);
+      }
+      oracle.ReleaseMaterializations();
+    }
+  }
+  return {metrics.Get(obs::Counter::kOracleIntermediateRows),
+          metrics.Get(obs::Counter::kOracleIntermediateCells)};
+}
+
+/// The product writes one row per distinct frontier tuple: pinned counts
+/// on the test database (a join that stopped merging, or kept a column
+/// off the frontier, writes more), against the reference's full tuples.
+TEST(WeightedIntermediates, JobLiteSubsetSweepWritesFrontierRows) {
+  auto imdb = engine::Database::CreateImdb(ColdPassOptions());
+  const std::vector<Query> workload =
+      query::LoadWorkload("job", imdb->schema());
+  Oracle product(&imdb->context());
+  fuzz::ScalarOracle reference(&imdb->context());
+  const WrittenCounts got = JobLiteSubsetSweep(product, workload);
+  const WrittenCounts full = JobLiteSubsetSweep(reference, workload);
+  EXPECT_EQ(got.rows, 4188712);
+  EXPECT_EQ(got.cells, 14906711);
+  EXPECT_LT(got.rows, full.rows);
+  EXPECT_LT(got.cells * 2, full.cells);
 }
 
 // ---------------------------------------------------------------------------

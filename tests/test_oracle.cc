@@ -286,9 +286,14 @@ AliasId AliasNamed(const Query& q, const std::string& name) {
 
 /// A filtered title joined with filtered movie_companies: both sides have
 /// predicates, so the pair's join builds a hash table over the larger one.
+/// company_name is there to keep mc on the pair's frontier: the pair's
+/// intermediate holds one mc row id and one weight per result row, where
+/// a two-relation query's root would hold its count alone.
 constexpr const char* kPairSql =
-    "SELECT COUNT(*) FROM title AS t, movie_companies AS mc "
-    "WHERE t.id = mc.movie_id AND t.production_year BETWEEN 1990 AND 2005 "
+    "SELECT COUNT(*) FROM title AS t, movie_companies AS mc, "
+    "company_name AS cn "
+    "WHERE t.id = mc.movie_id AND mc.company_id = cn.id "
+    "AND t.production_year BETWEEN 1990 AND 2005 "
     "AND t.kind_id IN (1, 2) AND mc.note IS NOT NULL";
 
 struct BuildCounts {
@@ -296,14 +301,16 @@ struct BuildCounts {
   int64_t reuses;
 };
 
-/// The pair join of kPairSql under a fresh query id (a fresh memo), with
-/// the hash builds and build-table reuses it took.
+/// The t–mc pair join of kPairSql under a fresh query id (a fresh memo),
+/// with the hash builds and build-table reuses it took.
 BuildCounts RequestPairJoin(Oracle* oracle, const catalog::Schema& schema,
                             const std::string& id, int64_t* rows = nullptr) {
   const Query q = BindSql(kPairSql, id, schema);
   obs::MetricsRegistry metrics;
   obs::MetricsScope scope(&metrics);
-  const Oracle::CardResult card = oracle->TrueJoinRows(q, q.FullMask());
+  const AliasMask pair =
+      query::MaskOf(AliasNamed(q, "t")) | query::MaskOf(AliasNamed(q, "mc"));
+  const Oracle::CardResult card = oracle->TrueJoinRows(q, pair);
   EXPECT_FALSE(card.overflow);
   if (rows != nullptr) *rows = card.rows;
   return {metrics.Get(obs::Counter::kOracleHashBuilds),
@@ -452,13 +459,20 @@ TEST_F(OracleTest, ReleaseIntermediatesKeepsBuildTablesAndCards) {
 TEST_F(OracleTest, BudgetEvictsBuildTablesFirstAndKeepsCards) {
   const catalog::Schema& schema = db_->schema();
   // Measure one pair intermediate (M) and the kept table (T) on an
-  // unbounded oracle.
+  // unbounded oracle. M is the pair's weighted frontier rows: title drops
+  // out of the frontier, but each result row has its own mc row (t.id is
+  // title's key), so the pair keeps one 4-byte mc row id per result row
+  // and no weights (every row weighs 1), in a vector grown by doubling.
   int64_t intermediate = 0;
   int64_t table = 0;
   {
     Oracle oracle(&db_->context());
-    RequestPairJoin(&oracle, schema, "size_1");
+    int64_t pair_rows = 0;
+    RequestPairJoin(&oracle, schema, "size_1", &pair_rows);
     intermediate = oracle.materialization_bytes();
+    const int64_t id_bytes = sizeof(RowId);
+    EXPECT_GE(intermediate, pair_rows * id_bytes);
+    EXPECT_LE(intermediate, 2 * pair_rows * id_bytes + 16 * id_bytes);
     RequestPairJoin(&oracle, schema, "size_2");
     table = oracle.materialization_bytes() - 2 * intermediate;
   }
@@ -555,6 +569,52 @@ INSTANTIATE_TEST_SUITE_P(Engines, SharedOracleSweep, ::testing::Bool(),
                          [](const ::testing::TestParamInfo<bool>& info) {
                            return info.param ? "Vectorized" : "Scalar";
                          });
+
+/// Every connected subset of every query, in ascending mask order, through
+/// an oracle whose budget is small enough that weighted intermediates are
+/// evicted while their own query is still being swept, gives the rows and
+/// overflow flags of an unbounded oracle: eviction decides only which
+/// extensions and fallbacks stay available, never an answer.
+void ExpectEvictionPathIndependent(engine::Database* db,
+                                   const std::string& workload_name) {
+  constexpr int64_t kBudgetBytes = 16 * 1024;
+  const std::vector<Query> workload =
+      query::LoadWorkload(workload_name, db->schema());
+  Oracle unbounded(&db->context());
+  Oracle bounded(&db->context(), kBudgetBytes);
+  int64_t evicted_mid_query = 0;
+  for (const Query& q : workload) {
+    std::vector<AliasMask> held;
+    for (AliasMask mask = 1; mask <= q.FullMask(); ++mask) {
+      if (!q.IsConnected(mask)) continue;
+      const Oracle::CardResult want = unbounded.TrueJoinRows(q, mask);
+      const Oracle::CardResult got = bounded.TrueJoinRows(q, mask);
+      ASSERT_EQ(got.rows, want.rows) << q.id << " mask " << mask;
+      ASSERT_EQ(got.overflow, want.overflow) << q.id << " mask " << mask;
+      if (bounded.HoldsIntermediate(q, mask)) held.push_back(mask);
+    }
+    for (const AliasMask mask : held) {
+      evicted_mid_query += bounded.HoldsIntermediate(q, mask) ? 0 : 1;
+    }
+  }
+  EXPECT_GT(evicted_mid_query, 0) << "the budget never evicted mid-query";
+}
+
+TEST(OracleEviction, JobLiteSmallBudgetMatchesUnbounded) {
+  engine::Database::Options options;
+  options.profile = datagen::ScaleProfile::Medium().Scaled(0.01);
+  options.seed = 42;
+  const auto db = engine::Database::CreateImdb(options);
+  ExpectEvictionPathIndependent(db.get(), "job");
+}
+
+TEST(OracleEviction, TpchLiteSmallBudgetMatchesUnbounded) {
+  engine::Database::Options options;
+  options.seed = 42;
+  const auto db = engine::Database::CreateTpch(
+      options, datagen::TpchScaleProfile::Small().Scaled(0.5));
+  ExpectEvictionPathIndependent(db.get(), "tpch");
+}
 
 /// Property sweep: for every query, the full-mask cardinality matches the
 /// Yannakakis tree count when the query is acyclic (cross-check of the two
