@@ -1,6 +1,8 @@
 #ifndef LQOLAB_EXEC_COST_CONSTANTS_H_
 #define LQOLAB_EXEC_COST_CONSTANTS_H_
 
+#include <cstdint>
+
 #include "util/virtual_clock.h"
 
 namespace lqolab::exec {
@@ -103,11 +105,17 @@ inline constexpr double kSecondRunPenalty = 0.014;
 /// Log-normal execution noise (sigma of ln-scale).
 inline constexpr double kNoiseSigma = 0.02;
 
-/// Caps on materialized intermediate results in the true-cardinality
-/// oracle; a subset whose materialization exceeds either is treated as
-/// timed out. The cell cap (rows x participating aliases) bounds memory.
+/// Caps on one join of the true-cardinality oracle (Oracle::JoinWithBase);
+/// a subset whose materialization passes one is treated as timed out. The
+/// first two are decided on what the intermediate stores: distinct rows,
+/// and cells (a row id is one cell, a weight two), which bound memory.
+/// The third bounds the join's work: the base rows its probe loop visits,
+/// which a join whose stored result stays small can still multiply.
 inline constexpr int64_t kMaxIntermediateRows = 12'000'000;
 inline constexpr int64_t kMaxIntermediateCells = 64'000'000;
+inline constexpr int64_t kMaxVisitedPairs = 400'000'000;
+// The oracle's merge slots hold int32 indices of stored rows.
+static_assert(kMaxIntermediateRows <= INT32_MAX);
 
 }  // namespace cost
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <span>
 
 #include "exec/cost_constants.h"
@@ -103,16 +102,6 @@ AliasMask KeyDetermined(const Query& q, AliasMask mask, AliasMask kept) {
     }
   }
   return closure;
-}
-
-/// Largest logical row count a join result over `mask` may reach: one more
-/// passes cost::kMaxIntermediateRows, or makes (rows − 1) × popcount(mask)
-/// reach cost::kMaxIntermediateCells — where a tuple-at-a-time evaluation,
-/// writing one cell per alias per row, trips.
-int64_t RowCap(AliasMask mask) {
-  const int64_t width = std::popcount(mask);
-  return std::min(cost::kMaxIntermediateRows,
-                  (cost::kMaxIntermediateCells + width - 1) / width);
 }
 
 }  // namespace
@@ -269,153 +258,17 @@ Oracle::CardResult Oracle::TrueJoinRows(const Query& q, AliasMask mask) {
   QueryMemo& memo = Memo(q);
   auto it = memo.cards.find(mask);
   if (it != memo.cards.end()) return it->second;
+  CardResult result;
   if (std::popcount(mask) == 1) {
     const AliasId alias = static_cast<AliasId>(std::countr_zero(mask));
     EnsureFiltered(memo, q, alias);
-    const CardResult result{
-        static_cast<int64_t>(
-            memo.filtered[static_cast<size_t>(alias)]->rows.size()),
-        false};
-    memo.cards[mask] = result;
-    return result;
+    result.rows = static_cast<int64_t>(
+        memo.filtered[static_cast<size_t>(alias)]->rows.size());
+  } else {
+    result = Materialize(memo, q, mask);
   }
-  const Intermediate* mat = Materialize(memo, q, mask);
-  CardResult result;
-  if (mat != nullptr) {
-    result.rows = mat->rows;
-    memo.cards[mask] = result;
-    return result;
-  }
-  // Materialization exceeded the caps: the subset is huge but its exact
-  // size may still be countable without storing tuples, by streaming the
-  // extension of a cached submask materialization. Plans over such subsets
-  // then get charged honest (large) virtual time instead of timing out.
-  AliasMask bits = mask;
-  while (bits != 0) {
-    const AliasId alias = static_cast<AliasId>(std::countr_zero(bits));
-    bits &= bits - 1;
-    const AliasMask rest = mask & ~query::MaskOf(alias);
-    if (!q.IsConnected(rest)) continue;
-    auto rest_it = memo.mats.find(rest);
-    if (rest_it == memo.mats.end()) continue;
-    EnsureFiltered(memo, q, alias);
-    int64_t count = 0;
-    if (CountExtension(memo, q, rest_it->second, alias,
-                       memo.filtered[static_cast<size_t>(alias)]->rows,
-                       &count)) {
-      result.rows = count;
-      memo.cards[mask] = result;
-      return result;
-    }
-  }
-  int64_t tree_count = 0;
-  if (TreeCount(memo, q, mask, &tree_count)) {
-    result.rows = tree_count;
-    memo.cards[mask] = result;
-    return result;
-  }
-  result.overflow = true;
   memo.cards[mask] = result;
   return result;
-}
-
-bool Oracle::TreeCount(QueryMemo& memo, const Query& q, AliasMask mask,
-                       int64_t* count) {
-  // Bail out on cycles (message passing is exact only for tree-shaped join
-  // graphs).
-  const std::vector<query::JoinEdge> edges = EdgesWithin(q, mask);
-  const int32_t members = std::popcount(mask);
-  if (static_cast<int32_t>(edges.size()) != members - 1) return false;
-
-  // Per-row partial counts (as doubles to survive astronomically large
-  // subsets; saturated on return).
-  std::unordered_map<query::AliasId, std::vector<double>> row_counts;
-  AliasMask bits = mask;
-  while (bits != 0) {
-    const AliasId alias = static_cast<AliasId>(std::countr_zero(bits));
-    bits &= bits - 1;
-    EnsureFiltered(memo, q, alias);
-    row_counts[alias].assign(
-        memo.filtered[static_cast<size_t>(alias)]->rows.size(), 1.0);
-  }
-
-  // Peel leaves: repeatedly take an alias with exactly one remaining edge,
-  // aggregate its per-key count sums, and multiply them into the neighbor.
-  std::vector<char> edge_done(edges.size(), 0);
-  AliasMask remaining = mask;
-  while (std::popcount(remaining) > 1) {
-    AliasId leaf = -1;
-    size_t leaf_edge = 0;
-    bits = remaining;
-    while (bits != 0) {
-      const AliasId alias = static_cast<AliasId>(std::countr_zero(bits));
-      bits &= bits - 1;
-      int32_t degree = 0;
-      size_t last_edge = 0;
-      for (size_t e = 0; e < edges.size(); ++e) {
-        if (edge_done[e]) continue;
-        if (edges[e].left_alias == alias || edges[e].right_alias == alias) {
-          ++degree;
-          last_edge = e;
-        }
-      }
-      if (degree == 1) {
-        leaf = alias;
-        leaf_edge = last_edge;
-        break;
-      }
-    }
-    if (leaf < 0) return false;  // should not happen for a tree
-    const auto& edge = edges[leaf_edge];
-    const AliasId parent =
-        edge.left_alias == leaf ? edge.right_alias : edge.left_alias;
-    const catalog::ColumnId leaf_col =
-        edge.left_alias == leaf ? edge.left_column : edge.right_column;
-    const catalog::ColumnId parent_col =
-        edge.left_alias == leaf ? edge.right_column : edge.left_column;
-
-    // Message: per join-key sum of the leaf's row counts.
-    const storage::Column& leaf_values =
-        ctx_->table(q.relations[static_cast<size_t>(leaf)].table)
-            .column(leaf_col);
-    const auto& leaf_rows = memo.filtered[static_cast<size_t>(leaf)]->rows;
-    const auto& leaf_counts = row_counts[leaf];
-    std::unordered_map<Value, double> message;
-    message.reserve(leaf_rows.size());
-    for (size_t i = 0; i < leaf_rows.size(); ++i) {
-      const Value v = leaf_values.at(leaf_rows[i]);
-      if (v != storage::kNullValue) message[v] += leaf_counts[i];
-    }
-
-    // Fold into the parent: each parent row multiplies by its key's sum
-    // (zero when no partner exists).
-    const storage::Column& parent_values =
-        ctx_->table(q.relations[static_cast<size_t>(parent)].table)
-            .column(parent_col);
-    const auto& parent_rows =
-        memo.filtered[static_cast<size_t>(parent)]->rows;
-    auto& parent_counts = row_counts[parent];
-    for (size_t i = 0; i < parent_rows.size(); ++i) {
-      if (parent_counts[i] == 0.0) continue;
-      const Value v = parent_values.at(parent_rows[i]);
-      double factor = 0.0;
-      if (v != storage::kNullValue) {
-        auto it = message.find(v);
-        if (it != message.end()) factor = it->second;
-      }
-      parent_counts[i] *= factor;
-    }
-
-    edge_done[leaf_edge] = 1;
-    remaining &= ~query::MaskOf(leaf);
-  }
-
-  const AliasId root = static_cast<AliasId>(std::countr_zero(remaining));
-  double total = 0.0;
-  for (double c : row_counts[root]) total += c;
-  constexpr double kSaturate = 4.0e18;
-  *count = static_cast<int64_t>(std::min(total, kSaturate));
-  return true;
 }
 
 /// Build side of a base-relation join: the shared storage::Index on
@@ -499,76 +352,27 @@ Oracle::BaseProbe Oracle::PrepareBase(QueryMemo& memo, const Query& q,
   return {nullptr, &join_table_};
 }
 
-/// The streaming-count fallback. The single-edge case sums each row's
-/// weight times its key's group size from the base's BaseProbe; the
-/// residual case walks the (probe row, base row) pairs, adding each row's
-/// weight × group size to the logical pair count first, so the
-/// kMaxCountedPairs cap trips exactly when the reference's pair-at-a-time
-/// loop over the unweighted tuples does (fuzz::ScalarOracle).
-bool Oracle::CountExtension(QueryMemo& memo, const Query& q,
-                            const Intermediate& left, AliasId alias,
-                            const std::vector<storage::RowId>& base_rows,
-                            int64_t* count) {
-  const std::vector<EdgeProbe> edges = ProbeEdges(q, left, alias);
-  const std::span<const EdgeProbe> residual(edges.begin() + 1, edges.end());
-  const int32_t width = static_cast<int32_t>(left.aliases.size());
-  const int32_t hash_pos = edges[0].left_pos;
-  const Value* probe_col = edges[0].left_col;
-  const int64_t stored = left.stored_rows();
-
-  const BaseProbe base =
-      PrepareBase(memo, q, alias, edges[0].right_column, base_rows);
-
-  int64_t total = 0;
-  int64_t pairs = 0;
-  for (int64_t row = 0; row < stored; ++row) {
-    const int64_t ahead = std::min(row + kProbePrefetchDistance, stored - 1);
-    base.Prefetch(
-        probe_col[left.data[static_cast<size_t>(ahead * width + hash_pos)]]);
-    const RowId* tuple = left.data.data() + row * width;
-    const Value v = probe_col[tuple[hash_pos]];
-    if (v == storage::kNullValue) continue;
-    const kernels::JoinHashTable::Group group = base.Probe(v);
-    const int64_t weight = left.Weight(row);
-    if (residual.empty()) {
-      // Pure counting: a group's size is the per-key multiplicity.
-      total += weight * group.count;
-      continue;
-    }
-    pairs += weight * group.count;
-    if (pairs > kMaxCountedPairs) return false;
-    for (int32_t g = 0; g < group.count; ++g) {
-      if (AllMatch(residual, tuple, group.rows[g])) total += weight;
-    }
-  }
-  *count = total;
-  return true;
-}
-
-const Oracle::Intermediate* Oracle::Materialize(QueryMemo& memo,
-                                                const Query& q,
-                                                AliasMask mask) {
-  auto mat_it = memo.mats.find(mask);
-  if (mat_it != memo.mats.end()) return &mat_it->second;
-  auto card_it = memo.cards.find(mask);
-  if (card_it != memo.cards.end() && card_it->second.overflow) return nullptr;
+Oracle::CardResult Oracle::Materialize(QueryMemo& memo, const Query& q,
+                                       AliasMask mask) {
   // Single aliases never get here: TrueJoinRows answers them from the
   // filtered rows.
   LQOLAB_DCHECK(std::popcount(mask) >= 2);
 
-  // Counts what each join writes, then keeps the finished subset.
+  // Counts what each join writes, then keeps the finished subset unless it
+  // alone would pass the budget.
   auto count_written = [](const Intermediate& joined) {
     obs::Count(obs::Counter::kOracleIntermediateRows, joined.stored_rows());
     obs::Count(obs::Counter::kOracleIntermediateCells,
                static_cast<int64_t>(joined.data.size()));
   };
   auto keep = [&](Intermediate joined) {
-    memo.cards[mask] = {joined.rows, false};
+    const CardResult result{joined.rows, false};
+    if (joined.bytes() > budget_bytes_) return result;
     TrackBytes(joined.bytes());
-    auto [it, inserted] = memo.mats.emplace(mask, std::move(joined));
+    const bool inserted = memo.mats.emplace(mask, std::move(joined)).second;
     LQOLAB_CHECK(inserted);
     EnforceBudget(memo, mask);
-    return &it->second;
+    return result;
   };
 
   // Fast path: extend a cached materialization of (mask minus one alias).
@@ -586,10 +390,7 @@ const Oracle::Intermediate* Oracle::Materialize(QueryMemo& memo,
     Intermediate joined =
         JoinWithBase(memo, q, rest_it->second, alias,
                      memo.filtered[static_cast<size_t>(alias)]->rows);
-    if (joined.rows < 0) {
-      memo.cards[mask] = {0, true};
-      return nullptr;
-    }
+    if (joined.rows < 0) return {0, true};
     count_written(joined);
     return keep(std::move(joined));
   }
@@ -654,10 +455,7 @@ const Oracle::Intermediate* Oracle::Materialize(QueryMemo& memo,
     LQOLAB_CHECK_GE(next, 0);
     Intermediate joined =
         JoinWithBase(memo, q, current, next, reduced_rows(next));
-    if (joined.rows < 0) {
-      memo.cards[mask] = {0, true};
-      return nullptr;
-    }
+    if (joined.rows < 0) return {0, true};
     count_written(joined);
     current = std::move(joined);
   }
@@ -783,8 +581,10 @@ std::vector<std::vector<storage::RowId>> Oracle::SemiJoinReduce(
 /// not determine it through primary keys (KeyDetermined): into a
 /// direct-addressed array by row id when one column is kept, else into
 /// open-addressing slots. Weights are stored from the first row that
-/// weighs more than 1. The cap is checked on the running weight sum, which
-/// only grows, so it trips exactly when the logical result passes RowCap.
+/// weighs more than 1. The caps are checked on what is stored — rows, and
+/// cells counting a weight as two — as it grows; weights are summed and
+/// multiplied with overflow checks, and the base rows walked per matching
+/// group count against cost::kMaxVisitedPairs.
 Oracle::Intermediate Oracle::JoinWithBase(QueryMemo& memo, const Query& q,
                                           const Intermediate& left,
                                           AliasId alias,
@@ -828,7 +628,17 @@ Oracle::Intermediate Oracle::JoinWithBase(QueryMemo& memo, const Query& q,
   const bool merge =
       out_width > 0 &&
       (left_kept & ~KeyDetermined(q, out.mask, frontier)) != 0;
-  const int64_t cap = RowCap(out.mask);
+  // Most rows the result may store: kMaxIntermediateRows, and fewer than
+  // kMaxIntermediateCells cells at out_width per row, two more once weights
+  // are stored (unused without kept columns).
+  auto stored_cap = [&](bool with_weights) {
+    const int64_t cells_per_row =
+        std::max<int64_t>(1, out_width + (with_weights ? 2 : 0));
+    return std::min(cost::kMaxIntermediateRows,
+                    (cost::kMaxIntermediateCells - 1) / cells_per_row);
+  };
+  int64_t row_cap = stored_cap(false);
+  int64_t visited = 0;  // base rows walked in matching groups
 
   int32_t* by_row = nullptr;  // one kept column: output row per row id
   int32_t slot_mask = 0;      // several: merge_slots_.size() - 1
@@ -872,12 +682,12 @@ Oracle::Intermediate Oracle::JoinWithBase(QueryMemo& memo, const Query& q,
   };
 
   // Adds `weight` result rows whose kept tuple is the left `tuple`'s and
-  // `base_row`'s kept columns; false once the weight sum passes the cap.
-  // The candidate row is staged and kept only when it is new.
+  // `base_row`'s kept columns; false once the weight sum passes INT64_MAX
+  // or what is stored passes a cap. The candidate row is staged and kept
+  // only when it is new.
   auto emit = [&](const RowId* tuple, RowId base_row,
                   int64_t weight) __attribute__((always_inline)) {
-    out.rows += weight;
-    if (out.rows > cap) return false;
+    if (__builtin_add_overflow(out.rows, weight, &out.rows)) return false;
     if (out_width == 0) return true;
     if (flush_used + out_width > kFlushCells) {
       out.data.insert(out.data.end(), flush, flush + flush_used);
@@ -890,8 +700,13 @@ Oracle::Intermediate Oracle::JoinWithBase(QueryMemo& memo, const Query& q,
     if (merge) {
       int32_t* slot = by_row != nullptr ? &by_row[row[0]] : slot_of(row);
       if (*slot >= 0) {
-        if (!weighted) out.weights.assign(stored, 1);
-        weighted = true;
+        if (!weighted) {
+          out.weights.assign(stored, 1);
+          weighted = true;
+          row_cap = stored_cap(true);
+          if (stored > row_cap) return false;
+        }
+        // No row's weight exceeds the checked sum out.rows.
         out.weights[static_cast<size_t>(*slot)] += weight;
         return true;
       }
@@ -905,7 +720,9 @@ Oracle::Intermediate Oracle::JoinWithBase(QueryMemo& memo, const Query& q,
       out.weights.assign(stored - 1, 1);
       out.weights.push_back(weight);
       weighted = true;
+      row_cap = stored_cap(true);
     }
+    if (stored > row_cap) return false;
     if (merge && by_row == nullptr && 2 * stored > slot_mask) {
       // Keep the slots at most half full: double and re-insert.
       merge_slots_.assign(2 * merge_slots_.size(), -1);
@@ -959,15 +776,23 @@ Oracle::Intermediate Oracle::JoinWithBase(QueryMemo& memo, const Query& q,
       if (!keep_base) {
         int64_t matches = group.count;
         if (!residual.empty()) {
+          visited += group.count;
+          if (visited > cost::kMaxVisitedPairs) return finish(true);
           matches = 0;
           for (int32_t g = 0; g < group.count; ++g) {
             matches += AllMatch(residual, tuple, group.rows[g]) ? 1 : 0;
           }
           if (matches == 0) continue;
         }
-        if (!emit(tuple, 0, weight * matches)) return finish(true);
+        int64_t rows = 0;
+        if (__builtin_mul_overflow(weight, matches, &rows) ||
+            !emit(tuple, 0, rows)) {
+          return finish(true);
+        }
         continue;
       }
+      visited += group.count;
+      if (visited > cost::kMaxVisitedPairs) return finish(true);
       for (int32_t g = 0; g < group.count; ++g) {
         const RowId base_row = group.rows[g];
         if (!AllMatch(residual, tuple, base_row)) continue;

@@ -32,8 +32,12 @@ uint64_t QueryFingerprint(const query::Query& q);
 /// only columns a later extension reads — one row per distinct frontier
 /// tuple with its multiplicity as a weight, and its row count is the weight
 /// sum. A subset with no frontier (every plan's root) is one running count.
-/// The intermediate caps are decided on those logical counts, so every
-/// count and overflow decision is what a tuple-at-a-time evaluation gives.
+/// The caps are decided on what a join stores and does, not on its logical
+/// rows (JoinWithBase): a subset overflows, and its plans time out, only
+/// when its stored rows or cells pass cost::kMaxIntermediateRows or
+/// cost::kMaxIntermediateCells, its count passes INT64_MAX, or one join
+/// visits more than cost::kMaxVisitedPairs base rows. There is no second
+/// counting path: every answer comes from materializing the subset.
 ///
 /// Filtered bases are shared per replica instead (docs/execution.md,
 /// "Shared filtered bases"): one cache keyed by (table, canonical bound
@@ -55,14 +59,14 @@ uint64_t QueryFingerprint(const query::Query& q);
 ///
 /// The hot path runs the batch-at-a-time kernels of exec/kernels.h, whose
 /// semi-join refine and join probe loop run under the lazy Bloom
-/// predicate-transfer schedule (kernels::BloomSchedule). Four protected
-/// virtual methods — Filter, SemiJoinReduce, JoinWithBase and
-/// CountExtension — are the only test seam: fuzz::ScalarOracle overrides
-/// them with the original tuple-at-a-time reference, which keeps every
-/// alias of a subset at weight 1 and never merges, and keeps this class's
-/// memo, base cache, fallback chain, caps and eviction. Filtered and
-/// single-predicate row lists are byte-identical between the two; joins
-/// agree by count and overflow flag (tests/test_kernels.cc,
+/// predicate-transfer schedule (kernels::BloomSchedule). Three protected
+/// virtual methods — Filter, SemiJoinReduce and JoinWithBase — are the only
+/// test seam: fuzz::ScalarOracle overrides them with the original
+/// tuple-at-a-time reference, which keeps every alias of a subset at weight
+/// 1, never merges and keeps its caps on logical rows, and keeps this
+/// class's memo, base cache and eviction. Filtered and single-predicate row
+/// lists are byte-identical between the two; joins agree by count wherever
+/// the reference does not overflow (tests/test_kernels.cc,
 /// tests/test_answers.cc, fuzz::DifferentialOracle).
 ///
 /// When the base of a join is a whole table (no predicate, nothing reduced
@@ -90,8 +94,9 @@ class Oracle {
   Oracle& operator=(const Oracle&) = delete;
 
   /// Result of a cardinality request. `overflow` marks subsets whose
-  /// materialization exceeded cost::kMaxIntermediateRows; the executor
-  /// treats such plans as timed out.
+  /// materialization passed a cap (stored rows or cells, a count past
+  /// INT64_MAX, or visited pairs; see JoinWithBase); the executor treats
+  /// such plans as timed out.
   struct CardResult {
     int64_t rows = 0;
     bool overflow = false;
@@ -118,8 +123,8 @@ class Oracle {
       const query::Query& q, query::AliasId alias);
 
   /// Whether the join over `mask` is held as a materialized intermediate:
-  /// false when it was counted by a fallback, overflowed, was released or
-  /// was never asked for.
+  /// false when it overflowed, was larger than the whole budget, was
+  /// evicted or released, or was never asked for.
   bool HoldsIntermediate(const query::Query& q, query::AliasMask mask);
 
   /// Frees all materialized intermediates (cardinalities, filtered rows
@@ -145,8 +150,7 @@ class Oracle {
   /// in `data`, with its multiplicity in `weights` (empty: every row weighs
   /// 1). The product keeps only the subset's frontier aliases, those with
   /// an edge to an alias outside `mask`; the reference keeps them all.
-  /// `rows` is the weight sum: the subset's logical row count, on which
-  /// the caps are decided.
+  /// `rows` is the weight sum: the subset's logical row count.
   struct Intermediate {
     query::AliasMask mask = 0;
     std::vector<query::AliasId> aliases;
@@ -249,24 +253,14 @@ class Oracle {
 
   /// Joins `left` with base rows of `alias` over every edge between them,
   /// into the intermediate over `left.mask | alias`. Returns overflow via
-  /// `result.rows < 0` once the result's logical rows pass a cap:
-  /// cost::kMaxIntermediateRows, or (rows − 1) × popcount(result.mask)
-  /// reaching cost::kMaxIntermediateCells.
+  /// `result.rows < 0` once the result's stored rows pass
+  /// cost::kMaxIntermediateRows, its stored cells (data.size() +
+  /// 2 × weights.size()) reach cost::kMaxIntermediateCells, its weight sum
+  /// would pass INT64_MAX, or the base rows it visits pass
+  /// cost::kMaxVisitedPairs.
   virtual Intermediate JoinWithBase(
       QueryMemo& memo, const query::Query& q, const Intermediate& left,
       query::AliasId alias, const std::vector<storage::RowId>& base_rows);
-
-  /// Streams the one-relation extension of `left` counting result rows
-  /// without storing them; returns false when the logical pairs walked
-  /// (Σ weight × group size) pass kMaxCountedPairs. Used for subsets too
-  /// large to materialize.
-  virtual bool CountExtension(QueryMemo& memo, const query::Query& q,
-                              const Intermediate& left, query::AliasId alias,
-                              const std::vector<storage::RowId>& base_rows,
-                              int64_t* count);
-
-  /// Pair-iteration cap of CountExtension's residual-edge walk.
-  static constexpr int64_t kMaxCountedPairs = 400'000'000;
 
  private:
   /// The base cache entry for `table` under the conjunction `preds`,
@@ -274,13 +268,14 @@ class Oracle {
   FilteredBase& Base(catalog::TableId table,
                      const query::BoundPredicate* preds, size_t pred_count);
 
-  /// Returns the materialized subset or nullptr on overflow. Prefers
+  /// Materializes the subset and returns its count (or overflow), keeping
+  /// the intermediate unless it is larger than the whole budget. Prefers
   /// extending a cached submask materialization by one relation (exact and
   /// blowup-free); otherwise evaluates the subset from scratch with
   /// Yannakakis-style semi-join reduction, which bounds intermediates by
   /// (roughly) the subset's own result size even for adversarial shapes.
-  const Intermediate* Materialize(QueryMemo& memo, const query::Query& q,
-                                  query::AliasMask mask);
+  CardResult Materialize(QueryMemo& memo, const query::Query& q,
+                         query::AliasMask mask);
 
   /// Build side of a join with the base rows of `alias` on `column`
   /// (defined in oracle.cc).
@@ -295,17 +290,11 @@ class Oracle {
                         query::AliasId alias, catalog::ColumnId column,
                         const std::vector<storage::RowId>& base_rows);
 
-  /// Exact count of a TREE-shaped (acyclic) subset by message passing over
-  /// the join tree in O(sum of base rows) — no materialization, any result
-  /// size. Returns false when the subset's edges contain a cycle.
-  bool TreeCount(QueryMemo& memo, const query::Query& q,
-                 query::AliasMask mask, int64_t* count);
-
   void TrackBytes(int64_t delta);
   /// Evicts when over budget: every cached build table first, then
-  /// materializations, never touching `keep_mask` of `keep` (callers may
-  /// hold a pointer into it). Runs only between joins, so no table it
-  /// drops is being probed.
+  /// materializations, never touching `keep_mask` of `keep` (just kept, and
+  /// no larger than the budget, so the budget holds afterwards). Runs only
+  /// between joins, so no table it drops is being probed.
   void EnforceBudget(QueryMemo& keep, query::AliasMask keep_mask);
   /// Drops every cached build table (their request counts stay).
   void DropBuildTables();

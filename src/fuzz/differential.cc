@@ -41,10 +41,10 @@ constexpr int32_t kGeqoGenerations = 12;
 /// check; cap the relation count it applies to.
 constexpr int32_t kExecMaxRelations = 8;
 /// Also cap the edge count. The oracle materializes every join subset of
-/// every shape (acyclic or not; counting a tree without tuples is only its
-/// last fallback), and dense cliques with many residual edges can take
-/// seconds per plan to materialize. 9 keeps every tree (<= 7 edges at 8
-/// relations) and cyclic queries up to a 4-clique in the execution check.
+/// every shape, acyclic or not, and dense cliques with many residual edges
+/// can take seconds per plan to materialize. 9 keeps every tree (<= 7 edges
+/// at 8 relations) and cyclic queries up to a 4-clique in the execution
+/// check.
 constexpr int32_t kExecMaxEdges = 9;
 /// Pair-iteration budget of the independent nested-loop reference count
 /// (checked against every executed plan's result on small queries).
@@ -446,8 +446,9 @@ void DifferentialOracle::CheckExecution(const Query& q,
   // Engine differential: a fresh fuzz::ScalarOracle, the tuple-at-a-time
   // reference over the same context, counts the full mask, and the rows
   // the batched oracle executed must match it. A reference overflow is not
-  // a discrepancy: asked for the full mask alone, a fresh oracle has no
-  // cached submask to stream a count from, where the executed plan had.
+  // a discrepancy: the reference trips the caps on the logical rows it
+  // writes, the product on the weighted frontier rows it stores, so the
+  // product counts some subsets the reference overflows on.
   {
     ++report->checks.engine_differential;
     ScalarOracle reference(&db_->context());

@@ -161,59 +161,6 @@ ScalarOracle::Intermediate ScalarOracle::JoinWithBase(
   return out;
 }
 
-/// Sums per-key multiplicities for a single edge; with residual edges,
-/// walks every (probe row, base row) pair under the kMaxCountedPairs cap.
-bool ScalarOracle::CountExtension(QueryMemo& /*memo*/, const Query& q,
-                                  const Intermediate& left, AliasId alias,
-                                  const std::vector<RowId>& base_rows,
-                                  int64_t* count) {
-  const std::vector<EdgeProbe> edges = ProbeEdges(q, left, alias);
-  const std::span<const EdgeProbe> residual(edges.begin() + 1, edges.end());
-  const Value* base_key = edges[0].right_col;
-  obs::Count(obs::Counter::kOracleHashBuilds);  // both branches hash the base
-  const int32_t width = static_cast<int32_t>(left.aliases.size());
-  const int32_t hash_pos = edges[0].left_pos;
-  const Value* probe_col = edges[0].left_col;
-
-  if (residual.empty()) {
-    // Pure counting: sum per-key multiplicities, O(|left| + |base|).
-    std::unordered_map<Value, int64_t> counts;
-    counts.reserve(base_rows.size());
-    for (RowId r : base_rows) {
-      const Value v = base_key[r];
-      if (v != storage::kNullValue) ++counts[v];
-    }
-    int64_t total = 0;
-    for (int64_t row = 0; row < left.rows; ++row) {
-      const Value v =
-          probe_col[left.data[static_cast<size_t>(row * width + hash_pos)]];
-      if (v == storage::kNullValue) continue;
-      auto it = counts.find(v);
-      if (it != counts.end()) total += it->second;
-    }
-    *count = total;
-    return true;
-  }
-
-  // Residual edges: iterate matching pairs with a work cap.
-  const RowGroups hash = GroupRows(base_key, base_rows);
-  int64_t total = 0;
-  int64_t pairs = 0;
-  for (int64_t row = 0; row < left.rows; ++row) {
-    const RowId* tuple = left.data.data() + row * width;
-    const Value v = probe_col[tuple[hash_pos]];
-    if (v == storage::kNullValue) continue;
-    auto it = hash.find(v);
-    if (it == hash.end()) continue;
-    for (RowId base_row : it->second) {
-      if (++pairs > kMaxCountedPairs) return false;
-      if (AllMatch(residual, tuple, base_row)) ++total;
-    }
-  }
-  *count = total;
-  return true;
-}
-
 const std::vector<RowId>* ScalarOracle::MaterializedTuples(const Query& q,
                                                           AliasMask mask) {
   const QueryMemo& memo = Memo(q);

@@ -5,19 +5,22 @@
 // shape of tests/answers/fallbacks.sql the one in
 // tests/answers/fallbacks.answers (on the test_kernels database, IMDB
 // Medium().Scaled(0.01); each shape's pair of aliases 0 and 1 is asked
-// first, so the full mask can be counted by extending it).
+// first, so the full mask can extend it).
 //
 // Each line is "<query id> <rows|overflow> <digest|->". The digest is
 // order-independent: the sum over result tuples of Σ_a h(a, row_a) mod
 // 2^64, read from the reference's materialized full mask, and "-" where
-// the full mask was counted without materializing (a fallback: streaming
-// count or TreeCount) or overflowed. The tuple-at-a-time reference,
-// fuzz::ScalarOracle, must match the whole line. The product
+// the reference overflowed or the product overflowed. The product
 // exec::Oracle keeps only frontier row ids, and a full mask has none, so
-// it must match "<query id> <rows|overflow>".
+// it must match "<query id> <rows|overflow>". The tuple-at-a-time
+// reference, fuzz::ScalarOracle, must match the whole line — except on the
+// fallback shapes, where its caps on logical rows trip before the
+// product's caps on stored rows, so it may report "<query id> overflow -"
+// instead (tests/test_kernels.cc checks those counts against a closed
+// form).
 //
 // Regenerate after an INTENDED change (refuses to write when the two
-// oracles disagree):
+// oracles disagree where the reference counts):
 //   ./build/tests/test_answers --update-answers
 
 #include <bit>
@@ -48,6 +51,7 @@ struct AnswerFile {
   const char* workload;  // query::LoadWorkload name; null: tests/answers
   const char* file;      // <dir>/<file>.answers (and .sql under tests)
   Data data;
+  bool reference_may_overflow = false;  // where the product counts
 };
 
 // Names the parameter in test listings (gtest would print its bytes).
@@ -58,7 +62,7 @@ constexpr AnswerFile kAnswerFiles[] = {
     {"ext_job", "ext_job", Data::kImdbSmall},
     {"job_complex", "job_complex_lite", Data::kImdbSmall},
     {"tpch", "tpch_lite", Data::kTpchSmall},
-    {nullptr, "fallbacks", Data::kImdbKernels},
+    {nullptr, "fallbacks", Data::kImdbKernels, true},
 };
 
 std::string FilePath(const AnswerFile& f, const char* extension) {
@@ -145,6 +149,10 @@ std::string Head(const std::string& line) {
   return line.substr(0, line.rfind(' '));
 }
 
+bool Overflowed(const std::string& line) {
+  return Head(line).ends_with(" overflow");
+}
+
 /// One answer line per query of `f`, from a fresh oracle of `engine`.
 std::vector<std::string> Answers(const AnswerFile& f, Engine engine) {
   engine::Database& db = Db(f.data);
@@ -177,9 +185,15 @@ TEST_P(CommittedAnswers, MatchUnderBothOracles) {
     const std::vector<std::string> scalar = Answers(f, Engine::kScalar);
     ASSERT_EQ(product.size(), scalar.size());
     bool agree = true;
+    std::vector<std::string> lines;
     for (size_t i = 0; i < product.size(); ++i) {
+      if (f.reference_may_overflow && Overflowed(scalar[i])) {
+        lines.push_back(product[i] + " -");
+        continue;
+      }
       EXPECT_EQ(product[i], Head(scalar[i])) << "oracles disagree";
       agree = agree && product[i] == Head(scalar[i]);
+      lines.push_back(scalar[i]);
     }
     ASSERT_TRUE(agree) << "not writing " << AnswerPath(f);
     std::ofstream out(AnswerPath(f));
@@ -194,7 +208,7 @@ TEST_P(CommittedAnswers, MatchUnderBothOracles) {
              "pair of aliases 0 and 1: <query> <rows|overflow> <digest|->\n";
     }
     out << "# Regenerate: ./build/tests/test_answers --update-answers\n";
-    for (const std::string& line : scalar) out << line << "\n";
+    for (const std::string& line : lines) out << line << "\n";
     std::printf("updated %s (%zu queries)\n", AnswerPath(f).c_str(),
                 product.size());
     return;
@@ -215,6 +229,10 @@ TEST_P(CommittedAnswers, MatchUnderBothOracles) {
         << EngineName(engine) << ": query count differs from "
         << AnswerPath(f);
     for (size_t i = 0; i < lines.size(); ++i) {
+      if (engine == Engine::kScalar && f.reference_may_overflow &&
+          Overflowed(lines[i])) {
+        continue;
+      }
       EXPECT_EQ(lines[i], engine == Engine::kProduct ? Head(committed[i])
                                                      : committed[i])
           << EngineName(engine) << " oracle, " << AnswerPath(f) << " line "

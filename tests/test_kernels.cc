@@ -4,12 +4,16 @@
 // FilteredRows / SinglePredicateRows, and TrueJoinRows equal by count and
 // overflow flag — across all JOB-lite queries and the fuzz replay corpus.
 // The product's intermediates are weighted frontier tuples and the
-// reference's full tuples, so joins are compared on answers, not row sets;
-// the OverflowDifferential cases (shapes shared with
-// tests/answers/fallbacks.sql) also compare which subsets stay
-// materialized, on shapes whose collapsed intermediates trip the rows cap,
-// the cells cap and the streaming count's pair cap on logical rows, and
-// WeightedIntermediates pins the rows and cells the product writes.
+// reference's full tuples, so joins are compared on answers, not row sets.
+// The product decides its caps on what it stores and the reference on
+// logical rows, so the OverflowDifferential cases (shapes shared with
+// tests/answers/fallbacks.sql, all cast_info self-joins on role_id) check
+// the contract between them against a closed-form count read straight
+// from the column: where the reference counts, the product counts the
+// same; where it overflows, the product counts the closed form or
+// overflows. They pin each cap — stored rows, stored cells, visited pairs
+// and a count past INT64_MAX — and WeightedIntermediates pins the rows and
+// cells the product writes.
 // Whole-table bases, which the batched oracle answers from the shared index
 // instead of a hash build, get their own edge-case queries and counter
 // checks. Plus
@@ -18,11 +22,15 @@
 // filter and the lazy predicate-transfer schedule, and a steady-state
 // zero-allocation check for the kernels.
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdlib>
 #include <limits>
+#include <map>
 #include <memory>
 #include <new>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -242,20 +250,96 @@ Query FallbackShape(const catalog::Schema& schema, const std::string& id) {
   return {};
 }
 
-/// TrueJoinRows of `mask` under both oracles must agree on rows, overflow
-/// and on whether the subset stayed materialized (a subset that trips a
-/// cap is answered by a fallback and holds no intermediate). Returns the
-/// reference's answer.
-Oracle::CardResult ExpectSameAnswer(EngineLab& lab, const Query& q,
-                                    AliasMask mask) {
+Query BindOne(const char* sql, const catalog::Schema& schema) {
+  std::vector<Query> queries;
+  const util::Status status =
+      query::LoadSqlWorkloadText(sql, "kernels", schema, &queries);
+  LQOLAB_CHECK_MSG(status.ok(), status.ToString());
+  LQOLAB_CHECK_EQ(queries.size(), 1u);
+  return queries[0];
+}
+
+/// The count of the join over `mask` when every alias of `mask` is
+/// cast_info and `mask` is connected by role_id equalities only: every
+/// alias of a result tuple then has one role_id k, so the count is
+/// Σ_k Π_a n_a(k), with n_a(k) the rows of alias a that pass its predicates
+/// and have role_id k (NULL joins nothing). Other aliases of `q` must be
+/// one-to-one lookups for it to be the count of a larger mask too. Read
+/// straight from the column and the bound predicates, with no oracle code;
+/// empty past INT64_MAX.
+std::optional<int64_t> RoleIdCount(EngineLab& lab, const Query& q,
+                                   AliasMask mask) {
+  const catalog::Schema& schema = lab.db->schema();
+  const catalog::TableId cast_info = schema.FindTable("cast_info");
+  const catalog::ColumnId role_id =
+      schema.table(cast_info).FindColumn("role_id");
+  LQOLAB_CHECK(q.IsConnected(mask));
+  for (const query::JoinEdge& edge : q.edges) {
+    if ((mask & query::MaskOf(edge.left_alias)) &&
+        (mask & query::MaskOf(edge.right_alias))) {
+      LQOLAB_CHECK(edge.left_column == role_id &&
+                   edge.right_column == role_id);
+    }
+  }
+  const storage::Table& table = lab.db->context().table(cast_info);
+  const storage::Column& roles = table.column(role_id);
+  // Π_a n_a(k) per role_id k, saturated one past INT64_MAX.
+  constexpr unsigned __int128 kPast = static_cast<unsigned __int128>(
+                                          std::numeric_limits<int64_t>::max()) +
+                                      1;
+  std::map<Value, unsigned __int128> products;
+  bool first = true;
+  for (AliasMask bits = mask; bits != 0; bits &= bits - 1) {
+    const AliasId a = static_cast<AliasId>(std::countr_zero(bits));
+    LQOLAB_CHECK_EQ(q.relations[static_cast<size_t>(a)].table, cast_info);
+    const std::vector<query::BoundPredicate> preds =
+        query::BindAliasPredicates(q, a, table);
+    std::map<Value, int64_t> n;
+    for (RowId r = 0; r < table.row_count(); ++r) {
+      if (roles.at(r) == storage::kNullValue) continue;
+      bool match = true;
+      for (const query::BoundPredicate& pred : preds) {
+        match = match && pred.Matches(table.column(pred.column).at(r));
+      }
+      if (match) ++n[roles.at(r)];
+    }
+    if (first) {
+      for (const auto& [k, count] : n) products[k] = count;
+      first = false;
+      continue;
+    }
+    for (auto& [k, product] : products) {
+      const auto it = n.find(k);
+      product = std::min(kPast, product * (it == n.end() ? 0 : it->second));
+    }
+  }
+  unsigned __int128 total = 0;
+  for (const auto& [k, product] : products) {
+    total = std::min(kPast, total + product);
+  }
+  if (total == kPast) return std::nullopt;
+  return static_cast<int64_t>(total);
+}
+
+/// TrueJoinRows of `mask` under both oracles, checked against the contract
+/// between them: where the reference counts, the product counts the same;
+/// wherever the product counts, it counts `count` (the closed form, empty
+/// past INT64_MAX), so where the reference overflows the product either
+/// counts `count` or overflows too. Returns the product's answer.
+Oracle::CardResult ExpectContract(EngineLab& lab, const Query& q,
+                                  AliasMask mask,
+                                  std::optional<int64_t> count) {
   const Oracle::CardResult want = lab.reference->TrueJoinRows(q, mask);
   const Oracle::CardResult got = lab.db->oracle().TrueJoinRows(q, mask);
-  EXPECT_EQ(got.rows, want.rows) << q.id << " mask " << mask;
-  EXPECT_EQ(got.overflow, want.overflow) << q.id << " mask " << mask;
-  EXPECT_EQ(lab.db->oracle().HoldsIntermediate(q, mask),
-            lab.reference->HoldsIntermediate(q, mask))
-      << q.id << " mask " << mask << ": materialized in one oracle only";
-  return want;
+  if (!want.overflow) {
+    EXPECT_FALSE(got.overflow) << q.id << " mask " << mask;
+    EXPECT_EQ(got.rows, want.rows) << q.id << " mask " << mask;
+  }
+  if (!got.overflow) {
+    EXPECT_EQ(std::optional<int64_t>(got.rows), count)
+        << q.id << " mask " << mask;
+  }
+  return got;
 }
 
 /// Physical rows the product oracle's joins write for `mask`.
@@ -268,91 +352,108 @@ int64_t ProductRowsWritten(EngineLab& lab, const Query& q, AliasMask mask) {
   return metrics.Get(obs::Counter::kOracleIntermediateRows);
 }
 
-/// The overflow path must trip identically in both oracles. Tree-shaped
-/// queries never overflow (TreeCount computes them exactly without
-/// materializing), so this uses a 4-cycle cast_info self-join on the
-/// low-cardinality role_id column: every 3-alias sub-path explodes past
-/// kMaxIntermediateRows (so no submask materialization exists to stream an
-/// extension count from) and the cycle defeats TreeCount — each oracle must
-/// give up at exactly the same point and report overflow, while the
-/// adjacent 2-alias subsets still materialize exactly.
-TEST(OverflowDifferential, SelfJoinOverflowFlagsAgree) {
+/// Every fallbacks.sql shape through fresh oracles, each after its pair of
+/// aliases 0 and 1 as tests/test_answers.cc asks: every count the product
+/// gives is the closed form, and every count the reference gives is the
+/// product's. The reference's caps on logical rows trip on every full mask
+/// here; the product counts five of the eight (the answers file pins which).
+TEST(OverflowDifferential, FallbackShapesMatchClosedForm) {
   EngineLab& lab = Lab();
-  const Query q = FallbackShape(lab.db->schema(), "kernels_overflow_cycle");
-  const Oracle::CardResult reference =
-      lab.reference->TrueJoinRows(q, q.FullMask());
-  const Oracle::CardResult got = lab.db->oracle().TrueJoinRows(q, q.FullMask());
-  EXPECT_EQ(got.rows, reference.rows);
-  EXPECT_EQ(got.overflow, reference.overflow);
-  // Pin the shape so the test genuinely covers the overflow branch: the
-  // triple explodes past the intermediate caps, the pair stays exact.
-  EXPECT_TRUE(reference.overflow);
-  const Oracle::CardResult pair =
-      lab.reference->TrueJoinRows(q, query::MaskOf(0) | query::MaskOf(1));
-  EXPECT_FALSE(pair.overflow);
-  EXPECT_GT(pair.rows, 0);
+  Oracle product(&lab.db->context());
+  fuzz::ScalarOracle reference(&lab.db->context());
+  int32_t counted = 0;
+  for (const Query& q : FallbackShapes(lab.db->schema())) {
+    const AliasMask pair = query::MaskOf(0) | query::MaskOf(1);
+    for (const AliasMask mask : {pair, q.FullMask()}) {
+      const std::optional<int64_t> count = RoleIdCount(lab, q, mask);
+      const Oracle::CardResult got = product.TrueJoinRows(q, mask);
+      const Oracle::CardResult want = reference.TrueJoinRows(q, mask);
+      if (!got.overflow) {
+        EXPECT_EQ(std::optional<int64_t>(got.rows), count)
+            << q.id << " mask " << mask;
+      }
+      if (!want.overflow) {
+        EXPECT_FALSE(got.overflow) << q.id << " mask " << mask;
+        EXPECT_EQ(want.rows, got.rows) << q.id << " mask " << mask;
+      }
+      counted += mask == pair || got.overflow ? 0 : 1;
+    }
+  }
+  EXPECT_EQ(counted, 5);
 }
 
-/// The streaming-count fallback must agree too. With the cast_info
-/// self-join pair materialized, a third cast_info joined on role_id is too
-/// large to materialize but is counted by extending the pair: through one
-/// edge (a chain: per-key multiplicities) and through two (a triangle: the
-/// pair walk checking the residual edge under kMaxCountedPairs).
-TEST(OverflowDifferential, StreamingCountsAgree) {
+/// Stored-rows cap: in a 4-clique whose c3 keeps the cast rows of movies
+/// below 100, the triple (c1, c2, c3) keeps all three columns (each has an
+/// edge to c4), so it stores all of its Σ_k n_k² m_k rows — past
+/// kMaxIntermediateRows, though three cells a row stay under
+/// kMaxIntermediateCells. Both oracles overflow on it, and the pairs
+/// inside it count in both.
+constexpr const char* kStoredRowsSql = R"sql(
+-- kernels_stored_rows
+SELECT COUNT(*) FROM cast_info AS c1, cast_info AS c2, cast_info AS c3,
+  cast_info AS c4
+WHERE c1.role_id = c2.role_id AND c1.role_id = c3.role_id
+  AND c1.role_id = c4.role_id AND c2.role_id = c3.role_id
+  AND c2.role_id = c4.role_id AND c3.role_id = c4.role_id
+  AND c3.movie_id < 100;
+)sql";
+
+TEST(OverflowDifferential, SelfJoinOverflowFlagsAgree) {
   EngineLab& lab = Lab();
-  for (const char* id : {"kernels_count_chain", "kernels_count_triangle"}) {
+  const Query q = BindOne(kStoredRowsSql, lab.db->schema());
+  const AliasMask c3 = query::MaskOf(2);
+  const AliasMask triple = query::MaskOf(0) | query::MaskOf(1) | c3;
+  for (const AliasMask pair : {query::MaskOf(0) | c3, query::MaskOf(1) | c3}) {
+    EXPECT_FALSE(
+        ExpectContract(lab, q, pair, RoleIdCount(lab, q, pair)).overflow);
+  }
+  const std::optional<int64_t> rows = RoleIdCount(lab, q, triple);
+  ASSERT_TRUE(rows.has_value());
+  EXPECT_GT(*rows, cost::kMaxIntermediateRows);
+  EXPECT_LT(*rows * 3, cost::kMaxIntermediateCells);
+  EXPECT_TRUE(ExpectContract(lab, q, triple, rows).overflow);
+  EXPECT_TRUE(lab.reference->TrueJoinRows(q, triple).overflow);
+}
+
+/// With the pair (c1, c2) held, the chain extends it by c3 (the pair keeps
+/// only c2, weighted by c1's matches), the triangle extends it through two
+/// edges (the pair keeps both), and the 4-cycle joins (c1, c3), weighted by
+/// c2's matches, to c4. Every full mask has more logical rows than
+/// kMaxIntermediateRows, so the reference overflows on each, while the
+/// product stores a few thousand rows and counts each exactly.
+TEST(OverflowDifferential, CollapsedCountsMatchClosedForm) {
+  EngineLab& lab = Lab();
+  for (const char* id : {"kernels_count_chain", "kernels_count_triangle",
+                         "kernels_overflow_cycle"}) {
     const Query q = FallbackShape(lab.db->schema(), id);
     const AliasMask pair = query::MaskOf(0) | query::MaskOf(1);
-    ASSERT_FALSE(lab.reference->TrueJoinRows(q, pair).overflow);
-    ASSERT_FALSE(lab.db->oracle().TrueJoinRows(q, pair).overflow);
+    ASSERT_FALSE(
+        ExpectContract(lab, q, pair, RoleIdCount(lab, q, pair)).overflow);
+    EXPECT_TRUE(lab.db->oracle().HoldsIntermediate(q, pair)) << id;
 
-    const Oracle::CardResult want =
-        lab.reference->TrueJoinRows(q, q.FullMask());
-    const Oracle::CardResult got =
-        lab.db->oracle().TrueJoinRows(q, q.FullMask());
-    EXPECT_EQ(got.rows, want.rows) << q.id;
-    EXPECT_EQ(got.overflow, want.overflow) << q.id;
-    // Counted, not materialized: no materialization holds this many rows.
-    EXPECT_FALSE(want.overflow) << q.id;
-    EXPECT_GT(want.rows, cost::kMaxIntermediateRows) << q.id;
+    const Oracle::CardResult card =
+        ExpectContract(lab, q, q.FullMask(), RoleIdCount(lab, q, q.FullMask()));
+    EXPECT_FALSE(card.overflow) << id;
+    EXPECT_GT(card.rows, cost::kMaxIntermediateRows) << id;
+    EXPECT_TRUE(lab.reference->TrueJoinRows(q, q.FullMask()).overflow) << id;
   }
 }
 
-/// The product's intermediates keep only frontier row ids, merged into
-/// weighted rows, yet every cap is decided on logical rows, exactly where
-/// the reference (every alias, weight 1, never merged) decides it.
+/// The product's caps read what it stores, not the logical rows a
+/// tuple-at-a-time evaluation would write.
 ///
-/// Rows cap: in the 4-chain c1–c2–c3–c4 the pair (c1, c2) keeps only c2,
-/// so it holds under 1% of its logical rows; the triple (c1, c2, c3) would
-/// collapse the same way onto c3's 1400 rows, but its logical rows pass
-/// kMaxIntermediateRows, so both oracles refuse to materialize it and
-/// stream-count it from the pair instead.
-TEST(OverflowDifferential, CollapsedIntermediatesTripRowsCapOnLogicalRows) {
-  EngineLab& lab = Lab();
-  const Query q = FallbackShape(lab.db->schema(), "kernels_tree_count");
-  const AliasMask pair = query::MaskOf(0) | query::MaskOf(1);
-  const int64_t pair_rows = ProductRowsWritten(lab, q, pair);
-  const Oracle::CardResult pair_card = ExpectSameAnswer(lab, q, pair);
-  EXPECT_TRUE(lab.db->oracle().HoldsIntermediate(q, pair));
-  EXPECT_GT(pair_rows, 0);
-  EXPECT_LT(pair_rows * 100, pair_card.rows) << "pair did not collapse";
-
-  const AliasMask triple = pair | query::MaskOf(2);
-  const Oracle::CardResult card = ExpectSameAnswer(lab, q, triple);
-  EXPECT_FALSE(card.overflow);  // stream-counted from the pair
-  EXPECT_GT(card.rows, cost::kMaxIntermediateRows);
-  EXPECT_FALSE(lab.db->oracle().HoldsIntermediate(q, triple));
-}
-
-/// Cells cap: c1 and c2 (joined on role_id) each carry four dimensions that
-/// match one row apiece (title, its kind, name, role type), and c3 hangs
-/// off c2. The 10-relation subset without c3, extended from the one
-/// without kt2 as well, keeps only c2 (under 1% of its logical rows).
-/// Adding c3 gives 11 relations whose logical rows stay under
-/// kMaxIntermediateRows but need more than kMaxIntermediateCells
-/// cells at one per relation, so the full mask trips the cells cap in both
-/// oracles — although the product's result, with no frontier, is a single
-/// count — and is stream-counted from the 10-relation subset.
+/// Logical rows: in the 4-chain c1–c2–c3–c4 the pair (c1, c2) keeps only
+/// c2, under 1% of its logical rows, and the triple (c1, c2, c3) collapses
+/// the same way onto c3's 1400 rows although its logical rows pass
+/// kMaxIntermediateRows: the product holds it, the reference overflows.
+///
+/// Logical cells: c1 and c2 (joined on role_id) each carry four dimensions
+/// that match one row apiece (title, its kind, name, role type), and c3
+/// hangs off c2. The 10-relation subset without c3 keeps only c2. Adding c3
+/// gives 11 relations whose logical rows stay under kMaxIntermediateRows
+/// but need more than kMaxIntermediateCells cells at one per relation, so
+/// the reference overflows on the full mask; the product's result, with no
+/// frontier, is a single count.
 constexpr const char* kWideCellsSql = R"sql(
 -- kernels_wide_cells
 SELECT COUNT(*) FROM cast_info AS c1, cast_info AS c2, cast_info AS c3,
@@ -364,17 +465,27 @@ WHERE c1.role_id = c2.role_id AND c2.role_id = c3.role_id
   AND c2.role_id = rt2.id AND t2.kind_id = kt2.id AND c3.movie_id < 50;
 )sql";
 
-Query BindOne(const char* sql, const catalog::Schema& schema) {
-  std::vector<Query> queries;
-  const util::Status status =
-      query::LoadSqlWorkloadText(sql, "kernels", schema, &queries);
-  LQOLAB_CHECK_MSG(status.ok(), status.ToString());
-  LQOLAB_CHECK_EQ(queries.size(), 1u);
-  return queries[0];
-}
-
-TEST(OverflowDifferential, CollapsedIntermediatesTripCellsCapOnLogicalRows) {
+TEST(OverflowDifferential, CollapsedIntermediatesPassLogicalCaps) {
   EngineLab& lab = Lab();
+  {
+    const Query q = FallbackShape(lab.db->schema(), "kernels_tree_count");
+    const AliasMask pair = query::MaskOf(0) | query::MaskOf(1);
+    const int64_t pair_rows = ProductRowsWritten(lab, q, pair);
+    const Oracle::CardResult pair_card =
+        ExpectContract(lab, q, pair, RoleIdCount(lab, q, pair));
+    EXPECT_TRUE(lab.db->oracle().HoldsIntermediate(q, pair));
+    EXPECT_GT(pair_rows, 0);
+    EXPECT_LT(pair_rows * 100, pair_card.rows) << "pair did not collapse";
+
+    const AliasMask triple = pair | query::MaskOf(2);
+    const Oracle::CardResult card =
+        ExpectContract(lab, q, triple, RoleIdCount(lab, q, triple));
+    EXPECT_FALSE(card.overflow);
+    EXPECT_GT(card.rows, cost::kMaxIntermediateRows);
+    EXPECT_TRUE(lab.db->oracle().HoldsIntermediate(q, triple));
+    EXPECT_TRUE(lab.reference->TrueJoinRows(q, triple).overflow);
+  }
+
   const Query q = BindOne(kWideCellsSql, lab.db->schema());
   auto alias = [&](const std::string& name) {
     for (AliasId a = 0; a < q.relation_count(); ++a) {
@@ -385,50 +496,153 @@ TEST(OverflowDifferential, CollapsedIntermediatesTripCellsCapOnLogicalRows) {
     ADD_FAILURE() << "no alias " << name;
     return AliasMask{0};
   };
+  // Every dimension matches one row, so the cast_info aliases decide the
+  // count.
+  const AliasMask casts = alias("c1") | alias("c2");
   const AliasMask rest = q.FullMask() & ~alias("c3");
-  ExpectSameAnswer(lab, q, rest & ~alias("kt2"));
+  ExpectContract(lab, q, rest & ~alias("kt2"), RoleIdCount(lab, q, casts));
   const int64_t rest_rows = ProductRowsWritten(lab, q, rest);
-  const Oracle::CardResult rest_card = ExpectSameAnswer(lab, q, rest);
+  const Oracle::CardResult rest_card =
+      ExpectContract(lab, q, rest, RoleIdCount(lab, q, casts));
   EXPECT_TRUE(lab.db->oracle().HoldsIntermediate(q, rest));
   EXPECT_GT(rest_rows, 0);
   EXPECT_LT(rest_rows * 100, rest_card.rows) << "subset did not collapse";
 
-  const Oracle::CardResult card = ExpectSameAnswer(lab, q, q.FullMask());
-  EXPECT_FALSE(card.overflow);  // stream-counted from `rest`
-  EXPECT_FALSE(lab.db->oracle().HoldsIntermediate(q, q.FullMask()));
-  // Pin the shape: the cells cap decides, not the rows cap.
+  const Oracle::CardResult card = ExpectContract(
+      lab, q, q.FullMask(), RoleIdCount(lab, q, casts | alias("c3")));
+  EXPECT_FALSE(card.overflow);
+  EXPECT_TRUE(lab.reference->TrueJoinRows(q, q.FullMask()).overflow);
+  // Pin the shape: the logical cells cap decides, not the rows cap.
   const int64_t width = q.relation_count();
   EXPECT_LE(card.rows, cost::kMaxIntermediateRows);
   EXPECT_GE((card.rows - 1) * width, cost::kMaxIntermediateCells);
 }
 
-/// Pair cap: the streaming count walks logical pairs. c0 hangs off c1, and
-/// c3 closes a triangle with c1 and c2 (all on role_id), so the subset
-/// (c0, c1, c2) keeps (c1, c2) with c0's matches as weights. Its extension
-/// by c3 is too large to materialize; counting it walks Σ weight × group
-/// size pairs, past kMaxCountedPairs, though its physical rows times group
-/// sizes stay under it; the cycle defeats TreeCount, so both oracles
-/// overflow.
-constexpr const char* kWeightedPairsSql = R"sql(
--- kernels_weighted_pairs
-SELECT COUNT(*) FROM cast_info AS c0, cast_info AS c1, cast_info AS c2,
-  cast_info AS c3
-WHERE c0.role_id = c1.role_id AND c1.role_id = c2.role_id
-  AND c1.role_id = c3.role_id AND c2.role_id = c3.role_id
-  AND c0.movie_id < 20;
+/// Stored-cells cap: the triangle c1, c2, c3 (c3 keeps the cast rows of
+/// movies below 70) with c1's title and name and c3's title, each of the
+/// six given an edge leaving the subset, so the subset of those six keeps
+/// all six columns. Its Σ_k n_k² m_k stored rows stay under
+/// kMaxIntermediateRows, but six cells a row reach kMaxIntermediateCells,
+/// so both oracles overflow on it.
+constexpr const char* kStoredCellsSql = R"sql(
+-- kernels_stored_cells
+SELECT COUNT(*) FROM cast_info AS c1, cast_info AS c3, title AS t1,
+  title AS t3, name AS n1, cast_info AS c2, role_type AS rt1,
+  role_type AS rt2, role_type AS rt3, kind_type AS kt1, kind_type AS kt3,
+  aka_name AS an1
+WHERE c1.role_id = c2.role_id AND c2.role_id = c3.role_id
+  AND c3.role_id = c1.role_id AND c1.movie_id = t1.id
+  AND c3.movie_id = t3.id AND c1.person_id = n1.id
+  AND c1.role_id = rt1.id AND c2.role_id = rt2.id AND c3.role_id = rt3.id
+  AND t1.kind_id = kt1.id AND t3.kind_id = kt3.id
+  AND n1.id = an1.person_id AND c3.movie_id < 70;
 )sql";
 
-TEST(OverflowDifferential, StreamingCountWalksLogicalPairs) {
+TEST(OverflowDifferential, StoredCellsCapTripsWideIntermediates) {
   EngineLab& lab = Lab();
-  const Query q = BindOne(kWeightedPairsSql, lab.db->schema());
-  const AliasMask left = query::MaskOf(0) | query::MaskOf(1) |
-                         query::MaskOf(2);
-  const Oracle::CardResult left_card = ExpectSameAnswer(lab, q, left);
-  EXPECT_TRUE(lab.db->oracle().HoldsIntermediate(q, left));
-  ASSERT_FALSE(left_card.overflow);
+  const Query q = BindOne(kStoredCellsSql, lab.db->schema());
+  // c1, c3, t1, t3, n1, c2: the first six aliases.
+  const AliasMask wide = (AliasMask{1} << 6) - 1;
+  const AliasMask casts = query::MaskOf(0) | query::MaskOf(1) |
+                          query::MaskOf(5);
+  const std::optional<int64_t> rows = RoleIdCount(lab, q, casts);
+  ASSERT_TRUE(rows.has_value());
+  EXPECT_LE(*rows, cost::kMaxIntermediateRows);
+  EXPECT_GE(*rows * 6, cost::kMaxIntermediateCells);
+  EXPECT_TRUE(ExpectContract(lab, q, wide, rows).overflow);
+}
 
-  const Oracle::CardResult card = ExpectSameAnswer(lab, q, q.FullMask());
-  EXPECT_TRUE(card.overflow);
+/// Visited-pairs bound: in a 4-clique whose c3 keeps the cast rows of
+/// movies below 20, the triple (c1, c2, c3) stores its Σ_k n_k² m_k rows,
+/// well under the caps, and its extension by c4 — three edges, no kept
+/// column, so a single count — walks each row's whole c4 group to check
+/// the residual edges: Σ_k n_k³ m_k base rows, the count itself, past
+/// kMaxVisitedPairs. The product overflows although the count fits.
+constexpr const char* kVisitedPairsSql = R"sql(
+-- kernels_visited_pairs
+SELECT COUNT(*) FROM cast_info AS c1, cast_info AS c2, cast_info AS c3,
+  cast_info AS c4
+WHERE c1.role_id = c2.role_id AND c1.role_id = c3.role_id
+  AND c1.role_id = c4.role_id AND c2.role_id = c3.role_id
+  AND c2.role_id = c4.role_id AND c3.role_id = c4.role_id
+  AND c3.movie_id < 20;
+)sql";
+
+TEST(OverflowDifferential, VisitedPairsBoundStopsJoins) {
+  EngineLab& lab = Lab();
+  const Query q = BindOne(kVisitedPairsSql, lab.db->schema());
+  const AliasMask triple =
+      query::MaskOf(0) | query::MaskOf(1) | query::MaskOf(2);
+  const Oracle::CardResult left =
+      ExpectContract(lab, q, triple, RoleIdCount(lab, q, triple));
+  ASSERT_FALSE(left.overflow);
+  EXPECT_TRUE(lab.db->oracle().HoldsIntermediate(q, triple));
+  EXPECT_LE(left.rows, cost::kMaxIntermediateRows);
+
+  const std::optional<int64_t> count = RoleIdCount(lab, q, q.FullMask());
+  ASSERT_TRUE(count.has_value());
+  EXPECT_GT(*count, cost::kMaxVisitedPairs);
+  EXPECT_TRUE(ExpectContract(lab, q, q.FullMask(), count).overflow);
+}
+
+/// Overflow, never a wrong count: every prefix of the 8-chain keeps only its
+/// last alias, so the 7-alias prefix stores at most 1400 rows and counts
+/// Σ_k n_k⁷ ≈ 9.5e17, but the full chain's Σ_k n_k⁸ ≈ 3.4e20 passes
+/// INT64_MAX, and its weighted sum must report overflow. In a 9-chain whose
+/// c8 keeps one row of the largest role_id group (n rows), the 8-alias
+/// prefix is that row at weight n⁷, which fits, and extending it by c9
+/// multiplies the weight by n's matches, past INT64_MAX in one product.
+TEST(OverflowDifferential, CountPastInt64Overflows) {
+  EngineLab& lab = Lab();
+  const Query q = FallbackShape(lab.db->schema(), "chain8");
+  const AliasMask prefix = q.FullMask() & ~query::MaskOf(7);
+  const int64_t prefix_rows = ProductRowsWritten(lab, q, prefix);
+  EXPECT_GT(prefix_rows, 0);
+  EXPECT_LE(prefix_rows, 6 * 1400);
+  EXPECT_FALSE(
+      ExpectContract(lab, q, prefix, RoleIdCount(lab, q, prefix)).overflow);
+  EXPECT_TRUE(lab.db->oracle().HoldsIntermediate(q, prefix));
+
+  EXPECT_FALSE(RoleIdCount(lab, q, q.FullMask()).has_value());
+  EXPECT_TRUE(ExpectContract(lab, q, q.FullMask(), std::nullopt).overflow);
+
+  const catalog::Schema& schema = lab.db->schema();
+  const catalog::TableId cast_info = schema.FindTable("cast_info");
+  const storage::Table& table = lab.db->context().table(cast_info);
+  const storage::Column& roles =
+      table.column(schema.table(cast_info).FindColumn("role_id"));
+  std::map<Value, int64_t> group_size;
+  for (RowId r = 0; r < table.row_count(); ++r) {
+    if (roles.at(r) != storage::kNullValue) ++group_size[roles.at(r)];
+  }
+  const Value largest =
+      std::max_element(group_size.begin(), group_size.end(),
+                       [](const auto& a, const auto& b) {
+                         return a.second < b.second;
+                       })->first;
+  RowId one = 0;
+  while (roles.at(one) != largest) ++one;
+  std::string sql =
+      "-- kernels_chain9\nSELECT COUNT(*) FROM cast_info AS c1";
+  for (int i = 2; i <= 9; ++i) sql += ", cast_info AS c" + std::to_string(i);
+  sql += " WHERE c1.role_id = c2.role_id";
+  for (int i = 2; i < 9; ++i) {
+    sql += " AND c" + std::to_string(i) + ".role_id = c" +
+           std::to_string(i + 1) + ".role_id";
+  }
+  sql += " AND c8.id = " +
+         std::to_string(
+             table.column(schema.table(cast_info).FindColumn("id")).at(one)) +
+         ";\n";
+  const Query chain9 = BindOne(sql.c_str(), schema);
+  const AliasMask head = chain9.FullMask() & ~query::MaskOf(8);
+  const std::optional<int64_t> head_count = RoleIdCount(lab, chain9, head);
+  ASSERT_TRUE(head_count.has_value());
+  EXPECT_FALSE(ExpectContract(lab, chain9, head, head_count).overflow);
+  EXPECT_TRUE(lab.db->oracle().HoldsIntermediate(chain9, head));
+  EXPECT_FALSE(RoleIdCount(lab, chain9, chain9.FullMask()).has_value());
+  EXPECT_TRUE(
+      ExpectContract(lab, chain9, chain9.FullMask(), std::nullopt).overflow);
 }
 
 // ---------------------------------------------------------------------------
