@@ -440,7 +440,10 @@ TEST(OverflowDifferential, CollapsedCountsMatchClosedForm) {
 }
 
 /// The product's caps read what it stores, not the logical rows a
-/// tuple-at-a-time evaluation would write.
+/// tuple-at-a-time evaluation would write. The two tests below take
+/// collapsed intermediates whose logical rows trip a cap: the reference,
+/// which decides its caps on logical rows, overflows on them, while the
+/// product holds and counts them.
 ///
 /// Logical rows: in the 4-chain c1–c2–c3–c4 the pair (c1, c2) keeps only
 /// c2, under 1% of its logical rows, and the triple (c1, c2, c3) collapses
@@ -465,27 +468,28 @@ WHERE c1.role_id = c2.role_id AND c2.role_id = c3.role_id
   AND c2.role_id = rt2.id AND t2.kind_id = kt2.id AND c3.movie_id < 50;
 )sql";
 
-TEST(OverflowDifferential, CollapsedIntermediatesPassLogicalCaps) {
+TEST(OverflowDifferential, CollapsedIntermediatesTripRowsCapOnLogicalRows) {
   EngineLab& lab = Lab();
-  {
-    const Query q = FallbackShape(lab.db->schema(), "kernels_tree_count");
-    const AliasMask pair = query::MaskOf(0) | query::MaskOf(1);
-    const int64_t pair_rows = ProductRowsWritten(lab, q, pair);
-    const Oracle::CardResult pair_card =
-        ExpectContract(lab, q, pair, RoleIdCount(lab, q, pair));
-    EXPECT_TRUE(lab.db->oracle().HoldsIntermediate(q, pair));
-    EXPECT_GT(pair_rows, 0);
-    EXPECT_LT(pair_rows * 100, pair_card.rows) << "pair did not collapse";
+  const Query q = FallbackShape(lab.db->schema(), "kernels_tree_count");
+  const AliasMask pair = query::MaskOf(0) | query::MaskOf(1);
+  const int64_t pair_rows = ProductRowsWritten(lab, q, pair);
+  const Oracle::CardResult pair_card =
+      ExpectContract(lab, q, pair, RoleIdCount(lab, q, pair));
+  EXPECT_TRUE(lab.db->oracle().HoldsIntermediate(q, pair));
+  EXPECT_GT(pair_rows, 0);
+  EXPECT_LT(pair_rows * 100, pair_card.rows) << "pair did not collapse";
 
-    const AliasMask triple = pair | query::MaskOf(2);
-    const Oracle::CardResult card =
-        ExpectContract(lab, q, triple, RoleIdCount(lab, q, triple));
-    EXPECT_FALSE(card.overflow);
-    EXPECT_GT(card.rows, cost::kMaxIntermediateRows);
-    EXPECT_TRUE(lab.db->oracle().HoldsIntermediate(q, triple));
-    EXPECT_TRUE(lab.reference->TrueJoinRows(q, triple).overflow);
-  }
+  const AliasMask triple = pair | query::MaskOf(2);
+  const Oracle::CardResult card =
+      ExpectContract(lab, q, triple, RoleIdCount(lab, q, triple));
+  EXPECT_FALSE(card.overflow);
+  EXPECT_GT(card.rows, cost::kMaxIntermediateRows);
+  EXPECT_TRUE(lab.db->oracle().HoldsIntermediate(q, triple));
+  EXPECT_TRUE(lab.reference->TrueJoinRows(q, triple).overflow);
+}
 
+TEST(OverflowDifferential, CollapsedIntermediatesTripCellsCapOnLogicalRows) {
+  EngineLab& lab = Lab();
   const Query q = BindOne(kWideCellsSql, lab.db->schema());
   auto alias = [&](const std::string& name) {
     for (AliasId a = 0; a < q.relation_count(); ++a) {
