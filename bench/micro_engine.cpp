@@ -247,6 +247,9 @@ struct HeapChargeResult {
   int64_t shared_hits = 0;
   int64_t os_hits = 0;
   int64_t disk_reads = 0;
+  // Recency-list moves (BufferPool::touches): the distinct pages of each
+  // call's prefix when the pool charges it by them, else every access.
+  int64_t pool_touches = 0;
   double ns_per_touch = 0.0;  // best (min) round, per access
   bool deterministic = true;  // every round saw the same tier counts
 };
@@ -254,7 +257,9 @@ struct HeapChargeResult {
 /// Replays the recorded heap charges through Executor::ChargeRandomHeapPages
 /// (the code index-NLJ joins call) on a fresh replica of `db` (a cold pool
 /// of the database's configuration, cloned outside the timer) kRounds times
-/// and keeps the fastest round (min-of-N, as in EngineComparison).
+/// and keeps the fastest round (min-of-N, as in EngineComparison). Also
+/// reports the pool's touches, which show whether the calls were charged
+/// by their distinct pages.
 HeapChargeResult HeapChargeReplay(
     engine::Database* db,
     const std::vector<exec::Executor::HeapCharge>& charges) {
@@ -281,19 +286,23 @@ HeapChargeResult HeapChargeReplay(
       result.shared_hits = counts[0];
       result.os_hits = counts[1];
       result.disk_reads = counts[2];
+      result.pool_touches = pool.touches();
       result.ns_per_touch = ns;
     } else {
       result.deterministic &= counts[0] == result.shared_hits &&
                               counts[1] == result.os_hits &&
-                              counts[2] == result.disk_reads;
+                              counts[2] == result.disk_reads &&
+                              pool.touches() == result.pool_touches;
       result.ns_per_touch = std::min(result.ns_per_touch, ns);
     }
   }
   std::fprintf(stderr,
-               "heap charge replay: %lld calls, %lld accesses, best round "
-               "%.1f ns/touch\n",
+               "heap charge replay: %lld calls, %lld accesses, %lld pool "
+               "touches, best round %.1f ns/touch\n",
                static_cast<long long>(result.calls),
-               static_cast<long long>(result.accesses), result.ns_per_touch);
+               static_cast<long long>(result.accesses),
+               static_cast<long long>(result.pool_touches),
+               result.ns_per_touch);
   return result;
 }
 
@@ -831,12 +840,14 @@ int EngineComparison(const char* path) {
   std::snprintf(buffer, sizeof(buffer),
                 "  \"heap_charge\": {\"calls\": %lld, \"accesses\": %lld, "
                 "\"shared_hits\": %lld, \"os_hits\": %lld, "
-                "\"disk_reads\": %lld, \"ns_per_touch\": %.1f},\n",
+                "\"disk_reads\": %lld, \"pool_touches\": %lld, "
+                "\"ns_per_touch\": %.1f},\n",
                 static_cast<long long>(heap_charge.calls),
                 static_cast<long long>(heap_charge.accesses),
                 static_cast<long long>(heap_charge.shared_hits),
                 static_cast<long long>(heap_charge.os_hits),
                 static_cast<long long>(heap_charge.disk_reads),
+                static_cast<long long>(heap_charge.pool_touches),
                 heap_charge.ns_per_touch);
   json += buffer;
   std::snprintf(buffer, sizeof(buffer),

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <set>
 #include <sstream>
@@ -162,9 +163,38 @@ std::vector<Page> DrawHeapProbePages(uint64_t table, uint64_t pages) {
   return sequence;
 }
 
+/// next[i] of HeapProbePages: the position of the next draw of the same
+/// page, kMaxPageLoop when there is none. One backward scan keeps the
+/// latest position seen of each page in an open-addressing table, so it is
+/// linear in the draws whatever the table's page count.
+template <typename Page>
+std::vector<uint16_t> NextDrawOfPage(const std::vector<Page>& sequence) {
+  constexpr auto kNone = static_cast<uint16_t>(exec::kMaxPageLoop);
+  constexpr int kSlotBits = 15;
+  constexpr size_t kMask = (size_t{1} << kSlotBits) - 1;
+  static_assert(3 * exec::kMaxPageLoop <= 2 * (int64_t{1} << kSlotBits),
+                "the table stays at most 2/3 full");
+  std::vector<uint16_t> latest(kMask + 1, kNone);  // a position, or kNone
+  std::vector<uint16_t> next(sequence.size());
+  for (size_t i = sequence.size(); i-- > 0;) {
+    const Page page = sequence[i];
+    size_t slot = (static_cast<uint32_t>(page) * 0x9e3779b1u) >>
+                  (32 - kSlotBits);
+    while (latest[slot] != kNone && sequence[latest[slot]] != page) {
+      slot = (slot + 1) & kMask;
+    }
+    next[i] = latest[slot];
+    latest[slot] = static_cast<uint16_t>(i);
+  }
+  return next;
+}
+
 }  // namespace
 
 void Database::BuildHeapProbePages(SharedContext& shared) {
+  static_assert(exec::kMaxPageLoop <= UINT16_MAX,
+                "HeapProbePages::next holds draw positions and the "
+                "kMaxPageLoop sentinel in 16 bits");
   shared.heap_probe_pages.assign(shared.tables.size(), HeapProbePages{});
   for (size_t t = 0; t < shared.tables.size(); ++t) {
     const auto pages = static_cast<uint64_t>(
@@ -172,8 +202,10 @@ void Database::BuildHeapProbePages(SharedContext& shared) {
     HeapProbePages& sequence = shared.heap_probe_pages[t];
     if (pages <= uint64_t{1} << 16) {
       sequence.narrow = DrawHeapProbePages<uint16_t>(t, pages);
+      sequence.next = NextDrawOfPage(sequence.narrow);
     } else {
       sequence.wide = DrawHeapProbePages<uint32_t>(t, pages);
+      sequence.next = NextDrawOfPage(sequence.wide);
     }
   }
 }

@@ -124,7 +124,9 @@ inline constexpr int64_t kMaxPageLoop = 20'000;
 /// inner fetches) fills a scratch array of page keys and charges it with
 /// one ChargePages call: one storage::BufferPool::AccessMany, one counter
 /// update, and per-page fault hits only while a fault injector is
-/// installed.
+/// installed. Index-NLJ inner fetches first offer the pool their distinct
+/// pages (storage::BufferPool::TryAccessDistinct), which charges the same
+/// tiers when no access can evict.
 class Executor {
  public:
   Executor(DbContext* ctx, Oracle* oracle);
@@ -146,7 +148,12 @@ class Executor {
   /// Charges `touches` random page touches of `table`'s heap (index-NLJ
   /// inner fetches, whose row-ids are not materialized): the first
   /// min(touches, kMaxPageLoop) pages of the table's
-  /// engine::HeapProbePages, cost scaled to `touches`. Public so
+  /// engine::HeapProbePages, cost scaled to `touches`. After the per-page
+  /// fault hits it writes the prefix's distinct pages, in order of last
+  /// draw (HeapProbePages::next), to the scratch array and offers them to
+  /// BufferPool::TryAccessDistinct; only when the pool refuses does it
+  /// write every draw and call AccessMany. Either way the tiers, counters
+  /// and cost are those of one Access per draw. Public so
   /// bench/micro_engine can replay recorded calls through it.
   util::VirtualNanos ChargeRandomHeapPages(catalog::TableId table,
                                            int64_t touches);
@@ -169,6 +176,15 @@ class Executor {
   /// cost on a miss.
   util::VirtualNanos ChargePages(const uint64_t* keys, int64_t n,
                                  bool sequential);
+
+  /// Adds n to the page counters and takes n buffer.read_page fault hits
+  /// (only while a fault injector is installed); returns their latency.
+  util::VirtualNanos CountPages(int64_t n);
+
+  /// Each tier's count times its cost; `sequential` selects the read-ahead
+  /// disk cost.
+  static util::VirtualNanos TierCost(
+      const storage::BufferPool::TierCounts& tiers, bool sequential);
 
   /// Charges pages 0..count-1 of one heap or index segment in order, in
   /// batches of at most kMaxPageLoop.

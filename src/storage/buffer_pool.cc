@@ -1,5 +1,6 @@
 #include "storage/buffer_pool.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "obs/metrics.h"
@@ -185,8 +186,23 @@ AccessTier BufferPool::Access(uint64_t page_key) {
   } else {
     counts.disk_reads = 1;
   }
-  Book(counts, evicted);
+  Book(counts, evicted, 1);
   return tier;
+}
+
+LQOLAB_POOL_INLINE void BufferPool::TouchAll(const uint64_t* keys, int64_t n,
+                                             int64_t* by_tier,
+                                             int64_t* evicted) {
+  for (int64_t i = 0; i < n;) {
+    const uint64_t prefix = keys[i] >> 48;
+    // No other segment is allocated during the run, so `chunks` stays put.
+    std::vector<int32_t>& chunks = SegmentOf(prefix);
+    do {
+      const AccessTier tier = Touch(EntryOf(chunks, keys[i] & kPageMask),
+                                    evicted);
+      ++by_tier[static_cast<int>(tier)];
+    } while (++i < n && keys[i] >> 48 == prefix);
+  }
 }
 
 BufferPool::TierCounts BufferPool::AccessMany(const uint64_t* keys,
@@ -197,23 +213,38 @@ BufferPool::TierCounts BufferPool::AccessMany(const uint64_t* keys,
   }
   int64_t by_tier[3] = {0, 0, 0};  // indexed by AccessTier
   int64_t evicted = 0;
-  for (int64_t i = 0; i < n;) {
-    const uint64_t prefix = keys[i] >> 48;
-    // No other segment is allocated during the run, so `chunks` stays put.
-    std::vector<int32_t>& chunks = SegmentOf(prefix);
-    do {
-      const AccessTier tier = Touch(EntryOf(chunks, keys[i] & kPageMask),
-                                    &evicted);
-      ++by_tier[static_cast<int>(tier)];
-    } while (++i < n && keys[i] >> 48 == prefix);
-  }
+  TouchAll(keys, n, by_tier, &evicted);
   const TierCounts counts{by_tier[0], by_tier[1], by_tier[2]};
-  Book(counts, evicted);
+  Book(counts, evicted, n);
   return counts;
 }
 
+bool BufferPool::TryAccessDistinct(const uint64_t* last_touches, int64_t m,
+                                   int64_t n, TierCounts* counts) {
+  LQOLAB_CHECK_GE(m, 0);
+  LQOLAB_CHECK_GE(n, m);
+  if (access_log_ != nullptr || shared_.size != resident_ ||
+      os_.size != resident_ ||
+      resident_ + m > std::min(shared_.capacity, os_.capacity)) {
+    return false;
+  }
+  // Both tiers hold every resident page and have room for all m pages, so
+  // no touch evicts: a page's first access is its one disk read, every
+  // other access a shared hit, and the final order is by last touch.
+  int64_t by_tier[3] = {0, 0, 0};  // indexed by AccessTier
+  int64_t evicted = 0;
+  TouchAll(last_touches, m, by_tier, &evicted);
+  LQOLAB_DCHECK(evicted == 0 &&
+                by_tier[static_cast<int>(AccessTier::kOsHit)] == 0);
+  const int64_t misses = by_tier[static_cast<int>(AccessTier::kDisk)];
+  *counts = {n - misses, 0, misses};
+  Book(*counts, evicted, m);
+  return true;
+}
+
 LQOLAB_POOL_INLINE void BufferPool::Book(const TierCounts& counts,
-                                         int64_t evicted) {
+                                         int64_t evicted, int64_t touched) {
+  touches_ += touched;
   shared_hits_ += counts.shared_hits;
   os_hits_ += counts.os_hits;
   disk_reads_ += counts.disk_reads;

@@ -34,7 +34,9 @@ enum class PageKind { kHeap, kIndexLeaf };
 /// move-to-front and at most one demotion (the tier's eviction) per tier.
 /// The executor charges pages in batches (AccessMany): each key still takes
 /// those steps in order, but the counters and metrics are booked once per
-/// batch and a run of keys in one segment looks the segment up once.
+/// batch and a run of keys in one segment looks the segment up once. A
+/// batch that cannot evict is charged by its distinct pages instead
+/// (TryAccessDistinct), which leaves the same tiers and counts.
 ///
 /// The page directory maps a key to its node in two levels: PageKey's top
 /// 16 bits (table, kind, index column) pick a segment, and the page number
@@ -84,10 +86,26 @@ class BufferPool {
   /// its directory segment once. This is how the executor charges pages.
   TierCounts AccessMany(const uint64_t* keys, int64_t n);
 
+  /// Charges a batch of n accesses by its m distinct pages, when that is
+  /// exact; `last_touches` holds the distinct keys in order of their last
+  /// access in the batch. Applies only when every resident page is in both
+  /// tiers (shared_size() == os_size() == resident_pages()) and
+  /// resident_pages() + m <= min(shared_capacity(), os_capacity()): then
+  /// no access can evict, a page's first access is its only disk read and
+  /// every other access a shared hit, and the recency order after the
+  /// batch depends only on each page's last access. So touching the m
+  /// keys once each leaves the pool exactly as n Access calls would; it
+  /// books n - misses shared hits and `misses` disk reads, sets `*counts`
+  /// and returns true. Otherwise, and while RecordAccesses is on (the log
+  /// must keep every key), it returns false and changes nothing; charge
+  /// the batch with AccessMany.
+  bool TryAccessDistinct(const uint64_t* last_touches, int64_t m, int64_t n,
+                         TierCounts* counts);
+
   /// Appends every key passed to Access or AccessMany to `*log` until
-  /// called again with nullptr; recording changes no tier decision.
-  /// bench/micro_engine uses it to replay the page stream a real execution
-  /// charges.
+  /// called again with nullptr; recording changes no tier decision, and
+  /// TryAccessDistinct refuses while it is on. bench/micro_engine uses it
+  /// to replay the page stream a real execution charges.
   void RecordAccesses(std::vector<uint64_t>* log) { access_log_ = log; }
 
   /// Drops both tiers (full cold cache).
@@ -122,6 +140,10 @@ class BufferPool {
   /// Pages evicted from either tier over the pool's lifetime, including
   /// pages dropped by DropCaches, DropSharedBuffers and resizes.
   int64_t evictions() const { return evictions_; }
+  /// Touches of the recency list over the pool's lifetime: one per key of
+  /// Access and AccessMany, one per distinct key of TryAccessDistinct.
+  /// bench/micro_engine reports it to show the distinct-page path ran.
+  int64_t touches() const { return touches_; }
 
  private:
   static constexpr int32_t kNull = -1;  // empty directory entry, null link
@@ -156,9 +178,15 @@ class BufferPool {
   /// to `*evicted`. Counters are left to the caller.
   AccessTier Touch(int32_t entry, int64_t* evicted);
 
-  /// Adds one access's or one batch's tier counts and evictions to the
-  /// counters and their obs metrics.
-  void Book(const TierCounts& counts, int64_t evicted);
+  /// Touches keys[0..n) in order, adding each tier served to
+  /// by_tier[AccessTier] and the pages evicted to `*evicted`; a run of keys
+  /// in one segment looks the segment up once.
+  void TouchAll(const uint64_t* keys, int64_t n, int64_t* by_tier,
+                int64_t* evicted);
+
+  /// Adds one access's or one batch's tier counts, evictions and list
+  /// touches to the counters and their obs metrics.
+  void Book(const TierCounts& counts, int64_t evicted, int64_t touched);
 
   /// Adds the head node `node` to `tier`, demoting the tier's tail when
   /// full. Returns the number of pages evicted (0 or 1).
@@ -173,6 +201,7 @@ class BufferPool {
   int64_t shared_hits_ = 0;
   int64_t os_hits_ = 0;
   int64_t disk_reads_ = 0;
+  int64_t touches_ = 0;
   Tier shared_;
   Tier os_;
   std::vector<uint64_t>* access_log_ = nullptr;

@@ -9,6 +9,7 @@
 #include "lqo/plan_search.h"
 #include "optimizer/physical_plan.h"
 #include "query/sql_workload.h"
+#include "util/rng.h"
 
 namespace lqolab::exec {
 namespace {
@@ -334,8 +335,11 @@ TEST(ExecutorBufferDigest, Tpch) {
 /// Checks every table's SharedContext::heap_probe_pages against the LCG
 /// the executor used to draw per touch (seed 0x9e3779b97f4a7c15 ^ table,
 /// page = (state >> 33) % max(1, page count), kMaxPageLoop draws), stored
-/// in 16 bits exactly when the table has at most 65536 pages, and checks
-/// that ChargeRandomHeapPages charges those pages, in order, as heap keys.
+/// in 16 bits exactly when the table has at most 65536 pages, checks its
+/// `next` array against a scan for each draw's next draw of the same page,
+/// and checks that ChargeRandomHeapPages charges those pages, in order, as
+/// heap keys (recording makes the pool refuse the distinct-page batch, so
+/// every draw is charged).
 void ExpectHeapProbesMatchLcg(Database* db) {
   const engine::SharedContext& shared = *db->context().shared;
   ASSERT_EQ(shared.heap_probe_pages.size(), shared.tables.size());
@@ -367,6 +371,17 @@ void ExpectHeapProbesMatchLcg(Database* db) {
                                              catalog::kInvalidColumn, page))
           << "table " << t << " draw " << i;
     }
+    // next[i] is the first later draw of the same page, found by scanning.
+    ASSERT_EQ(static_cast<int64_t>(sequence.next.size()), kMaxPageLoop);
+    auto page_at = [&](size_t i) -> int64_t {
+      return narrow ? sequence.narrow[i] : sequence.wide[i];
+    };
+    const auto draws = static_cast<size_t>(kMaxPageLoop);
+    for (size_t i = 0; i < draws; ++i) {
+      size_t j = i + 1;
+      while (j < draws && page_at(j) != page_at(i)) ++j;
+      ASSERT_EQ(sequence.next[i], j) << "table " << t << " draw " << i;
+    }
   }
 }
 
@@ -376,6 +391,55 @@ void ExpectHeapProbesMatchLcg(Database* db) {
 TEST(ExecutorHeapProbes, SharedSequenceMatchesLcgFormula) {
   ExpectHeapProbesMatchLcg(MakeDb().get());
   ExpectHeapProbesMatchLcg(MakeTpchDb().get());
+}
+
+// ChargeRandomHeapPages charges a prefix by its distinct pages when the
+// pool can do that exactly, and by every draw when it refuses (always, on
+// a recording pool). Both must cost the same and leave the same pool, over
+// random tables and prefix lengths with shared-buffer and full drops in
+// between, under each digest sizing; the distinct path must have run.
+TEST(ExecutorHeapProbes, DistinctPagesChargeLikeEveryDraw) {
+  const auto db = MakeDb();
+  const auto tables =
+      static_cast<int64_t>(db->context().shared->tables.size());
+  for (const DbConfig& config : BufferDigestConfigs()) {
+    db->SetConfig(config);
+    const auto distinct = db->CloneContextForWorker();
+    const auto every = db->CloneContextForWorker();
+    const storage::BufferPool& fast = *distinct->context().buffer_pool;
+    storage::BufferPool& slow = *every->context().buffer_pool;
+    std::vector<uint64_t> log;
+    slow.RecordAccesses(&log);
+    util::Rng rng(config.shared_buffers_mb);
+    for (int call = 0; call < 300; ++call) {
+      if (call % 100 == 40) {
+        distinct->context().buffer_pool->DropSharedBuffers();
+        slow.DropSharedBuffers();
+      } else if (call % 100 == 90) {
+        distinct->DropCaches();
+        every->DropCaches();
+      }
+      const auto table = static_cast<catalog::TableId>(
+          rng.UniformInt(0, tables - 1));
+      const int64_t touches = rng.Bernoulli(0.2)
+                                  ? kMaxPageLoop + rng.UniformInt(0, 5000)
+                                  : rng.UniformInt(1, 3000);
+      ASSERT_EQ(distinct->executor().ChargeRandomHeapPages(table, touches),
+                every->executor().ChargeRandomHeapPages(table, touches))
+          << "call " << call;
+      ASSERT_EQ(static_cast<int64_t>(log.size()),
+                std::min(touches, kMaxPageLoop));
+      log.clear();
+      ASSERT_EQ(fast.shared_hits(), slow.shared_hits()) << "call " << call;
+      ASSERT_EQ(fast.os_hits(), slow.os_hits()) << "call " << call;
+      ASSERT_EQ(fast.disk_reads(), slow.disk_reads()) << "call " << call;
+      ASSERT_EQ(fast.evictions(), slow.evictions()) << "call " << call;
+      ASSERT_EQ(fast.shared_size(), slow.shared_size()) << "call " << call;
+      ASSERT_EQ(fast.os_size(), slow.os_size()) << "call " << call;
+    }
+    slow.RecordAccesses(nullptr);
+    EXPECT_LT(fast.touches(), slow.touches());
+  }
 }
 
 // A table of more than 65536 pages keeps 32-bit page numbers; one of

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <climits>
+#include <functional>
 #include <list>
 #include <span>
 #include <unordered_map>
@@ -23,11 +24,10 @@ namespace lqolab::storage {
 namespace {
 
 catalog::TableDef TwoColumnDef() {
-  catalog::TableDef def;
-  def.name = "t";
-  def.columns = {{"id", catalog::ColumnType::kInt},
-                 {"label", catalog::ColumnType::kString}};
-  return def;
+  return {.name = "t",
+          .columns = {{"id", catalog::ColumnType::kInt},
+                      {"label", catalog::ColumnType::kString}},
+          .foreign_keys = {}};
 }
 
 TEST(Column, DictionaryInternsOnce) {
@@ -617,6 +617,248 @@ INSTANTIATE_TEST_SUITE_P(
     Capacities, BufferPoolReferenceModel,
     ::testing::Combine(::testing::ValuesIn(kPoolCapacities),
                        ::testing::ValuesIn(kPoolCapacities)));
+
+/// The distinct keys of keys[0..n) in order of their last occurrence.
+std::vector<uint64_t> LastTouches(const std::vector<uint64_t>& keys) {
+  std::vector<uint64_t> last;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    if (std::find(keys.begin() + static_cast<std::ptrdiff_t>(i) + 1,
+                  keys.end(), keys[i]) == keys.end()) {
+      last.push_back(keys[i]);
+    }
+  }
+  return last;
+}
+
+/// Everything a pool reports, for comparing two pools or one pool before
+/// and after a call.
+struct PoolState {
+  int64_t shared_capacity, os_capacity, shared_size, os_size, resident;
+  int64_t shared_hits, os_hits, disk_reads, evictions;
+  bool operator==(const PoolState&) const = default;
+};
+
+PoolState StateOf(const BufferPool& pool) {
+  return {pool.shared_capacity(), pool.os_capacity(), pool.shared_size(),
+          pool.os_size(),         pool.resident_pages(), pool.shared_hits(),
+          pool.os_hits(),         pool.disk_reads(),  pool.evictions()};
+}
+
+constexpr obs::Counter kPoolCounters[] = {
+    obs::Counter::kBufferSharedHits, obs::Counter::kBufferOsHits,
+    obs::Counter::kBufferDiskReads, obs::Counter::kBufferEvictions};
+
+/// TryAccessDistinct must be exact: random batches with repeats, drawn from
+/// page domains from one page to twice the larger tier, go through
+/// TryAccessDistinct (AccessMany when it refuses) on one pool and through
+/// one Access per key on a twin, with DropSharedBuffers, DropCaches and
+/// TryResize interleaved. The pools must agree on every batch's tier
+/// counts, every counter, tier size and metric, and on the tiers of a
+/// follow-up stream; a refusal must leave the pool as it was.
+class BufferPoolDistinctBatch
+    : public ::testing::TestWithParam<std::tuple<int64_t, int64_t>> {};
+
+TEST_P(BufferPoolDistinctBatch, MatchesAccessPerKey) {
+  const auto [shared_pages, os_pages] = GetParam();
+  util::Rng rng(static_cast<uint64_t>(shared_pages * 7919 + os_pages));
+  const int64_t small = std::min(shared_pages, os_pages);
+  const int64_t domains[] = {1, 3, small + 1,
+                             2 * std::max(shared_pages, os_pages) + 4};
+  auto key_of = [](int64_t k) {
+    const auto table = static_cast<catalog::TableId>(k % 3);
+    return BufferPool::PageKey(table, PageKind::kHeap, -1, k / 3);
+  };
+  BufferPool batched(shared_pages, os_pages);
+  BufferPool single(shared_pages, os_pages);
+  obs::MetricsRegistry batched_metrics;
+  obs::MetricsRegistry single_metrics;
+  int64_t applied = 0;
+  int64_t refused = 0;
+  for (int step = 0; step < 3000; ++step) {
+    const double op = rng.Uniform();
+    if (op < 0.02) {
+      batched.DropSharedBuffers();
+      single.DropSharedBuffers();
+    } else if (op < 0.03) {
+      batched.DropCaches();
+      single.DropCaches();
+    } else if (op < 0.04) {
+      const int64_t s = kPoolCapacities[rng.UniformInt(0, 5)];
+      const int64_t o = kPoolCapacities[rng.UniformInt(0, 5)];
+      ASSERT_TRUE(batched.TryResize(s, o).ok());
+      ASSERT_TRUE(single.TryResize(s, o).ok());
+    } else {
+      const int64_t domain = domains[rng.UniformInt(0, 3)];
+      std::vector<uint64_t> keys(static_cast<size_t>(rng.UniformInt(0, 40)));
+      for (uint64_t& key : keys) key = key_of(rng.UniformInt(0, domain - 1));
+      const std::vector<uint64_t> last = LastTouches(keys);
+      const auto n = static_cast<int64_t>(keys.size());
+      const auto m = static_cast<int64_t>(last.size());
+      // The rule, from the outside.
+      const bool rule = batched.shared_size() == batched.resident_pages() &&
+                        batched.os_size() == batched.resident_pages() &&
+                        batched.resident_pages() + m <=
+                            std::min(batched.shared_capacity(),
+                                     batched.os_capacity());
+
+      BufferPool::TierCounts expected;
+      {
+        obs::MetricsScope scope(&single_metrics);
+        for (const uint64_t key : keys) {
+          switch (single.Access(key)) {
+            case AccessTier::kSharedHit:
+              ++expected.shared_hits;
+              break;
+            case AccessTier::kOsHit:
+              ++expected.os_hits;
+              break;
+            case AccessTier::kDisk:
+              ++expected.disk_reads;
+              break;
+          }
+        }
+      }
+      BufferPool::TierCounts got;
+      {
+        obs::MetricsScope scope(&batched_metrics);
+        const PoolState before = StateOf(batched);
+        const int64_t touches_before = batched.touches();
+        int64_t metrics_before[std::size(kPoolCounters)];
+        for (size_t c = 0; c < std::size(kPoolCounters); ++c) {
+          metrics_before[c] = batched_metrics.Get(kPoolCounters[c]);
+        }
+        const bool ok = batched.TryAccessDistinct(last.data(), m, n, &got);
+        ASSERT_EQ(ok, rule) << "step " << step;
+        if (ok) {
+          ++applied;
+          ASSERT_EQ(batched.touches(), touches_before + m) << "step " << step;
+        } else {
+          ++refused;
+          ASSERT_EQ(StateOf(batched), before) << "step " << step;
+          ASSERT_EQ(batched.touches(), touches_before) << "step " << step;
+          for (size_t c = 0; c < std::size(kPoolCounters); ++c) {
+            ASSERT_EQ(batched_metrics.Get(kPoolCounters[c]), metrics_before[c])
+                << "step " << step;
+          }
+          got = batched.AccessMany(keys.data(), n);
+        }
+      }
+      ASSERT_EQ(got.shared_hits, expected.shared_hits) << "step " << step;
+      ASSERT_EQ(got.os_hits, expected.os_hits) << "step " << step;
+      ASSERT_EQ(got.disk_reads, expected.disk_reads) << "step " << step;
+    }
+    ASSERT_EQ(StateOf(batched), StateOf(single)) << "step " << step;
+    for (const obs::Counter c : kPoolCounters) {
+      ASSERT_EQ(batched_metrics.Get(c), single_metrics.Get(c))
+          << "step " << step;
+    }
+  }
+  // Same recency order: a follow-up stream is served from the same tiers.
+  const int64_t domain = domains[3];
+  for (int i = 0; i < 5000; ++i) {
+    const uint64_t key = key_of(rng.UniformInt(0, domain - 1));
+    ASSERT_EQ(batched.Access(key), single.Access(key)) << "follow-up " << i;
+  }
+  EXPECT_GT(refused, 0);
+  if (small >= 2) {
+    EXPECT_GT(applied, 0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Capacities, BufferPoolDistinctBatch,
+    ::testing::Combine(::testing::ValuesIn(kPoolCapacities),
+                       ::testing::ValuesIn(kPoolCapacities)));
+
+/// Runs `setup` on two pools, offers `last` (m distinct keys of an n-key
+/// batch) to one of them through TryAccessDistinct, and expects a refusal
+/// that changed nothing: same state, no metric, same follow-up tiers.
+void ExpectRefused(const std::function<void(BufferPool&)>& setup,
+                   int64_t shared_pages, int64_t os_pages,
+                   const std::vector<uint64_t>& last, int64_t n) {
+  BufferPool offered(shared_pages, os_pages);
+  BufferPool twin(shared_pages, os_pages);
+  setup(offered);
+  setup(twin);
+  const int64_t touches = offered.touches();
+  obs::MetricsRegistry metrics;
+  BufferPool::TierCounts counts{-1, -1, -1};
+  {
+    obs::MetricsScope scope(&metrics);
+    EXPECT_FALSE(offered.TryAccessDistinct(
+        last.data(), static_cast<int64_t>(last.size()), n, &counts));
+  }
+  EXPECT_EQ(counts.shared_hits, -1);  // untouched
+  EXPECT_EQ(StateOf(offered), StateOf(twin));
+  EXPECT_EQ(offered.touches(), touches);
+  for (const obs::Counter c : kPoolCounters) EXPECT_EQ(metrics.Get(c), 0);
+  for (int64_t p = 0; p < 24; ++p) {
+    const uint64_t key = BufferPool::PageKey(1, PageKind::kHeap, -1, p % 12);
+    EXPECT_EQ(offered.Access(key), twin.Access(key)) << "follow-up " << p;
+  }
+}
+
+std::vector<uint64_t> HeapKeys(int64_t first, int64_t count) {
+  std::vector<uint64_t> keys;
+  for (int64_t p = first; p < first + count; ++p) {
+    keys.push_back(BufferPool::PageKey(1, PageKind::kHeap, -1, p));
+  }
+  return keys;
+}
+
+// Each condition of the rule, and recording, refuses on its own; the same
+// batch one page smaller (or with recording off) is taken.
+TEST(BufferPoolTest, TryAccessDistinctRefusals) {
+  auto touch = [](int64_t count) {
+    return [count](BufferPool& pool) {
+      for (const uint64_t key : HeapKeys(0, count)) pool.Access(key);
+    };
+  };
+  BufferPool::TierCounts counts;
+
+  // After DropSharedBuffers the OS tier holds pages shared buffers do not.
+  ExpectRefused(
+      [&](BufferPool& pool) {
+        touch(3)(pool);
+        pool.DropSharedBuffers();
+      },
+      8, 8, HeapKeys(0, 1), 2);
+
+  // resident + m one over the smaller capacity, either tier the smaller.
+  for (const auto& [shared_pages, os_pages] :
+       {std::pair<int64_t, int64_t>{8, 16}, {16, 8}}) {
+    SCOPED_TRACE(shared_pages);
+    ExpectRefused(touch(5), shared_pages, os_pages, HeapKeys(3, 4), 9);
+    BufferPool pool(shared_pages, os_pages);
+    touch(5)(pool);
+    ASSERT_TRUE(pool.TryAccessDistinct(HeapKeys(3, 3).data(), 3, 9, &counts));
+    EXPECT_EQ(counts.shared_hits, 8);  // two resident pages, then 6 repeats
+    EXPECT_EQ(counts.os_hits, 0);
+    EXPECT_EQ(counts.disk_reads, 1);
+    EXPECT_EQ(pool.resident_pages(), 6);
+    EXPECT_EQ(pool.evictions(), 0);
+  }
+
+  // A tier of capacity 0 has no room for any page.
+  ExpectRefused([](BufferPool&) {}, 0, 8, HeapKeys(0, 1), 1);
+  ExpectRefused([](BufferPool&) {}, 8, 0, HeapKeys(0, 1), 1);
+
+  // Recording must log every key of the batch, so it refuses: the offered
+  // pool's log holds only the follow-up stream, as its twin's does.
+  std::vector<uint64_t> logs[2];
+  size_t recording = 0;
+  ExpectRefused(
+      [&](BufferPool& pool) { pool.RecordAccesses(&logs[recording++]); }, 8,
+      8, HeapKeys(0, 2), 3);
+  EXPECT_EQ(logs[0], logs[1]);
+  BufferPool pool(8, 8);
+  pool.RecordAccesses(&logs[0]);
+  pool.RecordAccesses(nullptr);
+  ASSERT_TRUE(pool.TryAccessDistinct(HeapKeys(0, 2).data(), 2, 3, &counts));
+  EXPECT_EQ(counts.disk_reads, 2);
+  EXPECT_EQ(counts.shared_hits, 1);
+  EXPECT_EQ(pool.touches(), 2);
+}
 
 /// Property sweep: LRU semantics — after touching keys 0..n-1 in order with
 /// capacity c, exactly the last c keys are resident.
