@@ -13,8 +13,10 @@
 // every table of TPC-H-lite 4x and IMDB medium), two cold arms (every
 // query's first ExecutePlan on a fresh replica: TPC-H-lite on TPC-H-lite
 // 4x, JOB-lite on IMDB medium; each records the rows and row-id cells the
-// oracle's joins write) and a GEQO arm (every JOB-lite query at or past
-// geqo_threshold planned under Bao's six hint sets on IMDB medium), and
+// oracle's joins write, and how many subsets it joined from two held
+// intermediates or evaluated fresh) and a GEQO arm (every JOB-lite query
+// at or past geqo_threshold planned under Bao's six hint sets on IMDB
+// medium), and
 // emits one JSON document; the recorded run lives at BENCH_engine.json.
 // Exit code 1 if the batched engine falls below the 3x speedup floor
 // docs/execution.md documents, or if replay rounds disagree on a tier
@@ -553,6 +555,8 @@ struct ColdResult {
   int64_t bloom_builds = 0;  // obs::Counter::kOracleBloomBuilds per round
   int64_t intermediate_rows = 0;   // kOracleIntermediateRows per round
   int64_t intermediate_cells = 0;  // kOracleIntermediateCells per round
+  int64_t held_joins = 0;          // kOracleHeldJoins per round
+  int64_t fresh_evaluations = 0;   // kOracleFreshEvaluations per round
   double ms = 0.0;           // best (min) timed round
   bool deterministic = true;  // every round gave the same counts
 };
@@ -598,6 +602,9 @@ ColdResult ColdReplay(engine::Database* db, const char* workload_name) {
         metrics.Get(obs::Counter::kOracleIntermediateRows);
     counts.intermediate_cells =
         metrics.Get(obs::Counter::kOracleIntermediateCells);
+    counts.held_joins = metrics.Get(obs::Counter::kOracleHeldJoins);
+    counts.fresh_evaluations =
+        metrics.Get(obs::Counter::kOracleFreshEvaluations);
     if (round == 0) {
       result = counts;
       continue;
@@ -608,37 +615,45 @@ ColdResult ColdReplay(engine::Database* db, const char* workload_name) {
         counts.hash_builds == result.hash_builds &&
         counts.bloom_builds == result.bloom_builds &&
         counts.intermediate_rows == result.intermediate_rows &&
-        counts.intermediate_cells == result.intermediate_cells;
+        counts.intermediate_cells == result.intermediate_cells &&
+        counts.held_joins == result.held_joins &&
+        counts.fresh_evaluations == result.fresh_evaluations;
     if (round == 1 || ms < result.ms) result.ms = ms;
   }
   std::fprintf(stderr,
                "%s cold replay: %lld queries, %lld result rows, %lld hash "
                "builds, %lld bloom builds, %lld intermediate rows in %lld "
-               "cells, best round %.1f ms\n",
+               "cells, %lld held joins, %lld fresh evaluations, best round "
+               "%.1f ms\n",
                workload_name, static_cast<long long>(result.queries),
                static_cast<long long>(result.result_rows),
                static_cast<long long>(result.hash_builds),
                static_cast<long long>(result.bloom_builds),
                static_cast<long long>(result.intermediate_rows),
-               static_cast<long long>(result.intermediate_cells), result.ms);
+               static_cast<long long>(result.intermediate_cells),
+               static_cast<long long>(result.held_joins),
+               static_cast<long long>(result.fresh_evaluations), result.ms);
   return result;
 }
 
 /// The cold-replay arm as a JSON member named `name`.
 std::string ColdJson(const char* name, const ColdResult& r) {
-  char buffer[320];
+  char buffer[400];
   std::snprintf(buffer, sizeof(buffer),
                 "  \"%s\": {\"queries\": %lld, \"result_rows\": %lld, "
                 "\"execution_ns\": %lld, \"hash_builds\": %lld, "
                 "\"bloom_builds\": %lld, \"intermediate_rows\": %lld, "
-                "\"intermediate_cells\": %lld, \"ms\": %.1f},\n",
+                "\"intermediate_cells\": %lld, \"held_joins\": %lld, "
+                "\"fresh_evaluations\": %lld, \"ms\": %.1f},\n",
                 name, static_cast<long long>(r.queries),
                 static_cast<long long>(r.result_rows),
                 static_cast<long long>(r.execution_ns),
                 static_cast<long long>(r.hash_builds),
                 static_cast<long long>(r.bloom_builds),
                 static_cast<long long>(r.intermediate_rows),
-                static_cast<long long>(r.intermediate_cells), r.ms);
+                static_cast<long long>(r.intermediate_cells),
+                static_cast<long long>(r.held_joins),
+                static_cast<long long>(r.fresh_evaluations), r.ms);
   return buffer;
 }
 

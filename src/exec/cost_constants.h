@@ -105,11 +105,11 @@ inline constexpr double kSecondRunPenalty = 0.014;
 /// Log-normal execution noise (sigma of ln-scale).
 inline constexpr double kNoiseSigma = 0.02;
 
-/// Caps on one join of the true-cardinality oracle (Oracle::JoinWithBase);
+/// Caps on one join of the true-cardinality oracle (Oracle::Join);
 /// a subset whose materialization passes one is treated as timed out. The
 /// first two are decided on what the intermediate stores: distinct rows,
 /// and cells (a row id is one cell, a weight two), which bound memory.
-/// The third bounds the join's work: the base rows its probe loop visits,
+/// The third bounds the join's work: the right rows its probe loop visits,
 /// which a join whose stored result stays small can still multiply.
 inline constexpr int64_t kMaxIntermediateRows = 12'000'000;
 inline constexpr int64_t kMaxIntermediateCells = 64'000'000;

@@ -150,24 +150,26 @@ std::vector<query::JoinEdge> Oracle::EdgesWithin(const Query& q,
   return edges;
 }
 
-std::vector<Oracle::EdgeProbe> Oracle::ProbeEdges(const Query& q,
-                                                  const Intermediate& left,
-                                                  AliasId alias) const {
-  // Normalized so that left_alias is inside `left`; every such alias has
-  // an edge leaving left.mask, so it is one of the kept columns.
-  const auto edges = q.EdgesBetween(left.mask, query::MaskOf(alias));
+std::vector<Oracle::EdgeProbe> Oracle::ProbeEdges(
+    const Query& q, const Intermediate& left, const JoinSide& right) const {
+  // Normalized so that left_alias is inside `left`; every alias at either
+  // end has an edge leaving its side's mask, so it is one of that side's
+  // kept columns.
+  const auto edges = q.EdgesBetween(left.mask, right.mask());
   LQOLAB_CHECK(!edges.empty());
-  const storage::Table& base_table =
-      ctx_->table(q.relations[static_cast<size_t>(alias)].table);
+  auto column = [&](AliasId alias, catalog::ColumnId c) {
+    return ctx_->table(q.relations[static_cast<size_t>(alias)].table)
+        .column(c)
+        .data();
+  };
   std::vector<EdgeProbe> probes;
   probes.reserve(edges.size());
   for (const query::JoinEdge& edge : edges) {
     probes.push_back(
-        {left.PositionOf(edge.left_alias), edge.right_column,
-         ctx_->table(q.relations[static_cast<size_t>(edge.left_alias)].table)
-             .column(edge.left_column)
-             .data(),
-         base_table.column(edge.right_column).data()});
+        {left.PositionOf(edge.left_alias),
+         right.held != nullptr ? right.held->PositionOf(edge.right_alias) : 0,
+         edge.right_column, column(edge.left_alias, edge.left_column),
+         column(edge.right_alias, edge.right_column)});
   }
   return probes;
 }
@@ -271,10 +273,11 @@ Oracle::CardResult Oracle::TrueJoinRows(const Query& q, AliasMask mask) {
   return result;
 }
 
-/// Build side of a base-relation join: the shared storage::Index on
+/// Build side of a join: for a base relation, the shared storage::Index on
 /// the hash-edge column when the base is the whole table, else a
 /// JoinHashTable over the base rows — the base's cached table or
-/// join_table_. All list a key's rows in ascending row-id order — an
+/// join_table_; for a held intermediate, join_table_ over its row indices.
+/// All list a key's rows in ascending row-id order — an
 /// index's counting sort (or, for a sparse column, its (value, row) sort)
 /// keeps rows ascending within a key, a build groups its ascending input
 /// in input order — and all skip NULL keys, so the choice changes no
@@ -352,6 +355,25 @@ Oracle::BaseProbe Oracle::PrepareBase(QueryMemo& memo, const Query& q,
   return {nullptr, &join_table_};
 }
 
+Oracle::BaseProbe Oracle::PrepareHeld(const Intermediate& held,
+                                      const EdgeProbe& edge) {
+  const int64_t n = held.stored_rows();
+  const size_t width = held.aliases.size();
+  held_keys_.resize(static_cast<size_t>(n));
+  for (int64_t r = 0; r < n; ++r) {
+    held_keys_[static_cast<size_t>(r)] =
+        edge.right_col[held.data[static_cast<size_t>(r) * width +
+                                 static_cast<size_t>(edge.right_pos)]];
+  }
+  // held_rows_ is always 0, 1, ...; it only grows.
+  for (int64_t r = static_cast<int64_t>(held_rows_.size()); r < n; ++r) {
+    held_rows_.push_back(static_cast<RowId>(r));
+  }
+  obs::Count(obs::Counter::kOracleHashBuilds);
+  join_table_.Build(held_keys_.data(), held_rows_.data(), n);
+  return {nullptr, &join_table_};
+}
+
 Oracle::CardResult Oracle::Materialize(QueryMemo& memo, const Query& q,
                                        AliasMask mask) {
   // Single aliases never get here: TrueJoinRows answers them from the
@@ -374,6 +396,12 @@ Oracle::CardResult Oracle::Materialize(QueryMemo& memo, const Query& q,
     EnforceBudget(memo, mask);
     return result;
   };
+  // A held path's join is the subset's answer: its overflow, or its result.
+  auto keep_joined = [&](Intermediate joined) -> CardResult {
+    if (joined.rows < 0) return {0, true};
+    count_written(joined);
+    return keep(std::move(joined));
+  };
 
   // Fast path: extend a cached materialization of (mask minus one alias).
   // The extension streams and is exact, so it cannot blow up beyond the
@@ -387,12 +415,42 @@ Oracle::CardResult Oracle::Materialize(QueryMemo& memo, const Query& q,
     auto rest_it = memo.mats.find(rest);
     if (rest_it == memo.mats.end()) continue;
     EnsureFiltered(memo, q, alias);
-    Intermediate joined =
-        JoinWithBase(memo, q, rest_it->second, alias,
-                     memo.filtered[static_cast<size_t>(alias)]->rows);
-    if (joined.rows < 0) return {0, true};
-    count_written(joined);
-    return keep(std::move(joined));
+    return keep_joined(Join(
+        memo, q, rest_it->second,
+        JoinSide::Base(alias,
+                       memo.filtered[static_cast<size_t>(alias)]->rows)));
+  }
+
+  // Next: join two held intermediates that split `mask`, as a bushy plan
+  // node's children are. Of the held splits, the one storing the fewest
+  // rows together, ties to the lower L: found by scanning what is held, not
+  // every submask, and independent of the map's order. The side storing
+  // fewer rows is the build side, ties to the higher mask. Exact like an
+  // extension, and bounded by the two sides and the subset's result.
+  const Intermediate* split_left = nullptr;
+  const Intermediate* split_right = nullptr;
+  int64_t split_rows = 0;
+  for (const auto& [left_mask, left] : memo.mats) {
+    const AliasMask right_mask = mask & ~left_mask;
+    // Each split once, as (lower mask, higher mask).
+    if ((left_mask & ~mask) != 0 || right_mask <= left_mask) continue;
+    auto right_it = memo.mats.find(right_mask);
+    if (right_it == memo.mats.end()) continue;
+    const int64_t rows = left.stored_rows() + right_it->second.stored_rows();
+    if (split_left == nullptr || rows < split_rows ||
+        (rows == split_rows && left_mask < split_left->mask)) {
+      split_left = &left;
+      split_right = &right_it->second;
+      split_rows = rows;
+    }
+  }
+  if (split_left != nullptr) {
+    if (split_left->stored_rows() < split_right->stored_rows()) {
+      std::swap(split_left, split_right);
+    }
+    obs::Count(obs::Counter::kOracleHeldJoins);
+    return keep_joined(
+        Join(memo, q, *split_left, JoinSide::Held(*split_right)));
   }
 
   // Fresh evaluation: semi-join-reduce every member relation, then join
@@ -419,6 +477,7 @@ Oracle::CardResult Oracle::Materialize(QueryMemo& memo, const Query& q,
       EnsureFiltered(memo, q, alias);
     }
   } else {
+    obs::Count(obs::Counter::kOracleFreshEvaluations);
     reduced = SemiJoinReduce(memo, q, mask);
   }
   auto reduced_rows = [&](AliasId a) -> const std::vector<storage::RowId>& {
@@ -454,7 +513,7 @@ Oracle::CardResult Oracle::Materialize(QueryMemo& memo, const Query& q,
     }
     LQOLAB_CHECK_GE(next, 0);
     Intermediate joined =
-        JoinWithBase(memo, q, current, next, reduced_rows(next));
+        Join(memo, q, current, JoinSide::Base(next, reduced_rows(next)));
     if (joined.rows < 0) return {0, true};
     count_written(joined);
     current = std::move(joined);
@@ -563,42 +622,57 @@ std::vector<std::vector<storage::RowId>> Oracle::SemiJoinReduce(
   return reduced;
 }
 
-/// Probes the shared index when the base is a whole table, else a grouped
-/// JoinHashTable over the base rows (one flat payload array instead of a
-/// vector per key; cached or freshly built), whose key set the probe
+/// Probes the shared index when the right side is a whole table, else a
+/// grouped JoinHashTable over its rows (one flat payload array instead of
+/// a vector per key; a base's cached or freshly built table, or one built
+/// over a held intermediate's row indices), whose key set the probe
 /// stream's BloomSchedule may publish as a Bloom filter; the left
 /// intermediate is probed in kBatchRows strides, gathering probe keys into
 /// an L1-resident staging buffer. Match set, probe order and so the
 /// transfer schedule are the reference's (fuzz::ScalarOracle) over the
 /// weighted rows: probes run in left-row order and each group replays the
-/// base rows in insertion order.
+/// right rows in insertion order.
 ///
-/// The result keeps the frontier of left.mask | alias (Frontier). A base
-/// row outside it adds its match count to the left row's weight instead of
-/// a row; with no frontier at all the result is one running count. Rows
-/// are merged only when a left column leaves the frontier, since distinct
-/// left tuples otherwise stay distinct, and only when the kept columns do
-/// not determine it through primary keys (KeyDetermined): into a
-/// direct-addressed array by row id when one column is kept, else into
-/// open-addressing slots. Weights are stored from the first row that
-/// weighs more than 1. The caps are checked on what is stored — rows, and
-/// cells counting a weight as two — as it grows; weights are summed and
-/// multiplied with overflow checks, and the base rows walked per matching
-/// group count against cost::kMaxVisitedPairs.
-Oracle::Intermediate Oracle::JoinWithBase(QueryMemo& memo, const Query& q,
-                                          const Intermediate& left,
-                                          AliasId alias,
-                                          const std::vector<RowId>& base_rows) {
-  const std::vector<EdgeProbe> edges = ProbeEdges(q, left, alias);
+/// The result keeps the frontier of left.mask | right.mask() (Frontier),
+/// and a row weighs the product of its left and right rows' weights. When
+/// no right column stays on the frontier, a left row's matches are summed
+/// into its weight instead of rows; with no frontier at all the result is
+/// one running count. Rows are merged only when a column leaves the
+/// frontier, since distinct tuples otherwise stay distinct, and only when
+/// the kept columns do not determine it through primary keys
+/// (KeyDetermined): into a direct-addressed array by row id when one column
+/// is kept, else into open-addressing slots. Weights are stored from the
+/// first row that weighs more than 1. The caps are checked on what is
+/// stored — rows, and cells counting a weight as two — as it grows;
+/// weights are summed and multiplied with overflow checks, and the right
+/// rows walked per matching group count against cost::kMaxVisitedPairs.
+Oracle::Intermediate Oracle::Join(QueryMemo& memo, const Query& q,
+                                  const Intermediate& left,
+                                  const JoinSide& right) {
+  const std::vector<EdgeProbe> edges = ProbeEdges(q, left, right);
   const std::span<const EdgeProbe> residual(edges.begin() + 1, edges.end());
+  const Intermediate* held = right.held;
   const BaseProbe base =
-      PrepareBase(memo, q, alias, edges[0].right_column, base_rows);
+      held != nullptr ? PrepareHeld(*held, edges[0])
+                      : PrepareBase(memo, q, right.alias,
+                                    edges[0].right_column, *right.rows);
   const int32_t width = static_cast<int32_t>(left.aliases.size());
   const int32_t hash_pos = edges[0].left_pos;
   const Value* hash_probe_col = edges[0].left_col;
   const int64_t left_rows = left.stored_rows();
   const int64_t* left_weights =
       left.weights.empty() ? nullptr : left.weights.data();
+  // A base's group lists its row ids, each its own one-column tuple; a held
+  // side's lists row indices into its tuples.
+  const size_t right_width = held != nullptr ? held->aliases.size() : 1;
+  const int64_t* right_weights =
+      held != nullptr && !held->weights.empty() ? held->weights.data()
+                                                : nullptr;
+  auto right_tuple = [&](const RowId* entry) {
+    return held != nullptr
+               ? held->data.data() + static_cast<size_t>(*entry) * right_width
+               : entry;
+  };
 
   // An index probe runs without predicate transfer: the Bloom filter is
   // filled from the probed table's keys, and as a pure pre-test its absence
@@ -608,26 +682,35 @@ Oracle::Intermediate Oracle::JoinWithBase(QueryMemo& memo, const Query& q,
   const BloomFilter* bloom = nullptr;
 
   Intermediate out;
-  out.mask = left.mask | query::MaskOf(alias);
+  const AliasMask right_mask = right.mask();
+  out.mask = left.mask | right_mask;
   const AliasMask frontier = Frontier(q, out.mask);
-  // Each kept column's source column in the left tuple; the base row's
-  // column (base_col) is overwritten after the copy.
+  // Each kept column's side (0: left tuple, 1: right tuple) and column
+  // within that side's tuple.
+  uint8_t side[32];
   int32_t source[32];
-  int32_t base_col = -1;
   for (AliasMask bits = frontier; bits != 0; bits &= bits - 1) {
     const AliasId a = static_cast<AliasId>(std::countr_zero(bits));
     const int32_t c = static_cast<int32_t>(out.aliases.size());
-    if (a == alias) base_col = c;
-    source[c] = a == alias ? 0 : left.PositionOf(a);
+    const bool from_right = (right_mask & query::MaskOf(a)) != 0;
+    side[c] = from_right ? 1 : 0;
+    source[c] = !from_right      ? left.PositionOf(a)
+                : held != nullptr ? held->PositionOf(a)
+                                  : 0;
     out.aliases.push_back(a);
   }
   const int32_t out_width = static_cast<int32_t>(out.aliases.size());
-  const bool keep_base = (frontier & query::MaskOf(alias)) != 0;
-  AliasMask left_kept = 0;
-  for (AliasId a : left.aliases) left_kept |= query::MaskOf(a);
+  const bool keep_right = (frontier & right_mask) != 0;
+  // The stored columns a distinct output row could lose. A right side none
+  // of whose columns stays is summed per left row, so it loses none.
+  AliasMask droppable = 0;
+  for (AliasId a : left.aliases) droppable |= query::MaskOf(a);
+  if (keep_right && held != nullptr) {
+    for (AliasId a : held->aliases) droppable |= query::MaskOf(a);
+  }
   const bool merge =
       out_width > 0 &&
-      (left_kept & ~KeyDetermined(q, out.mask, frontier)) != 0;
+      (droppable & ~KeyDetermined(q, out.mask, frontier)) != 0;
   // Most rows the result may store: kMaxIntermediateRows, and fewer than
   // kMaxIntermediateCells cells at out_width per row, two more once weights
   // are stored (unused without kept columns).
@@ -638,7 +721,7 @@ Oracle::Intermediate Oracle::JoinWithBase(QueryMemo& memo, const Query& q,
                     (cost::kMaxIntermediateCells - 1) / cells_per_row);
   };
   int64_t row_cap = stored_cap(false);
-  int64_t visited = 0;  // base rows walked in matching groups
+  int64_t visited = 0;  // right rows walked in matching groups
 
   int32_t* by_row = nullptr;  // one kept column: output row per row id
   int32_t slot_mask = 0;      // several: merge_slots_.size() - 1
@@ -681,11 +764,11 @@ Oracle::Intermediate Oracle::JoinWithBase(QueryMemo& memo, const Query& q,
     }
   };
 
-  // Adds `weight` result rows whose kept tuple is the left `tuple`'s and
-  // `base_row`'s kept columns; false once the weight sum passes INT64_MAX
-  // or what is stored passes a cap. The candidate row is staged and kept
-  // only when it is new.
-  auto emit = [&](const RowId* tuple, RowId base_row,
+  // Adds `weight` result rows whose kept tuple is the kept columns of the
+  // left `tuple` and the right `rtuple` (unread when no right column is
+  // kept); false once the weight sum passes INT64_MAX or what is stored
+  // passes a cap. The candidate row is staged and kept only when it is new.
+  auto emit = [&](const RowId* tuple, const RowId* rtuple,
                   int64_t weight) __attribute__((always_inline)) {
     if (__builtin_add_overflow(out.rows, weight, &out.rows)) return false;
     if (out_width == 0) return true;
@@ -695,8 +778,8 @@ Oracle::Intermediate Oracle::JoinWithBase(QueryMemo& memo, const Query& q,
       flush_used = 0;
     }
     RowId* row = flush + flush_used;  // out_width ≤ 32 aliases
-    for (int32_t c = 0; c < out_width; ++c) row[c] = tuple[source[c]];
-    if (base_col >= 0) row[base_col] = base_row;
+    const RowId* sides[2] = {tuple, rtuple};
+    for (int32_t c = 0; c < out_width; ++c) row[c] = sides[side[c]][source[c]];
     if (merge) {
       int32_t* slot = by_row != nullptr ? &by_row[row[0]] : slot_of(row);
       if (*slot >= 0) {
@@ -773,20 +856,29 @@ Oracle::Intermediate Oracle::JoinWithBase(QueryMemo& memo, const Query& q,
       const RowId* tuple = batch_tuples + i * width;
       const int64_t weight =
           left_weights != nullptr ? left_weights[batch + i] : 1;
-      if (!keep_base) {
+      if (!keep_right) {
+        // The matching right rows' weight sum: the group's size unless a
+        // residual edge or a right weight has to be read per row.
         int64_t matches = group.count;
-        if (!residual.empty()) {
+        if (!residual.empty() || right_weights != nullptr) {
           visited += group.count;
           if (visited > cost::kMaxVisitedPairs) return finish(true);
           matches = 0;
           for (int32_t g = 0; g < group.count; ++g) {
-            matches += AllMatch(residual, tuple, group.rows[g]) ? 1 : 0;
+            if (!AllMatch(residual, tuple, right_tuple(group.rows + g))) {
+              continue;
+            }
+            const int64_t w =
+                right_weights != nullptr ? right_weights[group.rows[g]] : 1;
+            if (__builtin_add_overflow(matches, w, &matches)) {
+              return finish(true);
+            }
           }
           if (matches == 0) continue;
         }
         int64_t rows = 0;
         if (__builtin_mul_overflow(weight, matches, &rows) ||
-            !emit(tuple, 0, rows)) {
+            !emit(tuple, nullptr, rows)) {
           return finish(true);
         }
         continue;
@@ -794,9 +886,15 @@ Oracle::Intermediate Oracle::JoinWithBase(QueryMemo& memo, const Query& q,
       visited += group.count;
       if (visited > cost::kMaxVisitedPairs) return finish(true);
       for (int32_t g = 0; g < group.count; ++g) {
-        const RowId base_row = group.rows[g];
-        if (!AllMatch(residual, tuple, base_row)) continue;
-        if (!emit(tuple, base_row, weight)) return finish(true);
+        const RowId* rtuple = right_tuple(group.rows + g);
+        if (!AllMatch(residual, tuple, rtuple)) continue;
+        int64_t rows = weight;
+        if (right_weights != nullptr &&
+            __builtin_mul_overflow(weight, right_weights[group.rows[g]],
+                                   &rows)) {
+          return finish(true);
+        }
+        if (!emit(tuple, rtuple, rows)) return finish(true);
       }
     }
   }

@@ -33,11 +33,19 @@ uint64_t QueryFingerprint(const query::Query& q);
 /// tuple with its multiplicity as a weight, and its row count is the weight
 /// sum. A subset with no frontier (every plan's root) is one running count.
 /// The caps are decided on what a join stores and does, not on its logical
-/// rows (JoinWithBase): a subset overflows, and its plans time out, only
+/// rows (Join): a subset overflows, and its plans time out, only
 /// when its stored rows or cells pass cost::kMaxIntermediateRows or
 /// cost::kMaxIntermediateCells, its count passes INT64_MAX, or one join
-/// visits more than cost::kMaxVisitedPairs base rows. There is no second
-/// counting path: every answer comes from materializing the subset.
+/// visits more than cost::kMaxVisitedPairs right-side rows. There is no
+/// second counting path: every answer comes from materializing the subset.
+///
+/// A subset is built from what is held when it can be (docs/execution.md,
+/// "Joins of held intermediates"): a held subset one alias smaller extended
+/// by that alias's base rows, else two held intermediates that split it,
+/// joined to each other. A plan asks for both children of a node before
+/// the node, so its requests find such a split unless the children were
+/// released or evicted in between. Only requests without one — also a full
+/// mask asked for first — are evaluated fresh, by semi-join reduction.
 ///
 /// Filtered bases are shared per replica instead (docs/execution.md,
 /// "Shared filtered bases"): one cache keyed by (table, canonical bound
@@ -60,14 +68,15 @@ uint64_t QueryFingerprint(const query::Query& q);
 /// The hot path runs the batch-at-a-time kernels of exec/kernels.h, whose
 /// semi-join refine and join probe loop run under the lazy Bloom
 /// predicate-transfer schedule (kernels::BloomSchedule). Three protected
-/// virtual methods — Filter, SemiJoinReduce and JoinWithBase — are the only
-/// test seam: fuzz::ScalarOracle overrides them with the original
-/// tuple-at-a-time reference, which keeps every alias of a subset at weight
-/// 1, never merges and keeps its caps on logical rows, and keeps this
-/// class's memo, base cache and eviction. Filtered and single-predicate row
-/// lists are byte-identical between the two; joins agree by count wherever
-/// the reference does not overflow (tests/test_kernels.cc,
-/// tests/test_answers.cc, fuzz::DifferentialOracle).
+/// virtual methods — Filter, SemiJoinReduce and Join, whose right side is
+/// a base row list or a held intermediate — are the only test seam:
+/// fuzz::ScalarOracle overrides them with the original tuple-at-a-time
+/// reference, which keeps every alias of a subset at weight 1, never merges
+/// and keeps its caps on logical rows, and keeps this class's memo, base
+/// cache, eviction and choice of what to join. Filtered and
+/// single-predicate row lists are byte-identical between the two; joins
+/// agree by count wherever the reference does not overflow
+/// (tests/test_kernels.cc, tests/test_answers.cc, fuzz::DifferentialOracle).
 ///
 /// When the base of a join is a whole table (no predicate, nothing reduced
 /// away) and its join column is indexed, the oracle probes the shared,
@@ -95,7 +104,7 @@ class Oracle {
 
   /// Result of a cardinality request. `overflow` marks subsets whose
   /// materialization passed a cap (stored rows or cells, a count past
-  /// INT64_MAX, or visited pairs; see JoinWithBase); the executor treats
+  /// INT64_MAX, or visited pairs; see Join); the executor treats
   /// such plans as timed out.
   struct CardResult {
     int64_t rows = 0;
@@ -199,23 +208,45 @@ class Oracle {
     std::unordered_map<query::AliasMask, Intermediate> mats;
   };
 
-  /// One equality joining a left tuple to a base row: the left alias's
-  /// column within the tuple, the base's join column, and the raw value
-  /// arrays of both.
+  /// The right side of a join, the one its hash table is built over: the
+  /// base rows of one alias, or a held intermediate.
+  struct JoinSide {
+    const Intermediate* held = nullptr;  // non-null: join this intermediate
+    query::AliasId alias = -1;           // else: `rows` of `alias`
+    const std::vector<storage::RowId>* rows = nullptr;
+
+    static JoinSide Base(query::AliasId alias,
+                         const std::vector<storage::RowId>& rows) {
+      return {nullptr, alias, &rows};
+    }
+    static JoinSide Held(const Intermediate& mat) {
+      return {&mat, -1, nullptr};
+    }
+    query::AliasMask mask() const {
+      return held != nullptr ? held->mask : query::MaskOf(alias);
+    }
+  };
+
+  /// One equality joining a left tuple to a right one: each side's column
+  /// within its tuple (a base row is a one-column tuple of itself), the
+  /// right alias's join column, and the raw value arrays of both.
   struct EdgeProbe {
     int32_t left_pos;
+    int32_t right_pos;
     catalog::ColumnId right_column;
     const storage::Value* left_col;
     const storage::Value* right_col;
   };
 
-  /// Whether every equality in `probes` holds between `tuple` and
-  /// `base_row` (NULL matches nothing).
+  /// Whether every equality in `probes` holds between the tuples `left`
+  /// and `right` (NULL matches nothing).
   static bool AllMatch(std::span<const EdgeProbe> probes,
-                       const storage::RowId* tuple, storage::RowId base_row) {
+                       const storage::RowId* left,
+                       const storage::RowId* right) {
     for (const EdgeProbe& probe : probes) {
-      const storage::Value lv = probe.left_col[tuple[probe.left_pos]];
-      if (lv == storage::kNullValue || lv != probe.right_col[base_row]) {
+      const storage::Value lv = probe.left_col[left[probe.left_pos]];
+      if (lv == storage::kNullValue ||
+          lv != probe.right_col[right[probe.right_pos]]) {
         return false;
       }
     }
@@ -230,12 +261,11 @@ class Oracle {
   static std::vector<query::JoinEdge> EdgesWithin(const query::Query& q,
                                                   query::AliasMask mask);
 
-  /// The edges joining `left` to the base rows of `alias` (at least one):
-  /// the first is hashed, the rest are residual equalities checked per
-  /// matching pair.
+  /// The edges joining `left` to `right` (at least one): the first is
+  /// hashed, the rest are residual equalities checked per matching pair.
   std::vector<EdgeProbe> ProbeEdges(const query::Query& q,
                                     const Intermediate& left,
-                                    query::AliasId alias) const;
+                                    const JoinSide& right) const;
 
   void EnsureFiltered(QueryMemo& memo, const query::Query& q,
                       query::AliasId alias);
@@ -251,16 +281,15 @@ class Oracle {
   virtual std::vector<std::vector<storage::RowId>> SemiJoinReduce(
       QueryMemo& memo, const query::Query& q, query::AliasMask mask);
 
-  /// Joins `left` with base rows of `alias` over every edge between them,
-  /// into the intermediate over `left.mask | alias`. Returns overflow via
-  /// `result.rows < 0` once the result's stored rows pass
-  /// cost::kMaxIntermediateRows, its stored cells (data.size() +
-  /// 2 × weights.size()) reach cost::kMaxIntermediateCells, its weight sum
-  /// would pass INT64_MAX, or the base rows it visits pass
-  /// cost::kMaxVisitedPairs.
-  virtual Intermediate JoinWithBase(
-      QueryMemo& memo, const query::Query& q, const Intermediate& left,
-      query::AliasId alias, const std::vector<storage::RowId>& base_rows);
+  /// Joins `left` with `right` over every edge between them, into the
+  /// intermediate over `left.mask | right.mask()`; a row's weight is the
+  /// product of its two sides'. Returns overflow via `result.rows < 0` once
+  /// the result's stored rows pass cost::kMaxIntermediateRows, its stored
+  /// cells (data.size() + 2 × weights.size()) reach
+  /// cost::kMaxIntermediateCells, its weight sum or a product would pass
+  /// INT64_MAX, or the right rows it visits pass cost::kMaxVisitedPairs.
+  virtual Intermediate Join(QueryMemo& memo, const query::Query& q,
+                            const Intermediate& left, const JoinSide& right);
 
  private:
   /// The base cache entry for `table` under the conjunction `preds`,
@@ -269,16 +298,20 @@ class Oracle {
                      const query::BoundPredicate* preds, size_t pred_count);
 
   /// Materializes the subset and returns its count (or overflow), keeping
-  /// the intermediate unless it is larger than the whole budget. Prefers
-  /// extending a cached submask materialization by one relation (exact and
-  /// blowup-free); otherwise evaluates the subset from scratch with
-  /// Yannakakis-style semi-join reduction, which bounds intermediates by
-  /// (roughly) the subset's own result size even for adversarial shapes.
+  /// the intermediate unless it is larger than the whole budget. Builds on
+  /// what is held, in this order: a held `mask` minus one alias extended by
+  /// that alias's base rows (aliases in ascending order); else the held
+  /// split (L, R = mask ∖ L) storing the fewest rows together, ties to the
+  /// lower L, joined with the hash table built over the side storing fewer
+  /// rows. Both are exact and bounded by the two sides and the subset's own
+  /// result. A cap tripped there is the subset's overflow; nothing is
+  /// retried. Without a held split the subset is evaluated from scratch
+  /// with Yannakakis-style semi-join reduction, which bounds intermediates
+  /// by (roughly) the subset's own result size even for adversarial shapes.
   CardResult Materialize(QueryMemo& memo, const query::Query& q,
                          query::AliasMask mask);
 
-  /// Build side of a join with the base rows of `alias` on `column`
-  /// (defined in oracle.cc).
+  /// Build side of a join on one column (defined in oracle.cc).
   struct BaseProbe;
   /// Probes the shared storage::Index on (alias's table, `column`) when
   /// `base_rows` is the whole table and the column is indexed — no build.
@@ -289,6 +322,10 @@ class Oracle {
   BaseProbe PrepareBase(QueryMemo& memo, const query::Query& q,
                         query::AliasId alias, catalog::ColumnId column,
                         const std::vector<storage::RowId>& base_rows);
+  /// Rebuilds join_table_ over the stored rows of `held`, keyed by the
+  /// right side of `edge` gathered through each row's tuple; its groups
+  /// list row indices.
+  BaseProbe PrepareHeld(const Intermediate& held, const EdgeProbe& edge);
 
   void TrackBytes(int64_t delta);
   /// Evicts when over budget: every cached build table first, then
@@ -317,8 +354,11 @@ class Oracle {
   // queries, as join_table_'s is across builds.
   std::vector<kernels::ValueSet> semi_set_pool_;
   kernels::JoinHashTable join_table_;
+  // PrepareHeld's build input: the gathered keys, and row indices 0, 1, ...
+  std::vector<storage::Value> held_keys_;
+  std::vector<storage::RowId> held_rows_;
   BloomFilter transfer_bloom_;
-  // JoinWithBase's merge scratch: a row id's output row, or -1, indexed by
+  // Join's merge scratch: a row id's output row, or -1, indexed by
   // row id when one column is kept (every entry is -1 between joins), and
   // open-addressing slots of output rows when several are.
   std::vector<int32_t> merge_by_row_;

@@ -19,23 +19,6 @@ using query::Query;
 using storage::RowId;
 using storage::Value;
 
-namespace {
-
-/// Base rows grouped by join key, each group in `rows` order.
-using RowGroups = std::unordered_map<Value, std::vector<RowId>>;
-
-RowGroups GroupRows(const Value* keys, const std::vector<RowId>& rows) {
-  RowGroups groups;
-  groups.reserve(rows.size());
-  for (RowId r : rows) {
-    const Value v = keys[r];
-    if (v != storage::kNullValue) groups[v].push_back(r);
-  }
-  return groups;
-}
-
-}  // namespace
-
 void ScalarOracle::Filter(catalog::TableId table_id,
                           const query::BoundPredicate* preds,
                           size_t pred_count, std::vector<RowId>* rows) {
@@ -111,25 +94,50 @@ std::vector<std::vector<RowId>> ScalarOracle::SemiJoinReduce(
   return reduced;
 }
 
-/// Hashes every base, whole tables included, into a map of row vectors and
-/// probes it one left tuple at a time, appending matches cell by cell.
-ScalarOracle::Intermediate ScalarOracle::JoinWithBase(
-    QueryMemo& /*memo*/, const Query& q, const Intermediate& left,
-    AliasId alias, const std::vector<RowId>& base_rows) {
-  const std::vector<EdgeProbe> edges = ProbeEdges(q, left, alias);
+/// Hashes every right side — a base, whole tables included, or a held
+/// intermediate's full tuples — into a map of row vectors and probes it one
+/// left tuple at a time, appending matches cell by cell.
+ScalarOracle::Intermediate ScalarOracle::Join(QueryMemo& /*memo*/,
+                                              const Query& q,
+                                              const Intermediate& left,
+                                              const JoinSide& right) {
+  const std::vector<EdgeProbe> edges = ProbeEdges(q, left, right);
   const std::span<const EdgeProbe> residual(edges.begin() + 1, edges.end());
+  // Right tuples: a base row is the one-column tuple of itself.
+  const RowId* right_data =
+      right.held != nullptr ? right.held->data.data() : right.rows->data();
+  const size_t right_width =
+      right.held != nullptr ? right.held->aliases.size() : 1;
+  const int64_t right_rows = right.held != nullptr
+                                 ? right.held->rows
+                                 : static_cast<int64_t>(right.rows->size());
+  auto right_tuple = [&](int64_t r) {
+    return right_data + static_cast<size_t>(r) * right_width;
+  };
   obs::Count(obs::Counter::kOracleHashBuilds);
-  const RowGroups hash = GroupRows(edges[0].right_col, base_rows);
+  std::unordered_map<Value, std::vector<int64_t>> hash;
+  for (int64_t r = 0; r < right_rows; ++r) {
+    const Value v = edges[0].right_col[right_tuple(r)[edges[0].right_pos]];
+    if (v != storage::kNullValue) hash[v].push_back(r);
+  }
 
-  // New layout: aliases sorted ascending with `alias` inserted.
+  // New layout: every alias of both sides, ascending.
   const int32_t width = static_cast<int32_t>(left.aliases.size());
   Intermediate out;
-  out.mask = left.mask | query::MaskOf(alias);
-  out.aliases = left.aliases;
-  out.aliases.insert(
-      std::upper_bound(out.aliases.begin(), out.aliases.end(), alias), alias);
-  const int32_t out_width = width + 1;
-  const int32_t insert_pos = out.PositionOf(alias);
+  out.mask = left.mask | right.mask();
+  // Each output column's side and column within that side's tuple.
+  std::vector<int32_t> positions;
+  std::vector<bool> from_right;
+  for (AliasMask bits = out.mask; bits != 0; bits &= bits - 1) {
+    const AliasId a = static_cast<AliasId>(std::countr_zero(bits));
+    const bool r = (right.mask() & query::MaskOf(a)) != 0;
+    out.aliases.push_back(a);
+    from_right.push_back(r);
+    positions.push_back(!r                     ? left.PositionOf(a)
+                        : right.held != nullptr ? right.held->PositionOf(a)
+                                                : 0);
+  }
+  const int32_t out_width = static_cast<int32_t>(out.aliases.size());
 
   for (int64_t row = 0; row < left.rows; ++row) {
     const RowId* tuple = left.data.data() + row * width;
@@ -137,8 +145,9 @@ ScalarOracle::Intermediate ScalarOracle::JoinWithBase(
     if (probe_value == storage::kNullValue) continue;
     auto it = hash.find(probe_value);
     if (it == hash.end()) continue;
-    for (RowId base_row : it->second) {
-      if (!AllMatch(residual, tuple, base_row)) continue;
+    for (int64_t r : it->second) {
+      const RowId* rtuple = right_tuple(r);
+      if (!AllMatch(residual, tuple, rtuple)) continue;
       if (out.rows >= cost::kMaxIntermediateRows ||
           out.rows * out_width >= cost::kMaxIntermediateCells) {
         out.rows = -1;  // overflow
@@ -147,13 +156,9 @@ ScalarOracle::Intermediate ScalarOracle::JoinWithBase(
         return out;
       }
       for (int32_t i = 0; i < out_width; ++i) {
-        if (i < insert_pos) {
-          out.data.push_back(tuple[i]);
-        } else if (i == insert_pos) {
-          out.data.push_back(base_row);
-        } else {
-          out.data.push_back(tuple[i - 1]);
-        }
+        out.data.push_back(from_right[static_cast<size_t>(i)]
+                               ? rtuple[positions[static_cast<size_t>(i)]]
+                               : tuple[positions[static_cast<size_t>(i)]]);
       }
       ++out.rows;
     }

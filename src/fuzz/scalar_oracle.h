@@ -12,14 +12,16 @@ namespace lqolab::fuzz {
 /// overrides the oracle's three seam methods with the original code: a
 /// row-at-a-time predicate loop (Filter), std::unordered_set semi-join
 /// reduction rebuilt on every pass (SemiJoinReduce), and std::unordered_map
-/// hash joins over every base, whole tables included (JoinWithBase). Its
-/// joins write every result tuple in full — every alias of the subset, each
-/// row at weight 1, never merged — and trip the caps row by row on those
+/// hash joins (Join) whose right side is hashed as full tuples, whether it
+/// is a base — whole tables included — or a held intermediate. Its joins
+/// write every result tuple in full — every alias of the subset, each row
+/// at weight 1, never merged — and trip the caps row by row on those
 /// logical rows, as the original did. The product's caps are decided on the
 /// weighted frontier rows it stores instead, so it counts subsets the
 /// reference overflows on; wherever the reference counts, the two must
-/// agree. Everything else — the memo, the replica-wide base cache, the
-/// caps' thresholds and the eviction policy — is the product oracle's, so
+/// agree. Everything else — the memo, the replica-wide base cache, which
+/// held intermediates a subset is joined from, the caps' thresholds and
+/// the eviction policy — is the product oracle's, so
 /// the two must also agree on every filtered row set. Tests and
 /// fuzz::DifferentialOracle build one over a database's context and compare
 /// it with the database's own oracle; the other reference,
@@ -39,10 +41,8 @@ class ScalarOracle final : public exec::Oracle {
               size_t pred_count, std::vector<storage::RowId>* rows) override;
   std::vector<std::vector<storage::RowId>> SemiJoinReduce(
       QueryMemo& memo, const query::Query& q, query::AliasMask mask) override;
-  Intermediate JoinWithBase(QueryMemo& memo, const query::Query& q,
-                            const Intermediate& left, query::AliasId alias,
-                            const std::vector<storage::RowId>& base_rows)
-      override;
+  Intermediate Join(QueryMemo& memo, const query::Query& q,
+                    const Intermediate& left, const JoinSide& right) override;
 };
 
 }  // namespace lqolab::fuzz

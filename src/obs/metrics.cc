@@ -34,6 +34,8 @@ constexpr CounterInfo kCounterInfo[] = {
     {"oracle_bloom_builds", "exec"},
     {"oracle_intermediate_rows", "exec"},
     {"oracle_intermediate_cells", "exec"},
+    {"oracle_held_joins", "exec"},
+    {"oracle_fresh_evaluations", "exec"},
     {"exec_replans", "exec"},
     {"exec_replan_no_change", "exec"},
     {"exec_replan_capped", "exec"},

@@ -24,14 +24,18 @@ enum class Counter : int32_t {
   kExecCancelled,           ///< Executions aborted by a QueryDeadline cancel.
   kOracleCardinalityCalls,  ///< True-cardinality requests to exec::Oracle.
   kOracleIndexJoins,        ///< Whole-table joins probed via a shared index.
-  kOracleHashBuilds,        ///< Join build tables built over base rows,
-                            ///< offset-table or open-addressing alike.
+  kOracleHashBuilds,        ///< Join build tables built over base rows or
+                            ///< a held intermediate, offset-table or
+                            ///< open-addressing alike.
   kOracleBaseReuses,        ///< Filtered bases served by the base cache.
   kOracleBuildReuses,       ///< Joins probing a cached build table.
   kOracleBloomBuilds,       ///< Predicate-transfer Bloom filters built.
   kOracleIntermediateRows,  ///< Rows the oracle's joins write: one per
                             ///< distinct kept (frontier) tuple.
   kOracleIntermediateCells,  ///< Row-id cells of those rows.
+  kOracleHeldJoins,         ///< Subsets joined from two held intermediates.
+  kOracleFreshEvaluations,  ///< Subsets of 3+ aliases evaluated fresh
+                            ///< (semi-join reduced): no held split.
   kExecReplans,             ///< Mid-query cancel-and-replan rounds taken.
   kExecReplanNoChange,      ///< Replans whose new plan equalled the old one.
   kExecReplanCapped,        ///< Final attempts forced straight-through by

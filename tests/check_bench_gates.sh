@@ -50,9 +50,18 @@
 #     tpch_cold arm (one cold ExecutePlan of every TPC-H-lite query on a
 #     fresh replica of TPC-H-lite 4x, min of 5) returns exactly its
 #     pinned result rows, virtual execution_ns, oracle hash/Bloom
-#     build counts and the rows and row-id cells the oracle's joins
-#     write in <= 350 ms, and so does the job_cold arm (the same for
-#     JOB-lite on IMDB medium) in <= 250 ms. Intermediates that copied
+#     build counts, the rows and row-id cells the oracle's joins
+#     write, and the subsets joined from two held intermediates and
+#     evaluated fresh in <= 200 ms, and so does the job_cold arm (the
+#     same for JOB-lite on IMDB medium) in <= 250 ms. Plan execution
+#     asks for a node's children before the node, so every bushy node
+#     is a held join and no request is evaluated fresh: both arms pin
+#     0 fresh evaluations (8 and 2 held joins), and a change that
+#     switched the held-join path off would read 8 and 2 fresh ones.
+#     Joining the held children took tpch_cold from 214.5-226.5 ms
+#     (semi-join-reducing every base again, four runs) to 128.6-141.0
+#     ms in five; the bound leaves 1.4x the slowest for host load, and
+#     the fresh path fails it. Intermediates that copied
 #     every row id of every result tuple took 164.7-172.1 ms there in
 #     three runs (4332378 rows in 29545763 cells written), weighted
 #     frontier tuples 110.4-115.9 ms in three (1984469 rows in 2501809
@@ -378,12 +387,14 @@ else
   # seed-42 data and plans: a different count means the oracle joined,
   # built or filtered differently, not that it got slower.
   # The intermediate rows and cells are what the oracle's joins write:
-  # one row per distinct frontier tuple, one cell per kept row id.
+  # one row per distinct frontier tuple, one cell per kept row id. The
+  # last two counts are the subsets joined from two held intermediates
+  # and the subsets of 3+ aliases evaluated fresh.
   cold_arm() {
     line=$(grep "\"$1\":" "$engine")
-    got="$(field queries) $(field result_rows) $(field execution_ns) $(field hash_builds) $(field bloom_builds) $(field intermediate_rows) $(field intermediate_cells)"
+    got="$(field queries) $(field result_rows) $(field execution_ns) $(field hash_builds) $(field bloom_builds) $(field intermediate_rows) $(field intermediate_cells) $(field held_joins) $(field fresh_evaluations)"
     if [ "$got" != "$2" ]; then
-      echo "FAIL: $1 queries/result rows/execution_ns/hash builds/bloom builds/intermediate rows/cells '$got' != '$2' in $engine"
+      echo "FAIL: $1 queries/result rows/execution_ns/hash builds/bloom builds/intermediate rows/cells/held joins/fresh evaluations '$got' != '$2' in $engine"
       fail=1
     fi
     ms=$(field ms)
@@ -392,12 +403,18 @@ else
       fail=1
     fi
   }
-  cold_arm tpch_cold "32 204722 17957385937 70 19 1007484 1373441" 350
+  # TPC-H-lite's 8 bushy nodes were fresh evaluations: each reduced its
+  # bases (lineitem's refine built most of the 19 Bloom filters) and
+  # built a table per join (70 hash builds), writing each join's rows
+  # (1007484 in 1373441 cells). Joined from the held children, each
+  # builds one table over the smaller child and writes only its result.
+  cold_arm tpch_cold "32 204722 17957385937 46 6 964272 1330229 8 0" 200
   # JOB-lite's Bloom builds read 24 when every result tuple was probed in
   # full; the weighted rows probe each distinct frontier tuple once, and
   # the lazy transfer schedules, which sample a join's first probes, fire
-  # three times fewer.
-  cold_arm job_cold "113 563474 9073387773 167 21 1984469 2501809" 250
+  # three times fewer. Its 2 bushy nodes (167 hash and 21 Bloom builds,
+  # 1984469 rows in 2501809 cells while evaluated fresh) are held joins.
+  cold_arm job_cold "113 563474 9073387773 161 20 1954969 2452140 2 0" 250
   # GEQO under Bao's hint sets. The counts and the digest (plans, cost
   # bits, step counts) are fixed by the seed-42 medium IMDB: a different
   # one means the planner chose or costed differently, not that it got

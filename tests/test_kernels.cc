@@ -13,7 +13,10 @@
 // same; where it overflows, the product counts the closed form or
 // overflows. They pin each cap — stored rows, stored cells, visited pairs
 // and a count past INT64_MAX — and WeightedIntermediates pins the rows and
-// cells the product writes.
+// cells the product writes. The HeldJoin cases join subsets from two held
+// intermediates that split them: every split of every workload query
+// against a fresh evaluation and the reference, each cap on a held split,
+// and the choice of split independent of the order children were held in.
 // Whole-table bases, which the batched oracle answers from the shared index
 // instead of a hash build, get their own edge-case queries and counter
 // checks. Plus
@@ -25,6 +28,7 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <map>
@@ -812,6 +816,584 @@ TEST(WeightedIntermediates, JobLiteSubsetSweepWritesFrontierRows) {
   EXPECT_EQ(got.cells, 14906711);
   EXPECT_LT(got.rows, full.rows);
   EXPECT_LT(got.cells * 2, full.cells);
+}
+
+// ---------------------------------------------------------------------------
+// Joins of held intermediates: a subset that two held intermediates split
+// is joined from them (docs/execution.md, "Joins of held intermediates").
+// Each case holds the two children first, as a plan execution does, then
+// asks for the subset, and compares the answer with a fresh oracle's fresh
+// evaluation and with the reference's join of its own held children.
+// ---------------------------------------------------------------------------
+
+/// A held intermediate's layout, for comparisons.
+struct HeldRows {
+  std::vector<AliasId> aliases;
+  std::vector<RowId> data;
+  std::vector<int64_t> weights;
+  int64_t rows = 0;
+
+  int64_t stored() const {
+    return aliases.empty()
+               ? 0
+               : static_cast<int64_t>(data.size() / aliases.size());
+  }
+  bool operator==(const HeldRows&) const = default;
+
+  /// (kept tuple, weight) per stored row, sorted: equal for two
+  /// intermediates of one subset however their rows were ordered.
+  std::vector<std::pair<std::vector<RowId>, int64_t>> Canonical() const {
+    std::vector<std::pair<std::vector<RowId>, int64_t>> out;
+    const size_t width = aliases.size();
+    for (int64_t r = 0; r < stored(); ++r) {
+      const auto begin = data.begin() + static_cast<std::ptrdiff_t>(
+                                            static_cast<size_t>(r) * width);
+      out.emplace_back(
+          std::vector<RowId>(begin, begin + static_cast<std::ptrdiff_t>(width)),
+          weights.empty() ? 1 : weights[static_cast<size_t>(r)]);
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+};
+
+/// The product oracle, with what it holds readable.
+class InspectOracle final : public Oracle {
+ public:
+  using Oracle::Oracle;
+
+  /// The intermediate held for `mask`; empty when none is.
+  std::optional<HeldRows> Held(const Query& q, AliasMask mask) {
+    const QueryMemo& memo = Memo(q);
+    const auto it = memo.mats.find(mask);
+    if (it == memo.mats.end()) return std::nullopt;
+    const Intermediate& mat = it->second;
+    return HeldRows{mat.aliases, mat.data, mat.weights, mat.rows};
+  }
+};
+
+/// `q` under another id: a fresh memo in the same oracle (the base cache
+/// is shared, which changes no answer).
+Query Renamed(const Query& q, const std::string& suffix) {
+  Query copy = q;
+  copy.id += "#" + suffix;
+  return copy;
+}
+
+/// The aliases of `mask` with an edge leaving it.
+AliasMask FrontierOf(const Query& q, AliasMask mask) {
+  AliasMask frontier = 0;
+  for (AliasMask bits = mask; bits != 0; bits &= bits - 1) {
+    const AliasId a = static_cast<AliasId>(std::countr_zero(bits));
+    if ((q.AdjacencyMask(a) & ~mask) != 0) frontier |= query::MaskOf(a);
+  }
+  return frontier;
+}
+
+/// Every split of `mask` into two connected sides of two or more aliases,
+/// each once, as (lower mask, higher mask).
+std::vector<std::pair<AliasMask, AliasMask>> HeldSplits(const Query& q,
+                                                         AliasMask mask) {
+  std::vector<std::pair<AliasMask, AliasMask>> splits;
+  for (AliasMask l = (mask - 1) & mask; l != 0; l = (l - 1) & mask) {
+    const AliasMask r = mask & ~l;
+    if (l > r || std::popcount(l) < 2 || std::popcount(r) < 2) continue;
+    if (q.IsConnected(l) && q.IsConnected(r)) splits.emplace_back(l, r);
+  }
+  std::sort(splits.begin(), splits.end());
+  return splits;
+}
+
+/// The subsets a sweep splits: the full mask, and the full mask without
+/// each alias that leaves a connected subset (these keep frontier columns,
+/// so their rows are compared too); only those of four or more aliases
+/// have a split into two held intermediates.
+std::vector<AliasMask> SplitSubsets(const Query& q) {
+  std::vector<AliasMask> masks;
+  if (q.relation_count() < 4) return masks;
+  masks.push_back(q.FullMask());
+  for (AliasId a = 0; a < q.relation_count(); ++a) {
+    const AliasMask rest = q.FullMask() & ~query::MaskOf(a);
+    if (std::popcount(rest) >= 4 && q.IsConnected(rest)) masks.push_back(rest);
+  }
+  return masks;
+}
+
+/// What a held-join sweep went through.
+struct HeldJoinCoverage {
+  int64_t splits = 0;
+  int64_t weighted = 0;       // a side stores weights
+  int64_t residual = 0;       // two or more edges between the sides
+  int64_t null_keys = 0;      // a side stores a NULL join key
+  int64_t build_dropped = 0;  // no build column stays on the frontier
+  int64_t build_kept = 0;     // some build column stays
+  int64_t merged = 0;         // rows merged from two unweighted sides
+  int64_t rows_compared = 0;  // results compared row by row (frontier)
+};
+
+/// Whether `side` stores a NULL in the column of some edge between `side`
+/// and `other`.
+bool StoresNullKey(const EngineLab& lab, const Query& q, const HeldRows& side,
+                   AliasMask side_mask, AliasMask other_mask) {
+  for (const query::JoinEdge& edge : q.EdgesBetween(side_mask, other_mask)) {
+    const auto pos = std::find(side.aliases.begin(), side.aliases.end(),
+                               edge.left_alias) -
+                     side.aliases.begin();
+    const storage::Column& column =
+        lab.db->context()
+            .table(q.relations[static_cast<size_t>(edge.left_alias)].table)
+            .column(edge.left_column);
+    for (int64_t r = 0; r < side.stored(); ++r) {
+      const RowId row = side.data[static_cast<size_t>(r) * side.aliases.size() +
+                                  static_cast<size_t>(pos)];
+      if (column.at(row) == storage::kNullValue) return true;
+    }
+  }
+  return false;
+}
+
+/// Joins every held split of every SplitSubsets mask of `q`: the product's
+/// answer equals `fresh`'s fresh evaluation and, where the reference
+/// counts, the reference's join of its own held children; with a frontier,
+/// the product's rows equal the fresh evaluation's as (tuple, weight) sets.
+void CheckHeldSplits(EngineLab& lab, InspectOracle& product,
+                     InspectOracle& fresh, fuzz::ScalarOracle& reference,
+                     const Query& q, HeldJoinCoverage* coverage) {
+  for (const AliasMask mask : SplitSubsets(q)) {
+    const Query qf = Renamed(q, "fresh" + std::to_string(mask));
+    Oracle::CardResult want;
+    {
+      obs::MetricsRegistry metrics;
+      obs::MetricsScope scope(&metrics);
+      want = fresh.TrueJoinRows(qf, mask);
+      ASSERT_EQ(metrics.Get(obs::Counter::kOracleFreshEvaluations), 1)
+          << q.id << " mask " << mask;
+    }
+    for (const auto& [l, r] : HeldSplits(q, mask)) {
+      const Query qs = Renamed(q, std::to_string(mask) + "/" +
+                                      std::to_string(l));
+      const std::string where =
+          q.id + " mask " + std::to_string(mask) + " split " +
+          std::to_string(l) + "|" + std::to_string(r);
+      const bool children_overflow = product.TrueJoinRows(qs, l).overflow ||
+                                     product.TrueJoinRows(qs, r).overflow;
+      const std::optional<HeldRows> left = product.Held(qs, l);
+      const std::optional<HeldRows> right = product.Held(qs, r);
+      ASSERT_FALSE(children_overflow) << where;
+      ASSERT_TRUE(left.has_value() && right.has_value()) << where;
+      Oracle::CardResult got;
+      {
+        obs::MetricsRegistry metrics;
+        obs::MetricsScope scope(&metrics);
+        got = product.TrueJoinRows(qs, mask);
+        EXPECT_EQ(metrics.Get(obs::Counter::kOracleHeldJoins), 1) << where;
+        EXPECT_EQ(metrics.Get(obs::Counter::kOracleFreshEvaluations), 0)
+            << where;
+      }
+      EXPECT_EQ(got.overflow, want.overflow) << where;
+      EXPECT_EQ(got.rows, want.rows) << where;
+      if (!got.overflow && FrontierOf(q, mask) != 0) {
+        const std::optional<HeldRows> joined = product.Held(qs, mask);
+        const std::optional<HeldRows> evaluated = fresh.Held(qf, mask);
+        ASSERT_TRUE(joined.has_value() && evaluated.has_value()) << where;
+        EXPECT_EQ(joined->aliases, evaluated->aliases) << where;
+        EXPECT_TRUE(joined->Canonical() == evaluated->Canonical()) << where;
+        ++coverage->rows_compared;
+        // Weights from unweighted sides come from merged rows.
+        const bool weighs_more = std::any_of(
+            joined->weights.begin(), joined->weights.end(),
+            [](int64_t w) { return w > 1; });
+        coverage->merged += weighs_more && left->weights.empty() &&
+                                    right->weights.empty()
+                                ? 1
+                                : 0;
+      }
+      reference.TrueJoinRows(qs, l);
+      reference.TrueJoinRows(qs, r);
+      const Oracle::CardResult ref = reference.TrueJoinRows(qs, mask);
+      if (!ref.overflow) {
+        EXPECT_FALSE(got.overflow) << where;
+        EXPECT_EQ(got.rows, ref.rows) << where;
+      }
+
+      ++coverage->splits;
+      coverage->weighted +=
+          !left->weights.empty() || !right->weights.empty() ? 1 : 0;
+      coverage->residual += q.EdgesBetween(l, r).size() >= 2 ? 1 : 0;
+      coverage->null_keys += StoresNullKey(lab, q, *left, l, r) ||
+                                     StoresNullKey(lab, q, *right, r, l)
+                                 ? 1
+                                 : 0;
+      // The build side is the one storing fewer rows, ties to r.
+      const AliasMask build = left->stored() < right->stored() ? l : r;
+      if ((FrontierOf(q, mask) & build) != 0) {
+        ++coverage->build_kept;
+      } else {
+        ++coverage->build_dropped;
+      }
+      product.ReleaseIntermediates();
+      reference.ReleaseIntermediates();
+    }
+    fresh.ReleaseIntermediates();
+  }
+}
+
+/// TPC-H-lite at the scale of the committed answers.
+EngineLab& TpchLab() {
+  static EngineLab* lab = [] {
+    auto* l = new EngineLab;
+    engine::Database::Options options;
+    options.seed = 42;
+    l->db = engine::Database::CreateTpch(
+        options, datagen::TpchScaleProfile::Small().Scaled(0.5));
+    l->reference = std::make_unique<fuzz::ScalarOracle>(&l->db->context());
+    l->workload = query::LoadWorkload("tpch", l->db->schema());
+    return l;
+  }();
+  return *lab;
+}
+
+HeldJoinCoverage HeldJoinSweep(EngineLab& lab,
+                               const std::vector<Query>& queries) {
+  InspectOracle product(&lab.db->context());
+  InspectOracle fresh(&lab.db->context());
+  fuzz::ScalarOracle reference(&lab.db->context());
+  HeldJoinCoverage coverage;
+  for (const Query& q : queries) {
+    CheckHeldSplits(lab, product, fresh, reference, q, &coverage);
+    if (::testing::Test::HasFatalFailure()) break;
+  }
+  std::printf(
+      "%lld splits: %lld weighted, %lld residual, %lld NULL keys, build "
+      "dropped %lld / kept %lld, %lld merged, %lld row-compared\n",
+      static_cast<long long>(coverage.splits),
+      static_cast<long long>(coverage.weighted),
+      static_cast<long long>(coverage.residual),
+      static_cast<long long>(coverage.null_keys),
+      static_cast<long long>(coverage.build_dropped),
+      static_cast<long long>(coverage.build_kept),
+      static_cast<long long>(coverage.merged),
+      static_cast<long long>(coverage.rows_compared));
+  return coverage;
+}
+
+/// The workloads' sweeps cover weighted sides, residual edges, merges
+/// and build sides with and without kept columns (job_complex's splits
+/// have no residual edges).
+TEST(HeldJoinDifferential, JobLiteSplits) {
+  const HeldJoinCoverage c = HeldJoinSweep(Lab(), Lab().workload);
+  EXPECT_GT(c.weighted, 0);
+  EXPECT_GT(c.residual, 0);
+  EXPECT_GT(c.merged, 0);
+  EXPECT_GT(c.build_dropped, 0);
+  EXPECT_GT(c.build_kept, 0);
+}
+
+TEST(HeldJoinDifferential, JobComplexLiteSplits) {
+  EngineLab& lab = Lab();
+  const HeldJoinCoverage c = HeldJoinSweep(
+      lab, query::LoadWorkload("job_complex", lab.db->schema()));
+  EXPECT_GT(c.weighted, 0);
+  EXPECT_GT(c.merged, 0);
+  EXPECT_GT(c.build_dropped, 0);
+  EXPECT_GT(c.build_kept, 0);
+}
+
+TEST(HeldJoinDifferential, TpchLiteSplits) {
+  const HeldJoinCoverage c = HeldJoinSweep(TpchLab(), TpchLab().workload);
+  EXPECT_GT(c.weighted, 0);
+  EXPECT_GT(c.residual, 0);
+  EXPECT_GT(c.merged, 0);
+  EXPECT_GT(c.build_dropped, 0);
+  EXPECT_GT(c.build_kept, 0);
+}
+
+/// NULL join keys, none in the workloads' held sides: cast_info's
+/// person_role_id is mostly NULL, and the pair (t, ci) keeps ci with it
+/// for the edge to char_name; the second query adds a residual edge
+/// between the two pairs.
+constexpr const char* kHeldNullKeysSql = R"sql(
+-- held_null_keys
+SELECT COUNT(*) FROM title AS t, cast_info AS ci, char_name AS chn,
+  cast_info AS ci2
+WHERE t.id = ci.movie_id AND ci.person_role_id = chn.id
+  AND chn.id = ci2.person_role_id AND t.production_year > 2008;
+-- held_null_keys_residual
+SELECT COUNT(*) FROM title AS t, cast_info AS ci, char_name AS chn,
+  cast_info AS ci2
+WHERE t.id = ci.movie_id AND ci.person_role_id = chn.id
+  AND chn.id = ci2.person_role_id AND ci.movie_id = ci2.movie_id
+  AND t.production_year > 2000;
+)sql";
+
+TEST(HeldJoinDifferential, NullJoinKeys) {
+  EngineLab& lab = Lab();
+  std::vector<Query> queries;
+  const util::Status status = query::LoadSqlWorkloadText(
+      kHeldNullKeysSql, "held_null_keys", lab.db->schema(), &queries);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  const HeldJoinCoverage c = HeldJoinSweep(lab, queries);
+  EXPECT_GT(c.null_keys, 0);
+  EXPECT_GT(c.residual, 0);
+}
+
+/// The held join of `l` and `r` under `product` and the reference, each
+/// after holding both children, checked against the contract of
+/// ExpectContract with `count` the closed form of `l | r`. Returns the
+/// product's answer.
+Oracle::CardResult HeldJoinContract(EngineLab& lab, InspectOracle& product,
+                                    const Query& q, AliasMask l, AliasMask r,
+                                    std::optional<int64_t> count) {
+  for (const AliasMask side : {l, r}) {
+    EXPECT_FALSE(
+        ExpectContract(lab, q, side, RoleIdCount(lab, q, side)).overflow);
+    EXPECT_FALSE(product.TrueJoinRows(q, side).overflow);
+    EXPECT_TRUE(product.Held(q, side).has_value()) << q.id << " " << side;
+  }
+  const Oracle::CardResult want = lab.reference->TrueJoinRows(q, l | r);
+  Oracle::CardResult got;
+  {
+    obs::MetricsRegistry metrics;
+    obs::MetricsScope scope(&metrics);
+    got = product.TrueJoinRows(q, l | r);
+    EXPECT_EQ(metrics.Get(obs::Counter::kOracleHeldJoins), 1) << q.id;
+  }
+  if (!want.overflow) {
+    EXPECT_FALSE(got.overflow) << q.id;
+    EXPECT_EQ(got.rows, want.rows) << q.id;
+  }
+  if (!got.overflow) {
+    EXPECT_EQ(std::optional<int64_t>(got.rows), count) << q.id;
+  }
+  return got;
+}
+
+/// Cast_info self-joins on role_id whose four aliases c1..c4 (a chain)
+/// all have an edge to c5, so the subset (c1..c4) keeps all four columns:
+/// it stores Σ_k n_k² m3_k m4_k rows, joined from the held pairs (c1, c2)
+/// and (c3, c4). With c0 hanging off c1, the triple (c0, c1, c2) keeps c1
+/// and c2 weighted by c0's matches, so the same subset plus c0 stores as
+/// many rows, now with weights: two more cells a row.
+std::string HeldCapSql(const char* id, bool with_c0, int c3_movies,
+                       int c4_movies) {
+  std::string sql = std::string("-- ") + id + "\nSELECT COUNT(*) FROM ";
+  if (with_c0) sql += "cast_info AS c0, ";
+  sql +=
+      "cast_info AS c1, cast_info AS c2, cast_info AS c3, cast_info AS c4, "
+      "cast_info AS c5 WHERE c1.role_id = c2.role_id "
+      "AND c2.role_id = c3.role_id AND c3.role_id = c4.role_id "
+      "AND c5.role_id = c1.role_id AND c5.role_id = c2.role_id "
+      "AND c5.role_id = c3.role_id AND c5.role_id = c4.role_id ";
+  if (with_c0) sql += "AND c0.role_id = c1.role_id ";
+  sql += "AND c3.movie_id < " + std::to_string(c3_movies) +
+         " AND c4.movie_id < " + std::to_string(c4_movies) + ";\n";
+  return sql;
+}
+
+/// Stored-rows cap: the four kept columns' rows pass kMaxIntermediateRows
+/// while four cells a row stay under kMaxIntermediateCells.
+TEST(HeldJoinCaps, StoredRowsCap) {
+  EngineLab& lab = Lab();
+  InspectOracle product(&lab.db->context());
+  const Query q = BindOne(
+      HeldCapSql("held_stored_rows", false, 10, 15).c_str(), lab.db->schema());
+  const AliasMask l = query::MaskOf(0) | query::MaskOf(1);
+  const AliasMask r = query::MaskOf(2) | query::MaskOf(3);
+  const std::optional<int64_t> rows = RoleIdCount(lab, q, l | r);
+  ASSERT_TRUE(rows.has_value());
+  EXPECT_GT(*rows, cost::kMaxIntermediateRows);
+  EXPECT_LT(*rows * 4, cost::kMaxIntermediateCells);
+  EXPECT_TRUE(HeldJoinContract(lab, product, q, l, r, rows).overflow);
+}
+
+/// Stored-cells cap: as many rows, under kMaxIntermediateRows and under
+/// kMaxIntermediateCells at four cells a row, but the weights the held
+/// triple brings make six, past it. The count itself fits.
+TEST(HeldJoinCaps, StoredCellsCap) {
+  EngineLab& lab = Lab();
+  InspectOracle product(&lab.db->context());
+  const Query q = BindOne(
+      HeldCapSql("held_stored_cells", true, 10, 11).c_str(), lab.db->schema());
+  const AliasMask l = query::MaskOf(0) | query::MaskOf(1) | query::MaskOf(2);
+  const AliasMask r = query::MaskOf(3) | query::MaskOf(4);
+  const AliasMask kept = (l | r) & ~query::MaskOf(0);
+  const std::optional<int64_t> stored = RoleIdCount(lab, q, kept);
+  ASSERT_TRUE(stored.has_value());
+  EXPECT_LE(*stored, cost::kMaxIntermediateRows);
+  EXPECT_LT(*stored * 4, cost::kMaxIntermediateCells);
+  EXPECT_GE(*stored * 6, cost::kMaxIntermediateCells);
+  const std::optional<int64_t> count = RoleIdCount(lab, q, l | r);
+  ASSERT_TRUE(count.has_value());
+  EXPECT_TRUE(HeldJoinContract(lab, product, q, l, r, count).overflow);
+  const std::optional<HeldRows> triple = product.Held(q, l);
+  ASSERT_TRUE(triple.has_value());
+  EXPECT_FALSE(triple->weights.empty());
+}
+
+/// Visited-pairs bound: the 4-clique of kVisitedPairsSql split into the
+/// held pairs (c1, c2) and (c3, c4), both keeping both columns. The full
+/// mask stores nothing, but each (c1, c2) row walks its whole (c3, c4)
+/// group to check the three residual edges: Σ_k n_k³ m_k rows, the count
+/// itself, past kMaxVisitedPairs although it fits.
+TEST(HeldJoinCaps, VisitedPairsBound) {
+  EngineLab& lab = Lab();
+  InspectOracle product(&lab.db->context());
+  Query q = BindOne(kVisitedPairsSql, lab.db->schema());
+  q.id = "held_visited_pairs";
+  const AliasMask l = query::MaskOf(0) | query::MaskOf(1);
+  const AliasMask r = query::MaskOf(2) | query::MaskOf(3);
+  const std::optional<int64_t> count = RoleIdCount(lab, q, q.FullMask());
+  ASSERT_TRUE(count.has_value());
+  EXPECT_GT(*count, cost::kMaxVisitedPairs);
+  EXPECT_TRUE(HeldJoinContract(lab, product, q, l, r, count).overflow);
+}
+
+/// A count past INT64_MAX in one product: a 10-chain whose c5 and c6 each
+/// keep one row of the largest role_id group (n rows). The held halves
+/// (c1..c5) and (c6..c10) each store that one row at weight n⁴, which
+/// fits; their join's one product n⁸ does not.
+TEST(HeldJoinCaps, ProductPastInt64Overflows) {
+  EngineLab& lab = Lab();
+  InspectOracle product(&lab.db->context());
+  const catalog::Schema& schema = lab.db->schema();
+  const catalog::TableId cast_info = schema.FindTable("cast_info");
+  const storage::Table& table = lab.db->context().table(cast_info);
+  const storage::Column& roles =
+      table.column(schema.table(cast_info).FindColumn("role_id"));
+  const storage::Column& ids =
+      table.column(schema.table(cast_info).FindColumn("id"));
+  std::map<Value, int64_t> group_size;
+  for (RowId r = 0; r < table.row_count(); ++r) {
+    if (roles.at(r) != storage::kNullValue) ++group_size[roles.at(r)];
+  }
+  const Value largest =
+      std::max_element(group_size.begin(), group_size.end(),
+                       [](const auto& a, const auto& b) {
+                         return a.second < b.second;
+                       })->first;
+  std::vector<RowId> rows;
+  for (RowId r = 0; rows.size() < 2; ++r) {
+    if (roles.at(r) == largest) rows.push_back(r);
+  }
+  std::string sql = "-- held_chain10\nSELECT COUNT(*) FROM cast_info AS c1";
+  for (int i = 2; i <= 10; ++i) sql += ", cast_info AS c" + std::to_string(i);
+  sql += " WHERE c1.role_id = c2.role_id";
+  for (int i = 2; i < 10; ++i) {
+    sql += " AND c" + std::to_string(i) + ".role_id = c" +
+           std::to_string(i + 1) + ".role_id";
+  }
+  sql += " AND c5.id = " + std::to_string(ids.at(rows[0])) +
+         " AND c6.id = " + std::to_string(ids.at(rows[1])) + ";\n";
+  const Query q = BindOne(sql.c_str(), schema);
+  const AliasMask l = (AliasMask{1} << 5) - 1;
+  const AliasMask r = q.FullMask() & ~l;
+  EXPECT_FALSE(RoleIdCount(lab, q, q.FullMask()).has_value());
+  EXPECT_TRUE(
+      HeldJoinContract(lab, product, q, l, r, std::nullopt).overflow);
+  const int64_t n = group_size[largest];
+  for (const AliasMask side : {l, r}) {
+    const std::optional<HeldRows> half = product.Held(q, side);
+    ASSERT_TRUE(half.has_value());
+    ASSERT_EQ(half->stored(), 1);
+    EXPECT_EQ(half->rows, n * n * n * n);
+  }
+}
+
+/// Children to hold for `mask` so that each is evaluated fresh whatever
+/// the order they are asked in: the sides of its held splits, taken in
+/// order while no kept side is another kept side plus one alias or the
+/// union of two. Each taken split is one `mask` can be joined from.
+std::vector<AliasMask> IndependentChildren(const Query& q, AliasMask mask,
+                                           int32_t* splits_taken) {
+  std::vector<AliasMask> children;
+  auto independent = [](const std::vector<AliasMask>& set) {
+    for (const AliasMask c : set) {
+      for (const AliasMask x : set) {
+        if (x == c || (x & ~c) != 0) continue;
+        const AliasMask rest = c & ~x;
+        if (std::popcount(rest) == 1 ||
+            std::find(set.begin(), set.end(), rest) != set.end()) {
+          return false;
+        }
+      }
+    }
+    return true;
+  };
+  *splits_taken = 0;
+  for (const auto& [l, r] : HeldSplits(q, mask)) {
+    std::vector<AliasMask> grown = children;
+    for (const AliasMask side : {l, r}) {
+      if (std::find(grown.begin(), grown.end(), side) == grown.end()) {
+        grown.push_back(side);
+      }
+    }
+    if (!independent(grown)) continue;
+    children = std::move(grown);
+    ++*splits_taken;
+  }
+  return children;
+}
+
+/// Two oracles hold the same children of each subset, asked for in
+/// opposite orders, then join the subset: every held intermediate is
+/// byte-identical and so is every oracle counter. Where several held
+/// splits apply, the choice must not follow the order they were held in
+/// (the hash map's iteration order).
+void CheckChildOrderIndependence(EngineLab& lab,
+                                 const std::vector<Query>& queries,
+                                 int64_t* several) {
+  InspectOracle ascending(&lab.db->context());
+  InspectOracle descending(&lab.db->context());
+  for (const Query& q : queries) {
+    for (const AliasMask mask : SplitSubsets(q)) {
+      int32_t splits = 0;
+      std::vector<AliasMask> children = IndependentChildren(q, mask, &splits);
+      if (splits == 0) continue;
+      *several += splits >= 2 ? 1 : 0;
+      std::sort(children.begin(), children.end());
+      const Query qm = Renamed(q, std::to_string(mask));
+      obs::MetricsRegistry up_metrics;
+      obs::MetricsRegistry down_metrics;
+      {
+        obs::MetricsScope scope(&up_metrics);
+        for (const AliasMask c : children) ascending.TrueJoinRows(qm, c);
+        ascending.TrueJoinRows(qm, mask);
+      }
+      {
+        obs::MetricsScope scope(&down_metrics);
+        for (auto c = children.rbegin(); c != children.rend(); ++c) {
+          descending.TrueJoinRows(qm, *c);
+        }
+        descending.TrueJoinRows(qm, mask);
+      }
+      EXPECT_EQ(up_metrics.Get(obs::Counter::kOracleHeldJoins), 1)
+          << q.id << " mask " << mask;
+      for (int32_t i = 0; i < static_cast<int32_t>(obs::Counter::kCounterCount);
+           ++i) {
+        const obs::Counter c = static_cast<obs::Counter>(i);
+        EXPECT_EQ(up_metrics.Get(c), down_metrics.Get(c))
+            << q.id << " mask " << mask << " " << obs::CounterName(c);
+      }
+      children.push_back(mask);
+      for (const AliasMask c : children) {
+        const std::optional<HeldRows> up = ascending.Held(qm, c);
+        ASSERT_TRUE(up.has_value()) << q.id << " mask " << c;
+        EXPECT_TRUE(up == descending.Held(qm, c)) << q.id << " mask " << c;
+      }
+      ascending.ReleaseIntermediates();
+      descending.ReleaseIntermediates();
+    }
+  }
+}
+
+TEST(HeldJoinDeterminism, ChildOrderLeavesIdenticalIntermediates) {
+  int64_t several = 0;
+  EngineLab& imdb = Lab();
+  CheckChildOrderIndependence(imdb, imdb.workload, &several);
+  CheckChildOrderIndependence(
+      imdb, query::LoadWorkload("job_complex", imdb.db->schema()), &several);
+  CheckChildOrderIndependence(TpchLab(), TpchLab().workload, &several);
+  EXPECT_GT(several, 0);
 }
 
 // ---------------------------------------------------------------------------
